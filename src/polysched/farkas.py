@@ -118,20 +118,6 @@ class ConstraintSystem:
     def __repr__(self):
         return f"ConstraintSystem({len(self.variables)} vars, {len(self.rows)} rows)"
 
-    def pretty(self) -> str:
-        out = []
-        for row in self.rows:
-            terms = [
-                f"{'' if c == 1 else str(c) + '*'}{v}"
-                for c, v in zip(row.coeffs, self.variables)
-                if c
-            ]
-            expr = " + ".join(terms).replace("+ -", "- ") or "0"
-            if row.const:
-                expr += f" + {row.const}" if row.const > 0 else f" - {-row.const}"
-            out.append(f"{expr} {'== 0' if row.kind == EQ else '>= 0'}")
-        return "\n".join(out)
-
     # -- construction helpers -------------------------------------------------
 
     def row_from(self, coeffs: Mapping[str, Fraction | int], const=0, kind=GE) -> LinearRow:
@@ -148,102 +134,6 @@ class ConstraintSystem:
         merged.update({v: b for v, b in bounds.items()})
         return ConstraintSystem(self.variables, self.rows, merged)
 
-    def conjoin(self, *others: "ConstraintSystem") -> "ConstraintSystem":
-        """Union of rows over the union of variables (first-seen order)."""
-        variables = list(self.variables)
-        lower = dict(self.lower)
-        for other in others:
-            for v in other.variables:
-                if v not in lower:
-                    variables.append(v)
-                    lower[v] = other.lower[v]
-                elif lower[v] != other.lower[v]:
-                    raise ValueError(f"conflicting bounds for {v}")
-        out = ConstraintSystem(variables, (), lower)
-        rows = [out.row_from(dict(zip(s.variables, r.coeffs)), r.const, r.kind)
-                for s in (self, *others) for r in s.rows]
-        return out.with_rows(rows)
-
-    def compose(self, mapping: Mapping[str, "Fraction | int | Mapping[str, Fraction | int]"],
-                extra_vars: Sequence[str] = (), extra_lower=None) -> "ConstraintSystem":
-        """Substitute each mapped variable by an affine form of other variables.
-
-        Values are either constants or coefficient mappings over the target
-        variables ("" keys a constant term).  Lower bounds of substituted
-        variables are kept as explicit rows so no feasible-set slack is lost.
-        """
-        keep = [v for v in self.variables if v not in mapping]
-        variables = list(keep)
-        lower = {v: self.lower[v] for v in keep}
-        if extra_lower is None:
-            extra_lower = {}
-        for v in extra_vars:
-            if v not in lower:
-                variables.append(v)
-                lower[v] = extra_lower.get(v, ZERO)
-        for form in mapping.values():
-            if isinstance(form, Mapping):
-                for v in form:
-                    if v and v not in lower:
-                        variables.append(v)
-                        lower[v] = extra_lower.get(v, ZERO)
-        out = ConstraintSystem(variables, (), lower)
-
-        def translate(coeffs, const):
-            acc = dict()
-            c_const = Fraction(const)
-            for c, v in zip(coeffs, self.variables):
-                if not c:
-                    continue
-                form = mapping.get(v)
-                if form is None:
-                    acc[v] = acc.get(v, ZERO) + c
-                elif isinstance(form, Mapping):
-                    for tv, tc in form.items():
-                        if tv == "":
-                            c_const += c * Fraction(tc)
-                        else:
-                            acc[tv] = acc.get(tv, ZERO) + c * Fraction(tc)
-                else:
-                    c_const += c * Fraction(form)
-            return acc, c_const
-
-        rows = []
-        for r in self.rows:
-            acc, const = translate(r.coeffs, r.const)
-            rows.append(out.row_from(acc, const, r.kind))
-        for v, form in mapping.items():
-            b = self.lower[v]
-            if b is None:
-                continue
-            if isinstance(form, Mapping):
-                acc = {tv: Fraction(tc) for tv, tc in form.items() if tv != ""}
-                const = Fraction(form.get("", 0)) - b
-                rows.append(out.row_from(acc, const, GE))
-            elif Fraction(form) < b:
-                rows.append(LinearRow((ZERO,) * len(variables), Fraction(-1), GE))
-        return out.with_rows(rows)
-
-    def restricted(self, pins: Mapping[str, Fraction | int]) -> "ConstraintSystem":
-        """Pin variables to constants (bounds re-checked as rows)."""
-        return self.compose(dict(pins))
-
-    def drop_unused(self, keep: Iterable[str] = ()) -> "ConstraintSystem":
-        """Remove variables that occur in no row and are not explicitly kept."""
-        keep = set(keep)
-        used = set(keep)
-        for r in self.rows:
-            for c, v in zip(r.coeffs, self.variables):
-                if c:
-                    used.add(v)
-        variables = [v for v in self.variables if v in used]
-        if len(variables) == len(self.variables):
-            return self
-        out = ConstraintSystem(variables, (), {v: self.lower[v] for v in variables})
-        rows = [out.row_from({v: c for c, v in zip(r.coeffs, self.variables) if c}, r.const, r.kind)
-                for r in self.rows]
-        return out.with_rows(rows)
-
     # -- checking -------------------------------------------------------------
 
     def point(self, assignment: Mapping[str, Fraction | int]) -> tuple[Fraction, ...]:
@@ -256,19 +146,6 @@ class ConstraintSystem:
             if b is not None and x < b:
                 return False
         return all(r.holds(pt) for r in self.rows)
-
-    def violations(self, assignment: Mapping[str, Fraction | int]) -> list[str]:
-        pt = self.point(assignment)
-        out = []
-        for v, x in zip(self.variables, pt):
-            b = self.lower[v]
-            if b is not None and x < b:
-                out.append(f"{v} = {x} < {b}")
-        for r in self.rows:
-            if not r.holds(pt):
-                out.append(f"row {r.coeffs} + {r.const} {r.kind} fails at {r.evaluate(pt)}")
-        return out
-
 
 def _row_key(coeffs) -> tuple:
     # Hashing a Fraction costs a modular inverse; normalized rows are almost

@@ -20,7 +20,6 @@ from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from . import ratlp
-from .farkas import EQ, ConstraintSystem
 from .model import (
     DDG,
     AffineTransform,
@@ -32,7 +31,7 @@ from .model import (
     satisfaction_level,
     scc_decompose,
 )
-from .pluto import DependenceSystems, absorb, base_system
+from .pluto import DependenceSystems, level_system
 
 Vertex = tuple[str, int]
 
@@ -66,35 +65,29 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
                  parametric_shifts: bool = False) -> bool:
     """Can the chosen dimensions share the outermost level?
 
-    Builds the legality and bounding rows of `deps`, forces the chosen
-    iterator coefficient of every statement to at least 1 and every other
-    iterator coefficient to zero, and asks for feasibility.  Constant shifts
-    stay free; parametric shifts are pinned to zero unless requested, since
-    a parametric offset would let misaligned accesses slide past each other
-    and hide a genuine fusion conflict.
+    Builds the legality and bounding rows of `deps` with the chosen iterator
+    coefficient of every statement at least 1 and every other iterator
+    coefficient zero, and asks for feasibility.  Constant shifts stay free;
+    parametric shifts are zero unless requested, since a parametric offset
+    would let misaligned accesses slide past each other and hide a genuine
+    fusion conflict.
     """
     systems = systems or DependenceSystems(program)
-    system = base_system(program, statements, free_shifts=True)
-    donors = []
-    for d in deps:
-        donors.append(systems.legality(d))
-        donors.append(systems.bounding(d))
-    system = absorb(system, donors)
-
-    rows = []
-    lower = {}
+    variables = []
+    lower: dict[str, Fraction | None] = {}
     for s in statements:
-        for k, it in enumerate(s.domain.iterators):
-            var = f"c.{s.id}.{it}"
-            if choose.get(s.id) == k:
-                lower[var] = Fraction(1)
-            else:
-                rows.append(system.row_from({var: 1}, 0, EQ))
-        if not parametric_shifts:
-            for p in program.params:
-                rows.append(system.row_from({f"d.{s.id}.{p}": 1}, 0, EQ))
-    result = ratlp.solve_lexmin(ratlp.LPProblem.of(system.with_rows(rows).with_lower(lower)))
-    return bool(result)
+        k = choose.get(s.id)
+        if k is not None:
+            var = f"c.{s.id}.{s.domain.iterators[k]}"
+            variables.append(var)
+            lower[var] = Fraction(1)
+        shifts = [f"d.{s.id}.{p}" for p in program.params] if parametric_shifts else []
+        shifts.append(f"c0.{s.id}")
+        variables += shifts
+        lower.update(dict.fromkeys(shifts))
+    forms = {v: {v: 1} for v in variables}
+    system = level_system(program, systems, deps, forms, variables, lower)
+    return bool(ratlp.solve_lexmin(ratlp.LPProblem.of(system)))
 
 
 def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:

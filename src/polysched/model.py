@@ -10,11 +10,11 @@ constant shift.  All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .farkas import EQ, GE, ConstraintSystem, ZERO
+from .farkas import ConstraintSystem, ZERO
 from . import ratlp
 
 RAW = "RAW"
@@ -86,18 +86,6 @@ class Program:
                 return s
         raise KeyError(sid)
 
-    def coefficient_order(self) -> list[str]:
-        """Canonical variable order for scheduling systems: bounding
-        coefficients first, then per statement its iterator coefficients,
-        parameter shifts and constant shift."""
-        out = [f"u.{p}" for p in self.params] + ["w"]
-        for s in self.statements:
-            out += [f"c.{s.id}.{it}" for it in s.domain.iterators]
-            out += [f"d.{s.id}.{p}" for p in self.params]
-            out.append(f"c0.{s.id}")
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class DependencePolyhedron:
     """Instance-pair polyhedron between a source and a target statement.
@@ -135,17 +123,6 @@ class DDG:
 
     vertices: tuple[str, ...]
     edges: tuple[DependencePolyhedron, ...]
-
-    def outgoing(self, sid: str):
-        return [e for e in self.edges if e.src == sid]
-
-    def between(self, a: str, b: str):
-        return [e for e in self.edges if {e.src, e.dst} == {a, b} or
-                (a == b and e.src == a and e.dst == a)]
-
-    def without(self, drop) -> "DDG":
-        dropped = set(id(e) for e in drop)
-        return DDG(self.vertices, tuple(e for e in self.edges if id(e) not in dropped))
 
     def sccs(self) -> tuple[tuple[str, ...], ...]:
         return scc_decompose(self)
@@ -417,16 +394,3 @@ def satisfaction_level(dep: DependencePolyhedron, transform: AffineTransform,
             return level
     return None
 
-
-def remove_satisfied_deps(ddg: DDG, transform: AffineTransform,
-                          level: int | None = None):
-    """Split the graph's edges into still-live and satisfied-by-now.
-
-    Returns (pruned graph, {satisfied dependence: level}).
-    """
-    satisfied: dict[DependencePolyhedron, int] = {}
-    for dep in ddg.edges:
-        at = satisfaction_level(dep, transform, level)
-        if at is not None:
-            satisfied[dep] = at
-    return ddg.without(satisfied), satisfied

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from . import ratlp
 from .farkas import (
-    EQ, GE, ZERO, ConstraintSystem,
+    EQ, ZERO, ConstraintSystem,
     bounding_constraints, coefficient_variables, legality_constraints,
 )
 from .model import (
@@ -40,8 +40,6 @@ MAX_AXIS_COMBOS = 4096
 @dataclass(frozen=True)
 class SchedulerConfig:
     mode: str = LP
-    lexmin: str = "staged"  # or "weighted"
-    weight_base: int = 1000
     allow_shift: bool = True
     allow_parametric_shift: bool = True
     allow_skew: bool = True
@@ -148,37 +146,36 @@ def bound_variables(program: Program) -> list[str]:
     return [f"u.{p}" for p in program.params] + ["w"]
 
 
-def base_system(program: Program, statements: Sequence[Statement],
-                free_shifts: bool = False) -> ConstraintSystem:
-    """Empty system over the scheduling variables in canonical order.
+def level_system(program: Program, systems: DependenceSystems,
+                 deps: Sequence[DependencePolyhedron],
+                 forms: Mapping[str, Mapping[str, Fraction | int]],
+                 variables: Sequence[str],
+                 lower: Mapping[str, Fraction | None] | None = None) -> ConstraintSystem:
+    """Legality and bounding rows of `deps` restricted to one level's unknowns.
 
-    All variables are non-negative; `free_shifts` lifts that for constant and
-    parametric shifts, which the shift pass needs to move in both directions.
+    The system's variables are the bound variables, then `variables` in the
+    given order.  Each coefficient variable named in `forms` is replaced by
+    its linear form {variable: weight} over `variables`; every other
+    coefficient variable is zero: its terms vanish, and leaving out the pin
+    row keeps the tableau small.  Donor bounds are ignored: legality and
+    bounding rows are valid whatever bounds the level chooses.
     """
-    variables = list(bound_variables(program))
-    lower: dict[str, Fraction | None] = {}
-    for s in statements:
-        names = coefficient_variables(s, program.params)
-        variables += names
-        if free_shifts:
-            for v in names:
-                if v.startswith(("d.", "c0.")):
-                    lower[v] = None
-    return ConstraintSystem(variables, (), lower)
-
-
-def absorb(base: ConstraintSystem, donors: Sequence[ConstraintSystem]) -> ConstraintSystem:
-    """Copy rows of the donor systems into `base`'s variable space.
-
-    Donor bounds are ignored: legality and bounding rows are valid whatever
-    bounds the assembled problem chooses for the coefficients.
-    """
+    bounds = bound_variables(program)
+    system = ConstraintSystem(bounds + list(variables), (), lower)
+    forms = {**forms, **{v: {v: 1} for v in bounds}}
     rows = []
-    for s in donors:
-        for r in s.rows:
-            rows.append(base.row_from(
-                {v: c for v, c in zip(s.variables, r.coeffs) if c}, r.const, r.kind))
-    return base.with_rows(rows)
+    for dep in deps:
+        for donor in (systems.legality(dep), systems.bounding(dep)):
+            subst = [forms.get(v) for v in donor.variables]
+            for r in donor.rows:
+                acc: dict[str, Fraction] = {}
+                for c, form in zip(r.coeffs, subst):
+                    if c and form:
+                        for v, a in form.items():
+                            x = c if a == 1 else c * a
+                            acc[v] = acc[v] + x if v in acc else x
+                rows.append(system.row_from(acc, r.const, r.kind))
+    return system.with_rows(rows)
 
 
 # -- one level ----------------------------------------------------------------
@@ -198,7 +195,7 @@ def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig) -> ratlp.LP
         problem = ratlp.LPProblem.of(system, objectives, system.variables)
         return ratlp.solve_ilp(problem, config.node_limit)
     problem = ratlp.LPProblem.of(system, objectives)
-    return ratlp.solve_lexmin(problem, config.lexmin, config.weight_base)
+    return ratlp.solve_lexmin(problem)
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
@@ -221,27 +218,30 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
     """One more transform row per statement, or None when none exists.
 
     Statements whose rows already span their iteration space get zero rows
-    and stop influencing the problem.
+    and stop influencing the problem; so do shifts the config disallows.
     """
     parts, complete = _statement_state(statements, prior)
     if all(complete.values()):
         return None
 
-    base = base_system(program, statements)
-    donors = []
-    for dep in deps:
-        donors.append(systems.legality(dep))
-        donors.append(systems.bounding(dep))
-    system = absorb(base, donors)
-
-    rows = []
+    forms = {}
+    variables = []
     active = []
     for s in statements:
-        names = coefficient_variables(s, program.params)
         if complete[s.id]:
-            rows += [system.row_from({v: 1}, 0, EQ) for v in names]
             continue
         active.append(s)
+        for v in coefficient_variables(s, program.params):
+            if v.startswith("c0.") and not config.allow_shift:
+                continue
+            if v.startswith("d.") and not config.allow_parametric_shift:
+                continue
+            forms[v] = {v: 1}
+            variables.append(v)
+    system = level_system(program, systems, deps, forms, variables)
+
+    rows = []
+    for s in active:
         rows.append(system.row_from(
             {f"c.{s.id}.{it}": 1 for it in s.domain.iterators}, -1))
         guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
@@ -249,11 +249,6 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
             rows.append(system.row_from(
                 {f"c.{s.id}.{it}": a for it, a in zip(s.domain.iterators, guide) if a},
                 -1))
-    if not config.allow_shift:
-        rows += [system.row_from({f"c0.{s.id}": 1}, 0, EQ) for s in statements]
-    if not config.allow_parametric_shift:
-        rows += [system.row_from({f"d.{s.id}.{p}": 1}, 0, EQ)
-                 for s in statements for p in program.params]
     system = system.with_rows(rows)
 
     if config.allow_skew:
@@ -421,7 +416,7 @@ def _schedule_component(program, ci, stmts, live, config, systems,
                 if complete[s.id]:
                     continue
                 names = coefficient_variables(s, program.params)
-                rows[s.id].append(tuple(hp.scaled[v] for v in names))
+                rows[s.id].append(tuple(hp.scaled.get(v, ZERO) for v in names))
             parallel = _is_parallel(program, hp.scaled)
             if level == band_start:
                 band_parallel = parallel

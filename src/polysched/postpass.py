@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import ratlp
-from .farkas import ConstraintSystem
+from .farkas import coefficient_variables
 from .fcg import Coloring, color_fcg, permute_and_fuse
 from .model import (
     DDG,
@@ -28,7 +28,7 @@ from .model import (
     component_range,
     satisfaction_level,
 )
-from .pluto import DependenceSystems, absorb, base_system, bound_variables
+from .pluto import DependenceSystems, bound_variables, level_system
 
 ZERO = Fraction(0)
 
@@ -70,50 +70,27 @@ def _level_system(program: Program, systems: DependenceSystems,
     """Legality and bounding of `live` with the permuted dimension of every
     active statement at least 1, everything else zero, shifts split free.
 
-    Variables that are forced to zero (non-permuted coefficients, and the
-    shifts of statements that do not loop at this level) are left out of the
-    system entirely rather than pinned with equality rows; their terms in the
-    donor rows vanish, which keeps the tableau small.
+    Variables that are zero (non-permuted coefficients, and the shifts of
+    statements that do not loop at this level) are left out of the system.
     """
-    variables = list(bound_variables(program))
+    variables = []
+    forms = {}
     split: dict[str, tuple[str, str]] = {}
-    dead: set[str] = set()
     lower = {}
     for s in program.statements:
         k = active.get(s.id)
-        pairs = _split_shift_names(s.id, program.params)
-        for i, it in enumerate(s.domain.iterators):
-            var = f"c.{s.id}.{it}"
-            if i == k:
-                variables.append(var)
-                lower[var] = Fraction(1)
-            else:
-                dead.add(var)
         if k is None:
-            # the statement does not loop here, so its whole row is zero
-            dead.update(pairs)
-        else:
-            split.update(pairs)
-            for pos, neg in pairs.values():
-                variables += [pos, neg]
-    system = ConstraintSystem(variables)
-
-    rows = []
-    for d in live:
-        for donor in (systems.legality(d), systems.bounding(d)):
-            for r in donor.rows:
-                acc: dict[str, Fraction] = {}
-                for v, c in zip(donor.variables, r.coeffs):
-                    if not c or v in dead:
-                        continue
-                    if v in split:
-                        pos, neg = split[v]
-                        acc[pos] = acc.get(pos, ZERO) + c
-                        acc[neg] = acc.get(neg, ZERO) - c
-                    else:
-                        acc[v] = acc.get(v, ZERO) + c
-                rows.append(system.row_from(acc, r.const, r.kind))
-    return system.with_rows(rows).with_lower(lower), split
+            continue  # the statement does not loop here: its row is zero
+        var = f"c.{s.id}.{s.domain.iterators[k]}"
+        variables.append(var)
+        forms[var] = {var: 1}
+        lower[var] = Fraction(1)
+        pairs = _split_shift_names(s.id, program.params)
+        split.update(pairs)
+        for v, (pos, neg) in pairs.items():
+            variables += [pos, neg]
+            forms[v] = {pos: 1, neg: -1}
+    return level_system(program, systems, live, forms, variables, lower), split
 
 
 def _merge_shifts(assignment: Mapping[str, Fraction],
@@ -237,43 +214,32 @@ def _skew_level(program: Program, systems: DependenceSystems,
     weights on every outer row.  Legality over all ordering dependences and
     the usual bounding make this the same lexmin shape as the scheduler.
     """
-    base = base_system(program, program.statements, free_shifts=True)
-    donors = []
-    for d in ordering:
-        donors.append(systems.legality(d))
-        donors.append(systems.bounding(d))
-    base = absorb(base, donors)
-
-    mapping: dict[str, object] = {}
-    extra: list[str] = []
-    extra_lower: dict[str, Fraction] = {}
+    variables: list[str] = []
+    forms: dict[str, dict[str, Fraction]] = {}
+    iterator_forms = []
     rows_of: dict[str, list[tuple[int, tuple]]] = {}
     for s in program.statements:
         own = transform.row(s.id, level)
+        if own is None or not any(own):
+            continue  # the statement's row stays zero
         outer = [(k, transform.row(s.id, k)) for k in range(1, level)]
         outer = [(k, r) for k, r in outer if r is not None and any(r)]
-        names = [f"c.{s.id}.{it}" for it in s.domain.iterators] \
-            + [f"d.{s.id}.{p}" for p in program.params] + [f"c0.{s.id}"]
-        if own is None or not any(own):
-            for v in names:
-                mapping[v] = 0
-            continue
         rows_of[s.id] = outer
         alpha = f"a.{s.id}"
-        extra.append(alpha)
-        extra_lower[alpha] = Fraction(1)
-        betas = []
-        for k, _ in outer:
-            b = f"b.{s.id}.{k}"
-            extra.append(b)
-            betas.append(b)
-        for j, v in enumerate(names):
+        betas = [f"b.{s.id}.{k}" for k, _ in outer]
+        variables += [alpha] + betas
+        for j, v in enumerate(coefficient_variables(s, program.params)):
             form = {alpha: own[j]}
             for (k, r), b in zip(outer, betas):
                 form[b] = r[j]
-            mapping[v] = {tv: tc for tv, tc in form.items() if tc}
+            forms[v] = {tv: tc for tv, tc in form.items() if tc}
+            if j < s.dim:
+                iterator_forms.append(forms[v])
 
-    system = base.compose(mapping, extra, extra_lower)
+    system = level_system(program, systems, ordering, forms, variables,
+                          {f"a.{sid}": Fraction(1) for sid in rows_of})
+    # Iterator coefficients stay non-negative, as everywhere else.
+    system = system.with_rows(system.row_from(f) for f in iterator_forms)
     result = ratlp.solve_lexmin(
         ratlp.LPProblem.of(system, [{v: 1} for v in system.variables]))
     if not result:

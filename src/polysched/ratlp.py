@@ -17,9 +17,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Mapping, Sequence
 
-from .farkas import EQ, GE, ConstraintSystem
-
-Rational = Fraction
+from .farkas import GE, ConstraintSystem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,10 +65,6 @@ class LPResult:
 
     def value(self, var: str) -> Fraction:
         return self.assignment[var]
-
-
-def _objective_value(obj: Mapping[str, Fraction], assignment) -> Fraction:
-    return sum((Fraction(c) * assignment[v] for v, c in obj.items()), ZERO)
 
 
 class _Simplex:
@@ -354,30 +348,9 @@ def solve_lp(problem: LPProblem) -> LPResult:
     return _Simplex(problem.system).solve(problem.objectives[:1])
 
 
-def solve_lexmin(problem: LPProblem, mode: str = "staged",
-                 weight_base: int = 1000) -> LPResult:
-    """Lexicographic minimization over the problem's objective list.
-
-    The staged mode is exact.  The weighted mode folds the stages into a
-    single objective with geometrically decreasing weights; it agrees with the
-    staged mode only while optimal values stay well below the weight base, and
-    is kept for comparison runs.
-    """
-    if mode == "staged":
-        return _Simplex(problem.system).solve(problem.objectives)
-    if mode != "weighted":
-        raise ValueError(f"unknown lexmin mode: {mode}")
-    combined: dict[str, Fraction] = {}
-    n = len(problem.objectives)
-    for i, obj in enumerate(problem.objectives):
-        scale = Fraction(weight_base) ** (n - 1 - i)
-        for v, c in obj.items():
-            combined[v] = combined.get(v, ZERO) + scale * Fraction(c)
-    res = _Simplex(problem.system).solve([combined] if combined else [])
-    if not res:
-        return res
-    values = tuple(_objective_value(o, res.assignment) for o in problem.objectives)
-    return LPResult(OPTIMAL, res.assignment, values)
+def solve_lexmin(problem: LPProblem) -> LPResult:
+    """Lexicographic minimization over the problem's objective list."""
+    return _Simplex(problem.system).solve(problem.objectives)
 
 
 def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:

@@ -317,15 +317,6 @@ def _all_records(runs: Sequence[_Runs]) -> list:
     return out
 
 
-def _satisfies(system: ConstraintSystem, values: Mapping[str, Fraction]) -> bool:
-    point = [values.get(v, ZERO) for v in system.variables]
-    for i, v in enumerate(system.variables):
-        lb = system.lower[v]
-        if lb is not None and point[i] < lb:
-            return False
-    return all(row.holds(point) for row in system.rows)
-
-
 def _scale_factor(assignment: Mapping[str, Fraction]) -> int:
     return math.lcm(*(x.denominator for x in assignment.values())) if assignment else 1
 
@@ -371,7 +362,7 @@ def _check_solution_scaling(runs, bound):
     for i, (system, assignment) in enumerate(records):
         for k in _SCALES:
             scaled = {v: k * x for v, x in assignment.items()}
-            if not _satisfies(system, scaled):
+            if not system.satisfied_by(scaled):
                 bad.append(f"system {i}: optimum scaled by {k} leaves the system")
     if len(records) < 50:
         bad.append(f"only {len(records)} recorded systems, expected at least 50")

@@ -78,49 +78,12 @@ class TestConstraintSystem:
                            s.row_from({}, -1, GE)])
         assert rows_as_tuples(out) == [((F(0),), F(-1), GE)]
 
-    def test_conjoin_unions_variables(self):
-        a = ConstraintSystem(["x"], (), {"x": None})
-        a = a.with_rows([a.row_from({"x": 1}, -1)])
-        b = ConstraintSystem(["y"])
-        b = b.with_rows([b.row_from({"y": 1}, -2)])
-        joint = a.conjoin(b)
-        assert joint.variables == ("x", "y")
-        assert joint.lower == {"x": None, "y": F(0)}
-        assert len(joint.rows) == 2
-
-    def test_conjoin_rejects_conflicting_bounds(self):
-        a = ConstraintSystem(["x"], (), {"x": None})
-        b = ConstraintSystem(["x"])
-        with pytest.raises(ValueError):
-            a.conjoin(b)
-
-    def test_compose_substitutes_affine_forms(self):
-        s = ConstraintSystem(["x", "y"])
-        s = s.with_rows([s.row_from({"x": 1, "y": 1}, -2)])
-        out = s.compose({"x": {"a": 1, "": 1}}, extra_vars=["a"])
-        # x := a + 1 turns x + y - 2 >= 0 into a + y - 1 >= 0; x's own lower
-        # bound comes back as the explicit row a + 1 >= 0.
-        assert out.variables == ("y", "a")
-        assert rows_as_tuples(out) == [((F(1), F(1)), F(-1), GE),
-                                       ((F(0), F(1)), F(1), GE)]
-
-    def test_compose_pin_below_bound_is_infeasible(self):
-        s = ConstraintSystem(["x"])  # x >= 0
-        out = s.restricted({"x": -1})
-        assert any(not any(r.coeffs) and r.const < 0 for r in out.rows)
-
     def test_satisfied_by_checks_bounds_and_rows(self):
         s = ConstraintSystem(["x", "y"])
         s = s.with_rows([s.row_from({"x": 1, "y": -1}, 0)])
         assert s.satisfied_by({"x": 2, "y": 1})
         assert not s.satisfied_by({"x": 1, "y": 2})
         assert not s.satisfied_by({"x": -1, "y": -1})
-
-    def test_drop_unused(self):
-        s = ConstraintSystem(["x", "y", "z"])
-        s = s.with_rows([s.row_from({"y": 1}, -1)])
-        out = s.drop_unused(keep=["z"])
-        assert out.variables == ("y", "z")
 
 
 class TestEliminate:

@@ -1,0 +1,70 @@
+"""Byte-identity of the bundled corpus schedules.
+
+Every corpus instance is scheduled on `ilp`, `lp` and `dfp`; the digest of
+each transform's JSON and the `dfp` conflict graphs and coloring must match
+`golden_corpus.json`.  Refactors of the scheduler keep these outputs exact;
+a change that alters a schedule on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in its description.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from polysched.pluto import ILP, LP, SchedulerConfig, schedule
+from polysched.postpass import dfp_schedule
+from polysched.verify import load_corpus
+
+GOLDEN = Path(__file__).with_name("golden_corpus.json")
+EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+
+
+def _digest(data) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _edges(fcg) -> dict:
+    name = "{0[0]}.{0[1]}".format
+    return {"conflicts": [f"{name(u)}-{name(v)}" for u, v in fcg.conflicts],
+            "loops": [name(v) for v in fcg.loops]}
+
+
+def golden_entry(inst) -> dict:
+    """What the golden file records for one corpus instance."""
+    entry = {}
+    for mode in (ILP, LP):
+        result = schedule(inst.program, inst.deps, SchedulerConfig(mode=mode))
+        entry[mode] = _digest(result.transform.to_json())
+    dfp = dfp_schedule(inst.program, inst.deps)
+    coloring = dfp.coloring
+    entry["dfp"] = _digest(dfp.transform.to_json())
+    entry["fcg"] = {
+        "initial": _edges(coloring.initial),
+        "final": _edges(coloring.fcg),
+        "colors": {sid: list(ks) for sid, ks in coloring.colors.items()},
+        "cut_groups": {str(c): [list(g) for g in groups]
+                       for c, groups in coloring.cut_groups.items()},
+    }
+    return entry
+
+
+def test_golden_covers_corpus(corpus):
+    assert sorted(EXPECTED) == sorted(inst.name for inst in corpus)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_golden_schedule(by_name, name):
+    assert golden_entry(by_name[name]) == EXPECTED[name]
+
+
+if __name__ == "__main__":
+    data = {inst.name: golden_entry(inst) for inst in load_corpus()}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} instances to {GOLDEN}", file=sys.stderr)

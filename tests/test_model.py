@@ -3,12 +3,11 @@ from fractions import Fraction
 import pytest
 
 from polysched.farkas import ConstraintSystem
-from polysched.frontend import analyze, build_ddg
+from polysched.frontend import analyze
 from polysched.model import (
     RAR, RAW,
     AffineTransform, Band, Cut, DDG, DependencePolyhedron, IndexSet, Program,
-    component_range, identity_transform, remove_satisfied_deps,
-    satisfaction_level, scc_decompose,
+    component_range, identity_transform, satisfaction_level, scc_decompose,
 )
 
 F = Fraction
@@ -58,17 +57,6 @@ class TestGraph:
         ddg = DDG(("A", "B", "C", "D"), (edge("B", "A"),))
         assert ddg.components() == (("A", "B"), ("C",), ("D",))
 
-    def test_between_is_undirected_for_pairs(self):
-        ab, ba, loop = edge("A", "B"), edge("B", "A"), edge("A", "A")
-        ddg = DDG(("A", "B"), (ab, ba, loop))
-        assert ddg.between("A", "B") == [ab, ba]
-        assert ddg.between("A", "A") == [loop]
-
-    def test_without_drops_by_identity(self):
-        twin_a, twin_b = edge("A", "B"), edge("A", "B")
-        ddg = DDG(("A", "B"), (twin_a, twin_b))
-        assert ddg.without([twin_a]).edges == (twin_b,)
-
     def test_ordering_kinds(self):
         assert edge("A", "B", RAW).ordering
         assert not edge("A", "B", RAR).ordering
@@ -90,14 +78,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             DependencePolyhedron("A", "B", RAW, ("s.i",), ("t.i",), (),
                                  ConstraintSystem(("t.i", "s.i")))
-
-    def test_coefficient_order(self, pair):
-        program, _ = pair
-        assert program.coefficient_order() == [
-            "u.N", "w",
-            "c.P.i", "d.P.N", "c0.P",
-            "c.Q.i", "d.Q.N", "c0.Q",
-        ]
 
     def test_statement_lookup(self, pair):
         program, _ = pair
@@ -176,15 +156,3 @@ class TestSatisfaction:
                             {"P": (), "Q": ((F(0), F(0), F(1)),)})
         # phi_Q - phi_P = 1 everywhere once P's side contributes nothing.
         assert component_range(dep, t, 1) == 1
-
-    def test_remove_satisfied_deps(self, pair):
-        program, dep = pair
-        ddg = build_ddg(program, (dep,))
-        pruned, satisfied = remove_satisfied_deps(ddg, identity_transform(program))
-        assert pruned.edges == () and satisfied == {dep: 1}
-
-        shifted = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
-                                  {"P": ((F(1), F(0), F(0)),),
-                                   "Q": ((F(1), F(0), F(-2)),)})
-        pruned, satisfied = remove_satisfied_deps(ddg, shifted)
-        assert pruned.edges == (dep,) and satisfied == {}

@@ -1,13 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from polysched.farkas import GE, coefficient_variables
 from polysched.frontend import analyze
 from polysched.model import Band, Cut, SchedulingError
 from polysched.pluto import (
     ILP, LP,
-    DependenceSystems, SchedulerConfig, base_system, bound_variables,
-    find_hyperplane, independence_vector, nullspace_basis, row_rank, rref,
+    DependenceSystems, SchedulerConfig, bound_variables, find_hyperplane,
+    independence_vector, level_system, nullspace_basis, row_rank, rref,
     schedule,
 )
 
@@ -20,6 +22,12 @@ def R(*xs):
 
 def rows_of(result, sid):
     return result.transform.rows[sid]
+
+
+def _rows_hold(system, values):
+    """Every row holds at `values`, bounds aside; absent variables are 0."""
+    point = [F(values.get(v, 0)) for v in system.variables]
+    return all(r.holds(point) for r in system.rows)
 
 
 class TestRowAlgebra:
@@ -54,18 +62,55 @@ class TestAssembly:
         assert bound_variables(by_name["stencil1d"].program) == \
             ["u.T", "u.N", "w"]
 
-    def test_base_system_order_and_bounds(self, by_name):
+    def test_canonical_coefficient_order(self, by_name):
         program = by_name["shift_pair"].program
-        s = base_system(program, program.statements)
-        assert s.variables == ("u.N", "w", "c.P.i", "d.P.N", "c0.P",
-                               "c.Q.i", "d.Q.N", "c0.Q")
-        assert all(b == 0 for b in s.lower.values())
+        names = bound_variables(program) + [
+            v for s in program.statements
+            for v in coefficient_variables(s, program.params)]
+        assert names == ["u.N", "w", "c.P.i", "d.P.N", "c0.P",
+                         "c.Q.i", "d.Q.N", "c0.Q"]
 
-    def test_free_shifts_unbound_only_shifts(self, by_name):
-        program = by_name["shift_pair"].program
-        s = base_system(program, program.statements, free_shifts=True)
-        free = {v for v, b in s.lower.items() if b is None}
-        assert free == {"d.P.N", "c0.P", "d.Q.N", "c0.Q"}
+    def test_level_system_order_and_bounds(self, by_name):
+        inst = by_name["shift_pair"]
+        forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i", "c0.Q")}
+        s = level_system(inst.program, DependenceSystems(inst.program),
+                         inst.deps, forms, ["c.Q.i", "c0.Q", "c.P.i"],
+                         {"c.P.i": 1, "c0.Q": None})
+        assert s.variables == ("u.N", "w", "c.Q.i", "c0.Q", "c.P.i")
+        assert s.lower == {"u.N": 0, "w": 0, "c.Q.i": 0, "c0.Q": None,
+                           "c.P.i": 1}
+
+    def test_level_system_drops_unlisted_coefficients(self, by_name):
+        inst = by_name["shift_pair"]
+        systems = DependenceSystems(inst.program)
+        forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i")}
+        s = level_system(inst.program, systems, inst.deps, forms, list(forms))
+        assert s.variables == ("u.N", "w", "c.P.i", "c.Q.i")
+        assert all(r.kind == GE for r in s.rows)  # no pin rows
+        # Same rows as the donors with every shift at zero.
+        for point in itertools.product(range(3), repeat=4):
+            values = dict(zip(s.variables, point))
+            assert _rows_hold(s, values) == all(
+                _rows_hold(donor, values)
+                for dep in inst.deps
+                for donor in (systems.legality(dep), systems.bounding(dep)))
+
+    def test_level_system_substitutes_forms(self, by_name):
+        inst = by_name["shift_pair"]
+        systems = DependenceSystems(inst.program)
+        # One weight on both iterators, the consumer's shift split in halves.
+        forms = {"c.P.i": {"a": 1}, "c.Q.i": {"a": 1},
+                 "c0.Q": {"sp": 1, "sn": -1}}
+        s = level_system(inst.program, systems, inst.deps, forms,
+                         ["a", "sp", "sn"])
+        for u, w, a, sp, sn in itertools.product(range(3), repeat=5):
+            mine = {"u.N": u, "w": w, "a": a, "sp": sp, "sn": sn}
+            theirs = {"u.N": u, "w": w, "c.P.i": a, "c.Q.i": a,
+                      "c0.Q": sp - sn}
+            assert _rows_hold(s, mine) == all(
+                _rows_hold(donor, theirs)
+                for dep in inst.deps
+                for donor in (systems.legality(dep), systems.bounding(dep)))
 
     def test_dependence_systems_cache(self, by_name):
         inst = by_name["shift_pair"]
@@ -204,13 +249,6 @@ class TestSchedule:
         assert res.steps[0].kind == "component-cut"
         assert all(b.start == 2 and b.end == 3 and b.parallel
                    for b in res.transform.bands)
-
-    def test_weighted_lexmin_matches_on_small_instances(self, by_name):
-        inst = by_name["shift_pair"]
-        staged = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP))
-        weighted = schedule(inst.program, inst.deps,
-                            SchedulerConfig(mode=LP, lexmin="weighted"))
-        assert weighted.transform.rows == staged.transform.rows
 
     def test_recorded_optima_satisfy_their_systems(self, by_name):
         inst = by_name["fig1"]

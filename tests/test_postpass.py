@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
 from polysched.pluto import DependenceSystems
 from polysched.postpass import (
-    _merge_shifts, dfp_schedule, introduce_skew, scale_and_shift,
+    _component_groups, _merge_shifts, _skew_level, dfp_schedule,
+    introduce_skew, scale_and_shift,
 )
 
 F = Fraction
@@ -113,6 +115,29 @@ class TestIntroduceSkew:
         redo = introduce_skew(inst.program, inst.deps, out.scaled)
         assert redo.transform.rows == out.transform.rows
         assert redo.skewed == (2,)
+
+
+    def test_skew_system_rejects_negative_iterator_coefficient(self):
+        # Rows i, then -i + j: the level-2 combination a*(-i + j) + b*i keeps
+        # its i coefficient b - a non-negative only when b >= a.
+        program, deps = analyze({
+            "params": ["N"],
+            "statements": [{
+                "id": "S", "iterators": ["i", "j"],
+                "domain": [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+                           [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]],
+                "accesses": [], "order": 0}],
+        })
+        t = AffineTransform(("N",), {"S": ("i", "j")},
+                            {"S": (R(1, 0, 0, 0), R(-1, 1, 0, 0))})
+        solved, system = _skew_level(
+            program, DependenceSystems(program), deps, t, 2,
+            lambda names: _component_groups(program, deps, names))
+        base = {"u.N": 0, "w": 0, "a.S": 1}
+        assert not system.satisfied_by(dict(base, **{"b.S.1": 0}))
+        assert system.satisfied_by(dict(base, **{"b.S.1": 1}))
+        out, _ = solved
+        assert out.rows["S"][1] == R(0, 1, 0, 0)
 
 
 class TestPipeline:

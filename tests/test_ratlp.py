@@ -99,32 +99,9 @@ class TestLexmin:
         res = solve_lexmin(LPProblem.of(s, ["y", {"x": 1, "y": -1}]))
         assert res.value("y") == 0 and res.value("x") == 4
 
-    def test_weighted_mode_agrees_on_small_values(self):
-        s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
-        prob = LPProblem.of(s, [{"x": 1, "y": 1}, {"x": 1}])
-        assert solve_lexmin(prob, "weighted").objective == \
-            solve_lexmin(prob, "staged").objective
-
-    def test_weighted_mode_collapses_large_values(self):
-        # Walking the edge 20x + y = 40 trades one unit of the first stage
-        # for twenty of the second, more than the base-10 weight covers, so
-        # the folded objective picks the wrong corner.
-        s = system(["x", "y"], [({"x": 20, "y": 1}, -40, "ge")])
-        prob = LPProblem.of(s, [{"x": 1}, {"y": 1}])
-        staged = solve_lexmin(prob, "staged")
-        weighted = solve_lexmin(prob, "weighted", weight_base=10)
-        assert staged.objective == (F(0), F(40))
-        assert weighted.objective == (F(2), F(0))
-
-    def test_unknown_mode(self):
-        s = system(["x"], [])
-        with pytest.raises(ValueError):
-            solve_lexmin(LPProblem.of(s, ["x"]), "simultaneous")
-
     def test_infeasible_propagates(self):
         s = system(["x"], [({"x": -1}, -1, "ge")])
         assert solve_lexmin(LPProblem.of(s, ["x"])).status == INFEASIBLE
-        assert solve_lexmin(LPProblem.of(s, ["x"]), "weighted").status == INFEASIBLE
 
 
 class TestSolveILP:
