@@ -46,17 +46,20 @@ def main() -> int:
 
     print(f"{'n':>4} {'deps':>5} {'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
     for n in sizes:
-        program, deps = frontend.analyze(chain(n))
         times = {}
-        t0 = time.perf_counter()
-        ilp = schedule(program, deps, SchedulerConfig(mode="ilp"))
-        times["ilp"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        schedule(program, deps, SchedulerConfig(mode="lp"))
-        times["lp"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        dfp = dfp_schedule(program, deps)
-        times["dfp"] = time.perf_counter() - t0
+        results = {}
+        for path in ("ilp", "lp", "dfp"):
+            # A fresh analysis per path, untimed: Farkas rows are kept on
+            # the dependences, so a shared one would favour later paths.
+            program, deps = frontend.analyze(chain(n))
+            t0 = time.perf_counter()
+            if path == "dfp":
+                results[path] = dfp_schedule(program, deps)
+            else:
+                results[path] = schedule(program, deps,
+                                         SchedulerConfig(mode=path))
+            times[path] = time.perf_counter() - t0
+        ilp, dfp = results["ilp"], results["dfp"]
         shape = ", ".join(
             f"{b.start}-{b.end}{'p' if b.parallel else ''}"
             for b in dfp.transform.bands)

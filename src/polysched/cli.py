@@ -108,8 +108,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    program, deps = _load(args.file)
     for name in ("ilp", "lp", "dfp"):
+        # Fresh dependences per path: each path builds its own Farkas rows.
+        program, deps = _load(args.file)
         t0 = time.perf_counter()
         if name == "dfp":
             dfp_schedule(program, deps)

@@ -31,7 +31,7 @@ from .model import (
     satisfaction_level,
     scc_decompose,
 )
-from .pluto import DependenceSystems, level_system
+from .pluto import level_system
 
 Vertex = tuple[str, int]
 
@@ -61,7 +61,6 @@ class FusionConflictGraph:
 def fusion_probe(program: Program, statements: Sequence[Statement],
                  choose: Mapping[str, int],
                  deps: Sequence[DependencePolyhedron],
-                 systems: Optional[DependenceSystems] = None,
                  parametric_shifts: bool = False) -> bool:
     """Can the chosen dimensions share the outermost level?
 
@@ -72,7 +71,6 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
     would let misaligned accesses slide past each other and hide a genuine
     fusion conflict.
     """
-    systems = systems or DependenceSystems(program)
     variables = []
     lower: dict[str, Fraction | None] = {}
     for s in statements:
@@ -86,7 +84,7 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
         variables += shifts
         lower.update(dict.fromkeys(shifts))
     forms = {v: {v: 1} for v in variables}
-    system = level_system(program, systems, deps, forms, variables, lower)
+    system = level_system(program, deps, forms, variables, lower)
     return bool(ratlp.solve_lexmin(ratlp.LPProblem.of(system)))
 
 
@@ -141,7 +139,6 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
 
 
 def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
-              systems: Optional[DependenceSystems] = None,
               statements: Optional[Sequence[str]] = None) -> FusionConflictGraph:
     """Probe self loops, pairwise conflicts and same-statement cliques.
 
@@ -149,7 +146,6 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
     connected component in isolation); dependences reaching outside the
     subset are ignored.
     """
-    systems = systems or DependenceSystems(program)
     if statements is None:
         stmts = list(program.statements)
     else:
@@ -170,15 +166,14 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
         if not mine:
             continue
         for k in range(s.dim):
-            if not fusion_probe(program, (s,), {s.id: k}, mine, systems):
+            if not fusion_probe(program, (s,), {s.id: k}, mine):
                 loops.append((s.id, k))
 
     conflicts = []
     for a, b in _probe_pairs(stmts, pool):
         involved = [d for d in pool if {d.src, d.dst} <= {a.id, b.id}]
         for da, db in product(range(a.dim), range(b.dim)):
-            ok = fusion_probe(program, (a, b), {a.id: da, b.id: db},
-                              involved, systems)
+            ok = fusion_probe(program, (a, b), {a.id: da, b.id: db}, involved)
             if not ok:
                 conflicts.append(edge((a.id, da), (b.id, db)))
 
@@ -301,8 +296,7 @@ def _split_groups(groups: list, left_ids: set):
     return out, changed
 
 
-def color_fcg(program: Program, deps: Sequence[DependencePolyhedron],
-              systems: Optional[DependenceSystems] = None) -> Coloring:
+def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Coloring:
     """Assign every statement dimension a loop level.
 
     Colors are attempted outermost first across the dependence graph's
@@ -313,7 +307,6 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron],
     over.  Each rescue strictly shrinks the live dependence set or refines
     the distribution, so the loop terminates.
     """
-    systems = systems or DependenceSystems(program)
     stmts = list(program.statements)
     max_colors = max((s.dim for s in stmts), default=0)
     live: list[DependencePolyhedron] = list(deps)
@@ -321,7 +314,7 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron],
     cut_groups: dict[int, tuple[tuple[str, ...], ...]] = {}
     events: list[str] = []
 
-    initial = build_fcg(program, live, systems)
+    initial = build_fcg(program, live)
     fcg = initial
 
     for _ in range(len(live) + len(stmts) + 2):
@@ -364,7 +357,7 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron],
             raise SchedulingError(
                 f"no dimension of {', '.join(stuck)} can take color "
                 f"{outcome.color}; the conflict graph admits no convex coloring")
-        fcg = build_fcg(program, live, systems)
+        fcg = build_fcg(program, live)
 
     raise SchedulingError("coloring failed to converge")
 

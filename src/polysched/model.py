@@ -10,7 +10,7 @@ constant shift.  All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -103,6 +103,9 @@ class DependencePolyhedron:
     params: tuple[str, ...]
     relation: ConstraintSystem
     label: str = ""
+    #: (legality, bounding) Farkas rows, filled on first use by `pluto._farkas_rows`.
+    _farkas: tuple[ConstraintSystem, ConstraintSystem] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expect = self.src_vars + self.dst_vars + self.params

@@ -121,33 +121,25 @@ def independence_vector(rows: Sequence[Sequence[Fraction]], ncols: int):
 # -- constraint assembly ------------------------------------------------------
 
 
-class DependenceSystems:
-    """Per-dependence legality and bounding rows, derived once and reused."""
+def _farkas_rows(program: Program, dep: DependencePolyhedron,
+                 ) -> tuple[ConstraintSystem, ConstraintSystem]:
+    """The (legality, bounding) rows of `dep`, built on first use.
 
-    def __init__(self, program: Program):
-        self._stmts = {s.id: s for s in program.statements}
-        self._legal: dict[int, ConstraintSystem] = {}
-        self._bound: dict[int, ConstraintSystem] = {}
-
-    def legality(self, dep: DependencePolyhedron) -> ConstraintSystem:
-        if id(dep) not in self._legal:
-            self._legal[id(dep)] = legality_constraints(
-                dep, self._stmts[dep.src], self._stmts[dep.dst])
-        return self._legal[id(dep)]
-
-    def bounding(self, dep: DependencePolyhedron) -> ConstraintSystem:
-        if id(dep) not in self._bound:
-            self._bound[id(dep)] = bounding_constraints(
-                dep, self._stmts[dep.src], self._stmts[dep.dst])
-        return self._bound[id(dep)]
+    They depend only on the dependence and its two statements, so they are
+    kept on the dependence and shared by every path and level that uses it.
+    """
+    if dep._farkas is None:
+        src, dst = program.statement(dep.src), program.statement(dep.dst)
+        object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst),
+                                            bounding_constraints(dep, src, dst)))
+    return dep._farkas
 
 
 def bound_variables(program: Program) -> list[str]:
     return [f"u.{p}" for p in program.params] + ["w"]
 
 
-def level_system(program: Program, systems: DependenceSystems,
-                 deps: Sequence[DependencePolyhedron],
+def level_system(program: Program, deps: Sequence[DependencePolyhedron],
                  forms: Mapping[str, Mapping[str, Fraction | int]],
                  variables: Sequence[str],
                  lower: Mapping[str, Fraction | None] | None = None) -> ConstraintSystem:
@@ -165,7 +157,7 @@ def level_system(program: Program, systems: DependenceSystems,
     forms = {**forms, **{v: {v: 1} for v in bounds}}
     rows = []
     for dep in deps:
-        for donor in (systems.legality(dep), systems.bounding(dep)):
+        for donor in _farkas_rows(program, dep):
             subst = [forms.get(v) for v in donor.variables]
             for r in donor.rows:
                 acc: dict[str, Fraction] = {}
@@ -189,13 +181,18 @@ class Hyperplane:
     objective: tuple[Fraction, ...]
 
 
+def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
+    """Rational lexmin of every variable in the system's order."""
+    return ratlp.solve_lexmin(
+        ratlp.LPProblem.of(system, [{v: 1} for v in system.variables]))
+
+
 def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig) -> ratlp.LPResult:
-    objectives = [{v: 1} for v in system.variables]
     if config.mode == ILP:
-        problem = ratlp.LPProblem.of(system, objectives, system.variables)
+        problem = ratlp.LPProblem.of(system, [{v: 1} for v in system.variables],
+                                     system.variables)
         return ratlp.solve_ilp(problem, config.node_limit)
-    problem = ratlp.LPProblem.of(system, objectives)
-    return ratlp.solve_lexmin(problem)
+    return _lexmin(system)
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
@@ -213,7 +210,6 @@ def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequen
 def find_hyperplane(program: Program, statements: Sequence[Statement],
                     deps: Sequence[DependencePolyhedron],
                     prior: Mapping[str, Sequence], config: SchedulerConfig,
-                    systems: DependenceSystems,
                     record: list | None = None) -> Hyperplane | None:
     """One more transform row per statement, or None when none exists.
 
@@ -238,7 +234,7 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
                 continue
             forms[v] = {v: 1}
             variables.append(v)
-    system = level_system(program, systems, deps, forms, variables)
+    system = level_system(program, deps, forms, variables)
 
     rows = []
     for s in active:
@@ -357,7 +353,6 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     ordered = sorted(program.statements, key=lambda s: s.textual_order)
     ddg = DDG(tuple(s.id for s in ordered), deps)
     components = ddg.components()
-    systems = DependenceSystems(program)
 
     rows: dict[str, list] = {s.id: [] for s in ordered}
     bands: list[Band] = []
@@ -377,7 +372,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     for ci, comp in enumerate(components):
         stmts = [by_id[sid] for sid in comp]
         live = [d for d in deps if d.src in comp]
-        _schedule_component(program, ci, stmts, live, config, systems,
+        _schedule_component(program, ci, stmts, live, config,
                             rows, bands, cuts, steps, start, record)
 
     transform = AffineTransform(
@@ -391,7 +386,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
                           tuple(steps), components)
 
 
-def _schedule_component(program, ci, stmts, live, config, systems,
+def _schedule_component(program, ci, stmts, live, config,
                         rows, bands, cuts, steps, start, record):
     comp = tuple(s.id for s in stmts)
     nparams = len(program.params)
@@ -410,7 +405,7 @@ def _schedule_component(program, ci, stmts, live, config, systems,
             close_band(level - 1)
             return
 
-        hp = find_hyperplane(program, stmts, live, rows, config, systems, record)
+        hp = find_hyperplane(program, stmts, live, rows, config, record)
         if hp is not None:
             for s in stmts:
                 if complete[s.id]:

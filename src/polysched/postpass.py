@@ -28,7 +28,7 @@ from .model import (
     component_range,
     satisfaction_level,
 )
-from .pluto import DependenceSystems, bound_variables, level_system
+from .pluto import _is_parallel, _lexmin, level_system
 
 ZERO = Fraction(0)
 
@@ -64,8 +64,7 @@ def _component_groups(program: Program, deps: Sequence[DependencePolyhedron],
     return components, groups
 
 
-def _level_system(program: Program, systems: DependenceSystems,
-                  live: Sequence[DependencePolyhedron],
+def _level_system(program: Program, live: Sequence[DependencePolyhedron],
                   active: Mapping[str, int]):
     """Legality and bounding of `live` with the permuted dimension of every
     active statement at least 1, everything else zero, shifts split free.
@@ -90,7 +89,7 @@ def _level_system(program: Program, systems: DependenceSystems,
         for v, (pos, neg) in pairs.items():
             variables += [pos, neg]
             forms[v] = {pos: 1, neg: -1}
-    return level_system(program, systems, live, forms, variables, lower), split
+    return level_system(program, live, forms, variables, lower), split
 
 
 def _merge_shifts(assignment: Mapping[str, Fraction],
@@ -109,7 +108,6 @@ def _unit_index(part) -> Optional[int]:
 
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                     permutation: AffineTransform,
-                    systems: Optional[DependenceSystems] = None,
                     record: Optional[list] = None):
     """Re-solve each loop level of the permutation with free shifts.
 
@@ -117,7 +115,6 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
     scaled rows above (cuts included) no longer constrains deeper levels.
     Returns the scaled transform and one `ScaleStep` per level.
     """
-    systems = systems or DependenceSystems(program)
     ordering = [d for d in deps if d.ordering]
 
     def names_of(s):
@@ -150,9 +147,8 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             if part is not None and any(part):
                 active[s.id] = _unit_index(part)
 
-        system, split = _level_system(program, systems, live, active)
-        result = ratlp.solve_lexmin(
-            ratlp.LPProblem.of(system, [{v: 1} for v in system.variables]))
+        system, split = _level_system(program, live, active)
+        result = _lexmin(system)
         if not result:
             raise SchedulingError(
                 f"no legal scaling and shifting exists at level {level}")
@@ -171,8 +167,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                 acc[s.id].append(tuple(row))
             elif permutation.row(s.id, level) is not None:
                 acc[s.id].append(permutation.row(s.id, level))
-        parallel = all(not result.assignment.get(v, ZERO)
-                       for v in bound_variables(program))
+        parallel = _is_parallel(program, result.assignment)
         steps.append(ScaleStep(level, "loop", scaled.group_factors, parallel,
                                _merge_shifts(result.assignment, split)))
 
@@ -204,8 +199,7 @@ def _negative_deps(deps, transform, level):
     return bad
 
 
-def _skew_level(program: Program, systems: DependenceSystems,
-                ordering: Sequence[DependencePolyhedron],
+def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
                 transform: AffineTransform, level: int, groups_of):
     """Replace the level's rows by non-negative combinations with outer rows.
 
@@ -236,12 +230,11 @@ def _skew_level(program: Program, systems: DependenceSystems,
             if j < s.dim:
                 iterator_forms.append(forms[v])
 
-    system = level_system(program, systems, ordering, forms, variables,
+    system = level_system(program, ordering, forms, variables,
                           {f"a.{sid}": Fraction(1) for sid in rows_of})
     # Iterator coefficients stay non-negative, as everywhere else.
     system = system.with_rows(system.row_from(f) for f in iterator_forms)
-    result = ratlp.solve_lexmin(
-        ratlp.LPProblem.of(system, [{v: 1} for v in system.variables]))
+    result = _lexmin(system)
     if not result:
         return None, system
 
@@ -264,8 +257,7 @@ def _skew_level(program: Program, systems: DependenceSystems,
         new_rows[s.id] = tuple(rows)
     out = AffineTransform(transform.params, transform.dims, new_rows,
                           transform.bands, transform.cuts)
-    parallel = all(not result.assignment.get(v, ZERO)
-                   for v in bound_variables(program))
+    parallel = _is_parallel(program, result.assignment)
     step = ScaleStep(level, "loop", scaled.group_factors, parallel,
                      dict(result.assignment))
     return (out, step), system
@@ -273,7 +265,6 @@ def _skew_level(program: Program, systems: DependenceSystems,
 
 def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
                    transform: AffineTransform,
-                   systems: Optional[DependenceSystems] = None,
                    record: Optional[list] = None) -> SkewOutcome:
     """Fix levels whose dependence components go negative.
 
@@ -283,7 +274,6 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
     with a diagnostic.  With no negative component anywhere the input object
     itself is returned.
     """
-    systems = systems or DependenceSystems(program)
     ordering = [d for d in deps if d.ordering]
 
     def groups_of(names):
@@ -296,8 +286,8 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
         bad = _negative_deps(ordering, current, level)
         if not bad:
             continue
-        solved, system = _skew_level(program, systems, ordering, current,
-                                     level, groups_of)
+        solved, system = _skew_level(program, ordering, current, level,
+                                     groups_of)
         if solved is None:
             labels = ", ".join(d.label for d in bad)
             return SkewOutcome(
@@ -364,14 +354,12 @@ def _bands(program: Program, deps: Sequence[DependencePolyhedron],
 
 
 def dfp_schedule(program: Program, deps: Sequence[DependencePolyhedron],
-                 systems: Optional[DependenceSystems] = None,
                  record: Optional[list] = None) -> DfpResult:
     """Conflict-graph coloring, then scaling/shifting, then skewing."""
-    systems = systems or DependenceSystems(program)
-    coloring = color_fcg(program, deps, systems)
+    coloring = color_fcg(program, deps)
     permutation = permute_and_fuse(program, coloring)
-    scaled, steps = scale_and_shift(program, deps, permutation, systems, record)
-    skew = introduce_skew(program, deps, scaled, systems, record)
+    scaled, steps = scale_and_shift(program, deps, permutation, record)
+    skew = introduce_skew(program, deps, scaled, record)
     merged = tuple(skew.updates.get(s.level, s) for s in steps)
     final = replace(skew.transform,
                     bands=_bands(program, deps, skew.transform, merged),

@@ -25,7 +25,7 @@ from .model import (
     component_range, scc_decompose,
 )
 from .pluto import (
-    ILP, LP, DependenceSystems, ScheduleResult, SchedulerConfig,
+    ILP, LP, ScheduleResult, SchedulerConfig,
     bound_variables, row_rank, schedule,
 )
 from .postpass import DfpResult, dfp_schedule
@@ -233,6 +233,8 @@ def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
         entries = [(e.name, e.read_text())
                    for e in root.iterdir() if e.name.endswith(".json")]
     else:
+        if not Path(path).is_dir():
+            raise ParseError(path, "not a directory")
         entries = [(p.name, p.read_text()) for p in Path(path).glob("*.json")]
     out = []
     for fname, text in sorted(entries):
@@ -294,7 +296,6 @@ class _Runs:
     lp_records: list
     ilp_records: list
     dfp_records: list
-    systems: DependenceSystems
 
 
 def _run_instance(inst: CorpusInstance) -> _Runs:
@@ -303,9 +304,8 @@ def _run_instance(inst: CorpusInstance) -> _Runs:
     dfp_rec: list = []
     lp = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP), lp_rec)
     ilp = schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP), ilp_rec)
-    systems = DependenceSystems(inst.program)
-    dfp = dfp_schedule(inst.program, inst.deps, systems, dfp_rec)
-    return _Runs(inst, lp, ilp, dfp, lp_rec, ilp_rec, dfp_rec, systems)
+    dfp = dfp_schedule(inst.program, inst.deps, dfp_rec)
+    return _Runs(inst, lp, ilp, dfp, lp_rec, ilp_rec, dfp_rec)
 
 
 def _all_records(runs: Sequence[_Runs]) -> list:
@@ -579,13 +579,13 @@ def _check_joint_shifts(runs, bound):
                     fusion_probe(prog, (a, b), {a.id: dim, b.id: dim},
                                  [d for d in pool
                                   if {d.src, d.dst} <= {a.id, b.id}],
-                                 r.systems, parametric_shifts=True)
+                                 parametric_shifts=True)
                     for a, b in itertools.combinations(stmts, 2))
                 if not pairwise:
                     continue
                 probes += 1
                 joint = fusion_probe(prog, stmts, {s.id: dim for s in stmts},
-                                     pool, r.systems, parametric_shifts=True)
+                                     pool, parametric_shifts=True)
                 if not joint:
                     bad.append(f"{r.instance.name}: dimension {dim} fuses "
                                "pairwise under shifts but not jointly")
@@ -601,7 +601,7 @@ def _check_scc_colorability(runs, bound):
         by_id = {s.id: s for s in prog.statements}
         for comp in scc_decompose(build_ddg(prog, deps)):
             stmts = [by_id[sid] for sid in comp]
-            sub = build_fcg(prog, deps, r.systems, statements=comp)
+            sub = build_fcg(prog, deps, statements=comp)
             count += 1
             if colorable_dimension(prog, sub, stmts) is None:
                 bad.append(f"{r.instance.name}: component {{{','.join(comp)}}} "
@@ -632,7 +632,7 @@ def _check_fusion_transitivity(runs, bound):
                         if d.src in ids and d.dst in ids]
                 cache[key] = fusion_probe(
                     prog, [by_id[s] for s in sorted(choose)], choose, pool,
-                    r.systems, parametric_shifts=parametric)
+                    parametric_shifts=parametric)
             return cache[key]
 
         ids = sorted(by_id)

@@ -1,6 +1,5 @@
 import pytest
 
-from polysched.pluto import DependenceSystems
 from polysched.postpass import dfp_schedule
 from polysched.verify import load_corpus, theorem_suite
 
@@ -28,6 +27,5 @@ def dfp_results(by_name):
     for name in ("fig1", "stencil1d", "shift_pair", "scaling_pair",
                  "distribution_forced", "transpose_chain", "matmul"):
         inst = by_name[name]
-        out[name] = dfp_schedule(inst.program, inst.deps,
-                                 DependenceSystems(inst.program))
+        out[name] = dfp_schedule(inst.program, inst.deps)
     return out

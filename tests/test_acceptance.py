@@ -6,14 +6,17 @@ suite is shared through the session fixture; the two timing gates measure
 fresh runs.
 """
 
+import importlib.util
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from polysched.fcg import build_fcg
 from polysched.frontend import analyze
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
+from polysched.verify import load_corpus
 
 F = Fraction
 
@@ -24,6 +27,11 @@ def R(*xs):
 
 IDENTITY = (R(1, 0, 0, 0), R(0, 1, 0, 0))
 INTERCHANGE = (R(0, 1, 0, 0), R(1, 0, 0, 0))
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_chain", Path(__file__).parents[1] / "scripts" / "bench_chain.py")
+bench_chain = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_chain)
 
 
 def gate(name, failures, note=""):
@@ -46,25 +54,9 @@ def require_pass(report, names):
     return bad
 
 
-def chain(n):
-    """Path-shaped program: statement k reads what statement k-1 wrote."""
-    stmts = []
-    for k in range(n):
-        reads = ([{"array": f"A{k - 1}", "kind": "read",
-                   "map": [[1, 0, 0, 0], [0, 1, 0, 0]]}] if k else [])
-        stmts.append({
-            "id": f"S{k}", "iterators": ["i", "j"],
-            "domain": [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
-                       [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]],
-            "accesses": [{"array": f"A{k}", "kind": "write",
-                          "map": [[1, 0, 0, 0], [0, 1, 0, 0]]}] + reads,
-            "order": k,
-        })
-    return {"params": ["N"], "statements": stmts}
-
-
-def test_golden_figure_schedule(by_name):
-    inst = by_name["fig1"]
+def test_golden_figure_schedule():
+    # Freshly analyzed, so the timing includes building the Farkas rows.
+    inst = next(i for i in load_corpus() if i.name == "fig1")
     t0 = time.perf_counter()
     result = dfp_schedule(inst.program, inst.deps)
     elapsed = time.perf_counter() - t0
@@ -148,10 +140,14 @@ def test_structural_feasibility(suite_report):
 
 
 def test_scalability_smoke():
-    program, deps = analyze(chain(30))
+    # Each path gets its own analysis: Farkas rows are kept on the
+    # dependences, and a shared analysis would hand the second path the
+    # first one's rows.
+    program, deps = analyze(bench_chain.chain(30))
     t0 = time.perf_counter()
     result = dfp_schedule(program, deps)
     t_dfp = time.perf_counter() - t0
+    program, deps = analyze(bench_chain.chain(30))
     t0 = time.perf_counter()
     schedule(program, deps, SchedulerConfig(mode="ilp"))
     t_ilp = time.perf_counter() - t0

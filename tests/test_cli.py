@@ -134,6 +134,13 @@ class TestVerify:
         assert any(line.startswith("FAIL solution-scaling") for line in lines)
 
 
+    def test_missing_corpus_directory(self, capsys, tmp_path):
+        missing = tmp_path / "absent"
+        code, out, err = run(capsys, "verify", "--corpus", str(missing))
+        assert code == 2 and out == ""
+        assert err == f"error: {missing}: not a directory\n"
+
+
 class TestBench:
     def test_times_all_three_paths(self, capsys):
         code, out, _ = run(capsys, "bench", FIG1)

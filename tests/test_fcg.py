@@ -1,14 +1,11 @@
 from fractions import Fraction
 
-import pytest
-
 from polysched.fcg import (
     FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
     fusion_probe, permute_and_fuse, to_dot,
 )
 from polysched.frontend import analyze
 from polysched.model import Cut
-from polysched.pluto import DependenceSystems
 
 F = Fraction
 
@@ -17,21 +14,15 @@ def R(*xs):
     return tuple(F(x) for x in xs)
 
 
-@pytest.fixture(scope="module")
-def fig1(by_name):
-    inst = by_name["fig1"]
-    return inst, DependenceSystems(inst.program)
-
-
 class TestFusionProbe:
-    def test_transposed_pair_fuses_only_crosswise(self, fig1):
-        inst, systems = fig1
+    def test_transposed_pair_fuses_only_crosswise(self, by_name):
+        inst = by_name["fig1"]
         s1, s2 = inst.program.statement("S1"), inst.program.statement("S2")
         between = [d for d in inst.deps if {d.src, d.dst} == {"S1", "S2"}]
         assert not fusion_probe(inst.program, (s1, s2), {"S1": 0, "S2": 0},
-                                between, systems)
+                                between)
         assert fusion_probe(inst.program, (s1, s2), {"S1": 0, "S2": 1},
-                            between, systems)
+                            between)
 
     def test_reversal_never_fuses(self, by_name):
         inst = by_name["distribution_forced"]
@@ -68,9 +59,9 @@ class TestFusionProbe:
 
 
 class TestBuildFcg:
-    def test_transposed_chain(self, fig1):
-        inst, systems = fig1
-        fcg = build_fcg(inst.program, inst.deps, systems)
+    def test_transposed_chain(self, by_name):
+        inst = by_name["fig1"]
+        fcg = build_fcg(inst.program, inst.deps)
         assert fcg.vertices == (("S1", 0), ("S1", 1), ("S2", 0), ("S2", 1),
                                 ("S3", 0), ("S3", 1))
         assert fcg.conflicts == (
@@ -103,17 +94,17 @@ class TestBuildFcg:
         assert fcg.conflicts == ((("P", 0), ("Q", 0)),)
         assert fcg.cliques == () and fcg.loops == ()
 
-    def test_statement_subset(self, fig1):
-        inst, systems = fig1
-        fcg = build_fcg(inst.program, inst.deps, systems,
+    def test_statement_subset(self, by_name):
+        inst = by_name["fig1"]
+        fcg = build_fcg(inst.program, inst.deps,
                         statements=("S1", "S2"))
         assert fcg.vertices == (("S1", 0), ("S1", 1), ("S2", 0), ("S2", 1))
         assert fcg.conflicts == ((("S1", 0), ("S2", 0)),
                                  (("S1", 1), ("S2", 1)))
 
-    def test_conflicting_is_symmetric(self, fig1):
-        inst, systems = fig1
-        fcg = build_fcg(inst.program, inst.deps, systems)
+    def test_conflicting_is_symmetric(self, by_name):
+        inst = by_name["fig1"]
+        fcg = build_fcg(inst.program, inst.deps)
         assert fcg.conflicting(("S1", 0), ("S2", 0))
         assert fcg.conflicting(("S2", 0), ("S1", 0))
         assert fcg.conflicting(("S1", 0), ("S1", 1))  # same-statement clique
@@ -122,9 +113,9 @@ class TestBuildFcg:
 
 
 class TestColoring:
-    def test_transposed_chain_coloring(self, fig1):
-        inst, systems = fig1
-        col = color_fcg(inst.program, inst.deps, systems)
+    def test_transposed_chain_coloring(self, by_name):
+        inst = by_name["fig1"]
+        col = color_fcg(inst.program, inst.deps)
         assert col.colors == {"S1": (0, 1), "S2": (1, 0), "S3": (0, 1)}
         assert col.groups == (("S1", "S2", "S3"),)
         assert col.cut_groups == {} and col.events == ()
@@ -154,10 +145,10 @@ class TestColoring:
 
 
 class TestPermuteAndFuse:
-    def test_identity_plus_interchange(self, fig1):
-        inst, systems = fig1
+    def test_identity_plus_interchange(self, by_name):
+        inst = by_name["fig1"]
         t = permute_and_fuse(inst.program,
-                             color_fcg(inst.program, inst.deps, systems))
+                             color_fcg(inst.program, inst.deps))
         assert t.rows["S1"] == (R(1, 0, 0, 0), R(0, 1, 0, 0))
         assert t.rows["S2"] == (R(0, 1, 0, 0), R(1, 0, 0, 0))
         assert t.rows["S3"] == (R(1, 0, 0, 0), R(0, 1, 0, 0))
@@ -172,9 +163,9 @@ class TestPermuteAndFuse:
 
 
 class TestColorableDimension:
-    def test_picks_first_compatible_tuple(self, fig1):
-        inst, systems = fig1
-        fcg = build_fcg(inst.program, inst.deps, systems)
+    def test_picks_first_compatible_tuple(self, by_name):
+        inst = by_name["fig1"]
+        fcg = build_fcg(inst.program, inst.deps)
         assert colorable_dimension(inst.program, fcg, ("S1", "S2", "S3")) \
             == {"S1": 0, "S2": 1, "S3": 0}
 
@@ -190,9 +181,9 @@ class TestColorableDimension:
 
 
 class TestDot:
-    def test_render_shape(self, fig1):
-        inst, systems = fig1
-        fcg = build_fcg(inst.program, inst.deps, systems)
+    def test_render_shape(self, by_name):
+        inst = by_name["fig1"]
+        fcg = build_fcg(inst.program, inst.deps)
         dot = to_dot(inst.program, fcg)
         assert dot.startswith("graph fcg {")
         assert dot.endswith("}\n")
@@ -203,9 +194,9 @@ class TestDot:
         assert len(solid) == 4
         assert '"S1.i" -- "S2.i";' in dot
 
-    def test_coloring_fills_by_level(self, fig1):
-        inst, systems = fig1
-        col = color_fcg(inst.program, inst.deps, systems)
+    def test_coloring_fills_by_level(self, by_name):
+        inst = by_name["fig1"]
+        col = color_fcg(inst.program, inst.deps)
         dot = to_dot(inst.program, col.fcg, col)
         # S2 interchanges: its j dimension is outermost, so it shares S1.i's
         # fill color.

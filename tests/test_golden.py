@@ -2,8 +2,10 @@
 
 Every corpus instance is scheduled on `ilp`, `lp` and `dfp`; the digest of
 each transform's JSON and the `dfp` conflict graphs and coloring must match
-`golden_corpus.json`.  Refactors of the scheduler keep these outputs exact;
-a change that alters a schedule on purpose regenerates the file with
+`golden_corpus.json`, and the `ilp` and `lp` transforms must pass
+`check_legality` and `full_rank` (the property suite checks `dfp`).
+Refactors of the scheduler keep these outputs exact; a change that alters a
+schedule on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -19,7 +21,7 @@ import pytest
 
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
-from polysched.verify import load_corpus
+from polysched.verify import check_legality, full_rank, load_corpus
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -62,6 +64,16 @@ def test_golden_covers_corpus(corpus):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_golden_schedule(by_name, name):
     assert golden_entry(by_name[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("mode", [ILP, LP])
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_lp_and_ilp_transforms_are_legal_and_full_rank(by_name, name, mode):
+    inst = by_name[name]
+    transform = schedule(inst.program, inst.deps,
+                         SchedulerConfig(mode=mode)).transform
+    assert check_legality(inst.program, inst.deps, transform).ok
+    assert full_rank(inst.program, transform)
 
 
 if __name__ == "__main__":

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from polysched import pluto
 from polysched.farkas import GE, coefficient_variables
 from polysched.frontend import analyze
 from polysched.model import Band, Cut, SchedulingError
 from polysched.pluto import (
     ILP, LP,
-    DependenceSystems, SchedulerConfig, bound_variables, find_hyperplane,
+    SchedulerConfig, _farkas_rows, bound_variables, find_hyperplane,
     independence_vector, level_system, nullspace_basis, row_rank, rref,
     schedule,
 )
+from polysched.verify import load_corpus
 
 F = Fraction
 
@@ -73,18 +75,16 @@ class TestAssembly:
     def test_level_system_order_and_bounds(self, by_name):
         inst = by_name["shift_pair"]
         forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i", "c0.Q")}
-        s = level_system(inst.program, DependenceSystems(inst.program),
-                         inst.deps, forms, ["c.Q.i", "c0.Q", "c.P.i"],
-                         {"c.P.i": 1, "c0.Q": None})
+        s = level_system(inst.program, inst.deps, forms,
+                         ["c.Q.i", "c0.Q", "c.P.i"], {"c.P.i": 1, "c0.Q": None})
         assert s.variables == ("u.N", "w", "c.Q.i", "c0.Q", "c.P.i")
         assert s.lower == {"u.N": 0, "w": 0, "c.Q.i": 0, "c0.Q": None,
                            "c.P.i": 1}
 
     def test_level_system_drops_unlisted_coefficients(self, by_name):
         inst = by_name["shift_pair"]
-        systems = DependenceSystems(inst.program)
         forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i")}
-        s = level_system(inst.program, systems, inst.deps, forms, list(forms))
+        s = level_system(inst.program, inst.deps, forms, list(forms))
         assert s.variables == ("u.N", "w", "c.P.i", "c.Q.i")
         assert all(r.kind == GE for r in s.rows)  # no pin rows
         # Same rows as the donors with every shift at zero.
@@ -93,16 +93,14 @@ class TestAssembly:
             assert _rows_hold(s, values) == all(
                 _rows_hold(donor, values)
                 for dep in inst.deps
-                for donor in (systems.legality(dep), systems.bounding(dep)))
+                for donor in _farkas_rows(inst.program, dep))
 
     def test_level_system_substitutes_forms(self, by_name):
         inst = by_name["shift_pair"]
-        systems = DependenceSystems(inst.program)
         # One weight on both iterators, the consumer's shift split in halves.
         forms = {"c.P.i": {"a": 1}, "c.Q.i": {"a": 1},
                  "c0.Q": {"sp": 1, "sn": -1}}
-        s = level_system(inst.program, systems, inst.deps, forms,
-                         ["a", "sp", "sn"])
+        s = level_system(inst.program, inst.deps, forms, ["a", "sp", "sn"])
         for u, w, a, sp, sn in itertools.product(range(3), repeat=5):
             mine = {"u.N": u, "w": w, "a": a, "sp": sp, "sn": sn}
             theirs = {"u.N": u, "w": w, "c.P.i": a, "c.Q.i": a,
@@ -110,22 +108,31 @@ class TestAssembly:
             assert _rows_hold(s, mine) == all(
                 _rows_hold(donor, theirs)
                 for dep in inst.deps
-                for donor in (systems.legality(dep), systems.bounding(dep)))
+                for donor in _farkas_rows(inst.program, dep))
 
-    def test_dependence_systems_cache(self, by_name):
-        inst = by_name["shift_pair"]
-        systems = DependenceSystems(inst.program)
-        dep = inst.deps[0]
-        assert systems.legality(dep) is systems.legality(dep)
-        assert systems.bounding(dep) is systems.bounding(dep)
+    def test_farkas_rows_built_once_per_dependence(self, monkeypatch):
+        # Fresh dependences: the session corpus may already carry rows.
+        inst = next(i for i in load_corpus() if i.name == "shift_pair")
+        built = []
+        for name in ("legality_constraints", "bounding_constraints"):
+            build = getattr(pluto, name)
+            monkeypatch.setattr(pluto, name, lambda dep, *rest, _build=build:
+                                built.append(dep) or _build(dep, *rest))
+        forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i")}
+        level_system(inst.program, inst.deps, forms, list(forms))
+        rows = [_farkas_rows(inst.program, dep) for dep in inst.deps]
+        level_system(inst.program, inst.deps, forms, list(forms))
+        assert len(built) == 2 * len(inst.deps)
+        assert set(map(id, built)) == set(map(id, inst.deps))
+        for dep, first in zip(inst.deps, rows):
+            assert _farkas_rows(inst.program, dep) is first
 
 
 class TestFindHyperplane:
     def test_first_level_of_an_offset_pair(self, by_name):
         inst = by_name["shift_pair"]
         hp = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                             {}, SchedulerConfig(mode=LP),
-                             DependenceSystems(inst.program))
+                             {}, SchedulerConfig(mode=LP))
         assert hp.factor == 1
         assert hp.scaled["c.P.i"] == 1 and hp.scaled["c.Q.i"] == 1
         assert hp.scaled["c0.P"] == 2 and hp.scaled["c0.Q"] == 0
@@ -135,8 +142,7 @@ class TestFindHyperplane:
         inst = by_name["shift_pair"]
         prior = {"P": [R(1, 0, 2)], "Q": [R(1, 0, 0)]}
         hp = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                             prior, SchedulerConfig(mode=LP),
-                             DependenceSystems(inst.program))
+                             prior, SchedulerConfig(mode=LP))
         assert hp is None
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
-from polysched.pluto import DependenceSystems
 from polysched.postpass import (
     _component_groups, _merge_shifts, _skew_level, dfp_schedule,
     introduce_skew, scale_and_shift,
@@ -78,8 +77,7 @@ class TestScaleAndShift:
     def test_record_collects_level_systems(self, by_name):
         inst = by_name["fig1"]
         record = []
-        dfp_schedule(inst.program, inst.deps,
-                     DependenceSystems(inst.program), record)
+        dfp_schedule(inst.program, inst.deps, record)
         assert len(record) == 2  # one loop solve per level, nothing skewed
         for system, assignment in record:
             assert system.satisfied_by(assignment)
@@ -131,7 +129,7 @@ class TestIntroduceSkew:
         t = AffineTransform(("N",), {"S": ("i", "j")},
                             {"S": (R(1, 0, 0, 0), R(-1, 1, 0, 0))})
         solved, system = _skew_level(
-            program, DependenceSystems(program), deps, t, 2,
+            program, deps, t, 2,
             lambda names: _component_groups(program, deps, names))
         base = {"u.N": 0, "w": 0, "a.S": 1}
         assert not system.satisfied_by(dict(base, **{"b.S.1": 0}))
