@@ -16,9 +16,9 @@ from .frontend import ParseError, analyze, build_ddg, compute_dependences, loads
 from .model import (
     AffineTransform, Band, Cut, DDG, DependencePolyhedron, Program, SchedulingError, Statement,
 )
-from .pluto import Hyperplane, ScheduleResult, SchedulerConfig, find_hyperplane, schedule
+from .pluto import Hyperplane, ScheduleResult, SchedulerConfig, Step, find_hyperplane, schedule
 from .postpass import (
-    DfpResult, ScaleStep, SkewOutcome, dfp_schedule, introduce_skew, scale_and_shift,
+    DfpResult, SkewOutcome, dfp_schedule, introduce_skew, scale_and_shift,
 )
 from .ratlp import ResourceLimitError
 from .verify import (
@@ -45,12 +45,12 @@ __all__ = [
     "ParseError",
     "Program",
     "ResourceLimitError",
-    "ScaleStep",
     "ScheduleResult",
     "SchedulerConfig",
     "SchedulingError",
     "SkewOutcome",
     "Statement",
+    "Step",
     "SuiteReport",
     "analyze",
     "brute_force_lexmin",

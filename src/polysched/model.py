@@ -127,9 +127,6 @@ class DDG:
     vertices: tuple[str, ...]
     edges: tuple[DependencePolyhedron, ...]
 
-    def sccs(self) -> tuple[tuple[str, ...], ...]:
-        return scc_decompose(self)
-
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Weakly connected components, ordered by first vertex appearance."""
         index = {v: i for i, v in enumerate(self.vertices)}

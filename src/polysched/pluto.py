@@ -40,10 +40,8 @@ MAX_AXIS_COMBOS = 4096
 @dataclass(frozen=True)
 class SchedulerConfig:
     mode: str = LP
-    allow_shift: bool = True
-    allow_parametric_shift: bool = True
-    allow_skew: bool = True
-    node_limit: int = 100_000
+    #: No shifts and no skew: every row is a scaled unit vector.
+    restricted: bool = False
 
 
 DEFAULT = SchedulerConfig()
@@ -175,10 +173,10 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
 
 @dataclass(frozen=True)
 class Hyperplane:
+    system: ConstraintSystem
     raw: Mapping[str, Fraction]
     scaled: Mapping[str, Fraction]
     factor: int
-    objective: tuple[Fraction, ...]
 
 
 def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
@@ -191,7 +189,7 @@ def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig) -> ratlp.LP
     if config.mode == ILP:
         problem = ratlp.LPProblem.of(system, [{v: 1} for v in system.variables],
                                      system.variables)
-        return ratlp.solve_ilp(problem, config.node_limit)
+        return ratlp.solve_ilp(problem)
     return _lexmin(system)
 
 
@@ -209,12 +207,12 @@ def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequen
 
 def find_hyperplane(program: Program, statements: Sequence[Statement],
                     deps: Sequence[DependencePolyhedron],
-                    prior: Mapping[str, Sequence], config: SchedulerConfig,
-                    record: list | None = None) -> Hyperplane | None:
+                    prior: Mapping[str, Sequence],
+                    config: SchedulerConfig) -> Hyperplane | None:
     """One more transform row per statement, or None when none exists.
 
     Statements whose rows already span their iteration space get zero rows
-    and stop influencing the problem; so do shifts the config disallows.
+    and stop influencing the problem; so do shifts in the restricted mode.
     """
     parts, complete = _statement_state(statements, prior)
     if all(complete.values()):
@@ -228,9 +226,7 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
             continue
         active.append(s)
         for v in coefficient_variables(s, program.params):
-            if v.startswith("c0.") and not config.allow_shift:
-                continue
-            if v.startswith("d.") and not config.allow_parametric_shift:
+            if config.restricted and v.startswith(("c0.", "d.")):
                 continue
             forms[v] = {v: 1}
             variables.append(v)
@@ -247,22 +243,17 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
                 -1))
     system = system.with_rows(rows)
 
-    if config.allow_skew:
-        result = _lexmin_solve(system, config)
-        if not result:
-            return None
-        chosen = system
+    if config.restricted:
+        result, system = _best_axis_solve(system, active, parts, config)
     else:
-        result, chosen = _best_axis_solve(system, active, parts, config)
-        if result is None:
-            return None
-    if record is not None:
-        record.append((chosen, dict(result.assignment)))
+        result = _lexmin_solve(system, config)
+    if not result:
+        return None
 
     scaled = ratlp.scale_to_integral(result.assignment,
                                      groups=[list(result.assignment)])
-    return Hyperplane(dict(result.assignment), scaled.values, scaled.factor,
-                      result.objective)
+    return Hyperplane(system, dict(result.assignment), scaled.values,
+                      scaled.factor)
 
 
 def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
@@ -306,25 +297,27 @@ def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
 
 
 @dataclass(frozen=True)
-class LevelStep:
-    """What happened at one schedule level of one component."""
+class Step:
+    """One schedule level: a solve, or a cut that needed none.
 
-    component: int
+    `raw` is the solver's optimum over `system.variables` (both None for a
+    cut); `raw` times `factors`, one per component group, gives the level's
+    integer rows.  `component` is None for a step spanning the whole program.
+    """
+
     level: int
     kind: str  # "loop", "cut" or "component-cut"
-    statements: tuple[str, ...]
+    parallel: bool = False  # no parametric or constant bound needed
+    system: ConstraintSystem | None = None
     raw: Mapping[str, Fraction] | None = None
-    scaled: Mapping[str, Fraction] | None = None
-    factor: int = 1
-    parallel: bool = False
+    factors: tuple[int, ...] = ()
+    component: int | None = None
 
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    program: Program
-    config: SchedulerConfig
     transform: AffineTransform
-    steps: tuple[LevelStep, ...]
+    steps: tuple[Step, ...]
     components: tuple[tuple[str, ...], ...]
 
 
@@ -343,8 +336,7 @@ def _is_parallel(program: Program, assignment: Mapping[str, Fraction]) -> bool:
 
 
 def schedule(program: Program, deps: Sequence[DependencePolyhedron],
-             config: SchedulerConfig = DEFAULT,
-             record: list | None = None) -> ScheduleResult:
+             config: SchedulerConfig = DEFAULT) -> ScheduleResult:
     """Full transform: weakly connected components are scheduled separately
     (each with its own bound minimization) under an outer distribution level
     when there is more than one."""
@@ -357,7 +349,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     rows: dict[str, list] = {s.id: [] for s in ordered}
     bands: list[Band] = []
     cuts: list[Cut] = []
-    steps: list[LevelStep] = []
+    steps: list[Step] = []
 
     start = 1
     if len(components) > 1:
@@ -365,15 +357,14 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
             for sid in comp:
                 rows[sid].append(_constant_row(by_id[sid], len(program.params), ci))
         cuts.append(Cut(1, components))
-        steps.append(LevelStep(-1, 1, "component-cut",
-                               tuple(ddg.vertices)))
+        steps.append(Step(1, "component-cut"))
         start = 2
 
     for ci, comp in enumerate(components):
         stmts = [by_id[sid] for sid in comp]
         live = [d for d in deps if d.src in comp]
         _schedule_component(program, ci, stmts, live, config,
-                            rows, bands, cuts, steps, start, record)
+                            rows, bands, cuts, steps, start)
 
     transform = AffineTransform(
         program.params,
@@ -382,12 +373,11 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
         tuple(bands),
         tuple(sorted(cuts, key=lambda c: c.level)),
     )
-    return ScheduleResult(program, config, transform,
-                          tuple(steps), components)
+    return ScheduleResult(transform, tuple(steps), components)
 
 
 def _schedule_component(program, ci, stmts, live, config,
-                        rows, bands, cuts, steps, start, record):
+                        rows, bands, cuts, steps, start):
     comp = tuple(s.id for s in stmts)
     nparams = len(program.params)
     level = start
@@ -405,7 +395,7 @@ def _schedule_component(program, ci, stmts, live, config,
             close_band(level - 1)
             return
 
-        hp = find_hyperplane(program, stmts, live, rows, config, record)
+        hp = find_hyperplane(program, stmts, live, rows, config)
         if hp is not None:
             for s in stmts:
                 if complete[s.id]:
@@ -415,8 +405,8 @@ def _schedule_component(program, ci, stmts, live, config,
             parallel = _is_parallel(program, hp.scaled)
             if level == band_start:
                 band_parallel = parallel
-            steps.append(LevelStep(ci, level, "loop", comp, hp.raw, hp.scaled,
-                                   hp.factor, parallel))
+            steps.append(Step(level, "loop", parallel, hp.system, hp.raw,
+                              (hp.factor,), ci))
             level += 1
             continue
 
@@ -439,7 +429,7 @@ def _schedule_component(program, ci, stmts, live, config,
         for s in stmts:
             rows[s.id].append(_constant_row(s, nparams, ordinal[s.id]))
         cuts.append(Cut(level, sccs))
-        steps.append(LevelStep(ci, level, "cut", comp))
+        steps.append(Step(level, "cut", component=ci))
         current = _partial_transform(program, rows)
         before = len(live)
         live[:] = [d for d in live

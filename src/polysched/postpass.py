@@ -28,21 +28,9 @@ from .model import (
     component_range,
     satisfaction_level,
 )
-from .pluto import _is_parallel, _lexmin, level_system
+from .pluto import Step, _is_parallel, _lexmin, level_system
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class ScaleStep:
-    """Outcome of one level's solve: integer factors per component and the
-    parallelism of the level (no parametric or constant bound needed)."""
-
-    level: int
-    kind: str  # "loop" or "cut"
-    factors: tuple[int, ...]
-    parallel: bool
-    raw: Optional[Mapping[str, Fraction]]
 
 
 def _split_shift_names(sid: str, params: Sequence[str]):
@@ -107,13 +95,13 @@ def _unit_index(part) -> Optional[int]:
 
 
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
-                    permutation: AffineTransform,
-                    record: Optional[list] = None):
+                    permutation: AffineTransform):
     """Re-solve each loop level of the permutation with free shifts.
 
     Levels are handled outermost first; a dependence already satisfied by the
     scaled rows above (cuts included) no longer constrains deeper levels.
-    Returns the scaled transform and one `ScaleStep` per level.
+    Returns the scaled transform and one `Step` per level; a loop step's
+    optimum keeps the shifts split into their halves.
     """
     ordering = [d for d in deps if d.ordering]
 
@@ -135,7 +123,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                 row = permutation.row(s.id, level)
                 if row is not None:
                     acc[s.id].append(row)
-            steps.append(ScaleStep(level, "cut", (), False, None))
+            steps.append(Step(level, "cut"))
             continue
 
         partial = AffineTransform(program.params, dims,
@@ -152,8 +140,6 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         if not result:
             raise SchedulingError(
                 f"no legal scaling and shifting exists at level {level}")
-        if record is not None:
-            record.append((system, dict(result.assignment)))
         scaled = ratlp.scale_to_integral(result.assignment, groups)
         merged = _merge_shifts(scaled.values, split)
 
@@ -168,8 +154,8 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             elif permutation.row(s.id, level) is not None:
                 acc[s.id].append(permutation.row(s.id, level))
         parallel = _is_parallel(program, result.assignment)
-        steps.append(ScaleStep(level, "loop", scaled.group_factors, parallel,
-                               _merge_shifts(result.assignment, split)))
+        steps.append(Step(level, "loop", parallel, system,
+                          dict(result.assignment), scaled.group_factors))
 
     final = AffineTransform(program.params, dims,
                             {sid: tuple(rows) for sid, rows in acc.items()},
@@ -182,11 +168,11 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
 
 @dataclass(frozen=True)
 class SkewOutcome:
-    """`transform` is the input object itself when no level needed a skew."""
+    """`transform` is the input object itself when no level needed a skew;
+    `skewed` holds one step per replaced level, outermost first."""
 
     transform: AffineTransform
-    skewed: tuple[int, ...]
-    updates: Mapping[int, ScaleStep]
+    skewed: tuple[Step, ...]
     diagnostics: tuple[str, ...]
 
 
@@ -236,7 +222,7 @@ def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
     system = system.with_rows(system.row_from(f) for f in iterator_forms)
     result = _lexmin(system)
     if not result:
-        return None, system
+        return None
 
     comps, groups = groups_of(lambda s: [f"a.{s.id}"] +
                               [f"b.{s.id}.{k}" for k, _ in rows_of.get(s.id, ())])
@@ -258,14 +244,13 @@ def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
     out = AffineTransform(transform.params, transform.dims, new_rows,
                           transform.bands, transform.cuts)
     parallel = _is_parallel(program, result.assignment)
-    step = ScaleStep(level, "loop", scaled.group_factors, parallel,
-                     dict(result.assignment))
-    return (out, step), system
+    step = Step(level, "loop", parallel, system, dict(result.assignment),
+                scaled.group_factors)
+    return out, step
 
 
 def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
-                   transform: AffineTransform,
-                   record: Optional[list] = None) -> SkewOutcome:
+                   transform: AffineTransform) -> SkewOutcome:
     """Fix levels whose dependence components go negative.
 
     Scans outermost first; each offending level is replaced before deeper
@@ -280,28 +265,21 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
         return _component_groups(program, deps, names)
 
     current = transform
-    skewed: list[int] = []
-    updates: dict[int, ScaleStep] = {}
+    skewed: list[Step] = []
     for level in range(1, transform.levels + 1):
         bad = _negative_deps(ordering, current, level)
         if not bad:
             continue
-        solved, system = _skew_level(program, ordering, current, level,
-                                     groups_of)
+        solved = _skew_level(program, ordering, current, level, groups_of)
         if solved is None:
             labels = ", ".join(d.label for d in bad)
             return SkewOutcome(
-                transform, (), {},
+                transform, (),
                 (f"level {level} has a negative component ({labels}) "
                  f"but no legal skew exists; the nest is not tileable",))
         current, step = solved
-        if record is not None:
-            record.append((system, dict(step.raw)))
-        skewed.append(level)
-        updates[level] = step
-    if not skewed:
-        return SkewOutcome(transform, (), {}, ())
-    return SkewOutcome(current, tuple(skewed), updates, ())
+        skewed.append(step)
+    return SkewOutcome(current, tuple(skewed), ())
 
 
 # -- the full pipeline ---------------------------------------------------------
@@ -309,12 +287,13 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
 
 @dataclass(frozen=True)
 class DfpResult:
-    program: Program
+    """`steps` holds the scale/shift steps, then the skew steps."""
+
     coloring: Coloring
     permutation: AffineTransform
     scaled: AffineTransform
     transform: AffineTransform
-    steps: tuple[ScaleStep, ...]
+    steps: tuple[Step, ...]
     skew: SkewOutcome
 
 
@@ -331,9 +310,9 @@ def _band_permutable(ordering, transform, start, end):
 
 
 def _bands(program: Program, deps: Sequence[DependencePolyhedron],
-           transform: AffineTransform, steps: Sequence[ScaleStep]) -> tuple[Band, ...]:
+           transform: AffineTransform, steps: Sequence[Step]) -> tuple[Band, ...]:
     ordering = [d for d in deps if d.ordering]
-    by_level = {s.level: s for s in steps}
+    by_level = {s.level: s for s in steps}  # the last step of each level
     cut_levels = {c.level for c in transform.cuts}
     bands = []
     start = None
@@ -353,16 +332,15 @@ def _bands(program: Program, deps: Sequence[DependencePolyhedron],
     return tuple(bands)
 
 
-def dfp_schedule(program: Program, deps: Sequence[DependencePolyhedron],
-                 record: Optional[list] = None) -> DfpResult:
+def dfp_schedule(program: Program,
+                 deps: Sequence[DependencePolyhedron]) -> DfpResult:
     """Conflict-graph coloring, then scaling/shifting, then skewing."""
     coloring = color_fcg(program, deps)
     permutation = permute_and_fuse(program, coloring)
-    scaled, steps = scale_and_shift(program, deps, permutation, record)
-    skew = introduce_skew(program, deps, scaled, record)
-    merged = tuple(skew.updates.get(s.level, s) for s in steps)
+    scaled, steps = scale_and_shift(program, deps, permutation)
+    skew = introduce_skew(program, deps, scaled)
+    steps += skew.skewed
     final = replace(skew.transform,
-                    bands=_bands(program, deps, skew.transform, merged),
+                    bands=_bands(program, deps, skew.transform, steps),
                     cuts=skew.transform.cuts)
-    return DfpResult(program, coloring, permutation, scaled, final,
-                     merged, skew)
+    return DfpResult(coloring, permutation, scaled, final, steps, skew)

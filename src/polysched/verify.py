@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -285,7 +285,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Runs:
     """Everything the checks need about one instance, computed once."""
 
@@ -293,28 +293,23 @@ class _Runs:
     lp: ScheduleResult
     ilp: ScheduleResult
     dfp: DfpResult
-    lp_records: list
-    ilp_records: list
-    dfp_records: list
 
 
 def _run_instance(inst: CorpusInstance) -> _Runs:
-    lp_rec: list = []
-    ilp_rec: list = []
-    dfp_rec: list = []
-    lp = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP), lp_rec)
-    ilp = schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP), ilp_rec)
-    dfp = dfp_schedule(inst.program, inst.deps, dfp_rec)
-    return _Runs(inst, lp, ilp, dfp, lp_rec, ilp_rec, dfp_rec)
+    return _Runs(inst,
+                 schedule(inst.program, inst.deps, SchedulerConfig(mode=LP)),
+                 schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP)),
+                 dfp_schedule(inst.program, inst.deps))
+
+
+def _records(result: ScheduleResult | DfpResult) -> list:
+    """(system, optimum) of every solve in the result, in solve order."""
+    return [(s.system, s.raw) for s in result.steps if s.system is not None]
 
 
 def _all_records(runs: Sequence[_Runs]) -> list:
-    out = []
-    for r in runs:
-        out.extend(r.lp_records)
-        out.extend(r.ilp_records)
-        out.extend(r.dfp_records)
-    return out
+    return [rec for r in runs for result in (r.lp, r.ilp, r.dfp)
+            for rec in _records(result)]
 
 
 def _scale_factor(assignment: Mapping[str, Fraction]) -> int:
@@ -326,12 +321,13 @@ def _in_grid(assignment: Mapping[str, Fraction], bound: int) -> bool:
                for x in assignment.values())
 
 
-def _aligned_records(r: _Runs):
+def _aligned_records(lp: ScheduleResult, ilp: ScheduleResult):
     """Zip the relaxed and integer record streams, or None on divergence."""
-    if len(r.lp_records) != len(r.ilp_records):
+    lp_records, ilp_records = _records(lp), _records(ilp)
+    if len(lp_records) != len(ilp_records):
         return None
     pairs = []
-    for (lsys, lasg), (isys, iasg) in zip(r.lp_records, r.ilp_records):
+    for (lsys, lasg), (isys, iasg) in zip(lp_records, ilp_records):
         if lsys.variables != isys.variables:
             return None
         pairs.append((lsys, lasg, isys, iasg))
@@ -386,10 +382,10 @@ def _check_relaxation_objective(runs, bound):
         for key in sorted(lp_steps):
             a, b = lp_steps[key], ilp_steps[key]
             for v in bvars:
-                if a.scaled.get(v, ZERO) != b.scaled.get(v, ZERO):
-                    bad.append(
-                        f"{r.instance.name} level {key[1]}: scaled {v} is "
-                        f"{a.scaled.get(v, ZERO)}, integer mode found {b.scaled.get(v, ZERO)}")
+                x, y = (s.factors[0] * s.raw.get(v, ZERO) for s in (a, b))
+                if x != y:
+                    bad.append(f"{r.instance.name} level {key[1]}: scaled {v} "
+                               f"is {x}, integer mode found {y}")
     status = "fail" if bad else "pass"
     return CheckResult("relaxation-objective", status, tuple(bad + details))
 
@@ -402,7 +398,7 @@ def _check_integer_ratio(runs, bound):
             details.append(f"skipped {r.instance.name}: the scaled-ratio law "
                            "does not hold on this nest")
             continue
-        pairs = _aligned_records(r)
+        pairs = _aligned_records(r.lp, r.ilp)
         if pairs is None:
             bad.append(f"{r.instance.name}: record streams differ between modes")
             continue
@@ -428,7 +424,7 @@ def _check_oracle_agreement(runs, bound):
     bad, details = [], []
     checked = 0
     for r in runs:
-        pairs = _aligned_records(r)
+        pairs = _aligned_records(r.lp, r.ilp)
         if pairs is None:
             bad.append(f"{r.instance.name}: record streams differ between modes")
             continue
@@ -481,17 +477,14 @@ def _check_restricted_scaling(runs, bound):
         if not r.instance.flag("restricted"):
             details.append(f"skipped {r.instance.name}: needs shifts or skewing")
             continue
-        base = SchedulerConfig(mode=LP, allow_shift=False,
-                               allow_parametric_shift=False, allow_skew=False)
-        lp_rec: list = []
-        ilp_rec: list = []
-        schedule(r.instance.program, r.instance.deps, base, lp_rec)
-        schedule(r.instance.program, r.instance.deps,
-                 replace(base, mode=ILP), ilp_rec)
-        if len(lp_rec) != len(ilp_rec):
+        prog, deps = r.instance.program, r.instance.deps
+        pairs = _aligned_records(
+            schedule(prog, deps, SchedulerConfig(mode=LP, restricted=True)),
+            schedule(prog, deps, SchedulerConfig(mode=ILP, restricted=True)))
+        if pairs is None:
             bad.append(f"{r.instance.name}: record streams differ between modes")
             continue
-        for li, ((lsys, lasg), (isys, iasg)) in enumerate(zip(lp_rec, ilp_rec)):
+        for li, (lsys, lasg, isys, iasg) in enumerate(pairs):
             factor = _scale_factor(lasg)
             scaled = {v: factor * x for v, x in lasg.items()}
             if any(scaled.get(v, ZERO) != iasg.get(v, ZERO)
@@ -532,12 +525,11 @@ def _check_skew_inert(runs, bound):
     for r in runs:
         sk = r.dfp.skew
         if r.instance.flag("tileable"):
-            if (sk.transform is not r.dfp.scaled or sk.skewed
-                    or sk.updates or sk.diagnostics):
+            if sk.transform is not r.dfp.scaled or sk.skewed or sk.diagnostics:
                 bad.append(f"{r.instance.name}: skew pass altered an already "
                            "tileable nest")
         elif sk.skewed:
-            levels = ",".join(str(v) for v in sk.skewed)
+            levels = ",".join(str(s.level) for s in sk.skewed)
             details.append(f"{r.instance.name}: skewed levels {levels}")
         else:
             details.append(f"{r.instance.name}: not tileable as permuted")

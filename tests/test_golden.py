@@ -3,13 +3,16 @@
 Every corpus instance is scheduled on `ilp`, `lp` and `dfp`; the digest of
 each transform's JSON and the `dfp` conflict graphs and coloring must match
 `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
-`check_legality` and `full_rank` (the property suite checks `dfp`).
+`check_legality` and `full_rank` (the property suite checks `dfp`).  The
+property-suite report is pinned by digest too, so a solve lost from or
+duplicated in the steps the checks read changes it.
 Refactors of the scheduler keep these outputs exact; a change that alters a
-schedule on purpose regenerates the file with
+schedule or the report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in its description.
+sets SUITE_DIGEST to the report digest that command prints, and says so in
+its description.
 """
 
 import hashlib
@@ -21,15 +24,22 @@ import pytest
 
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
-from polysched.verify import check_legality, full_rank, load_corpus
+from polysched.verify import check_legality, full_rank, load_corpus, theorem_suite
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+SUITE_DIGEST = "83d874d240b85425"
 
 
 def _digest(data) -> str:
     text = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def suite_digest(report) -> str:
+    """sha256 prefix of a property-suite report's JSON."""
+    text = json.dumps(report.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _edges(fcg) -> dict:
@@ -76,7 +86,12 @@ def test_lp_and_ilp_transforms_are_legal_and_full_rank(by_name, name, mode):
     assert full_rank(inst.program, transform)
 
 
+def test_suite_report_digest(suite_report):
+    assert suite_digest(suite_report) == SUITE_DIGEST
+
+
 if __name__ == "__main__":
     data = {inst.name: golden_entry(inst) for inst in load_corpus()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} instances to {GOLDEN}", file=sys.stderr)
+    print(f"property-suite report digest: {suite_digest(theorem_suite())}", file=sys.stderr)

@@ -42,11 +42,11 @@ class TestGraph:
     def test_scc_topological_order(self):
         ddg = DDG(("A", "B", "C", "D"),
                   (edge("A", "B"), edge("B", "A"), edge("B", "C"), edge("C", "D")))
-        assert ddg.sccs() == (("A", "B"), ("C",), ("D",))
+        assert scc_decompose(ddg) == (("A", "B"), ("C",), ("D",))
 
     def test_scc_order_follows_edges_not_listing(self):
         ddg = DDG(("X", "Y"), (edge("Y", "X"),))
-        assert ddg.sccs() == (("Y",), ("X",))
+        assert scc_decompose(ddg) == (("Y",), ("X",))
 
     def test_scc_members_follow_vertex_order(self):
         ddg = DDG(("A", "B", "C"),

@@ -189,8 +189,7 @@ class TestSchedule:
     def test_offset_pair_without_shifts_serializes(self, by_name):
         inst = by_name["shift_pair"]
         res = schedule(inst.program, inst.deps,
-                       SchedulerConfig(mode=LP, allow_shift=False,
-                                       allow_parametric_shift=False))
+                       SchedulerConfig(mode=LP, restricted=True))
         assert rows_of(res, "P") == (R(1, 0, 0),)
         assert rows_of(res, "Q") == (R(1, 0, 0),)
         assert not res.steps[0].parallel
@@ -201,8 +200,9 @@ class TestSchedule:
         assert rows_of(res, "S") == (R(1, 1, 0, 0, 0), R(1, 0, 0, 0, 0))
         first = res.steps[0]
         assert first.raw["c.S.t"] == F(1, 2) and first.raw["c.S.i"] == F(1, 2)
-        assert first.raw["w"] == 1 and first.factor == 2
-        assert first.scaled["c.S.t"] == 1 and first.scaled["c.S.i"] == 1
+        assert first.raw["w"] == 1 and first.factors == (2,)
+        assert first.factors[0] * first.raw["c.S.t"] == 1
+        assert first.factors[0] * first.raw["c.S.i"] == 1
 
     def test_stencil_integer_mode_orders_time_first(self, by_name):
         inst = by_name["stencil1d"]
@@ -217,7 +217,7 @@ class TestSchedule:
     def test_stencil_without_skew_splits_the_band(self, by_name):
         inst = by_name["stencil1d"]
         res = schedule(inst.program, inst.deps,
-                       SchedulerConfig(mode=LP, allow_skew=False))
+                       SchedulerConfig(mode=LP, restricted=True))
         assert rows_of(res, "S") == (R(1, 0, 0, 0, 0), R(0, 1, 0, 0, 0))
         assert [(b.start, b.end, b.parallel) for b in res.transform.bands] \
             == [(1, 1, False), (2, 2, True)]
@@ -229,7 +229,7 @@ class TestSchedule:
         assert rows_of(lp, "Q") == (R(2, 0, 1),)
         assert lp.steps[0].raw["w"] == F(1, 2)
         assert lp.steps[0].raw["c0.Q"] == F(1, 2)
-        assert lp.steps[0].factor == 2
+        assert lp.steps[0].factors == (2,)
         ilp = schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP))
         assert rows_of(ilp, "P") == (R(1, 0, 0),)
         assert rows_of(ilp, "Q") == (R(1, 0, 0),)
@@ -239,10 +239,10 @@ class TestSchedule:
         lp = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP))
         assert rows_of(lp, "P") == (R(2, 0, 0),)
         assert rows_of(lp, "Q") == (R(3, 0, 0),)
-        assert lp.steps[0].raw["c.Q.i"] == F(3, 2) and lp.steps[0].factor == 2
+        assert lp.steps[0].raw["c.Q.i"] == F(3, 2) and lp.steps[0].factors == (2,)
         ilp = schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP))
         assert ilp.transform.rows == lp.transform.rows
-        assert ilp.steps[0].raw["c.Q.i"] == 3 and ilp.steps[0].factor == 1
+        assert ilp.steps[0].raw["c.Q.i"] == 3 and ilp.steps[0].factors == (1,)
 
     def test_independent_components_distribute_first(self, by_name):
         inst = by_name["chain_indep"]
@@ -258,11 +258,11 @@ class TestSchedule:
 
     def test_recorded_optima_satisfy_their_systems(self, by_name):
         inst = by_name["fig1"]
-        record = []
-        schedule(inst.program, inst.deps, SchedulerConfig(mode=LP), record)
-        assert len(record) == 2
-        for system, assignment in record:
-            assert system.satisfied_by(assignment)
+        res = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP))
+        solved = [s for s in res.steps if s.system is not None]
+        assert len(solved) == 2
+        for step in solved:
+            assert step.system.satisfied_by(step.raw)
 
     def test_unschedulable_cycle_raises(self):
         program, deps = analyze({

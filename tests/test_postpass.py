@@ -45,7 +45,7 @@ class TestScaleAndShift:
         (step,) = out.steps
         assert step.kind == "loop" and step.parallel
         assert step.factors == (1,)
-        assert step.raw["c0.Q"] == -2
+        assert step.raw["c0p.Q"] == 0 and step.raw["c0n.Q"] == 2
 
     def test_scales_rational_alignment_to_integers(self, dfp_results):
         out = dfp_results["scaling_pair"]
@@ -76,11 +76,11 @@ class TestScaleAndShift:
 
     def test_record_collects_level_systems(self, by_name):
         inst = by_name["fig1"]
-        record = []
-        dfp_schedule(inst.program, inst.deps, record)
-        assert len(record) == 2  # one loop solve per level, nothing skewed
-        for system, assignment in record:
-            assert system.satisfied_by(assignment)
+        out = dfp_schedule(inst.program, inst.deps)
+        solved = [s for s in out.steps if s.system is not None]
+        assert len(solved) == 2  # one loop solve per level, nothing skewed
+        for step in solved:
+            assert step.system.satisfied_by(step.raw)
 
 
 class TestIntroduceSkew:
@@ -88,16 +88,16 @@ class TestIntroduceSkew:
         out = dfp_results["fig1"]
         assert out.skew.transform is out.scaled
         assert out.skew.skewed == () and out.skew.diagnostics == ()
-        assert out.skew.updates == {}
+        assert len(out.steps) == 2  # the two scale/shift steps, no skew step
 
     def test_stencil_space_level_gets_time_added(self, dfp_results):
         out = dfp_results["stencil1d"]
         assert out.scaled.rows["S"] == (R(1, 0, 0, 0, 0), R(0, 1, 0, 0, 0))
-        assert out.skew.skewed == (2,)
+        (step,) = out.skew.skewed
+        assert step.level == 2
         assert out.transform.rows["S"] == (R(1, 0, 0, 0, 0), R(1, 1, 0, 0, 0))
-        step = out.skew.updates[2]
         assert step.kind == "loop" and not step.parallel
-        assert out.steps[1] is step
+        assert out.steps[2] is step
 
     def test_reversal_is_diagnosed_not_skewed(self, dfp_results):
         out = dfp_results["distribution_forced"]
@@ -112,7 +112,7 @@ class TestIntroduceSkew:
         out = dfp_results["stencil1d"]
         redo = introduce_skew(inst.program, inst.deps, out.scaled)
         assert redo.transform.rows == out.transform.rows
-        assert redo.skewed == (2,)
+        assert [s.level for s in redo.skewed] == [2]
 
 
     def test_skew_system_rejects_negative_iterator_coefficient(self):
@@ -128,13 +128,12 @@ class TestIntroduceSkew:
         })
         t = AffineTransform(("N",), {"S": ("i", "j")},
                             {"S": (R(1, 0, 0, 0), R(-1, 1, 0, 0))})
-        solved, system = _skew_level(
+        out, step = _skew_level(
             program, deps, t, 2,
             lambda names: _component_groups(program, deps, names))
         base = {"u.N": 0, "w": 0, "a.S": 1}
-        assert not system.satisfied_by(dict(base, **{"b.S.1": 0}))
-        assert system.satisfied_by(dict(base, **{"b.S.1": 1}))
-        out, _ = solved
+        assert not step.system.satisfied_by(dict(base, **{"b.S.1": 0}))
+        assert step.system.satisfied_by(dict(base, **{"b.S.1": 1}))
         assert out.rows["S"][1] == R(0, 1, 0, 0)
 
 

@@ -156,10 +156,10 @@ class TestBruteForceLexmin:
         # Level-1 system of the diagonal-time schedule: the smallest integer
         # point spends one bound unit and moves only along t.
         inst = by_name["stencil1d"]
-        record = []
-        schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP), record)
-        assert len(record) == 2
-        sys0, asg0 = record[0]
+        steps = schedule(inst.program, inst.deps,
+                         SchedulerConfig(mode=ILP)).steps
+        assert len(steps) == 2
+        sys0, asg0 = steps[0].system, steps[0].raw
         expected = dict.fromkeys(sys0.variables, F(0))
         expected.update({"w": F(1), "c.S.t": F(1)})
         assert asg0 == expected
