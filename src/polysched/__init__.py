@@ -12,11 +12,11 @@ from .fcg import (
     Coloring, FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
     fusion_probe, permute_and_fuse, to_dot,
 )
-from .frontend import ParseError, analyze, build_ddg, compute_dependences, loads, parse_program
+from .frontend import ParseError, analyze, compute_dependences, loads, parse_program
 from .model import (
-    AffineTransform, Band, Cut, DDG, DependencePolyhedron, Program, SchedulingError, Statement,
+    AffineTransform, Band, Cut, DependencePolyhedron, Program, SchedulingError, Statement,
 )
-from .pluto import Hyperplane, ScheduleResult, SchedulerConfig, Step, find_hyperplane, schedule
+from .pluto import ScheduleResult, SchedulerConfig, Step, find_hyperplane, schedule
 from .postpass import (
     DfpResult, SkewOutcome, dfp_schedule, introduce_skew, scale_and_shift,
 )
@@ -35,11 +35,9 @@ __all__ = [
     "ConstraintSystem",
     "CorpusInstance",
     "Cut",
-    "DDG",
     "DependencePolyhedron",
     "DfpResult",
     "FusionConflictGraph",
-    "Hyperplane",
     "LegalityReport",
     "LinearRow",
     "ParseError",
@@ -54,7 +52,6 @@ __all__ = [
     "SuiteReport",
     "analyze",
     "brute_force_lexmin",
-    "build_ddg",
     "build_fcg",
     "check_legality",
     "color_fcg",

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from . import verify
 from .fcg import color_fcg, to_dot
-from .frontend import ParseError, analyze, build_ddg
+from .frontend import ParseError, analyze, parse_json
 from .model import SchedulingError
 from .pluto import SchedulerConfig, schedule
 from .postpass import dfp_schedule
@@ -34,11 +34,7 @@ EXIT_INTERNAL = 3
 
 def _load(path: str):
     """A program description, bare or wrapped as a corpus instance."""
-    text = Path(path).read_text()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"invalid JSON: {exc}") from None
+    data = parse_json(Path(path).read_text(), "$")
     if isinstance(data, dict) and "program" in data:
         inst = verify.parse_instance(data, Path(path).name)
         return inst.program, inst.deps
@@ -62,9 +58,8 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_deps(args) -> int:
     program, deps = _load(args.file)
-    ddg = build_ddg(program, deps)
     _emit({
-        "statements": list(ddg.vertices),
+        "statements": [s.id for s in program.statements],
         "dependences": [
             {"src": d.src, "dst": d.dst, "kind": d.kind, "label": d.label}
             for d in deps

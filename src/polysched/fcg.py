@@ -21,13 +21,14 @@ from typing import Mapping, Optional, Sequence
 
 from . import ratlp
 from .model import (
-    DDG,
     AffineTransform,
     Cut,
     DependencePolyhedron,
     Program,
     SchedulingError,
     Statement,
+    _adjacency,
+    _partition,
     satisfaction_level,
     scc_decompose,
 )
@@ -89,35 +90,19 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
 
 
 def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Edges of a DAG not implied by a longer path."""
-    succ: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, b in sorted(edges):
-        succ[a].append(b)
-
-    def reachable(frm: int, to: int, skip: tuple[int, int]) -> bool:
-        seen = set()
-        stack = [frm]
-        while stack:
-            v = stack.pop()
-            for nxt in succ[v]:
-                if (v, nxt) == skip or nxt in seen:
-                    continue
-                if nxt == to:
-                    return True
-                seen.add(nxt)
-                stack.append(nxt)
-        return False
-
-    return {e for e in edges if not reachable(e[0], e[1], e)}
+    """Edges of a DAG not implied by a longer path: (a, b) goes when b is
+    reachable from another successor of a."""
+    succ = _adjacency(range(n), edges)
+    return {(a, b) for a, b in edges if not any(
+        b in part for part in _partition(range(n), succ, [c for c in succ[a] if c != b]))}
 
 
 def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron]):
     """Statement pairs worth probing: directly connected, minus pairs whose
     ordering is already implied transitively through other statements."""
     ids = [s.id for s in stmts]
-    ddg = DDG(tuple(ids), tuple(deps))
     comp_of: dict[str, int] = {}
-    sccs = scc_decompose(ddg)
+    sccs = scc_decompose(ids, deps)
     for ci, comp in enumerate(sccs):
         for sid in comp:
             comp_of[sid] = ci
@@ -253,8 +238,7 @@ def _color_once(stmts: Sequence[Statement], live: Sequence[DependencePolyhedron]
                 fcg: FusionConflictGraph, max_colors: int):
     by_id = {s.id: s for s in stmts}
     colors: dict[str, list] = {s.id: [] for s in stmts}
-    ddg = DDG(tuple(s.id for s in stmts), tuple(live))
-    sccs = scc_decompose(ddg)
+    sccs = scc_decompose([s.id for s in stmts], live)
     for color in range(1, max_colors + 1):
         chosen: list[Vertex] = []
         for idx, comp in enumerate(sccs):
@@ -273,12 +257,10 @@ def _unit_row(stmt: Statement, nparams: int, k: int) -> tuple[Fraction, ...]:
 def _partial(program: Program, colors: Mapping[str, list], depth: int) -> AffineTransform:
     np = len(program.params)
     rows = {}
-    dims = {}
     for s in program.statements:
-        dims[s.id] = s.domain.iterators
         take = list(colors.get(s.id, ()))[:depth]
         rows[s.id] = tuple(_unit_row(s, np, k) for k in take)
-    return AffineTransform(program.params, dims, rows)
+    return AffineTransform.of(program, rows)
 
 
 def _split_groups(groups: list, left_ids: set):
@@ -397,13 +379,11 @@ def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:
                     placed[s.id][level] = _unit_row(s, np, order[val - 1])
 
     rows = {}
-    dims = {}
     for s in program.statements:
-        dims[s.id] = s.domain.iterators
         depth = max(placed[s.id], default=0)
         zero = (Fraction(0),) * (s.dim + np + 1)
         rows[s.id] = tuple(placed[s.id].get(lv, zero) for lv in range(1, depth + 1))
-    return AffineTransform(program.params, dims, rows, (), tuple(cuts))
+    return AffineTransform.of(program, rows, (), cuts)
 
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,

@@ -21,7 +21,7 @@ from . import ratlp
 from .farkas import EQ, GE, ConstraintSystem
 from .model import (
     RAR, RAW, WAR, WAW,
-    AccessFunction, DDG, DependencePolyhedron, IndexSet, Program, Statement,
+    AccessFunction, DependencePolyhedron, IndexSet, Program, Statement,
 )
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -321,14 +321,13 @@ def analyze(data: Mapping) -> tuple[Program, tuple[DependencePolyhedron, ...]]:
     return program, deps
 
 
-def loads(text: str) -> tuple[Program, tuple[DependencePolyhedron, ...]]:
+def parse_json(text: str, where: str):
+    """Decoded JSON text; a syntax error is a ParseError at `where`."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError("$", f"invalid JSON: {exc}") from None
-    return analyze(data)
+        raise ParseError(where, f"invalid JSON: {exc}") from None
 
 
-def build_ddg(program: Program, deps: Sequence[DependencePolyhedron]) -> DDG:
-    order = sorted(program.statements, key=lambda s: s.textual_order)
-    return DDG(tuple(s.id for s in order), tuple(deps))
+def loads(text: str) -> tuple[Program, tuple[DependencePolyhedron, ...]]:
+    return analyze(parse_json(text, "$"))

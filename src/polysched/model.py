@@ -2,10 +2,10 @@
 
 Statements are perfectly nested loops executed one nest after another in
 textual order.  A dependence is a polyhedron of (source instance, target
-instance, parameters) points; the dependence graph caches its strongly
-connected components.  An affine transform is a list of rows per statement,
-each row giving iterator coefficients, parameter-shift coefficients and a
-constant shift.  All types are immutable after construction.
+instance, parameters) points; the dependence graph over statement ids splits
+into weakly or strongly connected components.  An affine transform is a list
+of rows per statement, each row giving iterator coefficients, parameter-shift
+coefficients and a constant shift.  All types are immutable after construction.
 """
 
 from __future__ import annotations
@@ -120,97 +120,71 @@ class DependencePolyhedron:
         return self.kind in ORDERING_KINDS
 
 
-@dataclass(frozen=True)
-class DDG:
-    """Data dependence graph over statement ids."""
-
-    vertices: tuple[str, ...]
-    edges: tuple[DependencePolyhedron, ...]
-
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Weakly connected components, ordered by first vertex appearance."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for e in self.edges:
-            a, b = find(index[e.src]), find(index[e.dst])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        groups: dict[int, list[str]] = {}
-        for v in self.vertices:
-            groups.setdefault(find(index[v]), []).append(v)
-        return tuple(tuple(groups[r]) for r in sorted(groups))
+# -- dependence graph ---------------------------------------------------------
 
 
-def scc_decompose(ddg: DDG) -> tuple[tuple[str, ...], ...]:
+def _adjacency(ids: Sequence, pairs) -> dict:
+    """Successor lists over the vertices `ids` in their order, duplicates dropped."""
+    order = {v: i for i, v in enumerate(ids)}
+    succ: dict = {v: set() for v in ids}
+    for a, b in pairs:
+        succ[a].add(b)
+    return {v: sorted(succ[v], key=order.__getitem__) for v in ids}
+
+
+def _search(root, succ: Mapping, seen: set) -> list:
+    """Vertices newly reached from `root`, in depth-first finishing order.
+
+    Successors are tried in list order and `seen` grows in place, so calls
+    from successive roots partition the graph.
+    """
+    seen.add(root)
+    finished = []
+    work = [(root, iter(succ[root]))]
+    while work:
+        v, it = work[-1]
+        nxt = next((w for w in it if w not in seen), None)
+        if nxt is None:
+            finished.append(work.pop()[0])
+        else:
+            seen.add(nxt)
+            work.append((nxt, iter(succ[nxt])))
+    return finished
+
+
+def _partition(ids, succ, roots) -> tuple[tuple[str, ...], ...]:
+    """The vertex sets reached from `roots` in turn, members in `ids` order."""
+    order = {v: i for i, v in enumerate(ids)}
+    seen: set[str] = set()
+    return tuple(tuple(sorted(_search(r, succ, seen), key=order.__getitem__))
+                 for r in roots if r not in seen)
+
+
+def components(ids: Sequence[str], deps: Sequence[DependencePolyhedron],
+               ) -> tuple[tuple[str, ...], ...]:
+    """Weakly connected components of the dependence graph over `ids`,
+    ordered by their first vertex."""
+    pairs = [(d.src, d.dst) for d in deps] + [(d.dst, d.src) for d in deps]
+    return _partition(ids, _adjacency(ids, pairs), ids)
+
+
+def scc_decompose(ids: Sequence[str], deps: Sequence[DependencePolyhedron],
+                  ) -> tuple[tuple[str, ...], ...]:
     """Strongly connected components in topological order of the condensation.
 
-    Components and their members follow the graph's vertex order, so repeated
-    runs agree exactly.
+    Kosaraju: a depth-first search from each vertex in `ids` order gives the
+    finishing order, and searches of the reversed graph from the latest
+    finisher on peel off the components source first.  Members follow `ids`,
+    so repeated runs agree exactly.
     """
-    order = {v: i for i, v in enumerate(ddg.vertices)}
-    succ: dict[str, list[str]] = {v: [] for v in ddg.vertices}
-    for e in ddg.edges:
-        if e.dst not in succ[e.src]:
-            succ[e.src].append(e.dst)
-    for v in succ:
-        succ[v].sort(key=order.__getitem__)
-
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[tuple[str, ...]] = []
-    counter = 0
-
-    for root in ddg.vertices:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[v] = min(low[v], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort(key=order.__getitem__)
-                components.append(tuple(comp))
-
-    # Tarjan emits components in reverse topological order.
-    components.reverse()
-    return tuple(components)
+    finished: list[str] = []
+    seen: set[str] = set()
+    succ = _adjacency(ids, [(d.src, d.dst) for d in deps])
+    for v in ids:
+        if v not in seen:
+            finished += _search(v, succ, seen)
+    pred = _adjacency(ids, [(d.dst, d.src) for d in deps])
+    return _partition(ids, pred, reversed(finished))
 
 
 # -- transforms ---------------------------------------------------------------
@@ -250,6 +224,14 @@ class AffineTransform:
     rows: Mapping[str, tuple[tuple[Fraction, ...], ...]]
     bands: tuple[Band, ...] = ()
     cuts: tuple[Cut, ...] = ()
+
+    @staticmethod
+    def of(program: Program, rows: Mapping[str, Sequence[tuple[Fraction, ...]]],
+           bands: Sequence[Band] = (), cuts: Sequence[Cut] = ()) -> "AffineTransform":
+        """`program`'s transform with the given rows per statement."""
+        return AffineTransform(
+            program.params, {s.id: s.domain.iterators for s in program.statements},
+            {sid: tuple(r) for sid, r in rows.items()}, tuple(bands), tuple(cuts))
 
     @property
     def levels(self) -> int:
@@ -315,19 +297,15 @@ class AffineTransform:
 
 def identity_transform(program: Program) -> AffineTransform:
     """Original loop order: unit iterator rows, no shifts."""
-    rows = {}
-    dims = {}
     np = len(program.params)
-    for s in program.statements:
-        m = s.dim
-        dims[s.id] = s.domain.iterators
-        rows[s.id] = tuple(
-            tuple(Fraction(int(i == k)) for i in range(m)) + (ZERO,) * (np + 1)
-            for k in range(m)
-        )
+    rows = {
+        s.id: [tuple(Fraction(int(i == k)) for i in range(s.dim)) + (ZERO,) * (np + 1)
+               for k in range(s.dim)]
+        for s in program.statements
+    }
     band = Band(1, max((s.dim for s in program.statements), default=0),
                 True, False, tuple(s.id for s in program.statements))
-    return AffineTransform(program.params, dims, rows, (band,) if band.end else ())
+    return AffineTransform.of(program, rows, (band,) if band.end else ())
 
 
 # -- dependence components ----------------------------------------------------

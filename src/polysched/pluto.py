@@ -26,8 +26,8 @@ from .farkas import (
     bounding_constraints, coefficient_variables, legality_constraints,
 )
 from .model import (
-    AffineTransform, Band, Cut, DDG, DependencePolyhedron, Program,
-    SchedulingError, Statement, satisfaction_level, scc_decompose,
+    AffineTransform, Band, Cut, DependencePolyhedron, Program,
+    SchedulingError, Statement, components, satisfaction_level, scc_decompose,
 )
 
 LP = "lp"
@@ -172,11 +172,21 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    system: ConstraintSystem
-    raw: Mapping[str, Fraction]
-    scaled: Mapping[str, Fraction]
-    factor: int
+class Step:
+    """One schedule level: a solve, or a cut that needed none.
+
+    `raw` is the solver's optimum over `system.variables` (both None for a
+    cut); `raw` times `factors`, one per component group, gives the level's
+    integer rows.  `component` is None for a step spanning the whole program.
+    """
+
+    level: int
+    kind: str  # "loop", "cut" or "component-cut"
+    parallel: bool = False  # no parametric or constant bound needed
+    system: ConstraintSystem | None = None
+    raw: Mapping[str, Fraction] | None = None
+    factors: tuple[int, ...] = ()
+    component: int | None = None
 
 
 def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
@@ -208,8 +218,9 @@ def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequen
 def find_hyperplane(program: Program, statements: Sequence[Statement],
                     deps: Sequence[DependencePolyhedron],
                     prior: Mapping[str, Sequence],
-                    config: SchedulerConfig) -> Hyperplane | None:
-    """One more transform row per statement, or None when none exists.
+                    config: SchedulerConfig, level: int,
+                    component: int | None) -> Step | None:
+    """The loop step of `level`: one more row per statement, or None if none.
 
     Statements whose rows already span their iteration space get zero rows
     and stop influencing the problem; so do shifts in the restricted mode.
@@ -252,8 +263,8 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
 
     scaled = ratlp.scale_to_integral(result.assignment,
                                      groups=[list(result.assignment)])
-    return Hyperplane(system, dict(result.assignment), scaled.values,
-                      scaled.factor)
+    return Step(level, "loop", _is_parallel(program, result.assignment), system,
+                dict(result.assignment), scaled.group_factors, component)
 
 
 def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
@@ -297,24 +308,6 @@ def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
 
 
 @dataclass(frozen=True)
-class Step:
-    """One schedule level: a solve, or a cut that needed none.
-
-    `raw` is the solver's optimum over `system.variables` (both None for a
-    cut); `raw` times `factors`, one per component group, gives the level's
-    integer rows.  `component` is None for a step spanning the whole program.
-    """
-
-    level: int
-    kind: str  # "loop", "cut" or "component-cut"
-    parallel: bool = False  # no parametric or constant bound needed
-    system: ConstraintSystem | None = None
-    raw: Mapping[str, Fraction] | None = None
-    factors: tuple[int, ...] = ()
-    component: int | None = None
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     transform: AffineTransform
     steps: tuple[Step, ...]
@@ -323,12 +316,6 @@ class ScheduleResult:
 
 def _constant_row(stmt: Statement, nparams: int, value: int):
     return (ZERO,) * (stmt.dim + nparams) + (Fraction(value),)
-
-
-def _partial_transform(program: Program, rows: Mapping[str, list]) -> AffineTransform:
-    dims = {s.id: s.domain.iterators for s in program.statements}
-    return AffineTransform(program.params,
-                           dims, {sid: tuple(r) for sid, r in rows.items()})
 
 
 def _is_parallel(program: Program, assignment: Mapping[str, Fraction]) -> bool:
@@ -343,8 +330,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     deps = tuple(d for d in deps if d.ordering)
     by_id = {s.id: s for s in program.statements}
     ordered = sorted(program.statements, key=lambda s: s.textual_order)
-    ddg = DDG(tuple(s.id for s in ordered), deps)
-    components = ddg.components()
+    comps = components([s.id for s in ordered], deps)
 
     rows: dict[str, list] = {s.id: [] for s in ordered}
     bands: list[Band] = []
@@ -352,28 +338,23 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     steps: list[Step] = []
 
     start = 1
-    if len(components) > 1:
-        for ci, comp in enumerate(components):
+    if len(comps) > 1:
+        for ci, comp in enumerate(comps):
             for sid in comp:
                 rows[sid].append(_constant_row(by_id[sid], len(program.params), ci))
-        cuts.append(Cut(1, components))
+        cuts.append(Cut(1, comps))
         steps.append(Step(1, "component-cut"))
         start = 2
 
-    for ci, comp in enumerate(components):
+    for ci, comp in enumerate(comps):
         stmts = [by_id[sid] for sid in comp]
         live = [d for d in deps if d.src in comp]
         _schedule_component(program, ci, stmts, live, config,
                             rows, bands, cuts, steps, start)
 
-    transform = AffineTransform(
-        program.params,
-        {s.id: s.domain.iterators for s in ordered},
-        {sid: tuple(r) for sid, r in rows.items()},
-        tuple(bands),
-        tuple(sorted(cuts, key=lambda c: c.level)),
-    )
-    return ScheduleResult(transform, tuple(steps), components)
+    transform = AffineTransform.of(program, rows, bands,
+                                   sorted(cuts, key=lambda c: c.level))
+    return ScheduleResult(transform, tuple(steps), comps)
 
 
 def _schedule_component(program, ci, stmts, live, config,
@@ -395,25 +376,24 @@ def _schedule_component(program, ci, stmts, live, config,
             close_band(level - 1)
             return
 
-        hp = find_hyperplane(program, stmts, live, rows, config)
-        if hp is not None:
+        step = find_hyperplane(program, stmts, live, rows, config, level, ci)
+        if step is not None:
             for s in stmts:
                 if complete[s.id]:
                     continue
                 names = coefficient_variables(s, program.params)
-                rows[s.id].append(tuple(hp.scaled.get(v, ZERO) for v in names))
-            parallel = _is_parallel(program, hp.scaled)
+                rows[s.id].append(tuple(step.factors[0] * step.raw.get(v, ZERO)
+                                        for v in names))
             if level == band_start:
-                band_parallel = parallel
-            steps.append(Step(level, "loop", parallel, hp.system, hp.raw,
-                              (hp.factor,), ci))
+                band_parallel = step.parallel
+            steps.append(step)
             level += 1
             continue
 
         # No row at this level: retire satisfied dependences, else distribute.
         close_band(level - 1)
         band_start = level
-        current = _partial_transform(program, rows)
+        current = AffineTransform.of(program, rows)
         satisfied = [d for d in live
                      if satisfaction_level(d, current, level - 1) is not None]
         if satisfied:
@@ -421,7 +401,7 @@ def _schedule_component(program, ci, stmts, live, config,
             live[:] = [d for d in live if id(d) not in dropped]
             continue
 
-        sccs = scc_decompose(DDG(comp, tuple(live)))
+        sccs = scc_decompose(comp, live)
         if len(sccs) <= 1:
             raise SchedulingError(
                 f"no transformation row exists for {comp} and nothing to distribute")
@@ -430,7 +410,7 @@ def _schedule_component(program, ci, stmts, live, config,
             rows[s.id].append(_constant_row(s, nparams, ordinal[s.id]))
         cuts.append(Cut(level, sccs))
         steps.append(Step(level, "cut", component=ci))
-        current = _partial_transform(program, rows)
+        current = AffineTransform.of(program, rows)
         before = len(live)
         live[:] = [d for d in live
                    if satisfaction_level(d, current, level) is None]

@@ -19,13 +19,13 @@ from . import ratlp
 from .farkas import coefficient_variables
 from .fcg import Coloring, color_fcg, permute_and_fuse
 from .model import (
-    DDG,
     AffineTransform,
     Band,
     DependencePolyhedron,
     Program,
     SchedulingError,
     component_range,
+    components,
     satisfaction_level,
 )
 from .pluto import Step, _is_parallel, _lexmin, level_system
@@ -44,12 +44,12 @@ def _split_shift_names(sid: str, params: Sequence[str]):
 
 
 def _component_groups(program: Program, deps: Sequence[DependencePolyhedron],
-                      names_of) -> tuple[tuple[tuple[str, ...], ...], list[list[str]]]:
-    ddg = DDG(tuple(s.id for s in program.statements), tuple(deps))
-    components = ddg.components()
+                      names_of) -> list[list[str]]:
+    """The variables `names_of` each statement, one group per weakly
+    connected component of the dependence graph."""
     by_id = {s.id: s for s in program.statements}
-    groups = [[v for sid in comp for v in names_of(by_id[sid])] for comp in components]
-    return components, groups
+    return [[v for sid in comp for v in names_of(by_id[sid])]
+            for comp in components([s.id for s in program.statements], deps)]
 
 
 def _level_system(program: Program, live: Sequence[DependencePolyhedron],
@@ -111,9 +111,8 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             names += [pos, neg]
         return names
 
-    components, groups = _component_groups(program, deps, names_of)
+    groups = _component_groups(program, deps, names_of)
     cut_levels = {c.level for c in permutation.cuts}
-    dims = {s.id: s.domain.iterators for s in program.statements}
     acc: dict[str, list] = {s.id: [] for s in program.statements}
     steps = []
 
@@ -126,8 +125,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             steps.append(Step(level, "cut"))
             continue
 
-        partial = AffineTransform(program.params, dims,
-                                  {sid: tuple(rows) for sid, rows in acc.items()})
+        partial = AffineTransform.of(program, acc)
         live = [d for d in ordering if satisfaction_level(d, partial) is None]
         active = {}
         for s in program.statements:
@@ -157,10 +155,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         steps.append(Step(level, "loop", parallel, system,
                           dict(result.assignment), scaled.group_factors))
 
-    final = AffineTransform(program.params, dims,
-                            {sid: tuple(rows) for sid, rows in acc.items()},
-                            (), permutation.cuts)
-    return final, tuple(steps)
+    return AffineTransform.of(program, acc, (), permutation.cuts), tuple(steps)
 
 
 # -- skewing -------------------------------------------------------------------
@@ -185,14 +180,15 @@ def _negative_deps(deps, transform, level):
     return bad
 
 
-def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
-                transform: AffineTransform, level: int, groups_of):
+def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
+                transform: AffineTransform, level: int):
     """Replace the level's rows by non-negative combinations with outer rows.
 
     Each statement present at the level gets a weight of at least 1 on its
     own row (keeping the rows linearly independent) and free non-negative
     weights on every outer row.  Legality over all ordering dependences and
     the usual bounding make this the same lexmin shape as the scheduler.
+    The weights are scaled to integers per connected component.
     """
     variables: list[str] = []
     forms: dict[str, dict[str, Fraction]] = {}
@@ -216,7 +212,7 @@ def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
             if j < s.dim:
                 iterator_forms.append(forms[v])
 
-    system = level_system(program, ordering, forms, variables,
+    system = level_system(program, [d for d in deps if d.ordering], forms, variables,
                           {f"a.{sid}": Fraction(1) for sid in rows_of})
     # Iterator coefficients stay non-negative, as everywhere else.
     system = system.with_rows(system.row_from(f) for f in iterator_forms)
@@ -224,8 +220,8 @@ def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
     if not result:
         return None
 
-    comps, groups = groups_of(lambda s: [f"a.{s.id}"] +
-                              [f"b.{s.id}.{k}" for k, _ in rows_of.get(s.id, ())])
+    groups = _component_groups(program, deps, lambda s: [f"a.{s.id}"] + [
+        f"b.{s.id}.{k}" for k, _ in rows_of.get(s.id, ())])
     scaled = ratlp.scale_to_integral(result.assignment, groups)
 
     new_rows = dict(transform.rows)
@@ -241,8 +237,7 @@ def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
         rows = list(new_rows[s.id])
         rows[level - 1] = tuple(combo)
         new_rows[s.id] = tuple(rows)
-    out = AffineTransform(transform.params, transform.dims, new_rows,
-                          transform.bands, transform.cuts)
+    out = replace(transform, rows=new_rows)
     parallel = _is_parallel(program, result.assignment)
     step = Step(level, "loop", parallel, system, dict(result.assignment),
                 scaled.group_factors)
@@ -251,7 +246,7 @@ def _skew_level(program: Program, ordering: Sequence[DependencePolyhedron],
 
 def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
                    transform: AffineTransform) -> SkewOutcome:
-    """Fix levels whose dependence components go negative.
+    """Fix levels where a dependence live after the last cut above goes negative.
 
     Scans outermost first; each offending level is replaced before deeper
     ones are examined.  When some level admits no legal combination the nest
@@ -260,17 +255,17 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
     itself is returned.
     """
     ordering = [d for d in deps if d.ordering]
-
-    def groups_of(names):
-        return _component_groups(program, deps, names)
-
     current = transform
     skewed: list[Step] = []
     for level in range(1, transform.levels + 1):
-        bad = _negative_deps(ordering, current, level)
+        # As in `_band_permutable`, only dependences the last cut above the
+        # level leaves unsatisfied constrain the level's band.
+        cut = max((c.level for c in transform.cuts if c.level < level), default=0)
+        bad = [d for d in _negative_deps(ordering, current, level)
+               if satisfaction_level(d, current, cut) is None]
         if not bad:
             continue
-        solved = _skew_level(program, ordering, current, level, groups_of)
+        solved = _skew_level(program, deps, current, level)
         if solved is None:
             labels = ", ".join(d.label for d in bad)
             return SkewOutcome(
@@ -298,15 +293,11 @@ class DfpResult:
 
 
 def _band_permutable(ordering, transform, start, end):
-    for d in ordering:
-        sat = satisfaction_level(d, transform, start - 1)
-        if sat is not None:
-            continue
-        for level in range(start, end + 1):
-            m = component_range(d, transform, level)
-            if m is None or m < 0:
-                return False
-    return True
+    """No dependence live at `start` goes negative on a level of the band."""
+    return not any(_negative_deps([d], transform, level)
+                   for d in ordering
+                   if satisfaction_level(d, transform, start - 1) is None
+                   for level in range(start, end + 1))
 
 
 def _bands(program: Program, deps: Sequence[DependencePolyhedron],

@@ -63,9 +63,6 @@ class LPResult:
     def __bool__(self):
         return self.status == OPTIMAL
 
-    def value(self, var: str) -> Fraction:
-        return self.assignment[var]
-
 
 class _Simplex:
     """Dense integer tableau with explicit column bookkeeping.

@@ -9,7 +9,6 @@ plain data so the command-line driver can render them as text or JSON.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,13 +18,13 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .farkas import EQ, ConstraintSystem
 from .fcg import build_fcg, colorable_dimension, fusion_probe
-from .frontend import ParseError, analyze, build_ddg
+from .frontend import ParseError, analyze, parse_json
 from .model import (
     AffineTransform, DependencePolyhedron, Program,
-    component_range, scc_decompose,
+    component_range, components, scc_decompose,
 )
 from .pluto import (
-    ILP, LP, ScheduleResult, SchedulerConfig,
+    ILP, LP, ScheduleResult, SchedulerConfig, Step,
     bound_variables, row_rank, schedule,
 )
 from .postpass import DfpResult, dfp_schedule
@@ -238,11 +237,7 @@ def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
         entries = [(p.name, p.read_text()) for p in Path(path).glob("*.json")]
     out = []
     for fname, text in sorted(entries):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(fname, f"invalid JSON: {exc}") from None
-        out.append(parse_instance(data, fname))
+        out.append(parse_instance(parse_json(text, fname), fname))
     out.sort(key=lambda c: c.name)
     if len({c.name for c in out}) != len(out):
         raise ParseError("corpus", "duplicate instance names")
@@ -302,18 +297,15 @@ def _run_instance(inst: CorpusInstance) -> _Runs:
                  dfp_schedule(inst.program, inst.deps))
 
 
-def _records(result: ScheduleResult | DfpResult) -> list:
-    """(system, optimum) of every solve in the result, in solve order."""
-    return [(s.system, s.raw) for s in result.steps if s.system is not None]
+def _solves(result: ScheduleResult | DfpResult) -> list[Step]:
+    """The steps of the result that solved a system, in solve order."""
+    return [s for s in result.steps if s.system is not None]
 
 
 def _all_records(runs: Sequence[_Runs]) -> list:
-    return [rec for r in runs for result in (r.lp, r.ilp, r.dfp)
-            for rec in _records(result)]
-
-
-def _scale_factor(assignment: Mapping[str, Fraction]) -> int:
-    return math.lcm(*(x.denominator for x in assignment.values())) if assignment else 1
+    """(system, optimum) of every solve of every run."""
+    return [(s.system, s.raw) for r in runs for result in (r.lp, r.ilp, r.dfp)
+            for s in _solves(result)]
 
 
 def _in_grid(assignment: Mapping[str, Fraction], bound: int) -> bool:
@@ -321,17 +313,19 @@ def _in_grid(assignment: Mapping[str, Fraction], bound: int) -> bool:
                for x in assignment.values())
 
 
-def _aligned_records(lp: ScheduleResult, ilp: ScheduleResult):
-    """Zip the relaxed and integer record streams, or None on divergence."""
-    lp_records, ilp_records = _records(lp), _records(ilp)
-    if len(lp_records) != len(ilp_records):
+def _scaled(step: Step) -> dict[str, Fraction]:
+    """A relaxed step's optimum times its integer factor."""
+    return {v: step.factors[0] * x for v, x in step.raw.items()}
+
+
+def _step_pairs(lp: ScheduleResult, ilp: ScheduleResult):
+    """Zip the relaxed and integer solve steps, or None on divergence."""
+    lp_steps, ilp_steps = _solves(lp), _solves(ilp)
+    if len(lp_steps) != len(ilp_steps) or any(
+            a.system.variables != b.system.variables
+            for a, b in zip(lp_steps, ilp_steps)):
         return None
-    pairs = []
-    for (lsys, lasg), (isys, iasg) in zip(lp_records, ilp_records):
-        if lsys.variables != isys.variables:
-            return None
-        pairs.append((lsys, lasg, isys, iasg))
-    return pairs
+    return list(zip(lp_steps, ilp_steps))
 
 
 def _loop_steps(result: ScheduleResult):
@@ -390,58 +384,51 @@ def _check_relaxation_objective(runs, bound):
     return CheckResult("relaxation-objective", status, tuple(bad + details))
 
 
-def _check_integer_ratio(runs, bound):
+def _box_oracle(name, runs, bound, unflagged, target, mismatch, head):
+    """Compare each aligned (relaxed, integer) solve pair with the box lexmin
+    of the system `target(lp, ilp)` gives; `unflagged` is the reason to skip
+    runs without the `ratio_oracle` flag, or None to check every run."""
     bad, details = [], []
     checked = 0
     for r in runs:
-        if not r.instance.flag("ratio_oracle"):
-            details.append(f"skipped {r.instance.name}: the scaled-ratio law "
-                           "does not hold on this nest")
+        if unflagged and not r.instance.flag("ratio_oracle"):
+            details.append(f"skipped {r.instance.name}: {unflagged}")
             continue
-        pairs = _aligned_records(r.lp, r.ilp)
+        pairs = _step_pairs(r.lp, r.ilp)
         if pairs is None:
             bad.append(f"{r.instance.name}: record streams differ between modes")
             continue
-        for li, (lsys, lasg, isys, iasg) in enumerate(pairs):
-            if not _in_grid(iasg, bound):
+        for li, (lp, ilp) in enumerate(pairs):
+            if not _in_grid(ilp.raw, bound):
                 details.append(f"skipped {r.instance.name}#{li}: integer "
                                "optimum outside the oracle box")
                 continue
-            oracle = brute_force_lexmin(lsys, bound, incumbent=iasg)
-            factor = _scale_factor(lasg)
-            scaled = {v: factor * x for v, x in lasg.items()}
+            system, expect = target(lp, ilp)
+            oracle = brute_force_lexmin(system, bound, incumbent=ilp.raw)
             checked += 1
-            if oracle is None or any(oracle.get(v, ZERO) != scaled.get(v, ZERO)
-                                     for v in lsys.variables):
-                bad.append(f"{r.instance.name}#{li}: scaled relaxed optimum "
-                           f"(factor {factor}) differs from the box lexmin")
-    head = [f"{checked} systems checked against the oracle"]
-    return CheckResult("integer-ratio", "fail" if bad else "pass",
-                       tuple(bad + head + details))
+            if oracle is None or any(oracle.get(v, ZERO) != expect.get(v, ZERO)
+                                     for v in system.variables):
+                bad.append(f"{r.instance.name}#{li}: "
+                           + mismatch.format(factor=lp.factors[0]))
+    return CheckResult(name, "fail" if bad else "pass",
+                       tuple(bad + [head.format(checked)] + details))
+
+
+def _check_integer_ratio(runs, bound):
+    return _box_oracle(
+        "integer-ratio", runs, bound,
+        "the scaled-ratio law does not hold on this nest",
+        lambda lp, ilp: (lp.system, _scaled(lp)),
+        "scaled relaxed optimum (factor {factor}) differs from the box lexmin",
+        "{} systems checked against the oracle")
 
 
 def _check_oracle_agreement(runs, bound):
-    bad, details = [], []
-    checked = 0
-    for r in runs:
-        pairs = _aligned_records(r.lp, r.ilp)
-        if pairs is None:
-            bad.append(f"{r.instance.name}: record streams differ between modes")
-            continue
-        for li, (lsys, lasg, isys, iasg) in enumerate(pairs):
-            if not _in_grid(iasg, bound):
-                details.append(f"skipped {r.instance.name}#{li}: integer "
-                               "optimum outside the oracle box")
-                continue
-            oracle = brute_force_lexmin(isys, bound, incumbent=iasg)
-            checked += 1
-            if oracle is None or any(oracle.get(v, ZERO) != iasg.get(v, ZERO)
-                                     for v in isys.variables):
-                bad.append(f"{r.instance.name}#{li}: integer solver and box "
-                           "lexmin disagree")
-    head = [f"{checked} systems cross-checked"]
-    return CheckResult("oracle-agreement", "fail" if bad else "pass",
-                       tuple(bad + head + details))
+    return _box_oracle(
+        "oracle-agreement", runs, bound, None,
+        lambda lp, ilp: (ilp.system, ilp.raw),
+        "integer solver and box lexmin disagree",
+        "{} systems cross-checked")
 
 
 def _check_parallel_agreement(runs, bound):
@@ -478,19 +465,18 @@ def _check_restricted_scaling(runs, bound):
             details.append(f"skipped {r.instance.name}: needs shifts or skewing")
             continue
         prog, deps = r.instance.program, r.instance.deps
-        pairs = _aligned_records(
+        pairs = _step_pairs(
             schedule(prog, deps, SchedulerConfig(mode=LP, restricted=True)),
             schedule(prog, deps, SchedulerConfig(mode=ILP, restricted=True)))
         if pairs is None:
             bad.append(f"{r.instance.name}: record streams differ between modes")
             continue
-        for li, (lsys, lasg, isys, iasg) in enumerate(pairs):
-            factor = _scale_factor(lasg)
-            scaled = {v: factor * x for v, x in lasg.items()}
-            if any(scaled.get(v, ZERO) != iasg.get(v, ZERO)
-                   for v in lsys.variables):
+        for li, (lp, ilp) in enumerate(pairs):
+            scaled = _scaled(lp)
+            if any(scaled.get(v, ZERO) != ilp.raw.get(v, ZERO)
+                   for v in lp.system.variables):
                 bad.append(f"{r.instance.name}#{li}: scaled relaxed assignment "
-                           f"(factor {factor}) differs from the integer one")
+                           f"(factor {lp.factors[0]}) differs from the integer one")
     return CheckResult("restricted-scaling", "fail" if bad else "pass",
                        tuple(bad + details))
 
@@ -560,8 +546,7 @@ def _check_joint_shifts(runs, bound):
     for r in runs:
         prog, deps = r.instance.program, r.instance.deps
         by_id = {s.id: s for s in prog.statements}
-        ddg = build_ddg(prog, deps)
-        for comp in ddg.components():
+        for comp in components([s.id for s in prog.statements], deps):
             if len(comp) < 2:
                 continue
             stmts = [by_id[sid] for sid in comp]
@@ -591,7 +576,7 @@ def _check_scc_colorability(runs, bound):
     for r in runs:
         prog, deps = r.instance.program, r.instance.deps
         by_id = {s.id: s for s in prog.statements}
-        for comp in scc_decompose(build_ddg(prog, deps)):
+        for comp in scc_decompose([s.id for s in prog.statements], deps):
             stmts = [by_id[sid] for sid in comp]
             sub = build_fcg(prog, deps, statements=comp)
             count += 1

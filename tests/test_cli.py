@@ -82,6 +82,17 @@ class TestDeps:
         labels = [d["label"] for d in json.loads(out)["dependences"]]
         assert labels == ["explicit0", "explicit1"]
 
+    def test_statements_follow_textual_order(self, capsys, tmp_path):
+        data = json.loads(CORPUS.joinpath("fig1.json").read_text())
+        data["program"]["statements"].reverse()
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "deps", str(path))
+        assert code == 0
+        _, listed, _ = run(capsys, "deps", FIG1)
+        assert json.loads(out)["statements"] == ["S1", "S2", "S3"]
+        assert json.loads(out) == json.loads(listed)
+
 
 class TestFcg:
     def test_fig1_json(self, capsys):

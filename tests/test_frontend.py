@@ -1,7 +1,7 @@
 import pytest
 
 from polysched.frontend import (
-    ParseError, analyze, build_ddg, compute_dependences, loads, parse_program,
+    ParseError, analyze, compute_dependences, loads, parse_program,
 )
 
 
@@ -224,12 +224,3 @@ class TestExplicitDependences:
         # Instances outside [0, N-1] are not in the relation.
         assert not back.relation.satisfied_by({"s.i": 3, "t.i": 4, "N": 2})
 
-
-class TestDDG:
-    def test_vertices_follow_textual_order(self):
-        data = edit(PAIR)
-        data["statements"].reverse()
-        program, deps = analyze(data)
-        ddg = build_ddg(program, deps)
-        assert ddg.vertices == ("P", "Q")
-        assert ddg.edges == deps

@@ -1,13 +1,17 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysched.farkas import ConstraintSystem
 from polysched.frontend import analyze
 from polysched.model import (
     RAR, RAW,
-    AffineTransform, Band, Cut, DDG, DependencePolyhedron, IndexSet, Program,
-    component_range, identity_transform, satisfaction_level, scc_decompose,
+    AffineTransform, Band, Cut, DependencePolyhedron, IndexSet, Program,
+    component_range, components, identity_transform, satisfaction_level,
+    scc_decompose,
 )
 
 F = Fraction
@@ -40,26 +44,76 @@ def pair():
 
 class TestGraph:
     def test_scc_topological_order(self):
-        ddg = DDG(("A", "B", "C", "D"),
-                  (edge("A", "B"), edge("B", "A"), edge("B", "C"), edge("C", "D")))
-        assert scc_decompose(ddg) == (("A", "B"), ("C",), ("D",))
+        deps = (edge("A", "B"), edge("B", "A"), edge("B", "C"), edge("C", "D"))
+        assert scc_decompose(("A", "B", "C", "D"), deps) == (("A", "B"), ("C",), ("D",))
 
     def test_scc_order_follows_edges_not_listing(self):
-        ddg = DDG(("X", "Y"), (edge("Y", "X"),))
-        assert scc_decompose(ddg) == (("Y",), ("X",))
+        assert scc_decompose(("X", "Y"), (edge("Y", "X"),)) == (("Y",), ("X",))
 
     def test_scc_members_follow_vertex_order(self):
-        ddg = DDG(("A", "B", "C"),
-                  (edge("C", "B"), edge("B", "C"), edge("B", "A"), edge("A", "B")))
-        assert scc_decompose(ddg) == (("A", "B", "C"),)
+        deps = (edge("C", "B"), edge("B", "C"), edge("B", "A"), edge("A", "B"))
+        assert scc_decompose(("A", "B", "C"), deps) == (("A", "B", "C"),)
 
     def test_components_are_weakly_connected(self):
-        ddg = DDG(("A", "B", "C", "D"), (edge("B", "A"),))
-        assert ddg.components() == (("A", "B"), ("C",), ("D",))
+        assert components(("A", "B", "C", "D"), (edge("B", "A"),)) == (
+            ("A", "B"), ("C",), ("D",))
 
     def test_ordering_kinds(self):
         assert edge("A", "B", RAW).ordering
         assert not edge("A", "B", RAR).ordering
+
+
+@st.composite
+def digraphs(draw):
+    """Vertex ids in a random order and edges with self-loops and repeats."""
+    ids = draw(st.permutations([f"v{k}" for k in range(draw(st.integers(0, 7)))]))
+    if not ids:
+        return (), []
+    pairs = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=16)
+    return tuple(ids), [edge(a, b) for a, b in draw(pairs)]
+
+
+def _closure(ids, pairs):
+    """Reflexive reachability by Warshall's algorithm."""
+    reach = {(u, v): u == v for u, v in product(ids, ids)}
+    for a, b in pairs:
+        reach[a, b] = True
+    for k, u, v in product(ids, ids, ids):
+        reach[u, v] = reach[u, v] or (reach[u, k] and reach[k, v])
+    return reach
+
+
+def _check_partition(ids, comps, connected):
+    order = {v: i for i, v in enumerate(ids)}
+    assert sorted(v for c in comps for v in c) == sorted(ids)
+    where = {v: ci for ci, c in enumerate(comps) for v in c}
+    for c in comps:
+        assert list(c) == sorted(c, key=order.__getitem__)
+    for u, v in product(ids, ids):
+        assert (where[u] == where[v]) == connected(u, v)
+    return where
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_scc_decompose_properties(graph):
+    ids, deps = graph
+    reach = _closure(ids, [(d.src, d.dst) for d in deps])
+    sccs = scc_decompose(ids, deps)
+    where = _check_partition(ids, sccs, lambda u, v: reach[u, v] and reach[v, u])
+    for d in deps:
+        assert where[d.src] <= where[d.dst]
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_components_properties(graph):
+    ids, deps = graph
+    reach = _closure(ids, [(d.src, d.dst) for d in deps] + [(d.dst, d.src) for d in deps])
+    comps = components(ids, deps)
+    _check_partition(ids, comps, lambda u, v: reach[u, v])
+    firsts = [ids.index(c[0]) for c in comps]
+    assert firsts == sorted(firsts)
 
 
 class TestValidation:

@@ -131,19 +131,20 @@ class TestAssembly:
 class TestFindHyperplane:
     def test_first_level_of_an_offset_pair(self, by_name):
         inst = by_name["shift_pair"]
-        hp = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                             {}, SchedulerConfig(mode=LP))
-        assert hp.factor == 1
-        assert hp.scaled["c.P.i"] == 1 and hp.scaled["c.Q.i"] == 1
-        assert hp.scaled["c0.P"] == 2 and hp.scaled["c0.Q"] == 0
-        assert hp.scaled["u.N"] == 0 and hp.scaled["w"] == 0
+        step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
+                               {}, SchedulerConfig(mode=LP), 1, 0)
+        assert (step.level, step.kind, step.component) == (1, "loop", 0)
+        assert step.factors == (1,) and step.parallel
+        assert step.raw["c.P.i"] == 1 and step.raw["c.Q.i"] == 1
+        assert step.raw["c0.P"] == 2 and step.raw["c0.Q"] == 0
+        assert step.raw["u.N"] == 0 and step.raw["w"] == 0
 
     def test_exhausted_statements_get_no_row(self, by_name):
         inst = by_name["shift_pair"]
         prior = {"P": [R(1, 0, 2)], "Q": [R(1, 0, 0)]}
-        hp = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                             prior, SchedulerConfig(mode=LP))
-        assert hp is None
+        step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
+                               prior, SchedulerConfig(mode=LP), 2, 0)
+        assert step is None
 
 
 class TestSchedule:

@@ -5,7 +5,7 @@ import pytest
 from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
 from polysched.postpass import (
-    _component_groups, _merge_shifts, _skew_level, dfp_schedule,
+    _merge_shifts, _skew_level, dfp_schedule,
     introduce_skew, scale_and_shift,
 )
 
@@ -99,13 +99,24 @@ class TestIntroduceSkew:
         assert step.kind == "loop" and not step.parallel
         assert out.steps[2] is step
 
-    def test_reversal_is_diagnosed_not_skewed(self, dfp_results):
+    def test_reversal_below_a_cut_is_not_diagnosed(self, dfp_results):
+        # The level-1 cut satisfies the reversed dependence, so its negative
+        # level-2 component leaves the level-2 band permutable.
         out = dfp_results["distribution_forced"]
-        assert out.skew.skewed == ()
-        assert out.skew.diagnostics == (
-            "level 2 has a negative component (b:0->1) but no legal skew "
-            "exists; the nest is not tileable",)
+        assert out.skew.skewed == () and out.skew.diagnostics == ()
         assert out.skew.transform is out.scaled
+        assert out.transform.bands[0].permutable
+
+    def test_reversal_without_a_cut_is_diagnosed(self, by_name):
+        inst = by_name["distribution_forced"]
+        fused = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
+                                {"P": (R(1, 0, 0),), "Q": (R(1, 0, 0),)})
+        out = introduce_skew(inst.program, inst.deps, fused)
+        assert out.skewed == ()
+        assert out.diagnostics == (
+            "level 1 has a negative component (b:0->1) but no legal skew "
+            "exists; the nest is not tileable",)
+        assert out.transform is fused
 
     def test_skew_direct_call_matches_pipeline(self, by_name, dfp_results):
         inst = by_name["stencil1d"]
@@ -128,9 +139,7 @@ class TestIntroduceSkew:
         })
         t = AffineTransform(("N",), {"S": ("i", "j")},
                             {"S": (R(1, 0, 0, 0), R(-1, 1, 0, 0))})
-        out, step = _skew_level(
-            program, deps, t, 2,
-            lambda names: _component_groups(program, deps, names))
+        out, step = _skew_level(program, deps, t, 2)
         base = {"u.N": 0, "w": 0, "a.S": 1}
         assert not step.system.satisfied_by(dict(base, **{"b.S.1": 0}))
         assert step.system.satisfied_by(dict(base, **{"b.S.1": 1}))

@@ -24,7 +24,7 @@ class TestSolveLP:
         s = system(["x"], [({"x": 1}, -3, "ge")])
         res = solve_lp(LPProblem.of(s, ["x"]))
         assert res and res.status == OPTIMAL
-        assert res.value("x") == 3 and res.objective == (F(3),)
+        assert res.assignment["x"] == 3 and res.objective == (F(3),)
 
     def test_feasibility_only(self):
         s = system(["x", "y"], [({"x": 1, "y": 1}, -2, "ge")])
@@ -45,25 +45,25 @@ class TestSolveLP:
     def test_free_variable_goes_negative(self):
         s = system(["x"], [({"x": 1}, 5, "ge")], {"x": None})
         res = solve_lp(LPProblem.of(s, ["x"]))
-        assert res.value("x") == -5
+        assert res.assignment["x"] == -5
 
     def test_exact_fraction(self):
         s = system(["x"], [({"x": 2}, -1, "ge")])
         res = solve_lp(LPProblem.of(s, ["x"]))
-        assert res.value("x") == F(1, 2)
+        assert res.assignment["x"] == F(1, 2)
 
     def test_equality_row(self):
         s = system(["x", "y"],
                    [({"x": 1, "y": 1}, -10, EQ), ({"y": -1}, 4, "ge")])
         res = solve_lp(LPProblem.of(s, ["x"]))
-        assert res.value("x") == 6 and res.value("y") == 4
+        assert res.assignment["x"] == 6 and res.assignment["y"] == 4
 
     def test_nonzero_lower_bound(self):
         s = system(["x", "y"], [({"x": 1, "y": 1}, -5, "ge")],
                    {"x": F(2)})
         res = solve_lp(LPProblem.of(s, [{"x": 1, "y": 1}]))
         assert res.objective == (F(5),)
-        assert res.value("x") >= 2
+        assert res.assignment["x"] >= 2
 
     def test_deterministic(self):
         s = system(["x", "y", "z"],
@@ -84,20 +84,20 @@ class TestLexmin:
         assert res.objective == (F(0), F(4))
         rev = solve_lexmin(LPProblem.of(s, ["y", "x"]))
         assert rev.objective == (F(0), F(4))
-        assert rev.value("y") == 0 and rev.value("x") == 4
+        assert rev.assignment["y"] == 0 and rev.assignment["x"] == 4
 
     def test_later_stage_breaks_ties(self):
         s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
         res = solve_lexmin(LPProblem.of(s, [{"x": 1, "y": 1}, {"x": 1}]))
         assert res.objective == (F(4), F(0))
-        assert res.value("y") == 4
+        assert res.assignment["y"] == 4
 
     def test_earlier_optimum_is_never_traded(self):
         # Minimizing y first pins y = 0 even though the second stage would
         # prefer the point (0, 4).
         s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
         res = solve_lexmin(LPProblem.of(s, ["y", {"x": 1, "y": -1}]))
-        assert res.value("y") == 0 and res.value("x") == 4
+        assert res.assignment["y"] == 0 and res.assignment["x"] == 4
 
     def test_infeasible_propagates(self):
         s = system(["x"], [({"x": -1}, -1, "ge")])
@@ -108,15 +108,15 @@ class TestSolveILP:
     def test_rounds_fractional_relaxation(self):
         s = system(["x"], [({"x": 2}, -1, "ge")])
         prob = LPProblem.of(s, ["x"], ["x"])
-        assert solve_lp(prob).value("x") == F(1, 2)
+        assert solve_lp(prob).assignment["x"] == F(1, 2)
         res = solve_ilp(prob)
-        assert res.value("x") == 1
+        assert res.assignment["x"] == 1
 
     def test_branches_both_sides(self):
         s = system(["x", "y"], [({"x": 2, "y": 2}, -3, "ge")])
         res = solve_ilp(LPProblem.of(s, [{"x": 1, "y": 1}], ["x", "y"]))
         assert res.objective == (F(2),)
-        assert all(res.value(v).denominator == 1 for v in "xy")
+        assert all(res.assignment[v].denominator == 1 for v in "xy")
         assert s.satisfied_by(res.assignment)
 
     def test_infeasible_integrality(self):
@@ -136,7 +136,7 @@ class TestSolveILP:
     def test_non_integral_variables_stay_rational(self):
         s = system(["x", "y"], [({"x": 2, "y": 2}, -1, EQ)])
         res = solve_ilp(LPProblem.of(s, [{"y": 1}], ["x"]))
-        assert res.value("x") == 0 and res.value("y") == F(1, 2)
+        assert res.assignment["x"] == 0 and res.assignment["y"] == F(1, 2)
 
 
 class TestScaleToIntegral:
@@ -177,7 +177,7 @@ def test_optimum_is_feasible(rows, cx, cy):
     res = solve_lp(LPProblem.of(s, [{"x": cx, "y": cy}]))
     if res:
         assert s.satisfied_by(res.assignment)
-        assert res.objective[0] == cx * res.value("x") + cy * res.value("y")
+        assert res.objective[0] == cx * res.assignment["x"] + cy * res.assignment["y"]
 
 
 @settings(max_examples=80, deadline=None)
