@@ -10,7 +10,7 @@ exact: coefficients are `fractions.Fraction` (or int), no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -31,6 +31,16 @@ class LinearRow:
     coeffs: tuple[Fraction, ...]
     const: Fraction
     kind: str
+    #: (index, coefficient) of each nonzero coefficient in index order, an
+    #: integral one as an int: rows are wide and sparse, and duplicate
+    #: detection and the simplex read only these.
+    nonzero: tuple = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.nonzero is None:
+            object.__setattr__(self, "nonzero", tuple(
+                (i, c.numerator if c.denominator == 1 else c)
+                for i, c in enumerate(self.coeffs) if c))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         acc = self.const
@@ -50,33 +60,37 @@ def _normalize_row(coeffs, const, kind):
     Equality rows additionally get a canonical sign (first nonzero positive)
     so that duplicates collapse.
     """
-    if not isinstance(coeffs, tuple):
-        coeffs = tuple(coeffs)
-    if any(type(c) is not Fraction for c in coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-    if type(const) is not Fraction:
-        const = Fraction(const)
-    den = const.denominator
-    for c in coeffs:
-        if c.denominator != 1:
-            den = lcm(den, c.denominator)
-    if den != 1:
-        coeffs = tuple(c * den for c in coeffs)
-        const = const * den
-    g = abs(const.numerator)
-    for c in coeffs:
-        if g == 1:
-            break
-        g = gcd(g, c.numerator)
+    coeffs = tuple(coeffs)
+    return _normalized(len(coeffs), [(i, c) for i, c in enumerate(coeffs) if c],
+                       const, kind)
+
+
+#: Shared `Fraction`s for the small integers that fill most rows.
+_SMALL = {k: Fraction(k) for k in range(-16, 17)}
+
+
+def _normalized(n: int, items, const, kind) -> LinearRow:
+    """`_normalize_row` of the width-n row whose nonzero coefficients are the
+    (index, coefficient) `items`, in index order.  Only the nonzero entries
+    are touched, and in integers, so wide, sparse rows cost little."""
+    den = lcm(const.denominator, *[c.denominator for _, c in items])
+    if den == 1:
+        b = const.numerator
+        ints = [(i, c.numerator) for i, c in items]
+    else:
+        b = int(const * den)
+        ints = [(i, int(c * den)) for i, c in items]
+    g = gcd(b, *[c for _, c in ints])
     if g > 1:
-        coeffs = tuple(Fraction(c.numerator // g) for c in coeffs)
-        const = Fraction(const.numerator // g)
-    if kind == EQ:
-        lead = next((c for c in coeffs if c), const)
-        if lead < 0:
-            coeffs = tuple(-c for c in coeffs)
-            const = -const
-    return LinearRow(coeffs, const, kind)
+        b //= g
+        ints = [(i, c // g) for i, c in ints]
+    if kind == EQ and (ints[0][1] if ints else b) < 0:
+        b = -b
+        ints = [(i, -c) for i, c in ints]
+    vec = [ZERO] * n
+    for i, c in ints:
+        vec[i] = _SMALL.get(c) or Fraction(c)
+    return LinearRow(tuple(vec), _SMALL.get(b) or Fraction(b), kind, tuple(ints))
 
 
 class ConstraintSystem:
@@ -121,10 +135,9 @@ class ConstraintSystem:
     # -- construction helpers -------------------------------------------------
 
     def row_from(self, coeffs: Mapping[str, Fraction | int], const=0, kind=GE) -> LinearRow:
-        vec = [ZERO] * len(self.variables)
-        for v, c in coeffs.items():
-            vec[self._index[v]] = Fraction(c)
-        return _normalize_row(vec, const, kind)
+        index = self._index
+        items = sorted((index[v], c) for v, c in coeffs.items() if c)
+        return _normalized(len(self.variables), items, const, kind)
 
     def with_rows(self, extra: Iterable[LinearRow]) -> "ConstraintSystem":
         return ConstraintSystem(self.variables, self.rows + tuple(extra), self.lower)
@@ -147,13 +160,6 @@ class ConstraintSystem:
                 return False
         return all(r.holds(pt) for r in self.rows)
 
-def _row_key(coeffs) -> tuple:
-    # Hashing a Fraction costs a modular inverse; normalized rows are almost
-    # always integral, so key on the numerators and let the rare fractional
-    # entry fall back to the Fraction itself.
-    return tuple(c.numerator if c.denominator == 1 else c for c in coeffs)
-
-
 def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:
     """Drop tautologies and rows dominated by an earlier row.
 
@@ -164,20 +170,20 @@ def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:
     seen_eq: set[tuple] = set()
     kept: list[LinearRow] = []
     for row in rows:
-        if not any(row.coeffs):
+        key = row.nonzero
+        if not key:
             if row.kind == GE and row.const >= 0:
                 continue
             if row.kind == EQ and row.const == 0:
                 continue
             # Trivially false row: keep one witness so solvers report it.
         if row.kind == EQ:
-            key = (_row_key(row.coeffs), row.const.numerator, row.const.denominator)
+            key = (key, row.const.numerator, row.const.denominator)
             if key in seen_eq:
                 continue
             seen_eq.add(key)
             kept.append(row)
         else:
-            key = _row_key(row.coeffs)
             prev = best_ge.get(key)
             if prev is not None:
                 if kept[prev].const <= row.const:

@@ -32,7 +32,7 @@ from .model import (
     satisfaction_level,
     scc_decompose,
 )
-from .pluto import level_system
+from .pluto import _shape, level_system
 
 Vertex = tuple[str, int]
 
@@ -71,7 +71,25 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
     parametric shifts are zero unless requested, since a parametric offset
     would let misaligned accesses slide past each other and hide a genuine
     fusion conflict.
+
+    The verdict is kept on the program under the probe's shape: the
+    dependences' shapes, where their statements stand among `statements`,
+    and each statement's iterators and chosen dimension.  Probes of the
+    same shape solve the same system up to the names of the statements.
     """
+    place = {s.id: k for k, s in enumerate(statements)}
+    key = (tuple((_shape(program, d), place.get(d.src), place.get(d.dst))
+                 for d in deps),
+           tuple((s.domain.iterators, choose.get(s.id)) for s in statements),
+           parametric_shifts)
+    verdict = program._probe_verdicts.get(key)
+    if verdict is None:
+        verdict = program._probe_verdicts[key] = _probe(
+            program, statements, choose, deps, parametric_shifts)
+    return verdict
+
+
+def _probe(program, statements, choose, deps, parametric_shifts) -> bool:
     variables = []
     lower: dict[str, Fraction | None] = {}
     for s in statements:

@@ -74,6 +74,13 @@ class Statement:
 class Program:
     params: tuple[str, ...]
     statements: tuple[Statement, ...]
+    #: One (legality, bounding) Farkas build per dependence shape, filled by
+    #: `pluto._farkas_rows`, and one verdict per probe shape, filled by
+    #: `fcg.fusion_probe`.
+    _farkas_shapes: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
+    _probe_verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         ids = [s.id for s in self.statements]
@@ -106,6 +113,9 @@ class DependencePolyhedron:
     #: (legality, bounding) Farkas rows, filled on first use by `pluto._farkas_rows`.
     _farkas: tuple[ConstraintSystem, ConstraintSystem] | None = field(
         default=None, init=False, repr=False, compare=False)
+    #: Minima by (source row, target row), filled by `min_dependence_component`.
+    _minima: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         expect = self.src_vars + self.dst_vars + self.params
@@ -340,7 +350,17 @@ def dependence_difference(dep: DependencePolyhedron,
 def min_dependence_component(dep: DependencePolyhedron,
                              src_row, dst_row) -> Fraction | None:
     """Exact minimum of phi_dst - phi_src over the dependence polyhedron,
-    None when unbounded below."""
+    None when unbounded below.
+
+    Kept on the dependence per pair of rows: the passes and checks of one
+    analysis ask again for rows they share."""
+    key = tuple(None if r is None else tuple(r) for r in (src_row, dst_row))
+    if key not in dep._minima:
+        dep._minima[key] = _min_component(dep, src_row, dst_row)
+    return dep._minima[key]
+
+
+def _min_component(dep, src_row, dst_row) -> Fraction | None:
     obj, const = dependence_difference(dep, src_row, dst_row)
     if not obj:
         return const

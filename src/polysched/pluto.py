@@ -119,17 +119,45 @@ def independence_vector(rows: Sequence[Sequence[Fraction]], ncols: int):
 # -- constraint assembly ------------------------------------------------------
 
 
+def _shape(program: Program, dep: DependencePolyhedron) -> tuple:
+    """All that a dependence's Farkas rows depend on besides the names of
+    its statements: its relation, both statements' iterator names, and
+    whether it is a self-dependence."""
+    src, dst = program.statement(dep.src), program.statement(dep.dst)
+    return (dep.relation.rows, dep.src_vars, dep.dst_vars, dep.params,
+            src.domain.iterators, dst.domain.iterators, dep.src == dep.dst)
+
+
 def _farkas_rows(program: Program, dep: DependencePolyhedron,
                  ) -> tuple[ConstraintSystem, ConstraintSystem]:
     """The (legality, bounding) rows of `dep`, built on first use.
 
     They depend only on the dependence and its two statements, so they are
     kept on the dependence and shared by every path and level that uses it.
+    Most dependences of a regular program repeat the `_shape` of an earlier
+    one: each shape is eliminated once per program, and a repeat takes its
+    rows as they are, with the coefficient variables renamed position by
+    position to its own statements.
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)
-        object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst),
-                                            bounding_constraints(dep, src, dst)))
+        key = _shape(program, dep)
+        built = program._farkas_shapes.get(key)
+        if built is None:
+            rows = (legality_constraints(dep, src, dst),
+                    bounding_constraints(dep, src, dst))
+            program._farkas_shapes[key] = (src, dst, rows)
+        else:
+            first_src, first_dst, first_rows = built
+            rename = {}
+            for was, now in ((first_src, src), (first_dst, dst)):
+                rename.update(zip(coefficient_variables(was, dep.params),
+                                  coefficient_variables(now, dep.params)))
+            rows = tuple(
+                ConstraintSystem([rename.get(v, v) for v in s.variables], s.rows,
+                                 {rename.get(v, v): b for v, b in s.lower.items()})
+                for s in first_rows)
+        object.__setattr__(dep, "_farkas", rows)
     return dep._farkas
 
 
@@ -159,10 +187,11 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
             subst = [forms.get(v) for v in donor.variables]
             for r in donor.rows:
                 acc: dict[str, Fraction] = {}
-                for c, form in zip(r.coeffs, subst):
-                    if c and form:
+                for i, c in r.nonzero:
+                    form = subst[i]
+                    if form:
                         for v, a in form.items():
-                            x = c if a == 1 else c * a
+                            x = c if a == 1 else -c if a == -1 else c * a
                             acc[v] = acc[v] + x if v in acc else x
                 rows.append(system.row_from(acc, r.const, r.kind))
     return system.with_rows(rows)

@@ -1,13 +1,22 @@
 """Exact rational linear programming.
 
-Two-phase primal simplex with Bland's rule, so every result is exact and
-every run of the same problem takes the same pivots.  The tableau holds
-integers: each row is an equality, so it can be kept scaled by a positive
-integer and content-reduced, and the ratio tests compare cross products.
-Lexicographic multi-objective solves reuse one tableau: after each stage the
-nonbasic columns with positive reduced cost are frozen, which restricts all
-later pivoting to that stage's optimal face.  Integer solutions come from a
-depth-first branch and bound around the rational solver.
+One integer tableau serves every solve, and every run of the same problem
+takes the same pivots.  Two rules drive its one pivot routine:
+
+- the lexicographic dual simplex (Feautrier's PIP, isl) pivots on the first
+  negative row and picks the column by a lexicographic ratio test over the
+  variable rows.  One pass reaches the lexicographic minimum of variables
+  bounded below, so it answers every feasibility question and every lexmin
+  of single variables, with no phase 1, no artificial columns and no stage
+  per variable;
+- the primal simplex with Bland's rule minimizes any other objective from
+  that feasible point.  Objectives are rows of the tableau; after each
+  stage the columns its optimum prices positive are frozen, which keeps
+  later stages on that stage's optimal face.
+
+Rows are content-reduced integers and the ratio tests compare cross
+products.  Integer solutions come from a depth-first branch and bound
+around the rational solver.
 """
 
 from __future__ import annotations
@@ -17,9 +26,8 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Mapping, Sequence
 
-from .farkas import GE, ConstraintSystem
+from .farkas import EQ, GE, ZERO, ConstraintSystem
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 OPTIMAL = "optimal"
@@ -64,290 +72,211 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-class _Simplex:
-    """Dense integer tableau with explicit column bookkeeping.
+class _Tableau:
+    """Dense integer tableau with a row for every quantity.
 
-    Free variables are split into a positive and a negative part; bounded
-    variables are shifted so every column is non-negative.  Every row is an
-    equality, so it may be stored scaled by any positive integer: rows are
-    kept content-reduced with a positive coefficient on their basic column,
-    and a basic variable's value is rhs over that coefficient.  The objective
-    row carries the same implicit positive scale, which preserves the reduced
-    cost signs that drive Bland's rule, so the pivot sequence is identical to
-    a Fraction tableau's.
+    A variable bounded below is shifted to its bound; a free variable is
+    split into a positive and a negative half.  These non-negative
+    structural columns are the first nonbasic quantities, and each keeps a
+    row for good: rows 0 to n-1 express them, then come the constraint rows
+    (an equality as a pair of opposite inequalities), then the objective
+    rows.  Every row holds [constant, coefficient per column] over the
+    current nonbasic quantities, so at the basic solution a row's value is
+    its constant.  Constraint and objective rows matter only up to a
+    positive factor and are kept content-reduced; a structural row also
+    keeps a positive denominator in `den`.
     """
 
-    def __init__(self, system: ConstraintSystem):
-        self.system = system
-        self.col_of: dict[str, tuple] = {}
-        nstruct = 0
+    def __init__(self, system: ConstraintSystem, costs: Sequence[Mapping] = ()):
+        self.col_of: dict[str, tuple] = {}  # variable -> (column, negative half, shift)
+        n = 0
         for v in system.variables:
             b = system.lower[v]
             if b is None:
-                self.col_of[v] = ("split", nstruct, nstruct + 1)
-                nstruct += 2
+                self.col_of[v] = (n, n + 1, 0)
+                n += 2
             else:
-                self.col_of[v] = ("shift", nstruct, b)
-                nstruct += 1
-        self.nstruct = nstruct
-
-        # First pass: per row, the structural part, the right-hand side and
-        # whether a slack (basic) or a surplus plus artificial is needed.
-        staged = []
-        n_aux = 0
+                self.col_of[v] = (n, None, b.numerator if b.denominator == 1 else b)
+                n += 1
+        self.n = n
+        self.den = [1] * n
+        #: The quantity (row) nonbasic in each column; column 0 is the constant.
+        self.col_var = [-1] + list(range(n))
+        self.rows = [[0] * k + [1] + [0] * (n - k) for k in range(1, n + 1)]
+        cols = [self.col_of[v] for v in system.variables]
         for lr in system.rows:
-            vec = [ZERO] * nstruct
-            const = Fraction(lr.const)
-            for c, v in zip(lr.coeffs, system.variables):
-                if not c:
-                    continue
-                kind, i, extra = self.col_of[v]
-                if kind == "split":
-                    vec[i] += c
-                    vec[extra] -= c
-                else:
-                    vec[i] += c
-                    const += c * extra
-            den = (-const).denominator
-            for c in vec:
-                if c:
-                    den = lcm(den, c.denominator)
-            ivec = [int(c * den) for c in vec]
-            b = int(-const * den)
-            if lr.kind == GE:
-                if b <= 0:
-                    staged.append(([-c for c in ivec], -b, "slack"))
-                else:
-                    staged.append((ivec, b, "surplus"))
-                n_aux += 1
-            else:
-                if b < 0:
-                    ivec, b = [-c for c in ivec], -b
-                staged.append((ivec, b, "eq"))
+            row = self._integral(lr.const, ((cols[i], c) for i, c in lr.nonzero))
+            self.rows.append(row)
+            if lr.kind == EQ:
+                self.rows.append([-c for c in row])
+        self.m = len(self.rows)
+        for cost in costs:
+            self.rows.append(self._integral(
+                ZERO, ((self.col_of[v], c) for v, c in cost.items() if c)))
 
-        n_art = sum(1 for _, _, k in staged if k != "slack")
-        ncols = nstruct + n_aux + n_art
-        rows, rhs, basis, artificial = [], [], [], []
-        aux = nstruct
-        art = nstruct + n_aux
-        for vec, b, k in staged:
-            full = vec + [0] * (ncols - nstruct)
-            if k == "slack":
-                full[aux] = 1
-                basis.append(aux)
-                aux += 1
-            else:
-                if k == "surplus":
-                    full[aux] = -1
-                    aux += 1
-                full[art] = 1
-                basis.append(art)
-                artificial.append(art)
-                art += 1
-            rows.append(full)
-            rhs.append(b)
-
-        self.rows = rows
-        self.rhs = rhs
-        self.basis = basis
-        self.artificial = set(artificial)
-        self.n_aux = n_aux
-        self.ncols = ncols
-        self.frozen = set()
-        self.obj = [0] * ncols
-
-    # -- tableau mechanics ----------------------------------------------------
-
-    @staticmethod
-    def _reduce(row: list, b: int) -> int:
-        """Divide the row and rhs by their content; returns the new rhs."""
-        g = abs(b)
-        for c in row:
-            if g == 1:
-                return b
-            if c:
-                g = gcd(g, c)
-        if g > 1:
-            row[:] = [c // g for c in row]
-            b //= g
-        return b
+    def _integral(self, const, terms) -> list[int]:
+        """An affine form over the structural columns, scaled to integers;
+        `terms` pairs a variable's columns with its nonzero coefficient.
+        Integral forms, the usual case, never touch a `Fraction`."""
+        if const.denominator == 1:
+            const = const.numerator
+        vec = [const] + [0] * self.n
+        exact = True
+        for (k, neg, shift), c in terms:
+            if type(c) is not int:
+                exact = False
+            vec[k + 1] += c
+            if neg is not None:
+                vec[neg + 1] -= c
+            elif shift:
+                vec[0] += c * shift
+        if exact and type(vec[0]) is int:
+            return vec
+        den = lcm(*(x.denominator for x in vec))
+        return [int(x * den) for x in vec]
 
     def _pivot(self, r: int, j: int):
-        row = self.rows[r]
-        if row[j] < 0:
-            self.rows[r] = row = [-c for c in row]
-            self.rhs[r] = -self.rhs[r]
-        self.rhs[r] = rr = self._reduce(row, self.rhs[r])
-        p = row[j]
-        nz = [k for k, c in enumerate(row) if c]
-        for i, other in enumerate(self.rows):
-            if i == r:
+        """Exchange row r's quantity with column j's, which becomes basic."""
+        rows, den = self.rows, self.den
+        prow = rows[r]
+        p = prow[j]
+        sign = 1
+        if p < 0:
+            prow, p, sign = [-c for c in prow], -p, -1
+        for i, row in enumerate(rows):
+            f = row[j]
+            if not f or i == r:
                 continue
-            f = other[j]
-            if f:
-                if p != 1:
-                    other[:] = [c * p for c in other]
-                    b = self.rhs[i] * p - f * rr
-                else:
-                    b = self.rhs[i] - f * rr
-                for k in nz:
-                    other[k] -= f * row[k]
-                self.rhs[i] = self._reduce(other, b)
-        f = self.obj[j]
-        if f:
-            if p != 1:
-                self.obj[:] = [c * p for c in self.obj]
-            obj = self.obj
-            for k in nz:
-                obj[k] -= f * row[k]
-            self._reduce(obj, 0)
-        self.basis[r] = j
+            if p == 1:
+                new = [a - f * b for a, b in zip(row, prow)]
+            else:
+                new = [p * a - f * b for a, b in zip(row, prow)]
+            new[j] = sign * f
+            if i < self.n:
+                d = den[i] * p
+                g = gcd(d, *new)
+                den[i] = d // g
+            else:
+                g = gcd(*new)
+            if g > 1:
+                new = [c // g for c in new]
+            rows[i] = new
+        # Column j now stands for row r's numerator, so a structural row
+        # keeps its denominator.
+        unit = [0] * len(prow)
+        unit[j] = 1
+        rows[r] = unit
+        self.col_var[j] = r
 
-    def _price_out(self, cost: Sequence[Fraction]):
-        den = 1
-        for c in cost:
-            if c:
-                den = lcm(den, c.denominator)
-        obj = [int(c * den) for c in cost] + [0] * (self.ncols - len(cost))
-        for r, b in enumerate(self.basis):
-            f = obj[b]
-            if f:
-                row = self.rows[r]
-                q = row[b]
-                if q != 1:
-                    obj = [c * q - f * rc for c, rc in zip(obj, row)]
-                    self._reduce(obj, 0)
-                else:
-                    obj = [c - f * rc for c, rc in zip(obj, row)]
-        self._reduce(obj, 0)
-        self.obj = obj
+    def lexmin(self, order: Sequence[int]) -> bool:
+        """Lexicographic dual simplex; False when the system is infeasible.
 
-    def _minimize(self) -> str:
+        Every column stays lexicographically positive over the structural
+        rows taken in `order`, so each pivot raises the solution in that
+        order and the first feasible basis is the lexicographic minimum.
+        """
+        rows = self.rows
         while True:
-            enter = -1
-            for j, c in enumerate(self.obj):
-                if c < 0 and j not in self.frozen:
-                    enter = j
-                    break
-            if enter < 0:
-                return OPTIMAL
-            leave, bn, bd = -1, 0, 0
-            for r, row in enumerate(self.rows):
-                a = row[enter]
-                if a > 0:
-                    n = self.rhs[r]
-                    if leave < 0 or n * bd < bn * a or (
-                        n * bd == bn * a and self.basis[r] < self.basis[leave]
-                    ):
-                        leave, bn, bd = r, n, a
+            r = next((i for i in range(self.m) if rows[i][0] < 0), -1)
+            if r < 0:
+                return True
+            prow = rows[r]
+            best = 0
+            for j in range(1, self.n + 1):
+                a = prow[j]
+                if a > 0 and (not best or self._lex_less(order, j, a, best, prow[best])):
+                    best = j
+            if not best:
+                return False
+            self._pivot(r, best)
+
+    def _lex_less(self, order, j, a, k, b) -> bool:
+        """Is column j over a lexicographically below column k over b?"""
+        for i in order:
+            row = self.rows[i]
+            x = row[j] * b - row[k] * a
+            if x:
+                return x < 0
+        return False
+
+    def minimize(self, o: int, frozen: set) -> bool:
+        """Primal simplex with Bland's rule on objective row o from a
+        feasible basis, never entering a frozen column; False when
+        unbounded."""
+        rows = self.rows
+        while True:
+            obj = rows[self.m + o]
+            enter = min((j for j in range(1, self.n + 1)
+                         if obj[j] < 0 and j not in frozen),
+                        key=self.col_var.__getitem__, default=0)
+            if not enter:
+                return True
+            leave, bn, bd = -1, 0, 1
+            for i in range(self.m):
+                a = -rows[i][enter]
+                if a > 0 and (leave < 0 or rows[i][0] * bd < bn * a):
+                    leave, bn, bd = i, rows[i][0], a
             if leave < 0:
-                return UNBOUNDED
+                return False
             self._pivot(leave, enter)
 
-    def _freeze_positive(self):
-        in_basis = set(self.basis)
-        for j, c in enumerate(self.obj):
-            if c > 0 and j not in in_basis:
-                self.frozen.add(j)
-
-    # -- driver ---------------------------------------------------------------
-
-    def feasible(self) -> bool:
-        if self.artificial:
-            cost = [ZERO] * self.ncols
-            for j in self.artificial:
-                cost[j] = ONE
-            self._price_out(cost)
-            self._minimize()
-            if any(
-                self.rhs[r] for r, b in enumerate(self.basis) if b in self.artificial
-            ):
-                return False
-            self._evict_artificials()
-            # Artificial columns can never re-enter; dropping them shrinks
-            # every later row operation.
-            cut = self.nstruct + self.n_aux
-            for row in self.rows:
-                del row[cut:]
-            self.ncols = cut
-            self.artificial = set()
-        return True
-
-    def _evict_artificials(self):
-        r = 0
-        while r < len(self.rows):
-            if self.basis[r] in self.artificial:
-                row = self.rows[r]
-                j = next(
-                    (k for k, c in enumerate(row) if c and k not in self.artificial),
-                    -1,
-                )
-                if j < 0:
-                    del self.rows[r], self.rhs[r], self.basis[r]
-                    continue
-                self._pivot(r, j)
-            r += 1
-
-    def _cost_vector(self, objective: Mapping[str, Fraction]) -> list:
-        cost = [ZERO] * self.ncols
-        for v, c in objective.items():
-            c = Fraction(c)
-            kind, i, extra = self.col_of[v]
-            cost[i] += c
-            if kind == "split":
-                cost[extra] -= c
-        return cost
-
-    def _column_value(self, j: int, row_of: Mapping[int, int]) -> Fraction:
-        r = row_of.get(j)
-        if r is None:
-            return ZERO
-        return Fraction(self.rhs[r], self.rows[r][j])
-
     def assignment(self) -> dict[str, Fraction]:
-        row_of = {b: r for r, b in enumerate(self.basis)}
-        out = {}
-        for v, (kind, i, extra) in self.col_of.items():
-            if kind == "split":
-                out[v] = self._column_value(i, row_of) - self._column_value(extra, row_of)
-            else:
-                out[v] = self._column_value(i, row_of) + extra
-        return out
+        def value(k):
+            return Fraction(self.rows[k][0], self.den[k])
 
-    def _stage_value(self, objective: Mapping[str, Fraction]) -> Fraction:
-        row_of = {b: r for r, b in enumerate(self.basis)}
-        acc = ZERO
-        for v, c in objective.items():
-            kind, i, extra = self.col_of[v]
-            x = self._column_value(i, row_of)
-            if kind == "split":
-                x -= self._column_value(extra, row_of)
-            else:
-                x += extra
-            acc += Fraction(c) * x
-        return acc
+        return {v: value(k) + shift if neg is None else value(k) - value(neg)
+                for v, (k, neg, shift) in self.col_of.items()}
 
-    def solve(self, objectives: Sequence[Mapping[str, Fraction]]) -> LPResult:
-        if not self.feasible():
-            return LPResult(INFEASIBLE)
-        values = []
-        for obj in objectives:
-            self._price_out(self._cost_vector(obj))
-            if self._minimize() == UNBOUNDED:
+
+def _lexmin_variables(system: ConstraintSystem, objectives) -> list[str] | None:
+    """The objectives' variables when each objective is one distinct
+    variable, bounded below, with a positive weight; otherwise None."""
+    out: list[str] = []
+    for obj in objectives:
+        if len(obj) != 1:
+            return None
+        (v, c), = obj.items()
+        if c <= 0 or system.lower[v] is None or v in out:
+            return None
+        out.append(v)
+    return out
+
+
+def _solve(system: ConstraintSystem, objectives: Sequence[Mapping]) -> LPResult:
+    """Lexicographic minimum over the objectives.
+
+    A lexmin of variables bounded below is one lexicographic dual simplex
+    pass with those variables first; any other objective list starts from
+    the dual simplex's feasible point and runs one primal stage per
+    objective, freezing the columns each optimum prices positive.
+    """
+    lexmin = _lexmin_variables(system, objectives)
+    tab = _Tableau(system, () if lexmin is not None else objectives)
+    first = [tab.col_of[v][0] for v in lexmin or ()]
+    chosen = set(first)
+    if not tab.lexmin(first + [k for k in range(tab.n) if k not in chosen]):
+        return LPResult(INFEASIBLE)
+    if lexmin is None:
+        frozen: set[int] = set()
+        for o in range(len(objectives)):
+            if not tab.minimize(o, frozen):
                 return LPResult(UNBOUNDED)
-            values.append(self._stage_value(obj))
-            self._freeze_positive()
-        return LPResult(OPTIMAL, self.assignment(), tuple(values))
+            obj = tab.rows[tab.m + o]
+            frozen.update(j for j in range(1, tab.n + 1) if obj[j] > 0)
+    x = tab.assignment()
+    values = tuple(sum((Fraction(c) * x[v] for v, c in obj.items()), ZERO)
+                   for obj in objectives)
+    return LPResult(OPTIMAL, x, values)
 
 
 def solve_lp(problem: LPProblem) -> LPResult:
     """Minimize the first objective (feasibility check when there is none)."""
-    return _Simplex(problem.system).solve(problem.objectives[:1])
+    return _solve(problem.system, problem.objectives[:1])
 
 
 def solve_lexmin(problem: LPProblem) -> LPResult:
     """Lexicographic minimization over the problem's objective list."""
-    return _Simplex(problem.system).solve(problem.objectives)
+    return _solve(problem.system, problem.objectives)
 
 
 def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
@@ -362,7 +291,7 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
         nodes += 1
         if nodes > node_limit:
             raise ResourceLimitError(node_limit)
-        relax = _Simplex(system).solve(problem.objectives)
+        relax = _solve(system, problem.objectives)
         if relax.status == INFEASIBLE:
             continue
         if relax.status == UNBOUNDED:

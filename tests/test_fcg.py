@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from polysched import fcg
 from polysched.fcg import (
     FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
     fusion_probe, permute_and_fuse, to_dot,
@@ -56,6 +57,53 @@ class TestFusionProbe:
         assert not fusion_probe(program, stmts, choose, deps)
         assert fusion_probe(program, stmts, choose, deps,
                             parametric_shifts=True)
+
+
+    def test_verdicts_of_one_shape_are_solved_once(self, monkeypatch):
+        # Statements 0-1, 1-2 and 2-3 of a chain pose the same probes up to
+        # names: each is solved for the first pair only, and every memoized
+        # verdict equals a fresh solve.
+        stmt = {"iterators": ["i", "j"],
+                "domain": [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+                           [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]}
+        program, deps = analyze({"params": ["N"], "statements": [
+            {**stmt, "id": f"S{k}", "order": k, "accesses": [
+                {"array": f"A{k}", "kind": "write", "map": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+                {"array": f"A{max(k - 1, 0)}", "kind": "read",
+                 "map": [[0, 1, 0, 0], [1, 0, 0, 0]]}][:k + 1]}
+            for k in range(4)]})
+        solved = []
+        probe = fcg._probe
+        monkeypatch.setattr(fcg, "_probe", lambda *a: solved.append(a) or probe(*a))
+        calls = []
+        for a, b in zip(program.statements, program.statements[1:]):
+            between = [d for d in deps if {d.src, d.dst} == {a.id, b.id}]
+            for da in range(2):
+                for db in range(2):
+                    choose = {a.id: da, b.id: db}
+                    calls.append((choose, fusion_probe(program, (a, b), choose, between)))
+                    assert calls[-1][1] == probe(program, (a, b), choose, between, False)
+        assert len(calls) == 12 and len(solved) == 4
+        assert {v for _, v in calls} == {True, False}
+
+    def test_memo_tells_dependence_directions_apart(self):
+        # P->Q and R->Q have one shape, t.j == s.i: fusing the source's i
+        # with the target's j is legal, the source's j with the target's i
+        # is not.  Probing Q first must not reuse P's verdict.
+        stmt = {"iterators": ["i", "j"], "accesses": [],
+                "domain": [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+                           [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]}
+        relation = [[-1, 0, 0, 1, 0, 0, "=="]]
+        program, deps = analyze({
+            "params": ["N"],
+            "statements": [{**stmt, "id": sid, "order": k}
+                           for k, sid in enumerate("PQR")],
+            "dependences": [{"src": a, "dst": "Q", "kind": "RAW",
+                             "relation": relation} for a in "PR"]})
+        p, q, r = program.statements
+        assert fusion_probe(program, (p, q), {"P": 0, "Q": 1}, deps[:1])
+        assert not fusion_probe(program, (q, r), {"Q": 0, "R": 1}, deps[1:])
+        assert not fusion_probe(program, (p, q), {"P": 1, "Q": 0}, deps[:1])
 
 
 class TestBuildFcg:

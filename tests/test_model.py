@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysched import ratlp
 from polysched.farkas import ConstraintSystem
 from polysched.frontend import analyze
 from polysched.model import (
     RAR, RAW,
     AffineTransform, Band, Cut, DependencePolyhedron, IndexSet, Program,
-    component_range, components, identity_transform, satisfaction_level,
-    scc_decompose,
+    component_range, components, identity_transform, min_dependence_component,
+    satisfaction_level, scc_decompose,
 )
 
 F = Fraction
@@ -203,6 +204,17 @@ class TestSatisfaction:
                              "Q": ((F(-1), F(0), F(0)),)})
         assert component_range(dep, t, 1) is None
         assert satisfaction_level(dep, t) is None
+
+    def test_minimum_is_solved_once_per_pair_of_rows(self, pair, monkeypatch):
+        program, dep = pair
+        solves = []
+        solve = ratlp.solve_lp
+        monkeypatch.setattr(ratlp, "solve_lp", lambda p: solves.append(p) or solve(p))
+        src, dst = (F(1), F(0), F(0)), (F(3), F(0), F(-7))
+        assert min_dependence_component(dep, src, dst) == 6 - 7
+        assert min_dependence_component(dep, list(src), list(dst)) == -1
+        assert min_dependence_component(dep, dst, src) is None
+        assert len(solves) == 2
 
     def test_missing_row_acts_as_zero(self, pair):
         program, dep = pair

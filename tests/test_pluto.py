@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polysched import pluto
-from polysched.farkas import GE, coefficient_variables
+from polysched.farkas import (
+    GE, bounding_constraints, coefficient_variables, legality_constraints,
+)
 from polysched.frontend import analyze
 from polysched.model import Band, Cut, SchedulingError
 from polysched.pluto import (
@@ -126,6 +130,79 @@ class TestAssembly:
         assert set(map(id, built)) == set(map(id, inst.deps))
         for dep, first in zip(inst.deps, rows):
             assert _farkas_rows(inst.program, dep) is first
+
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_chain", Path(__file__).parents[1] / "scripts" / "bench_chain.py")
+bench_chain = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_chain)
+
+
+class TestFarkasShapes:
+    """Each dependence shape is eliminated once per program; repeats are
+    renamed copies that must equal a fresh build."""
+
+    @staticmethod
+    def assert_fresh(program, dep):
+        src, dst = program.statement(dep.src), program.statement(dep.dst)
+        fresh = (legality_constraints(dep, src, dst),
+                 bounding_constraints(dep, src, dst))
+        for got, want in zip(_farkas_rows(program, dep), fresh):
+            assert got.variables == want.variables
+            assert got.rows == want.rows
+            assert got.lower == want.lower
+
+    @pytest.mark.parametrize("name", ["matmul", "chain4"])
+    def test_repeated_shapes_equal_a_fresh_build(self, name, monkeypatch):
+        if name == "matmul":
+            inst = next(i for i in load_corpus() if i.name == "matmul")
+            program, deps = inst.program, inst.deps
+        else:
+            program, deps = analyze(bench_chain.chain(4))
+        built = []
+        build = pluto.legality_constraints
+        monkeypatch.setattr(pluto, "legality_constraints",
+                            lambda dep, *rest: built.append(dep) or build(dep, *rest))
+        for dep in deps:
+            _farkas_rows(program, dep)
+        shapes = {pluto._shape(program, d) for d in deps}
+        assert len(built) == len(shapes) < len(deps)
+        for dep in deps:
+            self.assert_fresh(program, dep)
+
+    def test_two_analyses_share_nothing(self):
+        data = bench_chain.chain(3)
+        first, first_deps = analyze(data)
+        second, second_deps = analyze(data)
+        rows = [_farkas_rows(first, d) for d in first_deps]
+        assert first._farkas_shapes and not second._farkas_shapes
+        for dep, mine in zip(second_deps, rows):
+            theirs = _farkas_rows(second, dep)
+            assert all(a is not b and a.rows == b.rows
+                       for a, b in zip(theirs, mine))
+
+    def test_self_and_cross_dependence_do_not_collide(self):
+        stmt = {"iterators": ["i"], "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
+                "accesses": []}
+        relation = [[-1, 1, 0, -1, ">="]]
+        program, deps = analyze({
+            "params": ["N"],
+            "statements": [{**stmt, "id": "P", "order": 0},
+                           {**stmt, "id": "Q", "order": 1}],
+            "dependences": [
+                {"src": "P", "dst": "Q", "kind": "RAW", "relation": relation},
+                {"src": "P", "dst": "P", "kind": "RAW", "relation": relation},
+                {"src": "Q", "dst": "Q", "kind": "RAW", "relation": relation},
+            ],
+        })
+        assert deps[0].relation.rows == deps[1].relation.rows
+        for dep in deps:
+            self.assert_fresh(program, dep)
+        legality = [_farkas_rows(program, d)[0] for d in deps]
+        assert legality[0].rows != legality[1].rows
+        assert legality[2].variables == tuple(
+            coefficient_variables(program.statement("Q"), ["N"]))
+        assert len(program._farkas_shapes) == 2
 
 
 class TestFindHyperplane:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched.farkas import EQ, ConstraintSystem
+from polysched.farkas import EQ, ConstraintSystem, eliminate
 from polysched.ratlp import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
     LPProblem, ResourceLimitError, scale_to_integral, solve_ilp, solve_lexmin,
@@ -102,6 +102,56 @@ class TestLexmin:
     def test_infeasible_propagates(self):
         s = system(["x"], [({"x": -1}, -1, "ge")])
         assert solve_lexmin(LPProblem.of(s, ["x"])).status == INFEASIBLE
+
+
+class TestDualSimplex:
+    def test_tie_in_the_lexicographic_ratio_test(self):
+        # Every column has the same ratio on the violated row and x's row
+        # ties y and z: the later variable rows decide, and z takes the rise.
+        s = system(["x", "y", "z"], [({"x": 1, "y": 1, "z": 1}, -1, "ge")])
+        res = solve_lexmin(LPProblem.of(s, ["x", "y", "z"]))
+        assert res.assignment == {"x": 0, "y": 0, "z": 1}
+        assert res.objective == (F(0), F(0), F(1))
+
+    def test_pivot_on_a_variable_row_with_a_denominator(self):
+        # A structural row that has picked up a denominator becomes a pivot
+        # row here; it must keep that denominator, or y reads 2.
+        s = system(["x", "y"], [({"x": 3, "y": 1}, -1, "ge"),
+                                ({"y": 2}, -1, "ge"),
+                                ({"x": 3, "y": -3}, -2, "ge")])
+        res = solve_lexmin(LPProblem.of(s, ["x", "y"]))
+        assert res.assignment == {"x": F(7, 6), "y": F(1, 2)}
+        assert s.satisfied_by(res.assignment)
+
+    def test_dependent_equalities(self):
+        s = system(["x", "y"], [({"x": 1, "y": 1}, -2, EQ),
+                                ({"x": 1, "y": -1}, 0, EQ),
+                                ({"x": 2}, -2, EQ)])
+        res = solve_lexmin(LPProblem.of(s, ["x", "y"]))
+        assert res.assignment == {"x": 1, "y": 1}
+
+    def test_contradictory_equalities(self):
+        s = system(["x", "y"], [({"x": 1, "y": 1}, -2, EQ),
+                                ({"x": 1, "y": 1}, -3, EQ)])
+        assert solve_lexmin(LPProblem.of(s, ["x", "y"])).status == INFEASIBLE
+        assert solve_lp(LPProblem.of(s)).status == INFEASIBLE
+
+    def test_infeasible_after_several_pivots(self):
+        s = system(["x", "y", "z"], [({"x": 1}, -1, "ge"), ({"y": 1}, -1, "ge"),
+                                     ({"z": 1}, -1, "ge"),
+                                     ({"x": -1, "y": -1, "z": -1}, 2, "ge")])
+        assert solve_lexmin(LPProblem.of(s, ["x", "y", "z"])).status == INFEASIBLE
+        assert solve_lp(LPProblem.of(s, [{"x": 1, "y": -1}])).status == INFEASIBLE
+
+    def test_feasibility_with_free_variables(self):
+        free = {"x": None, "y": None}
+        s = system(["x", "y"], [({"x": 1, "y": 1}, 5, EQ),
+                                ({"x": 1, "y": -1}, -3, "ge")], free)
+        res = solve_lp(LPProblem.of(s))
+        assert res and s.satisfied_by(res.assignment)
+        cycle = system(["x", "y"], [({"x": 1, "y": -1}, -1, "ge"),
+                                    ({"y": 1, "x": -1}, -1, "ge")], free)
+        assert solve_lexmin(LPProblem.of(cycle)).status == INFEASIBLE
 
 
 class TestSolveILP:
@@ -204,3 +254,59 @@ def test_ilp_matches_grid_search(rows, cx, cy):
         assert res.objective == (F(best),)
         relax = solve_lp(prob)
         assert relax.objective[0] <= res.objective[0]
+
+
+def reference_lexmin(s):
+    """Lexmin of the variables in system order without a simplex: each
+    variable's minimum is read off the system projected onto it by
+    Fourier-Motzkin elimination, then the variable is fixed there.  None
+    when the system is infeasible."""
+    values = {}
+    for v in s.variables:
+        shadow = eliminate(s, [u for u in s.variables if u != v])
+        lo, hi = shadow.lower[v], None
+        for r in shadow.rows:
+            a, c = r.coeffs[0], r.const
+            if not a:
+                if c < 0 or (r.kind == EQ and c):
+                    return None
+                continue
+            x = -c / a
+            if r.kind == EQ or a > 0:
+                lo = x if lo is None else max(lo, x)
+            if r.kind == EQ or a < 0:
+                hi = x if hi is None else min(hi, x)
+        if hi is not None and lo > hi:
+            return None
+        values[v] = lo
+        s = s.with_rows([s.row_from({v: 1}, -lo, EQ)])
+    return values
+
+
+small_rows = st.lists(
+    st.tuples(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+              st.integers(-6, 6), st.sampled_from(["ge", EQ])),
+    min_size=1, max_size=5)
+bounds = st.sampled_from([F(0), F(0), F(-2), F(1, 2), F(3), None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), small_rows, st.lists(bounds, min_size=4, max_size=4))
+def test_lexmin_matches_projection(n, rows, lower):
+    """The dual simplex lexmin (and the primal stages, when a variable is
+    free) agrees with one projection per variable on a boxed system."""
+    names = ["x", "y", "z", "t"][:n]
+    box = [({v: sign}, 4, "ge") for v in names for sign in (1, -1)]
+    s = system(names,
+               [(dict(zip(names, coeffs)), c, kind) for coeffs, c, kind in rows] + box,
+               dict(zip(names, lower)))
+    res = solve_lexmin(LPProblem.of(s, names))
+    want = reference_lexmin(s)
+    if want is None:
+        assert res.status == INFEASIBLE
+        assert solve_lp(LPProblem.of(s)).status == INFEASIBLE
+    else:
+        assert res.status == OPTIMAL
+        assert res.assignment == want
+        assert res.objective == tuple(want[v] for v in names)
+        assert s.satisfied_by(solve_lp(LPProblem.of(s)).assignment)
