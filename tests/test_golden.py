@@ -5,9 +5,13 @@ each transform's JSON and the `dfp` conflict graphs and coloring must match
 `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
 `check_legality` and `full_rank` (the property suite checks `dfp`).  The
 property-suite report is pinned by digest too, so a solve lost from or
-duplicated in the steps the checks read changes it.
+duplicated in the steps the checks read changes it.  `golden_farkas.json`
+pins the legality and bounding system (variables, rows in order, lower
+bounds) that Farkas elimination gives every dependence of every corpus
+program and of the four-statement chain of `scripts/bench_chain.py`.
 Refactors of the scheduler keep these outputs exact; a change that alters a
-schedule or the report on purpose regenerates the file with
+schedule, a Farkas system or the report on purpose regenerates both files
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -16,18 +20,24 @@ its description.
 """
 
 import hashlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from polysched.farkas import bounding_constraints, legality_constraints
+from polysched.frontend import analyze
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank, load_corpus, theorem_suite
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+GOLDEN_FARKAS = Path(__file__).with_name("golden_farkas.json")
+EXPECTED_FARKAS = (json.loads(GOLDEN_FARKAS.read_text())
+                   if GOLDEN_FARKAS.exists() else {})
 SUITE_DIGEST = "83d874d240b85425"
 
 
@@ -67,6 +77,44 @@ def golden_entry(inst) -> dict:
     return entry
 
 
+def _system_json(system) -> dict:
+    return {"variables": list(system.variables),
+            "rows": [[[str(c) for c in r.coeffs], str(r.const), r.kind]
+                     for r in system.rows],
+            "lower": [None if b is None else str(b)
+                      for b in system.lower.values()]}
+
+
+def farkas_entry(program, deps) -> dict:
+    """Digest of each dependence's (legality, bounding) system, built afresh
+    rather than taken from the per-shape memo, so every dependence runs
+    through elimination."""
+    entry = {}
+    for k, dep in enumerate(deps):
+        src, dst = program.statement(dep.src), program.statement(dep.dst)
+        systems = [legality_constraints(dep, src, dst),
+                   bounding_constraints(dep, src, dst)]
+        entry[f"{k} {dep.kind} {dep.src}->{dep.dst}"] = _digest(
+            [_system_json(s) for s in systems])[:16]
+    return entry
+
+
+def _chain(n: int) -> dict:
+    spec = importlib.util.spec_from_file_location(
+        "bench_chain", Path(__file__).parents[1] / "scripts" / "bench_chain.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.chain(n)
+
+
+def farkas_programs(corpus=None) -> dict:
+    """(program, deps) of every corpus instance and of chain(4), by name."""
+    programs = {inst.name: (inst.program, inst.deps)
+                for inst in corpus or load_corpus()}
+    programs["chain4"] = analyze(_chain(4))
+    return programs
+
+
 def test_golden_covers_corpus(corpus):
     assert sorted(EXPECTED) == sorted(inst.name for inst in corpus)
 
@@ -86,6 +134,21 @@ def test_lp_and_ilp_transforms_are_legal_and_full_rank(by_name, name, mode):
     assert full_rank(inst.program, transform)
 
 
+def test_golden_farkas_covers_corpus(corpus):
+    assert sorted(EXPECTED_FARKAS) == sorted(
+        [inst.name for inst in corpus] + ["chain4"])
+
+
+@pytest.fixture(scope="module")
+def farkas_inputs(corpus):
+    return farkas_programs(corpus)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FARKAS))
+def test_golden_farkas_rows(farkas_inputs, name):
+    assert farkas_entry(*farkas_inputs[name]) == EXPECTED_FARKAS[name]
+
+
 def test_suite_report_digest(suite_report):
     assert suite_digest(suite_report) == SUITE_DIGEST
 
@@ -94,4 +157,7 @@ if __name__ == "__main__":
     data = {inst.name: golden_entry(inst) for inst in load_corpus()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(data)} instances to {GOLDEN}", file=sys.stderr)
+    farkas = {name: farkas_entry(*pd) for name, pd in farkas_programs().items()}
+    GOLDEN_FARKAS.write_text(json.dumps(farkas, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(farkas)} programs to {GOLDEN_FARKAS}", file=sys.stderr)
     print(f"property-suite report digest: {suite_digest(theorem_suite())}", file=sys.stderr)
