@@ -5,7 +5,9 @@ every point of a dependence polyhedron".  Such universally quantified
 conditions are linearized with non-negative multipliers over the polyhedron's
 constraints, the coefficients of each iterator, parameter and the constant are
 equated, and the multipliers are projected out again.  Everything here is
-exact: coefficients are `fractions.Fraction` (or int), no floating point.
+exact: rows are stored with `fractions.Fraction` coefficients in normalized
+integer form, and elimination runs in exact integers over each row's nonzero
+entries; there is no floating point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .model import DependencePolyhedron, Statement
@@ -160,15 +162,17 @@ class ConstraintSystem:
                 return False
         return all(r.holds(pt) for r in self.rows)
 
-def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:
+def _prune(rows: Iterable) -> tuple:
     """Drop tautologies and rows dominated by an earlier row.
 
     Only single-row implications are checked: identical coefficient vectors
     where one constant implies the other, plus exact duplicates of equalities.
+    Reads only a normalized row's `nonzero`, `const` and `kind`, so it serves
+    both a system's `LinearRow`s and the `_Sparse` rows under elimination.
     """
     best_ge: dict[tuple, int] = {}
     seen_eq: set[tuple] = set()
-    kept: list[LinearRow] = []
+    kept: list = []
     for row in rows:
         key = row.nonzero
         if not key:
@@ -178,7 +182,7 @@ def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:
                 continue
             # Trivially false row: keep one witness so solvers report it.
         if row.kind == EQ:
-            key = (key, row.const.numerator, row.const.denominator)
+            key = (key, row.const)
             if key in seen_eq:
                 continue
             seen_eq.add(key)
@@ -203,66 +207,87 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
 
     Equalities are used first (Gaussian substitution), remaining occurrences
     go through Fourier-Motzkin pairing.  Lower bounds of killed variables are
-    materialized as rows before projection.  The result's feasible set is the
-    exact shadow of the input's on the surviving variables.
+    materialized as rows before projection.  The work runs in exact integers
+    over each row's nonzero entries: every step yields a positive multiple of
+    the rational combination, divided by its gcd, so the rows, their order
+    and what `_prune` keeps are those of the rational computation.  The
+    result's feasible set is the exact shadow of the input's on the
+    surviving variables.
     """
-    kill_set = set(kill)
-    bound_rows = []
-    n = len(system.variables)
+    rows = [_Sparse(r.nonzero, r.const.numerator, r.kind) for r in system.rows]
     for v in kill:
         b = system.lower[v]
-        if b is not None:
-            vec = [ZERO] * n
-            vec[system.index(v)] = Fraction(1)
-            bound_rows.append(LinearRow(tuple(vec), -b, GE))
-    rows = list(system.rows) + bound_rows
-
+        if b is not None:  # v >= p/q as q*v - p >= 0
+            rows.append(_Sparse(((system.index(v), b.denominator),), -b.numerator, GE))
     for v in kill:
-        col = system.index(v)
-        rows = _eliminate_one(rows, col)
+        rows = _eliminate_one(rows, system.index(v))
 
+    kill_set = set(kill)
     survivors = [v for v in system.variables if v not in kill_set]
-    out = ConstraintSystem(survivors, (), {v: system.lower[v] for v in survivors})
-    idx = [system.index(v) for v in survivors]
-    return out.with_rows(
-        _normalize_row(tuple(r.coeffs[i] for i in idx), r.const, r.kind) for r in rows
-    )
+    at = {system.index(v): k for k, v in enumerate(survivors)}
+    return ConstraintSystem(
+        survivors,
+        [_normalized(len(survivors), [(at[i], c) for i, c in r.nonzero], r.const, r.kind)
+         for r in rows],
+        {v: system.lower[v] for v in survivors})
 
 
-def _eliminate_one(rows: list[LinearRow], col: int) -> list[LinearRow]:
-    pivot = None
-    for i, r in enumerate(rows):
-        if r.kind == EQ and r.coeffs[col]:
-            pivot = i
-            break
+class _Sparse(NamedTuple):
+    """A row under elimination: its nonzero (index, int) entries in index
+    order, an int constant and the kind."""
+
+    nonzero: tuple
+    const: int
+    kind: str
+
+
+def _sparse(acc: dict, const: int, kind: str) -> _Sparse:
+    """The row with the {index: int} entries `acc`, divided by its gcd; an
+    equality gets the canonical sign (first nonzero positive)."""
+    items = [(i, c) for i, c in sorted(acc.items()) if c]
+    g = gcd(const, *[c for _, c in items])
+    if g > 1:
+        const //= g
+        items = [(i, c // g) for i, c in items]
+    if kind == EQ and (items[0][1] if items else const) < 0:
+        const = -const
+        items = [(i, -c) for i, c in items]
+    return _Sparse(tuple(items), const, kind)
+
+
+def _eliminate_one(rows: list[_Sparse], col: int) -> list[_Sparse]:
+    coef = [dict(r.nonzero).get(col, 0) for r in rows]
+    pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
     if pivot is not None:
-        p = rows[pivot]
+        # r - (rc/pc)*p, scaled by |pc|.
+        p, pc = rows[pivot], coef[pivot]
         out = []
-        for i, r in enumerate(rows):
-            if i == pivot or not r.coeffs[col]:
-                if i != pivot:
-                    out.append(r)
-                continue
-            f = r.coeffs[col] / p.coeffs[col]
-            coeffs = tuple(rc - f * pc for rc, pc in zip(r.coeffs, p.coeffs))
-            out.append(_normalize_row(coeffs, r.const - f * p.const, r.kind))
+        for k, (r, rc) in enumerate(zip(rows, coef)):
+            if not rc:
+                out.append(r)
+            elif k != pivot:
+                f = rc if pc > 0 else -rc
+                acc = {i: abs(pc) * c for i, c in r.nonzero}
+                for i, c in p.nonzero:
+                    acc[i] = acc.get(i, 0) - f * c
+                out.append(_sparse(acc, abs(pc) * r.const - f * p.const, r.kind))
         return list(_prune(out))
 
-    upper, lower_rows, rest = [], [], []
-    for r in rows:
-        c = r.coeffs[col]
+    upper, lower_rows, out = [], [], []
+    for r, c in zip(rows, coef):
         if not c:
-            rest.append(r)
+            out.append(r)
         elif c > 0:
-            lower_rows.append(r)  # c*v >= -(rest): bounds v from below
+            lower_rows.append((r, c))  # c*v >= -(rest): bounds v from below
         else:
-            upper.append(r)
-    for lo in lower_rows:
-        for hi in upper:
-            a, b = lo.coeffs[col], -hi.coeffs[col]
-            coeffs = tuple(b * lc + a * hc for lc, hc in zip(lo.coeffs, hi.coeffs))
-            rest.append(_normalize_row(coeffs, b * lo.const + a * hi.const, GE))
-    return list(_prune(rest))
+            upper.append((r, -c))
+    for lo, a in lower_rows:
+        for hi, b in upper:
+            acc = {i: b * c for i, c in lo.nonzero}
+            for i, c in hi.nonzero:
+                acc[i] = acc.get(i, 0) + a * c
+            out.append(_sparse(acc, b * lo.const + a * hi.const, GE))
+    return list(_prune(out))
 
 
 # -- scheduling constraint generators ----------------------------------------

@@ -122,6 +122,8 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
     ascending depth-first search is the lexmin.  Pruning is by interval
     arithmetic per row; a known-feasible `incumbent` additionally caps the
     search at assignments that could still be lexicographically smaller.
+    Rows are scaled to integers and the search runs in ints over each row's
+    nonzero entries: fixing a variable re-checks only the rows it occurs in.
     Returns None when the box contains no feasible point.
     """
     names = system.variables
@@ -134,57 +136,63 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
             return None
         lows.append(lo)
 
-    rows = system.rows
-    # extreme suffix contributions per row, indexed by depth
-    minsuf = [[ZERO] * (n + 1) for _ in rows]
-    maxsuf = [[ZERO] * (n + 1) for _ in rows]
-    for ri, row in enumerate(rows):
+    # Per row: the extreme suffix contributions, indexed by depth; per
+    # variable: the (row, coefficient) pairs it occurs in.
+    sums, is_eq, minsuf, maxsuf = [], [], [], []
+    occurs: list[list[tuple[int, int]]] = [[] for _ in names]
+    for ri, row in enumerate(system.rows):
+        den = math.lcm(row.const.denominator, *[c.denominator for _, c in row.nonzero])
+        sums.append(int(row.const * den))
+        is_eq.append(row.kind == EQ)
+        lo_at, hi_at = [0] * (n + 1), [0] * (n + 1)
+        for d, c in row.nonzero:
+            c = int(c * den)
+            occurs[d].append((ri, c))
+            lo_at[d], hi_at[d] = ((c * lows[d], c * bound) if c >= 0
+                                  else (c * bound, c * lows[d]))
         for d in range(n - 1, -1, -1):
-            c = row.coeffs[d]
-            lo, hi = ((c * lows[d], c * bound) if c >= 0
-                      else (c * bound, c * lows[d]))
-            minsuf[ri][d] = minsuf[ri][d + 1] + lo
-            maxsuf[ri][d] = maxsuf[ri][d + 1] + hi
+            lo_at[d] += lo_at[d + 1]
+            hi_at[d] += hi_at[d + 1]
+        minsuf.append(lo_at)
+        maxsuf.append(hi_at)
 
     inc = None
     if incumbent is not None:
         cand = [incumbent.get(v, ZERO) for v in names]
         if all(x.denominator == 1 and lows[i] <= x <= bound
                for i, x in enumerate(cand)):
-            inc = cand
+            inc = [int(x) for x in cand]
 
-    sums = [row.const for row in rows]
-    point = [ZERO] * n
+    point = [0] * n
 
-    def open_below(depth: int) -> bool:
-        for ri, row in enumerate(rows):
+    def open_below(depth: int, rows) -> bool:
+        for ri in rows:
             if sums[ri] + maxsuf[ri][depth] < 0:
                 return False
-            if row.kind == EQ and sums[ri] + minsuf[ri][depth] > 0:
+            if is_eq[ri] and sums[ri] + minsuf[ri][depth] > 0:
                 return False
         return True
 
     def descend(depth: int, tight: bool) -> bool:
-        if not open_below(depth):
-            return False
         if depth == n:
             return True
-        top = int(inc[depth]) if tight else bound
+        top = inc[depth] if tight else bound
+        here = occurs[depth]
+        rows = [ri for ri, _ in here]
         for val in range(lows[depth], top + 1):
-            x = Fraction(val)
-            point[depth] = x
-            for ri, row in enumerate(rows):
-                if row.coeffs[depth]:
-                    sums[ri] += row.coeffs[depth] * x
-            if descend(depth + 1, tight and inc is not None and x == inc[depth]):
+            point[depth] = val
+            for ri, c in here:
+                sums[ri] += c * val
+            # A row without this variable keeps its sum and suffix bounds.
+            if open_below(depth + 1, rows) and descend(
+                    depth + 1, tight and val == inc[depth]):
                 return True
-            for ri, row in enumerate(rows):
-                if row.coeffs[depth]:
-                    sums[ri] -= row.coeffs[depth] * x
+            for ri, c in here:
+                sums[ri] -= c * val
         return False
 
-    if descend(0, inc is not None):
-        return dict(zip(names, point))
+    if open_below(0, range(len(sums))) and descend(0, inc is not None):
+        return {v: Fraction(x) for v, x in zip(names, point)}
     return None
 
 

@@ -139,24 +139,33 @@ def test_structural_feasibility(suite_report):
                                      "scc-colorability", "fusion-transitivity"]))
 
 
+def _cpu_time(run):
+    """CPU seconds of one run on chain-30, and its result.  Every run
+    gets its own analysis: Farkas rows are kept on the dependences, and a
+    shared analysis would hand a later run an earlier one's rows."""
+    program, deps = analyze(bench_chain.chain(30))
+    t0 = time.process_time()
+    result = run(program, deps)
+    return time.process_time() - t0, result
+
+
 def test_scalability_smoke():
-    # Each path gets its own analysis: Farkas rows are kept on the
-    # dependences, and a shared analysis would hand the second path the
-    # first one's rows.
-    program, deps = analyze(bench_chain.chain(30))
-    t0 = time.perf_counter()
-    result = dfp_schedule(program, deps)
-    t_dfp = time.perf_counter() - t0
-    program, deps = analyze(bench_chain.chain(30))
-    t0 = time.perf_counter()
-    schedule(program, deps, SchedulerConfig(mode="ilp"))
-    t_ilp = time.perf_counter() - t0
+    # Three alternating runs per path, judged on their medians: one run of
+    # each, about 0.1 s against 0.2 s, can flip on a stall of the machine.
+    runs = {"dfp": [], "ilp": []}
+    for _ in range(3):
+        runs["dfp"].append(_cpu_time(dfp_schedule))
+        runs["ilp"].append(_cpu_time(lambda program, deps: schedule(
+            program, deps, SchedulerConfig(mode="ilp"))))
+    t_dfp, t_ilp = (sorted(t for t, _ in runs[path])[1] for path in ("dfp", "ilp"))
+    slowest = max(t for t, _ in runs["dfp"])
     bad = []
-    if len(result.transform.rows) != 30:
+    if any(len(result.transform.rows) != 30 for _, result in runs["dfp"]):
         bad.append("chain was not scheduled in full")
-    if t_dfp >= 10.0:
-        bad.append(f"pipeline took {t_dfp:.1f}s, expected under 10s")
+    if slowest >= 10.0:
+        bad.append(f"pipeline took {slowest:.1f}s, expected under 10s")
     if t_dfp >= t_ilp:
-        bad.append(f"pipeline ({t_dfp:.1f}s) is not faster than the "
-                   f"integer scheduler ({t_ilp:.1f}s)")
-    gate("scalability-smoke", bad, f"dfp {t_dfp:.1f}s vs ilp {t_ilp:.1f}s")
+        bad.append(f"pipeline ({t_dfp:.2f}s) is not faster than the "
+                   f"integer scheduler ({t_ilp:.2f}s)")
+    gate("scalability-smoke", bad,
+         f"median CPU dfp {t_dfp:.2f}s vs ilp {t_ilp:.2f}s")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from polysched.farkas import (
     legality_constraints, bounding_constraints,
 )
 from polysched.frontend import analyze
+from polysched.ratlp import LPProblem, solve_lp
 
 F = Fraction
 
@@ -111,6 +113,31 @@ class TestEliminate:
         assert out.variables == ("x",)
         assert out.rows == ()
 
+    def test_equality_pivot_with_negative_coefficient(self):
+        s = ConstraintSystem(["x", "y", "z"], (), dict.fromkeys("xyz", None))
+        s = s.with_rows([s.row_from({"x": 1, "y": -2}, 1, EQ),  # y = (x+1)/2
+                         s.row_from({"y": 3, "z": -1}),
+                         s.row_from({"y": -1, "z": 1})])
+        out = eliminate(s, ["y"])
+        assert out.variables == ("x", "z")
+        # 3(x+1)/2 - z >= 0 and z - (x+1)/2 >= 0, cleared of denominators.
+        assert rows_as_tuples(out) == [((F(3), F(-2)), F(3), GE),
+                                       ((F(-1), F(2)), F(-1), GE)]
+
+    def test_pair_with_common_factor_is_divided_out(self):
+        s = ConstraintSystem(["x", "y"], (), {"x": None, "y": None})
+        s = s.with_rows([s.row_from({"y": 2, "x": -1}, -1),   # 2y >= x + 1
+                         s.row_from({"y": -2, "x": 3}, -1)])  # 2y <= 3x - 1
+        out = eliminate(s, ["y"])
+        # The pair sums to 4x - 4 >= 0.
+        assert rows_as_tuples(out) == [((F(1),), F(-1), GE)]
+
+    def test_fractional_lower_bound_of_killed_variable(self):
+        s = ConstraintSystem(["x", "y"], (), {"x": None, "y": F(1, 2)})
+        s = s.with_rows([s.row_from({"x": 1, "y": -1})])  # x >= y >= 1/2
+        out = eliminate(s, ["y"])
+        assert rows_as_tuples(out) == [((F(2),), F(-1), GE)]
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                               st.integers(-4, 4)),
@@ -124,6 +151,32 @@ class TestEliminate:
             return
         out = eliminate(s, ["y"])
         assert out.satisfied_by({"x": px})
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_projection_is_exact_on_a_box(self, data):
+        """At every integer point of a box over the survivors, the shadow
+        holds exactly when the original system is feasible there."""
+        n = data.draw(st.integers(2, 4))
+        names = [f"x{k}" for k in range(n)]
+        lower = {v: data.draw(st.sampled_from([F(0), F(1, 2), F(-2), None]))
+                 for v in names}
+        rational = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+        rows = data.draw(st.lists(
+            st.tuples(st.lists(rational, min_size=n, max_size=n), rational,
+                      st.sampled_from([GE, EQ])),
+            min_size=1, max_size=5))
+        s = ConstraintSystem(names, (), lower)
+        s = s.with_rows([s.row_from(dict(zip(names, c)), k, kind)
+                         for c, k, kind in rows])
+        kill = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                  max_size=min(2, n - 1), unique=True))
+        out = eliminate(s, kill)
+        for point in itertools.product(range(-2, 3), repeat=len(out.variables)):
+            fixed = dict(zip(out.variables, point))
+            pinned = s.with_rows([s.row_from({v: 1}, -x, EQ)
+                                  for v, x in fixed.items()])
+            assert out.satisfied_by(fixed) == bool(solve_lp(LPProblem.of(pinned)))
 
 
 @pytest.fixture(scope="module")
