@@ -1,8 +1,9 @@
 """Byte-identity of the bundled corpus schedules.
 
 Every corpus instance is scheduled on `ilp`, `lp` and `dfp`; the digest of
-each transform's JSON and the `dfp` conflict graphs and coloring must match
-`golden_corpus.json`, and the `ilp` and `lp` transforms must pass
+each transform's JSON, of each path's `Step` records (level, kind, system,
+raw optimum, factors, component) and the `dfp` conflict graphs and coloring
+must match `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
 `check_legality` and `full_rank` (the property suite checks `dfp`).  The
 property-suite report is pinned by digest too, so a solve lost from or
 duplicated in the steps the checks read changes it.  `golden_farkas.json`
@@ -64,9 +65,11 @@ def golden_entry(inst) -> dict:
     for mode in (ILP, LP):
         result = schedule(inst.program, inst.deps, SchedulerConfig(mode=mode))
         entry[mode] = _digest(result.transform.to_json())
+        entry[f"{mode}_steps"] = _steps_digest(result.steps)
     dfp = dfp_schedule(inst.program, inst.deps)
     coloring = dfp.coloring
     entry["dfp"] = _digest(dfp.transform.to_json())
+    entry["dfp_steps"] = _steps_digest(dfp.steps)
     entry["fcg"] = {
         "initial": _edges(coloring.initial),
         "final": _edges(coloring.fcg),
@@ -83,6 +86,16 @@ def _system_json(system) -> dict:
                      for r in system.rows],
             "lower": [None if b is None else str(b)
                       for b in system.lower.values()]}
+
+
+def _steps_digest(steps) -> str:
+    """Digest of a run's `Step` records, each with its system and optimum."""
+    return _digest([
+        {"level": s.level, "kind": s.kind, "parallel": s.parallel,
+         "system": None if s.system is None else _system_json(s.system),
+         "raw": None if s.raw is None else [[v, str(x)] for v, x in s.raw.items()],
+         "factors": list(s.factors), "component": s.component}
+        for s in steps])
 
 
 def farkas_entry(program, deps) -> dict:
