@@ -5,14 +5,14 @@ every point of a dependence polyhedron".  Such universally quantified
 conditions are linearized with non-negative multipliers over the polyhedron's
 constraints, the coefficients of each iterator, parameter and the constant are
 equated, and the multipliers are projected out again.  Everything here is
-exact: rows are stored with `fractions.Fraction` coefficients in normalized
-integer form, and elimination runs in exact integers over each row's nonzero
-entries; there is no floating point.
+exact: every row is a sparse canonical integer row (its nonzero entries and
+its constant are ints with gcd 1), elimination combines such rows in exact
+integers, and only lower bounds and solutions are `fractions.Fraction`s;
+there is no floating point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
@@ -26,29 +26,33 @@ GE = "ge"
 EQ = "eq"
 
 
-@dataclass(frozen=True)
-class LinearRow:
-    """One affine constraint: coeffs . x + const >= 0 (ge) or == 0 (eq)."""
+class LinearRow(NamedTuple):
+    """One affine constraint over `width` variables: the sum of c * x[i] over
+    the (i, c) entries of `nonzero`, plus `const`, is >= 0 (ge) or == 0 (eq).
 
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    Rows come out of `_row`, or out of `eliminate` renumbering such rows, so
+    they are canonical: `nonzero` lists the nonzero int coefficients in index
+    order, the entries and the int `const` have gcd 1, and an equality's
+    first entry is positive.
+    """
+
+    nonzero: tuple[tuple[int, int], ...]
+    const: int
     kind: str
-    #: (index, coefficient) of each nonzero coefficient in index order, an
-    #: integral one as an int: rows are wide and sparse, and duplicate
-    #: detection and the simplex read only these.
-    nonzero: tuple = field(default=None, compare=False, repr=False)
+    width: int
 
-    def __post_init__(self):
-        if self.nonzero is None:
-            object.__setattr__(self, "nonzero", tuple(
-                (i, c.numerator if c.denominator == 1 else c)
-                for i, c in enumerate(self.coeffs) if c))
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The dense coefficient vector."""
+        vec = [0] * self.width
+        for i, c in self.nonzero:
+            vec[i] = c
+        return tuple(vec)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         acc = self.const
-        for c, x in zip(self.coeffs, point):
-            if c:
-                acc += c * x
+        for i, c in self.nonzero:
+            acc = point[i] * c + acc
         return acc
 
     def holds(self, point: Sequence[Fraction]) -> bool:
@@ -56,43 +60,25 @@ class LinearRow:
         return v == 0 if self.kind == EQ else v >= 0
 
 
-def _normalize_row(coeffs, const, kind):
-    """Canonical integer form: clear denominators, divide by the gcd.
-
-    Equality rows additionally get a canonical sign (first nonzero positive)
-    so that duplicates collapse.
+def _row(width: int, items: Iterable, const, kind: str) -> LinearRow:
+    """The canonical row with the rational (index, coefficient) `items`, in
+    index order, and the rational `const`: denominators cleared, divided by
+    the gcd, and an equality's first nonzero entry made positive, so that
+    multiples of one row collapse to the same row.  Zero entries are dropped.
     """
-    coeffs = tuple(coeffs)
-    return _normalized(len(coeffs), [(i, c) for i, c in enumerate(coeffs) if c],
-                       const, kind)
-
-
-#: Shared `Fraction`s for the small integers that fill most rows.
-_SMALL = {k: Fraction(k) for k in range(-16, 17)}
-
-
-def _normalized(n: int, items, const, kind) -> LinearRow:
-    """`_normalize_row` of the width-n row whose nonzero coefficients are the
-    (index, coefficient) `items`, in index order.  Only the nonzero entries
-    are touched, and in integers, so wide, sparse rows cost little."""
-    den = lcm(const.denominator, *[c.denominator for _, c in items])
-    if den == 1:
-        b = const.numerator
-        ints = [(i, c.numerator) for i, c in items]
-    else:
-        b = int(const * den)
-        ints = [(i, int(c * den)) for i, c in items]
-    g = gcd(b, *[c for _, c in ints])
+    items = [(i, c) for i, c in items if c]
+    if type(const) is not int or any(type(c) is not int for _, c in items):
+        den = lcm(const.denominator, *[c.denominator for _, c in items])
+        const = const.numerator * (den // const.denominator)
+        items = [(i, c.numerator * (den // c.denominator)) for i, c in items]
+    g = gcd(const, *[c for _, c in items])
     if g > 1:
-        b //= g
-        ints = [(i, c // g) for i, c in ints]
-    if kind == EQ and (ints[0][1] if ints else b) < 0:
-        b = -b
-        ints = [(i, -c) for i, c in ints]
-    vec = [ZERO] * n
-    for i, c in ints:
-        vec[i] = _SMALL.get(c) or Fraction(c)
-    return LinearRow(tuple(vec), _SMALL.get(b) or Fraction(b), kind, tuple(ints))
+        const //= g
+        items = [(i, c // g) for i, c in items]
+    if kind == EQ and (items[0][1] if items else const) < 0:
+        const = -const
+        items = [(i, -c) for i, c in items]
+    return LinearRow(tuple(items), const, kind, width)
 
 
 class ConstraintSystem:
@@ -118,12 +104,7 @@ class ConstraintSystem:
                     raise KeyError(v)
                 bounds[v] = None if b is None else Fraction(b)
         self.lower: dict[str, Fraction | None] = bounds
-        # LinearRow instances are trusted to be normalized already (they all
-        # come out of `_normalize_row`); raw (coeffs, const, kind) triples are
-        # normalized here.
-        self.rows: tuple[LinearRow, ...] = _prune(
-            r if isinstance(r, LinearRow) else _normalize_row(*r) for r in rows
-        )
+        self.rows: tuple[LinearRow, ...] = _prune(rows)
 
     def index(self, var: str) -> int:
         return self._index[var]
@@ -137,9 +118,8 @@ class ConstraintSystem:
     # -- construction helpers -------------------------------------------------
 
     def row_from(self, coeffs: Mapping[str, Fraction | int], const=0, kind=GE) -> LinearRow:
-        index = self._index
-        items = sorted((index[v], c) for v, c in coeffs.items() if c)
-        return _normalized(len(self.variables), items, const, kind)
+        items = sorted((self._index[v], c) for v, c in coeffs.items())
+        return _row(len(self.variables), items, const, kind)
 
     def with_rows(self, extra: Iterable[LinearRow]) -> "ConstraintSystem":
         return ConstraintSystem(self.variables, self.rows + tuple(extra), self.lower)
@@ -162,25 +142,20 @@ class ConstraintSystem:
                 return False
         return all(r.holds(pt) for r in self.rows)
 
-def _prune(rows: Iterable) -> tuple:
+
+def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:
     """Drop tautologies and rows dominated by an earlier row.
 
     Only single-row implications are checked: identical coefficient vectors
     where one constant implies the other, plus exact duplicates of equalities.
-    Reads only a normalized row's `nonzero`, `const` and `kind`, so it serves
-    both a system's `LinearRow`s and the `_Sparse` rows under elimination.
     """
     best_ge: dict[tuple, int] = {}
     seen_eq: set[tuple] = set()
-    kept: list = []
+    kept: list[LinearRow] = []
     for row in rows:
         key = row.nonzero
-        if not key:
-            if row.kind == GE and row.const >= 0:
-                continue
-            if row.kind == EQ and row.const == 0:
-                continue
-            # Trivially false row: keep one witness so solvers report it.
+        if not key and (row.const == 0 if row.kind == EQ else row.const >= 0):
+            continue  # a tautology; a false constant row stays for solvers to report
         if row.kind == EQ:
             key = (key, row.const)
             if key in seen_eq:
@@ -209,53 +184,32 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     go through Fourier-Motzkin pairing.  Lower bounds of killed variables are
     materialized as rows before projection.  The work runs in exact integers
     over each row's nonzero entries: every step yields a positive multiple of
-    the rational combination, divided by its gcd, so the rows, their order
-    and what `_prune` keeps are those of the rational computation.  The
-    result's feasible set is the exact shadow of the input's on the
-    surviving variables.
+    the rational combination, which `_row` makes canonical, so the rows,
+    their order and what `_prune` keeps are those of the rational
+    computation.  The result's feasible set is the exact shadow of the
+    input's on the surviving variables.
     """
-    rows = [_Sparse(r.nonzero, r.const.numerator, r.kind) for r in system.rows]
+    n = len(system.variables)
+    rows = list(system.rows)
     for v in kill:
         b = system.lower[v]
         if b is not None:  # v >= p/q as q*v - p >= 0
-            rows.append(_Sparse(((system.index(v), b.denominator),), -b.numerator, GE))
+            rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
     for v in kill:
         rows = _eliminate_one(rows, system.index(v))
 
+    # Canonical rows stay canonical when their columns are renumbered.
     kill_set = set(kill)
     survivors = [v for v in system.variables if v not in kill_set]
     at = {system.index(v): k for k, v in enumerate(survivors)}
     return ConstraintSystem(
         survivors,
-        [_normalized(len(survivors), [(at[i], c) for i, c in r.nonzero], r.const, r.kind)
-         for r in rows],
+        [LinearRow(tuple((at[i], c) for i, c in r.nonzero), r.const, r.kind,
+                   len(survivors)) for r in rows],
         {v: system.lower[v] for v in survivors})
 
 
-class _Sparse(NamedTuple):
-    """A row under elimination: its nonzero (index, int) entries in index
-    order, an int constant and the kind."""
-
-    nonzero: tuple
-    const: int
-    kind: str
-
-
-def _sparse(acc: dict, const: int, kind: str) -> _Sparse:
-    """The row with the {index: int} entries `acc`, divided by its gcd; an
-    equality gets the canonical sign (first nonzero positive)."""
-    items = [(i, c) for i, c in sorted(acc.items()) if c]
-    g = gcd(const, *[c for _, c in items])
-    if g > 1:
-        const //= g
-        items = [(i, c // g) for i, c in items]
-    if kind == EQ and (items[0][1] if items else const) < 0:
-        const = -const
-        items = [(i, -c) for i, c in items]
-    return _Sparse(tuple(items), const, kind)
-
-
-def _eliminate_one(rows: list[_Sparse], col: int) -> list[_Sparse]:
+def _eliminate_one(rows: list[LinearRow], col: int) -> list[LinearRow]:
     coef = [dict(r.nonzero).get(col, 0) for r in rows]
     pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
     if pivot is not None:
@@ -270,7 +224,8 @@ def _eliminate_one(rows: list[_Sparse], col: int) -> list[_Sparse]:
                 acc = {i: abs(pc) * c for i, c in r.nonzero}
                 for i, c in p.nonzero:
                     acc[i] = acc.get(i, 0) - f * c
-                out.append(_sparse(acc, abs(pc) * r.const - f * p.const, r.kind))
+                out.append(_row(r.width, sorted(acc.items()),
+                                abs(pc) * r.const - f * p.const, r.kind))
         return list(_prune(out))
 
     upper, lower_rows, out = [], [], []
@@ -286,7 +241,8 @@ def _eliminate_one(rows: list[_Sparse], col: int) -> list[_Sparse]:
             acc = {i: b * c for i, c in lo.nonzero}
             for i, c in hi.nonzero:
                 acc[i] = acc.get(i, 0) + a * c
-            out.append(_sparse(acc, b * lo.const + a * hi.const, GE))
+            out.append(_row(lo.width, sorted(acc.items()),
+                            b * lo.const + a * hi.const, GE))
     return list(_prune(out))
 
 
@@ -311,16 +267,16 @@ def _difference_form(dep: "DependencePolyhedron", src: "Statement", dst: "Statem
     that do not involve dependence-space variables.
     """
     params = dep.params
-    linear: dict[str, dict[str, Fraction]] = {}
+    linear: dict[str, dict[str, int]] = {}
     for it, var in zip(dst.domain.iterators, dep.dst_vars):
-        linear.setdefault(var, {})[f"c.{dst.id}.{it}"] = Fraction(1)
+        linear.setdefault(var, {})[f"c.{dst.id}.{it}"] = 1
     for it, var in zip(src.domain.iterators, dep.src_vars):
-        linear.setdefault(var, {})[f"c.{src.id}.{it}"] = Fraction(-1)
+        linear.setdefault(var, {})[f"c.{src.id}.{it}"] = -1
     for p in params:
         cell = linear.setdefault(p, {})
-        cell[f"d.{dst.id}.{p}"] = cell.get(f"d.{dst.id}.{p}", ZERO) + 1
-        cell[f"d.{src.id}.{p}"] = cell.get(f"d.{src.id}.{p}", ZERO) - 1
-    const = {f"c0.{dst.id}": Fraction(1), f"c0.{src.id}": Fraction(-1)}
+        cell[f"d.{dst.id}.{p}"] = cell.get(f"d.{dst.id}.{p}", 0) + 1
+        cell[f"d.{src.id}.{p}"] = cell.get(f"d.{src.id}.{p}", 0) - 1
+    const = {f"c0.{dst.id}": 1, f"c0.{src.id}": -1}
     if src.id == dst.id:
         # Self-dependence: shifts and parameter shifts cancel exactly.
         const = {}
@@ -339,31 +295,26 @@ def _farkas_system(dep, src, dst, extra_linear, extra_const, coeff_vars):
     variable and per constant, then the multipliers are eliminated.
     """
     relation = dep.relation
-    ineqs: list[LinearRow] = []
+    ineqs = []  # (nonzero, const) of each row as an inequality
     for r in relation.rows:
+        ineqs.append((r.nonzero, r.const))
         if r.kind == EQ:
-            ineqs.append(LinearRow(r.coeffs, r.const, GE))
-            ineqs.append(LinearRow(tuple(-c for c in r.coeffs), -r.const, GE))
-        else:
-            ineqs.append(r)
+            ineqs.append((tuple((i, -c) for i, c in r.nonzero), -r.const))
 
     lam = [f"_l{k}" for k in range(len(ineqs) + 1)]  # lam[0] is the affine slack
     variables = list(coeff_vars) + lam
     sys0 = ConstraintSystem(variables)
 
-    rows = []
-    for j, var in enumerate(relation.variables):
-        lhs = dict(extra_linear.get(var, {}))
-        for k, row in enumerate(ineqs):
-            if row.coeffs[j]:
-                lhs[lam[k + 1]] = lhs.get(lam[k + 1], ZERO) - row.coeffs[j]
-        rows.append(sys0.row_from(lhs, 0, EQ))
-    lhs = dict(extra_const)
-    lhs[lam[0]] = Fraction(-1)
-    for k, row in enumerate(ineqs):
-        if row.const:
-            lhs[lam[k + 1]] = lhs.get(lam[k + 1], ZERO) - row.const
-    rows.append(sys0.row_from(lhs, 0, EQ))
+    # One equation per dependence-space variable, then one for the constant.
+    lhs = [dict(extra_linear.get(var, {})) for var in relation.variables]
+    lhs.append(dict(extra_const))
+    lhs[-1][lam[0]] = -1
+    for k, (nonzero, const) in enumerate(ineqs):
+        for j, c in nonzero:
+            lhs[j][lam[k + 1]] = -c
+        if const:
+            lhs[-1][lam[k + 1]] = -const
+    rows = [sys0.row_from(form, 0, EQ) for form in lhs]
 
     return eliminate(sys0.with_rows(rows), lam)
 
@@ -385,9 +336,9 @@ def bounding_constraints(dep: "DependencePolyhedron", src: "Statement",
     neg_linear = {v: {cv: -w for cv, w in form.items()} for v, form in linear.items()}
     for p in dep.params:
         cell = neg_linear.setdefault(p, {})
-        cell[f"u.{p}"] = cell.get(f"u.{p}", ZERO) + 1
+        cell[f"u.{p}"] = cell.get(f"u.{p}", 0) + 1
     neg_const = {cv: -w for cv, w in const.items()}
-    neg_const["w"] = Fraction(1)
+    neg_const["w"] = 1
     coeff_vars = [f"u.{p}" for p in dep.params] + ["w"]
     coeff_vars += list(dict.fromkeys(
         coefficient_variables(src, dep.params) + coefficient_variables(dst, dep.params)))

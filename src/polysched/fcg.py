@@ -29,8 +29,10 @@ from .model import (
     Statement,
     _adjacency,
     _partition,
+    constant_row,
     satisfaction_level,
     scc_decompose,
+    unit_row,
 )
 from .pluto import _shape, level_system
 
@@ -267,17 +269,12 @@ def _color_once(stmts: Sequence[Statement], live: Sequence[DependencePolyhedron]
     return colors
 
 
-def _unit_row(stmt: Statement, nparams: int, k: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(i == k)) for i in range(stmt.dim)) \
-        + (Fraction(0),) * (nparams + 1)
-
-
 def _partial(program: Program, colors: Mapping[str, list], depth: int) -> AffineTransform:
     np = len(program.params)
     rows = {}
     for s in program.statements:
         take = list(colors.get(s.id, ()))[:depth]
-        rows[s.id] = tuple(_unit_row(s, np, k) for k in take)
+        rows[s.id] = tuple(unit_row(s, np, k) for k in take)
     return AffineTransform.of(program, rows)
 
 
@@ -387,19 +384,18 @@ def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:
         if kind == "cut":
             ordinal = {sid: gi for gi, g in enumerate(val) for sid in g}
             for s in program.statements:
-                placed[s.id][level] = (Fraction(0),) * (s.dim + np) \
-                    + (Fraction(ordinal[s.id]),)
+                placed[s.id][level] = constant_row(s, np, ordinal[s.id])
             cuts.append(Cut(level, val))
         else:
             for s in program.statements:
                 order = coloring.colors[s.id]
                 if len(order) >= val:
-                    placed[s.id][level] = _unit_row(s, np, order[val - 1])
+                    placed[s.id][level] = unit_row(s, np, order[val - 1])
 
     rows = {}
     for s in program.statements:
         depth = max(placed[s.id], default=0)
-        zero = (Fraction(0),) * (s.dim + np + 1)
+        zero = constant_row(s, np, 0)
         rows[s.id] = tuple(placed[s.id].get(lv, zero) for lv in range(1, depth + 1))
     return AffineTransform.of(program, rows, (), cuts)
 

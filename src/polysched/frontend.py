@@ -125,8 +125,11 @@ def parse_program(data: Mapping) -> Program:
             rows.append(_constraint(system, variables, coeffs[:-1], coeffs[-1], rel))
         system = system.with_rows(rows)
 
+        raw_accesses = st.get("accesses", [])
+        if not isinstance(raw_accesses, list):
+            raise ParseError(f"{where}.accesses", "expected a list")
         accesses = []
-        for j, acc in enumerate(st.get("accesses", [])):
+        for j, acc in enumerate(raw_accesses):
             awhere = f"{where}.accesses[{j}]"
             if not isinstance(acc, Mapping):
                 raise ParseError(awhere, "expected an object")
@@ -184,7 +187,7 @@ def _dependence_space(src: Statement, dst: Statement, params: Sequence[str]):
         local = list(aliases) + list(params)
         for r in stmt.domain.system.rows:
             rows.append(out.row_from(
-                {local[k]: c for k, c in enumerate(r.coeffs) if c}, r.const, r.kind))
+                {local[k]: c for k, c in r.nonzero}, r.const, r.kind))
     for p in params:
         rows.append(out.row_from({p: 1}))
     return svars, tvars, out.with_rows(rows)

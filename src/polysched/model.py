@@ -305,14 +305,21 @@ class AffineTransform:
         return AffineTransform(tuple(data["params"]), dims, rows, bands, cuts)
 
 
+def unit_row(stmt: Statement, nparams: int, k: int) -> tuple[Fraction, ...]:
+    """The schedule row of `stmt` that is its k-th iterator."""
+    return tuple(Fraction(int(i == k)) for i in range(stmt.dim)) + (ZERO,) * (nparams + 1)
+
+
+def constant_row(stmt: Statement, nparams: int, value: int) -> tuple[Fraction, ...]:
+    """The scalar schedule row of `stmt` with the constant `value`."""
+    return (ZERO,) * (stmt.dim + nparams) + (Fraction(value),)
+
+
 def identity_transform(program: Program) -> AffineTransform:
     """Original loop order: unit iterator rows, no shifts."""
     np = len(program.params)
-    rows = {
-        s.id: [tuple(Fraction(int(i == k)) for i in range(s.dim)) + (ZERO,) * (np + 1)
-               for k in range(s.dim)]
-        for s in program.statements
-    }
+    rows = {s.id: [unit_row(s, np, k) for k in range(s.dim)]
+            for s in program.statements}
     band = Band(1, max((s.dim for s in program.statements), default=0),
                 True, False, tuple(s.id for s in program.statements))
     return AffineTransform.of(program, rows, (band,) if band.end else ())

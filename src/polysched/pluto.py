@@ -27,7 +27,8 @@ from .farkas import (
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
-    SchedulingError, Statement, components, satisfaction_level, scc_decompose,
+    SchedulingError, Statement, components, constant_row, satisfaction_level,
+    scc_decompose,
 )
 
 LP = "lp"
@@ -343,10 +344,6 @@ class ScheduleResult:
     components: tuple[tuple[str, ...], ...]
 
 
-def _constant_row(stmt: Statement, nparams: int, value: int):
-    return (ZERO,) * (stmt.dim + nparams) + (Fraction(value),)
-
-
 def _is_parallel(program: Program, assignment: Mapping[str, Fraction]) -> bool:
     return all(not assignment.get(v) for v in bound_variables(program))
 
@@ -370,7 +367,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     if len(comps) > 1:
         for ci, comp in enumerate(comps):
             for sid in comp:
-                rows[sid].append(_constant_row(by_id[sid], len(program.params), ci))
+                rows[sid].append(constant_row(by_id[sid], len(program.params), ci))
         cuts.append(Cut(1, comps))
         steps.append(Step(1, "component-cut"))
         start = 2
@@ -436,7 +433,7 @@ def _schedule_component(program, ci, stmts, live, config,
                 f"no transformation row exists for {comp} and nothing to distribute")
         ordinal = {sid: k for k, group in enumerate(sccs) for sid in group}
         for s in stmts:
-            rows[s.id].append(_constant_row(s, nparams, ordinal[s.id]))
+            rows[s.id].append(constant_row(s, nparams, ordinal[s.id]))
         cuts.append(Cut(level, sccs))
         steps.append(Step(level, "cut", component=ci))
         current = AffineTransform.of(program, rows)

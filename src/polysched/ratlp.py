@@ -112,14 +112,12 @@ class _Tableau:
         self.m = len(self.rows)
         for cost in costs:
             self.rows.append(self._integral(
-                ZERO, ((self.col_of[v], c) for v, c in cost.items() if c)))
+                0, ((self.col_of[v], c) for v, c in cost.items() if c)))
 
-    def _integral(self, const, terms) -> list[int]:
+    def _integral(self, const: int, terms) -> list[int]:
         """An affine form over the structural columns, scaled to integers;
         `terms` pairs a variable's columns with its nonzero coefficient.
         Integral forms, the usual case, never touch a `Fraction`."""
-        if const.denominator == 1:
-            const = const.numerator
         vec = [const] + [0] * self.n
         exact = True
         for (k, neg, shift), c in terms:

@@ -122,8 +122,9 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
     ascending depth-first search is the lexmin.  Pruning is by interval
     arithmetic per row; a known-feasible `incumbent` additionally caps the
     search at assignments that could still be lexicographically smaller.
-    Rows are scaled to integers and the search runs in ints over each row's
-    nonzero entries: fixing a variable re-checks only the rows it occurs in.
+    Rows are already canonical integer rows, so the search runs in ints over
+    each row's nonzero entries: fixing a variable re-checks only the rows it
+    occurs in.
     Returns None when the box contains no feasible point.
     """
     names = system.variables
@@ -141,12 +142,10 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
     sums, is_eq, minsuf, maxsuf = [], [], [], []
     occurs: list[list[tuple[int, int]]] = [[] for _ in names]
     for ri, row in enumerate(system.rows):
-        den = math.lcm(row.const.denominator, *[c.denominator for _, c in row.nonzero])
-        sums.append(int(row.const * den))
+        sums.append(row.const)
         is_eq.append(row.kind == EQ)
         lo_at, hi_at = [0] * (n + 1), [0] * (n + 1)
         for d, c in row.nonzero:
-            c = int(c * den)
             occurs[d].append((ri, c))
             lo_at[d], hi_at[d] = ((c * lows[d], c * bound) if c >= 0
                                   else (c * bound, c * lows[d]))

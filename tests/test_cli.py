@@ -172,6 +172,15 @@ class TestErrors:
         code, _, err = run(capsys, "deps", str(path))
         assert code == 2 and "invalid JSON" in err
 
+    @pytest.mark.parametrize("accesses", [5, None])
+    def test_non_list_accesses(self, capsys, tmp_path, accesses):
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps({"statements": [
+            {"id": "S", "iterators": ["i"], "domain": [], "accesses": accesses}]}))
+        code, _, err = run(capsys, "schedule", str(path))
+        assert code == 2
+        assert "statements[0].accesses: expected a list" in err
+
     def test_bad_envelope(self, capsys, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"program": {}, "bogus": 1}))

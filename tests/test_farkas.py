@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysched.farkas import (
-    EQ, GE, ConstraintSystem, LinearRow, _normalize_row, eliminate,
+    EQ, GE, ConstraintSystem, _row, eliminate,
     legality_constraints, bounding_constraints,
 )
 from polysched.frontend import analyze
@@ -19,32 +20,66 @@ def rows_as_tuples(system):
     return [(r.coeffs, r.const, r.kind) for r in system.rows]
 
 
+def dense_row(coeffs, const, kind):
+    """`_row` of a dense coefficient list."""
+    return _row(len(coeffs), enumerate(coeffs), const, kind)
+
+
 class TestNormalizeRow:
     def test_clears_denominators(self):
-        row = _normalize_row([F(1, 2), F(1, 3)], F(1, 6), GE)
+        row = dense_row([F(1, 2), F(1, 3)], F(1, 6), GE)
         assert row.coeffs == (F(3), F(2)) and row.const == F(1)
 
     def test_divides_by_gcd(self):
-        row = _normalize_row([F(4), F(-6)], F(2), GE)
+        row = dense_row([F(4), F(-6)], F(2), GE)
         assert row.coeffs == (F(2), F(-3)) and row.const == F(1)
 
     def test_equality_sign_is_canonical(self):
-        a = _normalize_row([F(-2), F(4)], F(0), EQ)
-        b = _normalize_row([F(1), F(-2)], F(0), EQ)
+        a = dense_row([F(-2), F(4)], F(0), EQ)
+        b = dense_row([F(1), F(-2)], F(0), EQ)
         assert a == b
 
     def test_inequality_sign_is_kept(self):
-        row = _normalize_row([F(-1)], F(0), GE)
+        row = dense_row([F(-1)], F(0), GE)
         assert row.coeffs == (F(-1),)
 
     def test_idempotent(self):
-        row = _normalize_row([F(9, 4), F(0), F(-3)], F(6), EQ)
-        again = _normalize_row(row.coeffs, row.const, row.kind)
+        row = dense_row([F(9, 4), F(0), F(-3)], F(6), EQ)
+        again = _row(row.width, row.nonzero, row.const, row.kind)
         assert again == row
 
     def test_all_zero_row(self):
-        row = _normalize_row([F(0), F(0)], F(0), EQ)
+        row = dense_row([F(0), F(0)], F(0), EQ)
         assert row.coeffs == (F(0), F(0)) and row.const == 0
+
+
+rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_from_gives_canonical_integer_rows(data):
+    """`row_from` keeps only ints with gcd 1, gives an equality a positive
+    first entry, and describes the same set as the rational row it was given."""
+    n = data.draw(st.integers(1, 4))
+    names = [f"x{k}" for k in range(n)]
+    coeffs = data.draw(st.dictionaries(st.sampled_from(names), rational))
+    const = data.draw(rational)
+    kind = data.draw(st.sampled_from([GE, EQ]))
+    row = ConstraintSystem(names).row_from(coeffs, const, kind)
+
+    entries = [c for _, c in row.nonzero]
+    assert all(type(c) is int and c for c in entries) and type(row.const) is int
+    assert gcd(row.const, *entries) == 1 or (not entries and row.const == 0)
+    if kind == EQ:  # entries are nonzero, so a first entry is positive
+        assert (entries[0] if entries else row.const) >= 0
+    assert [i for i, _ in row.nonzero] == sorted({i for i, _ in row.nonzero})
+    assert row.coeffs == tuple(dict(row.nonzero).get(i, 0) for i in range(n))
+
+    for point in data.draw(st.lists(st.lists(rational, min_size=n, max_size=n),
+                                    min_size=1, max_size=5)):
+        value = const + sum(c * point[names.index(v)] for v, c in coeffs.items())
+        assert row.holds(point) == (value == 0 if kind == EQ else value >= 0)
 
 
 class TestConstraintSystem:

@@ -89,6 +89,10 @@ class TestParseErrors:
                           "body": ""}]}, "statements[0]"),
         ({"statements": [{"id": "s p a c e", "iterators": [],
                           "domain": []}]}, "statements[0].id"),
+        ({"statements": [{"id": "S", "iterators": ["i"], "domain": [],
+                          "accesses": 5}]}, "statements[0].accesses"),
+        ({"statements": [{"id": "S", "iterators": ["i"], "domain": [],
+                          "accesses": None}]}, "statements[0].accesses"),
     ])
     def test_top_level_shapes(self, data, where):
         with pytest.raises(ParseError) as err:

@@ -271,7 +271,7 @@ def reference_lexmin(s):
                 if c < 0 or (r.kind == EQ and c):
                     return None
                 continue
-            x = -c / a
+            x = Fraction(-c, a)
             if r.kind == EQ or a > 0:
                 lo = x if lo is None else max(lo, x)
             if r.kind == EQ or a < 0:
