@@ -1,7 +1,8 @@
 """Byte-identity of the bundled corpus schedules.
 
 Every corpus instance is scheduled on `ilp`, `lp` and `dfp`; the digest of
-each transform's JSON, of each path's `Step` records (level, kind, system,
+its dependences (endpoints, kind, label, variables and relation), of each
+transform's JSON, of each path's `Step` records (level, kind, system,
 raw optimum, factors, component) and the `dfp` conflict graphs and coloring
 must match `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
 `check_legality` and `full_rank` (the property suite checks `dfp`).  The
@@ -61,7 +62,7 @@ def _edges(fcg) -> dict:
 
 def golden_entry(inst) -> dict:
     """What the golden file records for one corpus instance."""
-    entry = {}
+    entry = {"deps": _deps_digest(inst.deps)}
     for mode in (ILP, LP):
         result = schedule(inst.program, inst.deps, SchedulerConfig(mode=mode))
         entry[mode] = _digest(result.transform.to_json())
@@ -86,6 +87,15 @@ def _system_json(system) -> dict:
                      for r in system.rows],
             "lower": [None if b is None else str(b)
                       for b in system.lower.values()]}
+
+
+def _deps_digest(deps) -> str:
+    """Digest of a dependence list in order, labels and relations included."""
+    return _digest([
+        {"src": d.src, "dst": d.dst, "kind": d.kind, "label": d.label,
+         "src_vars": list(d.src_vars), "dst_vars": list(d.dst_vars),
+         "params": list(d.params), "relation": _system_json(d.relation)}
+        for d in deps])
 
 
 def _steps_digest(steps) -> str:
