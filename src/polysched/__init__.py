@@ -3,8 +3,9 @@
 The package finds affine loop transformations three ways: an integer
 scheduler, its exact rational relaxation with integral rescaling, and a
 fusion-driven variant that picks loop permutations by graph coloring and then
-repairs scaling, shifts and skews in separate passes.  Everything computes
-over `fractions.Fraction`; no floating point is involved anywhere.
+repairs scaling, shifts and skews in separate passes.  Everything is exact:
+constraint rows and the simplex tableau hold ints, and bounds, solutions and
+transforms are `fractions.Fraction`s; no floating point is involved anywhere.
 """
 
 from .farkas import ConstraintSystem, LinearRow

@@ -131,16 +131,22 @@ class ConstraintSystem:
 
     # -- checking -------------------------------------------------------------
 
-    def point(self, assignment: Mapping[str, Fraction | int]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(assignment.get(v, self.lower[v] or 0)) for v in self.variables)
-
     def satisfied_by(self, assignment: Mapping[str, Fraction | int]) -> bool:
-        pt = self.point(assignment)
+        """Does the point meet every bound and row?  Variables missing from
+        `assignment` sit at their lower bound, or 0 when free.  Rows are
+        checked in ints, on the point scaled to a common denominator."""
+        pt = [Fraction(assignment.get(v, self.lower[v] or 0)) for v in self.variables]
         for v, x in zip(self.variables, pt):
             b = self.lower[v]
             if b is not None and x < b:
                 return False
-        return all(r.holds(pt) for r in self.rows)
+        den = lcm(*(x.denominator for x in pt))
+        num = [x.numerator * (den // x.denominator) for x in pt]
+        for r in self.rows:
+            value = r.const * den + sum(num[i] * c for i, c in r.nonzero)
+            if value < 0 or (value and r.kind == EQ):
+                return False
+        return True
 
 
 def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:

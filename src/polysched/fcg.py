@@ -34,7 +34,7 @@ from .model import (
     scc_decompose,
     unit_row,
 )
-from .pluto import _shape, level_system
+from .pluto import level_system
 
 Vertex = tuple[str, int]
 
@@ -80,7 +80,7 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
     same shape solve the same system up to the names of the statements.
     """
     place = {s.id: k for k, s in enumerate(statements)}
-    key = (tuple((_shape(program, d), place.get(d.src), place.get(d.dst))
+    key = (tuple((d.shape, place.get(d.src), place.get(d.dst))
                  for d in deps),
            tuple((s.domain.iterators, choose.get(s.id)) for s in statements),
            parametric_shifts)

@@ -5,9 +5,12 @@ array accesses, and optionally an explicit dependence list.  Without the
 explicit list, dependences are computed from access pairs: two references to
 the same array, at least one a write (read-read pairs are kept between
 distinct statements for fusion analysis), restricted to instance pairs where
-the source runs before the target.  Statements execute as separate nests in
-textual order, so inter-statement pairs are ordered wholesale and
-self-dependences split into one polyhedron per leading lexicographic position.
+the source runs before the target.  One rule orders instances: the source
+runs first if it precedes the target lexicographically on the loops they
+share, or, equal on all of them, if its statement comes first in textual
+order; each depth of first precedence gets its own polyhedron.  Statements
+are separate nests, so two statements share no loop, while a statement
+shares all its loops with itself.
 """
 
 from __future__ import annotations
@@ -197,7 +200,6 @@ def _equal_cells(system: ConstraintSystem, svars, tvars, params,
                  a: AccessFunction, b: AccessFunction):
     """a(source instance) == b(target instance), one row per array dimension."""
     rows = []
-    np = len(params)
     for ra, rb in zip(a.rows, b.rows):
         mapping: dict[str, Fraction | int] = {}
         for v, c in zip(svars, ra):
@@ -210,67 +212,60 @@ def _equal_cells(system: ConstraintSystem, svars, tvars, params,
     return rows
 
 
-def _feasible(relation: ConstraintSystem) -> bool:
-    return bool(ratlp.solve_lp(ratlp.LPProblem.of(relation)))
-
-
 _KIND_OF = {("write", "read"): RAW, ("read", "write"): WAR,
             ("write", "write"): WAW, ("read", "read"): RAR}
 
 
-def _pair_deps(src: Statement, dst: Statement, params) -> list[DependencePolyhedron]:
-    """Dependences from `src` to `dst`, two distinct statements with every
-    source instance textually before every target instance."""
-    out = []
-    for ai, a in enumerate(src.accesses):
-        for bi, b in enumerate(dst.accesses):
-            if a.array != b.array:
-                continue
-            kind = _KIND_OF[a.kind, b.kind]
-            svars, tvars, space = _dependence_space(src, dst, params)
-            relation = space.with_rows(
-                _equal_cells(space, svars, tvars, params, a, b))
-            if not _feasible(relation):
-                continue
-            out.append(DependencePolyhedron(
-                src.id, dst.id, kind, svars, tvars, tuple(params), relation,
-                label=f"{a.array}:{ai}->{bi}"))
-    return out
+def _dependence(src: Statement, dst: Statement, kind: str,
+                space: ConstraintSystem, rows, label: str):
+    """The dependence on `space` restricted by `rows`, or None when no
+    rational point satisfies them."""
+    relation = space.with_rows(rows)
+    if not ratlp.solve_lp(ratlp.LPProblem.of(relation)):
+        return None
+    v, m, n = space.variables, src.dim, src.dim + dst.dim
+    return DependencePolyhedron(src.id, dst.id, kind, v[:m], v[m:n], v[n:],
+                                relation, label=label)
 
 
-def _self_deps(stmt: Statement, params) -> list[DependencePolyhedron]:
-    """Self-dependences, one polyhedron per position where the source first
-    precedes the target lexicographically.  Read-read pairs are skipped: they
-    never order instances and fusion analysis only uses cross-statement ones."""
+def _deps_between(src: Statement, dst: Statement, params) -> list[DependencePolyhedron]:
+    """Dependences from `src` to `dst`, one polyhedron per access pair and
+    order case.
+
+    The two instances share the first `shared` loops: all of a statement's
+    own, none of two statements'.  The source precedes the target at the
+    first depth d < shared where they differ (label suffix `@d`), or, equal
+    throughout, when its statement comes first in textual order.  Read-read
+    pairs of a statement with itself are skipped: they never order instances
+    and fusion analysis only uses cross-statement ones.
+    """
+    shared = src.dim if src is dst else 0
+    tie = src.textual_order < dst.textual_order
+    pairs = [(ai, a, bi, b) for ai, a in enumerate(src.accesses)
+             for bi, b in enumerate(dst.accesses) if a.array == b.array
+             and not (src is dst and a.kind == b.kind == "read")]
+    if not pairs:
+        return []
+    svars, tvars, space = _dependence_space(src, dst, params)
     out = []
-    for ai, a in enumerate(stmt.accesses):
-        for bi, b in enumerate(stmt.accesses):
-            if a.array != b.array or (a.kind == "read" and b.kind == "read"):
-                continue
-            kind = _KIND_OF[a.kind, b.kind]
-            for depth in range(stmt.dim):
-                svars, tvars, space = _dependence_space(stmt, stmt, params)
-                rows = _equal_cells(space, svars, tvars, params, a, b)
-                for k in range(depth):
-                    rows.append(space.row_from({svars[k]: 1, tvars[k]: -1}, 0, EQ))
-                rows.append(space.row_from({tvars[depth]: 1, svars[depth]: -1}, -1))
-                relation = space.with_rows(rows)
-                if not _feasible(relation):
-                    continue
-                out.append(DependencePolyhedron(
-                    stmt.id, stmt.id, kind, svars, tvars, tuple(params), relation,
-                    label=f"{a.array}:{ai}->{bi}@{depth}"))
-    return out
+    for ai, a, bi, b in pairs:
+        kind = _KIND_OF[a.kind, b.kind]
+        cells = _equal_cells(space, svars, tvars, params, a, b)
+        for d in range(shared + tie):
+            rows = cells + [space.row_from({svars[k]: 1, tvars[k]: -1}, 0, EQ)
+                            for k in range(d)]
+            label = f"{a.array}:{ai}->{bi}"
+            if d < shared:
+                rows.append(space.row_from({tvars[d]: 1, svars[d]: -1}, -1))
+                label += f"@{d}"
+            out.append(_dependence(src, dst, kind, space, rows, label))
+    return [dep for dep in out if dep is not None]
 
 
 def compute_dependences(program: Program) -> tuple[DependencePolyhedron, ...]:
     stmts = sorted(program.statements, key=lambda s: s.textual_order)
-    deps: list[DependencePolyhedron] = []
-    for i, src in enumerate(stmts):
-        deps.extend(_self_deps(src, program.params))
-        for dst in stmts[i + 1:]:
-            deps.extend(_pair_deps(src, dst, program.params))
-    return tuple(deps)
+    return tuple(dep for i, src in enumerate(stmts) for dst in stmts[i:]
+                 for dep in _deps_between(src, dst, program.params))
 
 
 def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, ...]:
@@ -295,23 +290,17 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
         kind = e.get("kind")
         if kind not in _KINDS:
             raise ParseError(f"{where}.kind", f"kind must be one of {sorted(_KINDS)}")
-        svars, tvars, space = _dependence_space(src, dst, program.params)
-        width = len(svars) + len(tvars) + len(program.params) + 1
-        variables = svars + tvars + tuple(program.params)
+        _, _, space = _dependence_space(src, dst, program.params)
         raw_rel = e.get("relation")
         if not isinstance(raw_rel, list):
             raise ParseError(f"{where}.relation", "expected a list of rows")
         rows = []
         for j, r in enumerate(raw_rel):
-            coeffs, rel = _row(f"{where}.relation[{j}]", r, width, True)
-            rows.append(_constraint(space, variables, coeffs[:-1], coeffs[-1], rel))
-        relation = space.with_rows(rows)
-        if not _feasible(relation):
-            continue
-        out.append(DependencePolyhedron(
-            src.id, dst.id, kind, svars, tvars, tuple(program.params), relation,
-            label=f"explicit{i}"))
-    return tuple(out)
+            coeffs, rel = _row(f"{where}.relation[{j}]", r,
+                               len(space.variables) + 1, True)
+            rows.append(_constraint(space, space.variables, coeffs[:-1], coeffs[-1], rel))
+        out.append(_dependence(src, dst, kind, space, rows, f"explicit{i}"))
+    return tuple(dep for dep in out if dep is not None)
 
 
 def analyze(data: Mapping) -> tuple[Program, tuple[DependencePolyhedron, ...]]:

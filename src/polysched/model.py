@@ -5,7 +5,8 @@ textual order.  A dependence is a polyhedron of (source instance, target
 instance, parameters) points; the dependence graph over statement ids splits
 into weakly or strongly connected components.  An affine transform is a list
 of rows per statement, each row giving iterator coefficients, parameter-shift
-coefficients and a constant shift.  All types are immutable after construction.
+coefficients and a constant shift.  All types are immutable after construction,
+except that `Program` and `DependencePolyhedron` fill memo fields on first use.
 """
 
 from __future__ import annotations
@@ -128,6 +129,15 @@ class DependencePolyhedron:
     @property
     def ordering(self) -> bool:
         return self.kind in ORDERING_KINDS
+
+    @property
+    def shape(self) -> tuple:
+        """All that the dependence's Farkas rows depend on besides the names
+        of its statements and iterators: the relation's rows, both depths,
+        the parameters, and whether it is a self-dependence.  The rows are
+        built position by position, so names only rename their variables."""
+        return (self.relation.rows, len(self.src_vars), len(self.dst_vars),
+                self.params, self.src == self.dst)
 
 
 # -- dependence graph ---------------------------------------------------------

@@ -120,29 +120,20 @@ def independence_vector(rows: Sequence[Sequence[Fraction]], ncols: int):
 # -- constraint assembly ------------------------------------------------------
 
 
-def _shape(program: Program, dep: DependencePolyhedron) -> tuple:
-    """All that a dependence's Farkas rows depend on besides the names of
-    its statements: its relation, both statements' iterator names, and
-    whether it is a self-dependence."""
-    src, dst = program.statement(dep.src), program.statement(dep.dst)
-    return (dep.relation.rows, dep.src_vars, dep.dst_vars, dep.params,
-            src.domain.iterators, dst.domain.iterators, dep.src == dep.dst)
-
-
 def _farkas_rows(program: Program, dep: DependencePolyhedron,
                  ) -> tuple[ConstraintSystem, ConstraintSystem]:
     """The (legality, bounding) rows of `dep`, built on first use.
 
     They depend only on the dependence and its two statements, so they are
     kept on the dependence and shared by every path and level that uses it.
-    Most dependences of a regular program repeat the `_shape` of an earlier
+    Most dependences of a regular program repeat the `shape` of an earlier
     one: each shape is eliminated once per program, and a repeat takes its
     rows as they are, with the coefficient variables renamed position by
     position to its own statements.
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)
-        key = _shape(program, dep)
+        key = dep.shape
         built = program._farkas_shapes.get(key)
         if built is None:
             rows = (legality_constraints(dep, src, dst),

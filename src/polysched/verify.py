@@ -227,7 +227,11 @@ def parse_instance(data, where: str = "instance") -> CorpusInstance:
     if (not isinstance(flags, Mapping)
             or not all(isinstance(v, bool) for v in flags.values())):
         raise ParseError(where, "flags must map names to booleans")
-    program, deps = analyze(data.get("program", {}))
+    try:
+        program, deps = analyze(data.get("program", {}))
+    except ParseError as exc:
+        inner = "program" if exc.where == "$" else f"program.{exc.where}"
+        raise ParseError(where, inner + str(exc)[len(exc.where):]) from None
     return CorpusInstance(name, str(data.get("description", "")),
                           dict(flags), program, deps)
 
@@ -606,18 +610,11 @@ def _check_fusion_transitivity(runs, bound):
             if d.src != d.dst:
                 linked.add((d.src, d.dst))
                 linked.add((d.dst, d.src))
-        cache: dict[tuple, bool] = {}
 
         def probe(choose: dict[str, int], parametric: bool) -> bool:
-            key = (tuple(sorted(choose.items())), parametric)
-            if key not in cache:
-                ids = set(choose)
-                pool = [d for d in deps
-                        if d.src in ids and d.dst in ids]
-                cache[key] = fusion_probe(
-                    prog, [by_id[s] for s in sorted(choose)], choose, pool,
-                    parametric_shifts=parametric)
-            return cache[key]
+            pool = [d for d in deps if d.src in choose and d.dst in choose]
+            return fusion_probe(prog, [by_id[s] for s in sorted(choose)],
+                                choose, pool, parametric_shifts=parametric)
 
         ids = sorted(by_id)
         for a, b, c in itertools.permutations(ids, 3):

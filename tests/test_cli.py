@@ -187,6 +187,21 @@ class TestErrors:
         code, _, err = run(capsys, "fcg", str(path))
         assert code == 2 and err.startswith("error: inst.json")
 
+    @pytest.mark.parametrize("program, message", [
+        ({"statements": [{"id": "S", "iterators": ["i"], "domain": [[1, 0]],
+                          "accesses": []}]},
+         "bad.json: program.statements[0].domain[0]: expected 3 entries, got 2"),
+        (5, "bad.json: program: top level must be an object"),
+    ])
+    def test_corpus_parse_error_names_the_file(self, capsys, tmp_path,
+                                               program, message):
+        (tmp_path / "fig1.json").write_text(CORPUS.joinpath("fig1.json").read_text())
+        (tmp_path / "bad.json").write_text(
+            json.dumps({"name": "bad", "program": program}))
+        code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_unschedulable_input(self, capsys, tmp_path):
         path = tmp_path / "cycle.json"
         path.write_text(json.dumps(UNSCHEDULABLE))

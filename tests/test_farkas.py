@@ -82,6 +82,27 @@ def test_row_from_gives_canonical_integer_rows(data):
         assert row.holds(point) == (value == 0 if kind == EQ else value >= 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_satisfied_by_agrees_with_rational_rows(data):
+    """`satisfied_by`'s integer check gives the verdict of the bounds and of
+    each row's rational `holds` at the same point."""
+    n = data.draw(st.integers(1, 4))
+    names = [f"x{k}" for k in range(n)]
+    lower = data.draw(st.dictionaries(st.sampled_from(names),
+                                      st.none() | rational))
+    system = ConstraintSystem(names, (), lower)
+    system = system.with_rows(
+        system.row_from(data.draw(st.dictionaries(st.sampled_from(names), rational)),
+                        data.draw(rational), data.draw(st.sampled_from([GE, EQ])))
+        for _ in range(data.draw(st.integers(0, 4))))
+    assignment = data.draw(st.dictionaries(st.sampled_from(names), rational))
+    point = [F(assignment.get(v, system.lower[v] or 0)) for v in names]
+    expect = (all(b is None or x >= b for x, b in zip(point, system.lower.values()))
+              and all(r.holds(point) for r in system.rows))
+    assert system.satisfied_by(assignment) == expect
+
+
 class TestConstraintSystem:
     def test_duplicate_variables_rejected(self):
         with pytest.raises(ValueError):

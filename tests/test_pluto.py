@@ -165,7 +165,7 @@ class TestFarkasShapes:
                             lambda dep, *rest: built.append(dep) or build(dep, *rest))
         for dep in deps:
             _farkas_rows(program, dep)
-        shapes = {pluto._shape(program, d) for d in deps}
+        shapes = {d.shape for d in deps}
         assert len(built) == len(shapes) < len(deps)
         for dep in deps:
             self.assert_fresh(program, dep)
@@ -203,6 +203,22 @@ class TestFarkasShapes:
         assert legality[2].variables == tuple(
             coefficient_variables(program.statement("Q"), ["N"]))
         assert len(program._farkas_shapes) == 2
+
+    def test_iterator_names_do_not_split_shapes(self):
+        """Statements alike but for their names and iterator names share one
+        elimination, and the renamed rows equal a fresh build."""
+        def stmt(sid, it):
+            return {"id": sid, "iterators": [it],
+                    "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
+                    "accesses": [{"array": sid, "kind": "write", "map": [[1, 0, 0]]},
+                                 {"array": sid, "kind": "read", "map": [[1, 0, -1]]}]}
+        program, deps = analyze({"params": ["N"],
+                                 "statements": [stmt("P", "i"), stmt("Q", "j")]})
+        assert [(d.src, d.label) for d in deps] == [("P", "P:0->1@0"),
+                                                    ("Q", "Q:0->1@0")]
+        for dep in deps:
+            self.assert_fresh(program, dep)
+        assert len(program._farkas_shapes) == 1
 
 
 class TestFindHyperplane:
