@@ -3,8 +3,10 @@
 Every corpus instance is scheduled on `ilp`, `lp` and `dfp`; the digest of
 its dependences (endpoints, kind, label, variables and relation), of each
 transform's JSON, of each path's `Step` records (level, kind, system,
-raw optimum, factors, component) and the `dfp` conflict graphs and coloring
-must match `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
+raw optimum, factors, component), of the same records without their
+systems (the path's optima, which a change that keeps every feasible set
+but not its rows leaves as they are) and the `dfp` conflict graphs and
+coloring must match `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
 `check_legality` and `full_rank` (the property suite checks `dfp`).  The
 property-suite report is pinned by digest too, so a solve lost from or
 duplicated in the steps the checks read changes it.  `golden_farkas.json`
@@ -67,10 +69,12 @@ def golden_entry(inst) -> dict:
         result = schedule(inst.program, inst.deps, SchedulerConfig(mode=mode))
         entry[mode] = _digest(result.transform.to_json())
         entry[f"{mode}_steps"] = _steps_digest(result.steps)
+        entry[f"{mode}_optima"] = _steps_digest(result.steps, systems=False)
     dfp = dfp_schedule(inst.program, inst.deps)
     coloring = dfp.coloring
     entry["dfp"] = _digest(dfp.transform.to_json())
     entry["dfp_steps"] = _steps_digest(dfp.steps)
+    entry["dfp_optima"] = _steps_digest(dfp.steps, systems=False)
     entry["fcg"] = {
         "initial": _edges(coloring.initial),
         "final": _edges(coloring.fcg),
@@ -98,14 +102,19 @@ def _deps_digest(deps) -> str:
         for d in deps])
 
 
-def _steps_digest(steps) -> str:
-    """Digest of a run's `Step` records, each with its system and optimum."""
-    return _digest([
-        {"level": s.level, "kind": s.kind, "parallel": s.parallel,
-         "system": None if s.system is None else _system_json(s.system),
-         "raw": None if s.raw is None else [[v, str(x)] for v, x in s.raw.items()],
-         "factors": list(s.factors), "component": s.component}
-        for s in steps])
+def _steps_digest(steps, systems=True) -> str:
+    """Digest of a run's `Step` records, each with its optimum and, unless
+    `systems` is false, its system."""
+    records = []
+    for s in steps:
+        record = {"level": s.level, "kind": s.kind, "parallel": s.parallel,
+                  "raw": None if s.raw is None
+                  else [[v, str(x)] for v, x in s.raw.items()],
+                  "factors": list(s.factors), "component": s.component}
+        if systems:
+            record["system"] = None if s.system is None else _system_json(s.system)
+        records.append(record)
+    return _digest(records)
 
 
 def farkas_entry(program, deps) -> dict:
