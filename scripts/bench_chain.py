@@ -3,7 +3,9 @@
 Statement k writes array k and reads array k-1 at the same point, so the
 dependence graph is a single path and every statement stays fusable with its
 neighbours.  Times the integer scheduler, the relaxed scheduler and the
-conflict-graph pipeline at several chain lengths.
+conflict-graph pipeline at several chain lengths, next to the size of the
+constraint systems they solve: `rows` sums the legality and bounding Farkas
+rows over the chain's dependences.
 """
 
 import argparse
@@ -12,6 +14,7 @@ import sys
 import time
 
 from polysched import frontend
+from polysched.farkas import bounding_constraints, legality_constraints
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 
@@ -44,7 +47,7 @@ def main() -> int:
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",") if s]
 
-    print(f"{'n':>4} {'deps':>5} {'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
+    print(f"{'n':>4} {'deps':>5} {'rows':>6} {'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
     for n in sizes:
         times = {}
         results = {}
@@ -59,11 +62,16 @@ def main() -> int:
                 results[path] = schedule(program, deps,
                                          SchedulerConfig(mode=path))
             times[path] = time.perf_counter() - t0
+        rows = 0
+        for dep in deps:
+            src, dst = program.statement(dep.src), program.statement(dep.dst)
+            rows += len(legality_constraints(dep, src, dst).rows)
+            rows += len(bounding_constraints(dep, src, dst).rows)
         ilp, dfp = results["ilp"], results["dfp"]
         shape = ", ".join(
             f"{b.start}-{b.end}{'p' if b.parallel else ''}"
             for b in dfp.transform.bands)
-        print(f"{n:>4} {len(deps):>5} "
+        print(f"{n:>4} {len(deps):>5} {rows:>6} "
               f"{times['ilp'] * 1000:>7.0f}ms {times['lp'] * 1000:>7.0f}ms "
               f"{times['dfp'] * 1000:>7.0f}ms   {shape} "
               f"(integer: {len(ilp.transform.bands)} bands)")

@@ -4,11 +4,13 @@ The scheduler needs conditions of the form "phi_dst(t) - phi_src(s) >= 0 for
 every point of a dependence polyhedron".  Such universally quantified
 conditions are linearized with non-negative multipliers over the polyhedron's
 constraints, the coefficients of each iterator, parameter and the constant are
-equated, and the multipliers are projected out again.  Everything here is
-exact: every row is a sparse canonical integer row (its nonzero entries and
-its constant are ints with gcd 1), elimination combines such rows in exact
-integers, and only lower bounds and solutions are `fractions.Fraction`s;
-there is no floating point.
+equated, and the multipliers are projected out again.  The projection builds
+only some of the combinations plain Fourier-Motzkin elimination would: it
+skips those that Chernikov's rule proves redundant, so the shadow is the
+same with fewer rows.  Everything here is exact: every row is a sparse
+canonical integer row (its nonzero entries and its constant are ints with
+gcd 1), elimination combines such rows in exact integers, and only lower
+bounds and solutions are `fractions.Fraction`s; there is no floating point.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ class ConstraintSystem:
                     raise KeyError(v)
                 bounds[v] = None if b is None else Fraction(b)
         self.lower: dict[str, Fraction | None] = bounds
-        self.rows: tuple[LinearRow, ...] = _prune(rows)
+        rows = tuple(rows)
+        kept = _prune(rows)
+        self.rows: tuple[LinearRow, ...] = (
+            rows if len(kept) == len(rows) else tuple(map(rows.__getitem__, kept)))
 
     def index(self, var: str) -> int:
         return self._index[var]
@@ -149,35 +154,37 @@ class ConstraintSystem:
         return True
 
 
-def _prune(rows: Iterable[LinearRow]) -> tuple[LinearRow, ...]:
-    """Drop tautologies and rows dominated by an earlier row.
+def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = ()) -> list[int]:
+    """The rows to keep, as indices into `rows`: tautologies and rows
+    dominated by an earlier row are dropped, and a row that dominates an
+    earlier one takes its place.
 
     Only single-row implications are checked: identical coefficient vectors
     where one constant implies the other, plus exact duplicates of equalities.
+    Of equal rows the first is kept, unless `hist` gives each row's history
+    (see `eliminate`): then it is the first with the fewest history bits.
+    Nothing is dropped exactly when the result has one index per row.
     """
-    best_ge: dict[tuple, int] = {}
-    seen_eq: set[tuple] = set()
-    kept: list[LinearRow] = []
-    for row in rows:
+    seen: dict[tuple, int] = {}  # key -> position in kept
+    kept: list[int] = []
+    for k, row in enumerate(rows):
         key = row.nonzero
         if not key and (row.const == 0 if row.kind == EQ else row.const >= 0):
             continue  # a tautology; a false constant row stays for solvers to report
         if row.kind == EQ:
-            key = (key, row.const)
-            if key in seen_eq:
-                continue
-            seen_eq.add(key)
-            kept.append(row)
-        else:
-            prev = best_ge.get(key)
-            if prev is not None:
-                if kept[prev].const <= row.const:
-                    continue
-                kept[prev] = row
-            else:
-                best_ge[key] = len(kept)
-                kept.append(row)
-    return tuple(kept)
+            key = (key, row.const)  # an equality repeats only as an exact duplicate
+        at = seen.get(key)
+        if at is None:
+            seen[key] = len(kept)
+            kept.append(k)
+            continue
+        prev = rows[kept[at]]
+        if prev.const < row.const:
+            continue  # a looser ge row
+        if (prev.const > row.const
+                or (hist and hist[k].bit_count() < hist[kept[at]].bit_count())):
+            kept[at] = k
+    return kept
 
 
 # -- elimination --------------------------------------------------------------
@@ -190,10 +197,19 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     go through Fourier-Motzkin pairing.  Lower bounds of killed variables are
     materialized as rows before projection.  The work runs in exact integers
     over each row's nonzero entries: every step yields a positive multiple of
-    the rational combination, which `_row` makes canonical, so the rows,
-    their order and what `_prune` keeps are those of the rational
-    computation.  The result's feasible set is the exact shadow of the
-    input's on the surviving variables.
+    the rational combination, which `_row` makes canonical.
+
+    Each row carries a history, an int bitmask of the input inequalities it
+    combines: one bit per inequality row of the input, the materialized
+    lower bounds included, and none for an equality.  A substituted row
+    takes the union of its own history and the pivot's.  After k
+    Fourier-Motzkin steps, a combination whose history has more than k + 1
+    bits is implied by the other rows (Chernikov's rule, Imbert's first
+    acceleration theorem), so such a pair is skipped before it is built.
+    The rule holds only for minimal histories, so when `_prune` merges two
+    equal rows it keeps the history with fewer bits.  The result has no more
+    rows than plain Fourier-Motzkin elimination gives, and its feasible set
+    is still the exact shadow of the input's on the surviving variables.
     """
     n = len(system.variables)
     rows = list(system.rows)
@@ -201,8 +217,16 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
         b = system.lower[v]
         if b is not None:  # v >= p/q as q*v - p >= 0
             rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
+    hist, bit = [], 1
+    for r in rows:
+        if r.kind == EQ:
+            hist.append(0)
+        else:
+            hist.append(bit)
+            bit <<= 1
+    steps = 0
     for v in kill:
-        rows = _eliminate_one(rows, system.index(v))
+        rows, hist, steps = _eliminate_one(rows, hist, steps, system.index(v))
 
     # Canonical rows stay canonical when their columns are renumbered.
     kill_set = set(kill)
@@ -215,41 +239,53 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
         {v: system.lower[v] for v in survivors})
 
 
-def _eliminate_one(rows: list[LinearRow], col: int) -> list[LinearRow]:
+def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int):
+    """Eliminate column `col` from the rows and their histories, after
+    `steps` Fourier-Motzkin steps; returns (rows, histories, steps).
+    Gaussian substitution rewrites `rows` and `hist` in place."""
     coef = [dict(r.nonzero).get(col, 0) for r in rows]
     pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
     if pivot is not None:
-        # r - (rc/pc)*p, scaled by |pc|.
-        p, pc = rows[pivot], coef[pivot]
-        out = []
-        for k, (r, rc) in enumerate(zip(rows, coef)):
-            if not rc:
-                out.append(r)
-            elif k != pivot:
+        # r - (rc/pc)*p, scaled by |pc|, in place of each row r with rc != 0.
+        p, pc, ph = rows[pivot], coef[pivot], hist[pivot]
+        for k, rc in enumerate(coef):
+            if rc and k != pivot:
+                r = rows[k]
                 f = rc if pc > 0 else -rc
                 acc = {i: abs(pc) * c for i, c in r.nonzero}
                 for i, c in p.nonzero:
                     acc[i] = acc.get(i, 0) - f * c
-                out.append(_row(r.width, sorted(acc.items()),
-                                abs(pc) * r.const - f * p.const, r.kind))
-        return list(_prune(out))
-
-    upper, lower_rows, out = [], [], []
-    for r, c in zip(rows, coef):
-        if not c:
-            out.append(r)
-        elif c > 0:
-            lower_rows.append((r, c))  # c*v >= -(rest): bounds v from below
-        else:
-            upper.append((r, -c))
-    for lo, a in lower_rows:
-        for hi, b in upper:
-            acc = {i: b * c for i, c in lo.nonzero}
-            for i, c in hi.nonzero:
-                acc[i] = acc.get(i, 0) + a * c
-            out.append(_row(lo.width, sorted(acc.items()),
-                            b * lo.const + a * hi.const, GE))
-    return list(_prune(out))
+                rows[k] = _row(r.width, sorted(acc.items()),
+                               abs(pc) * r.const - f * p.const, r.kind)
+                hist[k] |= ph
+        del rows[pivot], hist[pivot]
+        out, out_hist = rows, hist
+    else:
+        steps += 1
+        out, out_hist, upper, lower_rows = [], [], [], []
+        for r, c, h in zip(rows, coef, hist):
+            if not c:
+                out.append(r)
+                out_hist.append(h)
+            elif c > 0:
+                lower_rows.append((r, c, h))  # c*v >= -(rest): bounds v from below
+            else:
+                upper.append((r, -c, h))
+        for lo, a, hl in lower_rows:
+            for hi, b, hh in upper:
+                h = hl | hh
+                if h.bit_count() > steps + 1:
+                    continue
+                acc = {i: b * c for i, c in lo.nonzero}
+                for i, c in hi.nonzero:
+                    acc[i] = acc.get(i, 0) + a * c
+                out.append(_row(lo.width, sorted(acc.items()),
+                                b * lo.const + a * hi.const, GE))
+                out_hist.append(h)
+    kept = _prune(out, out_hist)
+    if len(kept) == len(out):
+        return out, out_hist, steps
+    return [out[k] for k in kept], [out_hist[k] for k in kept], steps
 
 
 # -- scheduling constraint generators ----------------------------------------

@@ -137,7 +137,9 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         result = _lexmin(system)
         if not result:
             raise SchedulingError(
-                f"no legal scaling and shifting exists at level {level}")
+                f"no legal scaling and shifting exists at level {level}: "
+                f"statements {', '.join(active)}; live dependences "
+                + ", ".join(f"{d.src}->{d.dst} {d.label}" for d in live))
         scaled = ratlp.scale_to_integral(result.assignment, groups)
         merged = _merge_shifts(scaled.values, split)
 

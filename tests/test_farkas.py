@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysched import farkas
 from polysched.farkas import (
-    EQ, GE, ConstraintSystem, _row, eliminate,
+    EQ, GE, ConstraintSystem, LinearRow, _prune, _row, eliminate,
     legality_constraints, bounding_constraints,
 )
 from polysched.frontend import analyze
-from polysched.ratlp import LPProblem, solve_lp
+from polysched.ratlp import INFEASIBLE, OPTIMAL, LPProblem, solve_lp
+from test_golden import EXPECTED_FARKAS, farkas_programs
 
 F = Fraction
 
@@ -277,3 +279,165 @@ class TestSchedulingConstraints:
         assert system.satisfied_by({**base, "w": 1})
         assert not system.satisfied_by({**base, "w": 0})
         assert system.satisfied_by({**base, "u.N": 1})
+
+
+# -- history pruning -----------------------------------------------------------
+
+
+def reference_eliminate(system, kill):
+    """`eliminate` without history pruning: Gaussian substitution, then
+    Fourier-Motzkin keeping every combination that `_prune` keeps."""
+    n = len(system.variables)
+    rows = list(system.rows)
+    for v in kill:
+        b = system.lower[v]
+        if b is not None:
+            rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
+    for v in kill:
+        col = system.index(v)
+        coef = [dict(r.nonzero).get(col, 0) for r in rows]
+        pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
+        out = []
+        if pivot is not None:
+            p, pc = rows[pivot], coef[pivot]
+            for k, (r, rc) in enumerate(zip(rows, coef)):
+                if not rc:
+                    out.append(r)
+                elif k != pivot:
+                    f = rc if pc > 0 else -rc
+                    acc = {i: abs(pc) * c for i, c in r.nonzero}
+                    for i, c in p.nonzero:
+                        acc[i] = acc.get(i, 0) - f * c
+                    out.append(_row(n, sorted(acc.items()),
+                                    abs(pc) * r.const - f * p.const, r.kind))
+        else:
+            out = [r for r, c in zip(rows, coef) if not c]
+            for lo, a in [(r, c) for r, c in zip(rows, coef) if c > 0]:
+                for hi, b in [(r, -c) for r, c in zip(rows, coef) if c < 0]:
+                    acc = {i: b * c for i, c in lo.nonzero}
+                    for i, c in hi.nonzero:
+                        acc[i] = acc.get(i, 0) + a * c
+                    out.append(_row(n, sorted(acc.items()),
+                                    b * lo.const + a * hi.const, GE))
+        rows = [out[k] for k in _prune(out)]
+    survivors = [v for v in system.variables if v not in set(kill)]
+    at = {system.index(v): k for k, v in enumerate(survivors)}
+    return ConstraintSystem(
+        survivors,
+        [LinearRow(tuple((at[i], c) for i, c in r.nonzero), r.const, r.kind,
+                   len(survivors)) for r in rows],
+        {v: system.lower[v] for v in survivors})
+
+
+def implies(system, row) -> bool:
+    """Does every point of the system's rows, with every variable free,
+    satisfy `row`?  One `solve_lp` per sign of the row."""
+    free = ConstraintSystem(system.variables, system.rows,
+                            dict.fromkeys(system.variables))
+    for sign in ((1, -1) if row.kind == EQ else (1,)):
+        objective = {free.variables[i]: sign * c for i, c in row.nonzero}
+        res = solve_lp(LPProblem.of(free, [objective]))
+        if res.status == INFEASIBLE:
+            return True
+        if res.status != OPTIMAL or res.objective[0] + sign * row.const < 0:
+            return False
+    return True
+
+
+def assert_same_shadow(pruned, reference):
+    assert pruned.variables == reference.variables
+    assert pruned.lower == reference.lower
+    assert all(implies(pruned, r) for r in reference.rows)
+    assert all(implies(reference, r) for r in pruned.rows)
+
+
+@pytest.fixture(scope="module")
+def farkas_eliminations(corpus):
+    """Every (system, kill) that Farkas elimination is asked for by the
+    ordering dependences of the corpus and of chain(4), by program."""
+    calls = []
+
+    def record(system, kill):
+        calls.append((system, tuple(kill)))
+        return eliminate(system, kill)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(farkas, "eliminate", record)
+        for name, (program, deps) in farkas_programs(corpus).items():
+            calls.clear()
+            for dep in deps:
+                if dep.ordering:
+                    src, dst = program.statement(dep.src), program.statement(dep.dst)
+                    legality_constraints(dep, src, dst)
+                    bounding_constraints(dep, src, dst)
+            out[name] = list(calls)
+    assert out["chain4"] and out["matmul"]  # the recorder saw the calls
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FARKAS))
+def test_pruned_farkas_rows_have_the_reference_shadow(farkas_eliminations, name):
+    """Both ways, each system's rows imply the other's: the history rule
+    drops only rows that the rows it keeps imply."""
+    for system, kill in farkas_eliminations[name]:
+        assert_same_shadow(eliminate(system, kill), reference_eliminate(system, kill))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pruning_keeps_the_shadow(data):
+    """On small systems with repeated and parallel rows, pruning keeps the
+    reference shadow and never keeps more rows than the reference."""
+    n = data.draw(st.integers(3, 5))
+    names = [f"x{k}" for k in range(n)]
+    lower = {v: data.draw(st.sampled_from([F(0), F(1, 2), F(-1), None]))
+             for v in names}
+    small = st.integers(-2, 2)
+    rows = data.draw(st.lists(
+        st.tuples(st.lists(small, min_size=n, max_size=n), st.integers(-3, 3),
+                  st.sampled_from([GE, GE, EQ])),
+        min_size=1, max_size=7))
+    for coeffs, const, kind in list(rows):
+        how = data.draw(st.sampled_from(["none", "repeat", "scaled", "shifted"]))
+        if how == "repeat":
+            rows.append((coeffs, const, kind))
+        elif how == "scaled":
+            rows.append(([2 * c for c in coeffs], 2 * const, kind))
+        elif how == "shifted":
+            rows.append((coeffs, const + data.draw(small), GE))
+    s = ConstraintSystem(names, (), lower)
+    s = s.with_rows([s.row_from(dict(zip(names, c)), k, kind)
+                     for c, k, kind in rows])
+    kill = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                              max_size=min(3, n - 1), unique=True))
+    pruned, reference = eliminate(s, kill), reference_eliminate(s, kill)
+    assert len(pruned.rows) <= len(reference.rows)
+    assert_same_shadow(pruned, reference)
+
+
+def test_history_rule_skips_a_redundant_pair():
+    """Eliminating y then z: the second step pairs rows of two history bits
+    each, and the two pairs with four bits (k + 2 after k = 2 steps) are
+    skipped.  Both give x + 1 >= 0, which 2x - 1 >= 0 implies."""
+    s = ConstraintSystem(["x", "y", "z"], (), dict.fromkeys("xyz"))
+    s = s.with_rows([s.row_from({"y": 1, "z": -1}),        # bit 1
+                     s.row_from({"y": -1, "x": 1}),        # bit 2
+                     s.row_from({"y": 1, "z": 1}, -1),     # bit 3
+                     s.row_from({"y": -1}, 2)])            # bit 4
+    pruned, reference = eliminate(s, ["y", "z"]), reference_eliminate(s, ["y", "z"])
+    assert rows_as_tuples(reference) == [((F(2),), F(-1), GE), ((F(1),), F(1), GE)]
+    assert rows_as_tuples(pruned) == [((F(2),), F(-1), GE)]
+    assert_same_shadow(pruned, reference)
+
+
+def test_prune_merges_equal_rows_onto_the_smaller_history():
+    """Of equal rows the first with the fewest history bits is kept; a
+    tighter row replaces a looser one whatever its history."""
+    s = ConstraintSystem(["x", "y"])
+    a, tight = s.row_from({"x": 1, "y": -1}), s.row_from({"x": 1, "y": -1}, -1)
+    b = s.row_from({"y": 1})
+    assert _prune([a, b, a, a], [0b111, 1, 0b11, 0b1100]) == [2, 1]
+    assert _prune([a, b, a], [0b1, 1, 0b10]) == [0, 1]
+    assert _prune([a, tight], [0b1, 0b111]) == [1]
+    assert _prune([a, b, a]) == [0, 1]

@@ -1,13 +1,18 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from polysched.cli import main
 from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
+from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import (
     _merge_shifts, _skew_level, dfp_schedule,
     introduce_skew, scale_and_shift,
 )
+from polysched.verify import check_legality, full_rank
 
 F = Fraction
 
@@ -179,3 +184,37 @@ class TestPipeline:
         out = dfp_results["distribution_forced"]
         assert out.transform.bands == (Band(2, 2, True, True, ("P", "Q")),)
         assert out.transform.cuts == (Cut(1, (("P",), ("Q",))),)
+
+
+#: A random nest on which scale/shift finds no row at level 2: the level-1
+#: lexmin leaves S1->S2 unsatisfied, only S1 still loops at level 2, and
+#: there S0->S1 needs phi_S1 >= 0 while S1->S2 needs phi_S1 <= 0 for all j.
+SCALE_SHIFT_INFEASIBLE = Path(__file__).with_name("fixtures") / "scale_shift_infeasible.json"
+
+
+class TestScaleShiftInfeasible:
+    """`dfp` fails on this nest while `lp` and `ilp` schedule it.  Once the
+    pipeline falls back to distribution when scale/shift finds a level
+    infeasible, `dfp` schedules it too and this becomes a success case."""
+
+    def test_error_names_level_statements_and_dependences(self):
+        program, deps = analyze(json.loads(SCALE_SHIFT_INFEASIBLE.read_text()))
+        with pytest.raises(SchedulingError) as err:
+            dfp_schedule(program, deps)
+        message = str(err.value)
+        assert "at level 2:" in message
+        assert "statements S1;" in message
+        assert "S0->S1 A:0->0" in message and "S1->S2 A:0->0" in message
+
+    def test_cli_exits_3_with_the_message(self, capsys):
+        assert main(["schedule", str(SCALE_SHIFT_INFEASIBLE)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: no legal scaling and shifting "
+                              "exists at level 2: statements S1;")
+
+    @pytest.mark.parametrize("mode", [LP, ILP])
+    def test_lp_and_ilp_schedule_it(self, mode):
+        program, deps = analyze(json.loads(SCALE_SHIFT_INFEASIBLE.read_text()))
+        transform = schedule(program, deps, SchedulerConfig(mode=mode)).transform
+        assert check_legality(program, deps, transform).ok
+        assert full_rank(program, transform)
