@@ -13,8 +13,11 @@ duplicated in the steps the checks read changes it.  `golden_farkas.json`
 pins the legality and bounding system (variables, rows in order, lower
 bounds) that Farkas elimination gives every dependence of every corpus
 program and of the four-statement chain of `scripts/bench_chain.py`.
+`golden_workloads.json` pins the transform digest of every `chain` and
+`random` program of the benchmark (`perfbench/workloads.py`) on each path,
+each path on a fresh analysis as the benchmark runs it.
 Refactors of the scheduler keep these outputs exact; a change that alters a
-schedule, a Farkas system or the report on purpose regenerates both files
+schedule, a Farkas system or the report on purpose regenerates the files
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,6 +45,9 @@ EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 GOLDEN_FARKAS = Path(__file__).with_name("golden_farkas.json")
 EXPECTED_FARKAS = (json.loads(GOLDEN_FARKAS.read_text())
                    if GOLDEN_FARKAS.exists() else {})
+GOLDEN_WORKLOADS = Path(__file__).with_name("golden_workloads.json")
+EXPECTED_WORKLOADS = (json.loads(GOLDEN_WORKLOADS.read_text())
+                      if GOLDEN_WORKLOADS.exists() else {})
 SUITE_DIGEST = "83d874d240b85425"
 
 
@@ -132,11 +138,35 @@ def farkas_entry(program, deps) -> dict:
 
 
 def _chain(n: int) -> dict:
-    spec = importlib.util.spec_from_file_location(
-        "bench_chain", Path(__file__).parents[1] / "scripts" / "bench_chain.py")
+    return _load("bench_chain",
+                 Path(__file__).parents[1] / "scripts" / "bench_chain.py").chain(n)
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.chain(n)
+    return module
+
+
+def workload_programs() -> dict:
+    """Program JSON of the benchmark's `chain` and `random` workloads, by
+    "workload/name"."""
+    root = Path(__file__).parents[1]
+    workloads = _load("perfbench_workloads", root / "perfbench" / "workloads.py")
+    return {f"{w}/{name}": data for w in ("chain", "random")
+            for name, data in workloads.programs(w, root / "src")}
+
+
+def workload_entry(data) -> dict:
+    """Transform digest of one benchmark program on each path."""
+    entry = {}
+    for mode in (ILP, LP, "dfp"):
+        program, deps = analyze(data)
+        result = (dfp_schedule(program, deps) if mode == "dfp"
+                  else schedule(program, deps, SchedulerConfig(mode=mode)))
+        entry[mode] = _digest(result.transform.to_json())
+    return entry
 
 
 def farkas_programs(corpus=None) -> dict:
@@ -181,6 +211,20 @@ def test_golden_farkas_rows(farkas_inputs, name):
     assert farkas_entry(*farkas_inputs[name]) == EXPECTED_FARKAS[name]
 
 
+@pytest.fixture(scope="module")
+def workload_inputs():
+    return workload_programs()
+
+
+def test_golden_workloads_cover_the_benchmark(workload_inputs):
+    assert sorted(EXPECTED_WORKLOADS) == sorted(workload_inputs)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_WORKLOADS))
+def test_golden_workload_transforms(workload_inputs, name):
+    assert workload_entry(workload_inputs[name]) == EXPECTED_WORKLOADS[name]
+
+
 def test_suite_report_digest(suite_report):
     assert suite_digest(suite_report) == SUITE_DIGEST
 
@@ -192,4 +236,7 @@ if __name__ == "__main__":
     farkas = {name: farkas_entry(*pd) for name, pd in farkas_programs().items()}
     GOLDEN_FARKAS.write_text(json.dumps(farkas, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(farkas)} programs to {GOLDEN_FARKAS}", file=sys.stderr)
+    work = {name: workload_entry(data) for name, data in workload_programs().items()}
+    GOLDEN_WORKLOADS.write_text(json.dumps(work, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(work)} programs to {GOLDEN_WORKLOADS}", file=sys.stderr)
     print(f"property-suite report digest: {suite_digest(theorem_suite())}", file=sys.stderr)
