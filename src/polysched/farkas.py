@@ -1,16 +1,20 @@
 """Affine constraint systems over named rational variables.
 
 The scheduler needs conditions of the form "phi_dst(t) - phi_src(s) >= 0 for
-every point of a dependence polyhedron".  Such universally quantified
-conditions are linearized with non-negative multipliers over the polyhedron's
-constraints, the coefficients of each iterator, parameter and the constant are
-equated, and the multipliers are projected out again.  The projection builds
-only some of the combinations plain Fourier-Motzkin elimination would: it
-skips those that Chernikov's rule proves redundant, so the shadow is the
-same with fewer rows.  Everything here is exact: every row is a sparse
-canonical integer row (its nonzero entries and its constant are ints with
-gcd 1), elimination combines such rows in exact integers, and only lower
-bounds and solutions are `fractions.Fraction`s; there is no floating point.
+every point of a dependence polyhedron".  By the affine form of Farkas'
+lemma, the forms non-negative on a polyhedron make up one cone that depends
+on the polyhedron alone: `farkas_cone` equates coefficients with a
+non-negative multiplier per ge row and for the slack, and a free one per eq
+row, and projects the multipliers out.  A dependence's legality and bounding
+rows are that cone's rows with the two forms substituted in, so one
+elimination per dependence relation serves both.  The projection builds only
+some of the combinations plain Fourier-Motzkin elimination would: it skips
+those that Chernikov's rule proves redundant, so the shadow is the same with
+fewer rows.  Everything here is exact: every
+row is a sparse canonical integer row (its nonzero entries and its
+constant are ints with gcd 1), elimination combines such rows in exact
+integers, and only lower bounds and solutions are `fractions.Fraction`s;
+there is no floating point.
 """
 
 from __future__ import annotations
@@ -302,86 +306,87 @@ def coefficient_variables(statement: "Statement", params: Sequence[str]) -> list
 
 
 def _difference_form(dep: "DependencePolyhedron", src: "Statement", dst: "Statement"):
-    """phi_dst(t) - phi_src(s) as {dep-space var: {coeff var: weight}} pieces.
+    """phi_dst(t) - phi_src(s) over the dependence space, and the two
+    statements' coefficient variables.  The form is one {coefficient
+    variable: weight} map per relation variable, in order, then one for the
+    constant."""
+    m, n = len(dep.src_vars), len(dep.src_vars) + len(dep.dst_vars)
+    forms: list[dict[str, int]] = [{} for _ in range(n + len(dep.params) + 1)]
+    for k, it in enumerate(src.domain.iterators):
+        forms[k][f"c.{src.id}.{it}"] = -1
+    for k, it in enumerate(dst.domain.iterators):
+        forms[m + k][f"c.{dst.id}.{it}"] = 1
+    if src.id != dst.id:  # a self-dependence's shifts cancel exactly
+        for k, p in enumerate(dep.params):
+            forms[n + k].update({f"d.{dst.id}.{p}": 1, f"d.{src.id}.{p}": -1})
+        forms[-1].update({f"c0.{dst.id}": 1, f"c0.{src.id}": -1})
+    return forms, list(dict.fromkeys(coefficient_variables(src, dep.params)
+                                     + coefficient_variables(dst, dep.params)))
 
-    Returns (linear, const) where `linear` maps each dependence-space variable
-    to the coefficient variables weighting it and `const` collects the pieces
-    that do not involve dependence-space variables.
+
+def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
+    """The affine forms sum_j a_j * x_j + b that are non-negative on every
+    point of `relation`, as rows over a0, ..., a(n-1) (one per relation
+    variable, in order) and b, all free.
+
+    On a non-empty polyhedron such a form is lam_0 + sum_k lam_k * (row k),
+    with the slack lam_0 and each ge row's multiplier non-negative and each
+    eq row's free.  Equating coefficients gives one equation per a_j and one
+    for b; the free multipliers are eliminated first, so Gaussian
+    substitution removes them before any Fourier-Motzkin step.  The
+    relation's variables are free, as in every dependence relation.
     """
-    params = dep.params
-    linear: dict[str, dict[str, int]] = {}
-    for it, var in zip(dst.domain.iterators, dep.dst_vars):
-        linear.setdefault(var, {})[f"c.{dst.id}.{it}"] = 1
-    for it, var in zip(src.domain.iterators, dep.src_vars):
-        linear.setdefault(var, {})[f"c.{src.id}.{it}"] = -1
-    for p in params:
-        cell = linear.setdefault(p, {})
-        cell[f"d.{dst.id}.{p}"] = cell.get(f"d.{dst.id}.{p}", 0) + 1
-        cell[f"d.{src.id}.{p}"] = cell.get(f"d.{src.id}.{p}", 0) - 1
-    const = {f"c0.{dst.id}": 1, f"c0.{src.id}": -1}
-    if src.id == dst.id:
-        # Self-dependence: shifts and parameter shifts cancel exactly.
-        const = {}
-        for p in params:
-            linear[p] = {v: c for v, c in linear[p].items() if c}
-    return linear, const
+    n = len(relation.variables)
+    forms = [f"a{j}" for j in range(n)] + ["b"]
+    free = [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind == EQ]
+    kill = free + ["_l"] + [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind != EQ]
+    system = ConstraintSystem(forms + kill, (), dict.fromkeys(forms + free))
+    lhs = [{v: 1} for v in forms]  # a_j - sum_k lam_k * r_kj == 0, b - lam_0 - ... == 0
+    lhs[n]["_l"] = -1
+    for k, r in enumerate(relation.rows):
+        for j, c in r.nonzero:
+            lhs[j][f"_l{k}"] = -c
+        if r.const:
+            lhs[n][f"_l{k}"] = -r.const
+    return eliminate(system.with_rows(system.row_from(form, 0, EQ) for form in lhs), kill)
 
 
-def _farkas_system(dep, src, dst, extra_linear, extra_const, coeff_vars):
-    """Constraint system stating: the given affine form of the dependence-space
-    variables is non-negative on the whole dependence polyhedron.
-
-    The form is described per dependence-space variable by a mapping from
-    coefficient variables to weights (plus a pure-constant part).  Multiplier
-    variables are introduced, coefficients equated per dependence-space
-    variable and per constant, then the multipliers are eliminated.
-    """
-    relation = dep.relation
-    ineqs = []  # (nonzero, const) of each row as an inequality
-    for r in relation.rows:
-        ineqs.append((r.nonzero, r.const))
-        if r.kind == EQ:
-            ineqs.append((tuple((i, -c) for i, c in r.nonzero), -r.const))
-
-    lam = [f"_l{k}" for k in range(len(ineqs) + 1)]  # lam[0] is the affine slack
-    variables = list(coeff_vars) + lam
-    sys0 = ConstraintSystem(variables)
-
-    # One equation per dependence-space variable, then one for the constant.
-    lhs = [dict(extra_linear.get(var, {})) for var in relation.variables]
-    lhs.append(dict(extra_const))
-    lhs[-1][lam[0]] = -1
-    for k, (nonzero, const) in enumerate(ineqs):
-        for j, c in nonzero:
-            lhs[j][lam[k + 1]] = -c
-        if const:
-            lhs[-1][lam[k + 1]] = -const
-    rows = [sys0.row_from(form, 0, EQ) for form in lhs]
-
-    return eliminate(sys0.with_rows(rows), lam)
+def _cone_rows(dep: "DependencePolyhedron", cone: ConstraintSystem | None,
+               forms: Sequence[Mapping[str, int]], variables: Sequence[str]):
+    """The rows of `cone`, `farkas_cone(dep.relation)` when None, with its
+    k-th variable replaced by the form `forms[k]` over `variables`."""
+    cone = farkas_cone(dep.relation) if cone is None else cone
+    index = {v: i for i, v in enumerate(variables)}
+    subst = [[(index[v], w) for v, w in form.items()] for form in forms]
+    rows = []
+    for r in cone.rows:
+        acc: dict[int, int] = {}
+        for j, c in r.nonzero:
+            for i, w in subst[j]:
+                acc[i] = acc.get(i, 0) + c * w
+        rows.append(_row(len(variables), sorted(acc.items()), r.const, r.kind))
+    return ConstraintSystem(variables, rows)
 
 
 def legality_constraints(dep: "DependencePolyhedron", src: "Statement",
-                         dst: "Statement") -> ConstraintSystem:
+                         dst: "Statement", cone: ConstraintSystem | None = None,
+                         ) -> ConstraintSystem:
     """Rows over the two statements' coefficient variables that hold exactly
-    when phi_dst - phi_src is non-negative on every point of the dependence."""
-    linear, const = _difference_form(dep, src, dst)
-    coeff_vars = list(dict.fromkeys(
-        coefficient_variables(src, dep.params) + coefficient_variables(dst, dep.params)))
-    return _farkas_system(dep, src, dst, linear, const, coeff_vars)
+    when phi_dst - phi_src is non-negative on every point of the dependence.
+    `cone` is `farkas_cone(dep.relation)`, eliminated here when not given;
+    a caller that keeps it shares one elimination between forms."""
+    return _cone_rows(dep, cone, *_difference_form(dep, src, dst))
 
 
 def bounding_constraints(dep: "DependencePolyhedron", src: "Statement",
-                         dst: "Statement") -> ConstraintSystem:
-    """Rows stating u.p + w - (phi_dst - phi_src) >= 0 on the dependence."""
-    linear, const = _difference_form(dep, src, dst)
-    neg_linear = {v: {cv: -w for cv, w in form.items()} for v, form in linear.items()}
-    for p in dep.params:
-        cell = neg_linear.setdefault(p, {})
-        cell[f"u.{p}"] = cell.get(f"u.{p}", 0) + 1
-    neg_const = {cv: -w for cv, w in const.items()}
-    neg_const["w"] = 1
-    coeff_vars = [f"u.{p}" for p in dep.params] + ["w"]
-    coeff_vars += list(dict.fromkeys(
-        coefficient_variables(src, dep.params) + coefficient_variables(dst, dep.params)))
-    return _farkas_system(dep, src, dst, neg_linear, neg_const, coeff_vars)
+                         dst: "Statement", cone: ConstraintSystem | None = None,
+                         ) -> ConstraintSystem:
+    """Rows stating u.p + w - (phi_dst - phi_src) >= 0 on the dependence;
+    `cone` as for `legality_constraints`."""
+    forms, variables = _difference_form(dep, src, dst)
+    forms = [{v: -w for v, w in form.items()} for form in forms]
+    first = len(dep.src_vars) + len(dep.dst_vars)
+    for k, p in enumerate(dep.params):
+        forms[first + k][f"u.{p}"] = 1
+    forms[-1]["w"] = 1
+    return _cone_rows(dep, cone, forms, [f"u.{p}" for p in dep.params] + ["w"] + variables)

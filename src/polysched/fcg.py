@@ -14,7 +14,7 @@ when a color cannot be completed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
@@ -49,16 +49,22 @@ class FusionConflictGraph:
     conflicts: tuple[tuple[Vertex, Vertex], ...]
     cliques: tuple[tuple[Vertex, Vertex], ...]
     loops: tuple[Vertex, ...]
+    #: Every edge in both orientations, self loops once.
+    _edges: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        edges = {(v, v) for v in self.loops}
+        for u, v in self.conflicts + self.cliques:
+            edges.update(((u, v), (v, u)))
+        object.__setattr__(self, "_edges", frozenset(edges))
 
     def has_loop(self, v: Vertex) -> bool:
-        return v in self.loops
+        return (v, v) in self._edges
 
     def conflicting(self, u: Vertex, v: Vertex) -> bool:
-        """True when an edge (conflict or same-statement clique) joins u and v."""
-        if u == v:
-            return self.has_loop(u)
-        return (u, v) in self.conflicts or (v, u) in self.conflicts \
-            or (u, v) in self.cliques or (v, u) in self.cliques
+        """True when an edge (conflict or same-statement clique) joins u and
+        v, or u is v and has a self loop."""
+        return (u, v) in self._edges
 
 
 def fusion_probe(program: Program, statements: Sequence[Statement],
@@ -131,10 +137,10 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
     kept = _transitive_reduction(len(sccs), cond)
 
     by_id = {s.id: s for s in stmts}
+    linked = {frozenset((d.src, d.dst)) for d in deps}
     pairs = []
     for a, b in combinations(ids, 2):
-        between = [d for d in deps if {d.src, d.dst} == {a, b}]
-        if not between:
+        if frozenset((a, b)) not in linked:
             continue
         ca, cb = comp_of[a], comp_of[b]
         if ca != cb and (ca, cb) not in kept and (cb, ca) not in kept:

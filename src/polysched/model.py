@@ -75,24 +75,23 @@ class Statement:
 class Program:
     params: tuple[str, ...]
     statements: tuple[Statement, ...]
-    #: One (legality, bounding) Farkas build per dependence shape, filled by
-    #: `pluto._farkas_rows`, and one verdict per probe shape, filled by
-    #: `fcg.fusion_probe`.
+    #: One Farkas cone per distinct dependence relation (keyed by its rows),
+    #: filled by `pluto._farkas_rows`, one verdict per probe shape, filled by
+    #: `fcg.fusion_probe`, and the statements by id.
     _farkas_shapes: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
     _probe_verdicts: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
+    _by_id: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
-        ids = [s.id for s in self.statements]
-        if len(set(ids)) != len(ids):
+        self._by_id.update((s.id, s) for s in self.statements)
+        if len(self._by_id) != len(self.statements):
             raise ValueError("duplicate statement ids")
 
     def statement(self, sid: str) -> Statement:
-        for s in self.statements:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
+        return self._by_id[sid]
 
 @dataclass(frozen=True, eq=False)
 class DependencePolyhedron:
@@ -111,7 +110,8 @@ class DependencePolyhedron:
     params: tuple[str, ...]
     relation: ConstraintSystem
     label: str = ""
-    #: (legality, bounding) Farkas rows, filled on first use by `pluto._farkas_rows`.
+    #: (legality, bounding) rows, the program's cone of this relation with the
+    #: two forms substituted in, filled on first use by `pluto._farkas_rows`.
     _farkas: tuple[ConstraintSystem, ConstraintSystem] | None = field(
         default=None, init=False, repr=False, compare=False)
     #: Minima by (source row, target row), filled by `min_dependence_component`.
@@ -132,10 +132,11 @@ class DependencePolyhedron:
 
     @property
     def shape(self) -> tuple:
-        """All that the dependence's Farkas rows depend on besides the names
-        of its statements and iterators: the relation's rows, both depths,
-        the parameters, and whether it is a self-dependence.  The rows are
-        built position by position, so names only rename their variables."""
+        """All that the dependence's legality and bounding rows depend on
+        besides the names of its statements and iterators: the relation's
+        rows, both depths, the parameters, and whether it is a
+        self-dependence.  `fcg.fusion_probe` keys its verdicts on it; the
+        Farkas cone needs the relation's rows alone."""
         return (self.relation.rows, len(self.src_vars), len(self.dst_vars),
                 self.params, self.src == self.dst)
 

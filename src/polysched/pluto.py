@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import ratlp
 from .farkas import (
     EQ, ZERO, ConstraintSystem,
-    bounding_constraints, coefficient_variables, legality_constraints,
+    bounding_constraints, coefficient_variables, farkas_cone, legality_constraints,
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
@@ -126,30 +126,17 @@ def _farkas_rows(program: Program, dep: DependencePolyhedron,
 
     They depend only on the dependence and its two statements, so they are
     kept on the dependence and shared by every path and level that uses it.
-    Most dependences of a regular program repeat the `shape` of an earlier
-    one: each shape is eliminated once per program, and a repeat takes its
-    rows as they are, with the coefficient variables renamed position by
-    position to its own statements.
+    Both substitute a form into the Farkas cone of the dependence's
+    relation, which depends on the relation's rows alone: each distinct
+    relation is eliminated once per program.
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)
-        key = dep.shape
-        built = program._farkas_shapes.get(key)
-        if built is None:
-            rows = (legality_constraints(dep, src, dst),
-                    bounding_constraints(dep, src, dst))
-            program._farkas_shapes[key] = (src, dst, rows)
-        else:
-            first_src, first_dst, first_rows = built
-            rename = {}
-            for was, now in ((first_src, src), (first_dst, dst)):
-                rename.update(zip(coefficient_variables(was, dep.params),
-                                  coefficient_variables(now, dep.params)))
-            rows = tuple(
-                ConstraintSystem([rename.get(v, v) for v in s.variables], s.rows,
-                                 {rename.get(v, v): b for v, b in s.lower.items()})
-                for s in first_rows)
-        object.__setattr__(dep, "_farkas", rows)
+        cone = program._farkas_shapes.get(dep.relation.rows)
+        if cone is None:
+            cone = program._farkas_shapes[dep.relation.rows] = farkas_cone(dep.relation)
+        object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst, cone),
+                                            bounding_constraints(dep, src, dst, cone)))
     return dep._farkas
 
 

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from polysched import farkas
 from polysched.farkas import (
     EQ, GE, ConstraintSystem, LinearRow, _prune, _row, eliminate,
-    legality_constraints, bounding_constraints,
+    farkas_cone, legality_constraints, bounding_constraints,
 )
 from polysched.frontend import analyze
-from polysched.ratlp import INFEASIBLE, OPTIMAL, LPProblem, solve_lp
-from test_golden import EXPECTED_FARKAS, farkas_programs
+from polysched.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, solve_lp
+from test_golden import EXPECTED_FARKAS, farkas_programs, workload_programs
 
 F = Fraction
 
@@ -441,3 +441,101 @@ def test_prune_merges_equal_rows_onto_the_smaller_history():
     assert _prune([a, b, a], [0b1, 1, 0b10]) == [0, 1]
     assert _prune([a, tight], [0b1, 0b111]) == [1]
     assert _prune([a, b, a]) == [0, 1]
+
+
+# -- the Farkas cone -------------------------------------------------------------
+
+
+def reference_farkas_system(dep, forms, variables):
+    """Per-form Farkas elimination, for one affine form alone: the form (one
+    {variable: weight} map per relation variable, then one for the constant)
+    is equated with the slack plus one non-negative multiplier per ge row
+    and two per eq row (one per sign), and the multipliers are eliminated."""
+    ineqs = []
+    for r in dep.relation.rows:
+        ineqs.append((r.nonzero, r.const))
+        if r.kind == EQ:
+            ineqs.append((tuple((i, -c) for i, c in r.nonzero), -r.const))
+    lam = [f"_l{k}" for k in range(len(ineqs) + 1)]  # lam[0] is the slack
+    system = ConstraintSystem(list(variables) + lam)
+    lhs = [dict(form) for form in forms]
+    lhs[-1][lam[0]] = -1
+    for k, (nonzero, c0) in enumerate(ineqs):
+        for j, c in nonzero:
+            lhs[j][lam[k + 1]] = -c
+        if c0:
+            lhs[-1][lam[k + 1]] = -c0
+    return eliminate(system.with_rows(system.row_from(f, 0, EQ) for f in lhs), lam)
+
+
+def reference_systems(dep, src, dst):
+    """(legality, bounding) rows of `dep`, each by per-form elimination."""
+    forms, variables = farkas._difference_form(dep, src, dst)
+    neg = [{v: -w for v, w in form.items()} for form in forms]
+    for p in dep.params:
+        neg[dep.relation.index(p)][f"u.{p}"] = 1
+    neg[-1]["w"] = 1
+    bounds = [f"u.{p}" for p in dep.params] + ["w"]
+    return (reference_farkas_system(dep, forms, variables),
+            reference_farkas_system(dep, neg, bounds + variables))
+
+
+RANDOM_NESTS = sorted(name for name in workload_programs() if name.startswith("random/"))
+
+
+@pytest.fixture(scope="module")
+def cone_programs(corpus):
+    """(program, deps) of the corpus, chain(4) and the benchmark's random
+    nests, by name."""
+    programs = farkas_programs(corpus)
+    programs.update((name, analyze(data)) for name, data in workload_programs().items()
+                    if name in RANDOM_NESTS)
+    return programs
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FARKAS) + RANDOM_NESTS)
+def test_cone_rows_have_the_per_form_shadow(cone_programs, name):
+    """Both ways, the legality and bounding rows substituted into the
+    relation's cone and those of per-form elimination imply each other."""
+    program, deps = cone_programs[name]
+    for dep in deps:
+        if dep.ordering:
+            src, dst = program.statement(dep.src), program.statement(dep.dst)
+            mine = (legality_constraints(dep, src, dst),
+                    bounding_constraints(dep, src, dst))
+            for got, want in zip(mine, reference_systems(dep, src, dst)):
+                assert_same_shadow(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cone_holds_exactly_the_nonnegative_forms(data):
+    """On a small non-empty relation of ge and eq rows through a known
+    integer point, a small integer (a, b) is in `farkas_cone` exactly when
+    the minimum of a.x + b over the relation is non-negative; unbounded
+    below counts as outside.  One LP per form, no elimination."""
+    n = data.draw(st.integers(1, 3))
+    names = [f"x{k}" for k in range(n)]
+    point = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    relation = ConstraintSystem(names, (), dict.fromkeys(names))
+    rows = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        kind = data.draw(st.sampled_from([GE, GE, EQ]))
+        slack = 0 if kind == EQ else data.draw(st.integers(0, 2))
+        const = slack - sum(c * x for c, x in zip(coeffs, point))
+        rows.append(relation.row_from(dict(zip(names, coeffs)), const, kind))
+    relation = relation.with_rows(rows)
+    assert relation.satisfied_by(dict(zip(names, point)))
+
+    cone = farkas_cone(relation)
+    assert cone.variables == tuple(f"a{j}" for j in range(n)) + ("b",)
+    assert all(b is None for b in cone.lower.values())
+    for _ in range(6):
+        a = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        b = data.draw(st.integers(-3, 3))
+        res = solve_lp(LPProblem.of(relation, [{v: c for v, c in zip(names, a) if c}]))
+        assert res.status in (OPTIMAL, UNBOUNDED)
+        expect = res.status == OPTIMAL and res.objective[0] + b >= 0
+        form = {**{f"a{j}": c for j, c in enumerate(a)}, "b": b}
+        assert cone.satisfied_by(form) == expect

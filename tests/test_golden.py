@@ -125,8 +125,8 @@ def _steps_digest(steps, systems=True) -> str:
 
 def farkas_entry(program, deps) -> dict:
     """Digest of each dependence's (legality, bounding) system, built afresh
-    rather than taken from the per-shape memo, so every dependence runs
-    through elimination."""
+    from its own Farkas cone rather than taken from the program's memo, so
+    every dependence runs through elimination."""
     entry = {}
     for k, dep in enumerate(deps):
         src, dst = program.statement(dep.src), program.statement(dep.dst)

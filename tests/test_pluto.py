@@ -139,8 +139,9 @@ _spec.loader.exec_module(bench_chain)
 
 
 class TestFarkasShapes:
-    """Each dependence shape is eliminated once per program; repeats are
-    renamed copies that must equal a fresh build."""
+    """Each distinct dependence relation's Farkas cone is eliminated once per
+    program; every dependence's rows substituted into a shared cone must
+    equal a fresh build."""
 
     @staticmethod
     def assert_fresh(program, dep):
@@ -160,13 +161,14 @@ class TestFarkasShapes:
         else:
             program, deps = analyze(bench_chain.chain(4))
         built = []
-        build = pluto.legality_constraints
-        monkeypatch.setattr(pluto, "legality_constraints",
-                            lambda dep, *rest: built.append(dep) or build(dep, *rest))
+        build = pluto.farkas_cone
+        monkeypatch.setattr(pluto, "farkas_cone",
+                            lambda relation: built.append(relation) or build(relation))
         for dep in deps:
             _farkas_rows(program, dep)
-        shapes = {d.shape for d in deps}
-        assert len(built) == len(shapes) < len(deps)
+        relations = {d.relation.rows for d in deps}
+        assert len(built) == len(relations) < len(deps)
+        assert set(program._farkas_shapes) == relations
         for dep in deps:
             self.assert_fresh(program, dep)
 
@@ -195,18 +197,20 @@ class TestFarkasShapes:
                 {"src": "Q", "dst": "Q", "kind": "RAW", "relation": relation},
             ],
         })
-        assert deps[0].relation.rows == deps[1].relation.rows
+        assert deps[0].relation.rows == deps[1].relation.rows == deps[2].relation.rows
         for dep in deps:
             self.assert_fresh(program, dep)
+        # One cone, but the self-dependence's shifts cancel and the cross
+        # dependence's do not.
+        assert len(program._farkas_shapes) == 1
         legality = [_farkas_rows(program, d)[0] for d in deps]
         assert legality[0].rows != legality[1].rows
         assert legality[2].variables == tuple(
             coefficient_variables(program.statement("Q"), ["N"]))
-        assert len(program._farkas_shapes) == 2
 
     def test_iterator_names_do_not_split_shapes(self):
         """Statements alike but for their names and iterator names share one
-        elimination, and the renamed rows equal a fresh build."""
+        elimination, and each one's rows equal a fresh build."""
         def stmt(sid, it):
             return {"id": sid, "iterators": [it],
                     "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
