@@ -10,11 +10,10 @@ rows are that cone's rows with the two forms substituted in, so one
 elimination per dependence relation serves both.  The projection builds only
 some of the combinations plain Fourier-Motzkin elimination would: it skips
 those that Chernikov's rule proves redundant, so the shadow is the same with
-fewer rows.  Everything here is exact: every
-row is a sparse canonical integer row (its nonzero entries and its
-constant are ints with gcd 1), elimination combines such rows in exact
-integers, and only lower bounds and solutions are `fractions.Fraction`s;
-there is no floating point.
+fewer rows.  Everything here is exact: every row is a sparse canonical
+integer row (its nonzero entries and its constant are ints with gcd 1),
+elimination combines such rows in exact integers, and only lower bounds and
+solutions are `fractions.Fraction`s; there is no floating point.
 """
 
 from __future__ import annotations
@@ -337,11 +336,11 @@ def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
     relation's variables are free, as in every dependence relation.
     """
     n = len(relation.variables)
-    forms = [f"a{j}" for j in range(n)] + ["b"]
+    unknowns = [f"a{j}" for j in range(n)] + ["b"]
     free = [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind == EQ]
     kill = free + ["_l"] + [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind != EQ]
-    system = ConstraintSystem(forms + kill, (), dict.fromkeys(forms + free))
-    lhs = [{v: 1} for v in forms]  # a_j - sum_k lam_k * r_kj == 0, b - lam_0 - ... == 0
+    system = ConstraintSystem(unknowns + kill, (), dict.fromkeys(unknowns + free))
+    lhs = [{v: 1} for v in unknowns]  # a_j - sum_k lam_k * r_kj, b - lam_0 - ...
     lhs[n]["_l"] = -1
     for k, r in enumerate(relation.rows):
         for j, c in r.nonzero:
@@ -385,8 +384,7 @@ def bounding_constraints(dep: "DependencePolyhedron", src: "Statement",
     `cone` as for `legality_constraints`."""
     forms, variables = _difference_form(dep, src, dst)
     forms = [{v: -w for v, w in form.items()} for form in forms]
-    first = len(dep.src_vars) + len(dep.dst_vars)
-    for k, p in enumerate(dep.params):
-        forms[first + k][f"u.{p}"] = 1
+    for p in dep.params:
+        forms[dep.relation.index(p)][f"u.{p}"] = 1
     forms[-1]["w"] = 1
     return _cone_rows(dep, cone, forms, [f"u.{p}" for p in dep.params] + ["w"] + variables)
