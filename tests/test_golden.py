@@ -137,16 +137,16 @@ def farkas_entry(program, deps) -> dict:
     return entry
 
 
-def _chain(n: int) -> dict:
-    return _load("bench_chain",
-                 Path(__file__).parents[1] / "scripts" / "bench_chain.py").chain(n)
-
-
 def _load(name: str, path: Path):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _chain(n: int) -> dict:
+    return _load("bench_chain",
+                 Path(__file__).parents[1] / "scripts" / "bench_chain.py").chain(n)
 
 
 def workload_programs() -> dict:
