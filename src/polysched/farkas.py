@@ -7,13 +7,17 @@ on the polyhedron alone: `farkas_cone` equates coefficients with a
 non-negative multiplier per ge row and for the slack, and a free one per eq
 row, and projects the multipliers out.  A dependence's legality and bounding
 rows are that cone's rows with the two forms substituted in, so one
-elimination per dependence relation serves both.  The projection builds only
-some of the combinations plain Fourier-Motzkin elimination would: it skips
-those that Chernikov's rule proves redundant, so the shadow is the same with
-fewer rows.  Everything here is exact: every row is a sparse canonical
-integer row (its nonzero entries and its constant are ints with gcd 1),
-elimination combines such rows in exact integers, and only lower bounds and
-solutions are `fractions.Fraction`s; there is no floating point.
+elimination per dependence relation serves both.  By LP duality the cone
+also gives exact minima: the minimum of a form over the polyhedron is the
+largest k for which the form minus k lies in the cone, and
+`model.min_dependence_component` reads it off the cone's rows without a
+solve.  The projection builds only some of the combinations plain
+Fourier-Motzkin elimination would: it skips those that Chernikov's rule
+proves redundant, so the shadow is the same with fewer rows.  Everything
+here is exact: every row is a sparse canonical integer row (its nonzero
+entries and its constant are ints with gcd 1), elimination combines such
+rows in exact integers, and only lower bounds and solutions are
+`fractions.Fraction`s; there is no floating point.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
-from .farkas import ConstraintSystem, ZERO
-from . import ratlp
+from .farkas import EQ, ConstraintSystem, ZERO, farkas_cone
 
 RAW = "RAW"
 WAR = "WAR"
@@ -113,6 +113,10 @@ class DependencePolyhedron:
     #: (legality, bounding) rows, the program's cone of this relation with the
     #: two forms substituted in, filled on first use by `pluto._farkas_rows`.
     _farkas: tuple[ConstraintSystem, ConstraintSystem] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    #: The Farkas cone of `relation`: the program's shared one once
+    #: `pluto._farkas_rows` has set it, else built on the first minimum.
+    _cone: ConstraintSystem | None = field(
         default=None, init=False, repr=False, compare=False)
     #: Minima by (source row, target row), filled by `min_dependence_component`.
     _minima: dict = field(default_factory=dict, init=False, repr=False,
@@ -379,15 +383,37 @@ def min_dependence_component(dep: DependencePolyhedron,
 
 
 def _min_component(dep, src_row, dst_row) -> Fraction | None:
+    """The minimum read off the relation's Farkas cone, with no solve.
+
+    By LP duality, the minimum of f = sum_j a_j * x_j + b over the relation
+    is the largest k for which f - k lies in the cone.  A cone row without a
+    `b` term that fails at a leaves no such k: f is unbounded below.  Every
+    other row is c.a + c_b * (b - k) >= 0 with c_b > 0, since the cone of a
+    non-empty relation is closed under raising b, so k is b plus the least
+    c.a / c_b.
+    """
     obj, const = dependence_difference(dep, src_row, dst_row)
     if not obj:
         return const
-    res = ratlp.solve_lp(ratlp.LPProblem.of(dep.relation, [obj]))
-    if res.status == ratlp.UNBOUNDED:
-        return None
-    if res.status != ratlp.OPTIMAL:
+    if dep._cone is None:
+        object.__setattr__(dep, "_cone", farkas_cone(dep.relation))
+    # a scaled by the common denominator `den`, so each c.a is an int sum.
+    a = [obj.get(v, ZERO) for v in dep.relation.variables]
+    den = lcm(*(x.denominator for x in a))
+    a = [x.numerator * (den // x.denominator) for x in a]
+    n = len(a)
+    least, unbounded = None, False  # least as (c.a, c_b)
+    for r in dep._cone.rows:
+        cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
+        ca = r.const * den + sum(c * a[j] for j, c in r.nonzero if j < n)
+        if cb:
+            if least is None or ca * least[1] < least[0] * cb:
+                least = (ca, cb)
+        elif ca < 0 or (ca and r.kind == EQ):
+            unbounded = True
+    if least is None:  # b is free: the relation has no point
         raise SchedulingError(f"dependence polyhedron became empty: {dep!r}")
-    return res.objective[0] + const
+    return None if unbounded else Fraction(least[0], least[1] * den) + const
 
 
 def component_range(dep: DependencePolyhedron, transform: AffineTransform,

@@ -128,13 +128,16 @@ def _farkas_rows(program: Program, dep: DependencePolyhedron,
     kept on the dependence and shared by every path and level that uses it.
     Both substitute a form into the Farkas cone of the dependence's
     relation, which depends on the relation's rows alone: each distinct
-    relation is eliminated once per program.
+    relation is eliminated once per program.  The dependence keeps the
+    cone too, for `model.min_dependence_component`.
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)
         cone = program._farkas_shapes.get(dep.relation.rows)
         if cone is None:
-            cone = program._farkas_shapes[dep.relation.rows] = farkas_cone(dep.relation)
+            cone = dep._cone if dep._cone is not None else farkas_cone(dep.relation)
+            program._farkas_shapes[dep.relation.rows] = cone
+        object.__setattr__(dep, "_cone", cone)
         object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst, cone),
                                             bounding_constraints(dep, src, dst, cone)))
     return dep._farkas

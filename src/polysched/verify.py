@@ -16,12 +16,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
+from . import ratlp
 from .farkas import EQ, ConstraintSystem
 from .fcg import build_fcg, colorable_dimension, fusion_probe
 from .frontend import ParseError, analyze, parse_json
 from .model import (
-    AffineTransform, DependencePolyhedron, Program,
-    component_range, components, scc_decompose,
+    AffineTransform, DependencePolyhedron, Program, SchedulingError,
+    components, dependence_difference, scc_decompose,
 )
 from .pluto import (
     ILP, LP, ScheduleResult, SchedulerConfig, Step,
@@ -54,6 +55,24 @@ def _dep_name(dep: DependencePolyhedron) -> str:
     return f"{dep.src}->{dep.dst}:{dep.label}"
 
 
+def lp_minimum(dep: DependencePolyhedron, src_row, dst_row) -> Optional[Fraction]:
+    """Exact minimum of phi_dst - phi_src over the dependence polyhedron by
+    one rational LP over the relation, None when unbounded below.
+
+    The legality check's own oracle: it shares neither the Farkas cone the
+    scheduler reads its minima from nor the scheduler's memo of them.
+    """
+    obj, const = dependence_difference(dep, src_row, dst_row)
+    if not obj:
+        return const
+    res = ratlp.solve_lp(ratlp.LPProblem.of(dep.relation, [obj]))
+    if res.status == ratlp.UNBOUNDED:
+        return None
+    if res.status != ratlp.OPTIMAL:
+        raise SchedulingError(f"dependence polyhedron became empty: {dep!r}")
+    return res.objective[0] + const
+
+
 def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
                    transform: AffineTransform) -> LegalityReport:
     """Exact per-level validation of a complete transform.
@@ -74,7 +93,8 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
         common = min(len(transform.rows[dep.src]), len(transform.rows[dep.dst]))
         satisfied = False
         for level in range(1, common + 1):
-            m = component_range(dep, transform, level)
+            m = lp_minimum(dep, transform.row(dep.src, level),
+                           transform.row(dep.dst, level))
             if m is not None and m >= 1:
                 satisfied = True
                 break

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import ratlp
+from polysched import model, ratlp
 from polysched.farkas import ConstraintSystem
 from polysched.frontend import analyze
 from polysched.model import (
     RAR, RAW,
     AffineTransform, Band, Cut, DependencePolyhedron, IndexSet, Program,
+    SchedulingError,
     component_range, components, identity_transform, min_dependence_component,
     satisfaction_level, scc_decompose,
 )
+from polysched.verify import lp_minimum
 
 F = Fraction
 
@@ -206,15 +208,37 @@ class TestSatisfaction:
         assert satisfaction_level(dep, t) is None
 
     def test_minimum_is_solved_once_per_pair_of_rows(self, pair, monkeypatch):
+        """The memo computes each pair of rows once, and a minimum is read
+        off the Farkas cone without any solver call."""
         program, dep = pair
-        solves = []
-        solve = ratlp.solve_lp
-        monkeypatch.setattr(ratlp, "solve_lp", lambda p: solves.append(p) or solve(p))
+        computed = []
+        compute = model._min_component
+        monkeypatch.setattr(model, "_min_component",
+                            lambda *args: computed.append(args) or compute(*args))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a dependence minimum called the solver")
+
+        for name in ("solve_lp", "solve_lexmin", "solve_ilp"):
+            monkeypatch.setattr(ratlp, name, no_solve)
         src, dst = (F(1), F(0), F(0)), (F(3), F(0), F(-7))
         assert min_dependence_component(dep, src, dst) == 6 - 7
         assert min_dependence_component(dep, list(src), list(dst)) == -1
         assert min_dependence_component(dep, dst, src) is None
-        assert len(solves) == 2
+        assert min_dependence_component(dep, dst, src) is None
+        assert len(computed) == 2
+
+    def test_empty_relation_raises_like_the_lp(self):
+        """A relation with no point has every form in its cone: both the
+        cone minimum and the legality check's LP report it."""
+        names = ("i", "i'", "N")
+        rel = ConstraintSystem(names, (), dict.fromkeys(names))
+        rel = rel.with_rows([rel.row_from({"i": 1}), rel.row_from({"i": -1}, -1)])
+        dep = DependencePolyhedron("P", "Q", RAW, ("i",), ("i'",), ("N",), rel)
+        row = (F(1), F(0), F(0))
+        for minimum in (min_dependence_component, lp_minimum):
+            with pytest.raises(SchedulingError, match="empty"):
+                minimum(dep, row, row)
 
     def test_missing_row_acts_as_zero(self, pair):
         program, dep = pair
