@@ -49,22 +49,30 @@ class FusionConflictGraph:
     conflicts: tuple[tuple[Vertex, Vertex], ...]
     cliques: tuple[tuple[Vertex, Vertex], ...]
     loops: tuple[Vertex, ...]
-    #: Every edge in both orientations, self loops once.
-    _edges: frozenset = field(init=False, repr=False, compare=False)
+    #: The vertices joined to each vertex by an edge, itself if it has a
+    #: self loop.
+    _neighbours: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges = {(v, v) for v in self.loops}
+        adj: dict[Vertex, set] = {v: set() for v in self.vertices}
+        for v in self.loops:
+            adj[v].add(v)
         for u, v in self.conflicts + self.cliques:
-            edges.update(((u, v), (v, u)))
-        object.__setattr__(self, "_edges", frozenset(edges))
+            adj[u].add(v)
+            adj[v].add(u)
+        object.__setattr__(self, "_neighbours",
+                           {v: frozenset(vs) for v, vs in adj.items()})
+
+    def neighbours(self, v: Vertex) -> frozenset:
+        return self._neighbours[v]
 
     def has_loop(self, v: Vertex) -> bool:
-        return (v, v) in self._edges
+        return v in self._neighbours[v]
 
     def conflicting(self, u: Vertex, v: Vertex) -> bool:
         """True when an edge (conflict or same-statement clique) joins u and
         v, or u is v and has a self loop."""
-        return (u, v) in self._edges
+        return v in self._neighbours[u]
 
 
 def fusion_probe(program: Program, statements: Sequence[Statement],
@@ -123,9 +131,11 @@ def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int,
         b in part for part in _partition(range(n), succ, [c for c in succ[a] if c != b]))}
 
 
-def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron]):
-    """Statement pairs worth probing: directly connected, minus pairs whose
-    ordering is already implied transitively through other statements."""
+def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron],
+                 linked: set):
+    """Statement pairs worth probing: directly connected (`linked` holds the
+    frozenset of each dependence's endpoints), minus pairs whose ordering is
+    already implied transitively through other statements."""
     ids = [s.id for s in stmts]
     comp_of: dict[str, int] = {}
     sccs = scc_decompose(ids, deps)
@@ -137,7 +147,6 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
     kept = _transitive_reduction(len(sccs), cond)
 
     by_id = {s.id: s for s in stmts}
-    linked = {frozenset((d.src, d.dst)) for d in deps}
     pairs = []
     for a, b in combinations(ids, 2):
         if frozenset((a, b)) not in linked:
@@ -164,6 +173,11 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
         stmts = [s for s in program.statements if s.id in chosen]
     ids = {s.id for s in stmts}
     pool = [d for d in deps if d.src in ids and d.dst in ids]
+    # The pool by the frozenset of endpoints, each list in pool order.
+    by_pair: dict[frozenset, list] = {}
+    for d in pool:
+        by_pair.setdefault(frozenset((d.src, d.dst)), []).append(d)
+    position = {d: k for k, d in enumerate(pool)}
 
     vertices = tuple((s.id, k) for s in stmts for k in range(s.dim))
     index = {v: i for i, v in enumerate(vertices)}
@@ -173,7 +187,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
 
     loops = []
     for s in stmts:
-        mine = [d for d in pool if d.src == s.id and d.dst == s.id]
+        mine = by_pair.get(frozenset((s.id,)))
         if not mine:
             continue
         for k in range(s.dim):
@@ -181,8 +195,11 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
                 loops.append((s.id, k))
 
     conflicts = []
-    for a, b in _probe_pairs(stmts, pool):
-        involved = [d for d in pool if {d.src, d.dst} <= {a.id, b.id}]
+    for a, b in _probe_pairs(stmts, pool, by_pair.keys()):
+        involved = sorted(by_pair.get(frozenset((a.id,)), [])
+                          + by_pair.get(frozenset((b.id,)), [])
+                          + by_pair[frozenset((a.id, b.id))],
+                          key=position.__getitem__)
         for da, db in product(range(a.dim), range(b.dim)):
             ok = fusion_probe(program, (a, b), {a.id: da, b.id: db}, involved)
             if not ok:
@@ -233,7 +250,7 @@ class _Failure:
 
 def _color_scc(by_id: Mapping[str, Statement], comp: Sequence[str],
                colors: Mapping[str, list], fcg: FusionConflictGraph,
-               chosen: Sequence[Vertex]):
+               chosen: set[Vertex]):
     """Pick one free dimension per live statement of the component, lowest
     index first, compatible with everything already chosen at this color."""
     picked: list[Vertex] = []
@@ -245,13 +262,12 @@ def _color_scc(by_id: Mapping[str, Statement], comp: Sequence[str],
         pick = None
         for k in range(s.dim):
             v = (sid, k)
-            if k in used or fcg.has_loop(v):
+            near = fcg.neighbours(v)
+            if k in used or v in near:
                 continue
-            if any(fcg.conflicting(v, u) for u in chosen) or \
-               any(fcg.conflicting(v, u) for u in picked):
-                continue
-            pick = v
-            break
+            if near.isdisjoint(chosen) and near.isdisjoint(picked):
+                pick = v
+                break
         if pick is None:
             return None
         picked.append(pick)
@@ -266,12 +282,12 @@ def _color_once(stmts: Sequence[Statement], live: Sequence[DependencePolyhedron]
     colors: dict[str, list] = {s.id: [] for s in stmts}
     sccs = scc_decompose([s.id for s in stmts], live)
     for color in range(1, max_colors + 1):
-        chosen: list[Vertex] = []
+        chosen: set[Vertex] = set()
         for idx, comp in enumerate(sccs):
             picked = _color_scc(by_id, comp, colors, fcg, chosen)
             if picked is None:
                 return _Failure(color, idx, sccs, colors)
-            chosen += picked
+            chosen.update(picked)
     return colors
 
 
