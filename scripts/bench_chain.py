@@ -1,11 +1,14 @@
-"""Scaling benchmark: a chain of two-dimensional statements.
+"""Scaling benchmark: a pipeline of two-dimensional statements.
 
-Statement k writes array k and reads array k-1 at the same point, so the
-dependence graph is a single path and every statement stays fusable with its
-neighbours.  Times the integer scheduler, the relaxed scheduler and the
-conflict-graph pipeline at several chain lengths, next to the size of the
-constraint systems they solve: `rows` sums the legality and bounding Farkas
-rows over the chain's dependences.
+In the default `chain` family, statement k writes array k and reads array
+k-1 at the same point, so the dependence graph is a single path and every
+statement stays fusable with its neighbours.  In the `fan-in` family
+(`--family fan-in`), statement k reads the arrays of statements k-1 and k-2,
+so the graph has about twice the edges and the conflict graph more probes.
+Times the integer scheduler, the relaxed scheduler and the conflict-graph
+pipeline at several lengths, next to the size of the constraint systems
+they solve: `rows` sums the legality and bounding Farkas rows over the
+dependences.
 """
 
 import argparse
@@ -19,12 +22,14 @@ from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 
 
-def chain(n: int) -> dict:
+def chain(n: int, back: int = 1) -> dict:
+    """n statements; statement k reads the arrays of the `back` statements
+    before it, nearest first, at the point it writes."""
     stmts = []
     for k in range(n):
         reads = []
-        if k:
-            reads.append({"array": f"A{k - 1}", "kind": "read",
+        for j in range(k - 1, max(k - back, 0) - 1, -1):
+            reads.append({"array": f"A{j}", "kind": "read",
                           "map": [[1, 0, 0, 0], [0, 1, 0, 0]]})
         stmts.append({
             "id": f"S{k}",
@@ -38,14 +43,24 @@ def chain(n: int) -> dict:
     return {"params": ["N"], "statements": stmts}
 
 
+def fan_in(n: int) -> dict:
+    return chain(n, back=2)
+
+
+FAMILIES = {"chain": chain, "fan-in": fan_in}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,30",
-                        help="comma-separated chain lengths")
+                        help="comma-separated pipeline lengths")
+    parser.add_argument("--family", choices=FAMILIES, default="chain",
+                        help="which statements each statement reads (default: chain)")
     parser.add_argument("--emit", metavar="FILE",
-                        help="also write the largest chain as JSON")
+                        help="also write the longest pipeline as JSON")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    family = FAMILIES[args.family]
 
     print(f"{'n':>4} {'deps':>5} {'rows':>6} {'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
     for n in sizes:
@@ -54,7 +69,7 @@ def main() -> int:
         for path in ("ilp", "lp", "dfp"):
             # A fresh analysis per path, untimed: Farkas rows are kept on
             # the dependences, so a shared one would favour later paths.
-            program, deps = frontend.analyze(chain(n))
+            program, deps = frontend.analyze(family(n))
             t0 = time.perf_counter()
             if path == "dfp":
                 results[path] = dfp_schedule(program, deps)
@@ -78,7 +93,7 @@ def main() -> int:
 
     if args.emit:
         with open(args.emit, "w") as fh:
-            json.dump(chain(max(sizes)), fh, indent=2)
+            json.dump(family(max(sizes)), fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.emit}", file=sys.stderr)
     return 0

@@ -2,7 +2,7 @@
 
 One test per gate, in a fixed order, each printing a single PASS/FAIL line
 so a run with output enabled reads as a checklist.  The corpus-wide property
-suite is shared through the session fixture; the two timing gates measure
+suite is shared through the session fixture; the timing gates measure
 fresh runs.
 """
 
@@ -139,11 +139,11 @@ def test_structural_feasibility(suite_report):
                                      "scc-colorability", "fusion-transitivity"]))
 
 
-def _cpu_time(run):
-    """CPU seconds of one run on chain-30, and its result.  Every run
+def _cpu_time(run, n=30):
+    """CPU seconds of one run on chain-n, and its result.  Every run
     gets its own analysis: Farkas rows are kept on the dependences, and a
     shared analysis would hand a later run an earlier one's rows."""
-    program, deps = analyze(bench_chain.chain(30))
+    program, deps = analyze(bench_chain.chain(n))
     t0 = time.process_time()
     result = run(program, deps)
     return time.process_time() - t0, result
@@ -169,3 +169,20 @@ def test_scalability_smoke():
                    f"integer scheduler ({t_ilp:.2f}s)")
     gate("scalability-smoke", bad,
          f"median CPU dfp {t_dfp:.2f}s vs ilp {t_ilp:.2f}s")
+
+
+def test_chain_100_dfp_at_most_half_of_ilp():
+    # The paper's claim at scale: on chain-100, the median CPU time of
+    # three alternating runs of `dfp` is at most half that of `ilp`.
+    runs = {"dfp": [], "ilp": []}
+    for _ in range(3):
+        runs["dfp"].append(_cpu_time(dfp_schedule, 100)[0])
+        runs["ilp"].append(_cpu_time(lambda program, deps: schedule(
+            program, deps, SchedulerConfig(mode="ilp")), 100)[0])
+    t_dfp, t_ilp = (sorted(runs[path])[1] for path in ("dfp", "ilp"))
+    bad = []
+    if t_dfp > t_ilp / 2:
+        bad.append(f"pipeline ({t_dfp:.3f}s) takes more than half the "
+                   f"integer scheduler's time ({t_ilp:.3f}s)")
+    gate("chain-100-scaling", bad,
+         f"median CPU dfp {t_dfp:.3f}s vs ilp {t_ilp:.3f}s")
