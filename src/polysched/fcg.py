@@ -131,11 +131,9 @@ def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int,
         b in part for part in _partition(range(n), succ, [c for c in succ[a] if c != b]))}
 
 
-def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron],
-                 linked: set):
-    """Statement pairs worth probing: directly connected (`linked` holds the
-    frozenset of each dependence's endpoints), minus pairs whose ordering is
-    already implied transitively through other statements."""
+def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron]):
+    """Statement pairs worth probing: directly connected, minus pairs whose
+    ordering is already implied transitively through other statements."""
     ids = [s.id for s in stmts]
     comp_of: dict[str, int] = {}
     sccs = scc_decompose(ids, deps)
@@ -147,6 +145,7 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
     kept = _transitive_reduction(len(sccs), cond)
 
     by_id = {s.id: s for s in stmts}
+    linked = {frozenset((d.src, d.dst)) for d in deps}
     pairs = []
     for a, b in combinations(ids, 2):
         if frozenset((a, b)) not in linked:
@@ -195,7 +194,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
                 loops.append((s.id, k))
 
     conflicts = []
-    for a, b in _probe_pairs(stmts, pool, by_pair.keys()):
+    for a, b in _probe_pairs(stmts, pool):
         involved = sorted(by_pair.get(frozenset((a.id,)), [])
                           + by_pair.get(frozenset((b.id,)), [])
                           + by_pair[frozenset((a.id, b.id))],
