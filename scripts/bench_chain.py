@@ -5,10 +5,10 @@ k-1 at the same point, so the dependence graph is a single path and every
 statement stays fusable with its neighbours.  In the `fan-in` family
 (`--family fan-in`), statement k reads the arrays of statements k-1 and k-2,
 so the graph has about twice the edges and the conflict graph more probes.
-Times the integer scheduler, the relaxed scheduler and the conflict-graph
-pipeline at several lengths, next to the size of the constraint systems
-they solve: `rows` sums the legality and bounding Farkas rows over the
-dependences.
+Times dependence analysis (`analysis`, one `frontend.analyze`), then the
+integer scheduler, the relaxed scheduler and the conflict-graph pipeline at
+several lengths, next to the size of the constraint systems they solve:
+`rows` sums the legality and bounding Farkas rows over the dependences.
 """
 
 import argparse
@@ -62,14 +62,18 @@ def main() -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     family = FAMILIES[args.family]
 
-    print(f"{'n':>4} {'deps':>5} {'rows':>6} {'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
+    print(f"{'n':>4} {'deps':>5} {'rows':>6} {'analysis':>9} "
+          f"{'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
     for n in sizes:
-        times = {}
+        data = family(n)
+        t0 = time.perf_counter()
+        frontend.analyze(data)
+        times = {"analysis": time.perf_counter() - t0}
         results = {}
         for path in ("ilp", "lp", "dfp"):
             # A fresh analysis per path, untimed: Farkas rows are kept on
             # the dependences, so a shared one would favour later paths.
-            program, deps = frontend.analyze(family(n))
+            program, deps = frontend.analyze(data)
             t0 = time.perf_counter()
             if path == "dfp":
                 results[path] = dfp_schedule(program, deps)
@@ -86,9 +90,9 @@ def main() -> int:
         shape = ", ".join(
             f"{b.start}-{b.end}{'p' if b.parallel else ''}"
             for b in dfp.transform.bands)
-        print(f"{n:>4} {len(deps):>5} {rows:>6} "
-              f"{times['ilp'] * 1000:>7.0f}ms {times['lp'] * 1000:>7.0f}ms "
-              f"{times['dfp'] * 1000:>7.0f}ms   {shape} "
+        ms = {k: f"{t * 1000:>7.0f}ms" for k, t in times.items()}
+        print(f"{n:>4} {len(deps):>5} {rows:>6} {ms['analysis']} "
+              f"{ms['ilp']} {ms['lp']} {ms['dfp']}   {shape} "
               f"(integer: {len(ilp.transform.bands)} bands)")
 
     if args.emit:

@@ -102,6 +102,13 @@ class ConstraintSystem:
     __slots__ = ("variables", "rows", "lower", "_index")
 
     def __init__(self, variables, rows=(), lower=None):
+        self._set_variables(variables, lower)
+        rows = tuple(rows)
+        kept = _prune(rows)
+        self.rows: tuple[LinearRow, ...] = (
+            rows if len(kept) == len(rows) else tuple(map(rows.__getitem__, kept)))
+
+    def _set_variables(self, variables, lower):
         self.variables: tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
@@ -113,10 +120,15 @@ class ConstraintSystem:
                     raise KeyError(v)
                 bounds[v] = None if b is None else Fraction(b)
         self.lower: dict[str, Fraction | None] = bounds
-        rows = tuple(rows)
-        kept = _prune(rows)
-        self.rows: tuple[LinearRow, ...] = (
-            rows if len(kept) == len(rows) else tuple(map(rows.__getitem__, kept)))
+
+    @classmethod
+    def _of_pruned(cls, variables, rows, lower) -> "ConstraintSystem":
+        """The system over `rows` as given, which `_prune` would keep whole:
+        the rows of an existing system, or rows renumbered from them."""
+        system = cls.__new__(cls)
+        system._set_variables(variables, lower)
+        system.rows = tuple(rows)
+        return system
 
     def index(self, var: str) -> int:
         return self._index[var]
@@ -139,7 +151,7 @@ class ConstraintSystem:
     def with_lower(self, bounds: Mapping[str, Fraction | int | None]) -> "ConstraintSystem":
         merged = dict(self.lower)
         merged.update({v: b for v, b in bounds.items()})
-        return ConstraintSystem(self.variables, self.rows, merged)
+        return ConstraintSystem._of_pruned(self.variables, self.rows, merged)
 
     # -- checking -------------------------------------------------------------
 
@@ -235,11 +247,12 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     for v in kill:
         rows, hist, steps = _eliminate_one(rows, hist, steps, system.index(v))
 
-    # Canonical rows stay canonical when their columns are renumbered.
+    # Canonical rows stay canonical, and `_eliminate_one`'s pruned rows stay
+    # pruned, when their columns are renumbered: no killed column is left.
     kill_set = set(kill)
     survivors = [v for v in system.variables if v not in kill_set]
     at = {system.index(v): k for k, v in enumerate(survivors)}
-    return ConstraintSystem(
+    return ConstraintSystem._of_pruned(
         survivors,
         [LinearRow(tuple((at[i], c) for i, c in r.nonzero), r.const, r.kind,
                    len(survivors)) for r in rows],

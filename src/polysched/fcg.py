@@ -27,8 +27,6 @@ from .model import (
     Program,
     SchedulingError,
     Statement,
-    _adjacency,
-    _partition,
     constant_row,
     satisfaction_level,
     scc_decompose,
@@ -125,10 +123,28 @@ def _probe(program, statements, choose, deps, parametric_shifts) -> bool:
 
 def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """Edges of a DAG not implied by a longer path: (a, b) goes when b is
-    reachable from another successor of a."""
-    succ = _adjacency(range(n), edges)
-    return {(a, b) for a, b in edges if not any(
-        b in part for part in _partition(range(n), succ, [c for c in succ[a] if c != b]))}
+    reachable from another successor of a.  The vertices 0..n-1 must be
+    numbered in a topological order, every edge going to a larger number.
+
+    One pass, from the last vertex back, keeps each vertex's set of vertices
+    reachable by a non-empty path as an int bitmask.  In a DAG, b is
+    reachable from another successor of a exactly when it is reachable from
+    any successor, b itself included, since b cannot reach itself.
+    """
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        succ[a].append(b)
+    below = [0] * n
+    kept = set()
+    for v in reversed(range(n)):
+        via = 0
+        for c in succ[v]:
+            via |= below[c]
+        kept.update((v, b) for b in succ[v] if not via >> b & 1)
+        for c in succ[v]:
+            via |= 1 << c
+        below[v] = via
+    return kept
 
 
 def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron]):
@@ -142,7 +158,7 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
             comp_of[sid] = ci
     cond = {(comp_of[d.src], comp_of[d.dst])
             for d in deps if comp_of[d.src] != comp_of[d.dst]}
-    kept = _transitive_reduction(len(sccs), cond)
+    kept = _transitive_reduction(len(sccs), cond)  # `sccs` is topologically sorted
 
     by_id = {s.id: s for s in stmts}
     linked = {frozenset((d.src, d.dst)) for d in deps}

@@ -11,6 +11,13 @@ share, or, equal on all of them, if its statement comes first in textual
 order; each depth of first precedence gets its own polyhedron.  Statements
 are separate nests, so two statements share no loop, while a statement
 shares all its loops with itself.
+
+Most candidate polyhedra are empty because their own equalities contradict
+them, so the equalities are reduced first, in exact integers (the first step
+of Pugh's Omega test): a candidate they refute is dropped with no solve.
+Every other candidate is solved, once per distinct relation per analysis,
+and only statement pairs that share an array are visited.  Explicit
+dependences are solved one by one.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import ratlp
-from .farkas import EQ, GE, ConstraintSystem
+from .farkas import EQ, GE, ConstraintSystem, LinearRow
+from .farkas import _row as _canonical
 from .model import (
     RAR, RAW, WAR, WAW,
     AccessFunction, DependencePolyhedron, IndexSet, Program, Statement,
@@ -185,12 +193,13 @@ def _dependence_space(src: Statement, dst: Statement, params: Sequence[str]):
     variables = svars + tvars + tuple(params)
     out = ConstraintSystem(variables, (), dict.fromkeys(variables, None))
 
+    # Canonical rows stay canonical when their columns are renumbered in order.
     rows = []
     for aliases, stmt in ((svars, src), (tvars, dst)):
-        local = list(aliases) + list(params)
-        for r in stmt.domain.system.rows:
-            rows.append(out.row_from(
-                {local[k]: c for k, c in r.nonzero}, r.const, r.kind))
+        at = [out.index(v) for v in aliases + tuple(params)]
+        rows += [LinearRow(tuple((at[k], c) for k, c in r.nonzero), r.const,
+                           r.kind, len(variables))
+                 for r in stmt.domain.system.rows]
     for p in params:
         rows.append(out.row_from({p: 1}))
     return svars, tvars, out.with_rows(rows)
@@ -217,18 +226,65 @@ _KIND_OF = {("write", "read"): RAW, ("read", "write"): WAR,
 
 
 def _dependence(src: Statement, dst: Statement, kind: str,
-                space: ConstraintSystem, rows, label: str):
-    """The dependence on `space` restricted by `rows`, or None when no
-    rational point satisfies them."""
-    relation = space.with_rows(rows)
-    if not ratlp.solve_lp(ratlp.LPProblem.of(relation)):
-        return None
-    v, m, n = space.variables, src.dim, src.dim + dst.dim
+                relation: ConstraintSystem, label: str) -> DependencePolyhedron:
+    v, m, n = relation.variables, src.dim, src.dim + dst.dim
     return DependencePolyhedron(src.id, dst.id, kind, v[:m], v[m:n], v[n:],
                                 relation, label=label)
 
 
-def _deps_between(src: Statement, dst: Statement, params) -> list[DependencePolyhedron]:
+def _nonempty(relation: ConstraintSystem) -> bool:
+    """Does a rational point satisfy every row of `relation`?"""
+    return bool(ratlp.solve_lp(ratlp.LPProblem.of(relation)))
+
+
+# -- refutation by equalities -------------------------------------------------
+#
+# An echelon form is a tuple of canonical equality rows, each reduced against
+# the rows before it; a row's pivot is its first entry, positive because the
+# row is canonical.  Reducing a row against the form takes only positive
+# multiples of it, so an inequality keeps its sense, and every step is exact
+# in ints.  A candidate relation is empty when its equalities reduce a row to
+# a nonzero constant, or its strict row to a negative one.  This decides
+# rational feasibility of the equalities exactly and of the inequalities only
+# partly, so a candidate that survives still goes to the solver.
+
+
+def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
+    """A positive multiple of `row` minus multiples of the rows of `form`,
+    with zero at every pivot of `form`."""
+    acc, const = dict(row.nonzero), row.const
+    for p in form:
+        j, pc = p.nonzero[0]
+        rc = acc.pop(j, 0)
+        if rc:
+            acc = {i: pc * c for i, c in acc.items()}
+            for i, c in p.nonzero[1:]:
+                acc[i] = acc.get(i, 0) - rc * c
+            const = pc * const - rc * p.const
+    return _canonical(row.width, sorted(acc.items()), const, row.kind)
+
+
+def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow):
+    """`form` with the equality `row` added, or None when they contradict
+    (or `form` is already None)."""
+    if form is None:
+        return None
+    r = _reduce(row, form)
+    if not r.nonzero:
+        return None if r.const else form
+    return form + (r,)
+
+
+def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow) -> bool:
+    """Do the equalities of `form` leave the inequality `row` no point?"""
+    if form is None:
+        return True
+    r = _reduce(row, form)
+    return not r.nonzero and r.const < 0
+
+
+def _deps_between(src: Statement, dst: Statement, params,
+                  verdicts: dict) -> list[DependencePolyhedron]:
     """Dependences from `src` to `dst`, one polyhedron per access pair and
     order case.
 
@@ -238,6 +294,10 @@ def _deps_between(src: Statement, dst: Statement, params) -> list[DependencePoly
     throughout, when its statement comes first in textual order.  Read-read
     pairs of a statement with itself are skipped: they never order instances
     and fusion analysis only uses cross-statement ones.
+
+    A case whose equalities refute it (see `_refutes`) is dropped unsolved;
+    any other goes to the solver once per distinct relation, its verdict
+    kept in `verdicts` under the relation's rows.
     """
     shared = src.dim if src is dst else 0
     tie = src.textual_order < dst.textual_order
@@ -247,25 +307,52 @@ def _deps_between(src: Statement, dst: Statement, params) -> list[DependencePoly
     if not pairs:
         return []
     svars, tvars, space = _dependence_space(src, dst, params)
+    prefix = [space.row_from({svars[k]: 1, tvars[k]: -1}, 0, EQ)
+              for k in range(shared)]
+    strict = [space.row_from({tvars[k]: 1, svars[k]: -1}, -1)
+              for k in range(shared)]
     out = []
     for ai, a, bi, b in pairs:
         kind = _KIND_OF[a.kind, b.kind]
         cells = _equal_cells(space, svars, tvars, params, a, b)
+        form: tuple[LinearRow, ...] | None = ()
+        for row in cells:
+            form = _extend(form, row)
         for d in range(shared + tie):
-            rows = cells + [space.row_from({svars[k]: 1, tvars[k]: -1}, 0, EQ)
-                            for k in range(d)]
+            rows = cells + prefix[:d]
             label = f"{a.array}:{ai}->{bi}"
             if d < shared:
-                rows.append(space.row_from({tvars[d]: 1, svars[d]: -1}, -1))
+                empty = _refutes(form, strict[d])
+                form = _extend(form, prefix[d])  # the form of depth d + 1
+                if empty:
+                    continue
+                rows.append(strict[d])
                 label += f"@{d}"
-            out.append(_dependence(src, dst, kind, space, rows, label))
-    return [dep for dep in out if dep is not None]
+            elif form is None:  # the tie: equal on every shared loop
+                continue
+            relation = space.with_rows(rows)
+            nonempty = verdicts.get(relation.rows)
+            if nonempty is None:
+                nonempty = verdicts[relation.rows] = _nonempty(relation)
+            if nonempty:
+                out.append(_dependence(src, dst, kind, relation, label))
+    return out
 
 
 def compute_dependences(program: Program) -> tuple[DependencePolyhedron, ...]:
+    """Dependences between every statement pair `src <= dst` in textual
+    order that shares an array, with one solve per distinct relation."""
     stmts = sorted(program.statements, key=lambda s: s.textual_order)
-    return tuple(dep for i, src in enumerate(stmts) for dst in stmts[i:]
-                 for dep in _deps_between(src, dst, program.params))
+    users: dict[str, list[int]] = {}
+    for k, s in enumerate(stmts):
+        for array in dict.fromkeys(a.array for a in s.accesses):
+            users.setdefault(array, []).append(k)
+    verdicts: dict = {}
+    out = []
+    for i, src in enumerate(stmts):
+        for j in sorted({j for a in src.accesses for j in users[a.array] if j >= i}):
+            out += _deps_between(src, stmts[j], program.params, verdicts)
+    return tuple(out)
 
 
 def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, ...]:
@@ -299,8 +386,10 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
             coeffs, rel = _row(f"{where}.relation[{j}]", r,
                                len(space.variables) + 1, True)
             rows.append(_constraint(space, space.variables, coeffs[:-1], coeffs[-1], rel))
-        out.append(_dependence(src, dst, kind, space, rows, f"explicit{i}"))
-    return tuple(dep for dep in out if dep is not None)
+        relation = space.with_rows(rows)
+        if _nonempty(relation):
+            out.append(_dependence(src, dst, kind, relation, f"explicit{i}"))
+    return tuple(out)
 
 
 def analyze(data: Mapping) -> tuple[Program, tuple[DependencePolyhedron, ...]]:

@@ -375,8 +375,12 @@ def min_dependence_component(dep: DependencePolyhedron,
     None when unbounded below.
 
     Kept on the dependence per pair of rows: the passes and checks of one
-    analysis ask again for rows they share."""
-    key = tuple(None if r is None else tuple(r) for r in (src_row, dst_row))
+    analysis ask again for rows they share.  The key spells each row as its
+    numerators, then its denominators, since hashing ints is much cheaper
+    than hashing `Fraction`s."""
+    key = tuple(None if r is None else
+                tuple([x.numerator for x in r] + [x.denominator for x in r])
+                for r in (src_row, dst_row))
     if key not in dep._minima:
         dep._minima[key] = _min_component(dep, src_row, dst_row)
     return dep._minima[key]

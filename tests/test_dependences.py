@@ -1,0 +1,201 @@
+"""Dependence analysis against a builder that solves every candidate.
+
+`frontend.compute_dependences` drops the candidates that their equalities
+refute without a solve, solves each distinct surviving relation once, and
+visits only statement pairs that share an array.  None of that may change
+its output: `reference_dependences` below states the precedence rule
+directly and asks the solver about every candidate of every statement pair,
+and the two must agree on order, labels, variables and rows.
+"""
+
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polysched import ratlp
+from polysched.farkas import EQ, ConstraintSystem
+from polysched.frontend import (
+    _extend, _refutes, analyze, compute_dependences, parse_program,
+)
+
+ROOT = Path(__file__).parents[1]
+CORPUS = ROOT / "src" / "polysched" / "corpus"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_chain = _load("bench_chain", ROOT / "scripts" / "bench_chain.py")
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
+def corpus_programs():
+    return [json.loads(p.read_text())["program"] for p in sorted(CORPUS.glob("*.json"))]
+
+
+def random_programs():
+    """The first 100 nests of the `random_nest` family under seeds 1 and 2."""
+    out = []
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        out += [workloads.random_nest(rng) for _ in range(100)]
+    return out
+
+
+_KINDS = {("write", "read"): "RAW", ("read", "write"): "WAR",
+          ("write", "write"): "WAW", ("read", "read"): "RAR"}
+
+
+def _renamed(space, names, rows):
+    """Rows over `names` (a statement's iterators, then the parameters)
+    restated on `space`."""
+    return [space.row_from({names[k]: c for k, c in r.nonzero}, r.const, r.kind)
+            for r in rows]
+
+
+def reference_dependences(program):
+    """Every access pair of every statement pair `src <= dst`, every depth
+    of first precedence, each solved: the dependences as the rule states
+    them, as (src, dst, kind, label, variables, rows, lower bounds)."""
+    out = []
+    stmts = sorted(program.statements, key=lambda s: s.textual_order)
+    params = list(program.params)
+    for i, src in enumerate(stmts):
+        for dst in stmts[i:]:
+            svars = [f"s.{it}" for it in src.domain.iterators]
+            tvars = [f"t.{it}" for it in dst.domain.iterators]
+            variables = svars + tvars + params
+            space = ConstraintSystem(variables, (), dict.fromkeys(variables, None))
+            space = space.with_rows(
+                _renamed(space, svars + params, src.domain.system.rows)
+                + _renamed(space, tvars + params, dst.domain.system.rows)
+                + [space.row_from({p: 1}) for p in params])
+            shared = src.dim if src is dst else 0
+            tie = src.textual_order < dst.textual_order
+            for ai, a in enumerate(src.accesses):
+                for bi, b in enumerate(dst.accesses):
+                    if a.array != b.array or (src is dst and a.kind == b.kind == "read"):
+                        continue
+                    cells = []
+                    for ra, rb in zip(a.rows, b.rows):
+                        form = dict.fromkeys(variables, 0)
+                        for v, c in zip(svars, ra):
+                            form[v] += c
+                        for v, c in zip(tvars, rb):
+                            form[v] -= c
+                        for k, p in enumerate(params):
+                            form[p] += ra[len(svars) + k] - rb[len(tvars) + k]
+                        cells.append(space.row_from(form, ra[-1] - rb[-1], EQ))
+                    for d in range(shared + tie):
+                        order = [space.row_from({svars[k]: 1, tvars[k]: -1}, 0, EQ)
+                                 for k in range(d)]
+                        label = f"{a.array}:{ai}->{bi}"
+                        if d < shared:
+                            order.append(space.row_from({tvars[d]: 1, svars[d]: -1}, -1))
+                            label += f"@{d}"
+                        relation = space.with_rows(cells + order)
+                        if ratlp.solve_lp(ratlp.LPProblem.of(relation)):
+                            out.append((src.id, dst.id, _KINDS[a.kind, b.kind], label,
+                                        relation.variables, relation.rows,
+                                        tuple(relation.lower.items())))
+    return out
+
+
+def as_tuples(deps):
+    for d in deps:
+        assert d.relation.variables == d.src_vars + d.dst_vars + d.params
+    return [(d.src, d.dst, d.kind, d.label, d.relation.variables, d.relation.rows,
+             tuple(d.relation.lower.items())) for d in deps]
+
+
+@pytest.mark.parametrize("family", ["corpus", "chain", "fan-in", "random"])
+def test_dependences_equal_the_reference(family):
+    programs = {
+        "corpus": corpus_programs,
+        "chain": lambda: [bench_chain.chain(8)],
+        "fan-in": lambda: [bench_chain.fan_in(30)],
+        "random": random_programs,
+    }[family]()
+    found = 0
+    for data in programs:
+        program = parse_program(data)
+        expect = reference_dependences(program)
+        assert as_tuples(compute_dependences(program)) == expect
+        found += len(expect)
+    assert found
+
+
+class _Solves:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        solve = ratlp.solve_lp
+
+        def counted(problem):
+            self.calls += 1
+            return solve(problem)
+
+        monkeypatch.setattr(ratlp, "solve_lp", counted)
+
+
+def test_corpus_analysis_solves_few_relations(monkeypatch):
+    """Of the corpus's 91 candidates, most contradict their own equalities;
+    the explicit dependences of `scc_pair` keep one solve each."""
+    solves = _Solves(monkeypatch)
+    for data in corpus_programs():
+        analyze(data)
+    assert 0 < solves.calls <= 22
+
+
+def test_chain_analysis_solves_each_distinct_relation_once(monkeypatch):
+    """The benchmark's chain workload: 70 candidates, but every producer to
+    consumer pair has the same relation."""
+    solves = _Solves(monkeypatch)
+    deps = [dep for n in workloads.CHAIN_SIZES
+            for dep in analyze(workloads.chain(n))[1]]
+    assert len(deps) == 8 + 16 - 2
+    assert 0 < solves.calls <= 6
+
+
+_COEFF = st.integers(-2, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refutation_rejects_only_empty_relations(data):
+    """An echelon form contradicts itself exactly when its equalities have
+    no rational point, and refutes an inequality only when the solver finds
+    no point of the equalities and the inequality together.  The inequality
+    is drawn as a combination of the equalities, often unperturbed, so that
+    both verdicts occur."""
+    width = data.draw(st.integers(1, 4))
+    names = [f"x{k}" for k in range(width)]
+    space = ConstraintSystem(names, (), dict.fromkeys(names))
+    vector = st.lists(_COEFF, min_size=width, max_size=width)
+    eqs = data.draw(st.lists(st.tuples(vector, st.integers(-3, 3)), max_size=4))
+    weights = data.draw(st.lists(_COEFF, min_size=len(eqs), max_size=len(eqs)))
+    noise = data.draw(st.one_of(st.just([0] * width), vector))
+    coeffs = [sum(w * c[j] for w, (c, _) in zip(weights, eqs)) + noise[j]
+              for j in range(width)]
+    const = sum(w * k for w, (_, k) in zip(weights, eqs)) + data.draw(st.integers(-2, 2))
+
+    rows = [space.row_from(dict(zip(names, c)), k, EQ) for c, k in eqs]
+    row = space.row_from(dict(zip(names, coeffs)), const)
+    form = ()
+    for r in rows:
+        form = _extend(form, r)
+
+    def feasible(extra):
+        return bool(ratlp.solve_lp(ratlp.LPProblem.of(space.with_rows(rows + extra))))
+
+    assert (form is None) == (not feasible([]))
+    if _refutes(form, row):
+        assert not feasible([row])

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from polysched import fcg
 from polysched.fcg import (
     FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
@@ -251,3 +254,27 @@ class TestDot:
         assert '"S1.i" [fillcolor=lightcoral];' in dot
         assert '"S2.j" [fillcolor=lightcoral];' in dot
         assert '"S2.i" [fillcolor=lightgreen];' in dot
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_transitive_reduction_keeps_exactly_the_unimplied_edges(data):
+    """An edge (a, b) of a DAG numbered in topological order stays exactly
+    when no path of two or more edges leads from a to b."""
+    n = data.draw(st.integers(2, 8))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+    def reaches(a, b, used):
+        """Is b reachable from a without the edge `used`?"""
+        seen, todo = {a}, [a]
+        while todo:
+            v = todo.pop()
+            for u, w in edges:
+                if u == v and (u, w) != used and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return b in seen
+
+    assert fcg._transitive_reduction(n, edges) == {
+        (a, b) for a, b in edges if not reaches(a, b, (a, b))}
