@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
-from . import ratlp
 from .model import (
     AffineTransform,
     Cut,
@@ -32,7 +31,7 @@ from .model import (
     scc_decompose,
     unit_row,
 )
-from .pluto import level_system
+from .pluto import _lexmin, dimension_system
 
 Vertex = tuple[str, int]
 
@@ -79,12 +78,12 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
                  parametric_shifts: bool = False) -> bool:
     """Can the chosen dimensions share the outermost level?
 
-    Builds the legality and bounding rows of `deps` with the chosen iterator
-    coefficient of every statement at least 1 and every other iterator
-    coefficient zero, and asks for feasibility.  Constant shifts stay free;
-    parametric shifts are zero unless requested, since a parametric offset
-    would let misaligned accesses slide past each other and hide a genuine
-    fusion conflict.
+    Asks whether `pluto.dimension_system` of `deps` is feasible: the chosen
+    iterator coefficient of every statement at least 1, every other
+    iterator coefficient zero and the constant shifts free.  Parametric
+    shifts are zero unless requested, since a parametric offset would let
+    misaligned accesses slide past each other and hide a genuine fusion
+    conflict.
 
     The verdict is kept on the program under the probe's shape: the
     dependences' shapes, where their statements stand among `statements`,
@@ -98,27 +97,10 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
            parametric_shifts)
     verdict = program._probe_verdicts.get(key)
     if verdict is None:
-        verdict = program._probe_verdicts[key] = _probe(
-            program, statements, choose, deps, parametric_shifts)
+        system = dimension_system(program, statements, choose, deps,
+                                  parametric_shifts)
+        verdict = program._probe_verdicts[key] = bool(_lexmin(system))
     return verdict
-
-
-def _probe(program, statements, choose, deps, parametric_shifts) -> bool:
-    variables = []
-    lower: dict[str, Fraction | None] = {}
-    for s in statements:
-        k = choose.get(s.id)
-        if k is not None:
-            var = f"c.{s.id}.{s.domain.iterators[k]}"
-            variables.append(var)
-            lower[var] = Fraction(1)
-        shifts = [f"d.{s.id}.{p}" for p in program.params] if parametric_shifts else []
-        shifts.append(f"c0.{s.id}")
-        variables += shifts
-        lower.update(dict.fromkeys(shifts))
-    forms = {v: {v: 1} for v in variables}
-    system = level_system(program, deps, forms, variables, lower)
-    return bool(ratlp.solve_lexmin(ratlp.LPProblem.of(system)))
 
 
 def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:

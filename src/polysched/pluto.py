@@ -44,6 +44,11 @@ class SchedulerConfig:
     #: No shifts and no skew: every row is a scaled unit vector.
     restricted: bool = False
 
+    def __post_init__(self):
+        if self.mode not in (LP, ILP):
+            raise ValueError(f"unknown scheduler mode {self.mode!r}; "
+                             f"expected {LP!r} or {ILP!r}")
+
 
 DEFAULT = SchedulerConfig()
 
@@ -179,6 +184,36 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     return system.with_rows(rows)
 
 
+def dimension_system(program: Program, statements: Sequence[Statement],
+                     choose: Mapping[str, int],
+                     deps: Sequence[DependencePolyhedron],
+                     parametric_shifts: bool = False) -> ConstraintSystem:
+    """The level where each statement in `choose` loops over its chosen
+    dimension: `level_system` of `deps` with that iterator coefficient at
+    least 1 and every other iterator coefficient zero.
+
+    Per statement of `statements` the variables are the chosen `c.S.it`,
+    then `d.S.p` per parameter when `parametric_shifts` is set, then
+    `c0.S`; every shift is free.  The tableau splits a free variable into a
+    positive and a negative half, so `_lexmin` gives each shift its value
+    of smallest magnitude.
+    """
+    variables = []
+    lower: dict[str, Fraction | None] = {}
+    for s in statements:
+        k = choose.get(s.id)
+        if k is not None:
+            var = f"c.{s.id}.{s.domain.iterators[k]}"
+            variables.append(var)
+            lower[var] = Fraction(1)
+        shifts = [f"d.{s.id}.{p}" for p in program.params] if parametric_shifts else []
+        shifts.append(f"c0.{s.id}")
+        variables += shifts
+        lower.update(dict.fromkeys(shifts))
+    return level_system(program, deps, {v: {v: 1} for v in variables},
+                        variables, lower)
+
+
 # -- one level ----------------------------------------------------------------
 
 
@@ -201,9 +236,8 @@ class Step:
 
 
 def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
-    """Rational lexmin of every variable in the system's order."""
-    return ratlp.solve_lexmin(
-        ratlp.LPProblem.of(system, [{v: 1} for v in system.variables]))
+    """Rational lexmin of the tableau's columns (see `ratlp.solve_lexmin`)."""
+    return ratlp.solve_lexmin(ratlp.LPProblem.of(system))
 
 
 def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig) -> ratlp.LPResult:
@@ -282,8 +316,9 @@ def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
                      parts: Mapping[str, Sequence], config: SchedulerConfig):
     """No-skew search: each statement's row must be a scaled unit vector on an
     axis its earlier rows leave untouched.  All joint axis assignments are
-    tried and the lexicographically best outcome wins; ties cannot occur since
-    the objective covers every variable."""
+    tried and the lexicographically least assignment, over the system's
+    variables in order, wins; ties cannot occur since it covers every
+    variable."""
     choices = []
     for s in active:
         used = [k for k in range(s.dim) if any(r[k] for r in parts[s.id])]
@@ -295,8 +330,7 @@ def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
     if total > MAX_AXIS_COMBOS:
         raise SchedulingError(f"axis search space too large ({total} assignments)")
 
-    best = None
-    best_sys = None
+    best = best_key = best_sys = None
     for combo in itertools.product(*choices):
         pinned = system
         bounds = {}
@@ -310,8 +344,11 @@ def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
                     pins.append(pinned.row_from({var: 1}, 0, EQ))
         pinned = pinned.with_rows(pins).with_lower(bounds)
         result = _lexmin_solve(pinned, config)
-        if result and (best is None or result.objective < best.objective):
-            best, best_sys = result, pinned
+        if not result:
+            continue
+        key = tuple(result.assignment[v] for v in pinned.variables)
+        if best is None or key < best_key:
+            best, best_key, best_sys = result, key, pinned
     return best, best_sys
 
 

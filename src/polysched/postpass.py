@@ -1,19 +1,20 @@
 """Passes that turn a 0/1 permutation into the final schedule.
 
 `scale_and_shift` re-solves every loop level of a permutation as a small
-rational LP: the permuted coefficient may grow past 1 and the shifts are
-free, so fused statements can slide against each other; results are scaled
-to integers per connected component.  `introduce_skew` then repairs levels
-with a negative dependence component by replacing the level's row with a
-non-negative combination of itself and the rows above it.  `dfp_schedule`
-chains the conflict-graph coloring with both passes.
+rational LP, `pluto.dimension_system`, the system the fusion probes solve:
+the permuted coefficient may grow past 1 and the shifts are free, so fused
+statements can slide against each other; results are scaled to integers per
+connected component.  `introduce_skew` then repairs levels with a negative
+dependence component by replacing the level's row with a non-negative
+combination of itself and the rows above it.  `dfp_schedule` chains the
+conflict-graph coloring with both passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from . import ratlp
 from .farkas import coefficient_variables
@@ -28,19 +29,9 @@ from .model import (
     components,
     satisfaction_level,
 )
-from .pluto import Step, _is_parallel, _lexmin, level_system
+from .pluto import Step, _is_parallel, _lexmin, dimension_system, level_system
 
 ZERO = Fraction(0)
-
-
-def _split_shift_names(sid: str, params: Sequence[str]):
-    """Free shifts enter the lexmin order as (positive, negative) halves, so
-    minimizing both in turn lands on the smallest-magnitude shift."""
-    pairs = {}
-    for p in params:
-        pairs[f"d.{sid}.{p}"] = (f"dp.{sid}.{p}", f"dn.{sid}.{p}")
-    pairs[f"c0.{sid}"] = (f"c0p.{sid}", f"c0n.{sid}")
-    return pairs
 
 
 def _component_groups(program: Program, deps: Sequence[DependencePolyhedron],
@@ -52,66 +43,17 @@ def _component_groups(program: Program, deps: Sequence[DependencePolyhedron],
             for comp in components([s.id for s in program.statements], deps)]
 
 
-def _level_system(program: Program, live: Sequence[DependencePolyhedron],
-                  active: Mapping[str, int]):
-    """Legality and bounding of `live` with the permuted dimension of every
-    active statement at least 1, everything else zero, shifts split free.
-
-    Variables that are zero (non-permuted coefficients, and the shifts of
-    statements that do not loop at this level) are left out of the system.
-    """
-    variables = []
-    forms = {}
-    split: dict[str, tuple[str, str]] = {}
-    lower = {}
-    for s in program.statements:
-        k = active.get(s.id)
-        if k is None:
-            continue  # the statement does not loop here: its row is zero
-        var = f"c.{s.id}.{s.domain.iterators[k]}"
-        variables.append(var)
-        forms[var] = {var: 1}
-        lower[var] = Fraction(1)
-        pairs = _split_shift_names(s.id, program.params)
-        split.update(pairs)
-        for v, (pos, neg) in pairs.items():
-            variables += [pos, neg]
-            forms[v] = {pos: 1, neg: -1}
-    return level_system(program, live, forms, variables, lower), split
-
-
-def _merge_shifts(assignment: Mapping[str, Fraction],
-                  split: Mapping[str, tuple[str, str]]) -> dict[str, Fraction]:
-    out = {v: x for v, x in assignment.items()}
-    for var, (pos, neg) in split.items():
-        if pos in out or neg in out:
-            out[var] = out.pop(pos, ZERO) - out.pop(neg, ZERO)
-    return out
-
-
-def _unit_index(part) -> Optional[int]:
-    hot = [i for i, x in enumerate(part) if x]
-    return hot[0] if hot else None
-
-
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                     permutation: AffineTransform):
     """Re-solve each loop level of the permutation with free shifts.
 
     Levels are handled outermost first; a dependence already satisfied by the
     scaled rows above (cuts included) no longer constrains deeper levels.
-    Returns the scaled transform and one `Step` per level; a loop step's
-    optimum keeps the shifts split into their halves.
+    Returns the scaled transform and one `Step` per level.
     """
     ordering = [d for d in deps if d.ordering]
-
-    def names_of(s):
-        names = [f"c.{s.id}.{it}" for it in s.domain.iterators]
-        for pos, neg in _split_shift_names(s.id, program.params).values():
-            names += [pos, neg]
-        return names
-
-    groups = _component_groups(program, deps, names_of)
+    groups = _component_groups(
+        program, deps, lambda s: coefficient_variables(s, program.params))
     cut_levels = {c.level for c in permutation.cuts}
     acc: dict[str, list] = {s.id: [] for s in program.statements}
     steps = []
@@ -131,9 +73,11 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         for s in program.statements:
             part = permutation.iterator_part(s.id, level)
             if part is not None and any(part):
-                active[s.id] = _unit_index(part)
+                active[s.id] = next(k for k, x in enumerate(part) if x)
 
-        system, split = _level_system(program, live, active)
+        system = dimension_system(
+            program, [s for s in program.statements if s.id in active],
+            active, live, parametric_shifts=True)
         result = _lexmin(system)
         if not result:
             raise SchedulingError(
@@ -141,16 +85,12 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                 f"statements {', '.join(active)}; live dependences "
                 + ", ".join(f"{d.src}->{d.dst} {d.label}" for d in live))
         scaled = ratlp.scale_to_integral(result.assignment, groups)
-        merged = _merge_shifts(scaled.values, split)
 
         for s in program.statements:
             if s.id in active:
-                k = active[s.id]
-                row = [ZERO] * s.dim
-                row[k] = merged[f"c.{s.id}.{s.domain.iterators[k]}"]
-                row += [merged[f"d.{s.id}.{p}"] for p in program.params]
-                row.append(merged[f"c0.{s.id}"])
-                acc[s.id].append(tuple(row))
+                acc[s.id].append(tuple(
+                    scaled.values.get(v, ZERO)
+                    for v in coefficient_variables(s, program.params)))
             elif permutation.row(s.id, level) is not None:
                 acc[s.id].append(permutation.row(s.id, level))
         parallel = _is_parallel(program, result.assignment)

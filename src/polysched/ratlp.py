@@ -273,7 +273,11 @@ def solve_lp(problem: LPProblem) -> LPResult:
 
 
 def solve_lexmin(problem: LPProblem) -> LPResult:
-    """Lexicographic minimization over the problem's objective list."""
+    """Lexicographic minimization over the problem's objective list.
+
+    With no objectives it is the lexmin of the tableau's columns: every
+    variable in the system's order, a free one as its positive half, then
+    its negative half, which gives it the value of smallest magnitude."""
     return _solve(problem.system, problem.objectives)
 
 

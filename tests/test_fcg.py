@@ -10,6 +10,7 @@ from polysched.fcg import (
 )
 from polysched.frontend import analyze
 from polysched.model import Cut
+from polysched.pluto import _lexmin
 
 F = Fraction
 
@@ -76,8 +77,9 @@ class TestFusionProbe:
                  "map": [[0, 1, 0, 0], [1, 0, 0, 0]]}][:k + 1]}
             for k in range(4)]})
         solved = []
-        probe = fcg._probe
-        monkeypatch.setattr(fcg, "_probe", lambda *a: solved.append(a) or probe(*a))
+        build = fcg.dimension_system
+        monkeypatch.setattr(fcg, "dimension_system",
+                            lambda *a: solved.append(a) or build(*a))
         calls = []
         for a, b in zip(program.statements, program.statements[1:]):
             between = [d for d in deps if {d.src, d.dst} == {a.id, b.id}]
@@ -85,7 +87,8 @@ class TestFusionProbe:
                 for db in range(2):
                     choose = {a.id: da, b.id: db}
                     calls.append((choose, fusion_probe(program, (a, b), choose, between)))
-                    assert calls[-1][1] == probe(program, (a, b), choose, between, False)
+                    fresh = _lexmin(build(program, (a, b), choose, between))
+                    assert calls[-1][1] == bool(fresh)
         assert len(calls) == 12 and len(solved) == 4
         assert {v for _, v in calls} == {True, False}
 

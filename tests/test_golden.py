@@ -22,14 +22,16 @@ with
 
     PYTHONPATH=src python tests/test_golden.py
 
-sets SUITE_DIGEST to the report digest that command prints, and says so in
-its description.
+which prints, before it writes each file, every key that changed and in how
+many entries.  The change then sets SUITE_DIGEST to the report digest that
+command prints, and says so in its description.
 """
 
 import hashlib
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -229,14 +231,44 @@ def test_suite_report_digest(suite_report):
     assert suite_digest(suite_report) == SUITE_DIGEST
 
 
+def golden_changes(old: dict, new: dict) -> dict:
+    """How many entries each key differs in between two golden files,
+    counting a key or entry present on one side only."""
+    counts = Counter()
+    for name in old.keys() | new.keys():
+        a, b = old.get(name, {}), new.get(name, {})
+        counts.update(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return dict(counts)
+
+
+def test_golden_changes_counts_entries_per_key():
+    old = {"a": {"x": 1, "y": 2}, "b": {"x": 1, "y": 2}}
+    new = {"a": {"x": 1, "y": 3}, "b": {"x": 0, "y": 4}, "c": {"x": 1}}
+    assert golden_changes(old, new) == {"x": 2, "y": 2}
+    assert golden_changes(old, old) == {}
+
+
+def _write_golden(path: Path, old: dict, new: dict, what: str) -> None:
+    """Print which keys changed and in how many entries, then write `new`."""
+    changes = golden_changes(old, new)
+    for key, n in sorted(changes.items()):
+        print(f"{path.name}: {key} changed in {n} of {len(new)} entries",
+              file=sys.stderr)
+    if not changes:
+        print(f"{path.name}: unchanged", file=sys.stderr)
+    path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(new)} {what} to {path}", file=sys.stderr)
+
+
 if __name__ == "__main__":
-    data = {inst.name: golden_entry(inst) for inst in load_corpus()}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data)} instances to {GOLDEN}", file=sys.stderr)
-    farkas = {name: farkas_entry(*pd) for name, pd in farkas_programs().items()}
-    GOLDEN_FARKAS.write_text(json.dumps(farkas, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(farkas)} programs to {GOLDEN_FARKAS}", file=sys.stderr)
-    work = {name: workload_entry(data) for name, data in workload_programs().items()}
-    GOLDEN_WORKLOADS.write_text(json.dumps(work, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(work)} programs to {GOLDEN_WORKLOADS}", file=sys.stderr)
+    _write_golden(GOLDEN, EXPECTED,
+                  {inst.name: golden_entry(inst) for inst in load_corpus()},
+                  "instances")
+    _write_golden(GOLDEN_FARKAS, EXPECTED_FARKAS,
+                  {name: farkas_entry(*pd) for name, pd in farkas_programs().items()},
+                  "programs")
+    _write_golden(GOLDEN_WORKLOADS, EXPECTED_WORKLOADS,
+                  {name: workload_entry(data)
+                   for name, data in workload_programs().items()},
+                  "programs")
     print(f"property-suite report digest: {suite_digest(theorem_suite())}", file=sys.stderr)

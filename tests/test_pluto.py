@@ -244,6 +244,16 @@ class TestFindHyperplane:
         assert step is None
 
 
+class TestSchedulerConfig:
+    def test_known_modes(self):
+        assert SchedulerConfig().mode == LP
+        assert SchedulerConfig(mode=ILP).mode == ILP
+
+    def test_unknown_mode_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduler mode 'ipl'"):
+            SchedulerConfig(mode="ipl")
+
+
 class TestSchedule:
     def test_matmul_interchanges_and_keeps_reduction_inside(self, by_name):
         inst = by_name["matmul"]

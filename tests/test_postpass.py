@@ -9,8 +9,7 @@ from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import (
-    _merge_shifts, _skew_level, dfp_schedule,
-    introduce_skew, scale_and_shift,
+    _skew_level, dfp_schedule, introduce_skew, scale_and_shift,
 )
 from polysched.verify import check_legality, full_rank
 
@@ -19,23 +18,6 @@ F = Fraction
 
 def R(*xs):
     return tuple(F(x) for x in xs)
-
-
-class TestMergeShifts:
-    split = {"c0.P": ("c0p.P", "c0n.P"), "d.P.N": ("dp.P.N", "dn.P.N")}
-
-    def test_positive_half(self):
-        out = _merge_shifts({"c0p.P": F(2), "c0n.P": F(0)}, self.split)
-        assert out == {"c0.P": F(2)}
-
-    def test_negative_half(self):
-        out = _merge_shifts({"c0p.P": F(0), "c0n.P": F(3)}, self.split)
-        assert out == {"c0.P": F(-3)}
-
-    def test_untouched_variables_pass_through(self):
-        out = _merge_shifts({"c.P.i": F(1), "dp.P.N": F(1), "dn.P.N": F(0)},
-                            self.split)
-        assert out == {"c.P.i": F(1), "d.P.N": F(1)}
 
 
 class TestScaleAndShift:
@@ -50,7 +32,7 @@ class TestScaleAndShift:
         (step,) = out.steps
         assert step.kind == "loop" and step.parallel
         assert step.factors == (1,)
-        assert step.raw["c0p.Q"] == 0 and step.raw["c0n.Q"] == 2
+        assert step.raw["c0.Q"] == -2
 
     def test_scales_rational_alignment_to_integers(self, dfp_results):
         out = dfp_results["scaling_pair"]

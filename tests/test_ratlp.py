@@ -103,6 +103,27 @@ class TestLexmin:
         s = system(["x"], [({"x": -1}, -1, "ge")])
         assert solve_lexmin(LPProblem.of(s, ["x"])).status == INFEASIBLE
 
+    @pytest.mark.parametrize("rows, want", [
+        ([({"x": 1}, 5, "ge"), ({"x": -1}, -2, "ge")], -2),  # -5 <= x <= -2
+        ([({"x": 1}, -3, "ge")], 3),                          # x >= 3
+        ([({"x": 1}, 1, "ge"), ({"x": -1}, 4, "ge")], 0),     # -1 <= x <= 4
+    ])
+    def test_free_variable_takes_its_smallest_magnitude(self, rows, want):
+        # With no objective list the lexmin runs over the tableau's columns:
+        # a free variable's positive half, then its negative half.
+        s = system(["x"], rows, {"x": None})
+        res = solve_lexmin(LPProblem.of(s))
+        assert res.assignment == {"x": want} and res.objective == ()
+
+    def test_free_variables_take_their_halves_in_variable_order(self):
+        # x - y = 5: both halves of the first variable come before either
+        # half of the second, so the first variable gets magnitude 0.
+        free = {"x": None, "y": None}
+        xy = system(["x", "y"], [({"x": 1, "y": -1}, -5, EQ)], free)
+        assert solve_lexmin(LPProblem.of(xy)).assignment == {"x": 0, "y": -5}
+        yx = system(["y", "x"], [({"x": 1, "y": -1}, -5, EQ)], free)
+        assert solve_lexmin(LPProblem.of(yx)).assignment == {"y": 0, "x": 5}
+
 
 class TestDualSimplex:
     def test_tie_in_the_lexicographic_ratio_test(self):
