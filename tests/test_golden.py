@@ -5,8 +5,9 @@ its dependences (endpoints, kind, label, variables and relation), of each
 transform's JSON, of each path's `Step` records (level, kind, system,
 raw optimum, factors, component), of the same records without their
 systems (the path's optima, which a change that keeps every feasible set
-but not its rows leaves as they are) and the `dfp` conflict graphs and
-coloring must match `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
+but not its rows leaves as they are), of the restricted-mode `ilp` and `lp`
+transforms of every instance flagged `restricted`, and the `dfp` conflict
+graphs and coloring must match `golden_corpus.json`, and the `ilp` and `lp` transforms must pass
 `check_legality` and `full_rank` (the property suite checks `dfp`).  The
 property-suite report is pinned by digest too, so a solve lost from or
 duplicated in the steps the checks read changes it.  `golden_farkas.json`
@@ -78,6 +79,11 @@ def golden_entry(inst) -> dict:
         entry[mode] = _digest(result.transform.to_json())
         entry[f"{mode}_steps"] = _steps_digest(result.steps)
         entry[f"{mode}_optima"] = _steps_digest(result.steps, systems=False)
+        if inst.flag("restricted"):
+            # Transforms only: restricted steps record just the axis unknowns.
+            restricted = schedule(inst.program, inst.deps,
+                                  SchedulerConfig(mode=mode, restricted=True))
+            entry[f"restricted_{mode}"] = _digest(restricted.transform.to_json())
     dfp = dfp_schedule(inst.program, inst.deps)
     coloring = dfp.coloring
     entry["dfp"] = _digest(dfp.transform.to_json())
