@@ -2,9 +2,9 @@
 
 Subcommands mirror the package layers: `schedule` emits a transform as JSON,
 `deps` the dependence graph, `fcg` the colored conflict graph (optionally as
-DOT), `verify` runs the property suite and `bench` times the three
-scheduling paths on one input.  Output for a given input and flag set is
-byte-identical across runs; rationals are printed as "p/q" strings.
+DOT) and `verify` runs the property suite.  Output for a given input and
+flag set is byte-identical across runs; rationals are printed as "p/q"
+strings.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input, 3 internal error.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -102,19 +101,6 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _cmd_bench(args) -> int:
-    for name in ("ilp", "lp", "dfp"):
-        # Fresh dependences per path: each path builds its own Farkas rows.
-        program, deps = _load(args.file)
-        t0 = time.perf_counter()
-        if name == "dfp":
-            dfp_schedule(program, deps)
-        else:
-            schedule(program, deps, SchedulerConfig(mode=name))
-        print(f"{name:4} {(time.perf_counter() - t0) * 1000:10.1f} ms")
-    return EXIT_OK
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polysched",
@@ -143,9 +129,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="machine-readable report instead of the summary")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("bench", help="time the three scheduling paths")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_bench)
     return parser
 
 

@@ -31,7 +31,7 @@ from .model import (
     scc_decompose,
     unit_row,
 )
-from .pluto import _lexmin, dimension_system
+from .pluto import _lexmin, dimension_terms, level_system
 
 Vertex = tuple[str, int]
 
@@ -78,12 +78,12 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
                  parametric_shifts: bool = False) -> bool:
     """Can the chosen dimensions share the outermost level?
 
-    Asks whether `pluto.dimension_system` of `deps` is feasible: the chosen
-    iterator coefficient of every statement at least 1, every other
-    iterator coefficient zero and the constant shifts free.  Parametric
-    shifts are zero unless requested, since a parametric offset would let
-    misaligned accesses slide past each other and hide a genuine fusion
-    conflict.
+    Asks whether `pluto.level_system` of `deps` over the statements'
+    `pluto.dimension_terms` is feasible: the chosen iterator coefficient of
+    every statement at least 1, every other iterator coefficient zero and
+    the constant shifts free.  Parametric shifts are zero unless requested,
+    since a parametric offset would let misaligned accesses slide past each
+    other and hide a genuine fusion conflict.
 
     The verdict is kept on the program under the probe's shape: the
     dependences' shapes, where their statements stand among `statements`,
@@ -97,9 +97,9 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
            parametric_shifts)
     verdict = program._probe_verdicts.get(key)
     if verdict is None:
-        system = dimension_system(program, statements, choose, deps,
-                                  parametric_shifts)
-        verdict = program._probe_verdicts[key] = bool(_lexmin(system))
+        terms = dimension_terms(program, statements, choose, parametric_shifts)
+        verdict = program._probe_verdicts[key] = bool(
+            _lexmin(level_system(program, deps, terms)))
     return verdict
 
 

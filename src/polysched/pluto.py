@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from . import ratlp
 from .farkas import (
-    EQ, ZERO, ConstraintSystem,
+    ZERO, ConstraintSystem,
     bounding_constraints, coefficient_variables, farkas_cone, legality_constraints,
 )
 from .model import (
@@ -152,22 +152,33 @@ def bound_variables(program: Program) -> list[str]:
     return [f"u.{p}" for p in program.params] + ["w"]
 
 
-def level_system(program: Program, deps: Sequence[DependencePolyhedron],
-                 forms: Mapping[str, Mapping[str, Fraction | int]],
-                 variables: Sequence[str],
-                 lower: Mapping[str, Fraction | None] | None = None) -> ConstraintSystem:
-    """Legality and bounding rows of `deps` restricted to one level's unknowns.
+#: Per statement id, the (unknown, row over the statement's
+#: `coefficient_variables`, lower bound or None) terms of its level row.
+Terms = Mapping[str, Sequence[tuple[str, Sequence, Fraction | int | None]]]
 
-    The system's variables are the bound variables, then `variables` in the
-    given order.  Each coefficient variable named in `forms` is replaced by
-    its linear form {variable: weight} over `variables`; every other
-    coefficient variable is zero: its terms vanish, and leaving out the pin
-    row keeps the tableau small.  Donor bounds are ignored: legality and
-    bounding rows are valid whatever bounds the level chooses.
+
+def level_system(program: Program, deps: Sequence[DependencePolyhedron],
+                 terms: Terms) -> ConstraintSystem:
+    """Legality and bounding rows of `deps` over one level's unknowns.
+
+    `terms` gives each statement an ordered list of (unknown, row over its
+    `coefficient_variables`, lower bound, None for free); its level row is
+    the sum of each unknown times its row (`level_rows`), and a statement
+    left out has a zero row.  The system's variables are the bound
+    variables, then every unknown in order.  Donor bounds are ignored:
+    legality and bounding rows are valid whatever bounds the level chooses.
     """
     bounds = bound_variables(program)
-    system = ConstraintSystem(bounds + list(variables), (), lower)
-    forms = {**forms, **{v: {v: 1} for v in bounds}}
+    forms: dict[str, dict[str, Fraction]] = {v: {v: 1} for v in bounds}
+    lower = {}
+    for sid, listed in terms.items():
+        names = coefficient_variables(program.statement(sid), program.params)
+        for unknown, row, low in listed:
+            lower[unknown] = low
+            for v, a in zip(names, row):
+                if a:
+                    forms.setdefault(v, {})[unknown] = a
+    system = ConstraintSystem(bounds + list(lower), (), lower)
     rows = []
     for dep in deps:
         for donor in _farkas_rows(program, dep):
@@ -184,34 +195,40 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     return system.with_rows(rows)
 
 
-def dimension_system(program: Program, statements: Sequence[Statement],
-                     choose: Mapping[str, int],
-                     deps: Sequence[DependencePolyhedron],
-                     parametric_shifts: bool = False) -> ConstraintSystem:
-    """The level where each statement in `choose` loops over its chosen
-    dimension: `level_system` of `deps` with that iterator coefficient at
-    least 1 and every other iterator coefficient zero.
+def level_rows(terms: Terms,
+               values: Mapping[str, Fraction]) -> dict[str, tuple[Fraction, ...]]:
+    """Each statement's level row: its terms' rows times the unknowns'
+    `values`, an absent unknown counting as 0."""
+    return {sid: tuple(map(sum, zip(*([values.get(u, ZERO) * x for x in row]
+                                      for u, row, _ in listed))))
+            for sid, listed in terms.items()}
 
-    Per statement of `statements` the variables are the chosen `c.S.it`,
-    then `d.S.p` per parameter when `parametric_shifts` is set, then
-    `c0.S`; every shift is free.  The tableau splits a free variable into a
-    positive and a negative half, so `_lexmin` gives each shift its value
-    of smallest magnitude.
+
+def _unit_term(s: Statement, params: Sequence[str], k: int, low) -> tuple:
+    """The term of the k-th of `s`'s coefficient variables alone, as its
+    own unknown with lower bound `low`."""
+    names = coefficient_variables(s, params)
+    return names[k], tuple(int(j == k) for j in range(len(names))), low
+
+
+def dimension_terms(program: Program, statements: Sequence[Statement],
+                    choose: Mapping[str, int], parametric_shifts: bool = False) -> Terms:
+    """The `level_system` terms of the level where each statement in
+    `choose` loops over its chosen dimension: per statement of `statements`,
+    that iterator coefficient, at least 1, then each parameter shift when
+    `parametric_shifts` is set, then the constant shift; every shift is
+    free and every other coefficient zero.  The tableau splits a free
+    variable into a positive and a negative half, so `_lexmin` gives each
+    shift its value of smallest magnitude.
     """
-    variables = []
-    lower: dict[str, Fraction | None] = {}
+    params, nparams = program.params, len(program.params)
+    terms = {}
     for s in statements:
-        k = choose.get(s.id)
-        if k is not None:
-            var = f"c.{s.id}.{s.domain.iterators[k]}"
-            variables.append(var)
-            lower[var] = Fraction(1)
-        shifts = [f"d.{s.id}.{p}" for p in program.params] if parametric_shifts else []
-        shifts.append(f"c0.{s.id}")
-        variables += shifts
-        lower.update(dict.fromkeys(shifts))
-    return level_system(program, deps, {v: {v: 1} for v in variables},
-                        variables, lower)
+        picked = [(choose[s.id], 1)] if s.id in choose else []
+        shifts = range(s.dim if parametric_shifts else s.dim + nparams, s.dim + nparams + 1)
+        terms[s.id] = [_unit_term(s, params, k, low)
+                       for k, low in picked + [(k, None) for k in shifts]]
+    return terms
 
 
 # -- one level ----------------------------------------------------------------
@@ -222,8 +239,9 @@ class Step:
     """One schedule level: a solve, or a cut that needed none.
 
     `raw` is the solver's optimum over `system.variables` (both None for a
-    cut); `raw` times `factors`, one per component group, gives the level's
-    integer rows.  `component` is None for a step spanning the whole program.
+    cut); `raw` times `factors`, one per component group, read off by
+    `level_rows`, gives `rows`, the level's integer row of each statement it
+    placed.  `component` is None for a step spanning the whole program.
     """
 
     level: int
@@ -233,6 +251,7 @@ class Step:
     raw: Mapping[str, Fraction] | None = None
     factors: tuple[int, ...] = ()
     component: int | None = None
+    rows: Mapping[str, tuple[Fraction, ...]] | None = None
 
 
 def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
@@ -267,41 +286,36 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
                     component: int | None) -> Step | None:
     """The loop step of `level`: one more row per statement, or None if none.
 
-    Statements whose rows already span their iteration space get zero rows
-    and stop influencing the problem; so do shifts in the restricted mode.
+    Every statement whose rows do not yet span its iteration space gets one
+    unit term per coefficient, at least 0 (in the restricted mode one term
+    on an unused axis, at least 1; see `_best_axis_solve`), plus rows that
+    keep its iterator coefficients nonzero and out of the span of its
+    earlier rows.  The others get zero rows and stop influencing the
+    problem.
     """
     parts, complete = _statement_state(statements, prior)
     if all(complete.values()):
         return None
 
-    forms = {}
-    variables = []
-    active = []
-    for s in statements:
-        if complete[s.id]:
-            continue
-        active.append(s)
-        for v in coefficient_variables(s, program.params):
-            if config.restricted and v.startswith(("c0.", "d.")):
-                continue
-            forms[v] = {v: 1}
-            variables.append(v)
-    system = level_system(program, deps, forms, variables)
-
-    rows = []
-    for s in active:
-        rows.append(system.row_from(
-            {f"c.{s.id}.{it}": 1 for it in s.domain.iterators}, -1))
-        guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
-        if guide is not None:
-            rows.append(system.row_from(
-                {f"c.{s.id}.{it}": a for it, a in zip(s.domain.iterators, guide) if a},
-                -1))
-    system = system.with_rows(rows)
-
+    active = [s for s in statements if not complete[s.id]]
     if config.restricted:
-        result, system = _best_axis_solve(system, active, parts, config)
+        result, system, terms = _best_axis_solve(program, deps, active, parts,
+                                                 config, level)
     else:
+        nparams = len(program.params)
+        terms = {s.id: [_unit_term(s, program.params, k, 0)
+                        for k in range(s.dim + nparams + 1)] for s in active}
+        system = level_system(program, deps, terms)
+        rows = []
+        for s in active:
+            rows.append(system.row_from(
+                {f"c.{s.id}.{it}": 1 for it in s.domain.iterators}, -1))
+            guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
+            if guide is not None:
+                rows.append(system.row_from(
+                    {f"c.{s.id}.{it}": a for it, a in zip(s.domain.iterators, guide) if a},
+                    -1))
+        system = system.with_rows(rows)
         result = _lexmin_solve(system, config)
     if not result:
         return None
@@ -309,47 +323,40 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
     scaled = ratlp.scale_to_integral(result.assignment,
                                      groups=[list(result.assignment)])
     return Step(level, "loop", _is_parallel(program, result.assignment), system,
-                dict(result.assignment), scaled.group_factors, component)
+                dict(result.assignment), scaled.group_factors, component,
+                level_rows(terms, scaled.values))
 
 
-def _best_axis_solve(system: ConstraintSystem, active: Sequence[Statement],
-                     parts: Mapping[str, Sequence], config: SchedulerConfig):
-    """No-skew search: each statement's row must be a scaled unit vector on an
-    axis its earlier rows leave untouched.  All joint axis assignments are
-    tried and the lexicographically least assignment, over the system's
-    variables in order, wins; ties cannot occur since it covers every
-    variable."""
-    choices = []
-    for s in active:
-        used = [k for k in range(s.dim) if any(r[k] for r in parts[s.id])]
-        axes = [k for k in range(s.dim) if k not in used]
-        choices.append([(s, k) for k in axes])
-    total = 1
-    for c in choices:
-        total *= len(c)
+def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
+                     active: Sequence[Statement], parts: Mapping[str, Sequence],
+                     config: SchedulerConfig, level: int):
+    """No-skew search: each statement's row is a scaled unit vector on an
+    axis its earlier rows leave untouched, one term per statement.  Every
+    joint axis assignment is solved; the least optimum over the bound
+    variables, then every iterator coefficient (absent ones count as 0),
+    wins, and ties cannot occur since it covers every unknown.  Returns
+    (result, system, terms), all None when no assignment is feasible."""
+    choices = [[k for k in range(s.dim) if not any(r[k] for r in parts[s.id])]
+               for s in active]
+    total = prod(map(len, choices))
     if total > MAX_AXIS_COMBOS:
-        raise SchedulingError(f"axis search space too large ({total} assignments)")
-
-    best = best_key = best_sys = None
+        raise SchedulingError(
+            f"axis search space too large at level {level}: {total} assignments "
+            f"for statements {', '.join(s.id for s in active)}")
+    order = bound_variables(program) + [
+        f"c.{s.id}.{it}" for s in active for it in s.domain.iterators]
+    best, best_key = (None, None, None), None
     for combo in itertools.product(*choices):
-        pinned = system
-        bounds = {}
-        pins = []
-        for s, axis in combo:
-            for k, it in enumerate(s.domain.iterators):
-                var = f"c.{s.id}.{it}"
-                if k == axis:
-                    bounds[var] = Fraction(1)
-                else:
-                    pins.append(pinned.row_from({var: 1}, 0, EQ))
-        pinned = pinned.with_rows(pins).with_lower(bounds)
-        result = _lexmin_solve(pinned, config)
+        terms = {s.id: [_unit_term(s, program.params, k, 1)]
+                 for s, k in zip(active, combo)}
+        system = level_system(program, deps, terms)
+        result = _lexmin_solve(system, config)
         if not result:
             continue
-        key = tuple(result.assignment[v] for v in pinned.variables)
-        if best is None or key < best_key:
-            best, best_key, best_sys = result, key, pinned
-    return best, best_sys
+        key = tuple(result.assignment.get(v, ZERO) for v in order)
+        if best_key is None or key < best_key:
+            best, best_key = (result, system, terms), key
+    return best
 
 
 # -- the full scheduler -------------------------------------------------------
@@ -422,12 +429,8 @@ def _schedule_component(program, ci, stmts, live, config,
 
         step = find_hyperplane(program, stmts, live, rows, config, level, ci)
         if step is not None:
-            for s in stmts:
-                if complete[s.id]:
-                    continue
-                names = coefficient_variables(s, program.params)
-                rows[s.id].append(tuple(step.factors[0] * step.raw.get(v, ZERO)
-                                        for v in names))
+            for sid, row in step.rows.items():
+                rows[sid].append(row)
             if level == band_start:
                 band_parallel = step.parallel
             steps.append(step)
@@ -448,7 +451,8 @@ def _schedule_component(program, ci, stmts, live, config,
         sccs = scc_decompose(comp, live)
         if len(sccs) <= 1:
             raise SchedulingError(
-                f"no transformation row exists for {comp} and nothing to distribute")
+                f"no transformation row exists at level {level} for statements "
+                f"{', '.join(comp)}, and nothing to distribute")
         ordinal = {sid: k for k, group in enumerate(sccs) for sid in group}
         for s in stmts:
             rows[s.id].append(constant_row(s, nparams, ordinal[s.id]))

@@ -1,23 +1,23 @@
 """Passes that turn a 0/1 permutation into the final schedule.
 
-`scale_and_shift` re-solves every loop level of a permutation as a small
-rational LP, `pluto.dimension_system`, the system the fusion probes solve:
-the permuted coefficient may grow past 1 and the shifts are free, so fused
-statements can slide against each other; results are scaled to integers per
-connected component.  `introduce_skew` then repairs levels with a negative
-dependence component by replacing the level's row with a non-negative
-combination of itself and the rows above it.  `dfp_schedule` chains the
-conflict-graph coloring with both passes.
+Both passes solve `pluto.level_system` over per-statement terms and read
+the rows back with `pluto.level_rows`, scaled to integers per connected
+component.  `scale_and_shift` re-solves every loop level of a permutation
+on `pluto.dimension_terms`, the terms the fusion probes solve: the permuted
+coefficient may grow past 1 and the shifts are free, so fused statements
+can slide against each other.  `introduce_skew` then repairs levels with a
+negative dependence component by replacing the level's row with a
+non-negative combination of itself and the rows above it: one term on each.
+`dfp_schedule` chains the conflict-graph coloring with both passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from . import ratlp
-from .farkas import coefficient_variables
+from .farkas import ConstraintSystem
 from .fcg import Coloring, color_fcg, permute_and_fuse
 from .model import (
     AffineTransform,
@@ -29,18 +29,25 @@ from .model import (
     components,
     satisfaction_level,
 )
-from .pluto import Step, _is_parallel, _lexmin, dimension_system, level_system
+from .pluto import (
+    Step, Terms, _is_parallel, _lexmin, dimension_terms, level_rows, level_system,
+)
 
-ZERO = Fraction(0)
 
-
-def _component_groups(program: Program, deps: Sequence[DependencePolyhedron],
-                      names_of) -> list[list[str]]:
-    """The variables `names_of` each statement, one group per weakly
-    connected component of the dependence graph."""
-    by_id = {s.id: s for s in program.statements}
-    return [[v for sid in comp for v in names_of(by_id[sid])]
-            for comp in components([s.id for s in program.statements], deps)]
+def _solve_level(program: Program, comps: Sequence[Sequence[str]], level: int,
+                 terms: Terms, system: ConstraintSystem) -> Step | None:
+    """The loop step of `level`: the lexmin of `system`, whose unknowns are
+    those of `terms`, scaled to integers per weakly connected component of
+    `comps`, with each statement's row read off by `level_rows`; None when
+    the system is infeasible."""
+    result = _lexmin(system)
+    if not result:
+        return None
+    scaled = ratlp.scale_to_integral(result.assignment, [
+        [u for sid in comp for u, _, _ in terms.get(sid, ())] for comp in comps])
+    return Step(level, "loop", _is_parallel(program, result.assignment), system,
+                dict(result.assignment), scaled.group_factors,
+                rows=level_rows(terms, scaled.values))
 
 
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
@@ -52,8 +59,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
     Returns the scaled transform and one `Step` per level.
     """
     ordering = [d for d in deps if d.ordering]
-    groups = _component_groups(
-        program, deps, lambda s: coefficient_variables(s, program.params))
+    comps = components([s.id for s in program.statements], deps)
     cut_levels = {c.level for c in permutation.cuts}
     acc: dict[str, list] = {s.id: [] for s in program.statements}
     steps = []
@@ -75,27 +81,21 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             if part is not None and any(part):
                 active[s.id] = next(k for k, x in enumerate(part) if x)
 
-        system = dimension_system(
+        terms = dimension_terms(
             program, [s for s in program.statements if s.id in active],
-            active, live, parametric_shifts=True)
-        result = _lexmin(system)
-        if not result:
+            active, parametric_shifts=True)
+        step = _solve_level(program, comps, level, terms,
+                            level_system(program, live, terms))
+        if step is None:
             raise SchedulingError(
                 f"no legal scaling and shifting exists at level {level}: "
                 f"statements {', '.join(active)}; live dependences "
                 + ", ".join(f"{d.src}->{d.dst} {d.label}" for d in live))
-        scaled = ratlp.scale_to_integral(result.assignment, groups)
-
         for s in program.statements:
-            if s.id in active:
-                acc[s.id].append(tuple(
-                    scaled.values.get(v, ZERO)
-                    for v in coefficient_variables(s, program.params)))
-            elif permutation.row(s.id, level) is not None:
-                acc[s.id].append(permutation.row(s.id, level))
-        parallel = _is_parallel(program, result.assignment)
-        steps.append(Step(level, "loop", parallel, system,
-                          dict(result.assignment), scaled.group_factors))
+            row = step.rows.get(s.id, permutation.row(s.id, level))
+            if row is not None:
+                acc[s.id].append(row)
+        steps.append(step)
 
     return AffineTransform.of(program, acc, (), permutation.cuts), tuple(steps)
 
@@ -126,64 +126,34 @@ def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
                 transform: AffineTransform, level: int):
     """Replace the level's rows by non-negative combinations with outer rows.
 
-    Each statement present at the level gets a weight of at least 1 on its
-    own row (keeping the rows linearly independent) and free non-negative
-    weights on every outer row.  Legality over all ordering dependences and
-    the usual bounding make this the same lexmin shape as the scheduler.
-    The weights are scaled to integers per connected component.
+    Each statement present at the level gets a term `a.S` of at least 1 on
+    its own row (keeping the rows linearly independent) and a term `b.S.k`,
+    at least 0, on each nonzero outer row k.  Legality over all ordering
+    dependences and the usual bounding make this the same lexmin shape as
+    the scheduler.  The weights are scaled to integers per connected
+    component.
     """
-    variables: list[str] = []
-    forms: dict[str, dict[str, Fraction]] = {}
-    iterator_forms = []
-    rows_of: dict[str, list[tuple[int, tuple]]] = {}
+    terms = {}
     for s in program.statements:
         own = transform.row(s.id, level)
         if own is None or not any(own):
             continue  # the statement's row stays zero
         outer = [(k, transform.row(s.id, k)) for k in range(1, level)]
-        outer = [(k, r) for k, r in outer if r is not None and any(r)]
-        rows_of[s.id] = outer
-        alpha = f"a.{s.id}"
-        betas = [f"b.{s.id}.{k}" for k, _ in outer]
-        variables += [alpha] + betas
-        for j, v in enumerate(coefficient_variables(s, program.params)):
-            form = {alpha: own[j]}
-            for (k, r), b in zip(outer, betas):
-                form[b] = r[j]
-            forms[v] = {tv: tc for tv, tc in form.items() if tc}
-            if j < s.dim:
-                iterator_forms.append(forms[v])
+        terms[s.id] = [(f"a.{s.id}", own, 1)] + [
+            (f"b.{s.id}.{k}", r, 0) for k, r in outer if r is not None and any(r)]
 
-    system = level_system(program, [d for d in deps if d.ordering], forms, variables,
-                          {f"a.{sid}": Fraction(1) for sid in rows_of})
+    system = level_system(program, [d for d in deps if d.ordering], terms)
     # Iterator coefficients stay non-negative, as everywhere else.
-    system = system.with_rows(system.row_from(f) for f in iterator_forms)
-    result = _lexmin(system)
-    if not result:
+    system = system.with_rows(
+        system.row_from({u: row[j] for u, row, _ in terms[s.id] if row[j]})
+        for s in program.statements if s.id in terms for j in range(s.dim))
+    step = _solve_level(program, components([s.id for s in program.statements], deps),
+                        level, terms, system)
+    if step is None:
         return None
-
-    groups = _component_groups(program, deps, lambda s: [f"a.{s.id}"] + [
-        f"b.{s.id}.{k}" for k, _ in rows_of.get(s.id, ())])
-    scaled = ratlp.scale_to_integral(result.assignment, groups)
-
-    new_rows = dict(transform.rows)
-    for s in program.statements:
-        if s.id not in rows_of:
-            continue
-        own = transform.row(s.id, level)
-        combo = [scaled.values.get(f"a.{s.id}", ZERO) * x for x in own]
-        for k, r in rows_of[s.id]:
-            weight = scaled.values.get(f"b.{s.id}.{k}", ZERO)
-            if weight:
-                combo = [c + weight * x for c, x in zip(combo, r)]
-        rows = list(new_rows[s.id])
-        rows[level - 1] = tuple(combo)
-        new_rows[s.id] = tuple(rows)
-    out = replace(transform, rows=new_rows)
-    parallel = _is_parallel(program, result.assignment)
-    step = Step(level, "loop", parallel, system, dict(result.assignment),
-                scaled.group_factors)
-    return out, step
+    rows = {sid: (*r[:level - 1], step.rows[sid], *r[level:]) if sid in step.rows else r
+            for sid, r in transform.rows.items()}
+    return replace(transform, rows=rows), step
 
 
 def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],

@@ -152,15 +152,6 @@ class TestVerify:
         assert err == f"error: {missing}: not a directory\n"
 
 
-class TestBench:
-    def test_times_all_three_paths(self, capsys):
-        code, out, _ = run(capsys, "bench", FIG1)
-        assert code == 0
-        lines = out.splitlines()
-        assert [line.split()[0] for line in lines] == ["ilp", "lp", "dfp"]
-        assert all(line.endswith("ms") for line in lines)
-
-
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "schedule", "/nonexistent/input.json")

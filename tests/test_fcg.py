@@ -10,7 +10,7 @@ from polysched.fcg import (
 )
 from polysched.frontend import analyze
 from polysched.model import Cut
-from polysched.pluto import _lexmin
+from polysched.pluto import _lexmin, dimension_terms
 
 F = Fraction
 
@@ -77,8 +77,8 @@ class TestFusionProbe:
                  "map": [[0, 1, 0, 0], [1, 0, 0, 0]]}][:k + 1]}
             for k in range(4)]})
         solved = []
-        build = fcg.dimension_system
-        monkeypatch.setattr(fcg, "dimension_system",
+        build = fcg.level_system
+        monkeypatch.setattr(fcg, "level_system",
                             lambda *a: solved.append(a) or build(*a))
         calls = []
         for a, b in zip(program.statements, program.statements[1:]):
@@ -87,7 +87,8 @@ class TestFusionProbe:
                 for db in range(2):
                     choose = {a.id: da, b.id: db}
                     calls.append((choose, fusion_probe(program, (a, b), choose, between)))
-                    fresh = _lexmin(build(program, (a, b), choose, between))
+                    fresh = _lexmin(build(program, between,
+                                          dimension_terms(program, (a, b), choose)))
                     assert calls[-1][1] == bool(fresh)
         assert len(calls) == 12 and len(solved) == 4
         assert {v for _, v in calls} == {True, False}

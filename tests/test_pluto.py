@@ -14,8 +14,8 @@ from polysched.model import Band, Cut, SchedulingError
 from polysched.pluto import (
     ILP, LP,
     SchedulerConfig, _farkas_rows, bound_variables, find_hyperplane,
-    independence_vector, level_system, nullspace_basis, row_rank, rref,
-    schedule,
+    independence_vector, level_rows, level_system, nullspace_basis, row_rank,
+    rref, schedule,
 )
 from polysched.verify import load_corpus
 
@@ -78,17 +78,17 @@ class TestAssembly:
 
     def test_level_system_order_and_bounds(self, by_name):
         inst = by_name["shift_pair"]
-        forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i", "c0.Q")}
-        s = level_system(inst.program, inst.deps, forms,
-                         ["c.Q.i", "c0.Q", "c.P.i"], {"c.P.i": 1, "c0.Q": None})
+        terms = {"Q": [("c.Q.i", (1, 0, 0), 0), ("c0.Q", (0, 0, 1), None)],
+                 "P": [("c.P.i", (1, 0, 0), 1)]}
+        s = level_system(inst.program, inst.deps, terms)
         assert s.variables == ("u.N", "w", "c.Q.i", "c0.Q", "c.P.i")
         assert s.lower == {"u.N": 0, "w": 0, "c.Q.i": 0, "c0.Q": None,
                            "c.P.i": 1}
 
     def test_level_system_drops_unlisted_coefficients(self, by_name):
         inst = by_name["shift_pair"]
-        forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i")}
-        s = level_system(inst.program, inst.deps, forms, list(forms))
+        terms = {"P": [("c.P.i", (1, 0, 0), 0)], "Q": [("c.Q.i", (1, 0, 0), 0)]}
+        s = level_system(inst.program, inst.deps, terms)
         assert s.variables == ("u.N", "w", "c.P.i", "c.Q.i")
         assert all(r.kind == GE for r in s.rows)  # no pin rows
         # Same rows as the donors with every shift at zero.
@@ -101,14 +101,19 @@ class TestAssembly:
 
     def test_level_system_substitutes_forms(self, by_name):
         inst = by_name["shift_pair"]
-        # One weight on both iterators, the consumer's shift split in halves.
-        forms = {"c.P.i": {"a": 1}, "c.Q.i": {"a": 1},
-                 "c0.Q": {"sp": 1, "sn": -1}}
-        s = level_system(inst.program, inst.deps, forms, ["a", "sp", "sn"])
-        for u, w, a, sp, sn in itertools.product(range(3), repeat=5):
-            mine = {"u.N": u, "w": w, "a": a, "sp": sp, "sn": sn}
-            theirs = {"u.N": u, "w": w, "c.P.i": a, "c.Q.i": a,
-                      "c0.Q": sp - sn}
+        # One term on the consumer's iterator and its constant shift, and
+        # the rest of that shift split in halves.
+        terms = {"P": [("a", (1, 0, 0), 0)],
+                 "Q": [("b", (1, 0, 1), 0), ("sp", (0, 0, 1), 0),
+                       ("sn", (0, 0, -1), 0)]}
+        s = level_system(inst.program, inst.deps, terms)
+        assert s.variables == ("u.N", "w", "a", "b", "sp", "sn")
+        for u, w, a, b, sp, sn in itertools.product(range(3), repeat=6):
+            mine = {"u.N": u, "w": w, "a": a, "b": b, "sp": sp, "sn": sn}
+            row = level_rows(terms, mine)
+            assert row == {"P": (a, 0, 0), "Q": (b, 0, b + sp - sn)}
+            theirs = {"u.N": u, "w": w, "c.P.i": a, "c.Q.i": b,
+                      "c0.Q": b + sp - sn}
             assert _rows_hold(s, mine) == all(
                 _rows_hold(donor, theirs)
                 for dep in inst.deps
@@ -122,10 +127,10 @@ class TestAssembly:
             build = getattr(pluto, name)
             monkeypatch.setattr(pluto, name, lambda dep, *rest, _build=build:
                                 built.append(dep) or _build(dep, *rest))
-        forms = {v: {v: 1} for v in ("c.P.i", "c.Q.i")}
-        level_system(inst.program, inst.deps, forms, list(forms))
+        terms = {"P": [("c.P.i", (1, 0, 0), 0)], "Q": [("c.Q.i", (1, 0, 0), 0)]}
+        level_system(inst.program, inst.deps, terms)
         rows = [_farkas_rows(inst.program, dep) for dep in inst.deps]
-        level_system(inst.program, inst.deps, forms, list(forms))
+        level_system(inst.program, inst.deps, terms)
         assert len(built) == 2 * len(inst.deps)
         assert set(map(id, built)) == set(map(id, inst.deps))
         for dep, first in zip(inst.deps, rows):
@@ -302,6 +307,34 @@ class TestSchedule:
         assert rows_of(res, "Q") == (R(1, 0, 0),)
         assert not res.steps[0].parallel
 
+    @pytest.mark.parametrize("mode", [LP, ILP])
+    def test_restricted_steps_solve_one_unknown_per_statement(self, corpus, mode):
+        # The axis search gives each active statement one term, on its axis,
+        # instead of pinning the other coefficients with equalities.
+        for inst in corpus:
+            if not inst.flag("restricted"):
+                continue
+            res = schedule(inst.program, inst.deps,
+                           SchedulerConfig(mode=mode, restricted=True))
+            nbounds = len(bound_variables(inst.program))
+            for step in res.steps:
+                if step.system is None:
+                    continue
+                assert all(r.kind == GE for r in step.system.rows)
+                owners = [v.split(".")[1] for v in step.system.variables[nbounds:]]
+                active = [sid for sid in res.components[step.component]
+                          if any(res.transform.iterator_part(sid, step.level) or ())]
+                assert sorted(owners) == sorted(active) and active, inst.name
+
+    def test_axis_search_limit_names_level_and_statements(self, by_name, monkeypatch):
+        inst = by_name["fig1"]
+        monkeypatch.setattr(pluto, "MAX_AXIS_COMBOS", 7)
+        with pytest.raises(SchedulingError, match=(
+                "axis search space too large at level 1: 8 assignments "
+                "for statements S1, S2, S3$")):
+            schedule(inst.program, inst.deps,
+                     SchedulerConfig(mode=LP, restricted=True))
+
     def test_stencil_relaxation_takes_half_coefficients(self, by_name):
         inst = by_name["stencil1d"]
         res = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP))
@@ -387,5 +420,7 @@ class TestSchedule:
                  "relation": [[-1, 1, 0, 1, "=="]]},
             ],
         })
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match=(
+                "no transformation row exists at level 1 for statements S, "
+                "and nothing to distribute")):
             schedule(program, deps, SchedulerConfig(mode=LP))
