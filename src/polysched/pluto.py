@@ -199,16 +199,26 @@ def level_rows(terms: Terms,
                values: Mapping[str, Fraction]) -> dict[str, tuple[Fraction, ...]]:
     """Each statement's level row: its terms' rows times the unknowns'
     `values`, an absent unknown counting as 0."""
-    return {sid: tuple(map(sum, zip(*([values.get(u, ZERO) * x for x in row]
-                                      for u, row, _ in listed))))
-            for sid, listed in terms.items()}
+    rows = {}
+    for sid, listed in terms.items():
+        acc = [ZERO] * len(listed[0][1]) if listed else []
+        for u, row, _ in listed:
+            x = values.get(u)
+            if x:
+                for j, a in enumerate(row):
+                    if a:
+                        y = x if a == 1 else x * a
+                        acc[j] = acc[j] + y if acc[j] else y
+        rows[sid] = tuple(acc)
+    return rows
 
 
-def _unit_term(s: Statement, params: Sequence[str], k: int, low) -> tuple:
-    """The term of the k-th of `s`'s coefficient variables alone, as its
-    own unknown with lower bound `low`."""
+def _unit_terms(s: Statement, params: Sequence[str], picks) -> list:
+    """One term per (k, low) of `picks`: the k-th of `s`'s coefficient
+    variables alone, as its own unknown with lower bound `low`."""
     names = coefficient_variables(s, params)
-    return names[k], tuple(int(j == k) for j in range(len(names))), low
+    return [(names[k], tuple(int(j == k) for j in range(len(names))), low)
+            for k, low in picks]
 
 
 def dimension_terms(program: Program, statements: Sequence[Statement],
@@ -226,8 +236,7 @@ def dimension_terms(program: Program, statements: Sequence[Statement],
     for s in statements:
         picked = [(choose[s.id], 1)] if s.id in choose else []
         shifts = range(s.dim if parametric_shifts else s.dim + nparams, s.dim + nparams + 1)
-        terms[s.id] = [_unit_term(s, params, k, low)
-                       for k, low in picked + [(k, None) for k in shifts]]
+        terms[s.id] = _unit_terms(s, params, picked + [(k, None) for k in shifts])
     return terms
 
 
@@ -303,8 +312,9 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
                                                  config, level)
     else:
         nparams = len(program.params)
-        terms = {s.id: [_unit_term(s, program.params, k, 0)
-                        for k in range(s.dim + nparams + 1)] for s in active}
+        terms = {s.id: _unit_terms(s, program.params,
+                                   [(k, 0) for k in range(s.dim + nparams + 1)])
+                 for s in active}
         system = level_system(program, deps, terms)
         rows = []
         for s in active:
@@ -347,7 +357,7 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
         f"c.{s.id}.{it}" for s in active for it in s.domain.iterators]
     best, best_key = (None, None, None), None
     for combo in itertools.product(*choices):
-        terms = {s.id: [_unit_term(s, program.params, k, 1)]
+        terms = {s.id: _unit_terms(s, program.params, [(k, 1)])
                  for s, k in zip(active, combo)}
         system = level_system(program, deps, terms)
         result = _lexmin_solve(system, config)

@@ -310,7 +310,7 @@ class TestSchedule:
     @pytest.mark.parametrize("mode", [LP, ILP])
     def test_restricted_steps_solve_one_unknown_per_statement(self, corpus, mode):
         # The axis search gives each active statement one term, on its axis,
-        # instead of pinning the other coefficients with equalities.
+        # and needs no equality to hold the other coefficients at zero.
         for inst in corpus:
             if not inst.flag("restricted"):
                 continue
