@@ -124,7 +124,7 @@ class ConstraintSystem:
     @classmethod
     def _of_pruned(cls, variables, rows, lower) -> "ConstraintSystem":
         """The system over `rows` as given, which `_prune` would keep whole:
-        the rows of an existing system, or rows renumbered from them."""
+        rows renumbered from an existing system's."""
         system = cls.__new__(cls)
         system._set_variables(variables, lower)
         system.rows = tuple(rows)
@@ -147,11 +147,6 @@ class ConstraintSystem:
 
     def with_rows(self, extra: Iterable[LinearRow]) -> "ConstraintSystem":
         return ConstraintSystem(self.variables, self.rows + tuple(extra), self.lower)
-
-    def with_lower(self, bounds: Mapping[str, Fraction | int | None]) -> "ConstraintSystem":
-        merged = dict(self.lower)
-        merged.update({v: b for v, b in bounds.items()})
-        return ConstraintSystem._of_pruned(self.variables, self.rows, merged)
 
     # -- checking -------------------------------------------------------------
 

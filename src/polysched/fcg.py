@@ -428,7 +428,9 @@ def colorable_dimension(program: Program, fcg: FusionConflictGraph,
     for s in stmts:
         total *= max(s.dim, 1)
     if total > MAX_SCC_PICKS:
-        raise SchedulingError(f"dimension search space too large ({total})")
+        raise SchedulingError(
+            f"dimension search space too large: {total} picks for statements "
+            f"{', '.join(s.id for s in stmts)}")
     for picks in product(*[range(s.dim) for s in stmts]):
         verts = [(s.id, k) for s, k in zip(stmts, picks)]
         if any(fcg.has_loop(v) for v in verts):

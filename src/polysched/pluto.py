@@ -268,12 +268,17 @@ def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
     return ratlp.solve_lexmin(ratlp.LPProblem.of(system))
 
 
-def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig) -> ratlp.LPResult:
-    if config.mode == ILP:
-        problem = ratlp.LPProblem.of(system, [{v: 1} for v in system.variables],
-                                     system.variables)
-        return ratlp.solve_ilp(problem)
-    return _lexmin(system)
+def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig, level: int,
+                  active: Sequence[Statement]) -> ratlp.LPResult:
+    """The level's lexmin of the tableau's columns, over the integers in
+    `ilp` mode; a node-limit error names the level and its statements."""
+    if config.mode != ILP:
+        return _lexmin(system)
+    try:
+        return ratlp.solve_ilp(ratlp.LPProblem.of(system))
+    except ratlp.ResourceLimitError as exc:
+        raise ratlp.ResourceLimitError(f"{exc} at level {level} for statements "
+                                       f"{', '.join(s.id for s in active)}") from None
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
@@ -326,7 +331,7 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
                     {f"c.{s.id}.{it}": a for it, a in zip(s.domain.iterators, guide) if a},
                     -1))
         system = system.with_rows(rows)
-        result = _lexmin_solve(system, config)
+        result = _lexmin_solve(system, config, level, active)
     if not result:
         return None
 
@@ -360,7 +365,7 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
         terms = {s.id: _unit_terms(s, program.params, [(k, 1)])
                  for s, k in zip(active, combo)}
         system = level_system(program, deps, terms)
-        result = _lexmin_solve(system, config)
+        result = _lexmin_solve(system, config, level, active)
         if not result:
             continue
         key = tuple(result.assignment.get(v, ZERO) for v in order)

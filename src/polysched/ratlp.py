@@ -1,22 +1,21 @@
 """Exact rational linear programming.
 
 One integer tableau serves every solve, and every run of the same problem
-takes the same pivots.  Two rules drive its one pivot routine:
+takes the same pivots.  Callers ask it three questions:
 
-- the lexicographic dual simplex (Feautrier's PIP, isl) pivots on the first
-  negative row and picks the column by a lexicographic ratio test over the
-  variable rows.  One pass reaches the lexicographic minimum of variables
-  bounded below, so it answers every feasibility question and every lexmin
-  of single variables, with no phase 1, no artificial columns and no stage
-  per variable;
-- the primal simplex with Bland's rule minimizes any other objective from
-  that feasible point.  Objectives are rows of the tableau; after each
-  stage the columns its optimum prices positive are frozen, which keeps
-  later stages on that stage's optimal face.
+- the lexmin of its columns (`solve_lexmin`): the lexicographic dual
+  simplex (Feautrier's PIP, isl) pivots on the first negative row and picks
+  the column by a lexicographic ratio test over the variable rows.  One
+  pass reaches the lexicographic minimum of the non-negative columns in
+  order, with no phase 1, no artificial columns and no objective row;
+- the integer lexmin of the same columns (`solve_ilp`), by a depth-first
+  branch and bound around that pass;
+- the minimum of at most one objective (`solve_lp`): the primal simplex
+  with Bland's rule, on one objective row, from the dual simplex's
+  feasible point.
 
 Rows are content-reduced integers and the ratio tests compare cross
-products.  Integer solutions come from a depth-first branch and bound
-around the rational solver.
+products.
 """
 
 from __future__ import annotations
@@ -38,28 +37,23 @@ UNBOUNDED = "unbounded"
 class ResourceLimitError(RuntimeError):
     """Raised when branch and bound exhausts its node budget."""
 
-    def __init__(self, limit: int):
-        super().__init__(f"branch and bound node limit exceeded ({limit} nodes)")
-        self.limit = limit
-
 
 @dataclass(frozen=True)
 class LPProblem:
-    """A constraint system plus an ordered list of objectives to minimize.
+    """A constraint system plus the objectives to minimize, of which only
+    `solve_lp` takes one.
 
     Each objective is a mapping {variable: coefficient}; a bare string is
-    shorthand for minimizing that single variable.  `integrality` lists the
-    variables that must be integral in `solve_ilp`.
+    shorthand for minimizing that single variable.
     """
 
     system: ConstraintSystem
     objectives: tuple = ()
-    integrality: frozenset[str] = frozenset()
 
     @staticmethod
-    def of(system, objectives=(), integrality=()) -> "LPProblem":
+    def of(system, objectives=()) -> "LPProblem":
         objs = tuple({o: ONE} if isinstance(o, str) else dict(o) for o in objectives)
-        return LPProblem(system, objs, frozenset(integrality))
+        return LPProblem(system, objs)
 
 
 @dataclass(frozen=True)
@@ -79,15 +73,15 @@ class _Tableau:
     split into a positive and a negative half.  These non-negative
     structural columns are the first nonbasic quantities, and each keeps a
     row for good: rows 0 to n-1 express them, then come the constraint rows
-    (an equality as a pair of opposite inequalities), then the objective
-    rows.  Every row holds [constant, coefficient per column] over the
-    current nonbasic quantities, so at the basic solution a row's value is
-    its constant.  Constraint and objective rows matter only up to a
+    (an equality as a pair of opposite inequalities), then at most one
+    objective row.  Every row holds [constant, coefficient per column] over
+    the current nonbasic quantities, so at the basic solution a row's value
+    is its constant.  Constraint and objective rows matter only up to a
     positive factor and are kept content-reduced; a structural row also
     keeps a positive denominator in `den`.
     """
 
-    def __init__(self, system: ConstraintSystem, costs: Sequence[Mapping] = ()):
+    def __init__(self, system: ConstraintSystem, cost: Mapping | None = None):
         self.col_of: dict[str, tuple] = {}  # variable -> (column, negative half, shift)
         n = 0
         for v in system.variables:
@@ -110,7 +104,7 @@ class _Tableau:
             if lr.kind == EQ:
                 self.rows.append([-c for c in row])
         self.m = len(self.rows)
-        for cost in costs:
+        if cost is not None:
             self.rows.append(self._integral(
                 0, ((self.col_of[v], c) for v, c in cost.items() if c)))
 
@@ -166,12 +160,12 @@ class _Tableau:
         rows[r] = unit
         self.col_var[j] = r
 
-    def lexmin(self, order: Sequence[int]) -> bool:
+    def lexmin(self) -> bool:
         """Lexicographic dual simplex; False when the system is infeasible.
 
         Every column stays lexicographically positive over the structural
-        rows taken in `order`, so each pivot raises the solution in that
-        order and the first feasible basis is the lexicographic minimum.
+        rows in order, so each pivot raises the solution in that order and
+        the first feasible basis is the lexicographic minimum.
         """
         rows = self.rows
         while True:
@@ -182,30 +176,29 @@ class _Tableau:
             best = 0
             for j in range(1, self.n + 1):
                 a = prow[j]
-                if a > 0 and (not best or self._lex_less(order, j, a, best, prow[best])):
+                if a > 0 and (not best or self._lex_less(j, a, best, prow[best])):
                     best = j
             if not best:
                 return False
             self._pivot(r, best)
 
-    def _lex_less(self, order, j, a, k, b) -> bool:
+    def _lex_less(self, j, a, k, b) -> bool:
         """Is column j over a lexicographically below column k over b?"""
-        for i in order:
-            row = self.rows[i]
+        rows = self.rows
+        for i in range(self.n):
+            row = rows[i]
             x = row[j] * b - row[k] * a
             if x:
                 return x < 0
         return False
 
-    def minimize(self, o: int, frozen: set) -> bool:
-        """Primal simplex with Bland's rule on objective row o from a
-        feasible basis, never entering a frozen column; False when
-        unbounded."""
+    def minimize(self) -> bool:
+        """Primal simplex with Bland's rule on the objective row from a
+        feasible basis; False when unbounded."""
         rows = self.rows
         while True:
-            obj = rows[self.m + o]
-            enter = min((j for j in range(1, self.n + 1)
-                         if obj[j] < 0 and j not in frozen),
+            obj = rows[self.m]
+            enter = min((j for j in range(1, self.n + 1) if obj[j] < 0),
                         key=self.col_var.__getitem__, default=0)
             if not enter:
                 return True
@@ -218,100 +211,81 @@ class _Tableau:
                 return False
             self._pivot(leave, enter)
 
-    def assignment(self) -> dict[str, Fraction]:
-        def value(k):
-            return Fraction(self.rows[k][0], self.den[k])
+    def columns(self) -> tuple[Fraction, ...]:
+        """The structural columns' values, which `lexmin` minimizes."""
+        return tuple(Fraction(self.rows[k][0], self.den[k]) for k in range(self.n))
 
-        return {v: value(k) + shift if neg is None else value(k) - value(neg)
+    def assignment(self) -> dict[str, Fraction]:
+        value = self.columns()
+        return {v: value[k] + shift if neg is None else value[k] - value[neg]
                 for v, (k, neg, shift) in self.col_of.items()}
 
 
-def _lexmin_variables(system: ConstraintSystem, objectives) -> list[str] | None:
-    """The objectives' variables when each objective is one distinct
-    variable, bounded below, with a positive weight; otherwise None."""
-    out: list[str] = []
-    for obj in objectives:
-        if len(obj) != 1:
-            return None
-        (v, c), = obj.items()
-        if c <= 0 or system.lower[v] is None or v in out:
-            return None
-        out.append(v)
-    return out
-
-
-def _solve(system: ConstraintSystem, objectives: Sequence[Mapping]) -> LPResult:
-    """Lexicographic minimum over the objectives.
-
-    A lexmin of variables bounded below is one lexicographic dual simplex
-    pass with those variables first; any other objective list starts from
-    the dual simplex's feasible point and runs one primal stage per
-    objective, freezing the columns each optimum prices positive.
-    """
-    lexmin = _lexmin_variables(system, objectives)
-    tab = _Tableau(system, () if lexmin is not None else objectives)
-    first = [tab.col_of[v][0] for v in lexmin or ()]
-    chosen = set(first)
-    if not tab.lexmin(first + [k for k in range(tab.n) if k not in chosen]):
-        return LPResult(INFEASIBLE)
-    if lexmin is None:
-        frozen: set[int] = set()
-        for o in range(len(objectives)):
-            if not tab.minimize(o, frozen):
-                return LPResult(UNBOUNDED)
-            obj = tab.rows[tab.m + o]
-            frozen.update(j for j in range(1, tab.n + 1) if obj[j] > 0)
-    x = tab.assignment()
-    values = tuple(sum((Fraction(c) * x[v] for v, c in obj.items()), ZERO)
-                   for obj in objectives)
-    return LPResult(OPTIMAL, x, values)
+def _no_objective(problem: LPProblem) -> ConstraintSystem:
+    if problem.objectives:
+        raise ValueError("a lexmin is over the tableau's columns and takes no objective")
+    return problem.system
 
 
 def solve_lp(problem: LPProblem) -> LPResult:
-    """Minimize the first objective (feasibility check when there is none)."""
-    return _solve(problem.system, problem.objectives[:1])
+    """Minimize the problem's one objective, or check feasibility when it has
+    none; `objective` holds the minimum."""
+    if len(problem.objectives) > 1:
+        raise ValueError("solve_lp minimizes at most one objective")
+    cost = problem.objectives[0] if problem.objectives else None
+    tab = _Tableau(problem.system, cost)
+    if not tab.lexmin():
+        return LPResult(INFEASIBLE)
+    if cost is None:
+        return LPResult(OPTIMAL, tab.assignment())
+    if not tab.minimize():
+        return LPResult(UNBOUNDED)
+    x = tab.assignment()
+    return LPResult(OPTIMAL, x, (sum((Fraction(c) * x[v] for v, c in cost.items()), ZERO),))
 
 
 def solve_lexmin(problem: LPProblem) -> LPResult:
-    """Lexicographic minimization over the problem's objective list.
-
-    With no objectives it is the lexmin of the tableau's columns: every
-    variable in the system's order, a free one as its positive half, then
-    its negative half, which gives it the value of smallest magnitude."""
-    return _solve(problem.system, problem.objectives)
+    """The lexmin of the tableau's columns: every variable in the system's
+    order, a free one as its positive half, then its negative half, which
+    gives it the value of smallest magnitude."""
+    tab = _Tableau(_no_objective(problem))
+    return LPResult(OPTIMAL, tab.assignment()) if tab.lexmin() else LPResult(INFEASIBLE)
 
 
 def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
-    """Depth-first branch and bound; branching follows the system's variable
-    order restricted to the integrality set, so runs are reproducible."""
-    order = [v for v in problem.system.variables if v in problem.integrality]
-    stack = [problem.system]
-    incumbent: LPResult | None = None
+    """The integer point of `solve_lexmin`'s order: the least tuple of column
+    values with every variable integral.
+
+    Depth-first branch and bound on the first fractional variable in the
+    system's order, so runs are reproducible.  A node's lexmin bounds every
+    integer point below it, so a node whose columns do not beat the
+    incumbent's is pruned.
+    """
+    stack = [_no_objective(problem)]
+    best = None  # the incumbent's column values and result
     nodes = 0
     while stack:
         system = stack.pop()
         nodes += 1
         if nodes > node_limit:
-            raise ResourceLimitError(node_limit)
-        relax = _solve(system, problem.objectives)
-        if relax.status == INFEASIBLE:
+            raise ResourceLimitError(
+                f"branch and bound node limit exceeded ({node_limit} nodes)")
+        tab = _Tableau(system)
+        if not tab.lexmin():
             continue
-        if relax.status == UNBOUNDED:
-            return relax
-        if incumbent and relax.objective >= incumbent.objective:
+        key = tab.columns()
+        if best and key >= best[0]:
             continue
-        frac = next(
-            (v for v in order if relax.assignment[v].denominator != 1), None
-        )
+        x = tab.assignment()
+        frac = next((v for v in system.variables if x[v].denominator != 1), None)
         if frac is None:
-            incumbent = relax
+            best = key, LPResult(OPTIMAL, x)
             continue
-        val = relax.assignment[frac]
-        up = system.with_rows([system.row_from({frac: 1}, -ceil(val), GE)])
-        down = system.with_rows([system.row_from({frac: -1}, floor(val), GE)])
+        up = system.with_rows([system.row_from({frac: 1}, -ceil(x[frac]), GE)])
+        down = system.with_rows([system.row_from({frac: -1}, floor(x[frac]), GE)])
         stack.append(up)
         stack.append(down)
-    return incumbent if incumbent else LPResult(INFEASIBLE)
+    return best[1] if best else LPResult(INFEASIBLE)
 
 
 @dataclass(frozen=True)

@@ -606,12 +606,10 @@ def _check_scc_colorability(runs, bound):
     count = 0
     for r in runs:
         prog, deps = r.instance.program, r.instance.deps
-        by_id = {s.id: s for s in prog.statements}
         for comp in scc_decompose([s.id for s in prog.statements], deps):
-            stmts = [by_id[sid] for sid in comp]
             sub = build_fcg(prog, deps, statements=comp)
             count += 1
-            if colorable_dimension(prog, sub, stmts) is None:
+            if colorable_dimension(prog, sub, comp) is None:
                 bad.append(f"{r.instance.name}: component {{{','.join(comp)}}} "
                            "has no colorable dimension")
     details = tuple(bad) or (f"{count} isolated components each keep a "

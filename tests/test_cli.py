@@ -1,8 +1,10 @@
+import functools
 import json
 from importlib import resources
 
 import pytest
 
+from polysched import ratlp
 from polysched.cli import main
 from polysched.fcg import color_fcg, to_dot
 from polysched.model import AffineTransform
@@ -198,6 +200,15 @@ class TestErrors:
         path.write_text(json.dumps(UNSCHEDULABLE))
         code, _, err = run(capsys, "schedule", str(path), "--algo", "lp")
         assert code == 3 and err.startswith("internal error: ")
+
+    def test_node_limit_exits_3_and_names_where(self, capsys, monkeypatch):
+        monkeypatch.setattr(ratlp, "solve_ilp",
+                            functools.partial(ratlp.solve_ilp, node_limit=1))
+        code, _, err = run(capsys, "schedule", str(CORPUS.joinpath("scaling_pair.json")),
+                           "--algo", "ilp")
+        assert code == 3
+        assert err == ("internal error: branch and bound node limit exceeded (1 nodes) "
+                       "at level 1 for statements P, Q\n")
 
     def test_subcommand_is_required(self, capsys):
         with pytest.raises(SystemExit):

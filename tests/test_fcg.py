@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +10,7 @@ from polysched.fcg import (
     fusion_probe, permute_and_fuse, to_dot,
 )
 from polysched.frontend import analyze
-from polysched.model import Cut
+from polysched.model import Cut, SchedulingError
 from polysched.pluto import _lexmin, dimension_terms
 
 F = Fraction
@@ -233,6 +234,15 @@ class TestColorableDimension:
         inst = by_name["distribution_forced"]
         fcg = build_fcg(inst.program, inst.deps)
         assert colorable_dimension(inst.program, fcg, ("P",)) == {"P": 0}
+
+    def test_search_limit_names_statements(self, by_name, monkeypatch):
+        inst = by_name["fig1"]
+        graph = build_fcg(inst.program, inst.deps)
+        monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 7)
+        with pytest.raises(SchedulingError, match=(
+                "dimension search space too large: 8 picks "
+                "for statements S1, S2, S3$")):
+            colorable_dimension(inst.program, graph, ("S1", "S2", "S3"))
 
 
 class TestDot:

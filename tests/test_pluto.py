@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 from fractions import Fraction
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from polysched import pluto
+from polysched import pluto, ratlp
 from polysched.farkas import (
     GE, bounding_constraints, coefficient_variables, legality_constraints,
 )
@@ -334,6 +335,15 @@ class TestSchedule:
                 "for statements S1, S2, S3$")):
             schedule(inst.program, inst.deps,
                      SchedulerConfig(mode=LP, restricted=True))
+
+    def test_node_limit_names_level_and_statements(self, by_name, monkeypatch):
+        inst = by_name["scaling_pair"]
+        monkeypatch.setattr(ratlp, "solve_ilp",
+                            functools.partial(ratlp.solve_ilp, node_limit=1))
+        with pytest.raises(ratlp.ResourceLimitError, match=(
+                r"branch and bound node limit exceeded \(1 nodes\) at level 1 "
+                "for statements P, Q$")):
+            schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP))
 
     def test_stencil_relaxation_takes_half_coefficients(self, by_name):
         inst = by_name["stencil1d"]

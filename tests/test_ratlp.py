@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched.farkas import EQ, ConstraintSystem, eliminate
+from polysched.farkas import EQ, ZERO, ConstraintSystem, eliminate
 from polysched.ratlp import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
     LPProblem, ResourceLimitError, scale_to_integral, solve_ilp, solve_lexmin,
@@ -78,30 +78,26 @@ class TestSolveLP:
 
 
 class TestLexmin:
-    def test_stage_order_matters(self):
-        s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
-        res = solve_lexmin(LPProblem.of(s, ["x", "y"]))
-        assert res.objective == (F(0), F(4))
-        rev = solve_lexmin(LPProblem.of(s, ["y", "x"]))
-        assert rev.objective == (F(0), F(4))
-        assert rev.assignment["y"] == 0 and rev.assignment["x"] == 4
-
-    def test_later_stage_breaks_ties(self):
-        s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
-        res = solve_lexmin(LPProblem.of(s, [{"x": 1, "y": 1}, {"x": 1}]))
-        assert res.objective == (F(4), F(0))
-        assert res.assignment["y"] == 4
-
-    def test_earlier_optimum_is_never_traded(self):
-        # Minimizing y first pins y = 0 even though the second stage would
-        # prefer the point (0, 4).
-        s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
-        res = solve_lexmin(LPProblem.of(s, ["y", {"x": 1, "y": -1}]))
-        assert res.assignment["y"] == 0 and res.assignment["x"] == 4
+    def test_variable_order_decides(self):
+        # The columns are minimized in the system's variable order.
+        xy = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
+        res = solve_lexmin(LPProblem.of(xy))
+        assert res.assignment == {"x": 0, "y": 4} and res.objective == ()
+        yx = system(["y", "x"], [({"x": 1, "y": 1}, -4, "ge")])
+        assert solve_lexmin(LPProblem.of(yx)).assignment == {"y": 0, "x": 4}
 
     def test_infeasible_propagates(self):
         s = system(["x"], [({"x": -1}, -1, "ge")])
-        assert solve_lexmin(LPProblem.of(s, ["x"])).status == INFEASIBLE
+        assert solve_lexmin(LPProblem.of(s)).status == INFEASIBLE
+
+    def test_objectives_are_refused(self):
+        # A lexmin has no objective to ignore, and an LP has at most one.
+        s = system(["x", "y"], [({"x": 1, "y": 1}, -4, "ge")])
+        for solve in (solve_lexmin, solve_ilp):
+            with pytest.raises(ValueError):
+                solve(LPProblem.of(s, ["y"]))
+        with pytest.raises(ValueError):
+            solve_lp(LPProblem.of(s, ["x", "y"]))
 
     @pytest.mark.parametrize("rows, want", [
         ([({"x": 1}, 5, "ge"), ({"x": -1}, -2, "ge")], -2),  # -5 <= x <= -2
@@ -130,9 +126,8 @@ class TestDualSimplex:
         # Every column has the same ratio on the violated row and x's row
         # ties y and z: the later variable rows decide, and z takes the rise.
         s = system(["x", "y", "z"], [({"x": 1, "y": 1, "z": 1}, -1, "ge")])
-        res = solve_lexmin(LPProblem.of(s, ["x", "y", "z"]))
+        res = solve_lexmin(LPProblem.of(s))
         assert res.assignment == {"x": 0, "y": 0, "z": 1}
-        assert res.objective == (F(0), F(0), F(1))
 
     def test_pivot_on_a_variable_row_with_a_denominator(self):
         # A structural row that has picked up a denominator becomes a pivot
@@ -140,7 +135,7 @@ class TestDualSimplex:
         s = system(["x", "y"], [({"x": 3, "y": 1}, -1, "ge"),
                                 ({"y": 2}, -1, "ge"),
                                 ({"x": 3, "y": -3}, -2, "ge")])
-        res = solve_lexmin(LPProblem.of(s, ["x", "y"]))
+        res = solve_lexmin(LPProblem.of(s))
         assert res.assignment == {"x": F(7, 6), "y": F(1, 2)}
         assert s.satisfied_by(res.assignment)
 
@@ -148,20 +143,20 @@ class TestDualSimplex:
         s = system(["x", "y"], [({"x": 1, "y": 1}, -2, EQ),
                                 ({"x": 1, "y": -1}, 0, EQ),
                                 ({"x": 2}, -2, EQ)])
-        res = solve_lexmin(LPProblem.of(s, ["x", "y"]))
+        res = solve_lexmin(LPProblem.of(s))
         assert res.assignment == {"x": 1, "y": 1}
 
     def test_contradictory_equalities(self):
         s = system(["x", "y"], [({"x": 1, "y": 1}, -2, EQ),
                                 ({"x": 1, "y": 1}, -3, EQ)])
-        assert solve_lexmin(LPProblem.of(s, ["x", "y"])).status == INFEASIBLE
+        assert solve_lexmin(LPProblem.of(s)).status == INFEASIBLE
         assert solve_lp(LPProblem.of(s)).status == INFEASIBLE
 
     def test_infeasible_after_several_pivots(self):
         s = system(["x", "y", "z"], [({"x": 1}, -1, "ge"), ({"y": 1}, -1, "ge"),
                                      ({"z": 1}, -1, "ge"),
                                      ({"x": -1, "y": -1, "z": -1}, 2, "ge")])
-        assert solve_lexmin(LPProblem.of(s, ["x", "y", "z"])).status == INFEASIBLE
+        assert solve_lexmin(LPProblem.of(s)).status == INFEASIBLE
         assert solve_lp(LPProblem.of(s, [{"x": 1, "y": -1}])).status == INFEASIBLE
 
     def test_feasibility_with_free_variables(self):
@@ -178,36 +173,41 @@ class TestDualSimplex:
 class TestSolveILP:
     def test_rounds_fractional_relaxation(self):
         s = system(["x"], [({"x": 2}, -1, "ge")])
-        prob = LPProblem.of(s, ["x"], ["x"])
-        assert solve_lp(prob).assignment["x"] == F(1, 2)
+        prob = LPProblem.of(s)
+        assert solve_lexmin(prob).assignment["x"] == F(1, 2)
         res = solve_ilp(prob)
         assert res.assignment["x"] == 1
 
     def test_branches_both_sides(self):
+        # The relaxation (0, 3/2) branches on y.  The side y <= 1, searched
+        # first, takes seven nodes to end at (1, 1), after (2, 0); the side
+        # y >= 2 then beats both with (0, 2) at the ninth.
         s = system(["x", "y"], [({"x": 2, "y": 2}, -3, "ge")])
-        res = solve_ilp(LPProblem.of(s, [{"x": 1, "y": 1}], ["x", "y"]))
-        assert res.objective == (F(2),)
-        assert all(res.assignment[v].denominator == 1 for v in "xy")
-        assert s.satisfied_by(res.assignment)
+        res = solve_ilp(LPProblem.of(s), node_limit=9)
+        assert res.assignment == {"x": 0, "y": 2}
+        with pytest.raises(ResourceLimitError):
+            solve_ilp(LPProblem.of(s), node_limit=8)
 
     def test_infeasible_integrality(self):
         s = system(["x"], [({"x": 2}, -1, EQ)])
-        assert solve_ilp(LPProblem.of(s, ["x"], ["x"])).status == INFEASIBLE
+        assert solve_ilp(LPProblem.of(s)).status == INFEASIBLE
 
-    def test_unbounded_relaxation_reported(self):
-        s = system(["x"], [])
-        res = solve_ilp(LPProblem.of(s, [{"x": -1}], ["x"]))
-        assert res.status == UNBOUNDED
+    def test_lexmin_is_never_unbounded(self):
+        # The columns are non-negative, so a system with no rows has its
+        # lexmin at the bounds, and a free variable at 0.
+        s = system(["x", "y"], [], {"x": F(-3), "y": None})
+        assert solve_ilp(LPProblem.of(s)).assignment == {"x": -3, "y": 0}
 
     def test_node_limit(self):
         s = system(["x"], [({"x": 2}, -1, "ge")])
         with pytest.raises(ResourceLimitError):
-            solve_ilp(LPProblem.of(s, ["x"], ["x"]), node_limit=1)
+            solve_ilp(LPProblem.of(s), node_limit=1)
 
-    def test_non_integral_variables_stay_rational(self):
+    def test_every_variable_is_integral(self):
+        # x = 0 and y = 1/2 is the relaxation; no integer point has 2x + 2y = 1.
         s = system(["x", "y"], [({"x": 2, "y": 2}, -1, EQ)])
-        res = solve_ilp(LPProblem.of(s, [{"y": 1}], ["x"]))
-        assert res.assignment["x"] == 0 and res.assignment["y"] == F(1, 2)
+        assert solve_lexmin(LPProblem.of(s)).assignment == {"x": 0, "y": F(1, 2)}
+        assert solve_ilp(LPProblem.of(s)).status == INFEASIBLE
 
 
 class TestScaleToIntegral:
@@ -251,37 +251,46 @@ def test_optimum_is_feasible(rows, cx, cy):
         assert res.objective[0] == cx * res.assignment["x"] + cy * res.assignment["y"]
 
 
+def column_key(s, point):
+    """The tableau's column values at `point`, in order: a bounded variable
+    less its bound, a free one as its positive half, then its negative half."""
+    key = []
+    for v in s.variables:
+        x, low = point[v], s.lower[v]
+        key += [x - low] if low is not None else [max(x, 0), max(-x, 0)]
+    return tuple(key)
+
+
 @settings(max_examples=80, deadline=None)
-@given(bounded_rows, st.integers(0, 3), st.integers(0, 3))
-def test_ilp_matches_grid_search(rows, cx, cy):
-    """On a box, branch and bound must agree with trying every lattice point."""
+@given(bounded_rows, st.sampled_from(["x", "y"]))
+def test_ilp_matches_grid_search(rows, free):
+    """On a box, branch and bound must find the lattice point with the least
+    column values, the order the relaxation minimizes."""
     s = system(["x", "y"],
                [({"x": a, "y": b}, c, "ge") for a, b, c in rows]
-               + [({"x": -1}, 5, "ge"), ({"y": -1}, 5, "ge")])
-    prob = LPProblem.of(s, [{"x": cx, "y": cy}], ["x", "y"])
-    res = solve_ilp(prob)
+               + [({v: -1}, 5, "ge") for v in "xy"] + [({free: 1}, 5, "ge")],
+               {free: None})
+    res = solve_ilp(LPProblem.of(s))
 
-    best = None
-    for x in range(6):
-        for y in range(6):
-            if s.satisfied_by({"x": x, "y": y}):
-                val = cx * x + cy * y
-                if best is None or val < best:
-                    best = val
+    grid = [{"x": x, "y": y} for x in range(-5, 6) for y in range(-5, 6)]
+    best = min((p for p in grid if s.satisfied_by(p)),
+               key=lambda p: column_key(s, p), default=None)
     if best is None:
         assert res.status == INFEASIBLE
     else:
         assert res.status == OPTIMAL
-        assert res.objective == (F(best),)
-        relax = solve_lp(prob)
-        assert relax.objective[0] <= res.objective[0]
+        assert res.assignment == best
+        relax = solve_lexmin(LPProblem.of(s))
+        assert column_key(s, relax.assignment) <= column_key(s, best)
 
 
 def reference_lexmin(s):
-    """Lexmin of the variables in system order without a simplex: each
-    variable's minimum is read off the system projected onto it by
-    Fourier-Motzkin elimination, then the variable is fixed there.  None
-    when the system is infeasible."""
+    """Lexmin of the tableau's columns without a simplex: each variable's
+    range [lo, hi] is read off the system projected onto it by
+    Fourier-Motzkin elimination, then the variable is fixed at the value its
+    columns put first.  That is lo for a variable bounded below; a free one
+    is its positive half, then its negative half, so it takes lo when lo > 0,
+    hi when hi < 0, else 0.  None when the system is infeasible."""
     values = {}
     for v in s.variables:
         shadow = eliminate(s, [u for u in s.variables if u != v])
@@ -299,6 +308,8 @@ def reference_lexmin(s):
                 hi = x if hi is None else min(hi, x)
         if hi is not None and lo > hi:
             return None
+        if s.lower[v] is None:
+            lo = lo if lo > 0 else hi if hi < 0 else ZERO
         values[v] = lo
         s = s.with_rows([s.row_from({v: 1}, -lo, EQ)])
     return values
@@ -314,14 +325,14 @@ bounds = st.sampled_from([F(0), F(0), F(-2), F(1, 2), F(3), None])
 @settings(max_examples=300, deadline=None)
 @given(st.integers(2, 4), small_rows, st.lists(bounds, min_size=4, max_size=4))
 def test_lexmin_matches_projection(n, rows, lower):
-    """The dual simplex lexmin (and the primal stages, when a variable is
-    free) agrees with one projection per variable on a boxed system."""
+    """The dual simplex lexmin agrees with one projection per variable on a
+    boxed system, free variables included."""
     names = ["x", "y", "z", "t"][:n]
     box = [({v: sign}, 4, "ge") for v in names for sign in (1, -1)]
     s = system(names,
                [(dict(zip(names, coeffs)), c, kind) for coeffs, c, kind in rows] + box,
                dict(zip(names, lower)))
-    res = solve_lexmin(LPProblem.of(s, names))
+    res = solve_lexmin(LPProblem.of(s))
     want = reference_lexmin(s)
     if want is None:
         assert res.status == INFEASIBLE
@@ -329,5 +340,4 @@ def test_lexmin_matches_projection(n, rows, lower):
     else:
         assert res.status == OPTIMAL
         assert res.assignment == want
-        assert res.objective == tuple(want[v] for v in names)
         assert s.satisfied_by(solve_lp(LPProblem.of(s)).assignment)

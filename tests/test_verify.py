@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysched import verify
 from polysched.farkas import ConstraintSystem
+from polysched.fcg import colorable_dimension
 from polysched.frontend import ParseError, analyze
 from polysched.model import identity_transform
 from polysched.pluto import ILP, SchedulerConfig, schedule
@@ -305,6 +307,19 @@ class TestTheoremSuite:
         assert not report.ok and report.instances == ()
         failing = [r.name for r in report.results if r.status == "fail"]
         assert failing == ["solution-scaling"]
+
+    def test_scc_colorability_picks_for_every_component_statement(self, by_name,
+                                                                  monkeypatch):
+        asked = []
+
+        def recording(program, fcg, statements):
+            picks = colorable_dimension(program, fcg, statements)
+            asked.append((set(statements), picks))
+            return picks
+
+        monkeypatch.setattr(verify, "colorable_dimension", recording)
+        theorem_suite(corpus=(by_name["scc_pair"],))
+        assert asked == [({"P", "Q"}, {"P": 0, "Q": 0})]
 
     def test_progress_callback_sees_every_check(self, by_name):
         seen = []
