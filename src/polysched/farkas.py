@@ -58,16 +58,6 @@ class LinearRow(NamedTuple):
             vec[i] = c
         return tuple(vec)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        acc = self.const
-        for i, c in self.nonzero:
-            acc = point[i] * c + acc
-        return acc
-
-    def holds(self, point: Sequence[Fraction]) -> bool:
-        v = self.evaluate(point)
-        return v == 0 if self.kind == EQ else v >= 0
-
 
 def _row(width: int, items: Iterable, const, kind: str) -> LinearRow:
     """The canonical row with the rational (index, coefficient) `items`, in

@@ -300,16 +300,14 @@ def _partial(program: Program, colors: Mapping[str, list], depth: int) -> Affine
 def _split_groups(groups: list, left_ids: set):
     """Refine the ordered distribution so no group straddles the boundary."""
     out = []
-    changed = False
     for g in groups:
         a = tuple(sid for sid in g if sid in left_ids)
         b = tuple(sid for sid in g if sid not in left_ids)
         if a and b:
             out += [a, b]
-            changed = True
         else:
             out.append(g)
-    return out, changed
+    return out
 
 
 def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Coloring:
@@ -320,8 +318,8 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     cannot take the current color the routine either discards dependences
     already satisfied by the colored outer levels or distributes (cutting
     the graph between components), rebuilds the conflict graph, and starts
-    over.  Each rescue strictly shrinks the live dependence set or refines
-    the distribution, so the loop terminates.
+    over.  Each rescue strictly shrinks the live dependence set, so the loop
+    terminates.
     """
     stmts = list(program.statements)
     max_colors = max((s.dim for s in stmts), default=0)
@@ -333,7 +331,7 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     initial = build_fcg(program, live)
     fcg = initial
 
-    for _ in range(len(live) + len(stmts) + 2):
+    for _ in range(len(live) + 2):
         outcome = _color_once(stmts, live, fcg, max_colors)
         if not isinstance(outcome, _Failure):
             return Coloring(
@@ -346,16 +344,13 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
             left = {sid for comp in outcome.sccs[: outcome.scc_index] for sid in comp}
             cut = [d for d in live
                    if (d.src in left) != (d.dst in left)]
-            groups, changed = _split_groups(groups, left)
             if cut:
+                groups = _split_groups(groups, left)
                 live = [d for d in live if not ((d.src in left) != (d.dst in left))]
                 cut_groups[outcome.color] = tuple(groups)
                 events.append(
                     f"cut before {outcome.sccs[outcome.scc_index][0]} "
                     f"at color {outcome.color}, dropping {len(cut)} dependences")
-                progressed = True
-            elif changed:
-                cut_groups[outcome.color] = tuple(groups)
                 progressed = True
         if not progressed and outcome.color > 1:
             partial = _partial(program, outcome.colors, outcome.color - 1)

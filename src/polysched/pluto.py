@@ -247,10 +247,12 @@ def dimension_terms(program: Program, statements: Sequence[Statement],
 class Step:
     """One schedule level: a solve, or a cut that needed none.
 
-    `raw` is the solver's optimum over `system.variables` (both None for a
-    cut); `raw` times `factors`, one per component group, read off by
-    `level_rows`, gives `rows`, the level's integer row of each statement it
-    placed.  `component` is None for a step spanning the whole program.
+    A loop step comes only from `solve_level`.  `raw` is the solver's
+    optimum over `system.variables` (both None for a cut); `factors` holds
+    one integer per group of variables `solve_level` was given, the lcm of
+    that group's denominators, and `rows`, the level's integer row of each
+    statement it placed, is `raw` times those factors, read off by
+    `level_rows`.  `component` is None for a step spanning the whole program.
     """
 
     level: int
@@ -268,17 +270,42 @@ def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
     return ratlp.solve_lexmin(ratlp.LPProblem.of(system))
 
 
-def _lexmin_solve(system: ConstraintSystem, config: SchedulerConfig, level: int,
-                  active: Sequence[Statement]) -> ratlp.LPResult:
-    """The level's lexmin of the tableau's columns, over the integers in
-    `ilp` mode; a node-limit error names the level and its statements."""
-    if config.mode != ILP:
-        return _lexmin(system)
-    try:
-        return ratlp.solve_ilp(ratlp.LPProblem.of(system))
-    except ratlp.ResourceLimitError as exc:
-        raise ratlp.ResourceLimitError(f"{exc} at level {level} for statements "
-                                       f"{', '.join(s.id for s in active)}") from None
+def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
+                terms: Terms, level: int, groups: Sequence[Sequence[str]],
+                extra: Sequence[tuple[Mapping[str, Fraction | int], Fraction | int]] = (),
+                mode: str = LP, component: int | None = None) -> Step | None:
+    """The loop step of `level` over `terms`, or None when it is infeasible.
+
+    The system is `level_system` of `deps` plus one row per (form over the
+    unknowns, constant) of `extra`, each form plus its constant at least 0.
+    Its column lexmin is taken, over the integers in `ilp` mode; a
+    node-limit error names the level and the statements of `terms`.  Each
+    group of `groups` is scaled by the lcm of its members' denominators, and
+    each statement's row is read off the scaled unknowns by `level_rows`, so
+    an unknown in no group reads as 0.
+    """
+    system = level_system(program, deps, terms)
+    if extra:
+        system = system.with_rows(system.row_from(form, const) for form, const in extra)
+    if mode != ILP:
+        result = _lexmin(system)
+    else:
+        try:
+            result = ratlp.solve_ilp(ratlp.LPProblem.of(system))
+        except ratlp.ResourceLimitError as exc:
+            raise ratlp.ResourceLimitError(f"{exc} at level {level} for statements "
+                                           f"{', '.join(terms)}") from None
+    if not result:
+        return None
+    x = result.assignment
+    factors, scaled = [], {}
+    for group in groups:
+        members = [v for v in group if v in x]
+        k = lcm(1, *(x[v].denominator for v in members))
+        factors.append(k)
+        scaled.update((v, x[v] * k) for v in members)
+    return Step(level, "loop", _is_parallel(program, x), system, dict(x),
+                tuple(factors), component, level_rows(terms, scaled))
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
@@ -305,7 +332,8 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
     on an unused axis, at least 1; see `_best_axis_solve`), plus rows that
     keep its iterator coefficients nonzero and out of the span of its
     earlier rows.  The others get zero rows and stop influencing the
-    problem.
+    problem.  The level is scaled as one group: the bound variables, then
+    every unknown.
     """
     parts, complete = _statement_state(statements, prior)
     if all(complete.values()):
@@ -313,44 +341,37 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
 
     active = [s for s in statements if not complete[s.id]]
     if config.restricted:
-        result, system, terms = _best_axis_solve(program, deps, active, parts,
-                                                 config, level)
-    else:
-        nparams = len(program.params)
-        terms = {s.id: _unit_terms(s, program.params,
-                                   [(k, 0) for k in range(s.dim + nparams + 1)])
-                 for s in active}
-        system = level_system(program, deps, terms)
-        rows = []
-        for s in active:
-            rows.append(system.row_from(
-                {f"c.{s.id}.{it}": 1 for it in s.domain.iterators}, -1))
-            guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
-            if guide is not None:
-                rows.append(system.row_from(
-                    {f"c.{s.id}.{it}": a for it, a in zip(s.domain.iterators, guide) if a},
-                    -1))
-        system = system.with_rows(rows)
-        result = _lexmin_solve(system, config, level, active)
-    if not result:
-        return None
+        return _best_axis_solve(program, deps, active, parts, config, level, component)
+    nparams = len(program.params)
+    terms = {s.id: _unit_terms(s, program.params,
+                               [(k, 0) for k in range(s.dim + nparams + 1)])
+             for s in active}
+    extra = []
+    for s in active:
+        extra.append(({f"c.{s.id}.{it}": 1 for it in s.domain.iterators}, -1))
+        guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
+        if guide is not None:
+            extra.append(({f"c.{s.id}.{it}": a
+                           for it, a in zip(s.domain.iterators, guide) if a}, -1))
+    return solve_level(program, deps, terms, level, [_all_variables(program, terms)],
+                       extra, config.mode, component)
 
-    scaled = ratlp.scale_to_integral(result.assignment,
-                                     groups=[list(result.assignment)])
-    return Step(level, "loop", _is_parallel(program, result.assignment), system,
-                dict(result.assignment), scaled.group_factors, component,
-                level_rows(terms, scaled.values))
+
+def _all_variables(program: Program, terms: Terms) -> list[str]:
+    """The variables of `level_system(program, deps, terms)`, in order."""
+    return bound_variables(program) + [u for listed in terms.values() for u, _, _ in listed]
 
 
 def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
                      active: Sequence[Statement], parts: Mapping[str, Sequence],
-                     config: SchedulerConfig, level: int):
+                     config: SchedulerConfig, level: int,
+                     component: int | None) -> Step | None:
     """No-skew search: each statement's row is a scaled unit vector on an
     axis its earlier rows leave untouched, one term per statement.  Every
     joint axis assignment is solved; the least optimum over the bound
     variables, then every iterator coefficient (absent ones count as 0),
-    wins, and ties cannot occur since it covers every unknown.  Returns
-    (result, system, terms), all None when no assignment is feasible."""
+    wins, and ties cannot occur since it covers every unknown.  None when
+    no assignment is feasible."""
     choices = [[k for k in range(s.dim) if not any(r[k] for r in parts[s.id])]
                for s in active]
     total = prod(map(len, choices))
@@ -360,17 +381,17 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
             f"for statements {', '.join(s.id for s in active)}")
     order = bound_variables(program) + [
         f"c.{s.id}.{it}" for s in active for it in s.domain.iterators]
-    best, best_key = (None, None, None), None
+    best, best_key = None, None
     for combo in itertools.product(*choices):
         terms = {s.id: _unit_terms(s, program.params, [(k, 1)])
                  for s, k in zip(active, combo)}
-        system = level_system(program, deps, terms)
-        result = _lexmin_solve(system, config, level, active)
-        if not result:
+        step = solve_level(program, deps, terms, level, [_all_variables(program, terms)],
+                           mode=config.mode, component=component)
+        if step is None:
             continue
-        key = tuple(result.assignment.get(v, ZERO) for v in order)
+        key = tuple(step.raw.get(v, ZERO) for v in order)
         if best_key is None or key < best_key:
-            best, best_key = (result, system, terms), key
+            best, best_key = step, key
     return best
 
 

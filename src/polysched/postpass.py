@@ -1,13 +1,15 @@
 """Passes that turn a 0/1 permutation into the final schedule.
 
-Both passes solve `pluto.level_system` over per-statement terms and read
-the rows back with `pluto.level_rows`, scaled to integers per connected
-component.  `scale_and_shift` re-solves every loop level of a permutation
-on `pluto.dimension_terms`, the terms the fusion probes solve: the permuted
+Both passes only choose per-statement terms, extra rows and groups:
+`pluto.solve_level` builds and solves each level, scales it to integers
+with one group per weakly connected component, and reads the rows back.
+`scale_and_shift` re-solves every loop level of a permutation on
+`pluto.dimension_terms`, the terms the fusion probes solve: the permuted
 coefficient may grow past 1 and the shifts are free, so fused statements
 can slide against each other.  `introduce_skew` then repairs levels with a
 negative dependence component by replacing the level's row with a
-non-negative combination of itself and the rows above it: one term on each.
+non-negative combination of itself and the rows above it: one term on
+each, with non-negativity rows on the iterator coefficients as extras.
 `dfp_schedule` chains the conflict-graph coloring with both passes.
 """
 
@@ -16,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from . import ratlp
-from .farkas import ConstraintSystem
 from .fcg import Coloring, color_fcg, permute_and_fuse
 from .model import (
     AffineTransform,
@@ -29,25 +29,13 @@ from .model import (
     components,
     satisfaction_level,
 )
-from .pluto import (
-    Step, Terms, _is_parallel, _lexmin, dimension_terms, level_rows, level_system,
-)
+from .pluto import Step, Terms, dimension_terms, solve_level
 
 
-def _solve_level(program: Program, comps: Sequence[Sequence[str]], level: int,
-                 terms: Terms, system: ConstraintSystem) -> Step | None:
-    """The loop step of `level`: the lexmin of `system`, whose unknowns are
-    those of `terms`, scaled to integers per weakly connected component of
-    `comps`, with each statement's row read off by `level_rows`; None when
-    the system is infeasible."""
-    result = _lexmin(system)
-    if not result:
-        return None
-    scaled = ratlp.scale_to_integral(result.assignment, [
-        [u for sid in comp for u, _, _ in terms.get(sid, ())] for comp in comps])
-    return Step(level, "loop", _is_parallel(program, result.assignment), system,
-                dict(result.assignment), scaled.group_factors,
-                rows=level_rows(terms, scaled.values))
+def _component_groups(comps: Sequence[Sequence[str]], terms: Terms) -> list[list[str]]:
+    """One `solve_level` group per weakly connected component: the unknowns
+    of its statements' terms."""
+    return [[u for sid in comp for u, _, _ in terms.get(sid, ())] for comp in comps]
 
 
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
@@ -84,8 +72,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         terms = dimension_terms(
             program, [s for s in program.statements if s.id in active],
             active, parametric_shifts=True)
-        step = _solve_level(program, comps, level, terms,
-                            level_system(program, live, terms))
+        step = solve_level(program, live, terms, level, _component_groups(comps, terms))
         if step is None:
             raise SchedulingError(
                 f"no legal scaling and shifting exists at level {level}: "
@@ -142,13 +129,12 @@ def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
         terms[s.id] = [(f"a.{s.id}", own, 1)] + [
             (f"b.{s.id}.{k}", r, 0) for k, r in outer if r is not None and any(r)]
 
-    system = level_system(program, [d for d in deps if d.ordering], terms)
     # Iterator coefficients stay non-negative, as everywhere else.
-    system = system.with_rows(
-        system.row_from({u: row[j] for u, row, _ in terms[s.id] if row[j]})
-        for s in program.statements if s.id in terms for j in range(s.dim))
-    step = _solve_level(program, components([s.id for s in program.statements], deps),
-                        level, terms, system)
+    extra = [({u: row[j] for u, row, _ in terms[s.id] if row[j]}, 0)
+             for s in program.statements if s.id in terms for j in range(s.dim)]
+    comps = components([s.id for s in program.statements], deps)
+    step = solve_level(program, [d for d in deps if d.ordering], terms, level,
+                       _component_groups(comps, terms), extra)
     if step is None:
         return None
     rows = {sid: (*r[:level - 1], step.rows[sid], *r[level:]) if sid in step.rows else r

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .farkas import EQ, GE, ZERO, ConstraintSystem
 
@@ -286,38 +286,3 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
         stack.append(up)
         stack.append(down)
     return best[1] if best else LPResult(INFEASIBLE)
-
-
-@dataclass(frozen=True)
-class ScaledSolution:
-    values: dict[str, Fraction]
-    factor: int
-    group_factors: tuple[int, ...]
-
-
-def scale_to_integral(assignment: Mapping[str, Fraction],
-                      groups: Sequence[Sequence[str]] = ()) -> ScaledSolution:
-    """Scale a rational solution to an integral one.
-
-    Every variable group (one per connected set of statements) is multiplied
-    by the least common multiple of its denominators.  Ungrouped variables
-    (shared bounding coefficients, for instance) are multiplied by the least
-    common multiple over all groups and their own denominators, so they stay
-    valid for every group.
-    """
-    assignment = {v: Fraction(x) for v, x in assignment.items()}
-    grouped: set[str] = set()
-    factors = []
-    values: dict[str, Fraction] = {}
-    for group in groups:
-        members = [v for v in group if v in assignment]
-        k = lcm(1, *(assignment[v].denominator for v in members))
-        factors.append(k)
-        for v in members:
-            values[v] = assignment[v] * k
-            grouped.add(v)
-    rest = [v for v in assignment if v not in grouped]
-    k_all = lcm(1, *factors, *(assignment[v].denominator for v in rest))
-    for v in rest:
-        values[v] = assignment[v] * k_all
-    return ScaledSolution(values, k_all, tuple(factors))

@@ -78,30 +78,34 @@ def test_row_from_gives_canonical_integer_rows(data):
     assert [i for i, _ in row.nonzero] == sorted({i for i, _ in row.nonzero})
     assert row.coeffs == tuple(dict(row.nonzero).get(i, 0) for i in range(n))
 
+    free = ConstraintSystem(names, (row,), dict.fromkeys(names))
     for point in data.draw(st.lists(st.lists(rational, min_size=n, max_size=n),
                                     min_size=1, max_size=5)):
         value = const + sum(c * point[names.index(v)] for v, c in coeffs.items())
-        assert row.holds(point) == (value == 0 if kind == EQ else value >= 0)
+        assert free.satisfied_by(dict(zip(names, point))) == (
+            value == 0 if kind == EQ else value >= 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_satisfied_by_agrees_with_rational_rows(data):
     """`satisfied_by`'s integer check gives the verdict of the bounds and of
-    each row's rational `holds` at the same point."""
+    each rational row it was built from, evaluated at the same point."""
     n = data.draw(st.integers(1, 4))
     names = [f"x{k}" for k in range(n)]
     lower = data.draw(st.dictionaries(st.sampled_from(names),
                                       st.none() | rational))
+    drawn = [(data.draw(st.dictionaries(st.sampled_from(names), rational)),
+              data.draw(rational), data.draw(st.sampled_from([GE, EQ])))
+             for _ in range(data.draw(st.integers(0, 4)))]
     system = ConstraintSystem(names, (), lower)
-    system = system.with_rows(
-        system.row_from(data.draw(st.dictionaries(st.sampled_from(names), rational)),
-                        data.draw(rational), data.draw(st.sampled_from([GE, EQ])))
-        for _ in range(data.draw(st.integers(0, 4))))
+    system = system.with_rows(system.row_from(*row) for row in drawn)
     assignment = data.draw(st.dictionaries(st.sampled_from(names), rational))
-    point = [F(assignment.get(v, system.lower[v] or 0)) for v in names]
-    expect = (all(b is None or x >= b for x, b in zip(point, system.lower.values()))
-              and all(r.holds(point) for r in system.rows))
+    point = dict(zip(names, (F(assignment.get(v, system.lower[v] or 0)) for v in names)))
+    values = [(const + sum(c * point[v] for v, c in coeffs.items()), kind)
+              for coeffs, const, kind in drawn]
+    expect = (all(b is None or point[v] >= b for v, b in system.lower.items())
+              and all(x == 0 if kind == EQ else x >= 0 for x, kind in values))
     assert system.satisfied_by(assignment) == expect
 
 

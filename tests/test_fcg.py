@@ -12,6 +12,8 @@ from polysched.fcg import (
 from polysched.frontend import analyze
 from polysched.model import Cut, SchedulingError
 from polysched.pluto import _lexmin, dimension_terms
+from polysched.postpass import dfp_schedule
+from polysched.verify import check_legality, full_rank
 
 F = Fraction
 
@@ -193,6 +195,31 @@ class TestColoring:
         assert col.groups == (("P",), ("Q",))
         assert col.cut_groups == {1: (("P",), ("Q",))}
         assert col.events == ("cut before Q at color 1, dropping 1 dependences",)
+
+    def test_no_distribution_without_a_dependence_to_cut(self):
+        # S1 cannot take S0's second color while S0's diagonal dependence is
+        # live, but no dependence crosses from S0 to S1: distributing them
+        # would cut nothing.  Dropping the dependence satisfied above color 2
+        # lets both fuse into one permutable band.
+        square = [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+                  [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]
+        ident = [[1, 0, 0, 0], [0, 1, 0, 0]]
+        program, deps = analyze({"params": ["N"], "statements": [
+            {"id": "S0", "iterators": ["i", "j"], "domain": square, "order": 0,
+             "accesses": [{"array": "A", "kind": "write", "map": ident},
+                          {"array": "A", "kind": "read",
+                           "map": [[1, 0, 0, -1], [0, 1, 0, 1]]}]},
+            {"id": "S1", "iterators": ["i", "j"], "domain": square, "order": 1,
+             "accesses": [{"array": "B", "kind": "write", "map": ident}]}]})
+        col = color_fcg(program, deps)
+        assert col.cut_groups == {} and col.groups == (("S0", "S1"),)
+        assert col.events == ("dropped 1 dependences satisfied above color 2",)
+        out = dfp_schedule(program, deps)
+        assert out.transform.cuts == () and out.transform.levels == 2
+        assert [(b.start, b.end, b.permutable) for b in out.transform.bands] \
+            == [(1, 2, True)]
+        assert check_legality(program, deps, out.transform).ok
+        assert full_rank(program, out.transform)
 
     def test_matmul_coloring(self, by_name):
         inst = by_name["matmul"]

@@ -2,21 +2,23 @@ import functools
 import importlib.util
 import itertools
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from polysched import pluto, ratlp
 from polysched.farkas import (
-    GE, bounding_constraints, coefficient_variables, legality_constraints,
+    GE, ConstraintSystem, bounding_constraints, coefficient_variables, legality_constraints,
 )
 from polysched.frontend import analyze
 from polysched.model import Band, Cut, SchedulingError
+from polysched.postpass import dfp_schedule
 from polysched.pluto import (
     ILP, LP,
-    SchedulerConfig, _farkas_rows, bound_variables, find_hyperplane,
+    SchedulerConfig, _farkas_rows, bound_variables, dimension_terms, find_hyperplane,
     independence_vector, level_rows, level_system, nullspace_basis, row_rank,
-    rref, schedule,
+    rref, schedule, solve_level,
 )
 from polysched.verify import load_corpus
 
@@ -33,8 +35,8 @@ def rows_of(result, sid):
 
 def _rows_hold(system, values):
     """Every row holds at `values`, bounds aside; absent variables are 0."""
-    point = [F(values.get(v, 0)) for v in system.variables]
-    return all(r.holds(point) for r in system.rows)
+    free = ConstraintSystem(system.variables, system.rows, dict.fromkeys(system.variables))
+    return free.satisfied_by(values)
 
 
 class TestRowAlgebra:
@@ -250,6 +252,90 @@ class TestFindHyperplane:
         assert step is None
 
 
+def _line_pair(producer, consumer, write, read, order):
+    """`producer` writes its array at `write`*i, which `consumer` reads at
+    `read`*i, both over 0 <= i <= N."""
+    line = [[1, 0, 0, ">="], [-1, 1, 0, ">="]]
+    return [
+        {"id": producer, "iterators": ["i"], "domain": line, "order": order,
+         "accesses": [{"array": producer, "kind": "write", "map": [[write, 0, 0]]}]},
+        {"id": consumer, "iterators": ["i"], "domain": line, "order": order + 1,
+         "accesses": [{"array": consumer, "kind": "write", "map": [[1, 0, 0]]},
+                      {"array": producer, "kind": "read", "map": [[read, 0, 0]]}]}]
+
+
+class TestSolveLevel:
+    """`solve_level` scales each group by the lcm of its members'
+    denominators and reads the rows off the scaled unknowns."""
+
+    @pytest.fixture(scope="class")
+    def two_pairs(self):
+        # Alignment needs c.Q = 3/2 c.P in one component, c.T = 4/3 c.R in
+        # the other.
+        return analyze({"params": ["N"], "statements":
+                        _line_pair("P", "Q", 2, 3, 0) + _line_pair("R", "T", 3, 4, 2)})
+
+    def aligned(self, two_pairs, groups, mode=LP):
+        program, deps = two_pairs
+        terms = dimension_terms(program, program.statements,
+                                {s.id: 0 for s in program.statements}, True)
+        unknowns = {sid: [u for u, _, _ in listed] for sid, listed in terms.items()}
+        return solve_level(program, [d for d in deps if d.ordering], terms, 1,
+                           [[u for sid in g for u in unknowns[sid]] for g in groups],
+                           mode=mode)
+
+    def test_group_scaled_by_its_lcm(self, by_name, monkeypatch):
+        # find_hyperplane's one group is every system variable, u and w included.
+        inst = by_name["scaling_pair"]
+        groups = []
+
+        def spy(*args, **kwargs):
+            groups.append(args[4])
+            return solve_level(*args, **kwargs)
+
+        monkeypatch.setattr(pluto, "solve_level", spy)
+        step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
+                               {}, SchedulerConfig(mode=LP), 1, 0)
+        assert groups == [[list(step.system.variables)]]
+        assert step.system.variables[:2] == ("u.N", "w")
+        assert step.factors == (lcm(*(x.denominator for x in step.raw.values())),) == (2,)
+        assert step.rows == {"P": R(2, 0, 0), "Q": R(3, 0, 0)}
+
+    def test_bound_variables_in_a_group_count(self, by_name):
+        inst = by_name["scaling_pair"]
+        terms = dimension_terms(inst.program, inst.program.statements, {"P": 0, "Q": 0})
+        unknowns = [u for listed in terms.values() for u, _, _ in listed]
+        third = [({"w": 3}, -1)]  # w >= 1/3
+        deps = [d for d in inst.deps if d.ordering]
+        with_w = solve_level(inst.program, deps, terms, 1,
+                             [bound_variables(inst.program) + unknowns], third)
+        assert with_w.raw["w"] == F(1, 3) and with_w.factors == (6,)
+        assert with_w.rows == {"P": R(6, 0, 0), "Q": R(9, 0, 0)}
+        alone = solve_level(inst.program, deps, terms, 1, [unknowns], third)
+        assert alone.raw == with_w.raw and alone.factors == (2,)
+        assert alone.rows == {"P": R(2, 0, 0), "Q": R(3, 0, 0)}
+
+    def test_components_scale_independently(self, two_pairs):
+        step = self.aligned(two_pairs, [("P", "Q"), ("R", "T")])
+        assert step.raw["c.Q.i"] == F(3, 2) and step.raw["c.T.i"] == F(4, 3)
+        assert step.factors == (2, 3)
+        assert step.rows == {"P": R(2, 0, 0), "Q": R(3, 0, 0),
+                             "R": R(3, 0, 0), "T": R(4, 0, 0)}
+        joint = self.aligned(two_pairs, [("P", "Q", "R", "T")])
+        assert joint.factors == (6,)
+        assert joint.rows == {"P": R(6, 0, 0), "Q": R(9, 0, 0),
+                              "R": R(6, 0, 0), "T": R(8, 0, 0)}
+        # scale_and_shift groups by weakly connected component.
+        (scaled,) = dfp_schedule(*two_pairs).steps
+        assert scaled.factors == (2, 3) and scaled.rows == step.rows
+
+    def test_integral_optimum_is_untouched(self, two_pairs):
+        step = self.aligned(two_pairs, [("P", "Q"), ("R", "T")], ILP)
+        assert step.factors == (1, 1)
+        assert step.rows == {sid: R(step.raw[f"c.{sid}.i"], 0, 0) for sid in "PQRT"}
+        assert step.rows["T"] == R(4, 0, 0)
+
+
 class TestSchedulerConfig:
     def test_known_modes(self):
         assert SchedulerConfig().mode == LP
@@ -340,10 +426,12 @@ class TestSchedule:
         inst = by_name["scaling_pair"]
         monkeypatch.setattr(ratlp, "solve_ilp",
                             functools.partial(ratlp.solve_ilp, node_limit=1))
-        with pytest.raises(ratlp.ResourceLimitError, match=(
-                r"branch and bound node limit exceeded \(1 nodes\) at level 1 "
-                "for statements P, Q$")):
-            schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP))
+        for restricted in (False, True):
+            with pytest.raises(ratlp.ResourceLimitError, match=(
+                    r"branch and bound node limit exceeded \(1 nodes\) at level 1 "
+                    "for statements P, Q$")):
+                schedule(inst.program, inst.deps,
+                         SchedulerConfig(mode=ILP, restricted=restricted))
 
     def test_stencil_relaxation_takes_half_coefficients(self, by_name):
         inst = by_name["stencil1d"]

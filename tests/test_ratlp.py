@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from polysched.farkas import EQ, ZERO, ConstraintSystem, eliminate
 from polysched.ratlp import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
-    LPProblem, ResourceLimitError, scale_to_integral, solve_ilp, solve_lexmin,
-    solve_lp,
+    LPProblem, ResourceLimitError, solve_ilp, solve_lexmin, solve_lp,
 )
 
 F = Fraction
@@ -208,30 +207,6 @@ class TestSolveILP:
         s = system(["x", "y"], [({"x": 2, "y": 2}, -1, EQ)])
         assert solve_lexmin(LPProblem.of(s)).assignment == {"x": 0, "y": F(1, 2)}
         assert solve_ilp(LPProblem.of(s)).status == INFEASIBLE
-
-
-class TestScaleToIntegral:
-    def test_group_scaled_by_its_lcm(self):
-        out = scale_to_integral({"a": F(1, 2), "b": F(3)}, [["a", "b"]])
-        assert out.values == {"a": F(1), "b": F(6)}
-        assert out.group_factors == (2,) and out.factor == 2
-
-    def test_groups_scale_independently(self):
-        out = scale_to_integral({"a": F(1, 2), "b": F(1, 3), "w": F(1, 6)},
-                                [["a"], ["b"]])
-        assert out.values == {"a": F(1), "b": F(1), "w": F(1)}
-        assert out.group_factors == (2, 3)
-        assert out.factor == 6  # shared w keeps up with both groups
-
-    def test_ungrouped_only(self):
-        out = scale_to_integral({"x": F(5, 4)})
-        assert out.values == {"x": F(5)} and out.factor == 4
-        assert out.group_factors == ()
-
-    def test_integral_input_is_untouched(self):
-        out = scale_to_integral({"x": F(2), "y": F(0)}, [["x", "y"]])
-        assert out.values == {"x": F(2), "y": F(0)}
-        assert out.factor == 1 and out.group_factors == (1,)
 
 
 bounded_rows = st.lists(
