@@ -15,21 +15,19 @@ when a color cannot be completed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Optional, Sequence
 
 from .model import (
     AffineTransform,
-    Cut,
     DependencePolyhedron,
     Program,
     SchedulingError,
     Statement,
-    constant_row,
-    satisfaction_level,
+    place_cut,
     scc_decompose,
     unit_row,
+    unsatisfied,
 )
 from .pluto import _lexmin, dimension_terms, level_system
 
@@ -353,15 +351,12 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
                     f"at color {outcome.color}, dropping {len(cut)} dependences")
                 progressed = True
         if not progressed and outcome.color > 1:
-            partial = _partial(program, outcome.colors, outcome.color - 1)
-            satisfied = [d for d in live
-                         if satisfaction_level(d, partial) is not None]
-            if satisfied:
-                dropped = set(id(d) for d in satisfied)
-                live = [d for d in live if id(d) not in dropped]
+            kept = unsatisfied(live, _partial(program, outcome.colors, outcome.color - 1))
+            if len(kept) < len(live):
                 events.append(
-                    f"dropped {len(satisfied)} dependences satisfied above "
+                    f"dropped {len(live) - len(kept)} dependences satisfied above "
                     f"color {outcome.color}")
+                live = kept
                 progressed = True
         if not progressed:
             stuck = outcome.sccs[outcome.scc_index]
@@ -376,41 +371,27 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
 def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:
     """Assemble the colored permutation into schedule rows.
 
-    Loop levels follow color order; a distribution recorded at color c turns
-    into one scalar level right before color c's loop level, carrying each
-    statement's group ordinal.  Statements keep exactly one row per own
-    dimension plus the scalar rows, zero-padded where a shallow statement
-    sits under a deeper neighbour's cut.
+    Loop levels follow color order; a distribution recorded at color c is
+    placed by `model.place_cut` as one scalar level right before color c's
+    loop level.  Statements keep exactly one row per own dimension plus the
+    scalar rows, zero-padded where a shallow statement sits under a deeper
+    neighbour's cut.
     """
     np = len(program.params)
-    max_colors = max((s.dim for s in program.statements), default=0)
-
-    plan: list[tuple[str, object]] = []
-    for c in range(1, max_colors + 1):
-        if c in coloring.cut_groups:
-            plan.append(("cut", coloring.cut_groups[c]))
-        plan.append(("color", c))
-
-    placed: dict[str, dict[int, tuple[Fraction, ...]]] = \
-        {s.id: {} for s in program.statements}
+    rows: dict[str, list] = {s.id: [] for s in program.statements}
     cuts = []
-    for level, (kind, val) in enumerate(plan, 1):
-        if kind == "cut":
-            ordinal = {sid: gi for gi, g in enumerate(val) for sid in g}
-            for s in program.statements:
-                placed[s.id][level] = constant_row(s, np, ordinal[s.id])
-            cuts.append(Cut(level, val))
-        else:
-            for s in program.statements:
-                order = coloring.colors[s.id]
-                if len(order) >= val:
-                    placed[s.id][level] = unit_row(s, np, order[val - 1])
-
-    rows = {}
-    for s in program.statements:
-        depth = max(placed[s.id], default=0)
-        zero = constant_row(s, np, 0)
-        rows[s.id] = tuple(placed[s.id].get(lv, zero) for lv in range(1, depth + 1))
+    level = 0
+    for c in range(1, max((s.dim for s in program.statements), default=0) + 1):
+        if c in coloring.cut_groups:
+            level += 1
+            cuts.append(place_cut(program, rows, level, coloring.cut_groups[c]))
+        level += 1
+        # Every cut holds every statement, so a statement colored c has a
+        # row at each level above this one.
+        for s in program.statements:
+            order = coloring.colors[s.id]
+            if len(order) >= c:
+                rows[s.id].append(unit_row(s, np, order[c - 1]))
     return AffineTransform.of(program, rows, (), cuts)
 
 

@@ -440,3 +440,41 @@ def satisfaction_level(dep: DependencePolyhedron, transform: AffineTransform,
             return level
     return None
 
+
+def unsatisfied(deps: Sequence[DependencePolyhedron], transform: AffineTransform,
+                up_to: int | None = None) -> list[DependencePolyhedron]:
+    """The dependences of `deps`, in order, that no level up to `up_to`
+    (default: every level) of `transform` satisfies: those still live below."""
+    return [d for d in deps if satisfaction_level(d, transform, up_to) is None]
+
+
+def negative(deps: Sequence[DependencePolyhedron], transform: AffineTransform,
+             level: int) -> list[DependencePolyhedron]:
+    """The dependences of `deps`, in order, whose component at `level` can
+    go negative (or is unbounded below)."""
+    out = []
+    for d in deps:
+        m = component_range(d, transform, level)
+        if m is None or m < 0:
+            out.append(d)
+    return out
+
+
+def place_cut(program: Program, rows: Mapping[str, list], level: int,
+              groups: Sequence[Sequence[str]]) -> Cut:
+    """Write the distribution `Cut(level, groups)` into `rows` and return it.
+
+    Each statement of `groups` gets zero rows up to `level - 1`, then a
+    constant row holding its group's ordinal.  A statement with fewer rows
+    than the level above the cut (no loops, or loops all placed) still
+    gets its ordinal at `level`, where the cut orders it against the rest.
+    """
+    np = len(program.params)
+    for ordinal, group in enumerate(groups):
+        for sid in group:
+            s = program.statement(sid)
+            listed = rows[sid]
+            listed += [constant_row(s, np, 0)] * (level - 1 - len(listed))
+            listed.append(constant_row(s, np, ordinal))
+    return Cut(level, tuple(groups))
+

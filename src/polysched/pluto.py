@@ -27,8 +27,7 @@ from .farkas import (
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
-    SchedulingError, Statement, components, constant_row, satisfaction_level,
-    scc_decompose,
+    SchedulingError, Statement, components, place_cut, scc_decompose, unsatisfied,
 )
 
 LP = "lp"
@@ -426,10 +425,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
 
     start = 1
     if len(comps) > 1:
-        for ci, comp in enumerate(comps):
-            for sid in comp:
-                rows[sid].append(constant_row(by_id[sid], len(program.params), ci))
-        cuts.append(Cut(1, comps))
+        cuts.append(place_cut(program, rows, 1, comps))
         steps.append(Step(1, "component-cut"))
         start = 2
 
@@ -447,7 +443,6 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
 def _schedule_component(program, ci, stmts, live, config,
                         rows, bands, cuts, steps, start):
     comp = tuple(s.id for s in stmts)
-    nparams = len(program.params)
     level = start
     band_start = start
     band_parallel = False
@@ -476,12 +471,9 @@ def _schedule_component(program, ci, stmts, live, config,
         # No row at this level: retire satisfied dependences, else distribute.
         close_band(level - 1)
         band_start = level
-        current = AffineTransform.of(program, rows)
-        satisfied = [d for d in live
-                     if satisfaction_level(d, current, level - 1) is not None]
-        if satisfied:
-            dropped = set(map(id, satisfied))
-            live[:] = [d for d in live if id(d) not in dropped]
+        kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
+        if len(kept) < len(live):
+            live[:] = kept
             continue
 
         sccs = scc_decompose(comp, live)
@@ -489,15 +481,10 @@ def _schedule_component(program, ci, stmts, live, config,
             raise SchedulingError(
                 f"no transformation row exists at level {level} for statements "
                 f"{', '.join(comp)}, and nothing to distribute")
-        ordinal = {sid: k for k, group in enumerate(sccs) for sid in group}
-        for s in stmts:
-            rows[s.id].append(constant_row(s, nparams, ordinal[s.id]))
-        cuts.append(Cut(level, sccs))
+        cuts.append(place_cut(program, rows, level, sccs))
         steps.append(Step(level, "cut", component=ci))
-        current = AffineTransform.of(program, rows)
         before = len(live)
-        live[:] = [d for d in live
-                   if satisfaction_level(d, current, level) is None]
+        live[:] = unsatisfied(live, AffineTransform.of(program, rows), level)
         if len(live) == before:
             raise SchedulingError(
                 f"distribution of {comp} made no progress at level {level}")

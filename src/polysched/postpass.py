@@ -25,9 +25,10 @@ from .model import (
     DependencePolyhedron,
     Program,
     SchedulingError,
-    component_range,
     components,
-    satisfaction_level,
+    negative,
+    place_cut,
+    unsatisfied,
 )
 from .pluto import Step, Terms, dimension_terms, solve_level
 
@@ -42,27 +43,24 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                     permutation: AffineTransform):
     """Re-solve each loop level of the permutation with free shifts.
 
-    Levels are handled outermost first; a dependence already satisfied by the
-    scaled rows above (cuts included) no longer constrains deeper levels.
-    Returns the scaled transform and one `Step` per level.
+    Levels are handled outermost first.  Each cut of the permutation is
+    placed again by `model.place_cut`, and a dependence already satisfied by
+    the scaled rows above (cuts included) no longer constrains deeper
+    levels.  Returns the scaled transform and one `Step` per level.
     """
     ordering = [d for d in deps if d.ordering]
     comps = components([s.id for s in program.statements], deps)
-    cut_levels = {c.level for c in permutation.cuts}
+    cuts = {c.level: c for c in permutation.cuts}
     acc: dict[str, list] = {s.id: [] for s in program.statements}
     steps = []
 
     for level in range(1, permutation.levels + 1):
-        if level in cut_levels:
-            for s in program.statements:
-                row = permutation.row(s.id, level)
-                if row is not None:
-                    acc[s.id].append(row)
+        if level in cuts:
+            place_cut(program, acc, level, cuts[level].groups)
             steps.append(Step(level, "cut"))
             continue
 
-        partial = AffineTransform.of(program, acc)
-        live = [d for d in ordering if satisfaction_level(d, partial) is None]
+        live = unsatisfied(ordering, AffineTransform.of(program, acc))
         active = {}
         for s in program.statements:
             part = permutation.iterator_part(s.id, level)
@@ -78,10 +76,8 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                 f"no legal scaling and shifting exists at level {level}: "
                 f"statements {', '.join(active)}; live dependences "
                 + ", ".join(f"{d.src}->{d.dst} {d.label}" for d in live))
-        for s in program.statements:
-            row = step.rows.get(s.id, permutation.row(s.id, level))
-            if row is not None:
-                acc[s.id].append(row)
+        for sid, row in step.rows.items():
+            acc[sid].append(row)
         steps.append(step)
 
     return AffineTransform.of(program, acc, (), permutation.cuts), tuple(steps)
@@ -98,15 +94,6 @@ class SkewOutcome:
     transform: AffineTransform
     skewed: tuple[Step, ...]
     diagnostics: tuple[str, ...]
-
-
-def _negative_deps(deps, transform, level):
-    bad = []
-    for d in deps:
-        m = component_range(d, transform, level)
-        if m is None or m < 0:
-            bad.append(d)
-    return bad
 
 
 def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
@@ -159,8 +146,7 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
         # As in `_band_permutable`, only dependences the last cut above the
         # level leaves unsatisfied constrain the level's band.
         cut = max((c.level for c in transform.cuts if c.level < level), default=0)
-        bad = [d for d in _negative_deps(ordering, current, level)
-               if satisfaction_level(d, current, cut) is None]
+        bad = unsatisfied(negative(ordering, current, level), current, cut)
         if not bad:
             continue
         solved = _skew_level(program, deps, current, level)
@@ -192,10 +178,8 @@ class DfpResult:
 
 def _band_permutable(ordering, transform, start, end):
     """No dependence live at `start` goes negative on a level of the band."""
-    return not any(_negative_deps([d], transform, level)
-                   for d in ordering
-                   if satisfaction_level(d, transform, start - 1) is None
-                   for level in range(start, end + 1))
+    live = unsatisfied(ordering, transform, start - 1)
+    return not any(negative(live, transform, level) for level in range(start, end + 1))
 
 
 def _bands(program: Program, deps: Sequence[DependencePolyhedron],

@@ -201,6 +201,13 @@ class TestErrors:
         code, _, err = run(capsys, "schedule", str(path), "--algo", "lp")
         assert code == 3 and err.startswith("internal error: ")
 
+    def test_uncolorable_input_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(UNSCHEDULABLE))
+        code, _, err = run(capsys, "schedule", str(path))
+        assert code == 3
+        assert err.startswith("internal error: no dimension of S can take color 1; ")
+
     def test_node_limit_exits_3_and_names_where(self, capsys, monkeypatch):
         monkeypatch.setattr(ratlp, "solve_ilp",
                             functools.partial(ratlp.solve_ilp, node_limit=1))

@@ -221,6 +221,19 @@ class TestColoring:
         assert check_legality(program, deps, out.transform).ok
         assert full_rank(program, out.transform)
 
+    def test_backward_self_dependence_admits_no_coloring(self):
+        # S's only dimension has a self loop and nothing is satisfied above
+        # color 1 or can be cut away, so no rescue applies.
+        program, deps = analyze({"params": ["N"], "statements": [
+            {"id": "S", "iterators": ["i"],
+             "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]], "accesses": []}],
+            "dependences": [{"src": "S", "dst": "S", "kind": "RAW",
+                             "relation": [[1, -1, 0, -1, "=="]]}]})
+        with pytest.raises(SchedulingError, match=(
+                "^no dimension of S can take color 1; the conflict graph "
+                "admits no convex coloring$")):
+            color_fcg(program, deps)
+
     def test_matmul_coloring(self, by_name):
         inst = by_name["matmul"]
         col = color_fcg(inst.program, inst.deps)

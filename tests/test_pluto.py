@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import itertools
+import json
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -20,7 +21,7 @@ from polysched.pluto import (
     independence_vector, level_rows, level_system, nullspace_basis, row_rank,
     rref, schedule, solve_level,
 )
-from polysched.verify import load_corpus
+from polysched.verify import check_legality, full_rank, load_corpus
 
 F = Fraction
 
@@ -522,3 +523,28 @@ class TestSchedule:
                 "no transformation row exists at level 1 for statements S, "
                 "and nothing to distribute")):
             schedule(program, deps, SchedulerConfig(mode=LP))
+
+
+#: A scalar statement S0 reads B[0] before S1 and S2 overwrite it.  At
+#: level 2 the scheduler distributes S1 from S0 and S2, while S0 still has
+#: no row at all: its group ordinal has to land at level 2 too, or the
+#: WAR dependence S0->S2 runs backwards at level 1.
+CUT_AFTER_SCALAR = Path(__file__).with_name("fixtures") / "cut_after_scalar.json"
+
+
+class TestCutAfterScalar:
+    @pytest.mark.parametrize("algo", [ILP, LP, "dfp"])
+    def test_every_path_is_legal_and_full_rank(self, algo):
+        program, deps = analyze(json.loads(CUT_AFTER_SCALAR.read_text()))
+        if algo == "dfp":
+            transform = dfp_schedule(program, deps).transform
+        else:
+            transform = schedule(program, deps, SchedulerConfig(mode=algo)).transform
+        assert check_legality(program, deps, transform).ok
+        assert full_rank(program, transform)
+
+    def test_ordinal_of_a_statement_without_rows_lands_at_the_cut(self):
+        program, deps = analyze(json.loads(CUT_AFTER_SCALAR.read_text()))
+        transform = schedule(program, deps, SchedulerConfig(mode=LP)).transform
+        assert transform.cuts == (Cut(2, (("S1",), ("S0",), ("S2",))),)
+        assert transform.rows["S0"] == (R(0, 0), R(0, 1))

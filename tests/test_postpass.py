@@ -200,3 +200,28 @@ class TestScaleShiftInfeasible:
         transform = schedule(program, deps, SchedulerConfig(mode=mode)).transform
         assert check_legality(program, deps, transform).ok
         assert full_rank(program, transform)
+
+
+#: A nest on which `dfp` emits an illegal transform.  The first coloring
+#: round fails at color 2 with S1 on j and S2 on i; that partial coloring
+#: satisfies S1->S2, so the dependence is dropped.  The restart recolors
+#: from scratch with S1 on i, and the next rescue cuts ((S0, S2), (S1,)) at
+#: level 2, which runs S1->S2 backwards.
+DFP_RECOLOR_DROPS_DEPENDENCE = (Path(__file__).with_name("fixtures")
+                                / "dfp_recolor_drops_dependence.json")
+
+
+class TestRecolorDropsDependence:
+    @pytest.mark.xfail(strict=True, reason="a dependence dropped against one "
+                       "coloring stays dropped after the restart recolors")
+    def test_dfp_is_legal(self):
+        program, deps = analyze(json.loads(DFP_RECOLOR_DROPS_DEPENDENCE.read_text()))
+        transform = dfp_schedule(program, deps).transform
+        assert check_legality(program, deps, transform).ok
+
+    @pytest.mark.parametrize("mode", [LP, ILP])
+    def test_lp_and_ilp_schedule_it(self, mode):
+        program, deps = analyze(json.loads(DFP_RECOLOR_DROPS_DEPENDENCE.read_text()))
+        transform = schedule(program, deps, SchedulerConfig(mode=mode)).transform
+        assert check_legality(program, deps, transform).ok
+        assert full_rank(program, transform)
