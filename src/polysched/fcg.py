@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from math import prod
 from typing import Mapping, Optional, Sequence
 
 from .model import (
@@ -397,12 +398,12 @@ def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,
                         statements: Sequence[str]):
-    """Some loop-free, mutually conflict-free dimension pick for the set,
-    or None.  Exhaustive over dimension tuples, so only for small sets."""
-    stmts = [s for s in program.statements if s.id in set(statements)]
-    total = 1
-    for s in stmts:
-        total *= max(s.dim, 1)
+    """Some loop-free, mutually conflict-free dimension pick for the set's
+    statements that have loops (one without takes no color), or None.
+    Exhaustive over dimension tuples, so only for small sets."""
+    chosen = set(statements)
+    stmts = [s for s in program.statements if s.id in chosen and s.dim]
+    total = prod(s.dim for s in stmts)
     if total > MAX_SCC_PICKS:
         raise SchedulingError(
             f"dimension search space too large: {total} picks for statements "

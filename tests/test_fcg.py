@@ -275,6 +275,17 @@ class TestColorableDimension:
         fcg = build_fcg(inst.program, inst.deps)
         assert colorable_dimension(inst.program, fcg, ("P",)) == {"P": 0}
 
+    def test_scalar_statements_take_no_pick(self):
+        program, deps = analyze({"params": ["N"], "statements": [
+            {"id": "S0", "iterators": [], "domain": [],
+             "accesses": [{"array": "B", "kind": "write", "map": [[0, 0]]}]},
+            {"id": "S1", "iterators": ["i"],
+             "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
+             "accesses": [{"array": "B", "kind": "read", "map": [[0, 0, 0]]}]}]})
+        graph = build_fcg(program, deps)
+        assert colorable_dimension(program, graph, ("S0",)) == {}
+        assert colorable_dimension(program, graph, ("S0", "S1")) == {"S1": 0}
+
     def test_search_limit_names_statements(self, by_name, monkeypatch):
         inst = by_name["fig1"]
         graph = build_fcg(inst.program, inst.deps)

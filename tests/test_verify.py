@@ -321,6 +321,18 @@ class TestTheoremSuite:
         theorem_suite(corpus=(by_name["scc_pair"],))
         assert asked == [({"P", "Q"}, {"P": 0, "Q": 0})]
 
+    def test_scc_colorability_passes_with_a_scalar_statement(self):
+        inst = parse_instance({"name": "scalar", "program": {
+            "params": ["N"], "statements": [
+                {"id": "S0", "iterators": [], "domain": [],
+                 "accesses": [{"array": "B", "kind": "write", "map": [[0, 0]]}]},
+                {"id": "S1", "iterators": ["i"],
+                 "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
+                 "accesses": [{"array": "B", "kind": "read", "map": [[0, 0, 0]]}]}]}})
+        report = theorem_suite(corpus=(inst,))
+        (check,) = [r for r in report.results if r.name == "scc-colorability"]
+        assert check.status == "pass", check.details
+
     def test_progress_callback_sees_every_check(self, by_name):
         seen = []
         theorem_suite(corpus=(by_name["fig1"],), progress=seen.append)
