@@ -548,8 +548,10 @@ def _check_skew_inert(runs, bound):
         elif sk.skewed:
             levels = ",".join(str(s.level) for s in sk.skewed)
             details.append(f"{r.instance.name}: skewed levels {levels}")
-        else:
+        elif sk.diagnostics:
             details.append(f"{r.instance.name}: not tileable as permuted")
+        else:
+            details.append(f"{r.instance.name}: needs no skew")
     return CheckResult("skew-inert-when-tileable", "fail" if bad else "pass",
                        tuple(bad + details))
 

@@ -51,7 +51,7 @@ EXPECTED_FARKAS = (json.loads(GOLDEN_FARKAS.read_text())
 GOLDEN_WORKLOADS = Path(__file__).with_name("golden_workloads.json")
 EXPECTED_WORKLOADS = (json.loads(GOLDEN_WORKLOADS.read_text())
                       if GOLDEN_WORKLOADS.exists() else {})
-SUITE_DIGEST = "83d874d240b85425"
+SUITE_DIGEST = "81a657563bcbe5b4"
 
 
 def _digest(data) -> str:

@@ -321,6 +321,13 @@ class TestTheoremSuite:
         theorem_suite(corpus=(by_name["scc_pair"],))
         assert asked == [({"P", "Q"}, {"P": 0, "Q": 0})]
 
+    def test_skew_inert_tells_nests_needing_no_skew_apart(self, suite_report):
+        (check,) = [r for r in suite_report.results
+                    if r.name == "skew-inert-when-tileable"]
+        assert check.details == ("distribution_forced: needs no skew",
+                                 "stencil1d: skewed levels 2",
+                                 "stencil2d_time: skewed levels 2,3")
+
     def test_scc_colorability_passes_with_a_scalar_statement(self):
         inst = parse_instance({"name": "scalar", "program": {
             "params": ["N"], "statements": [
