@@ -381,12 +381,9 @@ def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:
     np = len(program.params)
     rows: dict[str, list] = {s.id: [] for s in program.statements}
     cuts = []
-    level = 0
     for c in range(1, max((s.dim for s in program.statements), default=0) + 1):
         if c in coloring.cut_groups:
-            level += 1
-            cuts.append(place_cut(program, rows, level, coloring.cut_groups[c]))
-        level += 1
+            cuts.append(place_cut(program, rows, c + len(cuts), coloring.cut_groups[c]))
         # Every cut holds every statement, so a statement colored c has a
         # row at each level above this one.
         for s in program.statements:

@@ -477,4 +477,3 @@ def place_cut(program: Program, rows: Mapping[str, list], level: int,
             listed += [constant_row(s, np, 0)] * (level - 1 - len(listed))
             listed.append(constant_row(s, np, ordinal))
     return Cut(level, tuple(groups))
-

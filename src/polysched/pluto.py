@@ -414,7 +414,6 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     (each with its own bound minimization) under an outer distribution level
     when there is more than one."""
     deps = tuple(d for d in deps if d.ordering)
-    by_id = {s.id: s for s in program.statements}
     ordered = sorted(program.statements, key=lambda s: s.textual_order)
     comps = components([s.id for s in ordered], deps)
 
@@ -430,7 +429,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
         start = 2
 
     for ci, comp in enumerate(comps):
-        stmts = [by_id[sid] for sid in comp]
+        stmts = [program.statement(sid) for sid in comp]
         live = [d for d in deps if d.src in comp]
         _schedule_component(program, ci, stmts, live, config,
                             rows, bands, cuts, steps, start)
