@@ -7,6 +7,8 @@ into weakly or strongly connected components.  An affine transform is a list
 of rows per statement, each row giving iterator coefficients, parameter-shift
 coefficients and a constant shift.  All types are immutable after construction,
 except that `Program` and `DependencePolyhedron` fill memo fields on first use.
+Every pass places its distribution levels with `place_cut` and tells which
+dependences still constrain a level with `unsatisfied` and `negative`.
 """
 
 from __future__ import annotations

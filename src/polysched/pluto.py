@@ -9,7 +9,7 @@ the final solve; rational solutions are rescaled to integers afterwards.
 
 When no row exists the scheduler first retires dependences already satisfied
 at an earlier level, and failing that distributes the strongly connected
-components apart with a constant level.
+components apart with a constant level (`model.place_cut`).
 """
 
 from __future__ import annotations
