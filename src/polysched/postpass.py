@@ -50,13 +50,13 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
     """
     ordering = [d for d in deps if d.ordering]
     comps = components([s.id for s in program.statements], deps)
-    cuts = {c.level: c for c in permutation.cuts}
+    cut_groups = {c.level: c.groups for c in permutation.cuts}
     acc: dict[str, list] = {s.id: [] for s in program.statements}
     steps = []
 
     for level in range(1, permutation.levels + 1):
-        if level in cuts:
-            place_cut(program, acc, level, cuts[level].groups)
+        if level in cut_groups:
+            place_cut(program, acc, level, cut_groups[level])
             steps.append(Step(level, "cut"))
             continue
 
