@@ -13,10 +13,11 @@ property-suite report is pinned by digest too, so a solve lost from or
 duplicated in the steps the checks read changes it.  `golden_farkas.json`
 pins the legality and bounding system (variables, rows in order, lower
 bounds) that Farkas elimination gives every dependence of every corpus
-program and of the four-statement chain of `scripts/bench_chain.py`.
-`golden_workloads.json` pins the transform digest of every `chain` and
-`random` program of the benchmark (`perfbench/workloads.py`) on each path,
-each path on a fresh analysis as the benchmark runs it.
+program, of the four-statement chain of `scripts/bench_chain.py` and of
+every `random` program of the benchmark (`perfbench/workloads.py`).
+`golden_workloads.json` pins the transform digest and the `Step` records
+of every `chain` and `random` program of the benchmark on each path, each
+path on a fresh analysis as the benchmark runs it.
 Refactors of the scheduler keep these outputs exact; a change that alters a
 schedule, a Farkas system or the report on purpose regenerates the files
 with
@@ -157,31 +158,34 @@ def _chain(n: int) -> dict:
                  Path(__file__).parents[1] / "scripts" / "bench_chain.py").chain(n)
 
 
-def workload_programs() -> dict:
-    """Program JSON of the benchmark's `chain` and `random` workloads, by
-    "workload/name"."""
+def workload_programs(workloads=("chain", "random")) -> dict:
+    """Program JSON of the benchmark's `workloads`, by "workload/name"."""
     root = Path(__file__).parents[1]
-    workloads = _load("perfbench_workloads", root / "perfbench" / "workloads.py")
-    return {f"{w}/{name}": data for w in ("chain", "random")
-            for name, data in workloads.programs(w, root / "src")}
+    module = _load("perfbench_workloads", root / "perfbench" / "workloads.py")
+    return {f"{w}/{name}": data for w in workloads
+            for name, data in module.programs(w, root / "src")}
 
 
 def workload_entry(data) -> dict:
-    """Transform digest of one benchmark program on each path."""
+    """Transform and `Step` digests of one benchmark program on each path."""
     entry = {}
     for mode in (ILP, LP, "dfp"):
         program, deps = analyze(data)
         result = (dfp_schedule(program, deps) if mode == "dfp"
                   else schedule(program, deps, SchedulerConfig(mode=mode)))
         entry[mode] = _digest(result.transform.to_json())
+        entry[f"{mode}_steps"] = _steps_digest(result.steps)
     return entry
 
 
 def farkas_programs(corpus=None) -> dict:
-    """(program, deps) of every corpus instance and of chain(4), by name."""
+    """(program, deps) of every corpus instance, of chain(4) and of every
+    `random` benchmark program, by name."""
     programs = {inst.name: (inst.program, inst.deps)
                 for inst in corpus or load_corpus()}
     programs["chain4"] = analyze(_chain(4))
+    for name, data in workload_programs(("random",)).items():
+        programs[name] = analyze(data)
     return programs
 
 
@@ -206,7 +210,8 @@ def test_lp_and_ilp_transforms_are_legal_and_full_rank(by_name, name, mode):
 
 def test_golden_farkas_covers_corpus(corpus):
     assert sorted(EXPECTED_FARKAS) == sorted(
-        [inst.name for inst in corpus] + ["chain4"])
+        [inst.name for inst in corpus] + ["chain4"]
+        + list(workload_programs(("random",))))
 
 
 @pytest.fixture(scope="module")
