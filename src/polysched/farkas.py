@@ -17,7 +17,10 @@ proves redundant, so the shadow is the same with fewer rows.  Everything
 here is exact: every row is a sparse canonical integer row (its nonzero
 entries and its constant are ints with gcd 1), elimination combines such
 rows in exact integers, and only lower bounds and solutions are
-`fractions.Fraction`s; there is no floating point.
+`fractions.Fraction`s; there is no floating point.  Rows are combined by
+column index, never through variable names, and `_row` is the one
+normalizer: elimination, the cone's substitutions and
+`pluto.level_system` take its int-only path `_int_row`.
 """
 
 from __future__ import annotations
@@ -64,20 +67,33 @@ def _row(width: int, items: Iterable, const, kind: str) -> LinearRow:
     index order, and the rational `const`: denominators cleared, divided by
     the gcd, and an equality's first nonzero entry made positive, so that
     multiples of one row collapse to the same row.  Zero entries are dropped.
+    Int rows take the fast path `_int_row`.
     """
-    items = [(i, c) for i, c in items if c]
-    if type(const) is not int or any(type(c) is not int for _, c in items):
-        den = lcm(const.denominator, *[c.denominator for _, c in items])
+    items = dict(items)
+    if type(const) is not int or any(type(c) is not int for c in items.values()):
+        den = lcm(const.denominator, *[c.denominator for c in items.values()])
         const = const.numerator * (den // const.denominator)
-        items = [(i, c.numerator * (den // c.denominator)) for i, c in items]
-    g = gcd(const, *[c for _, c in items])
+        items = {i: c.numerator * (den // c.denominator) for i, c in items.items()}
+    return _int_row(width, items, const, kind)
+
+
+def _int_row(width: int, acc: dict[int, int], const: int, kind: str) -> LinearRow:
+    """`_row` of the int coefficients `acc` {index: coefficient}, zeros
+    allowed, and the int `const`."""
+    g = gcd(const, *acc.values())
     if g > 1:
         const //= g
-        items = [(i, c // g) for i, c in items]
+        items = [(i, c // g) for i, c in sorted(acc.items()) if c]
+    else:
+        items = [e for e in sorted(acc.items()) if e[1]]
     if kind == EQ and (items[0][1] if items else const) < 0:
         const = -const
         items = [(i, -c) for i, c in items]
-    return LinearRow(tuple(items), const, kind, width)
+    return _new_row(LinearRow, (tuple(items), const, kind, width))
+
+
+#: LinearRow's constructor without the Python-level `__new__` of a NamedTuple.
+_new_row = tuple.__new__
 
 
 class ConstraintSystem:
@@ -93,10 +109,7 @@ class ConstraintSystem:
 
     def __init__(self, variables, rows=(), lower=None):
         self._set_variables(variables, lower)
-        rows = tuple(rows)
-        kept = _prune(rows)
-        self.rows: tuple[LinearRow, ...] = (
-            rows if len(kept) == len(rows) else tuple(map(rows.__getitem__, kept)))
+        self._set_rows(rows)
 
     def _set_variables(self, variables, lower):
         self.variables: tuple[str, ...] = tuple(variables)
@@ -110,6 +123,12 @@ class ConstraintSystem:
                     raise KeyError(v)
                 bounds[v] = None if b is None else Fraction(b)
         self.lower: dict[str, Fraction | None] = bounds
+
+    def _set_rows(self, rows):
+        rows = tuple(rows)
+        kept = _prune(rows)
+        self.rows: tuple[LinearRow, ...] = (
+            rows if len(kept) == len(rows) else tuple(map(rows.__getitem__, kept)))
 
     @classmethod
     def _of_pruned(cls, variables, rows, lower) -> "ConstraintSystem":
@@ -132,11 +151,17 @@ class ConstraintSystem:
     # -- construction helpers -------------------------------------------------
 
     def row_from(self, coeffs: Mapping[str, Fraction | int], const=0, kind=GE) -> LinearRow:
-        items = sorted((self._index[v], c) for v, c in coeffs.items())
-        return _row(len(self.variables), items, const, kind)
+        index = self._index
+        return _row(len(self.variables), {index[v]: c for v, c in coeffs.items()},
+                    const, kind)
 
     def with_rows(self, extra: Iterable[LinearRow]) -> "ConstraintSystem":
-        return ConstraintSystem(self.variables, self.rows + tuple(extra), self.lower)
+        """The system with the rows `extra` after its own, pruned.  It
+        shares this system's variables, their index and their bounds."""
+        system = ConstraintSystem.__new__(ConstraintSystem)
+        system.variables, system._index, system.lower = self.variables, self._index, self.lower
+        system._set_rows(self.rows + tuple(extra))
+        return system
 
     # -- checking -------------------------------------------------------------
 
@@ -171,22 +196,20 @@ def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = ()) -> list[int]:
     """
     seen: dict[tuple, int] = {}  # key -> position in kept
     kept: list[int] = []
-    for k, row in enumerate(rows):
-        key = row.nonzero
-        if not key and (row.const == 0 if row.kind == EQ else row.const >= 0):
+    for k, (key, const, kind, _) in enumerate(rows):
+        if not key and (const == 0 if kind == EQ else const >= 0):
             continue  # a tautology; a false constant row stays for solvers to report
-        if row.kind == EQ:
-            key = (key, row.const)  # an equality repeats only as an exact duplicate
+        if kind == EQ:
+            key = (key, const)  # an equality repeats only as an exact duplicate
         at = seen.get(key)
         if at is None:
             seen[key] = len(kept)
             kept.append(k)
             continue
-        prev = rows[kept[at]]
-        if prev.const < row.const:
+        prev = rows[kept[at]].const
+        if prev < const:
             continue  # a looser ge row
-        if (prev.const > row.const
-                or (hist and hist[k].bit_count() < hist[kept[at]].bit_count())):
+        if prev > const or (hist and hist[k].bit_count() < hist[kept[at]].bit_count()):
             kept[at] = k
     return kept
 
@@ -200,8 +223,9 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     Equalities are used first (Gaussian substitution), remaining occurrences
     go through Fourier-Motzkin pairing.  Lower bounds of killed variables are
     materialized as rows before projection.  The work runs in exact integers
-    over each row's nonzero entries: every step yields a positive multiple of
-    the rational combination, which `_row` makes canonical.
+    over each row's nonzero entries, combined by column index: every step
+    yields a positive multiple of the rational combination, which
+    `_int_row`, the int path of `_row`, makes canonical.
 
     Each row carries a history, an int bitmask of the input inequalities it
     combines: one bit per inequality row of the input, the materialized
@@ -216,11 +240,27 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     is still the exact shadow of the input's on the surviving variables.
     """
     n = len(system.variables)
-    rows = list(system.rows)
+    # The work runs over renumbered columns: the killed ones first, in kill
+    # order, then the survivors in order.  Every column before the one
+    # being eliminated is gone by then, so a row holds it only as its first
+    # entry.  Rows stay canonical in that order; a ge row's entries do not
+    # depend on it, and an equality that survives holds survivors alone, so
+    # its first entry is the same in both orders.
+    at = dict.fromkeys(system.index(v) for v in kill)
+    killed = len(at)
+    for k, i in enumerate(at):
+        at[i] = k
+    for i in range(n):
+        at.setdefault(i, len(at))
+    if all(at[i] == i for i in range(killed)):
+        rows = list(system.rows)
+    else:
+        rows = [_int_row(n, {at[i]: c for i, c in nonzero}, const, kind)
+                for nonzero, const, kind, _ in system.rows]
     for v in kill:
         b = system.lower[v]
-        if b is not None:  # v >= p/q as q*v - p >= 0
-            rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
+        if b is not None:  # v >= p/q as q*v - p >= 0, canonical as p, q are coprime
+            rows.append(LinearRow(((at[system.index(v)], b.denominator),), -b.numerator, GE, n))
     hist, bit = [], 1
     for r in rows:
         if r.kind == EQ:
@@ -230,38 +270,38 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
             bit <<= 1
     steps = 0
     for v in kill:
-        rows, hist, steps = _eliminate_one(rows, hist, steps, system.index(v))
+        rows, hist, steps = _eliminate_one(rows, hist, steps, at[system.index(v)])
 
-    # Canonical rows stay canonical, and `_eliminate_one`'s pruned rows stay
-    # pruned, when their columns are renumbered: no killed column is left.
+    # Pruned rows stay pruned when their columns are renumbered.
     kill_set = set(kill)
     survivors = [v for v in system.variables if v not in kill_set]
-    at = {system.index(v): k for k, v in enumerate(survivors)}
     return ConstraintSystem._of_pruned(
         survivors,
-        [LinearRow(tuple((at[i], c) for i, c in r.nonzero), r.const, r.kind,
-                   len(survivors)) for r in rows],
+        [LinearRow(tuple([(i - killed, c) for i, c in nonzero]), const, kind,
+                   len(survivors)) for nonzero, const, kind, _ in rows],
         {v: system.lower[v] for v in survivors})
 
 
 def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int):
-    """Eliminate column `col` from the rows and their histories, after
-    `steps` Fourier-Motzkin steps; returns (rows, histories, steps).
-    Gaussian substitution rewrites `rows` and `hist` in place."""
-    coef = [dict(r.nonzero).get(col, 0) for r in rows]
-    pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
+    """Eliminate column `col`, which comes before every other column of the
+    rows, from the rows and their histories, after `steps` Fourier-Motzkin
+    steps; returns (rows, histories, steps).  Gaussian substitution
+    rewrites `rows` and `hist` in place."""
+    coef = [nonzero[0][1] if nonzero and nonzero[0][0] == col else 0
+            for nonzero, _, _, _ in rows]
+    pivot = next((k for k, c in enumerate(coef) if c and rows[k].kind == EQ), None)
     if pivot is not None:
         # r - (rc/pc)*p, scaled by |pc|, in place of each row r with rc != 0.
-        p, pc, ph = rows[pivot], coef[pivot], hist[pivot]
+        (pnz, pconst, _, width), pc, ph = rows[pivot], coef[pivot], hist[pivot]
+        m, prest = abs(pc), pnz[1:]
         for k, rc in enumerate(coef):
             if rc and k != pivot:
-                r = rows[k]
+                nonzero, const, kind, _ = rows[k]
                 f = rc if pc > 0 else -rc
-                acc = {i: abs(pc) * c for i, c in r.nonzero}
-                for i, c in p.nonzero:
+                acc = dict(nonzero[1:]) if m == 1 else {i: m * c for i, c in nonzero[1:]}
+                for i, c in prest:
                     acc[i] = acc.get(i, 0) - f * c
-                rows[k] = _row(r.width, sorted(acc.items()),
-                               abs(pc) * r.const - f * p.const, r.kind)
+                rows[k] = _int_row(width, acc, m * const - f * pconst, kind)
                 hist[k] |= ph
         del rows[pivot], hist[pivot]
         out, out_hist = rows, hist
@@ -272,20 +312,20 @@ def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int)
             if not c:
                 out.append(r)
                 out_hist.append(h)
-            elif c > 0:
-                lower_rows.append((r, c, h))  # c*v >= -(rest): bounds v from below
+            elif c > 0:  # c*v >= -(rest): bounds v from below
+                lower_rows.append((r.nonzero[1:], r.const, c, h))
             else:
-                upper.append((r, -c, h))
-        for lo, a, hl in lower_rows:
-            for hi, b, hh in upper:
-                h = hl | hh
+                upper.append((r.nonzero[1:], r.const, -c, h))
+        width = rows[0].width if rows else 0
+        for lrest, lconst, a, hl in lower_rows:
+            for urest, uconst, b, hu in upper:
+                h = hl | hu
                 if h.bit_count() > steps + 1:
                     continue
-                acc = {i: b * c for i, c in lo.nonzero}
-                for i, c in hi.nonzero:
+                acc = dict(lrest) if b == 1 else {i: b * c for i, c in lrest}
+                for i, c in urest:
                     acc[i] = acc.get(i, 0) + a * c
-                out.append(_row(lo.width, sorted(acc.items()),
-                                b * lo.const + a * hi.const, GE))
+                out.append(_int_row(width, acc, b * lconst + a * uconst, GE))
                 out_hist.append(h)
     kept = _prune(out, out_hist)
     if len(kept) == len(out):
@@ -338,18 +378,24 @@ def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
     relation's variables are free, as in every dependence relation.
     """
     n = len(relation.variables)
+    eqs = [k for k, r in enumerate(relation.rows) if r.kind == EQ]
+    ges = [k for k, r in enumerate(relation.rows) if r.kind != EQ]
+    kill = [f"_l{k}" for k in eqs] + ["_l"] + [f"_l{k}" for k in ges]
     unknowns = [f"a{j}" for j in range(n)] + ["b"]
-    free = [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind == EQ]
-    kill = free + ["_l"] + [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind != EQ]
-    system = ConstraintSystem(unknowns + kill, (), dict.fromkeys(unknowns + free))
-    lhs = [{v: 1} for v in unknowns]  # a_j - sum_k lam_k * r_kj, b - lam_0 - ...
-    lhs[n]["_l"] = -1
+    # The multipliers' columns come first, in kill order, so that
+    # `eliminate` needs no renumbering; a_j is column m + j.
+    m, col = len(kill), {k: c for c, k in enumerate(eqs)}
+    col.update((k, len(eqs) + 1 + c) for c, k in enumerate(ges))
+    lhs = [{m + j: 1} for j in range(n + 1)]  # a_j - sum_k lam_k * r_kj, b - lam_0 - ...
+    lhs[n][len(eqs)] = -1
     for k, r in enumerate(relation.rows):
         for j, c in r.nonzero:
-            lhs[j][f"_l{k}"] = -c
+            lhs[j][col[k]] = -c
         if r.const:
-            lhs[n][f"_l{k}"] = -r.const
-    return eliminate(system.with_rows(system.row_from(form, 0, EQ) for form in lhs), kill)
+            lhs[n][col[k]] = -r.const
+    system = ConstraintSystem(kill + unknowns, [_int_row(m + n + 1, form, 0, EQ) for form in lhs],
+                              dict.fromkeys(kill[:len(eqs)] + unknowns))
+    return eliminate(system, kill)
 
 
 def _cone_rows(dep: "DependencePolyhedron", cone: ConstraintSystem | None,
@@ -360,12 +406,12 @@ def _cone_rows(dep: "DependencePolyhedron", cone: ConstraintSystem | None,
     index = {v: i for i, v in enumerate(variables)}
     subst = [[(index[v], w) for v, w in form.items()] for form in forms]
     rows = []
-    for r in cone.rows:
+    for nonzero, const, kind, _ in cone.rows:
         acc: dict[int, int] = {}
-        for j, c in r.nonzero:
+        for j, c in nonzero:
             for i, w in subst[j]:
                 acc[i] = acc.get(i, 0) + c * w
-        rows.append(_row(len(variables), sorted(acc.items()), r.const, r.kind))
+        rows.append(_int_row(len(variables), acc, const, kind))
     return ConstraintSystem(variables, rows)
 
 

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 from . import ratlp
 from .farkas import EQ, GE, ConstraintSystem, LinearRow
-from .farkas import _row as _canonical
+from .farkas import _int_row
 from .model import (
     RAR, RAW, WAR, WAW,
     AccessFunction, DependencePolyhedron, IndexSet, Program, Statement,
@@ -261,7 +261,7 @@ def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
             for i, c in p.nonzero[1:]:
                 acc[i] = acc.get(i, 0) - rc * c
             const = pc * const - rc * p.const
-    return _canonical(row.width, sorted(acc.items()), const, row.kind)
+    return _int_row(row.width, acc, const, row.kind)
 
 
 def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow):

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from . import ratlp
 from .farkas import (
-    ZERO, ConstraintSystem,
+    ZERO, ConstraintSystem, _int_row, _row,
     bounding_constraints, coefficient_variables, farkas_cone, legality_constraints,
 )
 from .model import (
@@ -166,31 +166,35 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     left out has a zero row.  The system's variables are the bound
     variables, then every unknown in order.  Donor bounds are ignored:
     legality and bounding rows are valid whatever bounds the level chooses.
+    Donor rows are substituted by column index: each coefficient variable
+    becomes its (column, weight) pairs over the level's variables, and the
+    row is made canonical by `_int_row`, or by `_row` when a weight is not
+    an int.
     """
     bounds = bound_variables(program)
-    forms: dict[str, dict[str, Fraction]] = {v: {v: 1} for v in bounds}
-    lower = {}
+    lower = {u: low for listed in terms.values() for u, _, low in listed}
+    system = ConstraintSystem(bounds + list(lower), (), lower)
+    weights: dict[str, dict[int, Fraction | int]] = {v: {system.index(v): 1} for v in bounds}
     for sid, listed in terms.items():
         names = coefficient_variables(program.statement(sid), program.params)
-        for unknown, row, low in listed:
-            lower[unknown] = low
+        for unknown, row, _ in listed:
+            k = system.index(unknown)
             for v, a in zip(names, row):
                 if a:
-                    forms.setdefault(v, {})[unknown] = a
-    system = ConstraintSystem(bounds + list(lower), (), lower)
-    rows = []
+                    weights.setdefault(v, {})[k] = a
+    forms = {v: tuple(w.items()) for v, w in weights.items()}
+    exact = all(type(a) is int for form in forms.values() for _, a in form)
+    width, rows = len(system.variables), []
     for dep in deps:
         for donor in _farkas_rows(program, dep):
-            subst = [forms.get(v) for v in donor.variables]
-            for r in donor.rows:
-                acc: dict[str, Fraction] = {}
-                for i, c in r.nonzero:
-                    form = subst[i]
-                    if form:
-                        for v, a in form.items():
-                            x = c if a == 1 else -c if a == -1 else c * a
-                            acc[v] = acc[v] + x if v in acc else x
-                rows.append(system.row_from(acc, r.const, r.kind))
+            subst = [forms.get(v, ()) for v in donor.variables]
+            for nonzero, const, kind, _ in donor.rows:
+                acc: dict[int, Fraction | int] = {}
+                for i, c in nonzero:
+                    for k, a in subst[i]:
+                        acc[k] = acc.get(k, 0) + c * a
+                rows.append(_int_row(width, acc, const, kind) if exact
+                            else _row(width, acc.items(), const, kind))
     return system.with_rows(rows)
 
 
