@@ -14,10 +14,11 @@ shares all its loops with itself.
 
 Most candidate polyhedra are empty because their own equalities contradict
 them, so the equalities are reduced first, in exact integers (the first step
-of Pugh's Omega test): a candidate they refute is dropped with no solve.
-Every other candidate is solved, once per distinct relation per analysis,
-and only statement pairs that share an array are visited.  Explicit
-dependences are solved one by one.
+of Pugh's Omega test): a candidate they refute, alone or with the constant
+lower bounds of the domains, is dropped with no solve.  Every other
+candidate is solved, once per distinct relation per analysis, and only
+statement pairs that share an array are visited.  Explicit dependences are
+solved one by one.
 """
 
 from __future__ import annotations
@@ -244,9 +245,11 @@ def _nonempty(relation: ConstraintSystem) -> bool:
 # row is canonical.  Reducing a row against the form takes only positive
 # multiples of it, so an inequality keeps its sense, and every step is exact
 # in ints.  A candidate relation is empty when its equalities reduce a row to
-# a nonzero constant, or its strict row to a negative one.  This decides
-# rational feasibility of the equalities exactly and of the inequalities only
-# partly, so a candidate that survives still goes to the solver.
+# a nonzero constant, or its strict row to a negative one, or when such a
+# reduced row cannot hold above the constant lower bounds the domains give
+# the variables (`_out_of_reach`).  This decides rational feasibility of the
+# equalities exactly and of the inequalities only partly, so a candidate
+# that survives still goes to the solver.
 
 
 def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
@@ -264,23 +267,56 @@ def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
     return _int_row(row.width, acc, const, row.kind)
 
 
-def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow):
-    """`form` with the equality `row` added, or None when they contradict
-    (or `form` is already None)."""
+def _lower_bounds(space: ConstraintSystem) -> dict[int, Fraction | int]:
+    """Each variable's greatest lower bound among the rows of `space` that
+    bound it alone, by column."""
+    low: dict[int, Fraction | int] = {}
+    for nonzero, const, kind, _ in space.rows:
+        if kind == GE and len(nonzero) == 1 and nonzero[0][1] > 0:
+            (i, c), = nonzero
+            b = -const // c if const % c == 0 else Fraction(-const, c)
+            if i not in low or b > low[i]:
+                low[i] = b
+    return low
+
+
+def _out_of_reach(row: LinearRow, low: Mapping[int, Fraction | int] | None) -> bool:
+    """Is `row` false wherever every variable is at least its bound in
+    `low`?  Only a row whose coefficients share one sign is decided: at the
+    bounds it takes its least value if they are positive and its largest if
+    they are negative.  An equality that is above zero there, or below with
+    negative coefficients, never reaches zero; a ge row with negative
+    coefficients that is below zero there never reaches it either."""
+    nonzero = row.nonzero
+    if not (low and nonzero) or any(i not in low for i, _ in nonzero):
+        return False
+    positive = nonzero[0][1] > 0
+    if (positive and row.kind == GE) or any((c > 0) != positive for _, c in nonzero):
+        return False
+    at_bounds = row.const + sum(c * low[i] for i, c in nonzero)
+    return at_bounds > 0 if positive else at_bounds < 0
+
+
+def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow,
+            low: Mapping[int, Fraction | int] | None = None):
+    """`form` with the equality `row` added, or None when they contradict,
+    alone or above the lower bounds `low` (or `form` is already None)."""
     if form is None:
         return None
     r = _reduce(row, form)
     if not r.nonzero:
         return None if r.const else form
-    return form + (r,)
+    return None if _out_of_reach(r, low) else form + (r,)
 
 
-def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow) -> bool:
-    """Do the equalities of `form` leave the inequality `row` no point?"""
+def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,
+             low: Mapping[int, Fraction | int] | None = None) -> bool:
+    """Do the equalities of `form` leave the inequality `row` no point, or
+    none above the lower bounds `low`?"""
     if form is None:
         return True
     r = _reduce(row, form)
-    return not r.nonzero and r.const < 0
+    return (r.const < 0) if not r.nonzero else _out_of_reach(r, low)
 
 
 def _deps_between(src: Statement, dst: Statement, params,
@@ -295,9 +331,10 @@ def _deps_between(src: Statement, dst: Statement, params,
     pairs of a statement with itself are skipped: they never order instances
     and fusion analysis only uses cross-statement ones.
 
-    A case whose equalities refute it (see `_refutes`) is dropped unsolved;
-    any other goes to the solver once per distinct relation, its verdict
-    kept in `verdicts` under the relation's rows.
+    A case whose equalities refute it, alone or with the variables' constant
+    lower bounds (see `_refutes`), is dropped unsolved; any other goes to
+    the solver once per distinct relation, its verdict kept in `verdicts`
+    under the relation's rows.
     """
     shared = src.dim if src is dst else 0
     tie = src.textual_order < dst.textual_order
@@ -311,19 +348,20 @@ def _deps_between(src: Statement, dst: Statement, params,
               for k in range(shared)]
     strict = [space.row_from({tvars[k]: 1, svars[k]: -1}, -1)
               for k in range(shared)]
+    low = _lower_bounds(space)
     out = []
     for ai, a, bi, b in pairs:
         kind = _KIND_OF[a.kind, b.kind]
         cells = _equal_cells(space, svars, tvars, params, a, b)
         form: tuple[LinearRow, ...] | None = ()
         for row in cells:
-            form = _extend(form, row)
+            form = _extend(form, row, low)
         for d in range(shared + tie):
             rows = cells + prefix[:d]
             label = f"{a.array}:{ai}->{bi}"
             if d < shared:
-                empty = _refutes(form, strict[d])
-                form = _extend(form, prefix[d])  # the form of depth d + 1
+                empty = _refutes(form, strict[d], low)
+                form = _extend(form, prefix[d], low)  # the form of depth d + 1
                 if empty:
                     continue
                 rows.append(strict[d])
