@@ -79,9 +79,12 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
 
     Every ordering dependence must have non-negative components down to the
     level that satisfies it (minimum component >= 1).  A dependence no level
-    satisfies is only legal between distinct statements whose textual order
-    already runs source before target; rows past the shorter statement's
-    depth never execute out of order, so only common levels are examined.
+    satisfies whole, with no negative component, is still legal when no
+    pair of it is tied on every common level (`_never_tied`): each pair is
+    then carried at some level.  Otherwise it is only legal between
+    distinct statements whose textual order already runs source before
+    target; rows past the shorter statement's depth never execute out of
+    order, so only common levels are examined.
     """
     order = {s.id: s.textual_order for s in program.statements}
     violations = []
@@ -106,6 +109,9 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
                 break
         if satisfied:
             continue
+        if (dep.src == dep.dst or order[dep.src] >= order[dep.dst]) and _never_tied(
+                dep, transform, common):
+            continue
         if dep.src == dep.dst:
             violations.append(Violation(
                 _dep_name(dep), None, None, "self-dependence never satisfied"))
@@ -114,6 +120,17 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
                 _dep_name(dep), None, None,
                 "never satisfied and target textually precedes source"))
     return LegalityReport(not violations, checked, tuple(violations))
+
+
+def _never_tied(dep: DependencePolyhedron, transform: AffineTransform,
+                common: int) -> bool:
+    """Is the dependence relation empty once phi_dst - phi_src is pinned to
+    0 at each of the first `common` levels?  One rational LP."""
+    relation = dep.relation
+    rows = [relation.row_from(*dependence_difference(
+                dep, transform.row(dep.src, level), transform.row(dep.dst, level)), EQ)
+            for level in range(1, common + 1)]
+    return not ratlp.solve_lp(ratlp.LPProblem.of(relation.with_rows(rows)))
 
 
 def statement_ranks(program: Program,

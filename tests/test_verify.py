@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from polysched.farkas import ConstraintSystem
 from polysched.fcg import colorable_dimension
 from polysched.frontend import ParseError, analyze
 from polysched.model import identity_transform
-from polysched.pluto import ILP, SchedulerConfig, schedule
+from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.verify import (
     CheckResult, SuiteReport,
     brute_force_lexmin, check_legality, full_rank, load_corpus,
@@ -20,6 +22,19 @@ from polysched.verify import (
 )
 
 F = Fraction
+
+ROOT = Path(__file__).parents[1]
+CARRIED_ACROSS_LEVELS = ROOT / "tests" / "fixtures" / "carried_across_levels.json"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
 
 CHECK_NAMES = [
     "exact-arithmetic",
@@ -100,6 +115,20 @@ class TestCheckLegality:
             "self-dependence never satisfied"}
         assert all(v.level is None and v.minimum is None
                    for v in report.violations)
+
+    def test_dependence_carried_pair_by_pair_across_levels(self):
+        """`lp` schedules this nest so that no level carries the self
+        dependence `C:1->0@0` whole (minimum 0 at every level), yet no pair
+        of it is tied on all three levels: every pair is carried at some
+        level, which the execution oracle confirms."""
+        program, deps = analyze(json.loads(CARRIED_ACROSS_LEVELS.read_text()))
+        transform = schedule(program, deps, SchedulerConfig(mode=LP)).transform
+        (dep,) = [d for d in deps if d.label == "C:1->0@0"]
+        assert [verify.lp_minimum(dep, transform.row("S1", level), transform.row("S1", level))
+                for level in (1, 2, 3)] == [0, 0, 0]
+        assert oracle.check(program, deps, transform) == []
+        report = check_legality(program, deps, transform)
+        assert report.ok and report.violations == ()
 
     def test_textual_order_resolves_unsatisfied_edges(self):
         program, deps = ordered_program({"src": "A", "dst": "B", "kind": "RAW"})
