@@ -83,13 +83,15 @@ def _int_row(width: int, acc: dict[int, int], const: int, kind: str) -> LinearRo
     g = gcd(const, *acc.values())
     if g > 1:
         const //= g
-        items = [(i, c // g) for i, c in sorted(acc.items()) if c]
+        items = tuple([(i, c // g) for i, c in sorted(acc.items()) if c])
+    elif 0 in acc.values():
+        items = tuple([e for e in sorted(acc.items()) if e[1]])
     else:
-        items = [e for e in sorted(acc.items()) if e[1]]
+        items = tuple(sorted(acc.items()))
     if kind == EQ and (items[0][1] if items else const) < 0:
         const = -const
-        items = [(i, -c) for i, c in items]
-    return _new_row(LinearRow, (tuple(items), const, kind, width))
+        items = tuple([(i, -c) for i, c in items])
+    return _new_row(LinearRow, (items, const, kind, width))
 
 
 #: LinearRow's constructor without the Python-level `__new__` of a NamedTuple.
@@ -183,7 +185,8 @@ class ConstraintSystem:
         return True
 
 
-def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = ()) -> list[int]:
+def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = (),
+           new: Iterable[int] | None = None) -> list[int]:
     """The rows to keep, as indices into `rows`: tautologies and rows
     dominated by an earlier row are dropped, and a row that dominates an
     earlier one takes its place.
@@ -193,7 +196,16 @@ def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = ()) -> list[int]:
     Of equal rows the first is kept, unless `hist` gives each row's history
     (see `eliminate`): then it is the first with the fewest history bits.
     Nothing is dropped exactly when the result has one index per row.
+    `new`, when given, lists the only rows that may be dropped or equal to
+    another row: `_prune` of the other rows alone keeps them all.
     """
+    nonzero = [r[0] for r in rows]
+    if new is None:
+        unique = all(nonzero) and len(set(nonzero)) == len(nonzero)
+    else:
+        unique = all([nonzero[k] and nonzero.count(nonzero[k]) == 1 for k in new])
+    if unique:  # no constant row, no two rows with one coefficient vector
+        return list(range(len(rows)))
     seen: dict[tuple, int] = {}  # key -> position in kept
     kept: list[int] = []
     for k, (key, const, kind, _) in enumerate(rows):
@@ -246,21 +258,23 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     # entry.  Rows stay canonical in that order; a ge row's entries do not
     # depend on it, and an equality that survives holds survivors alone, so
     # its first entry is the same in both orders.
-    at = dict.fromkeys(system.index(v) for v in kill)
+    cols = [system.index(v) for v in kill]
+    at = dict.fromkeys(cols)
     killed = len(at)
-    for k, i in enumerate(at):
-        at[i] = k
-    for i in range(n):
-        at.setdefault(i, len(at))
-    if all(at[i] == i for i in range(killed)):
+    if cols == list(range(killed)):  # the killed columns lead already
+        at = range(n)
         rows = list(system.rows)
     else:
+        for k, i in enumerate(at):
+            at[i] = k
+        for i in range(n):
+            at.setdefault(i, len(at))
         rows = [_int_row(n, {at[i]: c for i, c in nonzero}, const, kind)
                 for nonzero, const, kind, _ in system.rows]
-    for v in kill:
+    for v, i in zip(kill, cols):
         b = system.lower[v]
         if b is not None:  # v >= p/q as q*v - p >= 0, canonical as p, q are coprime
-            rows.append(LinearRow(((at[system.index(v)], b.denominator),), -b.numerator, GE, n))
+            rows.append(_new_row(LinearRow, (((at[i], b.denominator),), -b.numerator, GE, n)))
     hist, bit = [], 1
     for r in rows:
         if r.kind == EQ:
@@ -269,33 +283,36 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
             hist.append(bit)
             bit <<= 1
     steps = 0
-    for v in kill:
-        rows, hist, steps = _eliminate_one(rows, hist, steps, at[system.index(v)])
+    for t, i in enumerate(cols):
+        rows, hist, steps = _eliminate_one(rows, hist, steps, at[i], t > 0)
 
     # Pruned rows stay pruned when their columns are renumbered.
-    kill_set = set(kill)
-    survivors = [v for v in system.variables if v not in kill_set]
+    survivors = [v for k, v in enumerate(system.variables) if at[k] >= killed]
+    width = len(survivors)
     return ConstraintSystem._of_pruned(
         survivors,
-        [LinearRow(tuple([(i - killed, c) for i, c in nonzero]), const, kind,
-                   len(survivors)) for nonzero, const, kind, _ in rows],
+        [_new_row(LinearRow, (tuple([(i - killed, c) for i, c in nonzero]), const, kind, width))
+         for nonzero, const, kind, _ in rows],
         {v: system.lower[v] for v in survivors})
 
 
-def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int):
+def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int,
+                   pruned: bool):
     """Eliminate column `col`, which comes before every other column of the
     rows, from the rows and their histories, after `steps` Fourier-Motzkin
     steps; returns (rows, histories, steps).  Gaussian substitution
-    rewrites `rows` and `hist` in place."""
+    rewrites `rows` and `hist` in place.  When the rows are `pruned`
+    already, only the rows the step makes are checked against the rest."""
     coef = [nonzero[0][1] if nonzero and nonzero[0][0] == col else 0
             for nonzero, _, _, _ in rows]
     pivot = next((k for k, c in enumerate(coef) if c and rows[k].kind == EQ), None)
     if pivot is not None:
         # r - (rc/pc)*p, scaled by |pc|, in place of each row r with rc != 0.
         (pnz, pconst, _, width), pc, ph = rows[pivot], coef[pivot], hist[pivot]
-        m, prest = abs(pc), pnz[1:]
+        m, prest, made = abs(pc), pnz[1:], []
         for k, rc in enumerate(coef):
             if rc and k != pivot:
+                made.append(k if k < pivot else k - 1)
                 nonzero, const, kind, _ = rows[k]
                 f = rc if pc > 0 else -rc
                 acc = dict(nonzero[1:]) if m == 1 else {i: m * c for i, c in nonzero[1:]}
@@ -316,7 +333,7 @@ def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int)
                 lower_rows.append((r.nonzero[1:], r.const, c, h))
             else:
                 upper.append((r.nonzero[1:], r.const, -c, h))
-        width = rows[0].width if rows else 0
+        width, first = (rows[0].width if rows else 0), len(out)
         for lrest, lconst, a, hl in lower_rows:
             for urest, uconst, b, hu in upper:
                 h = hl | hu
@@ -327,7 +344,8 @@ def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int)
                     acc[i] = acc.get(i, 0) + a * c
                 out.append(_int_row(width, acc, b * lconst + a * uconst, GE))
                 out_hist.append(h)
-    kept = _prune(out, out_hist)
+        made = range(first, len(out))
+    kept = _prune(out, out_hist, made if pruned else None)
     if len(kept) == len(out):
         return out, out_hist, steps
     return [out[k] for k in kept], [out_hist[k] for k in kept], steps
