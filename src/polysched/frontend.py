@@ -280,7 +280,7 @@ def _lower_bounds(space: ConstraintSystem) -> dict[int, Fraction | int]:
     return low
 
 
-def _out_of_reach(row: LinearRow, low: Mapping[int, Fraction | int] | None) -> bool:
+def _out_of_reach(row: LinearRow, low: Mapping[int, Fraction | int]) -> bool:
     """Is `row` false wherever every variable is at least its bound in
     `low`?  Only a row whose coefficients share one sign is decided: at the
     bounds it takes its least value if they are positive and its largest if
@@ -288,7 +288,7 @@ def _out_of_reach(row: LinearRow, low: Mapping[int, Fraction | int] | None) -> b
     negative coefficients, never reaches zero; a ge row with negative
     coefficients that is below zero there never reaches it either."""
     nonzero = row.nonzero
-    if not (low and nonzero) or any(i not in low for i, _ in nonzero):
+    if not nonzero or any(i not in low for i, _ in nonzero):
         return False
     positive = nonzero[0][1] > 0
     if (positive and row.kind == GE) or any((c > 0) != positive for _, c in nonzero):
@@ -298,7 +298,7 @@ def _out_of_reach(row: LinearRow, low: Mapping[int, Fraction | int] | None) -> b
 
 
 def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow,
-            low: Mapping[int, Fraction | int] | None = None):
+            low: Mapping[int, Fraction | int]):
     """`form` with the equality `row` added, or None when they contradict,
     alone or above the lower bounds `low` (or `form` is already None)."""
     if form is None:
@@ -310,7 +310,7 @@ def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow,
 
 
 def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,
-             low: Mapping[int, Fraction | int] | None = None) -> bool:
+             low: Mapping[int, Fraction | int]) -> bool:
     """Do the equalities of `form` leave the inequality `row` no point, or
     none above the lower bounds `low`?"""
     if form is None:

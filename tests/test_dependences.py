@@ -191,13 +191,13 @@ def test_refutation_rejects_only_empty_relations(data):
     row = space.row_from(dict(zip(names, coeffs)), const)
     form = ()
     for r in rows:
-        form = _extend(form, r)
+        form = _extend(form, r, {})
 
     def feasible(extra):
         return bool(ratlp.solve_lp(ratlp.LPProblem.of(space.with_rows(rows + extra))))
 
     assert (form is None) == (not feasible([]))
-    if _refutes(form, row):
+    if _refutes(form, row, {}):
         assert not feasible([row])
 
 

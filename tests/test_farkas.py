@@ -288,25 +288,38 @@ class TestSchedulingConstraints:
 # -- history pruning -----------------------------------------------------------
 
 
-def reference_eliminate(system, kill):
-    """`eliminate` without history pruning: Gaussian substitution, then
-    Fourier-Motzkin keeping every combination that `_prune` keeps."""
+def reference_eliminate(system, kill, history=False):
+    """`eliminate` stated directly: columns in the system's order, each
+    step's coefficients read from a dict of each row, every combination
+    made canonical by the generic `_row`, and `_prune` after every step.
+    Without `history`, Fourier-Motzkin keeps every combination that
+    `_prune` keeps; with it, the rows carry `eliminate`'s histories and
+    Chernikov's rule skips pairs as there."""
     n = len(system.variables)
     rows = list(system.rows)
     for v in kill:
         b = system.lower[v]
         if b is not None:
             rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
+    hist, bit = [], 1
+    for r in rows:
+        if r.kind == EQ:
+            hist.append(0)
+        else:
+            hist.append(bit)
+            bit <<= 1
+    steps = 0
     for v in kill:
         col = system.index(v)
         coef = [dict(r.nonzero).get(col, 0) for r in rows]
         pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
-        out = []
+        out, out_hist = [], []
         if pivot is not None:
             p, pc = rows[pivot], coef[pivot]
-            for k, (r, rc) in enumerate(zip(rows, coef)):
+            for k, (r, rc, h) in enumerate(zip(rows, coef, hist)):
                 if not rc:
                     out.append(r)
+                    out_hist.append(h)
                 elif k != pivot:
                     f = rc if pc > 0 else -rc
                     acc = {i: abs(pc) * c for i, c in r.nonzero}
@@ -314,16 +327,23 @@ def reference_eliminate(system, kill):
                         acc[i] = acc.get(i, 0) - f * c
                     out.append(_row(n, sorted(acc.items()),
                                     abs(pc) * r.const - f * p.const, r.kind))
+                    out_hist.append(h | hist[pivot])
         else:
+            steps += 1
             out = [r for r, c in zip(rows, coef) if not c]
-            for lo, a in [(r, c) for r, c in zip(rows, coef) if c > 0]:
-                for hi, b in [(r, -c) for r, c in zip(rows, coef) if c < 0]:
+            out_hist = [h for h, c in zip(hist, coef) if not c]
+            for lo, a, hl in [(r, c, h) for r, c, h in zip(rows, coef, hist) if c > 0]:
+                for hi, b, hh in [(r, -c, h) for r, c, h in zip(rows, coef, hist) if c < 0]:
+                    if history and (hl | hh).bit_count() > steps + 1:
+                        continue
                     acc = {i: b * c for i, c in lo.nonzero}
                     for i, c in hi.nonzero:
                         acc[i] = acc.get(i, 0) + a * c
                     out.append(_row(n, sorted(acc.items()),
                                     b * lo.const + a * hi.const, GE))
-        rows = [out[k] for k in _prune(out)]
+                    out_hist.append(hl | hh)
+        kept = _prune(out, out_hist if history else ())
+        rows, hist = [out[k] for k in kept], [out_hist[k] for k in kept]
     survivors = [v for v in system.variables if v not in set(kill)]
     at = {system.index(v): k for k, v in enumerate(survivors)}
     return ConstraintSystem(
@@ -447,75 +467,13 @@ def test_prune_merges_equal_rows_onto_the_smaller_history():
     assert _prune([a, b, a]) == [0, 1]
 
 
-def direct_eliminate(system, kill):
-    """`eliminate` stated directly: columns in the system's order, each
-    step's coefficients read from a dict of each row, every combination
-    made canonical by the generic `_row`, the same histories and `_prune`
-    after every step."""
-    n = len(system.variables)
-    rows = list(system.rows)
-    for v in kill:
-        b = system.lower[v]
-        if b is not None:
-            rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
-    hist, bit = [], 1
-    for r in rows:
-        if r.kind == EQ:
-            hist.append(0)
-        else:
-            hist.append(bit)
-            bit <<= 1
-    steps = 0
-    for v in kill:
-        col = system.index(v)
-        coef = [dict(r.nonzero).get(col, 0) for r in rows]
-        pivot = next((k for k, r in enumerate(rows) if r.kind == EQ and coef[k]), None)
-        if pivot is not None:
-            p, pc, ph = rows[pivot], coef[pivot], hist[pivot]
-            for k, rc in enumerate(coef):
-                if rc and k != pivot:
-                    r = rows[k]
-                    f = rc if pc > 0 else -rc
-                    acc = {i: abs(pc) * c for i, c in r.nonzero}
-                    for i, c in p.nonzero:
-                        acc[i] = acc.get(i, 0) - f * c
-                    rows[k] = _row(n, sorted(acc.items()),
-                                   abs(pc) * r.const - f * p.const, r.kind)
-                    hist[k] |= ph
-            del rows[pivot], hist[pivot]
-            out, out_hist = rows, hist
-        else:
-            steps += 1
-            out = [r for r, c in zip(rows, coef) if not c]
-            out_hist = [h for h, c in zip(hist, coef) if not c]
-            for lo, a, hl in [(r, c, h) for r, c, h in zip(rows, coef, hist) if c > 0]:
-                for hi, b, hh in [(r, -c, h) for r, c, h in zip(rows, coef, hist) if c < 0]:
-                    if (hl | hh).bit_count() > steps + 1:
-                        continue
-                    acc = {i: b * c for i, c in lo.nonzero}
-                    for i, c in hi.nonzero:
-                        acc[i] = acc.get(i, 0) + a * c
-                    out.append(_row(n, sorted(acc.items()),
-                                    b * lo.const + a * hi.const, GE))
-                    out_hist.append(hl | hh)
-        kept = _prune(out, out_hist)
-        rows, hist = [out[k] for k in kept], [out_hist[k] for k in kept]
-    survivors = [v for v in system.variables if v not in set(kill)]
-    at = {system.index(v): k for k, v in enumerate(survivors)}
-    return ConstraintSystem(
-        survivors,
-        [LinearRow(tuple((at[i], c) for i, c in r.nonzero), r.const, r.kind,
-                   len(survivors)) for r in rows],
-        {v: system.lower[v] for v in survivors})
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_eliminate_gives_the_direct_rows_in_order(data):
+def test_eliminate_gives_the_reference_rows_in_order(data):
     """`eliminate` works on renumbered columns through `_int_row`; on
     systems with equality pivots of either sign, Fraction lower bounds on
     killed variables and rows that substitution makes equal, it returns
-    exactly the rows of `direct_eliminate`, in the same order."""
+    exactly the rows of `reference_eliminate` with histories, in order."""
     n = data.draw(st.integers(2, 5))
     names = [f"x{k}" for k in range(n)]
     lower = {v: data.draw(st.sampled_from([F(0), F(1, 2), F(-3, 2), F(2), None]))
@@ -535,7 +493,7 @@ def test_eliminate_gives_the_direct_rows_in_order(data):
     s = s.with_rows([s.row_from(dict(zip(names, c)), k, kind) for c, k, kind in rows])
     kill = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=n - 1,
                               unique=True))
-    got, want = eliminate(s, kill), direct_eliminate(s, kill)
+    got, want = eliminate(s, kill), reference_eliminate(s, kill, history=True)
     assert got.variables == want.variables and got.lower == want.lower
     assert got.rows == want.rows
 
