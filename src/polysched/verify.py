@@ -107,18 +107,14 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
                     "negative component before satisfaction"))
                 satisfied = True  # stop scanning; the damage is recorded
                 break
-        if satisfied:
+        if satisfied or (dep.src != dep.dst and order[dep.src] < order[dep.dst]):
             continue
-        if (dep.src == dep.dst or order[dep.src] >= order[dep.dst]) and _never_tied(
-                dep, transform, common):
+        if _never_tied(dep, transform, common):
             continue
-        if dep.src == dep.dst:
-            violations.append(Violation(
-                _dep_name(dep), None, None, "self-dependence never satisfied"))
-        elif order[dep.src] >= order[dep.dst]:
-            violations.append(Violation(
-                _dep_name(dep), None, None,
-                "never satisfied and target textually precedes source"))
+        violations.append(Violation(
+            _dep_name(dep), None, None,
+            "self-dependence never satisfied" if dep.src == dep.dst
+            else "never satisfied and target textually precedes source"))
     return LegalityReport(not violations, checked, tuple(violations))
 
 
