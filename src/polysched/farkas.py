@@ -11,9 +11,11 @@ elimination per dependence relation serves both.  By LP duality the cone
 also gives exact minima: the minimum of a form over the polyhedron is the
 largest k for which the form minus k lies in the cone, and
 `model.min_dependence_component` reads it off the cone's rows without a
-solve.  The projection builds only some of the combinations plain
-Fourier-Motzkin elimination would: it skips those that Chernikov's rule
-proves redundant, so the shadow is the same with fewer rows.  Everything
+solve; the polyhedron is empty exactly when the constant form -1 lies in
+it, which is how `frontend` keeps or drops a candidate dependence.  The
+projection builds only some of the combinations plain Fourier-Motzkin
+elimination would: it skips those that Chernikov's rule proves
+redundant, so the shadow is the same with fewer rows.  Everything
 here is exact: every row is a sparse canonical integer row (its nonzero
 entries and its constant are ints with gcd 1), elimination combines such
 rows in exact integers, and only lower bounds and solutions are
@@ -414,6 +416,36 @@ def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
     system = ConstraintSystem(kill + unknowns, [_int_row(m + n + 1, form, 0, EQ) for form in lhs],
                               dict.fromkeys(kill[:len(eqs)] + unknowns))
     return eliminate(system, kill)
+
+
+def bounded_by_parameters(cone: ConstraintSystem, nparams: int) -> bool:
+    """Has every affine form f on the relation of `cone` (its Farkas cone,
+    whose last `nparams` unknowns before b belong to the parameters p) an
+    upper bound u.p + w with u, w >= 0, which holds for every larger u and
+    w too?
+
+    It has when each parameter is non-negative on the relation and every
+    form over the iterators is in the cone with some parameter coefficients
+    and constant, that is, eliminating those unknowns and b leaves no row:
+    then u.p + w - f is a form of the cone plus non-negative multiples of
+    the parameters and 1.  No row of the cone of a non-empty relation gives
+    b a negative coefficient, and none gives a parameter one when the
+    parameters are non-negative, so that elimination only drops the rows
+    holding one of them: no row is left exactly when every row holds one.
+    Exact for a non-empty relation that makes its parameters non-negative,
+    as every dependence relation does, and never true wrongly otherwise.
+    """
+    first = len(cone.variables) - 1 - nparams  # the parameters' unknowns, then b
+    for nonzero, _, kind, _ in cone.rows:
+        held = False
+        for j, c in nonzero:
+            if j >= first:
+                if c < 0 or kind == EQ:
+                    return False
+                held = True
+        if not held:
+            return False
+    return True
 
 
 def _cone_rows(dep: "DependencePolyhedron", cone: ConstraintSystem | None,

@@ -4,8 +4,9 @@ Each vertex stands for one dimension of one statement.  A conflict edge says
 the two dimensions cannot be fused and permuted to the outermost level at the
 same time; a self loop says the dimension cannot be outermost at all.  Both
 are decided by small rational LP feasibility probes over the dependences of
-the affected statement pair, so building the graph costs a quadratic number
-of cheap solves instead of one monolithic scheduling problem.
+the affected statement pair, mostly over their legality rows alone, so
+building the graph costs a quadratic number of cheap solves instead of one
+monolithic scheduling problem.
 
 Coloring the graph one color per loop level then reads off a permutation for
 every statement, falling back to dependence removal and loop distribution
@@ -82,7 +83,11 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
     every statement at least 1, every other iterator coefficient zero and
     the constant shifts free.  Parametric shifts are zero unless requested,
     since a parametric offset would let misaligned accesses slide past each
-    other and hide a genuine fusion conflict.
+    other and hide a genuine fusion conflict.  Only feasibility counts, so
+    a dependence whose relation is bounded in its iterators for fixed
+    parameters gives its legality rows alone (the system's `feasibility`
+    mode), as in pluto-lp-dfp; an unbounded one keeps its bounding rows,
+    which can make a legal row infeasible.
 
     The verdict is kept on the program under the probe's shape: the
     dependences' shapes, where their statements stand among `statements`,
@@ -98,7 +103,7 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
     if verdict is None:
         terms = dimension_terms(program, statements, choose, parametric_shifts)
         verdict = program._probe_verdicts[key] = bool(
-            _lexmin(level_system(program, deps, terms)))
+            _lexmin(level_system(program, deps, terms, feasibility=True)))
     return verdict
 
 

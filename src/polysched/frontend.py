@@ -15,10 +15,12 @@ shares all its loops with itself.
 Most candidate polyhedra are empty because their own equalities contradict
 them, so the equalities are reduced first, in exact integers (the first step
 of Pugh's Omega test): a candidate they refute, alone or with the constant
-lower bounds of the domains, is dropped with no solve.  Every other
-candidate is solved, once per distinct relation per analysis, and only
-statement pairs that share an array are visited.  Explicit dependences are
-solved one by one.
+lower bounds of the domains, is dropped at once.  Only statement pairs
+that share an array are visited.  Every other candidate's Farkas cone is
+eliminated, once per distinct relation per analysis, explicit dependences
+included: by the affine Farkas lemma (Feautrier 1992) the relation is empty
+exactly when the constant form -1 lies in its cone, and a dependence keeps
+the cone, which the schedulers need anyway.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from . import ratlp
-from .farkas import EQ, GE, ConstraintSystem, LinearRow
+from .farkas import EQ, GE, ConstraintSystem, LinearRow, farkas_cone
 from .farkas import _int_row
 from .model import (
     RAR, RAW, WAR, WAW,
@@ -227,15 +228,28 @@ _KIND_OF = {("write", "read"): RAW, ("read", "write"): WAR,
 
 
 def _dependence(src: Statement, dst: Statement, kind: str,
-                relation: ConstraintSystem, label: str) -> DependencePolyhedron:
+                relation: ConstraintSystem, label: str,
+                facts: dict) -> DependencePolyhedron:
     v, m, n = relation.variables, src.dim, src.dim + dst.dim
-    return DependencePolyhedron(src.id, dst.id, kind, v[:m], v[m:n], v[n:],
-                                relation, label=label)
+    dep = DependencePolyhedron(src.id, dst.id, kind, v[:m], v[m:n], v[n:],
+                               relation, label=label)
+    object.__setattr__(dep, "_facts", facts)
+    return dep
 
 
-def _nonempty(relation: ConstraintSystem) -> bool:
-    """Does a rational point satisfy every row of `relation`?"""
-    return bool(ratlp.solve_lp(ratlp.LPProblem.of(relation)))
+def _relation_facts(relation: ConstraintSystem, known: dict) -> dict | None:
+    """The facts a dependence over `relation` shares with every other over
+    the same rows (`DependencePolyhedron._facts`), kept in `known` under
+    the rows, or None when the relation is empty.
+
+    The relation's Farkas cone is eliminated once.  By the affine Farkas
+    lemma the relation is empty exactly when the cone holds the constant
+    form -1: a = 0 and b = -1 satisfy every cone row.
+    """
+    if relation.rows not in known:
+        cone = farkas_cone(relation)  # its unknowns are free: absent ones are 0
+        known[relation.rows] = None if cone.satisfied_by({"b": -1}) else {"cone": cone}
+    return known[relation.rows]
 
 
 # -- refutation by equalities -------------------------------------------------
@@ -249,7 +263,7 @@ def _nonempty(relation: ConstraintSystem) -> bool:
 # reduced row cannot hold above the constant lower bounds the domains give
 # the variables (`_out_of_reach`).  This decides rational feasibility of the
 # equalities exactly and of the inequalities only partly, so a candidate
-# that survives still goes to the solver.
+# that survives still has its Farkas cone eliminated.
 
 
 def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
@@ -320,7 +334,7 @@ def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,
 
 
 def _deps_between(src: Statement, dst: Statement, params,
-                  verdicts: dict) -> list[DependencePolyhedron]:
+                  known: dict) -> list[DependencePolyhedron]:
     """Dependences from `src` to `dst`, one polyhedron per access pair and
     order case.
 
@@ -332,9 +346,9 @@ def _deps_between(src: Statement, dst: Statement, params,
     and fusion analysis only uses cross-statement ones.
 
     A case whose equalities refute it, alone or with the variables' constant
-    lower bounds (see `_refutes`), is dropped unsolved; any other goes to
-    the solver once per distinct relation, its verdict kept in `verdicts`
-    under the relation's rows.
+    lower bounds (see `_refutes`), is dropped with no elimination; any
+    other is decided by `_relation_facts`, once per distinct relation of
+    `known`.
     """
     shared = src.dim if src is dst else 0
     tie = src.textual_order < dst.textual_order
@@ -369,36 +383,36 @@ def _deps_between(src: Statement, dst: Statement, params,
             elif form is None:  # the tie: equal on every shared loop
                 continue
             relation = space.with_rows(rows)
-            nonempty = verdicts.get(relation.rows)
-            if nonempty is None:
-                nonempty = verdicts[relation.rows] = _nonempty(relation)
-            if nonempty:
-                out.append(_dependence(src, dst, kind, relation, label))
+            facts = _relation_facts(relation, known)
+            if facts is not None:
+                out.append(_dependence(src, dst, kind, relation, label, facts))
     return out
 
 
 def compute_dependences(program: Program) -> tuple[DependencePolyhedron, ...]:
     """Dependences between every statement pair `src <= dst` in textual
-    order that shares an array, with one solve per distinct relation."""
+    order that shares an array, with one Farkas cone per distinct relation."""
     stmts = sorted(program.statements, key=lambda s: s.textual_order)
     users: dict[str, list[int]] = {}
     for k, s in enumerate(stmts):
         for array in dict.fromkeys(a.array for a in s.accesses):
             users.setdefault(array, []).append(k)
-    verdicts: dict = {}
+    known: dict = {}
     out = []
     for i, src in enumerate(stmts):
         for j in sorted({j for a in src.accesses for j in users[a.array] if j >= i}):
-            out += _deps_between(src, stmts[j], program.params, verdicts)
+            out += _deps_between(src, stmts[j], program.params, known)
     return tuple(out)
 
 
 def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, ...]:
     """Explicit dependence list.  Rows are over source iterators, target
     iterators, parameters and a constant; domain and parameter-sign rows are
-    conjoined since a dependence only relates existing instances."""
+    conjoined since a dependence only relates existing instances.  An empty
+    relation is dropped; equal relations share one Farkas cone."""
     if not isinstance(entries, list):
         raise ParseError("dependences", "expected a list")
+    known: dict = {}
     out = []
     for i, e in enumerate(entries):
         where = f"dependences[{i}]"
@@ -425,8 +439,9 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
                                len(space.variables) + 1, True)
             rows.append(_constraint(space, space.variables, coeffs[:-1], coeffs[-1], rel))
         relation = space.with_rows(rows)
-        if _nonempty(relation):
-            out.append(_dependence(src, dst, kind, relation, f"explicit{i}"))
+        facts = _relation_facts(relation, known)
+        if facts is not None:
+            out.append(_dependence(src, dst, kind, relation, f"explicit{i}", facts))
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
 
-from .farkas import EQ, ConstraintSystem, ZERO, farkas_cone
+from .farkas import EQ, ConstraintSystem, ZERO, bounded_by_parameters, farkas_cone
 
 RAW = "RAW"
 WAR = "WAR"
@@ -77,11 +77,8 @@ class Statement:
 class Program:
     params: tuple[str, ...]
     statements: tuple[Statement, ...]
-    #: One Farkas cone per distinct dependence relation (keyed by its rows),
-    #: filled by `pluto._farkas_rows`, one verdict per probe shape, filled by
-    #: `fcg.fusion_probe`, and the statements by id.
-    _farkas_shapes: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
+    #: One verdict per probe shape, filled by `fcg.fusion_probe`, and the
+    #: statements by id.
     _probe_verdicts: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
     _by_id: dict = field(default_factory=dict, init=False, repr=False,
@@ -112,14 +109,16 @@ class DependencePolyhedron:
     params: tuple[str, ...]
     relation: ConstraintSystem
     label: str = ""
-    #: (legality, bounding) rows, the program's cone of this relation with the
-    #: two forms substituted in, filled on first use by `pluto._farkas_rows`.
+    #: (legality, bounding) rows, `cone` with the two forms substituted in,
+    #: filled on first use by `pluto._farkas_rows`.
     _farkas: tuple[ConstraintSystem, ConstraintSystem] | None = field(
         default=None, init=False, repr=False, compare=False)
-    #: The Farkas cone of `relation`: the program's shared one once
-    #: `pluto._farkas_rows` has set it, else built on the first minimum.
-    _cone: ConstraintSystem | None = field(
-        default=None, init=False, repr=False, compare=False)
+    #: What depends on `relation` alone, shared by the dependences of one
+    #: analysis with the same rows: the Farkas cone under "cone", set by the
+    #: frontend, and the `bounded` verdict under "bounded", decided on first
+    #: use.
+    _facts: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
     #: Minima by (source row, target row), filled by `min_dependence_component`.
     _minima: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
@@ -135,6 +134,28 @@ class DependencePolyhedron:
     @property
     def ordering(self) -> bool:
         return self.kind in ORDERING_KINDS
+
+    @property
+    def cone(self) -> ConstraintSystem:
+        """The Farkas cone of `relation` (`farkas.farkas_cone`).  The frontend
+        builds it to decide that the relation is not empty; it is built
+        here only for a dependence made by hand."""
+        cone = self._facts.get("cone")
+        if cone is None:
+            cone = self._facts["cone"] = farkas_cone(self.relation)
+        return cone
+
+    @property
+    def bounded(self) -> bool:
+        """Does every affine form on the relation have an upper bound
+        u.p + w with u, w >= 0 (`farkas.bounded_by_parameters`)?  Then the
+        dependence's bounding rows hold for some u and w whatever the level's
+        rows, and a feasibility question may leave them out."""
+        bounded = self._facts.get("bounded")
+        if bounded is None:
+            bounded = self._facts["bounded"] = bounded_by_parameters(
+                self.cone, len(self.params))
+        return bounded
 
     @property
     def shape(self) -> tuple:
@@ -401,15 +422,13 @@ def _min_component(dep, src_row, dst_row) -> Fraction | None:
     obj, const = dependence_difference(dep, src_row, dst_row)
     if not obj:
         return const
-    if dep._cone is None:
-        object.__setattr__(dep, "_cone", farkas_cone(dep.relation))
     # a scaled by the common denominator `den`, so each c.a is an int sum.
     a = [obj.get(v, ZERO) for v in dep.relation.variables]
     den = lcm(*(x.denominator for x in a))
     a = [x.numerator * (den // x.denominator) for x in a]
     n = len(a)
     least, unbounded = None, False  # least as (c.a, c_b)
-    for r in dep._cone.rows:
+    for r in dep.cone.rows:
         cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
         ca = r.const * den + sum(c * a[j] for j, c in r.nonzero if j < n)
         if cb:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import ratlp
 from .farkas import (
     ZERO, ConstraintSystem, _int_row, _row,
-    bounding_constraints, coefficient_variables, farkas_cone, legality_constraints,
+    bounding_constraints, coefficient_variables, legality_constraints,
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
@@ -130,18 +130,12 @@ def _farkas_rows(program: Program, dep: DependencePolyhedron,
 
     They depend only on the dependence and its two statements, so they are
     kept on the dependence and shared by every path and level that uses it.
-    Both substitute a form into the Farkas cone of the dependence's
-    relation, which depends on the relation's rows alone: each distinct
-    relation is eliminated once per program.  The dependence keeps the
-    cone too, for `model.min_dependence_component`.
+    Both substitute a form into `dep.cone`, the Farkas cone the frontend
+    eliminated once per distinct relation to decide that it is not empty.
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)
-        cone = program._farkas_shapes.get(dep.relation.rows)
-        if cone is None:
-            cone = dep._cone if dep._cone is not None else farkas_cone(dep.relation)
-            program._farkas_shapes[dep.relation.rows] = cone
-        object.__setattr__(dep, "_cone", cone)
+        cone = dep.cone
         object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst, cone),
                                             bounding_constraints(dep, src, dst, cone)))
     return dep._farkas
@@ -157,7 +151,7 @@ Terms = Mapping[str, Sequence[tuple[str, Sequence, Fraction | int | None]]]
 
 
 def level_system(program: Program, deps: Sequence[DependencePolyhedron],
-                 terms: Terms) -> ConstraintSystem:
+                 terms: Terms, feasibility: bool = False) -> ConstraintSystem:
     """Legality and bounding rows of `deps` over one level's unknowns.
 
     `terms` gives each statement an ordered list of (unknown, row over its
@@ -170,6 +164,13 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     becomes its (column, weight) pairs over the level's variables, and the
     row is made canonical by `_int_row`, or by `_row` when a weight is not
     an int.
+
+    With `feasibility` set, for a caller that asks only whether the system
+    has a point, a dependence whose relation is `bounded` gives its
+    legality rows alone: its bounding rows hold for some u and w whatever
+    the level's row, and for any larger ones, so leaving them out changes
+    no verdict while every relation makes its parameters non-negative, as
+    every dependence relation does.
     """
     bounds = bound_variables(program)
     lower = {u: low for listed in terms.values() for u, _, low in listed}
@@ -186,7 +187,8 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     exact = all(type(a) is int for form in forms.values() for _, a in form)
     width, rows = len(system.variables), []
     for dep in deps:
-        for donor in _farkas_rows(program, dep):
+        donors = _farkas_rows(program, dep)
+        for donor in donors[:1] if feasibility and dep.bounded else donors:
             subst = [forms.get(v, ()) for v in donor.variables]
             for nonzero, const, kind, _ in donor.rows:
                 acc: dict[int, Fraction | int] = {}

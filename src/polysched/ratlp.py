@@ -9,7 +9,8 @@ takes the same pivots.  Callers ask it three questions:
   pass reaches the lexicographic minimum of the non-negative columns in
   order, with no phase 1, no artificial columns and no objective row;
 - the integer lexmin of the same columns (`solve_ilp`), by a depth-first
-  branch and bound around that pass;
+  branch and bound around that pass, each child resuming it from its
+  parent's final tableau;
 - the minimum of at most one objective (`solve_lp`): the primal simplex
   with Bland's rule, on one objective row, from the dual simplex's
   feasible point.
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from typing import Mapping
 
-from .farkas import EQ, GE, ZERO, ConstraintSystem
+from .farkas import EQ, ZERO, ConstraintSystem
 
 ONE = Fraction(1)
 
@@ -192,6 +193,37 @@ class _Tableau:
                 return x < 0
         return False
 
+    def branched(self, v: str, bound: int, up: bool) -> "_Tableau":
+        """A copy with the row v >= bound (`up`) or v <= bound added after
+        the constraint rows, over the current nonbasic columns.
+
+        Every column stays lexicographically positive, since the variable
+        rows are unchanged, so `lexmin` resumes from this basis and reaches
+        the lexmin of the new system, which is unique."""
+        k, neg, shift = self.col_of[v]
+        den = self.den
+        d = den[k] if neg is None else lcm(den[k], den[neg])
+        # d * (v - bound), v being the value of row k (less row neg) plus shift
+        row = [x * (d // den[k]) for x in self.rows[k]]
+        if neg is not None:
+            f = d // den[neg]
+            row = [a - f * b for a, b in zip(row, self.rows[neg])]
+        c = Fraction(shift - bound) * d
+        if c.denominator != 1:
+            row = [x * c.denominator for x in row]
+        row[0] += c.numerator
+        if not up:
+            row = [-x for x in row]
+        g = gcd(*row)
+        if g > 1:
+            row = [x // g for x in row]
+        tab = _Tableau.__new__(_Tableau)
+        tab.col_of, tab.n, tab.m = self.col_of, self.n, self.m + 1
+        # `_pivot` replaces rows whole, so they may be shared.
+        tab.rows = self.rows[:self.m] + [row] + self.rows[self.m:]
+        tab.den, tab.col_var = den[:], self.col_var[:]
+        return tab
+
     def minimize(self) -> bool:
         """Primal simplex with Bland's rule on the objective row from a
         feasible basis; False when unbounded."""
@@ -257,32 +289,33 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
     values with every variable integral.
 
     Depth-first branch and bound on the first fractional variable in the
-    system's order, so runs are reproducible.  A node's lexmin bounds every
-    integer point below it, so a node whose columns do not beat the
-    incumbent's is pruned.
+    system's order, so runs are reproducible.  A child adds its one bound
+    row to its parent's final tableau (`_Tableau.branched`) and resumes the
+    lexmin from there.  A node's lexmin bounds every integer point below
+    it, so a node whose columns do not beat the incumbent's is pruned.
     """
-    stack = [_no_objective(problem)]
+    variables = _no_objective(problem).variables
+    stack: list = [(_Tableau(problem.system), None)]
     best = None  # the incumbent's column values and result
     nodes = 0
     while stack:
-        system = stack.pop()
+        tab, branch = stack.pop()
         nodes += 1
         if nodes > node_limit:
             raise ResourceLimitError(
                 f"branch and bound node limit exceeded ({node_limit} nodes)")
-        tab = _Tableau(system)
+        if branch is not None:
+            tab = tab.branched(*branch)
         if not tab.lexmin():
             continue
         key = tab.columns()
         if best and key >= best[0]:
             continue
         x = tab.assignment()
-        frac = next((v for v in system.variables if x[v].denominator != 1), None)
+        frac = next((v for v in variables if x[v].denominator != 1), None)
         if frac is None:
             best = key, LPResult(OPTIMAL, x)
             continue
-        up = system.with_rows([system.row_from({frac: 1}, -ceil(x[frac]), GE)])
-        down = system.with_rows([system.row_from({frac: -1}, floor(x[frac]), GE)])
-        stack.append(up)
-        stack.append(down)
+        stack.append((tab, (frac, ceil(x[frac]), True)))
+        stack.append((tab, (frac, floor(x[frac]), False)))
     return best[1] if best else LPResult(INFEASIBLE)

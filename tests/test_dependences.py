@@ -1,11 +1,12 @@
 """Dependence analysis against a builder that solves every candidate.
 
 `frontend.compute_dependences` drops the candidates that their equalities
-refute, alone or with the domains' constant lower bounds, without a solve, solves each distinct surviving relation once, and
-visits only statement pairs that share an array.  None of that may change
-its output: `reference_dependences` below states the precedence rule
-directly and asks the solver about every candidate of every statement pair,
-and the two must agree on order, labels, variables and rows.
+refute, alone or with the domains' constant lower bounds, with no
+elimination, decides each distinct surviving relation once from its Farkas
+cone, and visits only statement pairs that share an array.  None of that
+may change its output: `reference_dependences` below states the precedence
+rule directly and asks the solver about every candidate of every statement
+pair, and the two must agree on order, labels, variables and rows.
 """
 
 import importlib.util
@@ -134,35 +135,48 @@ def test_dependences_equal_the_reference(family):
     assert found
 
 
-class _Solves:
+class _Cones:
+    """Records each relation whose Farkas cone the frontend eliminates, and
+    fails on any LP solve."""
+
     def __init__(self, monkeypatch):
-        self.calls = 0
-        solve = ratlp.solve_lp
+        self.relations = []
+        build = frontend.farkas_cone
 
-        def counted(problem):
-            self.calls += 1
-            return solve(problem)
+        def recorded(relation):
+            self.relations.append(relation)
+            return build(relation)
 
-        monkeypatch.setattr(ratlp, "solve_lp", counted)
+        def no_solve(problem):
+            raise AssertionError("dependence analysis called the LP solver")
+
+        monkeypatch.setattr(frontend, "farkas_cone", recorded)
+        monkeypatch.setattr(ratlp, "solve_lp", no_solve)
+
+    @property
+    def calls(self):
+        return len(self.relations)
 
 
 def test_corpus_analysis_solves_few_relations(monkeypatch):
     """Of the corpus's 91 candidates, most contradict their own equalities;
-    the explicit dependences of `scc_pair` keep one solve each."""
-    solves = _Solves(monkeypatch)
+    the explicit dependences of `scc_pair` keep one elimination each."""
+    cones = _Cones(monkeypatch)
     for data in corpus_programs():
         analyze(data)
-    assert 0 < solves.calls <= 22
+    assert 0 < cones.calls <= 22
 
 
 def test_chain_analysis_solves_each_distinct_relation_once(monkeypatch):
     """The benchmark's chain workload: 70 candidates, but every producer to
-    consumer pair has the same relation."""
-    solves = _Solves(monkeypatch)
+    consumer pair has the same relation, and it is eliminated once per
+    analysis, fewer times than there are dependences."""
+    cones = _Cones(monkeypatch)
     deps = [dep for n in workloads.CHAIN_SIZES
             for dep in analyze(workloads.chain(n))[1]]
     assert len(deps) == 8 + 16 - 2
-    assert 0 < solves.calls <= 6
+    assert 0 < cones.calls <= 6
+    assert cones.calls < len(deps)
 
 
 _COEFF = st.integers(-2, 2)
@@ -221,30 +235,63 @@ def test_out_of_reach_rows_have_no_point_above_the_bounds(data):
         assert ratlp.solve_lp(problem).status == ratlp.INFEASIBLE
 
 
+def _feasible(relation) -> bool:
+    return bool(ratlp.solve_lp(ratlp.LPProblem.of(relation)))
+
+
 def test_bounds_refute_only_empty_candidates(monkeypatch):
     """Over 300 nests of the `random_nest` family, every candidate that the
-    lower bounds refute, solved when the bounds are withheld, is infeasible;
-    the dependences are the same either way, and more than half of the
-    empty candidates are refuted without a solve."""
+    lower bounds refute, decided from its cone when the bounds are
+    withheld, is infeasible; the dependences are the same either way, and
+    more than half of the empty candidates are refuted with no
+    elimination."""
     rng = random.Random(1)
     programs = [parse_program(workloads.random_nest(rng)) for _ in range(300)]
-    solved = {}
-    nonempty = frontend._nonempty
+    decided = {}
+    build = frontend.farkas_cone
 
     def recorded(relation):
-        solved[relation.rows] = relation
-        return nonempty(relation)
+        decided[relation.rows] = relation
+        return build(relation)
 
-    monkeypatch.setattr(frontend, "_nonempty", recorded)
+    monkeypatch.setattr(frontend, "farkas_cone", recorded)
     monkeypatch.setattr(frontend, "_lower_bounds", lambda space: {})
     unbounded = [as_tuples(compute_dependences(p)) for p in programs]
-    every = dict(solved)
+    every = dict(decided)
     monkeypatch.undo()
-    monkeypatch.setattr(frontend, "_nonempty", recorded)
-    solved.clear()
+    monkeypatch.setattr(frontend, "farkas_cone", recorded)
+    decided.clear()
     assert [as_tuples(compute_dependences(p)) for p in programs] == unbounded
-    refuted = [r for rows, r in every.items() if rows not in solved]
+    refuted = [r for rows, r in every.items() if rows not in decided]
     for relation in refuted:
-        assert ratlp.solve_lp(ratlp.LPProblem.of(relation)).status == ratlp.INFEASIBLE
-    empty = sum(not nonempty(r) for r in every.values())
+        assert not _feasible(relation)
+    empty = sum(not _feasible(r) for r in every.values())
     assert 2 * len(refuted) > empty
+
+
+def test_cone_decides_emptiness_like_the_solver(monkeypatch):
+    """On the corpus and 300 nests of the `random_nest` family, every
+    candidate that reaches its Farkas cone is found empty exactly when the
+    LP finds it infeasible, both verdicts occur, and deciding by the LP
+    instead gives the same dependence lists."""
+    rng = random.Random(1)
+    programs = corpus_programs() + [workloads.random_nest(rng) for _ in range(300)]
+    verdicts = []
+    decide = frontend._relation_facts
+
+    def recorded(relation, known):
+        facts = decide(relation, known)
+        verdicts.append((relation, facts is None))
+        return facts
+
+    monkeypatch.setattr(frontend, "_relation_facts", recorded)
+    by_cone = [as_tuples(analyze(data)[1]) for data in programs]
+    for relation, empty in verdicts:
+        assert empty == (not _feasible(relation))
+    assert {empty for _, empty in verdicts} == {True, False}
+
+    def by_lp(relation, known):
+        return {} if _feasible(relation) else None
+
+    monkeypatch.setattr(frontend, "_relation_facts", by_lp)
+    assert [as_tuples(analyze(data)[1]) for data in programs] == by_cone

@@ -638,3 +638,45 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
         expect = res.status == OPTIMAL and res.objective[0] + b >= 0
         form = {**{f"a{j}": c for j, c in enumerate(a)}, "b": b}
         assert cone.satisfied_by(form) == expect
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bounded_by_parameters_matches_the_recession_cone(data):
+    """On a small non-empty relation over iterators x and parameters p
+    through a known integer point, `bounded_by_parameters` holds exactly
+    when no direction with p fixed leaves the relation (each iterator is
+    bounded on the recession cone {dx : rows' x parts >= 0, eq parts == 0})
+    and the relation makes every parameter non-negative.  LPs only, no
+    elimination."""
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    xs, ps = [f"x{k}" for k in range(n)], [f"p{k}" for k in range(m)]
+    names = xs + ps
+    point = data.draw(st.lists(st.integers(0, 2), min_size=n + m, max_size=n + m))
+    relation = ConstraintSystem(names, (), dict.fromkeys(names))
+    rows = [relation.row_from({p: 1}) for p in ps if data.draw(st.booleans())]
+    for _ in range(data.draw(st.integers(1, 4))):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n + m, max_size=n + m))
+        kind = data.draw(st.sampled_from([GE, GE, GE, EQ]))
+        slack = 0 if kind == EQ else data.draw(st.integers(0, 2))
+        const = slack - sum(c * x for c, x in zip(coeffs, point))
+        rows.append(relation.row_from(dict(zip(names, coeffs)), const, kind))
+    relation = relation.with_rows(rows)
+    assert relation.satisfied_by(dict(zip(names, point)))
+
+    recession = ConstraintSystem(xs, (), dict.fromkeys(xs))
+    recession = recession.with_rows(
+        recession.row_from({xs[i]: c for i, c in r.nonzero if i < n}, 0, r.kind)
+        for r in relation.rows)
+    fixed = all(solve_lp(LPProblem.of(recession, [{x: sign}])).status == OPTIMAL
+                for x in xs for sign in (1, -1))
+    nonnegative = all(
+        (res := solve_lp(LPProblem.of(relation, [p]))).status == OPTIMAL
+        and res.objective[0] >= 0 for p in ps)
+    cone = farkas_cone(relation)
+    assert farkas.bounded_by_parameters(cone, m) == (fixed and nonnegative)
+    # The scan decides what eliminating the parameters' unknowns and b does.
+    params = [f"a{n + k}" for k in range(m)]
+    in_cone = all(cone.satisfied_by({p: 1}) for p in params)
+    assert (fixed and nonnegative) == (in_cone and not eliminate(cone, params + ["b"]).rows)
+

@@ -1,10 +1,15 @@
+import importlib.util
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import fcg
+from polysched import fcg, verify
 from polysched.fcg import (
     FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
     fusion_probe, permute_and_fuse, to_dot,
@@ -82,7 +87,7 @@ class TestFusionProbe:
         solved = []
         build = fcg.level_system
         monkeypatch.setattr(fcg, "level_system",
-                            lambda *a: solved.append(a) or build(*a))
+                            lambda *a, **k: solved.append(a) or build(*a, **k))
         calls = []
         for a, b in zip(program.statements, program.statements[1:]):
             between = [d for d in deps if {d.src, d.dst} == {a.id, b.id}]
@@ -343,3 +348,64 @@ def test_transitive_reduction_keeps_exactly_the_unimplied_edges(data):
 
     assert fcg._transitive_reduction(n, edges) == {
         (a, b) for a, b in edges if not reaches(a, b, (a, b))}
+
+
+UNBOUNDED_SELF_DEPENDENCE = (Path(__file__).with_name("fixtures")
+                             / "unbounded_self_dependence.json")
+
+
+def _random_nests(count):
+    """The first `count` nests of the `random_nest` family under seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    rng = random.Random(1)
+    return [(f"nest{k}", workloads.random_nest(rng)) for k in range(count)]
+
+
+def test_probe_verdicts_equal_the_full_system(monkeypatch):
+    """Every probe that `build_fcg`, the joint-shifts check and the
+    fusion-transitivity check make, on the corpus, 100 `random_nest` nests
+    and the unbounded self-dependence, gives the verdict of the level
+    system with every bounding row, although a bounded dependence adds only
+    its legality rows."""
+    instances = [SimpleNamespace(name=i.name, program=i.program, deps=i.deps)
+                 for i in verify.load_corpus()]
+    unbounded = json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text())
+    for name, data in _random_nests(100) + [("unbounded", unbounded)]:
+        program, deps = analyze(data)
+        instances.append(SimpleNamespace(name=name, program=program, deps=deps))
+    probes = []
+    probe = fcg.fusion_probe
+
+    def recorded(program, statements, choose, deps, parametric_shifts=False):
+        verdict = probe(program, statements, choose, deps, parametric_shifts)
+        probes.append((program, tuple(statements), dict(choose), tuple(deps),
+                       parametric_shifts, verdict))
+        return verdict
+
+    monkeypatch.setattr(fcg, "fusion_probe", recorded)
+    monkeypatch.setattr(verify, "fusion_probe", recorded)
+    runs = [SimpleNamespace(instance=inst) for inst in instances]
+    for inst in instances:
+        try:
+            color_fcg(inst.program, inst.deps)
+        except SchedulingError:
+            pass
+    verify._check_joint_shifts(runs, 3)
+    verify._check_fusion_transitivity(runs, 3)
+    assert len(probes) > 1000
+    checked, legality_only = set(), 0
+    for program, stmts, choose, deps, parametric, verdict in probes:
+        key = (id(program), tuple(s.id for s in stmts), tuple(choose.items()),
+               tuple(map(id, deps)), parametric)
+        if key in checked:
+            continue
+        checked.add(key)
+        legality_only += all(d.bounded for d in deps)
+        terms = dimension_terms(program, stmts, choose, parametric)
+        full = _lexmin(fcg.level_system(program, deps, terms))
+        assert verdict == bool(full), (program, choose, parametric)
+    assert {v for *_, v in probes} == {True, False}
+    assert len(checked) // 2 < legality_only < len(checked)

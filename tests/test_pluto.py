@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polysched import pluto, ratlp
+from polysched import frontend, model, pluto, ratlp
 from polysched.farkas import (
     GE, ConstraintSystem, bounding_constraints, coefficient_variables, legality_constraints,
 )
@@ -149,8 +149,9 @@ _spec.loader.exec_module(bench_chain)
 
 class TestFarkasShapes:
     """Each distinct dependence relation's Farkas cone is eliminated once per
-    program; every dependence's rows substituted into a shared cone must
-    equal a fresh build."""
+    analysis, by the frontend, and shared by the dependences over it; every
+    dependence's rows substituted into a shared cone must equal a fresh
+    build."""
 
     @staticmethod
     def assert_fresh(program, dep):
@@ -165,19 +166,27 @@ class TestFarkasShapes:
     @pytest.mark.parametrize("name", ["matmul", "chain4"])
     def test_repeated_shapes_equal_a_fresh_build(self, name, monkeypatch):
         if name == "matmul":
-            inst = next(i for i in load_corpus() if i.name == "matmul")
-            program, deps = inst.program, inst.deps
+            path = Path(pluto.__file__).with_name("corpus") / "matmul.json"
+            data = json.loads(path.read_text())["program"]
         else:
-            program, deps = analyze(bench_chain.chain(4))
+            data = bench_chain.chain(4)
         built = []
-        build = pluto.farkas_cone
-        monkeypatch.setattr(pluto, "farkas_cone",
+        build = frontend.farkas_cone
+        monkeypatch.setattr(frontend, "farkas_cone",
                             lambda relation: built.append(relation) or build(relation))
+        program, deps = analyze(data)
+
+        def no_build(relation):
+            raise AssertionError("a dependence of the frontend built its own cone")
+
+        monkeypatch.setattr(model, "farkas_cone", no_build)
         for dep in deps:
             _farkas_rows(program, dep)
         relations = {d.relation.rows for d in deps}
-        assert len(built) == len(relations) < len(deps)
-        assert set(program._farkas_shapes) == relations
+        # The frontend also eliminates the cones of empty candidates.
+        assert len({r.rows for r in built}) == len(built)
+        assert len([r for r in built if r.rows in relations]) == len(relations) < len(deps)
+        assert len({id(d.cone) for d in deps}) == len(relations)
         for dep in deps:
             self.assert_fresh(program, dep)
 
@@ -186,7 +195,10 @@ class TestFarkasShapes:
         first, first_deps = analyze(data)
         second, second_deps = analyze(data)
         rows = [_farkas_rows(first, d) for d in first_deps]
-        assert first._farkas_shapes and not second._farkas_shapes
+        assert all(d._farkas for d in first_deps)
+        assert not any(d._farkas for d in second_deps)
+        assert all(a.cone is not b.cone and a.cone.rows == b.cone.rows
+                   for a, b in zip(first_deps, second_deps))
         for dep, mine in zip(second_deps, rows):
             theirs = _farkas_rows(second, dep)
             assert all(a is not b and a.rows == b.rows
@@ -211,7 +223,7 @@ class TestFarkasShapes:
             self.assert_fresh(program, dep)
         # One cone, but the self-dependence's shifts cancel and the cross
         # dependence's do not.
-        assert len(program._farkas_shapes) == 1
+        assert len({id(d.cone) for d in deps}) == 1
         legality = [_farkas_rows(program, d)[0] for d in deps]
         assert legality[0].rows != legality[1].rows
         assert legality[2].variables == tuple(
@@ -231,7 +243,7 @@ class TestFarkasShapes:
                                                     ("Q", "Q:0->1@0")]
         for dep in deps:
             self.assert_fresh(program, dep)
-        assert len(program._farkas_shapes) == 1
+        assert len({id(d.cone) for d in deps}) == 1
 
 
 class TestFindHyperplane:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from polysched.cli import main
+from polysched.fcg import fusion_probe
 from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
@@ -225,3 +226,34 @@ class TestRecolorDropsDependence:
         transform = schedule(program, deps, SchedulerConfig(mode=mode)).transform
         assert check_legality(program, deps, transform).ok
         assert full_rank(program, transform)
+
+
+#: One statement over i >= 0 alone, writing A[2i] and reading A[i]: its one
+#: dependence, s < t with t = 2s, is unbounded, so no parametric bound
+#: holds for a row with a nonzero coefficient of i.
+UNBOUNDED_SELF_DEPENDENCE = (Path(__file__).with_name("fixtures")
+                             / "unbounded_self_dependence.json")
+
+
+class TestUnboundedSelfDependence:
+    """A fusion probe gives a dependence its legality rows alone only when
+    the relation is bounded in its iterators; this one keeps its bounding
+    rows, so its probe stays infeasible and `dfp` fails in coloring, not
+    later in scale/shift."""
+
+    def test_probe_keeps_the_bounding_rows(self):
+        program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
+        assert [d.label for d in deps] == ["A:0->1@0"] and not deps[0].bounded
+        s = program.statement("S")
+        assert not fusion_probe(program, (s,), {"S": 0}, deps)
+
+    def test_dfp_fails_in_coloring(self):
+        program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
+        with pytest.raises(SchedulingError, match="no dimension of S can take color 1"):
+            dfp_schedule(program, deps)
+
+    def test_cli_exits_3_with_the_message(self, capsys):
+        assert main(["schedule", "--algo", "dfp", str(UNBOUNDED_SELF_DEPENDENCE)]) == 3
+        assert capsys.readouterr().err == (
+            "internal error: no dimension of S can take color 1; the conflict "
+            "graph admits no convex coloring\n")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from polysched.farkas import EQ, ZERO, ConstraintSystem, eliminate
 from polysched.ratlp import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
-    LPProblem, ResourceLimitError, solve_ilp, solve_lexmin, solve_lp,
+    LPProblem, LPResult, ResourceLimitError, solve_ilp, solve_lexmin, solve_lp,
 )
+from polysched.pluto import ILP, SchedulerConfig, schedule
 
 F = Fraction
 
@@ -316,3 +318,62 @@ def test_lexmin_matches_projection(n, rows, lower):
         assert res.status == OPTIMAL
         assert res.assignment == want
         assert s.satisfied_by(solve_lp(LPProblem.of(s)).assignment)
+
+
+def reference_ilp(s):
+    """Branch and bound that rebuilds every node from its system, with a
+    fresh tableau: (result, nodes opened).  `solve_ilp` must open the same
+    nodes and end at the same optimum while it resumes each child from its
+    parent's tableau."""
+    stack, best, nodes = [s], None, 0
+    while stack:
+        system = stack.pop()
+        nodes += 1
+        res = solve_lexmin(LPProblem.of(system))
+        if not res:
+            continue
+        key = column_key(system, res.assignment)
+        if best and key >= best[0]:
+            continue
+        x = res.assignment
+        frac = next((v for v in system.variables if x[v].denominator != 1), None)
+        if frac is None:
+            best = key, res
+            continue
+        stack.append(system.with_rows([system.row_from({frac: 1}, -ceil(x[frac]))]))
+        stack.append(system.with_rows([system.row_from({frac: -1}, floor(x[frac]))]))
+    return (best[1] if best else LPResult(INFEASIBLE)), nodes
+
+
+def assert_same_search(s):
+    want, nodes = reference_ilp(s)
+    got = solve_ilp(LPProblem.of(s), node_limit=nodes)
+    assert (got.status, got.assignment) == (want.status, want.assignment)
+    with pytest.raises(ResourceLimitError):
+        solve_ilp(LPProblem.of(s), node_limit=nodes - 1)
+    return nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), small_rows, st.lists(bounds, min_size=4, max_size=4))
+def test_warm_started_branch_and_bound_opens_the_reference_nodes(n, rows, lower):
+    """On boxed systems with free, shifted and fractional bounds, resuming
+    each child from its parent's tableau opens exactly the nodes of a
+    rebuild per node and ends at the same optimum."""
+    names = ["x", "y", "z", "t"][:n]
+    box = [({v: sign}, 4, "ge") for v in names for sign in (1, -1)]
+    s = system(names,
+               [(dict(zip(names, coeffs)), c, kind) for coeffs, c, kind in rows] + box,
+               dict(zip(names, lower)))
+    assert_same_search(s)
+
+
+def test_warm_started_branch_and_bound_on_the_corpus_levels(corpus):
+    """Every `ilp` level system of the corpus: the same nodes and optimum
+    as a rebuild per node, and some levels branch."""
+    branched = 0
+    for inst in corpus:
+        for step in schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP)).steps:
+            if step.system is not None:
+                branched += assert_same_search(step.system) > 1
+    assert branched
