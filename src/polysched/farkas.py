@@ -17,12 +17,14 @@ projection builds only some of the combinations plain Fourier-Motzkin
 elimination would: it skips those that Chernikov's rule proves
 redundant, so the shadow is the same with fewer rows.  Everything
 here is exact: every row is a sparse canonical integer row (its nonzero
-entries and its constant are ints with gcd 1), elimination combines such
-rows in exact integers, and only lower bounds and solutions are
+entries and its constant are ints with gcd 1), elimination combines
+rows in exact integers, on dense int vectors that it turns back into
+such rows once, and only lower bounds and solutions are
 `fractions.Fraction`s; there is no floating point.  Rows are combined by
 column index, never through variable names, and `_row` is the one
-normalizer: elimination, the cone's substitutions and
-`pluto.level_system` take its int-only path `_int_row`.
+normalizer of sparse rows: the cone's substitutions and
+`pluto.level_system` take its int-only path `_int_row`, and `_dense`
+makes a dense row canonical the same way.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class ConstraintSystem:
 
     @classmethod
     def _of_pruned(cls, variables, rows, lower) -> "ConstraintSystem":
-        """The system over `rows` as given, which `_prune` would keep whole:
-        rows renumbered from an existing system's."""
+        """The system over `rows` as given, which `_prune` would keep whole,
+        such as rows renumbered from an existing system's."""
         system = cls.__new__(cls)
         system._set_variables(variables, lower)
         system.rows = tuple(rows)
@@ -187,11 +189,12 @@ class ConstraintSystem:
         return True
 
 
-def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = (),
+def _prune(rows: Sequence[tuple], hist: Sequence[int] = (),
            new: Iterable[int] | None = None) -> list[int]:
     """The rows to keep, as indices into `rows`: tautologies and rows
     dominated by an earlier row are dropped, and a row that dominates an
-    earlier one takes its place.
+    earlier one takes its place.  The rows are `LinearRow`s, or the dense
+    rows of `eliminate`, whose first field is () for a constant row too.
 
     Only single-row implications are checked: identical coefficient vectors
     where one constant implies the other, plus exact duplicates of equalities.
@@ -220,7 +223,7 @@ def _prune(rows: Sequence[LinearRow], hist: Sequence[int] = (),
             seen[key] = len(kept)
             kept.append(k)
             continue
-        prev = rows[kept[at]].const
+        prev = rows[kept[at]][1]
         if prev < const:
             continue  # a looser ge row
         if prev > const or (hist and hist[k].bit_count() < hist[kept[at]].bit_count()):
@@ -237,9 +240,9 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     Equalities are used first (Gaussian substitution), remaining occurrences
     go through Fourier-Motzkin pairing.  Lower bounds of killed variables are
     materialized as rows before projection.  The work runs in exact integers
-    over each row's nonzero entries, combined by column index: every step
-    yields a positive multiple of the rational combination, which
-    `_int_row`, the int path of `_row`, makes canonical.
+    on dense coefficient vectors (`_dense`), which become `LinearRow`s once
+    at the end: every step yields a positive multiple of the rational
+    combination, divided by its gcd as `_int_row` would.
 
     Each row carries a history, an int bitmask of the input inequalities it
     combines: one bit per inequality row of the input, the materialized
@@ -254,73 +257,92 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     is still the exact shadow of the input's on the surviving variables.
     """
     n = len(system.variables)
-    # The work runs over renumbered columns: the killed ones first, in kill
-    # order, then the survivors in order.  Every column before the one
-    # being eliminated is gone by then, so a row holds it only as its first
-    # entry.  Rows stay canonical in that order; a ge row's entries do not
-    # depend on it, and an equality that survives holds survivors alone, so
-    # its first entry is the same in both orders.
+    # The vectors run over renumbered columns: the killed ones first, in
+    # kill order, then the survivors in order, so the t-th step eliminates
+    # column t and every column before it is zero.  Rows stay canonical in
+    # that order; a ge row's entries do not depend on it, and an equality
+    # that survives holds survivors alone, so its first entry is the same
+    # in both orders.
     cols = [system.index(v) for v in kill]
-    at = dict.fromkeys(cols)
-    killed = len(at)
-    if cols == list(range(killed)):  # the killed columns lead already
-        at = range(n)
-        rows = list(system.rows)
-    else:
-        for k, i in enumerate(at):
-            at[i] = k
-        for i in range(n):
-            at.setdefault(i, len(at))
-        rows = [_int_row(n, {at[i]: c for i, c in nonzero}, const, kind)
-                for nonzero, const, kind, _ in system.rows]
+    order = dict.fromkeys(cols)
+    killed = len(order)
+    order.update(dict.fromkeys(range(n)))
+    at = [0] * n  # each column's place in the vectors
+    for k, i in enumerate(order):
+        at[i] = k
+    rows = []
+    for nonzero, const, kind, _ in system.rows:
+        vec = [0] * n
+        for i, c in nonzero:
+            vec[at[i]] = c
+        if kind == EQ and next(filter(None, vec), 0) < 0:
+            vec, const = [-c for c in vec], -const
+        rows.append((tuple(vec) if nonzero else (), const, kind, None))
     for v, i in zip(kill, cols):
         b = system.lower[v]
         if b is not None:  # v >= p/q as q*v - p >= 0, canonical as p, q are coprime
-            rows.append(_new_row(LinearRow, (((at[i], b.denominator),), -b.numerator, GE, n)))
+            vec = [0] * n
+            vec[at[i]] = b.denominator
+            rows.append((tuple(vec), -b.numerator, GE, None))
     hist, bit = [], 1
     for r in rows:
-        if r.kind == EQ:
+        if r[2] == EQ:
             hist.append(0)
         else:
             hist.append(bit)
             bit <<= 1
     steps = 0
-    for t, i in enumerate(cols):
-        rows, hist, steps = _eliminate_one(rows, hist, steps, at[i], t > 0)
+    for t in range(killed):
+        rows, hist, steps = _eliminate_at(rows, hist, steps, t, t > 0)
 
     # Pruned rows stay pruned when their columns are renumbered.
     survivors = [v for k, v in enumerate(system.variables) if at[k] >= killed]
     width = len(survivors)
     return ConstraintSystem._of_pruned(
         survivors,
-        [_new_row(LinearRow, (tuple([(i - killed, c) for i, c in nonzero]), const, kind, width))
-         for nonzero, const, kind, _ in rows],
+        [_new_row(LinearRow, (tuple([e for e in enumerate(vec[killed:]) if e[1]]), const,
+                              kind, width))
+         for vec, const, kind, _ in rows],
         {v: system.lower[v] for v in survivors})
 
 
-def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int,
-                   pruned: bool):
-    """Eliminate column `col`, which comes before every other column of the
-    rows, from the rows and their histories, after `steps` Fourier-Motzkin
-    steps; returns (rows, histories, steps).  Gaussian substitution
-    rewrites `rows` and `hist` in place.  When the rows are `pruned`
-    already, only the rows the step makes are checked against the rest."""
-    coef = [nonzero[0][1] if nonzero and nonzero[0][0] == col else 0
-            for nonzero, _, _, _ in rows]
-    pivot = next((k for k, c in enumerate(coef) if c and rows[k].kind == EQ), None)
+def _dense(vec: list[int], const: int, kind: str) -> tuple:
+    """The canonical dense row (coefficients, const, kind, None) of the int
+    vector `vec` and `const`, as `_int_row` makes a `LinearRow`: divided by
+    the gcd, an equality's first nonzero entry made positive, and an
+    all-zero vector given as (), so that `_prune` reads it as a constant
+    row."""
+    g = gcd(const, *vec)
+    if g > 1:
+        vec = [c // g for c in vec]
+        const //= g
+    if not any(vec):
+        return ((), -const if kind == EQ and const < 0 else const, kind, None)
+    if kind == EQ and next(filter(None, vec)) < 0:
+        vec = [-c for c in vec]
+        const = -const
+    return (tuple(vec), const, kind, None)
+
+
+def _eliminate_at(rows: list[tuple], hist: list[int], steps: int, t: int, pruned: bool):
+    """Eliminate column `t` of the dense rows (see `eliminate`), every
+    column before which is zero, after `steps` Fourier-Motzkin steps;
+    returns (rows, histories, steps).  Gaussian substitution rewrites
+    `rows` and `hist` in place.  When the rows are `pruned` already, only
+    the rows the step makes are checked against the rest."""
+    coef = [vec[t] if vec else 0 for vec, _, _, _ in rows]
+    pivot = next((k for k, c in enumerate(coef) if c and rows[k][2] == EQ), None)
     if pivot is not None:
         # r - (rc/pc)*p, scaled by |pc|, in place of each row r with rc != 0.
-        (pnz, pconst, _, width), pc, ph = rows[pivot], coef[pivot], hist[pivot]
-        m, prest, made = abs(pc), pnz[1:], []
+        (pvec, pconst, _, _), pc, ph = rows[pivot], coef[pivot], hist[pivot]
+        m, made = abs(pc), []
         for k, rc in enumerate(coef):
             if rc and k != pivot:
                 made.append(k if k < pivot else k - 1)
-                nonzero, const, kind, _ = rows[k]
+                vec, const, kind, _ = rows[k]
                 f = rc if pc > 0 else -rc
-                acc = dict(nonzero[1:]) if m == 1 else {i: m * c for i, c in nonzero[1:]}
-                for i, c in prest:
-                    acc[i] = acc.get(i, 0) - f * c
-                rows[k] = _int_row(width, acc, m * const - f * pconst, kind)
+                rows[k] = _dense([m * x - f * y for x, y in zip(vec, pvec)],
+                                 m * const - f * pconst, kind)
                 hist[k] |= ph
         del rows[pivot], hist[pivot]
         out, out_hist = rows, hist
@@ -332,19 +354,17 @@ def _eliminate_one(rows: list[LinearRow], hist: list[int], steps: int, col: int,
                 out.append(r)
                 out_hist.append(h)
             elif c > 0:  # c*v >= -(rest): bounds v from below
-                lower_rows.append((r.nonzero[1:], r.const, c, h))
+                lower_rows.append((r[0], r[1], c, h))
             else:
-                upper.append((r.nonzero[1:], r.const, -c, h))
-        width, first = (rows[0].width if rows else 0), len(out)
-        for lrest, lconst, a, hl in lower_rows:
-            for urest, uconst, b, hu in upper:
+                upper.append((r[0], r[1], -c, h))
+        first = len(out)
+        for lvec, lconst, a, hl in lower_rows:
+            for uvec, uconst, b, hu in upper:
                 h = hl | hu
                 if h.bit_count() > steps + 1:
                     continue
-                acc = dict(lrest) if b == 1 else {i: b * c for i, c in lrest}
-                for i, c in urest:
-                    acc[i] = acc.get(i, 0) + a * c
-                out.append(_int_row(width, acc, b * lconst + a * uconst, GE))
+                out.append(_dense([b * x + a * y for x, y in zip(lvec, uvec)],
+                                  b * lconst + a * uconst, GE))
                 out_hist.append(h)
         made = range(first, len(out))
     kept = _prune(out, out_hist, made if pruned else None)
@@ -403,18 +423,27 @@ def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
     kill = [f"_l{k}" for k in eqs] + ["_l"] + [f"_l{k}" for k in ges]
     unknowns = [f"a{j}" for j in range(n)] + ["b"]
     # The multipliers' columns come first, in kill order, so that
-    # `eliminate` needs no renumbering; a_j is column m + j.
-    m, col = len(kill), {k: c for c, k in enumerate(eqs)}
-    col.update((k, len(eqs) + 1 + c) for c, k in enumerate(ges))
-    lhs = [{m + j: 1} for j in range(n + 1)]  # a_j - sum_k lam_k * r_kj, b - lam_0 - ...
-    lhs[n][len(eqs)] = -1
-    for k, r in enumerate(relation.rows):
-        for j, c in r.nonzero:
-            lhs[j][col[k]] = -c
-        if r.const:
-            lhs[n][col[k]] = -r.const
-    system = ConstraintSystem(kill + unknowns, [_int_row(m + n + 1, form, 0, EQ) for form in lhs],
-                              dict.fromkeys(kill[:len(eqs)] + unknowns))
+    # `eliminate` needs no renumbering; a_j is column m + j.  The equations
+    # a_j - sum_k lam_k * r_kj = 0 and b - lam_0 - sum_k lam_k * c_k = 0 get
+    # their entries in column order, each the only one holding its unknown.
+    m, lhs = len(kill), [[] for _ in range(n + 1)]
+    for c, k in enumerate(eqs + [None] + ges):
+        if k is None:
+            lhs[n].append((c, -1))
+            continue
+        nonzero, const, _, _ = relation.rows[k]
+        for j, a in nonzero:
+            lhs[j].append((c, -a))
+        if const:
+            lhs[n].append((c, -const))
+    rows = []
+    for j, items in enumerate(lhs):
+        items.append((m + j, 1))  # gcd 1; canonical once the first entry is positive
+        if items[0][1] < 0:
+            items = [(i, -a) for i, a in items]
+        rows.append(_new_row(LinearRow, (tuple(items), 0, EQ, m + n + 1)))
+    system = ConstraintSystem._of_pruned(kill + unknowns, rows,
+                                         dict.fromkeys(kill[:len(eqs)] + unknowns))
     return eliminate(system, kill)
 
 

@@ -15,12 +15,17 @@ shares all its loops with itself.
 Most candidate polyhedra are empty because their own equalities contradict
 them, so the equalities are reduced first, in exact integers (the first step
 of Pugh's Omega test): a candidate they refute, alone or with the constant
-lower bounds of the domains, is dropped at once.  Only statement pairs
-that share an array are visited.  Every other candidate's Farkas cone is
-eliminated, once per distinct relation per analysis, explicit dependences
-included: by the affine Farkas lemma (Feautrier 1992) the relation is empty
-exactly when the constant form -1 lies in its cone, and a dependence keeps
-the cone, which the schedulers need anyway.
+lower bounds of the domains, or that leave a domain row no point above
+those bounds, is dropped at once.  Only statement pairs that share an
+array are visited.  Every other distinct relation is decided once per
+analysis, explicit dependences included.  A relation that an ordering
+dependence meets first has its Farkas cone eliminated: by the affine Farkas
+lemma (Feautrier 1992) it is empty exactly when the constant form -1 lies
+in the cone, and the dependence keeps the cone, which every scheduler needs
+anyway.  One that a read-read dependence meets first, which only `dfp`
+reads, is projected onto no variable instead, which is cheaper, and gets
+its cone on first read.  Every test is exact over the rationals, so a
+relation with rational points but no integer point is kept.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .farkas import EQ, GE, ConstraintSystem, LinearRow, farkas_cone
-from .farkas import _int_row
+from .farkas import EQ, GE, ConstraintSystem, LinearRow, eliminate, farkas_cone
+from .farkas import _int_row, _new_row
 from .model import (
     RAR, RAW, WAR, WAW,
     AccessFunction, DependencePolyhedron, IndexSet, Program, Statement,
@@ -66,7 +71,10 @@ def _row(where: str, value, width: int, with_rel: bool):
     expect = width + (1 if with_rel else 0)
     if len(value) != expect:
         raise ParseError(where, f"expected {expect} entries, got {len(value)}")
-    coeffs = [_int(f"{where}[{i}]", x) for i, x in enumerate(value[:width])]
+    coeffs = value[:width]
+    if not all([type(x) is int for x in coeffs]):
+        for i, x in enumerate(coeffs):
+            _int(f"{where}[{i}]", x)
     if not with_rel:
         return coeffs, None
     rel = value[width]
@@ -75,12 +83,12 @@ def _row(where: str, value, width: int, with_rel: bool):
     return coeffs, rel
 
 
-def _constraint(system: ConstraintSystem, variables: Sequence[str],
-                coeffs: Sequence[int], const: int, rel: str):
-    """expr `rel` 0, normalized so inequalities read `expr >= 0`."""
+def _constraint(coeffs: Sequence[int], const: int, rel: str) -> LinearRow:
+    """expr `rel` 0 over one column per coefficient, normalized so
+    inequalities read `expr >= 0`."""
     sign = -1 if rel == "<=" else 1
-    mapping = {v: sign * c for v, c in zip(variables, coeffs) if c}
-    return system.row_from(mapping, sign * const, EQ if rel == "==" else GE)
+    return _int_row(len(coeffs), {i: sign * c for i, c in enumerate(coeffs)},
+                    sign * const, EQ if rel == "==" else GE)
 
 
 def parse_program(data: Mapping) -> Program:
@@ -135,7 +143,7 @@ def parse_program(data: Mapping) -> Program:
         rows = []
         for j, r in enumerate(raw_domain):
             coeffs, rel = _row(f"{where}.domain[{j}]", r, width, True)
-            rows.append(_constraint(system, variables, coeffs[:-1], coeffs[-1], rel))
+            rows.append(_constraint(coeffs[:-1], coeffs[-1], rel))
         system = system.with_rows(rows)
 
         raw_accesses = st.get("accesses", [])
@@ -193,33 +201,29 @@ def _dependence_space(src: Statement, dst: Statement, params: Sequence[str]):
     svars = tuple(f"s.{it}" for it in src.domain.iterators)
     tvars = tuple(f"t.{it}" for it in dst.domain.iterators)
     variables = svars + tvars + tuple(params)
-    out = ConstraintSystem(variables, (), dict.fromkeys(variables, None))
+    m, n = len(svars), len(svars) + len(tvars)
+    width = len(variables)
 
     # Canonical rows stay canonical when their columns are renumbered in order.
     rows = []
-    for aliases, stmt in ((svars, src), (tvars, dst)):
-        at = [out.index(v) for v in aliases + tuple(params)]
-        rows += [LinearRow(tuple((at[k], c) for k, c in r.nonzero), r.const,
-                           r.kind, len(variables))
-                 for r in stmt.domain.system.rows]
-    for p in params:
-        rows.append(out.row_from({p: 1}))
-    return svars, tvars, out.with_rows(rows)
+    for first, stmt in ((0, src), (m, dst)):
+        at = [*range(first, first + stmt.dim), *range(n, width)]
+        rows += [_new_row(LinearRow, (tuple([(at[k], c) for k, c in nonzero]), const,
+                                      kind, width))
+                 for nonzero, const, kind, _ in stmt.domain.system.rows]
+    rows += [_int_row(width, {k: 1}, 0, GE) for k in range(n, width)]
+    return ConstraintSystem(variables, rows, dict.fromkeys(variables, None))
 
 
-def _equal_cells(system: ConstraintSystem, svars, tvars, params,
-                 a: AccessFunction, b: AccessFunction):
-    """a(source instance) == b(target instance), one row per array dimension."""
+def _equal_cells(width: int, m: int, n: int, a: AccessFunction, b: AccessFunction):
+    """a(source instance) == b(target instance), one row per array dimension,
+    over a dependence space of `width` columns whose target instance takes
+    columns m to n - 1."""
     rows = []
     for ra, rb in zip(a.rows, b.rows):
-        mapping: dict[str, Fraction | int] = {}
-        for v, c in zip(svars, ra):
-            mapping[v] = mapping.get(v, 0) + c
-        for v, c in zip(tvars, rb):
-            mapping[v] = mapping.get(v, 0) - c
-        for k, p in enumerate(params):
-            mapping[p] = mapping.get(p, 0) + ra[len(svars) + k] - rb[len(tvars) + k]
-        rows.append(system.row_from(mapping, ra[-1] - rb[-1], EQ))
+        vec = [*ra[:m], *[-c for c in rb[:n - m]],
+               *[x - y for x, y in zip(ra[m:-1], rb[n - m:-1])]]
+        rows.append(_int_row(width, dict(enumerate(vec)), ra[-1] - rb[-1], EQ))
     return rows
 
 
@@ -237,19 +241,43 @@ def _dependence(src: Statement, dst: Statement, kind: str,
     return dep
 
 
-def _relation_facts(relation: ConstraintSystem, known: dict) -> dict | None:
+def _relation_facts(relation: ConstraintSystem, known: dict,
+                    ordering: bool) -> dict | None:
     """The facts a dependence over `relation` shares with every other over
     the same rows (`DependencePolyhedron._facts`), kept in `known` under
-    the rows, or None when the relation is empty.
+    the rows, or None when the relation is empty.  `ordering` tells whether
+    the dependence asking orders instances.
 
-    The relation's Farkas cone is eliminated once.  By the affine Farkas
-    lemma the relation is empty exactly when the cone holds the constant
-    form -1: a = 0 and b = -1 satisfy every cone row.
+    For an ordering dependence the relation's Farkas cone is eliminated, as
+    every scheduler reads it; by the affine Farkas lemma the relation is
+    empty exactly when the cone holds the constant form -1.  A read-read
+    dependence is read only by `dfp`, so its relation is projected onto no
+    variable instead, which is cheaper: it is empty exactly when a false
+    constant row is left, and its cone is built on first read
+    (`DependencePolyhedron.cone`).
     """
-    if relation.rows not in known:
-        cone = farkas_cone(relation)  # its unknowns are free: absent ones are 0
-        known[relation.rows] = None if cone.satisfied_by({"b": -1}) else {"cone": cone}
-    return known[relation.rows]
+    facts = known.get(relation.rows, False)
+    if facts is False:
+        if ordering:
+            cone = farkas_cone(relation)
+            facts = None if _holds_minus_one(cone) else {"cone": cone}
+        else:
+            shadow = eliminate(relation, relation.variables)
+            facts = None if any(const < 0 or (const and kind == EQ)
+                                for _, const, kind, _ in shadow.rows) else {}
+        known[relation.rows] = facts
+    return facts
+
+
+def _holds_minus_one(cone: ConstraintSystem) -> bool:
+    """Does a = 0, b = -1 satisfy every row of `cone`, a Farkas cone, whose
+    last unknown is b?"""
+    b = len(cone.variables) - 1
+    for nonzero, const, kind, _ in cone.rows:
+        value = const - nonzero[-1][1] if nonzero and nonzero[-1][0] == b else const
+        if value < 0 or (value and kind == EQ):
+            return False
+    return True
 
 
 # -- refutation by equalities -------------------------------------------------
@@ -258,18 +286,25 @@ def _relation_facts(relation: ConstraintSystem, known: dict) -> dict | None:
 # the rows before it; a row's pivot is its first entry, positive because the
 # row is canonical.  Reducing a row against the form takes only positive
 # multiples of it, so an inequality keeps its sense, and every step is exact
-# in ints.  A candidate relation is empty when its equalities reduce a row to
-# a nonzero constant, or its strict row to a negative one, or when such a
-# reduced row cannot hold above the constant lower bounds the domains give
-# the variables (`_out_of_reach`).  This decides rational feasibility of the
-# equalities exactly and of the inequalities only partly, so a candidate
-# that survives still has its Farkas cone eliminated.
+# in ints.  The result has zero at every pivot, as against the form with each
+# row reduced against the later rows too, so no back-substitution is needed.
+# A candidate relation is empty when its equalities reduce a row to a
+# nonzero constant, or its strict row to a negative one, or when such a
+# reduced row, or a reduced domain row, cannot hold above the constant lower
+# bounds the domains give the variables (`_out_of_reach`).  This decides
+# rational feasibility of the equalities exactly and of the inequalities
+# only partly, so a candidate that survives is still decided by
+# `_relation_facts`.
 
 
 def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
     """A positive multiple of `row` minus multiples of the rows of `form`,
-    with zero at every pivot of `form`."""
+    with zero at every pivot of `form`: `row` itself when it holds none.
+    Otherwise its nonzero entries are in no order and keep their common
+    factor: every test here reads only their signs and the sign of the
+    row's value."""
     acc, const = dict(row.nonzero), row.const
+    changed = False
     for p in form:
         j, pc = p.nonzero[0]
         rc = acc.pop(j, 0)
@@ -278,7 +313,11 @@ def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
             for i, c in p.nonzero[1:]:
                 acc[i] = acc.get(i, 0) - rc * c
             const = pc * const - rc * p.const
-    return _int_row(row.width, acc, const, row.kind)
+            changed = True
+    if not changed:
+        return row
+    return _new_row(LinearRow, (tuple([e for e in acc.items() if e[1]]), const, row.kind,
+                                row.width))
 
 
 def _lower_bounds(space: ConstraintSystem) -> dict[int, Fraction | int]:
@@ -320,17 +359,29 @@ def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow,
     r = _reduce(row, form)
     if not r.nonzero:
         return None if r.const else form
-    return None if _out_of_reach(r, low) else form + (r,)
+    if _out_of_reach(r, low):
+        return None
+    return form + (r if r is row else _int_row(r.width, dict(r.nonzero), r.const, EQ),)
 
 
 def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,
              low: Mapping[int, Fraction | int]) -> bool:
-    """Do the equalities of `form` leave the inequality `row` no point, or
-    none above the lower bounds `low`?"""
+    """Do the equalities of `form` leave the row `row` no point, or none
+    above the lower bounds `low`?"""
     if form is None:
         return True
     r = _reduce(row, form)
     return (r.const < 0) if not r.nonzero else _out_of_reach(r, low)
+
+
+def _refutes_domain(form: tuple[LinearRow, ...], rows: Sequence[LinearRow],
+                    low: Mapping[int, Fraction | int]) -> bool:
+    """Do the equalities of `form` refute one of the domain rows `rows` that
+    holds a pivot (`_refutes`)?  Reduced against every pivot, such a row
+    can have coefficients of one sign where it had not."""
+    pivots = {p.nonzero[0][0] for p in form}
+    return any(_refutes(form, r, low) for r in rows
+               if any(i in pivots for i, _ in r.nonzero))
 
 
 def _deps_between(src: Statement, dst: Statement, params,
@@ -346,9 +397,10 @@ def _deps_between(src: Statement, dst: Statement, params,
     and fusion analysis only uses cross-statement ones.
 
     A case whose equalities refute it, alone or with the variables' constant
-    lower bounds (see `_refutes`), is dropped with no elimination; any
-    other is decided by `_relation_facts`, once per distinct relation of
-    `known`.
+    lower bounds (see `_refutes`), or which leave a domain row, reduced
+    against them, no point above those bounds (`_refutes_domain`), is dropped
+    with no elimination; any other is decided by `_relation_facts`, once
+    per distinct relation of `known`.
     """
     shared = src.dim if src is dst else 0
     tie = src.textual_order < dst.textual_order
@@ -357,22 +409,22 @@ def _deps_between(src: Statement, dst: Statement, params,
              and not (src is dst and a.kind == b.kind == "read")]
     if not pairs:
         return []
-    svars, tvars, space = _dependence_space(src, dst, params)
-    prefix = [space.row_from({svars[k]: 1, tvars[k]: -1}, 0, EQ)
-              for k in range(shared)]
-    strict = [space.row_from({tvars[k]: 1, svars[k]: -1}, -1)
-              for k in range(shared)]
+    space = _dependence_space(src, dst, params)
+    m, n, width = src.dim, src.dim + dst.dim, len(space.variables)
+    prefix = [_int_row(width, {k: 1, m + k: -1}, 0, EQ) for k in range(shared)]
+    strict = [_int_row(width, {m + k: 1, k: -1}, -1, GE) for k in range(shared)]
     low = _lower_bounds(space)
     out = []
     for ai, a, bi, b in pairs:
         kind = _KIND_OF[a.kind, b.kind]
-        cells = _equal_cells(space, svars, tvars, params, a, b)
+        cells = _equal_cells(width, m, n, a, b)
         form: tuple[LinearRow, ...] | None = ()
         for row in cells:
             form = _extend(form, row, low)
         for d in range(shared + tie):
             rows = cells + prefix[:d]
             label = f"{a.array}:{ai}->{bi}"
+            here = form
             if d < shared:
                 empty = _refutes(form, strict[d], low)
                 form = _extend(form, prefix[d], low)  # the form of depth d + 1
@@ -382,8 +434,10 @@ def _deps_between(src: Statement, dst: Statement, params,
                 label += f"@{d}"
             elif form is None:  # the tie: equal on every shared loop
                 continue
+            if _refutes_domain(here, space.rows, low):
+                continue
             relation = space.with_rows(rows)
-            facts = _relation_facts(relation, known)
+            facts = _relation_facts(relation, known, kind != RAR)
             if facts is not None:
                 out.append(_dependence(src, dst, kind, relation, label, facts))
     return out
@@ -429,7 +483,7 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
         kind = e.get("kind")
         if kind not in _KINDS:
             raise ParseError(f"{where}.kind", f"kind must be one of {sorted(_KINDS)}")
-        _, _, space = _dependence_space(src, dst, program.params)
+        space = _dependence_space(src, dst, program.params)
         raw_rel = e.get("relation")
         if not isinstance(raw_rel, list):
             raise ParseError(f"{where}.relation", "expected a list of rows")
@@ -437,9 +491,9 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
         for j, r in enumerate(raw_rel):
             coeffs, rel = _row(f"{where}.relation[{j}]", r,
                                len(space.variables) + 1, True)
-            rows.append(_constraint(space, space.variables, coeffs[:-1], coeffs[-1], rel))
+            rows.append(_constraint(coeffs[:-1], coeffs[-1], rel))
         relation = space.with_rows(rows)
-        facts = _relation_facts(relation, known)
+        facts = _relation_facts(relation, known, kind != RAR)
         if facts is not None:
             out.append(_dependence(src, dst, kind, relation, f"explicit{i}", facts))
     return tuple(out)

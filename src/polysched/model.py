@@ -115,8 +115,8 @@ class DependencePolyhedron:
         default=None, init=False, repr=False, compare=False)
     #: What depends on `relation` alone, shared by the dependences of one
     #: analysis with the same rows: the Farkas cone under "cone", set by the
-    #: frontend, and the `bounded` verdict under "bounded", decided on first
-    #: use.
+    #: frontend or by `cone` on first read, and the `bounded` verdict under
+    #: "bounded", decided on first use.
     _facts: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     #: Minima by (source row, target row), filled by `min_dependence_component`.
@@ -138,8 +138,10 @@ class DependencePolyhedron:
     @property
     def cone(self) -> ConstraintSystem:
         """The Farkas cone of `relation` (`farkas.farkas_cone`).  The frontend
-        builds it to decide that the relation is not empty; it is built
-        here only for a dependence made by hand."""
+        builds it for a relation that an ordering dependence meets first, to
+        decide that the relation is not empty; it is built here, on first
+        read and once per relation of an analysis, for a relation the
+        frontend decided by projection and for a dependence made by hand."""
         cone = self._facts.get("cone")
         if cone is None:
             cone = self._facts["cone"] = farkas_cone(self.relation)

@@ -130,8 +130,8 @@ def _farkas_rows(program: Program, dep: DependencePolyhedron,
 
     They depend only on the dependence and its two statements, so they are
     kept on the dependence and shared by every path and level that uses it.
-    Both substitute a form into `dep.cone`, the Farkas cone the frontend
-    eliminated once per distinct relation to decide that it is not empty.
+    Both substitute a form into `dep.cone`, the Farkas cone eliminated once
+    per distinct relation of an analysis.
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)

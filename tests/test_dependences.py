@@ -18,11 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import frontend, ratlp
-from polysched.farkas import EQ, GE, ConstraintSystem
+from polysched import frontend, model, ratlp
+from polysched.farkas import EQ, GE, ConstraintSystem, farkas_cone
 from polysched.frontend import (
     _extend, _out_of_reach, _refutes, analyze, compute_dependences, parse_program,
 )
+from polysched.pluto import SchedulerConfig, schedule
+from polysched.postpass import dfp_schedule
 
 ROOT = Path(__file__).parents[1]
 CORPUS = ROOT / "src" / "polysched" / "corpus"
@@ -269,6 +271,69 @@ def test_bounds_refute_only_empty_candidates(monkeypatch):
     assert 2 * len(refuted) > empty
 
 
+def test_reduced_domain_rows_refute_only_empty_candidates(monkeypatch):
+    """Over the corpus and 300 nests of the `random_nest` family, every
+    candidate that `_refutes_domain` drops is infeasible; withholding the
+    rule gives the same dependence lists, and the rule drops more than a
+    third of the distinct empty relations that reach it."""
+    rng = random.Random(1)
+    programs = corpus_programs() + [workloads.random_nest(rng) for _ in range(300)]
+    decided = {}
+    decide, rule = frontend._relation_facts, frontend._refutes_domain
+
+    def recorded(relation, known, ordering):
+        decided[relation.rows] = relation
+        return decide(relation, known, ordering)
+
+    monkeypatch.setattr(frontend, "_relation_facts", recorded)
+    monkeypatch.setattr(frontend, "_refutes_domain", lambda form, rows, low: False)
+    withheld = [as_tuples(analyze(data)[1]) for data in programs]
+    every = dict(decided)
+    monkeypatch.setattr(frontend, "_refutes_domain", rule)
+    decided.clear()
+    assert [as_tuples(analyze(data)[1]) for data in programs] == withheld
+    refuted = [r for rows, r in every.items() if rows not in decided]
+    for relation in refuted:
+        assert not _feasible(relation)
+    empty = sum(not _feasible(r) for r in every.values())
+    assert 3 * len(refuted) > empty
+
+
+def test_read_read_relations_get_their_cone_on_first_read(monkeypatch):
+    """On the `random` workload, a relation that only read-read dependences
+    use is decided by projecting it: `ilp` and `lp`, analysis and
+    scheduling, build no cone for it, and `dfp` builds each such cone it
+    reads once, equal to a fresh `farkas_cone`.  No path builds a cone
+    twice."""
+    built = []
+
+    def recorded(relation):
+        built.append(relation.rows)
+        return farkas_cone(relation)
+
+    monkeypatch.setattr(frontend, "farkas_cone", recorded)
+    monkeypatch.setattr(model, "farkas_cone", recorded)
+    read_only = read = 0
+    for _, data in workloads.programs("random", ROOT / "src"):
+        for path in ("ilp", "lp", "dfp"):
+            built.clear()
+            program, deps = analyze(data)
+            ordering = {d.relation.rows for d in deps if d.ordering}
+            rar = {d.relation.rows: d for d in deps if d.relation.rows not in ordering}
+            if path == "dfp":
+                dfp_schedule(program, deps)
+                for rows, dep in rar.items():
+                    if rows in built:
+                        assert dep.cone.rows == farkas_cone(dep.relation).rows
+                        read += 1
+            else:
+                schedule(program, deps, SchedulerConfig(mode=path))
+                assert not rar.keys() & set(built)
+            assert len(set(built)) == len(built)
+        read_only += len(rar)
+    assert read_only and read
+
+
 def test_cone_decides_emptiness_like_the_solver(monkeypatch):
     """On the corpus and 300 nests of the `random_nest` family, every
     candidate that reaches its Farkas cone is found empty exactly when the
@@ -279,8 +344,8 @@ def test_cone_decides_emptiness_like_the_solver(monkeypatch):
     verdicts = []
     decide = frontend._relation_facts
 
-    def recorded(relation, known):
-        facts = decide(relation, known)
+    def recorded(relation, known, ordering):
+        facts = decide(relation, known, ordering)
         verdicts.append((relation, facts is None))
         return facts
 
@@ -290,7 +355,7 @@ def test_cone_decides_emptiness_like_the_solver(monkeypatch):
         assert empty == (not _feasible(relation))
     assert {empty for _, empty in verdicts} == {True, False}
 
-    def by_lp(relation, known):
+    def by_lp(relation, known, ordering):
         return {} if _feasible(relation) else None
 
     monkeypatch.setattr(frontend, "_relation_facts", by_lp)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import farkas, pluto
+from polysched import farkas, frontend, pluto
 from polysched.farkas import (
     EQ, GE, ConstraintSystem, LinearRow, _prune, _row, eliminate,
     coefficient_variables, farkas_cone, legality_constraints, bounding_constraints,
 )
 from polysched.frontend import analyze
 from polysched.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, solve_lp
+from test_dependences import corpus_programs, workloads
 from test_golden import EXPECTED_FARKAS, farkas_programs
 
 F = Fraction
@@ -288,12 +290,27 @@ class TestSchedulingConstraints:
 # -- history pruning -----------------------------------------------------------
 
 
+def reference_prune(rows, hist=()):
+    """`_prune` stated directly: tautologies go; the rows that share a
+    coefficient vector (ge), or are one equality, leave the one with the
+    least (constant, history bits, index) in the place of the first."""
+    best = {}
+    for k, r in enumerate(rows):
+        if not r.nonzero and (r.const == 0 if r.kind == EQ else r.const >= 0):
+            continue
+        key = (r.kind, r.nonzero, r.const if r.kind == EQ else None)
+        rank = (r.const, hist[k].bit_count() if hist else 0, k)
+        if key not in best or rank < best[key][0]:
+            best[key] = (rank, k)
+    return [k for _, k in best.values()]
+
+
 def reference_eliminate(system, kill, history=False):
     """`eliminate` stated directly: columns in the system's order, each
     step's coefficients read from a dict of each row, every combination
-    made canonical by the generic `_row`, and `_prune` after every step.
-    Without `history`, Fourier-Motzkin keeps every combination that
-    `_prune` keeps; with it, the rows carry `eliminate`'s histories and
+    made canonical by the generic `_row`, and `reference_prune` after every
+    step.  Without `history`, Fourier-Motzkin keeps every combination that
+    pruning keeps; with it, the rows carry `eliminate`'s histories and
     Chernikov's rule skips pairs as there."""
     n = len(system.variables)
     rows = list(system.rows)
@@ -342,7 +359,7 @@ def reference_eliminate(system, kill, history=False):
                     out.append(_row(n, sorted(acc.items()),
                                     b * lo.const + a * hi.const, GE))
                     out_hist.append(hl | hh)
-        kept = _prune(out, out_hist if history else ())
+        kept = reference_prune(out, out_hist if history else ())
         rows, hist = [out[k] for k in kept], [out_hist[k] for k in kept]
     survivors = [v for v in system.variables if v not in set(kill)]
     at = {system.index(v): k for k, v in enumerate(survivors)}
@@ -496,6 +513,58 @@ def test_eliminate_gives_the_reference_rows_in_order(data):
     got, want = eliminate(s, kill), reference_eliminate(s, kill, history=True)
     assert got.variables == want.variables and got.lower == want.lower
     assert got.rows == want.rows
+
+
+@pytest.fixture(scope="module")
+def family_eliminations():
+    """Every distinct (system, kill) that dependence analysis and the cones
+    of its dependences give `eliminate`, over the corpus, chain(8) and 300
+    nests of the `random_nest` family (`Random(1)`): each system
+    `farkas_cone` builds, and each relation projected to decide a read-read
+    relation's emptiness."""
+    calls = {}
+
+    def recorder(build):
+        def record(system, kill):
+            calls.setdefault((system.variables, system.rows, tuple(kill)), (system, kill))
+            return build(system, kill)
+        return record
+
+    rng = random.Random(1)
+    programs = (corpus_programs() + [workloads.chain(8)]
+                + [workloads.random_nest(rng) for _ in range(300)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(farkas, "eliminate", recorder(eliminate))
+        mp.setattr(frontend, "eliminate", recorder(eliminate))
+        for data in programs:
+            for dep in analyze(data)[1]:
+                dep.cone
+    return list(calls.values())
+
+
+def tie_break_system():
+    """A system on which the history `_prune` keeps of two equal rows
+    changes the rows of the result.  No system of the family merges equal
+    rows with histories of different sizes."""
+    names = ["x0", "x1", "x2", "x3", "x4"]
+    s = ConstraintSystem(names, (), dict.fromkeys(names))
+    rows = [([0, -1, 0, -1, 1], -1), ([-1, 0, 0, -1, 0], 0), ([1, -1, -1, -1, 0], 0),
+            ([-1, 1, 1, 1, -1], 0), ([1, -1, 0, 0, 0], -1), ([0, 0, -1, 1, 1], -1)]
+    return s.with_rows([s.row_from(dict(zip(names, c)), k) for c, k in rows]), ["x4", "x0", "x3"]
+
+
+def test_eliminate_gives_the_reference_rows_on_the_family(family_eliminations):
+    """On every system of the family, projections included, and on
+    `tie_break_system`, `eliminate` returns exactly the rows of
+    `reference_eliminate` with histories, in order: the same pivots,
+    Chernikov skips and pruning."""
+    projected = 0
+    for system, kill in family_eliminations + [tie_break_system()]:
+        got, want = eliminate(system, kill), reference_eliminate(system, kill, history=True)
+        assert got.variables == want.variables and got.lower == want.lower
+        assert got.rows == want.rows
+        projected += len(kill) == len(system.variables)
+    assert projected and len(family_eliminations) > 500
 
 
 def name_keyed_level_system(program, deps, terms):
