@@ -386,6 +386,11 @@ def coefficient_variables(statement: "Statement", params: Sequence[str]) -> list
     return names
 
 
+def bound_variables(params: Sequence[str]) -> list[str]:
+    """The bounding form's variable names: one u per parameter, then w."""
+    return [f"u.{p}" for p in params] + ["w"]
+
+
 def _difference_form(dep: "DependencePolyhedron", src: "Statement", dst: "Statement"):
     """phi_dst(t) - phi_src(s) over the dependence space, and the two
     statements' coefficient variables.  The form is one {coefficient
@@ -393,16 +398,17 @@ def _difference_form(dep: "DependencePolyhedron", src: "Statement", dst: "Statem
     constant."""
     m, n = len(dep.src_vars), len(dep.src_vars) + len(dep.dst_vars)
     forms: list[dict[str, int]] = [{} for _ in range(n + len(dep.params) + 1)]
-    for k, it in enumerate(src.domain.iterators):
-        forms[k][f"c.{src.id}.{it}"] = -1
-    for k, it in enumerate(dst.domain.iterators):
-        forms[m + k][f"c.{dst.id}.{it}"] = 1
+    cs = coefficient_variables(src, dep.params)
+    cd = coefficient_variables(dst, dep.params)
+    for k in range(src.dim):
+        forms[k][cs[k]] = -1
+    for k in range(dst.dim):
+        forms[m + k][cd[k]] = 1
     if src.id != dst.id:  # a self-dependence's shifts cancel exactly
-        for k, p in enumerate(dep.params):
-            forms[n + k].update({f"d.{dst.id}.{p}": 1, f"d.{src.id}.{p}": -1})
-        forms[-1].update({f"c0.{dst.id}": 1, f"c0.{src.id}": -1})
-    return forms, list(dict.fromkeys(coefficient_variables(src, dep.params)
-                                     + coefficient_variables(dst, dep.params)))
+        for k in range(len(dep.params)):
+            forms[n + k].update({cd[dst.dim + k]: 1, cs[src.dim + k]: -1})
+        forms[-1].update({cd[-1]: 1, cs[-1]: -1})
+    return forms, list(dict.fromkeys(cs + cd))
 
 
 def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
@@ -511,7 +517,8 @@ def bounding_constraints(dep: "DependencePolyhedron", src: "Statement",
     `cone` as for `legality_constraints`."""
     forms, variables = _difference_form(dep, src, dst)
     forms = [{v: -w for v, w in form.items()} for form in forms]
-    for p in dep.params:
-        forms[dep.relation.index(p)][f"u.{p}"] = 1
-    forms[-1]["w"] = 1
-    return _cone_rows(dep, cone, forms, [f"u.{p}" for p in dep.params] + ["w"] + variables)
+    bounds = bound_variables(dep.params)
+    for p, u in zip(dep.params, bounds):
+        forms[dep.relation.index(p)][u] = 1
+    forms[-1][bounds[-1]] = 1
+    return _cone_rows(dep, cone, forms, bounds + variables)

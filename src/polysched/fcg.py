@@ -8,9 +8,11 @@ the affected statement pair, mostly over their legality rows alone, so
 building the graph costs a quadratic number of cheap solves instead of one
 monolithic scheduling problem.
 
-Coloring the graph one color per loop level then reads off a permutation for
-every statement, falling back to dependence removal and loop distribution
-when a color cannot be completed.
+Coloring the graph one color per loop level, outermost first and in one
+pass, then reads off a permutation for every statement.  When a color cannot
+be completed, only that color is undone: the coloring falls back to loop
+distribution or to removing the dependences the placed colors satisfy, and
+tries the color again.
 """
 
 from __future__ import annotations
@@ -229,8 +231,8 @@ class Coloring:
     `colors[sid][c-1]` is the dimension of `sid` placed at color `c`; the
     list covers every dimension of the statement, outermost color first.
     `cut_groups` maps a color to the distribution in force when that color
-    was finally completed; the matching scalar level precedes the color's
-    loop level in the assembled transform.
+    was completed; the matching scalar level precedes the color's loop
+    level in the assembled transform.
     """
 
     colors: Mapping[str, tuple[int, ...]]
@@ -239,14 +241,6 @@ class Coloring:
     fcg: FusionConflictGraph
     initial: FusionConflictGraph
     events: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _Failure:
-    color: int
-    scc_index: int
-    sccs: tuple[tuple[str, ...], ...]
-    colors: Mapping[str, list]
 
 
 def _color_scc(by_id: Mapping[str, Statement], comp: Sequence[str],
@@ -272,33 +266,15 @@ def _color_scc(by_id: Mapping[str, Statement], comp: Sequence[str],
         if pick is None:
             return None
         picked.append(pick)
-    for sid, k in picked:
-        colors[sid].append(k)
     return picked
 
 
-def _color_once(stmts: Sequence[Statement], live: Sequence[DependencePolyhedron],
-                fcg: FusionConflictGraph, max_colors: int):
-    by_id = {s.id: s for s in stmts}
-    colors: dict[str, list] = {s.id: [] for s in stmts}
-    sccs = scc_decompose([s.id for s in stmts], live)
-    for color in range(1, max_colors + 1):
-        chosen: set[Vertex] = set()
-        for idx, comp in enumerate(sccs):
-            picked = _color_scc(by_id, comp, colors, fcg, chosen)
-            if picked is None:
-                return _Failure(color, idx, sccs, colors)
-            chosen.update(picked)
-    return colors
-
-
-def _partial(program: Program, colors: Mapping[str, list], depth: int) -> AffineTransform:
+def _partial(program: Program, colors: Mapping[str, list]) -> AffineTransform:
+    """The permutation of the colors placed so far, one unit row each."""
     np = len(program.params)
-    rows = {}
-    for s in program.statements:
-        take = list(colors.get(s.id, ()))[:depth]
-        rows[s.id] = tuple(unit_row(s, np, k) for k in take)
-    return AffineTransform.of(program, rows)
+    return AffineTransform.of(program, {
+        s.id: tuple(unit_row(s, np, k) for k in colors[s.id])
+        for s in program.statements})
 
 
 def _split_groups(groups: list, left_ids: set):
@@ -317,61 +293,64 @@ def _split_groups(groups: list, left_ids: set):
 def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Coloring:
     """Assign every statement dimension a loop level.
 
-    Colors are attempted outermost first across the dependence graph's
-    strongly connected components in topological order.  When a component
-    cannot take the current color the routine either discards dependences
-    already satisfied by the colored outer levels or distributes (cutting
-    the graph between components), rebuilds the conflict graph, and starts
-    over.  Each rescue strictly shrinks the live dependence set, so the loop
-    terminates.
+    Colors are placed outermost first, in one pass: at each color the
+    strongly connected components of the live dependences take one
+    dimension per statement, in topological order.  When a component
+    cannot take the color, the color's partial picks are undone, while the
+    colors already placed stay.  The routine then distributes (cutting the
+    graph before the stuck component) or, if nothing crosses that cut,
+    drops the dependences the placed colors satisfy; it rebuilds the
+    conflict graph and tries the same color again.  Each rescue strictly
+    shrinks the live dependence set and each completed color moves to the
+    next, so the loop terminates.
     """
-    stmts = list(program.statements)
-    max_colors = max((s.dim for s in stmts), default=0)
+    by_id = {s.id: s for s in program.statements}
+    max_colors = max((s.dim for s in program.statements), default=0)
     live: list[DependencePolyhedron] = list(deps)
-    groups: list[tuple[str, ...]] = [tuple(s.id for s in stmts)]
+    colors: dict[str, list] = {sid: [] for sid in by_id}
+    groups: list[tuple[str, ...]] = [tuple(by_id)]
     cut_groups: dict[int, tuple[tuple[str, ...], ...]] = {}
     events: list[str] = []
 
     initial = build_fcg(program, live)
     fcg = initial
+    color = 1
+    while color <= max_colors:
+        sccs = scc_decompose(list(by_id), live)
+        chosen: set[Vertex] = set()
+        for idx, comp in enumerate(sccs):
+            picked = _color_scc(by_id, comp, colors, fcg, chosen)
+            if picked is None:
+                break
+            chosen.update(picked)
+        else:
+            for sid, k in chosen:
+                colors[sid].append(k)
+            color += 1
+            continue
 
-    for _ in range(len(live) + 2):
-        outcome = _color_once(stmts, live, fcg, max_colors)
-        if not isinstance(outcome, _Failure):
-            return Coloring(
-                {sid: tuple(ks) for sid, ks in outcome.items()},
-                tuple(groups), dict(cut_groups), fcg, initial, tuple(events))
-
-        progressed = False
-        if outcome.scc_index > 0:
-            # Distribute: everything before the stuck component runs first.
-            left = {sid for comp in outcome.sccs[: outcome.scc_index] for sid in comp}
-            cut = [d for d in live
-                   if (d.src in left) != (d.dst in left)]
-            if cut:
-                groups = _split_groups(groups, left)
-                live = [d for d in live if not ((d.src in left) != (d.dst in left))]
-                cut_groups[outcome.color] = tuple(groups)
-                events.append(
-                    f"cut before {outcome.sccs[outcome.scc_index][0]} "
-                    f"at color {outcome.color}, dropping {len(cut)} dependences")
-                progressed = True
-        if not progressed and outcome.color > 1:
-            kept = unsatisfied(live, _partial(program, outcome.colors, outcome.color - 1))
-            if len(kept) < len(live):
-                events.append(
-                    f"dropped {len(live) - len(kept)} dependences satisfied above "
-                    f"color {outcome.color}")
-                live = kept
-                progressed = True
-        if not progressed:
-            stuck = outcome.sccs[outcome.scc_index]
-            raise SchedulingError(
-                f"no dimension of {', '.join(stuck)} can take color "
-                f"{outcome.color}; the conflict graph admits no convex coloring")
+        # Distribute: everything before the stuck component runs first.
+        left = {sid for comp in sccs[:idx] for sid in comp}
+        cut = [d for d in live if (d.src in left) != (d.dst in left)]
+        if cut:
+            groups = _split_groups(groups, left)
+            live = [d for d in live if (d.src in left) == (d.dst in left)]
+            cut_groups[color] = tuple(groups)
+            events.append(f"cut before {sccs[idx][0]} at color {color}, "
+                          f"dropping {len(cut)} dependences")
+        else:
+            kept = unsatisfied(live, _partial(program, colors))
+            if len(kept) == len(live):
+                raise SchedulingError(
+                    f"no dimension of {', '.join(sccs[idx])} can take color "
+                    f"{color}; the conflict graph admits no convex coloring")
+            events.append(f"dropped {len(live) - len(kept)} dependences "
+                          f"satisfied above color {color}")
+            live = kept
         fcg = build_fcg(program, live)
 
-    raise SchedulingError("coloring failed to converge")
+    return Coloring({sid: tuple(ks) for sid, ks in colors.items()},
+                    tuple(groups), dict(cut_groups), fcg, initial, tuple(events))
 
 
 def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import ratlp
 from .farkas import (
     ZERO, ConstraintSystem, _int_row, _row,
-    bounding_constraints, coefficient_variables, legality_constraints,
+    bound_variables, bounding_constraints, coefficient_variables, legality_constraints,
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
@@ -141,10 +141,6 @@ def _farkas_rows(program: Program, dep: DependencePolyhedron,
     return dep._farkas
 
 
-def bound_variables(program: Program) -> list[str]:
-    return [f"u.{p}" for p in program.params] + ["w"]
-
-
 #: Per statement id, the (unknown, row over the statement's
 #: `coefficient_variables`, lower bound or None) terms of its level row.
 Terms = Mapping[str, Sequence[tuple[str, Sequence, Fraction | int | None]]]
@@ -172,7 +168,7 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     no verdict while every relation makes its parameters non-negative, as
     every dependence relation does.
     """
-    bounds = bound_variables(program)
+    bounds = bound_variables(program.params)
     lower = {u: low for listed in terms.values() for u, _, low in listed}
     system = ConstraintSystem(bounds + list(lower), (), lower)
     weights: dict[str, dict[int, Fraction | int]] = {v: {system.index(v): 1} for v in bounds}
@@ -353,18 +349,19 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
              for s in active}
     extra = []
     for s in active:
-        extra.append(({f"c.{s.id}.{it}": 1 for it in s.domain.iterators}, -1))
+        names = coefficient_variables(s, program.params)[:s.dim]
+        extra.append((dict.fromkeys(names, 1), -1))
         guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
         if guide is not None:
-            extra.append(({f"c.{s.id}.{it}": a
-                           for it, a in zip(s.domain.iterators, guide) if a}, -1))
+            extra.append(({v: a for v, a in zip(names, guide) if a}, -1))
     return solve_level(program, deps, terms, level, [_all_variables(program, terms)],
                        extra, config.mode, component)
 
 
 def _all_variables(program: Program, terms: Terms) -> list[str]:
     """The variables of `level_system(program, deps, terms)`, in order."""
-    return bound_variables(program) + [u for listed in terms.values() for u, _, _ in listed]
+    return bound_variables(program.params) + [
+        u for listed in terms.values() for u, _, _ in listed]
 
 
 def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
@@ -384,8 +381,8 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
         raise SchedulingError(
             f"axis search space too large at level {level}: {total} assignments "
             f"for statements {', '.join(s.id for s in active)}")
-    order = bound_variables(program) + [
-        f"c.{s.id}.{it}" for s in active for it in s.domain.iterators]
+    order = bound_variables(program.params) + [
+        v for s in active for v in coefficient_variables(s, program.params)[:s.dim]]
     best, best_key = None, None
     for combo in itertools.product(*choices):
         terms = {s.id: _unit_terms(s, program.params, [(k, 1)])
@@ -411,7 +408,7 @@ class ScheduleResult:
 
 
 def _is_parallel(program: Program, assignment: Mapping[str, Fraction]) -> bool:
-    return all(not assignment.get(v) for v in bound_variables(program))
+    return all(not assignment.get(v) for v in bound_variables(program.params))
 
 
 def schedule(program: Program, deps: Sequence[DependencePolyhedron],

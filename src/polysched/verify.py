@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import ratlp
-from .farkas import EQ, ConstraintSystem
+from .farkas import EQ, ConstraintSystem, bound_variables
 from .fcg import build_fcg, colorable_dimension, fusion_probe
 from .frontend import ParseError, analyze, parse_json
 from .model import (
@@ -26,7 +26,7 @@ from .model import (
 )
 from .pluto import (
     ILP, LP, ScheduleResult, SchedulerConfig, Step,
-    bound_variables, row_rank, schedule,
+    row_rank, schedule,
 )
 from .postpass import DfpResult, dfp_schedule
 
@@ -416,7 +416,7 @@ def _check_relaxation_objective(runs, bound):
         if lp_steps.keys() != ilp_steps.keys():
             bad.append(f"{r.instance.name}: loop structure differs between modes")
             continue
-        bvars = bound_variables(r.instance.program)
+        bvars = bound_variables(r.instance.program.params)
         for key in sorted(lp_steps):
             a, b = lp_steps[key], ilp_steps[key]
             for v in bvars:

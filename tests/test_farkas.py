@@ -571,7 +571,7 @@ def name_keyed_level_system(program, deps, terms):
     """`pluto.level_system` stated by variable name: each donor row's
     substitution summed into a {variable: coefficient} map and made a row
     by `row_from`."""
-    bounds = pluto.bound_variables(program)
+    bounds = pluto.bound_variables(program.params)
     forms = {v: {v: 1} for v in bounds}
     lower = {}
     for sid, listed in terms.items():

@@ -15,7 +15,7 @@ from polysched.fcg import (
     fusion_probe, permute_and_fuse, to_dot,
 )
 from polysched.frontend import analyze
-from polysched.model import Cut, SchedulingError
+from polysched.model import Cut, SchedulingError, component_range, satisfaction_level
 from polysched.pluto import _lexmin, dimension_terms
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank
@@ -354,13 +354,13 @@ UNBOUNDED_SELF_DEPENDENCE = (Path(__file__).with_name("fixtures")
                              / "unbounded_self_dependence.json")
 
 
-def _random_nests(count):
-    """The first `count` nests of the `random_nest` family under seed 1."""
+def _random_nests(count, seed=1):
+    """The first `count` nests of the `random_nest` family under `seed`."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    rng = random.Random(1)
+    rng = random.Random(seed)
     return [(f"nest{k}", workloads.random_nest(rng)) for k in range(count)]
 
 
@@ -409,3 +409,44 @@ def test_probe_verdicts_equal_the_full_system(monkeypatch):
         assert verdict == bool(full), (program, choose, parametric)
     assert {v for *_, v in probes} == {True, False}
     assert len(checked) // 2 < legality_only < len(checked)
+
+
+def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypatch):
+    """`dfp` is legal and full-rank on the first 100 `random_nest` nests
+    under seed 2.  On those and on every fixture that `dfp` schedules, each
+    ordering dependence a drop rescue removed, as satisfied by the colors
+    already placed, is still satisfied by the final transform (some level's
+    component is at least 1, none above it negative): the colors that
+    justified the drop are the ones the transform keeps."""
+    dropped = []
+    unsatisfied = fcg.unsatisfied
+
+    def recorded(deps, transform, up_to=None):
+        kept = unsatisfied(deps, transform, up_to)
+        alive = set(map(id, kept))
+        dropped.extend(d for d in deps if d.ordering and id(d) not in alive)
+        return kept
+
+    monkeypatch.setattr(fcg, "unsatisfied", recorded)
+    fixtures = sorted(Path(__file__).with_name("fixtures").glob("*.json"))
+    nests = _random_nests(100, seed=2)
+    checked = 0
+    for name, data in nests + [(p.stem, json.loads(p.read_text())) for p in fixtures]:
+        program, deps = analyze(data)
+        dropped.clear()
+        try:
+            transform = dfp_schedule(program, deps).transform
+        except SchedulingError:
+            assert name in ("scale_shift_infeasible", "unbounded_self_dependence")
+            continue
+        if name.startswith("nest"):
+            assert check_legality(program, deps, transform).ok, name
+            assert full_rank(program, transform), name
+        for d in dropped:
+            level = satisfaction_level(d, transform)
+            assert level is not None, (name, d.label)
+            for above in range(1, level):
+                m = component_range(d, transform, above)
+                assert m is not None and m >= 0, (name, d.label, above)
+        checked += len(dropped)
+    assert checked > 0

@@ -68,13 +68,13 @@ class TestRowAlgebra:
 
 class TestAssembly:
     def test_bound_variables(self, by_name):
-        assert bound_variables(by_name["shift_pair"].program) == ["u.N", "w"]
-        assert bound_variables(by_name["stencil1d"].program) == \
+        assert bound_variables(by_name["shift_pair"].program.params) == ["u.N", "w"]
+        assert bound_variables(by_name["stencil1d"].program.params) == \
             ["u.T", "u.N", "w"]
 
     def test_canonical_coefficient_order(self, by_name):
         program = by_name["shift_pair"].program
-        names = bound_variables(program) + [
+        names = bound_variables(program.params) + [
             v for s in program.statements
             for v in coefficient_variables(s, program.params)]
         assert names == ["u.N", "w", "c.P.i", "d.P.N", "c0.P",
@@ -321,7 +321,7 @@ class TestSolveLevel:
         third = [({"w": 3}, -1)]  # w >= 1/3
         deps = [d for d in inst.deps if d.ordering]
         with_w = solve_level(inst.program, deps, terms, 1,
-                             [bound_variables(inst.program) + unknowns], third)
+                             [bound_variables(inst.program.params) + unknowns], third)
         assert with_w.raw["w"] == F(1, 3) and with_w.factors == (6,)
         assert with_w.rows == {"P": R(6, 0, 0), "Q": R(9, 0, 0)}
         alone = solve_level(inst.program, deps, terms, 1, [unknowns], third)
@@ -416,7 +416,7 @@ class TestSchedule:
                 continue
             res = schedule(inst.program, inst.deps,
                            SchedulerConfig(mode=mode, restricted=True))
-            nbounds = len(bound_variables(inst.program))
+            nbounds = len(bound_variables(inst.program.params))
             for step in res.steps:
                 if step.system is None:
                     continue

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from polysched.cli import main
-from polysched.fcg import fusion_probe
+from polysched.fcg import color_fcg, fusion_probe
 from polysched.frontend import analyze
 from polysched.model import AffineTransform, Band, Cut, SchedulingError
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
@@ -203,22 +203,28 @@ class TestScaleShiftInfeasible:
         assert full_rank(program, transform)
 
 
-#: A nest on which `dfp` emits an illegal transform.  The first coloring
-#: round fails at color 2 with S1 on j and S2 on i; that partial coloring
-#: satisfies S1->S2, so the dependence is dropped.  The restart recolors
-#: from scratch with S1 on i, and the next rescue cuts ((S0, S2), (S1,)) at
-#: level 2, which runs S1->S2 backwards.
+#: A nest whose coloring needs two rescues at color 2.  Color 1 puts S1 on
+#: j and S2 on i, which satisfies S1->S2, so the first rescue drops it;
+#: the second cuts ((S0, S2), (S1,)) before color 2.  The drop holds only
+#: while color 1 stays: with S1 on i, the same cut runs S1->S2 backwards.
 DFP_RECOLOR_DROPS_DEPENDENCE = (Path(__file__).with_name("fixtures")
                                 / "dfp_recolor_drops_dependence.json")
 
 
 class TestRecolorDropsDependence:
-    @pytest.mark.xfail(strict=True, reason="a dependence dropped against one "
-                       "coloring stays dropped after the restart recolors")
     def test_dfp_is_legal(self):
         program, deps = analyze(json.loads(DFP_RECOLOR_DROPS_DEPENDENCE.read_text()))
         transform = dfp_schedule(program, deps).transform
         assert check_legality(program, deps, transform).ok
+        assert full_rank(program, transform)
+
+    def test_rescues_keep_the_placed_color(self):
+        program, deps = analyze(json.loads(DFP_RECOLOR_DROPS_DEPENDENCE.read_text()))
+        coloring = color_fcg(program, deps)
+        assert coloring.colors["S1"] == (1, 0)
+        assert coloring.events == (
+            "dropped 2 dependences satisfied above color 2",
+            "cut before S1 at color 2, dropping 1 dependences")
 
     @pytest.mark.parametrize("mode", [LP, ILP])
     def test_lp_and_ilp_schedule_it(self, mode):
