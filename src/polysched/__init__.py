@@ -11,7 +11,7 @@ transforms are `fractions.Fraction`s; no floating point is involved anywhere.
 from .farkas import ConstraintSystem, LinearRow
 from .fcg import (
     Coloring, FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
-    fusion_probe, permute_and_fuse, to_dot,
+    fusion_probe, to_dot,
 )
 from .frontend import ParseError, analyze, compute_dependences, loads, parse_program
 from .model import (
@@ -66,7 +66,6 @@ __all__ = [
     "load_corpus",
     "loads",
     "parse_program",
-    "permute_and_fuse",
     "scale_and_shift",
     "schedule",
     "theorem_suite",

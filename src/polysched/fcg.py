@@ -9,10 +9,10 @@ building the graph costs a quadratic number of cheap solves instead of one
 monolithic scheduling problem.
 
 Coloring the graph one color per loop level, outermost first and in one
-pass, then reads off a permutation for every statement.  When a color cannot
-be completed, only that color is undone: the coloring falls back to loop
-distribution or to removing the dependences the placed colors satisfy, and
-tries the color again.
+pass, picks each statement's dimension per level for `postpass`.  When a
+color cannot be completed, only that color is undone: the coloring falls
+back to loop distribution or to removing the dependences the placed colors
+satisfy, and tries the color again.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .model import (
     Program,
     SchedulingError,
     Statement,
-    place_cut,
     scc_decompose,
     unit_row,
     unsatisfied,
@@ -231,8 +230,8 @@ class Coloring:
     `colors[sid][c-1]` is the dimension of `sid` placed at color `c`; the
     list covers every dimension of the statement, outermost color first.
     `cut_groups` maps a color to the distribution in force when that color
-    was completed; the matching scalar level precedes the color's loop
-    level in the assembled transform.
+    was completed; the k-th cut color c (from 0) becomes the scalar level
+    c + k, right before the color's loop level.
     """
 
     colors: Mapping[str, tuple[int, ...]]
@@ -308,7 +307,7 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     max_colors = max((s.dim for s in program.statements), default=0)
     live: list[DependencePolyhedron] = list(deps)
     colors: dict[str, list] = {sid: [] for sid in by_id}
-    groups: list[tuple[str, ...]] = [tuple(by_id)]
+    groups: list[tuple[str, ...]] = [tuple(by_id)] if by_id else []
     cut_groups: dict[int, tuple[tuple[str, ...], ...]] = {}
     events: list[str] = []
 
@@ -351,30 +350,6 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
 
     return Coloring({sid: tuple(ks) for sid, ks in colors.items()},
                     tuple(groups), dict(cut_groups), fcg, initial, tuple(events))
-
-
-def permute_and_fuse(program: Program, coloring: Coloring) -> AffineTransform:
-    """Assemble the colored permutation into schedule rows.
-
-    Loop levels follow color order; a distribution recorded at color c is
-    placed by `model.place_cut` as one scalar level right before color c's
-    loop level.  Statements keep exactly one row per own dimension plus the
-    scalar rows, zero-padded where a shallow statement sits under a deeper
-    neighbour's cut.
-    """
-    np = len(program.params)
-    rows: dict[str, list] = {s.id: [] for s in program.statements}
-    cuts = []
-    for c in range(1, max((s.dim for s in program.statements), default=0) + 1):
-        if c in coloring.cut_groups:
-            cuts.append(place_cut(program, rows, c + len(cuts), coloring.cut_groups[c]))
-        # Every cut holds every statement, so a statement colored c has a
-        # row at each level above this one.
-        for s in program.statements:
-            order = coloring.colors[s.id]
-            if len(order) >= c:
-                rows[s.id].append(unit_row(s, np, order[c - 1]))
-    return AffineTransform.of(program, rows, (), cuts)
 
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,

@@ -292,10 +292,6 @@ class AffineTransform:
         rows = self.rows[sid]
         return rows[level - 1] if level <= len(rows) else None
 
-    def iterator_part(self, sid: str, level: int):
-        r = self.row(sid, level)
-        return None if r is None else r[: len(self.dims[sid])]
-
     def to_json(self) -> dict:
         def fmt(x: Fraction) -> str:
             x = Fraction(x)

@@ -1,16 +1,15 @@
-"""Passes that turn a 0/1 permutation into the final schedule.
+"""Passes that turn a fusion-conflict-graph coloring into the final schedule.
 
 Both passes only choose per-statement terms, extra rows and groups:
 `pluto.solve_level` builds and solves each level, scales it to integers
 with one group per weakly connected component, and reads the rows back.
-`scale_and_shift` re-solves every loop level of a permutation on
-`pluto.dimension_terms`, the terms the fusion probes solve: the permuted
-coefficient may grow past 1 and the shifts are free, so fused statements
-can slide against each other.  `introduce_skew` then repairs levels with a
-negative dependence component by replacing the level's row with a
-non-negative combination of itself and the rows above it: one term on
-each, with non-negativity rows on the iterator coefficients as extras.
-`dfp_schedule` chains the conflict-graph coloring with both passes.
+`scale_and_shift` solves each color's picks on `pluto.dimension_terms`,
+the terms the fusion probes solve: the picked coefficient may grow past 1
+and the shifts are free, so fused statements can slide against each other.
+`introduce_skew` then repairs levels with a negative dependence component
+by replacing the level's row with a non-negative combination of itself and
+the rows above it: one term on each, with non-negativity rows on the
+iterator coefficients as extras.  `dfp_schedule` chains all three.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .fcg import Coloring, color_fcg, permute_and_fuse
+from .fcg import Coloring, color_fcg
 from .model import (
     AffineTransform,
     Band,
@@ -40,33 +39,31 @@ def _component_groups(comps: Sequence[Sequence[str]], terms: Terms) -> list[list
 
 
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
-                    permutation: AffineTransform):
-    """Re-solve each loop level of the permutation with free shifts.
+                    coloring: Coloring):
+    """Solve one loop level per color, outermost first, with free shifts.
 
-    Levels are handled outermost first.  Each cut of the permutation is
-    placed again by `model.place_cut`, and a dependence already satisfied by
-    the scaled rows above (cuts included) no longer constrains deeper
-    levels.  Returns the scaled transform and one `Step` per level.
+    A cut recorded at color c is placed by `model.place_cut` right before
+    color c's loop level, and a dependence already satisfied by the rows
+    above (cuts included) no longer constrains deeper levels.  Returns the
+    scaled transform and one `Step` per level.
     """
     ordering = [d for d in deps if d.ordering]
     comps = components([s.id for s in program.statements], deps)
-    cut_groups = {c.level: c.groups for c in permutation.cuts}
     acc: dict[str, list] = {s.id: [] for s in program.statements}
+    cuts = []
     steps = []
 
-    for level in range(1, permutation.levels + 1):
-        if level in cut_groups:
-            place_cut(program, acc, level, cut_groups[level])
+    for color in range(1, max((s.dim for s in program.statements), default=0) + 1):
+        level = color + len(cuts)
+        if color in coloring.cut_groups:
+            cuts.append(place_cut(program, acc, level, coloring.cut_groups[color]))
             steps.append(Step(level, "cut"))
-            continue
+            level += 1
 
         live = unsatisfied(ordering, AffineTransform.of(program, acc))
-        active = {}
-        for s in program.statements:
-            part = permutation.iterator_part(s.id, level)
-            if part is not None and any(part):
-                active[s.id] = next(k for k, x in enumerate(part) if x)
-
+        # Each cut holds every statement: one colored here has level - 1 rows.
+        active = {s.id: coloring.colors[s.id][color - 1] for s in program.statements
+                  if len(coloring.colors[s.id]) >= color}
         terms = dimension_terms(
             program, [s for s in program.statements if s.id in active],
             active, parametric_shifts=True)
@@ -80,7 +77,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             acc[sid].append(row)
         steps.append(step)
 
-    return AffineTransform.of(program, acc, (), permutation.cuts), tuple(steps)
+    return AffineTransform.of(program, acc, (), cuts), tuple(steps)
 
 
 # -- skewing -------------------------------------------------------------------
@@ -151,7 +148,7 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
             continue
         solved = _skew_level(program, deps, current, level)
         if solved is None:
-            labels = ", ".join(d.label for d in bad)
+            labels = ", ".join(f"{d.src}->{d.dst} {d.label}" for d in bad)
             return SkewOutcome(
                 transform, (),
                 (f"level {level} has a negative component ({labels}) "
@@ -169,7 +166,6 @@ class DfpResult:
     """`steps` holds the scale/shift steps, then the skew steps."""
 
     coloring: Coloring
-    permutation: AffineTransform
     scaled: AffineTransform
     transform: AffineTransform
     steps: tuple[Step, ...]
@@ -209,11 +205,9 @@ def dfp_schedule(program: Program,
                  deps: Sequence[DependencePolyhedron]) -> DfpResult:
     """Conflict-graph coloring, then scaling/shifting, then skewing."""
     coloring = color_fcg(program, deps)
-    permutation = permute_and_fuse(program, coloring)
-    scaled, steps = scale_and_shift(program, deps, permutation)
+    scaled, steps = scale_and_shift(program, deps, coloring)
     skew = introduce_skew(program, deps, scaled)
     steps += skew.skewed
     final = replace(skew.transform,
-                    bands=_bands(program, deps, skew.transform, steps),
-                    cuts=skew.transform.cuts)
-    return DfpResult(coloring, permutation, scaled, final, steps, skew)
+                    bands=_bands(program, deps, skew.transform, steps))
+    return DfpResult(coloring, scaled, final, steps, skew)

@@ -110,6 +110,14 @@ class TestFcg:
         assert data["loops"] == []
         assert data["groups"] == [["S1", "S2", "S3"]]
 
+    def test_empty_program_has_no_group(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"params": [], "statements": []}))
+        code, out, _ = run(capsys, "fcg", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["vertices"] == [] and data["groups"] == []
+
     def test_dot_matches_library_rendering(self, capsys, by_name):
         code, out, _ = run(capsys, "fcg", FIG1, "--dot")
         assert code == 0

@@ -163,11 +163,6 @@ class TestTransform:
         assert t.row("Q", 2) is None
         assert t.row("P", 2) == (F(0), F(1, 2), F(1), F(-1))
 
-    def test_iterator_part_strips_params_and_constant(self):
-        t = self.transform()
-        assert t.iterator_part("P", 2) == (F(0), F(1, 2))
-        assert t.iterator_part("Q", 2) is None
-
     def test_json_round_trip(self):
         t = self.transform()
         data = t.to_json()

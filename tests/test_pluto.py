@@ -423,7 +423,8 @@ class TestSchedule:
                 assert all(r.kind == GE for r in step.system.rows)
                 owners = [v.split(".")[1] for v in step.system.variables[nbounds:]]
                 active = [sid for sid in res.components[step.component]
-                          if any(res.transform.iterator_part(sid, step.level) or ())]
+                          if any((res.transform.row(sid, step.level) or ())
+                                 [:inst.program.statement(sid).dim])]
                 assert sorted(owners) == sorted(active) and active, inst.name
 
     def test_axis_search_limit_names_level_and_statements(self, by_name, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,8 +27,7 @@ class TestScaleAndShift:
         # The scheduler proper shifts P forward by 2; with both directions
         # open the lexmin prefers leaving P alone and pulling Q back.
         out = dfp_results["shift_pair"]
-        assert out.permutation.rows["P"] == (R(1, 0, 0),)
-        assert out.permutation.rows["Q"] == (R(1, 0, 0),)
+        assert out.coloring.colors == {"P": (0,), "Q": (0,)}
         assert out.scaled.rows["P"] == (R(1, 0, 0),)
         assert out.scaled.rows["Q"] == (R(1, 0, -2),)
         (step,) = out.steps
@@ -43,8 +43,20 @@ class TestScaleAndShift:
         assert step.factors == (2,) and step.parallel
         assert step.raw["c.Q.i"] == F(3, 2)
 
+    def test_identity_plus_interchange(self, dfp_results):
+        out = dfp_results["fig1"]
+        assert out.coloring.colors == {"S1": (0, 1), "S2": (1, 0), "S3": (0, 1)}
+        assert out.scaled.rows["S1"] == (R(1, 0, 0, 0), R(0, 1, 0, 0))
+        assert out.scaled.rows["S2"] == (R(0, 1, 0, 0), R(1, 0, 0, 0))
+        assert out.scaled.rows["S3"] == (R(1, 0, 0, 0), R(0, 1, 0, 0))
+        assert out.scaled.cuts == ()
+
     def test_cut_levels_pass_through(self, dfp_results):
+        # The distribution recorded at color 1 becomes the scalar level 1,
+        # before color 1's loop level.
         out = dfp_results["distribution_forced"]
+        assert out.coloring.colors == {"P": (0,), "Q": (0,)}
+        assert out.coloring.cut_groups == {1: (("P",), ("Q",))}
         assert out.steps[0].kind == "cut"
         assert out.steps[0].factors == () and out.steps[0].raw is None
         assert out.scaled.rows["P"] == (R(0, 0, 0), R(1, 0, 0))
@@ -55,10 +67,7 @@ class TestScaleAndShift:
         # Space outermost on the stencil: the +1/-1 reaches cannot be carried
         # by any scaling, and a self-dependence offers no shift to hide in.
         inst = by_name["stencil1d"]
-        space_first = AffineTransform(
-            inst.program.params,
-            {"S": ("t", "i")},
-            {"S": (R(0, 1, 0, 0, 0), R(1, 0, 0, 0, 0))})
+        space_first = replace(color_fcg(inst.program, inst.deps), colors={"S": (1, 0)})
         with pytest.raises(SchedulingError, match="no legal scaling"):
             scale_and_shift(inst.program, inst.deps, space_first)
 
@@ -102,7 +111,7 @@ class TestIntroduceSkew:
         out = introduce_skew(inst.program, inst.deps, fused)
         assert out.skewed == ()
         assert out.diagnostics == (
-            "level 1 has a negative component (b:0->1) but no legal skew "
+            "level 1 has a negative component (P->Q b:0->1) but no legal skew "
             "exists; the nest is not tileable",)
         assert out.transform is fused
 
