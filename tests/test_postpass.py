@@ -51,12 +51,18 @@ class TestScaleAndShift:
         assert out.scaled.rows["S3"] == (R(1, 0, 0, 0), R(0, 1, 0, 0))
         assert out.scaled.cuts == ()
 
-    def test_cut_levels_pass_through(self, dfp_results):
+    def test_cut_becomes_a_scalar_level(self, dfp_results):
         # The distribution recorded at color 1 becomes the scalar level 1,
         # before color 1's loop level.
         out = dfp_results["distribution_forced"]
         assert out.coloring.colors == {"P": (0,), "Q": (0,)}
         assert out.coloring.cut_groups == {1: (("P",), ("Q",))}
+        assert out.scaled.rows["P"] == (R(0, 0, 0), R(1, 0, 0))
+        assert out.scaled.rows["Q"] == (R(0, 0, 1), R(1, 0, 0))
+        assert out.scaled.cuts == (Cut(1, (("P",), ("Q",))),)
+
+    def test_cut_levels_pass_through(self, dfp_results):
+        out = dfp_results["distribution_forced"]
         assert out.steps[0].kind == "cut"
         assert out.steps[0].factors == () and out.steps[0].raw is None
         assert out.scaled.rows["P"] == (R(0, 0, 0), R(1, 0, 0))
