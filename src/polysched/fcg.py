@@ -377,14 +377,14 @@ def colorable_dimension(program: Program, fcg: FusionConflictGraph,
 # -- rendering -----------------------------------------------------------------
 
 
-_PALETTE = ("white", "lightcoral", "lightgreen", "lightblue",
-            "khaki", "plum", "lightsalmon")
+_FILLS = ("lightcoral", "lightgreen", "lightblue", "khaki", "plum", "lightsalmon")
 
 
 def to_dot(program: Program, fcg: FusionConflictGraph,
            coloring: Optional[Coloring] = None) -> str:
     """Graphviz rendering: one cluster per statement, solid conflict edges,
-    dashed same-statement edges, fill color by assigned level."""
+    dashed same-statement edges, fill color by assigned level (cycling
+    through six fills; white when uncolored)."""
     fill: dict[Vertex, int] = {}
     if coloring is not None:
         for sid, order in coloring.colors.items():
@@ -402,7 +402,8 @@ def to_dot(program: Program, fcg: FusionConflictGraph,
         lines.append(f"  subgraph cluster_{s.id} {{")
         lines.append(f'    label="{s.id}";')
         for k in range(s.dim):
-            color = _PALETTE[fill.get((s.id, k), 0) % len(_PALETTE)]
+            level = fill.get((s.id, k))
+            color = "white" if level is None else _FILLS[(level - 1) % len(_FILLS)]
             lines.append(f'    "{name((s.id, k))}" [fillcolor={color}];')
         lines.append("  }")
     for u, v in fcg.conflicts:

@@ -6,10 +6,14 @@ with one group per weakly connected component, and reads the rows back.
 `scale_and_shift` solves each color's picks on `pluto.dimension_terms`,
 the terms the fusion probes solve: the picked coefficient may grow past 1
 and the shifts are free, so fused statements can slide against each other.
-`introduce_skew` then repairs levels with a negative dependence component
-by replacing the level's row with a non-negative combination of itself and
-the rows above it: one term on each, with non-negativity rows on the
-iterator coefficients as extras.  `dfp_schedule` chains all three.
+`introduce_skew` then walks the bands, the runs of loop levels between
+cuts.  A band's live set is the ordering dependences `model.unsatisfied`
+lists above it; each band level where `model.negative` finds one of them
+is replaced with a non-negative combination of itself and the rows above
+it, solved over the live set alone: one term on each row, with
+non-negativity rows on the iterator coefficients as extras.  A band with
+a level that admits no such combination keeps its rows and is not
+permutable.  `dfp_schedule` chains all three.
 """
 
 from __future__ import annotations
@@ -85,24 +89,26 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
 
 @dataclass(frozen=True)
 class SkewOutcome:
-    """`transform` is the input object itself when no level needed a skew;
-    `skewed` holds one step per replaced level, outermost first."""
+    """`transform` is the input object itself when no band kept a skew;
+    `skewed` holds one step per replaced level, outermost first,
+    `diagnostics` one line per band refused a skew, and `bands` every band."""
 
     transform: AffineTransform
     skewed: tuple[Step, ...]
     diagnostics: tuple[str, ...]
+    bands: tuple[Band, ...]
 
 
-def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
+def _skew_level(program: Program, live: Sequence[DependencePolyhedron],
                 transform: AffineTransform, level: int):
     """Replace the level's rows by non-negative combinations with outer rows.
 
     Each statement present at the level gets a term `a.S` of at least 1 on
     its own row (keeping the rows linearly independent) and a term `b.S.k`,
-    at least 0, on each nonzero outer row k.  Legality over all ordering
-    dependences and the usual bounding make this the same lexmin shape as
-    the scheduler.  The weights are scaled to integers per connected
-    component.
+    at least 0, on each nonzero outer row k.  Legality over the live
+    ordering dependences and the usual bounding make this the same lexmin
+    shape as the scheduler.  The weights are scaled to integers per
+    connected component of `live`.
     """
     terms = {}
     for s in program.statements:
@@ -116,9 +122,8 @@ def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
     # Iterator coefficients stay non-negative, as everywhere else.
     extra = [({u: row[j] for u, row, _ in terms[s.id] if row[j]}, 0)
              for s in program.statements if s.id in terms for j in range(s.dim)]
-    comps = components([s.id for s in program.statements], deps)
-    step = solve_level(program, [d for d in deps if d.ordering], terms, level,
-                       _component_groups(comps, terms), extra)
+    comps = components([s.id for s in program.statements], live)
+    step = solve_level(program, live, terms, level, _component_groups(comps, terms), extra)
     if step is None:
         return None
     rows = {sid: (*r[:level - 1], step.rows[sid], *r[level:]) if sid in step.rows else r
@@ -127,35 +132,50 @@ def _skew_level(program: Program, deps: Sequence[DependencePolyhedron],
 
 
 def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
-                   transform: AffineTransform) -> SkewOutcome:
-    """Fix levels where a dependence live after the last cut above goes negative.
+                   transform: AffineTransform, steps: Sequence[Step]) -> SkewOutcome:
+    """Walk the bands, the runs of loop levels between cuts, outermost first.
 
-    Scans outermost first; each offending level is replaced before deeper
-    ones are examined.  When some level admits no legal combination the nest
-    is not tileable as permuted: the input transform is returned untouched
-    with a diagnostic.  With no negative component anywhere the input object
-    itself is returned.
+    A band's live set is the ordering dependences no level above it
+    satisfies.  Each band level where one of them goes negative is replaced
+    before deeper ones are examined.  When some level admits no legal
+    combination, the band keeps its unskewed rows, is not permutable and
+    gets a diagnostic; other bands keep their skews.  A band's `parallel`
+    flag is that of the last step at its first level, `steps` or a kept skew.
     """
     ordering = [d for d in deps if d.ordering]
+    by_level = {s.level: s for s in steps}
     current = transform
     skewed: list[Step] = []
-    for level in range(1, transform.levels + 1):
-        # As in `_band_permutable`, only dependences the last cut above the
-        # level leaves unsatisfied constrain the level's band.
-        cut = max((c.level for c in transform.cuts if c.level < level), default=0)
-        bad = unsatisfied(negative(ordering, current, level), current, cut)
-        if not bad:
-            continue
-        solved = _skew_level(program, deps, current, level)
-        if solved is None:
-            labels = ", ".join(f"{d.src}->{d.dst} {d.label}" for d in bad)
-            return SkewOutcome(
-                transform, (),
-                (f"level {level} has a negative component ({labels}) "
-                 f"but no legal skew exists; the nest is not tileable",))
-        current, step = solved
-        skewed.append(step)
-    return SkewOutcome(current, tuple(skewed), ())
+    bands, diagnostics = [], []
+    start = 1
+    for stop in sorted({c.level for c in transform.cuts} | {transform.levels + 1}):
+        if start < stop:
+            live = unsatisfied(ordering, current, start - 1)
+            trial, kept, permutable = current, [], True
+            for level in range(start, stop):
+                bad = negative(live, trial, level)
+                if not bad:
+                    continue
+                solved = _skew_level(program, live, trial, level)
+                if solved is None:
+                    labels = ", ".join(f"{d.src}->{d.dst} {d.label}" for d in bad)
+                    diagnostics.append(
+                        f"level {level} has a negative component ({labels}) "
+                        f"but no legal skew exists; the nest is not tileable")
+                    permutable = False
+                    break
+                trial, step = solved
+                kept.append(step)
+            if permutable:
+                current = trial
+                skewed += kept
+                by_level.update((s.level, s) for s in kept)
+            first = by_level.get(start)
+            bands.append(Band(
+                start, stop - 1, permutable, bool(first and first.parallel),
+                tuple(s.id for s in program.statements if len(current.rows[s.id]) >= start)))
+        start = stop + 1
+    return SkewOutcome(current, tuple(skewed), tuple(diagnostics), tuple(bands))
 
 
 # -- the full pipeline ---------------------------------------------------------
@@ -172,42 +192,11 @@ class DfpResult:
     skew: SkewOutcome
 
 
-def _band_permutable(ordering, transform, start, end):
-    """No dependence live at `start` goes negative on a level of the band."""
-    live = unsatisfied(ordering, transform, start - 1)
-    return not any(negative(live, transform, level) for level in range(start, end + 1))
-
-
-def _bands(program: Program, deps: Sequence[DependencePolyhedron],
-           transform: AffineTransform, steps: Sequence[Step]) -> tuple[Band, ...]:
-    ordering = [d for d in deps if d.ordering]
-    by_level = {s.level: s for s in steps}  # the last step of each level
-    cut_levels = {c.level for c in transform.cuts}
-    bands = []
-    start = None
-    for level in range(1, transform.levels + 2):
-        is_loop = level <= transform.levels and level not in cut_levels
-        if is_loop and start is None:
-            start = level
-        elif not is_loop and start is not None:
-            stmts = tuple(s.id for s in program.statements
-                          if len(transform.rows[s.id]) >= start)
-            first = by_level.get(start)
-            bands.append(Band(
-                start, level - 1,
-                _band_permutable(ordering, transform, start, level - 1),
-                bool(first and first.parallel), stmts))
-            start = None
-    return tuple(bands)
-
-
 def dfp_schedule(program: Program,
                  deps: Sequence[DependencePolyhedron]) -> DfpResult:
     """Conflict-graph coloring, then scaling/shifting, then skewing."""
     coloring = color_fcg(program, deps)
     scaled, steps = scale_and_shift(program, deps, coloring)
-    skew = introduce_skew(program, deps, scaled)
-    steps += skew.skewed
-    final = replace(skew.transform,
-                    bands=_bands(program, deps, skew.transform, steps))
-    return DfpResult(coloring, scaled, final, steps, skew)
+    skew = introduce_skew(program, deps, scaled, steps)
+    final = replace(skew.transform, bands=skew.bands)
+    return DfpResult(coloring, scaled, final, steps + skew.skewed, skew)

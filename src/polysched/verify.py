@@ -558,13 +558,13 @@ def _check_skew_inert(runs, bound):
             if sk.transform is not r.dfp.scaled or sk.skewed or sk.diagnostics:
                 bad.append(f"{r.instance.name}: skew pass altered an already "
                            "tileable nest")
-        elif sk.skewed:
-            levels = ",".join(str(s.level) for s in sk.skewed)
-            details.append(f"{r.instance.name}: skewed levels {levels}")
-        elif sk.diagnostics:
-            details.append(f"{r.instance.name}: not tileable as permuted")
         else:
-            details.append(f"{r.instance.name}: needs no skew")
+            notes = []  # one band can keep its skews while another is refused
+            if sk.skewed:
+                notes.append("skewed levels " + ",".join(str(s.level) for s in sk.skewed))
+            if sk.diagnostics:
+                notes.append("not tileable as permuted")
+            details.append(f"{r.instance.name}: {'; '.join(notes) or 'needs no skew'}")
     return CheckResult("skew-inert-when-tileable", "fail" if bad else "pass",
                        tuple(bad + details))
 

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
+from polysched.model import AffineTransform, Cut
 from polysched.postpass import dfp_schedule
-from polysched.verify import load_corpus, theorem_suite
+from polysched.verify import load_corpus, parse_instance, theorem_suite
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +32,33 @@ def dfp_results(by_name):
         inst = by_name[name]
         out[name] = dfp_schedule(inst.program, inst.deps)
     return out
+
+
+#: P(t, i) reads A[t - 1][i + 1], which P wrote one row of t earlier; Q(i)
+#: reads B[i + 1] before Q(i + 1) overwrites it.
+TWO_BANDS = {"name": "two_bands", "program": {"params": ["N"], "statements": [
+    {"id": "P", "iterators": ["t", "i"],
+     "domain": [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+                [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]],
+     "accesses": [{"array": "A", "kind": "write", "map": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+                  {"array": "A", "kind": "read", "map": [[1, 0, 0, -1], [0, 1, 0, 1]]}],
+     "order": 0},
+    {"id": "Q", "iterators": ["i"], "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
+     "accesses": [{"array": "B", "kind": "write", "map": [[1, 0, 0]]},
+                  {"array": "B", "kind": "read", "map": [[1, 0, 1]]}],
+     "order": 1}]}}
+
+
+@pytest.fixture(scope="session")
+def two_bands():
+    """`TWO_BANDS` with a hand-made transform cut at level 3: P on rows t, i
+    (band 1-2, where a skew of level 2 by t repairs P->P), then Q on row -i
+    (band 4-4, where no skew repairs Q->Q)."""
+    def r(*xs):
+        return tuple(Fraction(x) for x in xs)
+    transform = AffineTransform(
+        ("N",), {"P": ("t", "i"), "Q": ("i",)},
+        {"P": (r(1, 0, 0, 0), r(0, 1, 0, 0), r(0, 0, 0, 0)),
+         "Q": (r(0, 0, 0), r(0, 0, 0), r(0, 0, 1), r(-1, 0, 0))},
+        cuts=(Cut(3, (("P",), ("Q",))),))
+    return parse_instance(TWO_BANDS), transform

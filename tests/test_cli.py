@@ -126,6 +126,27 @@ class TestFcg:
         assert out == to_dot(inst.program, coloring.fcg, coloring)
         assert '"S1.i" -- "S2.i";' in out
 
+    def test_dot_cycles_the_fills_past_six_levels(self, capsys, tmp_path):
+        # Seven loops take colors 1-7: color 7 takes the first fill again,
+        # not the white of an uncolored vertex.
+        its = [f"i{k}" for k in range(7)]
+        domain = []
+        for k in range(7):
+            unit = [int(k == e) for e in range(7)]
+            domain += [unit + [0, 0, ">="], [-u for u in unit] + [1, -1, ">="]]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"params": ["N"], "statements": [{
+            "id": "S", "iterators": its, "domain": domain,
+            "accesses": [{"array": "A", "kind": "write",
+                          "map": [[int(k == e) for e in range(7)] + [0, 0]
+                                  for k in range(7)]}]}]}))
+        code, out, _ = run(capsys, "fcg", str(path), "--dot")
+        assert code == 0
+        fills = ["lightcoral", "lightgreen", "lightblue", "khaki", "plum",
+                 "lightsalmon", "lightcoral"]
+        for k, fill in enumerate(fills):
+            assert f'"S.i{k}" [fillcolor={fill}];' in out
+
 
 class TestVerify:
     def test_bundled_corpus_passes(self, capsys):

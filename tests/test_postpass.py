@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -8,12 +10,14 @@ import pytest
 from polysched.cli import main
 from polysched.fcg import color_fcg, fusion_probe
 from polysched.frontend import analyze
-from polysched.model import AffineTransform, Band, Cut, SchedulingError
+from polysched.model import (
+    AffineTransform, Band, Cut, SchedulingError, negative, unsatisfied,
+)
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import (
     _skew_level, dfp_schedule, introduce_skew, scale_and_shift,
 )
-from polysched.verify import check_legality, full_rank
+from polysched.verify import check_legality, full_rank, load_corpus
 
 F = Fraction
 
@@ -114,20 +118,34 @@ class TestIntroduceSkew:
         inst = by_name["distribution_forced"]
         fused = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
                                 {"P": (R(1, 0, 0),), "Q": (R(1, 0, 0),)})
-        out = introduce_skew(inst.program, inst.deps, fused)
+        out = introduce_skew(inst.program, inst.deps, fused, ())
         assert out.skewed == ()
         assert out.diagnostics == (
             "level 1 has a negative component (P->Q b:0->1) but no legal skew "
             "exists; the nest is not tileable",)
         assert out.transform is fused
+        assert out.bands == (Band(1, 1, False, False, ("P", "Q")),)
 
     def test_skew_direct_call_matches_pipeline(self, by_name, dfp_results):
         inst = by_name["stencil1d"]
         out = dfp_results["stencil1d"]
-        redo = introduce_skew(inst.program, inst.deps, out.scaled)
+        scale_steps = out.steps[:len(out.steps) - len(out.skew.skewed)]
+        redo = introduce_skew(inst.program, inst.deps, out.scaled, scale_steps)
         assert redo.transform.rows == out.transform.rows
         assert [s.level for s in redo.skewed] == [2]
+        assert redo.bands == out.transform.bands
 
+    def test_one_refusal_stays_in_its_band(self, two_bands):
+        inst, t = two_bands
+        out = introduce_skew(inst.program, inst.deps, t, ())
+        assert [s.level for s in out.skewed] == [2]
+        assert out.transform.rows["P"] == (R(1, 0, 0, 0), R(1, 1, 0, 0), R(0, 0, 0, 0))
+        assert out.transform.rows["Q"] == t.rows["Q"]
+        assert out.bands == (Band(1, 2, True, False, ("P", "Q")),
+                             Band(4, 4, False, False, ("Q",)))
+        assert out.diagnostics == (
+            "level 4 has a negative component (Q->Q B:1->0@0) but no legal skew "
+            "exists; the nest is not tileable",)
 
     def test_skew_system_rejects_negative_iterator_coefficient(self):
         # Rows i, then -i + j: the level-2 combination a*(-i + j) + b*i keeps
@@ -182,6 +200,71 @@ class TestPipeline:
         out = dfp_results["distribution_forced"]
         assert out.transform.bands == (Band(2, 2, True, True, ("P", "Q")),)
         assert out.transform.cuts == (Cut(1, (("P",), ("Q",))),)
+
+
+def _workloads():
+    """The benchmark's `perfbench/workloads.py`, loaded from its path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+FIXTURES = Path(__file__).with_name("fixtures")
+
+
+def test_bands_are_permutable_exactly_where_no_live_dependence_goes_negative():
+    """On the corpus, chain(8), every fixture and the first 100 `random_nest`
+    nests under seed 2, a `dfp` band is permutable exactly when no ordering
+    dependence unsatisfied at level `start - 1` of the final transform goes
+    negative on one of its levels, and every kept skew sits in a permutable
+    band."""
+    workloads = _workloads()
+    rng = random.Random(2)
+    named = ([("chain8", workloads.chain(8))]
+             + [(f"nest{k}", workloads.random_nest(rng)) for k in range(100)]
+             + [(p.stem, json.loads(p.read_text())) for p in sorted(FIXTURES.glob("*.json"))])
+    instances = [(i.name, i.program, i.deps) for i in load_corpus()]
+    instances += [(name, *analyze(data)) for name, data in named]
+    refused = skews = 0
+    for name, program, deps in instances:
+        try:
+            out = dfp_schedule(program, deps)
+        except SchedulingError:
+            assert name in ("scale_shift_infeasible", "unbounded_self_dependence")
+            continue
+        final = out.transform
+        ordering = [d for d in deps if d.ordering]
+        for band in final.bands:
+            live = unsatisfied(ordering, final, band.start - 1)
+            clean = not any(negative(live, final, level)
+                            for level in range(band.start, band.end + 1))
+            assert band.permutable == clean, (name, band)
+            refused += not band.permutable
+        for step in out.skew.skewed:
+            (band,) = [b for b in final.bands if b.start <= step.level <= b.end]
+            assert band.permutable, (name, step.level)
+        skews += len(out.skew.skewed)
+    assert refused > 0 and skews > 0
+
+
+#: The first two statements of the benchmark's `random` nest 3.  The cut
+#: at level 1 satisfies S0->S1, whose components below it are unbounded or
+#: negative; S0->S0 B:0->1@0 goes negative at level 3, and a skew repairs
+#: it only when S0->S1 is left out of the skew's system.
+SKEW_BELOW_CUT = FIXTURES / "skew_below_cut.json"
+
+
+def test_skew_below_a_cut_sees_only_live_dependences():
+    program, deps = analyze(json.loads(SKEW_BELOW_CUT.read_text()))
+    out = dfp_schedule(program, deps)
+    assert out.skew.diagnostics == ()
+    assert out.transform.cuts == (Cut(1, (("S0",), ("S1",))),)
+    assert [s.level for s in out.skew.skewed] == [3]
+    assert out.transform.bands == (Band(2, 3, True, False, ("S0", "S1")),)
+    assert check_legality(program, deps, out.transform).ok
+    assert full_rank(program, out.transform)
 
 
 #: A random nest on which scale/shift finds no row at level 2: the level-1

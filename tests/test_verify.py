@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from polysched.fcg import colorable_dimension
 from polysched.frontend import ParseError, analyze
 from polysched.model import identity_transform
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
+from polysched.postpass import introduce_skew
 from polysched.verify import (
     CheckResult, SuiteReport,
     brute_force_lexmin, check_legality, full_rank, load_corpus,
@@ -356,6 +358,15 @@ class TestTheoremSuite:
         assert check.details == ("distribution_forced: needs no skew",
                                  "stencil1d: skewed levels 2",
                                  "stencil2d_time: skewed levels 2,3")
+
+    def test_skew_inert_reports_a_kept_skew_and_a_refused_band(self, two_bands):
+        inst, t = two_bands
+        run = SimpleNamespace(instance=inst, dfp=SimpleNamespace(
+            scaled=t, skew=introduce_skew(inst.program, inst.deps, t, ())))
+        check = verify._check_skew_inert([run], 3)
+        assert check.status == "pass"
+        assert check.details == (
+            "two_bands: skewed levels 2; not tileable as permuted",)
 
     def test_scc_colorability_passes_with_a_scalar_statement(self):
         inst = parse_instance({"name": "scalar", "program": {
