@@ -15,17 +15,17 @@ shares all its loops with itself.
 Most candidate polyhedra are empty because their own equalities contradict
 them, so the equalities are reduced first, in exact integers (the first step
 of Pugh's Omega test): a candidate they refute, alone or with the constant
-lower bounds of the domains, or that leave a domain row no point above
-those bounds, is dropped at once.  Only statement pairs that share an
-array are visited.  Every other distinct relation is decided once per
-analysis, explicit dependences included.  A relation that an ordering
-dependence meets first has its Farkas cone eliminated: by the affine Farkas
-lemma (Feautrier 1992) it is empty exactly when the constant form -1 lies
-in the cone, and the dependence keeps the cone, which every scheduler needs
-anyway.  One that a read-read dependence meets first, which only `dfp`
-reads, is projected onto no variable instead, which is cheaper, and gets
-its cone on first read.  Every test is exact over the rationals, so a
-relation with rational points but no integer point is kept.
+lower bounds of the domains, is dropped at once.  Only statement pairs that
+share an array are visited.  Every other distinct relation, explicit
+dependences included, is decided once per analysis, domain rows and all.
+A relation that an ordering dependence meets first has its Farkas cone
+eliminated: by the affine Farkas lemma (Feautrier 1992) it is empty exactly
+when the constant form -1 lies in the cone, and the dependence keeps the
+cone, which every scheduler needs anyway.  One that a read-read dependence
+meets first, which only `dfp` reads, is projected onto no variable
+instead, which is cheaper, and gets its cone on first read.  Every test is
+exact over the rationals, so a relation with rational points but no
+integer point is kept.
 """
 
 from __future__ import annotations
@@ -290,11 +290,10 @@ def _holds_minus_one(cone: ConstraintSystem) -> bool:
 # row reduced against the later rows too, so no back-substitution is needed.
 # A candidate relation is empty when its equalities reduce a row to a
 # nonzero constant, or its strict row to a negative one, or when such a
-# reduced row, or a reduced domain row, cannot hold above the constant lower
-# bounds the domains give the variables (`_out_of_reach`).  This decides
-# rational feasibility of the equalities exactly and of the inequalities
-# only partly, so a candidate that survives is still decided by
-# `_relation_facts`.
+# reduced row cannot hold above the constant lower bounds the domains give
+# the variables (`_out_of_reach`).  This decides rational feasibility of the
+# equalities exactly and of the inequalities only partly, so a candidate
+# that survives is still decided by `_relation_facts`.
 
 
 def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
@@ -374,16 +373,6 @@ def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,
     return (r.const < 0) if not r.nonzero else _out_of_reach(r, low)
 
 
-def _refutes_domain(form: tuple[LinearRow, ...], rows: Sequence[LinearRow],
-                    low: Mapping[int, Fraction | int]) -> bool:
-    """Do the equalities of `form` refute one of the domain rows `rows` that
-    holds a pivot (`_refutes`)?  Reduced against every pivot, such a row
-    can have coefficients of one sign where it had not."""
-    pivots = {p.nonzero[0][0] for p in form}
-    return any(_refutes(form, r, low) for r in rows
-               if any(i in pivots for i, _ in r.nonzero))
-
-
 def _deps_between(src: Statement, dst: Statement, params,
                   known: dict) -> list[DependencePolyhedron]:
     """Dependences from `src` to `dst`, one polyhedron per access pair and
@@ -397,10 +386,9 @@ def _deps_between(src: Statement, dst: Statement, params,
     and fusion analysis only uses cross-statement ones.
 
     A case whose equalities refute it, alone or with the variables' constant
-    lower bounds (see `_refutes`), or which leave a domain row, reduced
-    against them, no point above those bounds (`_refutes_domain`), is dropped
-    with no elimination; any other is decided by `_relation_facts`, once
-    per distinct relation of `known`.
+    lower bounds (see `_refutes`), is dropped with no elimination; any other,
+    domain rows included, is decided exactly by `_relation_facts`, once per
+    distinct relation of `known`.
     """
     shared = src.dim if src is dst else 0
     tie = src.textual_order < dst.textual_order
@@ -424,7 +412,6 @@ def _deps_between(src: Statement, dst: Statement, params,
         for d in range(shared + tie):
             rows = cells + prefix[:d]
             label = f"{a.array}:{ai}->{bi}"
-            here = form
             if d < shared:
                 empty = _refutes(form, strict[d], low)
                 form = _extend(form, prefix[d], low)  # the form of depth d + 1
@@ -433,8 +420,6 @@ def _deps_between(src: Statement, dst: Statement, params,
                 rows.append(strict[d])
                 label += f"@{d}"
             elif form is None:  # the tie: equal on every shared loop
-                continue
-            if _refutes_domain(here, space.rows, low):
                 continue
             relation = space.with_rows(rows)
             facts = _relation_facts(relation, known, kind != RAR)

@@ -467,6 +467,12 @@ def unsatisfied(deps: Sequence[DependencePolyhedron], transform: AffineTransform
     return [d for d in deps if satisfaction_level(d, transform, up_to) is None]
 
 
+def dependence_list(deps: Sequence[DependencePolyhedron]) -> str:
+    """`deps` as errors and diagnostics name them: "src->dst label", in
+    order, comma-separated."""
+    return ", ".join(f"{d.src}->{d.dst} {d.label}" for d in deps)
+
+
 def negative(deps: Sequence[DependencePolyhedron], transform: AffineTransform,
              level: int) -> list[DependencePolyhedron]:
     """The dependences of `deps`, in order, whose component at `level` can

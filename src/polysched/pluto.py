@@ -9,7 +9,9 @@ the final solve; rational solutions are rescaled to integers afterwards.
 
 When no row exists the scheduler first retires dependences already satisfied
 at an earlier level, and failing that distributes the strongly connected
-components apart with a constant level (`model.place_cut`).
+components apart with a constant level (`model.place_cut`).  That satisfies
+exactly the live dependences between them; when there are none, as with a
+single SCC, the error names the live dependences.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .farkas import (
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
-    SchedulingError, Statement, components, place_cut, scc_decompose, unsatisfied,
+    SchedulingError, Statement, components, dependence_list, place_cut,
+    scc_decompose, unsatisfied,
 )
 
 LP = "lp"
@@ -415,7 +418,8 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
              config: SchedulerConfig = DEFAULT) -> ScheduleResult:
     """Full transform: weakly connected components are scheduled separately
     (each with its own bound minimization) under an outer distribution level
-    when there is more than one."""
+    when there is more than one.  Each component is one walk over its
+    levels, and each retire or cut there ends a band."""
     deps = tuple(d for d in deps if d.ordering)
     ordered = sorted(program.statements, key=lambda s: s.textual_order)
     comps = components([s.id for s in ordered], deps)
@@ -434,61 +438,37 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     for ci, comp in enumerate(comps):
         stmts = [program.statement(sid) for sid in comp]
         live = [d for d in deps if d.src in comp]
-        _schedule_component(program, ci, stmts, live, config,
-                            rows, bands, cuts, steps, start)
+        level = band_start = start
+        parallel = False
+        while True:
+            done = all(_statement_state(stmts, rows)[1].values())
+            step = None if done else find_hyperplane(program, stmts, live, rows,
+                                                     config, level, ci)
+            if step is not None:
+                for sid, row in step.rows.items():
+                    rows[sid].append(row)
+                if level == band_start:
+                    parallel = step.parallel
+                steps.append(step)
+                level += 1
+                continue
+            if level > band_start:
+                bands.append(Band(band_start, level - 1, True, parallel, comp))
+            if done:
+                break
+            kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
+            if len(kept) == len(live):
+                cuts.append(place_cut(program, rows, level, scc_decompose(comp, live)))
+                steps.append(Step(level, "cut", component=ci))
+                kept = unsatisfied(live, AffineTransform.of(program, rows), level)
+                if len(kept) == len(live):
+                    raise SchedulingError(
+                        f"no transformation row exists at level {level} for statements "
+                        f"{', '.join(comp)}, and distribution makes no progress; "
+                        f"live dependences {dependence_list(live)}")
+                level += 1
+            live, band_start = kept, level
 
     transform = AffineTransform.of(program, rows, bands,
                                    sorted(cuts, key=lambda c: c.level))
     return ScheduleResult(transform, tuple(steps), comps)
-
-
-def _schedule_component(program, ci, stmts, live, config,
-                        rows, bands, cuts, steps, start):
-    comp = tuple(s.id for s in stmts)
-    level = start
-    band_start = start
-    band_parallel = False
-
-    def close_band(end):
-        nonlocal band_start
-        if end >= band_start:
-            bands.append(Band(band_start, end, True, band_parallel, comp))
-
-    while True:
-        _, complete = _statement_state(stmts, rows)
-        if all(complete.values()):
-            close_band(level - 1)
-            return
-
-        step = find_hyperplane(program, stmts, live, rows, config, level, ci)
-        if step is not None:
-            for sid, row in step.rows.items():
-                rows[sid].append(row)
-            if level == band_start:
-                band_parallel = step.parallel
-            steps.append(step)
-            level += 1
-            continue
-
-        # No row at this level: retire satisfied dependences, else distribute.
-        close_band(level - 1)
-        band_start = level
-        kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
-        if len(kept) < len(live):
-            live[:] = kept
-            continue
-
-        sccs = scc_decompose(comp, live)
-        if len(sccs) <= 1:
-            raise SchedulingError(
-                f"no transformation row exists at level {level} for statements "
-                f"{', '.join(comp)}, and nothing to distribute")
-        cuts.append(place_cut(program, rows, level, sccs))
-        steps.append(Step(level, "cut", component=ci))
-        before = len(live)
-        live[:] = unsatisfied(live, AffineTransform.of(program, rows), level)
-        if len(live) == before:
-            raise SchedulingError(
-                f"distribution of {comp} made no progress at level {level}")
-        level += 1
-        band_start = level

@@ -29,6 +29,7 @@ from .model import (
     Program,
     SchedulingError,
     components,
+    dependence_list,
     negative,
     place_cut,
     unsatisfied,
@@ -75,8 +76,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         if step is None:
             raise SchedulingError(
                 f"no legal scaling and shifting exists at level {level}: "
-                f"statements {', '.join(active)}; live dependences "
-                + ", ".join(f"{d.src}->{d.dst} {d.label}" for d in live))
+                f"statements {', '.join(active)}; live dependences {dependence_list(live)}")
         for sid, row in step.rows.items():
             acc[sid].append(row)
         steps.append(step)
@@ -158,9 +158,8 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
                     continue
                 solved = _skew_level(program, live, trial, level)
                 if solved is None:
-                    labels = ", ".join(f"{d.src}->{d.dst} {d.label}" for d in bad)
                     diagnostics.append(
-                        f"level {level} has a negative component ({labels}) "
+                        f"level {level} has a negative component ({dependence_list(bad)}) "
                         f"but no legal skew exists; the nest is not tileable")
                     permutable = False
                     break

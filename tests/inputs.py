@@ -1,0 +1,31 @@
+"""Inputs the tests share from outside the package.
+
+The checkout's scripts are loaded here once, from their paths:
+`workloads` is the benchmark's `perfbench/workloads.py`, `oracle` its
+`perfbench/oracle.py`, and `bench_chain` is `scripts/bench_chain.py`.
+`FIXTURES` holds the fixture programs, and `DFP_REFUSES` names the ones
+that `dfp` fails on by design.
+"""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+
+#: Fixtures whose `dfp` run raises `SchedulingError`, each with a pinned
+#: message in CI's fixture loop.
+DFP_REFUSES = ("no_progress_distribution", "scale_shift_infeasible",
+               "unbounded_self_dependence")
+
+
+def _load(name: str, relative: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("perfbench_workloads", "perfbench/workloads.py")
+oracle = _load("perfbench_oracle", "perfbench/oracle.py")
+bench_chain = _load("bench_chain", "scripts/bench_chain.py")

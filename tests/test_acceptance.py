@@ -6,17 +6,17 @@ suite is shared through the session fixture; the timing gates measure
 fresh runs.
 """
 
-import importlib.util
 import re
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from polysched.fcg import build_fcg
 from polysched.frontend import analyze
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.verify import load_corpus
+
+from inputs import bench_chain
 
 F = Fraction
 
@@ -27,12 +27,6 @@ def R(*xs):
 
 IDENTITY = (R(1, 0, 0, 0), R(0, 1, 0, 0))
 INTERCHANGE = (R(0, 1, 0, 0), R(1, 0, 0, 0))
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_chain", Path(__file__).parents[1] / "scripts" / "bench_chain.py")
-bench_chain = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_chain)
-
 
 def gate(name, failures, note=""):
     ok = not failures

@@ -9,10 +9,8 @@ rule directly and asks the solver about every candidate of every statement
 pair, and the two must agree on order, labels, variables and rows.
 """
 
-import importlib.util
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,19 +24,9 @@ from polysched.frontend import (
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 
-ROOT = Path(__file__).parents[1]
+from inputs import ROOT, bench_chain, workloads
+
 CORPUS = ROOT / "src" / "polysched" / "corpus"
-
-
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench_chain = _load("bench_chain", ROOT / "scripts" / "bench_chain.py")
-workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
 
 
 def corpus_programs():
@@ -269,34 +257,6 @@ def test_bounds_refute_only_empty_candidates(monkeypatch):
         assert not _feasible(relation)
     empty = sum(not _feasible(r) for r in every.values())
     assert 2 * len(refuted) > empty
-
-
-def test_reduced_domain_rows_refute_only_empty_candidates(monkeypatch):
-    """Over the corpus and 300 nests of the `random_nest` family, every
-    candidate that `_refutes_domain` drops is infeasible; withholding the
-    rule gives the same dependence lists, and the rule drops more than a
-    third of the distinct empty relations that reach it."""
-    rng = random.Random(1)
-    programs = corpus_programs() + [workloads.random_nest(rng) for _ in range(300)]
-    decided = {}
-    decide, rule = frontend._relation_facts, frontend._refutes_domain
-
-    def recorded(relation, known, ordering):
-        decided[relation.rows] = relation
-        return decide(relation, known, ordering)
-
-    monkeypatch.setattr(frontend, "_relation_facts", recorded)
-    monkeypatch.setattr(frontend, "_refutes_domain", lambda form, rows, low: False)
-    withheld = [as_tuples(analyze(data)[1]) for data in programs]
-    every = dict(decided)
-    monkeypatch.setattr(frontend, "_refutes_domain", rule)
-    decided.clear()
-    assert [as_tuples(analyze(data)[1]) for data in programs] == withheld
-    refuted = [r for rows, r in every.items() if rows not in decided]
-    for relation in refuted:
-        assert not _feasible(relation)
-    empty = sum(not _feasible(r) for r in every.values())
-    assert 3 * len(refuted) > empty
 
 
 def test_read_read_relations_get_their_cone_on_first_read(monkeypatch):

@@ -14,7 +14,8 @@ from polysched.farkas import (
 )
 from polysched.frontend import analyze
 from polysched.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, solve_lp
-from test_dependences import corpus_programs, workloads
+from inputs import workloads
+from test_dependences import corpus_programs
 from test_golden import EXPECTED_FARKAS, farkas_programs
 
 F = Fraction

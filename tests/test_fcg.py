@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import random
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +16,8 @@ from polysched.model import Cut, SchedulingError, component_range, satisfaction_
 from polysched.pluto import _lexmin, dimension_terms
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank
+
+from inputs import DFP_REFUSES, FIXTURES, workloads
 
 
 class TestFusionProbe:
@@ -325,22 +325,11 @@ def test_transitive_reduction_keeps_exactly_the_unimplied_edges(data):
         (a, b) for a, b in edges if not reaches(a, b, (a, b))}
 
 
-UNBOUNDED_SELF_DEPENDENCE = (Path(__file__).with_name("fixtures")
-                             / "unbounded_self_dependence.json")
-
-
-def _workloads():
-    """The benchmark's `perfbench/workloads.py`, loaded from its path."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
+UNBOUNDED_SELF_DEPENDENCE = FIXTURES / "unbounded_self_dependence.json"
 
 
 def _random_nests(count, seed=1):
     """The first `count` nests of the `random_nest` family under `seed`."""
-    workloads = _workloads()
     rng = random.Random(seed)
     return [(f"nest{k}", workloads.random_nest(rng)) for k in range(count)]
 
@@ -409,7 +398,7 @@ def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypa
         return kept
 
     monkeypatch.setattr(fcg, "unsatisfied", recorded)
-    fixtures = sorted(Path(__file__).with_name("fixtures").glob("*.json"))
+    fixtures = sorted(FIXTURES.glob("*.json"))
     nests = _random_nests(100, seed=2)
     checked = 0
     for name, data in nests + [(p.stem, json.loads(p.read_text())) for p in fixtures]:
@@ -418,7 +407,7 @@ def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypa
         try:
             transform = dfp_schedule(program, deps).transform
         except SchedulingError:
-            assert name in ("scale_shift_infeasible", "unbounded_self_dependence")
+            assert name in DFP_REFUSES
             continue
         if name.startswith("nest"):
             assert check_legality(program, deps, transform).ok, name
@@ -439,8 +428,8 @@ def test_scaled_rows_sit_where_the_coloring_put_them():
     seed 2, a statement colored c has exactly one nonzero iterator
     coefficient at color c's loop level of `dfp.scaled`, on the dimension
     it took at c, and the k-th cut color c (from 0) sits at level c + k."""
-    fixtures = sorted(Path(__file__).with_name("fixtures").glob("*.json"))
-    named = ([("chain8", _workloads().chain(8))] + _random_nests(100, seed=2)
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    named = ([("chain8", workloads.chain(8))] + _random_nests(100, seed=2)
              + [(p.stem, json.loads(p.read_text())) for p in fixtures])
     instances = [(i.name, i.program, i.deps) for i in verify.load_corpus()]
     instances += [(name, *analyze(data)) for name, data in named]
@@ -449,7 +438,7 @@ def test_scaled_rows_sit_where_the_coloring_put_them():
         try:
             out = dfp_schedule(program, deps)
         except SchedulingError:
-            assert name in ("scale_shift_infeasible", "unbounded_self_dependence")
+            assert name in DFP_REFUSES
             continue
         cut_colors = sorted(out.coloring.cut_groups)
         assert out.scaled.cuts == tuple(

@@ -17,7 +17,9 @@ program, of the four-statement chain of `scripts/bench_chain.py` and of
 every `random` program of the benchmark (`perfbench/workloads.py`).
 `golden_workloads.json` pins the transform digest and the `Step` records
 of every `chain` and `random` program of the benchmark on each path, each
-path on a fresh analysis as the benchmark runs it.
+path on a fresh analysis as the benchmark runs it, and `golden_fixtures.json`
+the same digests of every program under `tests/fixtures/` on each path
+that schedules it (a path that raises has no keys).
 Refactors of the scheduler keep these outputs exact; a change that alters a
 schedule, a Farkas system or the report on purpose regenerates the files
 with
@@ -30,7 +32,6 @@ command prints, and says so in its description.
 """
 
 import hashlib
-import importlib.util
 import json
 import sys
 from collections import Counter
@@ -40,9 +41,12 @@ import pytest
 
 from polysched.farkas import bounding_constraints, legality_constraints
 from polysched.frontend import analyze
+from polysched.model import SchedulingError
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank, load_corpus, theorem_suite
+
+from inputs import FIXTURES, ROOT, bench_chain, workloads
 
 GOLDEN = Path(__file__).with_name("golden_corpus.json")
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -52,6 +56,9 @@ EXPECTED_FARKAS = (json.loads(GOLDEN_FARKAS.read_text())
 GOLDEN_WORKLOADS = Path(__file__).with_name("golden_workloads.json")
 EXPECTED_WORKLOADS = (json.loads(GOLDEN_WORKLOADS.read_text())
                       if GOLDEN_WORKLOADS.exists() else {})
+GOLDEN_FIXTURES = Path(__file__).with_name("golden_fixtures.json")
+EXPECTED_FIXTURES = (json.loads(GOLDEN_FIXTURES.read_text())
+                     if GOLDEN_FIXTURES.exists() else {})
 SUITE_DIGEST = "81a657563bcbe5b4"
 
 
@@ -146,33 +153,29 @@ def farkas_entry(program, deps) -> dict:
     return entry
 
 
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def workload_programs(names=("chain", "random")) -> dict:
+    """Program JSON of the benchmark's workloads `names`, by "workload/name"."""
+    return {f"{w}/{name}": data for w in names
+            for name, data in workloads.programs(w, ROOT / "src")}
 
 
-def _chain(n: int) -> dict:
-    return _load("bench_chain",
-                 Path(__file__).parents[1] / "scripts" / "bench_chain.py").chain(n)
-
-
-def workload_programs(workloads=("chain", "random")) -> dict:
-    """Program JSON of the benchmark's `workloads`, by "workload/name"."""
-    root = Path(__file__).parents[1]
-    module = _load("perfbench_workloads", root / "perfbench" / "workloads.py")
-    return {f"{w}/{name}": data for w in workloads
-            for name, data in module.programs(w, root / "src")}
+def fixture_programs() -> dict:
+    """Program JSON of every fixture, by file stem."""
+    return {p.stem: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
 
 
 def workload_entry(data) -> dict:
-    """Transform and `Step` digests of one benchmark program on each path."""
+    """Transform and `Step` digests of one program on each path that
+    schedules it, each path on a fresh analysis; a path that raises
+    `SchedulingError` has no keys."""
     entry = {}
     for mode in (ILP, LP, "dfp"):
         program, deps = analyze(data)
-        result = (dfp_schedule(program, deps) if mode == "dfp"
-                  else schedule(program, deps, SchedulerConfig(mode=mode)))
+        try:
+            result = (dfp_schedule(program, deps) if mode == "dfp"
+                      else schedule(program, deps, SchedulerConfig(mode=mode)))
+        except SchedulingError:
+            continue
         entry[mode] = _digest(result.transform.to_json())
         entry[f"{mode}_steps"] = _steps_digest(result.steps)
     return entry
@@ -183,7 +186,7 @@ def farkas_programs(corpus=None) -> dict:
     `random` benchmark program, by name."""
     programs = {inst.name: (inst.program, inst.deps)
                 for inst in corpus or load_corpus()}
-    programs["chain4"] = analyze(_chain(4))
+    programs["chain4"] = analyze(bench_chain.chain(4))
     for name, data in workload_programs(("random",)).items():
         programs[name] = analyze(data)
     return programs
@@ -238,6 +241,15 @@ def test_golden_workload_transforms(workload_inputs, name):
     assert workload_entry(workload_inputs[name]) == EXPECTED_WORKLOADS[name]
 
 
+def test_golden_fixtures_cover_the_fixtures():
+    assert sorted(EXPECTED_FIXTURES) == sorted(fixture_programs())
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_FIXTURES))
+def test_golden_fixture_transforms(name):
+    assert workload_entry(fixture_programs()[name]) == EXPECTED_FIXTURES[name]
+
+
 def test_suite_report_digest(suite_report):
     assert suite_digest(suite_report) == SUITE_DIGEST
 
@@ -282,4 +294,8 @@ if __name__ == "__main__":
                   {name: workload_entry(data)
                    for name, data in workload_programs().items()},
                   "programs")
+    _write_golden(GOLDEN_FIXTURES, EXPECTED_FIXTURES,
+                  {name: workload_entry(data)
+                   for name, data in fixture_programs().items()},
+                  "fixtures")
     print(f"property-suite report digest: {suite_digest(theorem_suite())}", file=sys.stderr)

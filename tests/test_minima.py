@@ -9,9 +9,7 @@ nests of the benchmark's `random_nest` family.  Each level's pair of rows is
 also asked the other way round, which reaches the unbounded case.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 from polysched.frontend import analyze
 from polysched.model import SchedulingError, min_dependence_component
@@ -19,17 +17,11 @@ from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.verify import lp_minimum
 
-ROOT = Path(__file__).parents[1]
+from inputs import bench_chain, workloads
+
 #: Nests drawn from the family with the benchmark's seed; its `random`
 #: workload is the first twelve.
 RANDOM_NESTS = 60
-
-
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _transforms(program, deps):
@@ -87,14 +79,12 @@ def test_corpus_minima_equal_the_lp(corpus):
 def test_chain_minima_equal_the_lp():
     """Every chain dependence is an equality of the two points, so every
     minimum here is finite."""
-    bench_chain = _load("bench_chain", ROOT / "scripts" / "bench_chain.py")
     bad, minima = compare([analyze(bench_chain.chain(8))])
     assert not bad
     assert minima and None not in minima
 
 
 def test_random_family_minima_equal_the_lp():
-    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     rng = random.Random(workloads.RANDOM_FAMILY_SEED)
     bad, minima = compare([analyze(workloads.random_nest(rng))
                            for _ in range(RANDOM_NESTS)])

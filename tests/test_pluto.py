@@ -1,5 +1,4 @@
 import functools
-import importlib.util
 import itertools
 import json
 from fractions import Fraction
@@ -12,6 +11,7 @@ from polysched import frontend, model, pluto, ratlp
 from polysched.farkas import (
     GE, ConstraintSystem, bounding_constraints, coefficient_variables, legality_constraints,
 )
+from polysched.cli import main
 from polysched.frontend import analyze
 from polysched.model import Band, Cut, SchedulingError
 from polysched.postpass import dfp_schedule
@@ -22,6 +22,8 @@ from polysched.pluto import (
     rref, schedule, solve_level,
 )
 from polysched.verify import check_legality, full_rank, load_corpus
+
+from inputs import FIXTURES, bench_chain
 
 F = Fraction
 
@@ -139,12 +141,6 @@ class TestAssembly:
         assert set(map(id, built)) == set(map(id, inst.deps))
         for dep, first in zip(inst.deps, rows):
             assert _farkas_rows(inst.program, dep) is first
-
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_chain", Path(__file__).parents[1] / "scripts" / "bench_chain.py")
-bench_chain = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_chain)
 
 
 class TestFarkasShapes:
@@ -532,17 +528,18 @@ class TestSchedule:
                  "relation": [[-1, 1, 0, 1, "=="]]},
             ],
         })
-        with pytest.raises(SchedulingError, match=(
-                "no transformation row exists at level 1 for statements S, "
-                "and nothing to distribute")):
+        with pytest.raises(SchedulingError) as err:
             schedule(program, deps, SchedulerConfig(mode=LP))
+        assert str(err.value) == (
+            "no transformation row exists at level 1 for statements S, and "
+            "distribution makes no progress; live dependences S->S explicit0")
 
 
 #: A scalar statement S0 reads B[0] before S1 and S2 overwrite it.  At
 #: level 2 the scheduler distributes S1 from S0 and S2, while S0 still has
 #: no row at all: its group ordinal has to land at level 2 too, or the
 #: WAR dependence S0->S2 runs backwards at level 1.
-CUT_AFTER_SCALAR = Path(__file__).with_name("fixtures") / "cut_after_scalar.json"
+CUT_AFTER_SCALAR = FIXTURES / "cut_after_scalar.json"
 
 
 class TestCutAfterScalar:
@@ -561,3 +558,30 @@ class TestCutAfterScalar:
         transform = schedule(program, deps, SchedulerConfig(mode=LP)).transform
         assert transform.cuts == (Cut(2, (("S1",), ("S0",), ("S2",))),)
         assert transform.rows["S0"] == (R(0, 0), R(0, 1))
+
+
+#: S writes A[2i] and reads A[i] over i >= 0, and T reads A[i].  S->S is
+#: unbounded, so no level has a row.  The cut at level 1 puts S before T
+#: and satisfies S->T; at level 2 S and T are still two SCCs, but no live
+#: dependence runs between them, so the cut there satisfies nothing.
+NO_PROGRESS_DISTRIBUTION = FIXTURES / "no_progress_distribution.json"
+
+
+class TestNoProgressDistribution:
+    MESSAGE = ("no transformation row exists at level 2 for statements S, T, and "
+               "distribution makes no progress; live dependences S->S A:0->1@0")
+
+    @pytest.mark.parametrize("mode", [ILP, LP])
+    def test_error_names_the_live_dependences(self, mode):
+        program, deps = analyze(json.loads(NO_PROGRESS_DISTRIBUTION.read_text()))
+        with pytest.raises(SchedulingError) as err:
+            schedule(program, deps, SchedulerConfig(mode=mode))
+        assert str(err.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("algo, message", [
+        (ILP, MESSAGE), (LP, MESSAGE),
+        ("dfp", "no dimension of S can take color 1; "
+                "the conflict graph admits no convex coloring")], ids=[ILP, LP, "dfp"])
+    def test_cli_exits_3_with_the_message(self, capsys, algo, message):
+        assert main(["schedule", "--algo", algo, str(NO_PROGRESS_DISTRIBUTION)]) == 3
+        assert capsys.readouterr().err == f"internal error: {message}\n"

@@ -1,9 +1,7 @@
-import importlib.util
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -18,6 +16,8 @@ from polysched.postpass import (
     _skew_level, dfp_schedule, introduce_skew, scale_and_shift,
 )
 from polysched.verify import check_legality, full_rank, load_corpus
+
+from inputs import DFP_REFUSES, FIXTURES, workloads
 
 F = Fraction
 
@@ -202,25 +202,12 @@ class TestPipeline:
         assert out.transform.cuts == (Cut(1, (("P",), ("Q",))),)
 
 
-def _workloads():
-    """The benchmark's `perfbench/workloads.py`, loaded from its path."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", Path(__file__).parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
-
-
-FIXTURES = Path(__file__).with_name("fixtures")
-
-
 def test_bands_are_permutable_exactly_where_no_live_dependence_goes_negative():
     """On the corpus, chain(8), every fixture and the first 100 `random_nest`
     nests under seed 2, a `dfp` band is permutable exactly when no ordering
     dependence unsatisfied at level `start - 1` of the final transform goes
     negative on one of its levels, and every kept skew sits in a permutable
     band."""
-    workloads = _workloads()
     rng = random.Random(2)
     named = ([("chain8", workloads.chain(8))]
              + [(f"nest{k}", workloads.random_nest(rng)) for k in range(100)]
@@ -232,7 +219,7 @@ def test_bands_are_permutable_exactly_where_no_live_dependence_goes_negative():
         try:
             out = dfp_schedule(program, deps)
         except SchedulingError:
-            assert name in ("scale_shift_infeasible", "unbounded_self_dependence")
+            assert name in DFP_REFUSES
             continue
         final = out.transform
         ordering = [d for d in deps if d.ordering]
@@ -270,7 +257,7 @@ def test_skew_below_a_cut_sees_only_live_dependences():
 #: A random nest on which scale/shift finds no row at level 2: the level-1
 #: lexmin leaves S1->S2 unsatisfied, only S1 still loops at level 2, and
 #: there S0->S1 needs phi_S1 >= 0 while S1->S2 needs phi_S1 <= 0 for all j.
-SCALE_SHIFT_INFEASIBLE = Path(__file__).with_name("fixtures") / "scale_shift_infeasible.json"
+SCALE_SHIFT_INFEASIBLE = FIXTURES / "scale_shift_infeasible.json"
 
 
 class TestScaleShiftInfeasible:
@@ -305,8 +292,7 @@ class TestScaleShiftInfeasible:
 #: j and S2 on i, which satisfies S1->S2, so the first rescue drops it;
 #: the second cuts ((S0, S2), (S1,)) before color 2.  The drop holds only
 #: while color 1 stays: with S1 on i, the same cut runs S1->S2 backwards.
-DFP_RECOLOR_DROPS_DEPENDENCE = (Path(__file__).with_name("fixtures")
-                                / "dfp_recolor_drops_dependence.json")
+DFP_RECOLOR_DROPS_DEPENDENCE = FIXTURES / "dfp_recolor_drops_dependence.json"
 
 
 class TestRecolorDropsDependence:
@@ -335,8 +321,7 @@ class TestRecolorDropsDependence:
 #: One statement over i >= 0 alone, writing A[2i] and reading A[i]: its one
 #: dependence, s < t with t = 2s, is unbounded, so no parametric bound
 #: holds for a row with a nonzero coefficient of i.
-UNBOUNDED_SELF_DEPENDENCE = (Path(__file__).with_name("fixtures")
-                             / "unbounded_self_dependence.json")
+UNBOUNDED_SELF_DEPENDENCE = FIXTURES / "unbounded_self_dependence.json"
 
 
 class TestUnboundedSelfDependence:

@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import json
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -23,20 +21,13 @@ from polysched.verify import (
     parse_instance, statement_ranks, theorem_suite,
 )
 
+from inputs import FIXTURES, oracle
+
 F = Fraction
 
-ROOT = Path(__file__).parents[1]
-CARRIED_ACROSS_LEVELS = ROOT / "tests" / "fixtures" / "carried_across_levels.json"
+CARRIED_ACROSS_LEVELS = FIXTURES / "carried_across_levels.json"
 
 
-def _load(name: str, path: Path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-oracle = _load("perfbench_oracle", ROOT / "perfbench" / "oracle.py")
 
 CHECK_NAMES = [
     "exact-arithmetic",
