@@ -6,13 +6,13 @@ lemma, the forms non-negative on a polyhedron make up one cone that depends
 on the polyhedron alone: `farkas_cone` equates coefficients with a
 non-negative multiplier per ge row and for the slack, and a free one per eq
 row, and projects the multipliers out.  A dependence's legality and bounding
-rows are that cone's rows with the two forms substituted in, so one
-elimination per dependence relation serves both.  By LP duality the cone
-also gives exact minima: the minimum of a form over the polyhedron is the
-largest k for which the form minus k lies in the cone, and
-`model.min_dependence_component` reads it off the cone's rows without a
-solve; the polyhedron is empty exactly when the constant form -1 lies in
-it, which is how `frontend` keeps or drops a candidate dependence.  The
+rows are its cone's rows (`dep.cone`) with the two forms substituted in, so
+one elimination per dependence relation serves both.  The cone's row layout
+is read here alone: the polyhedron is empty exactly when no cone row holds
+the constant b (`cone_is_empty`, how `frontend` keeps or drops a candidate
+dependence), and by LP duality the minimum of a form over the polyhedron
+is the largest k for which the form minus k lies in the cone
+(`cone_minimum`, read off the rows without a solve).  The
 projection builds only some of the combinations plain Fourier-Motzkin
 elimination would: it skips those that Chernikov's rule proves
 redundant, so the shadow is the same with fewer rows.  Everything
@@ -483,15 +483,53 @@ def bounded_by_parameters(cone: ConstraintSystem, nparams: int) -> bool:
     return True
 
 
-def _cone_rows(dep: "DependencePolyhedron", cone: ConstraintSystem | None,
-               forms: Sequence[Mapping[str, int]], variables: Sequence[str]):
-    """The rows of `cone`, `farkas_cone(dep.relation)` when None, with its
-    k-th variable replaced by the form `forms[k]` over `variables`."""
-    cone = farkas_cone(dep.relation) if cone is None else cone
+def cone_is_empty(cone: ConstraintSystem) -> bool:
+    """Is the relation of `cone`, its Farkas cone, empty?  By the affine
+    Farkas lemma, exactly when the cone holds the form -1; as it holds 1 and
+    its rows are homogeneous, a row holding b gives it a positive
+    coefficient, so that is when no row holds b."""
+    b = len(cone.variables) - 1
+    return not any(r.nonzero and r.nonzero[-1][0] == b for r in cone.rows)
+
+
+def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction | None:
+    """The minimum of sum_j form[j] * x_j over the relation of `cone`, its
+    Farkas cone, read off the rows with no solve; None when unbounded
+    below, and ValueError when the relation is empty.
+
+    By LP duality, the minimum of f = sum_j a_j * x_j + b over the relation
+    is the largest k for which f - k lies in the cone.  A cone row without a
+    `b` term that fails at a leaves no such k: f is unbounded below.  Every
+    other row is c.a + c_b * (b - k) >= 0 with c_b > 0, since the cone of a
+    non-empty relation is closed under raising b, so k is b plus the least
+    c.a / c_b.
+    """
+    # a scaled by the common denominator `den`, so each c.a is an int sum.
+    den = lcm(*(x.denominator for x in form))
+    a = [x.numerator * (den // x.denominator) for x in form]
+    n = len(a)
+    least, unbounded = None, False  # least as (c.a, c_b)
+    for r in cone.rows:
+        cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
+        ca = r.const * den + sum(c * a[j] for j, c in r.nonzero if j < n)
+        if cb:
+            if least is None or ca * least[1] < least[0] * cb:
+                least = (ca, cb)
+        elif ca < 0 or (ca and r.kind == EQ):
+            unbounded = True
+    if least is None:  # b is free: the relation has no point
+        raise ValueError("the relation is empty")
+    return None if unbounded else Fraction(least[0], least[1] * den)
+
+
+def _cone_rows(dep: "DependencePolyhedron", forms: Sequence[Mapping[str, int]],
+               variables: Sequence[str]):
+    """The rows of `dep.cone` with its k-th variable replaced by the form
+    `forms[k]` over `variables`."""
     index = {v: i for i, v in enumerate(variables)}
     subst = [[(index[v], w) for v, w in form.items()] for form in forms]
     rows = []
-    for nonzero, const, kind, _ in cone.rows:
+    for nonzero, const, kind, _ in dep.cone.rows:
         acc: dict[int, int] = {}
         for j, c in nonzero:
             for i, w in subst[j]:
@@ -501,24 +539,19 @@ def _cone_rows(dep: "DependencePolyhedron", cone: ConstraintSystem | None,
 
 
 def legality_constraints(dep: "DependencePolyhedron", src: "Statement",
-                         dst: "Statement", cone: ConstraintSystem | None = None,
-                         ) -> ConstraintSystem:
+                         dst: "Statement") -> ConstraintSystem:
     """Rows over the two statements' coefficient variables that hold exactly
-    when phi_dst - phi_src is non-negative on every point of the dependence.
-    `cone` is `farkas_cone(dep.relation)`, eliminated here when not given;
-    a caller that keeps it shares one elimination between forms."""
-    return _cone_rows(dep, cone, *_difference_form(dep, src, dst))
+    when phi_dst - phi_src is non-negative on every point of the dependence."""
+    return _cone_rows(dep, *_difference_form(dep, src, dst))
 
 
 def bounding_constraints(dep: "DependencePolyhedron", src: "Statement",
-                         dst: "Statement", cone: ConstraintSystem | None = None,
-                         ) -> ConstraintSystem:
-    """Rows stating u.p + w - (phi_dst - phi_src) >= 0 on the dependence;
-    `cone` as for `legality_constraints`."""
+                         dst: "Statement") -> ConstraintSystem:
+    """Rows stating u.p + w - (phi_dst - phi_src) >= 0 on the dependence."""
     forms, variables = _difference_form(dep, src, dst)
     forms = [{v: -w for v, w in form.items()} for form in forms]
     bounds = bound_variables(dep.params)
     for p, u in zip(dep.params, bounds):
         forms[dep.relation.index(p)][u] = 1
     forms[-1][bounds[-1]] = 1
-    return _cone_rows(dep, cone, forms, bounds + variables)
+    return _cone_rows(dep, forms, bounds + variables)

@@ -18,21 +18,23 @@ satisfy, and tries the color again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import prod
 from typing import Mapping, Optional, Sequence
 
+from . import ratlp
 from .model import (
     AffineTransform,
     DependencePolyhedron,
     Program,
     SchedulingError,
     Statement,
+    dependence_list,
     scc_decompose,
     unit_row,
     unsatisfied,
 )
-from .pluto import _lexmin, dimension_terms, level_system
+from .pluto import dimension_terms, level_system
 
 Vertex = tuple[str, int]
 
@@ -62,15 +64,9 @@ class FusionConflictGraph:
                            {v: frozenset(vs) for v, vs in adj.items()})
 
     def neighbours(self, v: Vertex) -> frozenset:
+        """The vertices an edge (conflict or same-statement clique) joins to
+        `v`, and `v` itself when it has a self loop."""
         return self._neighbours[v]
-
-    def has_loop(self, v: Vertex) -> bool:
-        return v in self._neighbours[v]
-
-    def conflicting(self, u: Vertex, v: Vertex) -> bool:
-        """True when an edge (conflict or same-statement clique) joins u and
-        v, or u is v and has a self loop."""
-        return v in self._neighbours[u]
 
 
 def fusion_probe(program: Program, statements: Sequence[Statement],
@@ -103,8 +99,8 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
     verdict = program._probe_verdicts.get(key)
     if verdict is None:
         terms = dimension_terms(program, statements, choose, parametric_shifts)
-        verdict = program._probe_verdicts[key] = bool(
-            _lexmin(level_system(program, deps, terms, feasibility=True)))
+        verdict = program._probe_verdicts[key] = bool(ratlp.solve_lexmin(
+            ratlp.LPProblem.of(level_system(program, deps, terms, feasibility=True))))
     return verdict
 
 
@@ -160,26 +156,15 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
     return pairs
 
 
-def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
-              statements: Optional[Sequence[str]] = None) -> FusionConflictGraph:
-    """Probe self loops, pairwise conflicts and same-statement cliques.
-
-    `statements` restricts the graph to a subset (used to examine a strongly
-    connected component in isolation); dependences reaching outside the
-    subset are ignored.
-    """
-    if statements is None:
-        stmts = list(program.statements)
-    else:
-        chosen = set(statements)
-        stmts = [s for s in program.statements if s.id in chosen]
-    ids = {s.id for s in stmts}
-    pool = [d for d in deps if d.src in ids and d.dst in ids]
-    # The pool by the frozenset of endpoints, each list in pool order.
+def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionConflictGraph:
+    """Probe self loops, pairwise conflicts and same-statement cliques over
+    every statement, against the dependences `deps` alone."""
+    stmts = program.statements
+    # The dependences by the frozenset of endpoints, each list in `deps` order.
     by_pair: dict[frozenset, list] = {}
-    for d in pool:
+    for d in deps:
         by_pair.setdefault(frozenset((d.src, d.dst)), []).append(d)
-    position = {d: k for k, d in enumerate(pool)}
+    position = {d: k for k, d in enumerate(deps)}
 
     vertices = tuple((s.id, k) for s in stmts for k in range(s.dim))
     index = {v: i for i, v in enumerate(vertices)}
@@ -197,7 +182,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron],
                 loops.append((s.id, k))
 
     conflicts = []
-    for a, b in _probe_pairs(stmts, pool):
+    for a, b in _probe_pairs(stmts, deps):
         involved = sorted(by_pair.get(frozenset((a.id,)), [])
                           + by_pair.get(frozenset((b.id,)), [])
                           + by_pair[frozenset((a.id, b.id))],
@@ -340,9 +325,13 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
         else:
             kept = unsatisfied(live, _partial(program, colors))
             if len(kept) == len(live):
+                # Nothing crosses the cut: the stuck component's own live
+                # dependences are the whole cause.
+                inside = [d for d in live if {d.src, d.dst} <= set(sccs[idx])]
                 raise SchedulingError(
                     f"no dimension of {', '.join(sccs[idx])} can take color "
-                    f"{color}; the conflict graph admits no convex coloring")
+                    f"{color}; the conflict graph admits no convex coloring; "
+                    f"live dependences {dependence_list(inside)}")
             events.append(f"dropped {len(live) - len(kept)} dependences "
                           f"satisfied above color {color}")
             live = kept
@@ -366,9 +355,8 @@ def colorable_dimension(program: Program, fcg: FusionConflictGraph,
             f"{', '.join(s.id for s in stmts)}")
     for picks in product(*[range(s.dim) for s in stmts]):
         verts = [(s.id, k) for s, k in zip(stmts, picks)]
-        if any(fcg.has_loop(v) for v in verts):
-            continue
-        if any(fcg.conflicting(u, v) for u, v in combinations(verts, 2)):
+        # A pair of one vertex twice asks for its self loop.
+        if any(v in fcg.neighbours(u) for u, v in combinations_with_replacement(verts, 2)):
             continue
         return {s.id: k for s, k in zip(stmts, picks)}
     return None

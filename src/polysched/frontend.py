@@ -20,12 +20,12 @@ share an array are visited.  Every other distinct relation, explicit
 dependences included, is decided once per analysis, domain rows and all.
 A relation that an ordering dependence meets first has its Farkas cone
 eliminated: by the affine Farkas lemma (Feautrier 1992) it is empty exactly
-when the constant form -1 lies in the cone, and the dependence keeps the
-cone, which every scheduler needs anyway.  One that a read-read dependence
-meets first, which only `dfp` reads, is projected onto no variable
-instead, which is cheaper, and gets its cone on first read.  Every test is
-exact over the rationals, so a relation with rational points but no
-integer point is kept.
+when no row of the cone holds the constant (`farkas.cone_is_empty`), and
+the dependence keeps the cone, which every scheduler needs anyway.  One
+that a read-read dependence meets first, which only `dfp` reads, is
+projected onto no variable instead, which is cheaper, and gets its cone on
+first read.  Every test is exact over the rationals, so a relation with
+rational points but no integer point is kept.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .farkas import EQ, GE, ConstraintSystem, LinearRow, eliminate, farkas_cone
+from .farkas import (
+    EQ, GE, ConstraintSystem, LinearRow, cone_is_empty, eliminate, farkas_cone,
+)
 from .farkas import _int_row, _new_row
 from .model import (
     RAR, RAW, WAR, WAW,
@@ -249,35 +251,23 @@ def _relation_facts(relation: ConstraintSystem, known: dict,
     the dependence asking orders instances.
 
     For an ordering dependence the relation's Farkas cone is eliminated, as
-    every scheduler reads it; by the affine Farkas lemma the relation is
-    empty exactly when the cone holds the constant form -1.  A read-read
-    dependence is read only by `dfp`, so its relation is projected onto no
-    variable instead, which is cheaper: it is empty exactly when a false
-    constant row is left, and its cone is built on first read
-    (`DependencePolyhedron.cone`).
+    every scheduler reads it, and decides emptiness (`farkas.cone_is_empty`).
+    A read-read dependence is read only by `dfp`, so its relation is
+    projected onto no variable instead, which is cheaper: it is empty
+    exactly when a false constant row is left, and its cone is built on
+    first read (`DependencePolyhedron.cone`).
     """
     facts = known.get(relation.rows, False)
     if facts is False:
         if ordering:
             cone = farkas_cone(relation)
-            facts = None if _holds_minus_one(cone) else {"cone": cone}
+            facts = None if cone_is_empty(cone) else {"cone": cone}
         else:
             shadow = eliminate(relation, relation.variables)
             facts = None if any(const < 0 or (const and kind == EQ)
                                 for _, const, kind, _ in shadow.rows) else {}
         known[relation.rows] = facts
     return facts
-
-
-def _holds_minus_one(cone: ConstraintSystem) -> bool:
-    """Does a = 0, b = -1 satisfy every row of `cone`, a Farkas cone, whose
-    last unknown is b?"""
-    b = len(cone.variables) - 1
-    for nonzero, const, kind, _ in cone.rows:
-        value = const - nonzero[-1][1] if nonzero and nonzero[-1][0] == b else const
-        if value < 0 or (value and kind == EQ):
-            return False
-    return True
 
 
 # -- refutation by equalities -------------------------------------------------

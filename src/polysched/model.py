@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
-from .farkas import EQ, ConstraintSystem, ZERO, bounded_by_parameters, farkas_cone
+from .farkas import (
+    ConstraintSystem, ZERO, bounded_by_parameters, cone_minimum, farkas_cone,
+)
 
 RAW = "RAW"
 WAR = "WAR"
@@ -322,24 +323,6 @@ class AffineTransform:
             ],
         }
 
-    @staticmethod
-    def from_json(data: Mapping) -> "AffineTransform":
-        dims = {sid: tuple(st["iterators"]) for sid, st in data["statements"].items()}
-        rows = {
-            sid: tuple(tuple(Fraction(x) for x in row) for row in st["rows"])
-            for sid, st in data["statements"].items()
-        }
-        bands = tuple(
-            Band(b["start"], b["end"], b["permutable"], b["parallel"],
-                 tuple(b["statements"]))
-            for b in data.get("bands", ())
-        )
-        cuts = tuple(
-            Cut(c["level"], tuple(tuple(g) for g in c["groups"]))
-            for c in data.get("cuts", ())
-        )
-        return AffineTransform(tuple(data["params"]), dims, rows, bands, cuts)
-
 
 def unit_row(stmt: Statement, nparams: int, k: int) -> tuple[Fraction, ...]:
     """The schedule row of `stmt` that is its k-th iterator."""
@@ -408,35 +391,15 @@ def min_dependence_component(dep: DependencePolyhedron,
 
 
 def _min_component(dep, src_row, dst_row) -> Fraction | None:
-    """The minimum read off the relation's Farkas cone, with no solve.
-
-    By LP duality, the minimum of f = sum_j a_j * x_j + b over the relation
-    is the largest k for which f - k lies in the cone.  A cone row without a
-    `b` term that fails at a leaves no such k: f is unbounded below.  Every
-    other row is c.a + c_b * (b - k) >= 0 with c_b > 0, since the cone of a
-    non-empty relation is closed under raising b, so k is b plus the least
-    c.a / c_b.
-    """
+    """The minimum read off the relation's Farkas cone (`farkas.cone_minimum`)."""
     obj, const = dependence_difference(dep, src_row, dst_row)
     if not obj:
         return const
-    # a scaled by the common denominator `den`, so each c.a is an int sum.
-    a = [obj.get(v, ZERO) for v in dep.relation.variables]
-    den = lcm(*(x.denominator for x in a))
-    a = [x.numerator * (den // x.denominator) for x in a]
-    n = len(a)
-    least, unbounded = None, False  # least as (c.a, c_b)
-    for r in dep.cone.rows:
-        cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
-        ca = r.const * den + sum(c * a[j] for j, c in r.nonzero if j < n)
-        if cb:
-            if least is None or ca * least[1] < least[0] * cb:
-                least = (ca, cb)
-        elif ca < 0 or (ca and r.kind == EQ):
-            unbounded = True
-    if least is None:  # b is free: the relation has no point
-        raise SchedulingError(f"dependence polyhedron became empty: {dep!r}")
-    return None if unbounded else Fraction(least[0], least[1] * den) + const
+    try:
+        m = cone_minimum(dep.cone, [obj.get(v, ZERO) for v in dep.relation.variables])
+    except ValueError:
+        raise SchedulingError(f"dependence polyhedron became empty: {dep!r}") from None
+    return None if m is None else m + const
 
 
 def component_range(dep: DependencePolyhedron, transform: AffineTransform,

@@ -138,9 +138,8 @@ def _farkas_rows(program: Program, dep: DependencePolyhedron,
     """
     if dep._farkas is None:
         src, dst = program.statement(dep.src), program.statement(dep.dst)
-        cone = dep.cone
-        object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst, cone),
-                                            bounding_constraints(dep, src, dst, cone)))
+        object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst),
+                                            bounding_constraints(dep, src, dst)))
     return dep._farkas
 
 
@@ -232,8 +231,8 @@ def dimension_terms(program: Program, statements: Sequence[Statement],
     that iterator coefficient, at least 1, then each parameter shift when
     `parametric_shifts` is set, then the constant shift; every shift is
     free and every other coefficient zero.  The tableau splits a free
-    variable into a positive and a negative half, so `_lexmin` gives each
-    shift its value of smallest magnitude.
+    variable into a positive and a negative half, so `ratlp.solve_lexmin`
+    gives each shift its value of smallest magnitude.
     """
     params, nparams = program.params, len(program.params)
     terms = {}
@@ -269,11 +268,6 @@ class Step:
     rows: Mapping[str, tuple[Fraction, ...]] | None = None
 
 
-def _lexmin(system: ConstraintSystem) -> ratlp.LPResult:
-    """Rational lexmin of the tableau's columns (see `ratlp.solve_lexmin`)."""
-    return ratlp.solve_lexmin(ratlp.LPProblem.of(system))
-
-
 def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
                 terms: Terms, level: int, groups: Sequence[Sequence[str]],
                 extra: Sequence[tuple[Mapping[str, Fraction | int], Fraction | int]] = (),
@@ -292,7 +286,7 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
     if extra:
         system = system.with_rows(system.row_from(form, const) for form, const in extra)
     if mode != ILP:
-        result = _lexmin(system)
+        result = ratlp.solve_lexmin(ratlp.LPProblem.of(system))
     else:
         try:
             result = ratlp.solve_ilp(ratlp.LPProblem.of(system))

@@ -89,14 +89,13 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
 
 @dataclass(frozen=True)
 class SkewOutcome:
-    """`transform` is the input object itself when no band kept a skew;
-    `skewed` holds one step per replaced level, outermost first,
-    `diagnostics` one line per band refused a skew, and `bands` every band."""
+    """`transform` is the input with every kept skew and every band set;
+    `skewed` holds one step per replaced level, outermost first, none when
+    no band kept a skew, and `diagnostics` one line per band refused one."""
 
     transform: AffineTransform
     skewed: tuple[Step, ...]
     diagnostics: tuple[str, ...]
-    bands: tuple[Band, ...]
 
 
 def _skew_level(program: Program, live: Sequence[DependencePolyhedron],
@@ -174,7 +173,8 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
                 start, stop - 1, permutable, bool(first and first.parallel),
                 tuple(s.id for s in program.statements if len(current.rows[s.id]) >= start)))
         start = stop + 1
-    return SkewOutcome(current, tuple(skewed), tuple(diagnostics), tuple(bands))
+    return SkewOutcome(replace(current, bands=tuple(bands)), tuple(skewed),
+                       tuple(diagnostics))
 
 
 # -- the full pipeline ---------------------------------------------------------
@@ -197,5 +197,4 @@ def dfp_schedule(program: Program,
     coloring = color_fcg(program, deps)
     scaled, steps = scale_and_shift(program, deps, coloring)
     skew = introduce_skew(program, deps, scaled, steps)
-    final = replace(skew.transform, bands=skew.bands)
-    return DfpResult(coloring, scaled, final, steps + skew.skewed, skew)
+    return DfpResult(coloring, scaled, skew.transform, steps + skew.skewed, skew)

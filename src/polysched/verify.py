@@ -22,7 +22,7 @@ from .fcg import build_fcg, colorable_dimension, fusion_probe
 from .frontend import ParseError, analyze, parse_json
 from .model import (
     AffineTransform, DependencePolyhedron, Program, SchedulingError,
-    components, dependence_difference, scc_decompose,
+    components, dependence_difference, dependence_list, scc_decompose,
 )
 from .pluto import (
     ILP, LP, ScheduleResult, SchedulerConfig, Step,
@@ -49,10 +49,6 @@ class LegalityReport:
     ok: bool
     checked: int
     violations: tuple[Violation, ...]
-
-
-def _dep_name(dep: DependencePolyhedron) -> str:
-    return f"{dep.src}->{dep.dst}:{dep.label}"
 
 
 def lp_minimum(dep: DependencePolyhedron, src_row, dst_row) -> Optional[Fraction]:
@@ -103,7 +99,7 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
                 break
             if m is None or m < 0:
                 violations.append(Violation(
-                    _dep_name(dep), level, m,
+                    dependence_list([dep]), level, m,
                     "negative component before satisfaction"))
                 satisfied = True  # stop scanning; the damage is recorded
                 break
@@ -112,7 +108,7 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
         if _never_tied(dep, transform, common):
             continue
         violations.append(Violation(
-            _dep_name(dep), None, None,
+            dependence_list([dep]), None, None,
             "self-dependence never satisfied" if dep.src == dep.dst
             else "never satisfied and target textually precedes source"))
     return LegalityReport(not violations, checked, tuple(violations))
@@ -555,7 +551,7 @@ def _check_skew_inert(runs, bound):
     for r in runs:
         sk = r.dfp.skew
         if r.instance.flag("tileable"):
-            if sk.transform is not r.dfp.scaled or sk.skewed or sk.diagnostics:
+            if sk.skewed or sk.diagnostics:
                 bad.append(f"{r.instance.name}: skew pass altered an already "
                            "tileable nest")
         else:
@@ -622,7 +618,7 @@ def _check_scc_colorability(runs, bound):
     for r in runs:
         prog, deps = r.instance.program, r.instance.deps
         for comp in scc_decompose([s.id for s in prog.statements], deps):
-            sub = build_fcg(prog, deps, statements=comp)
+            sub = build_fcg(prog, [d for d in deps if d.src in comp and d.dst in comp])
             count += 1
             if colorable_dimension(prog, sub, comp) is None:
                 bad.append(f"{r.instance.name}: component {{{','.join(comp)}}} "

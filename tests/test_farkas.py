@@ -396,7 +396,8 @@ def assert_same_shadow(pruned, reference):
 @pytest.fixture(scope="module")
 def farkas_eliminations(corpus):
     """Every (system, kill) that Farkas elimination is asked for by the
-    ordering dependences of the corpus and of chain(4), by program."""
+    cones of the ordering dependences of the corpus and of chain(4), by
+    program."""
     calls = []
 
     def record(system, kill):
@@ -410,9 +411,7 @@ def farkas_eliminations(corpus):
             calls.clear()
             for dep in deps:
                 if dep.ordering:
-                    src, dst = program.statement(dep.src), program.statement(dep.dst)
-                    legality_constraints(dep, src, dst)
-                    bounding_constraints(dep, src, dst)
+                    farkas.farkas_cone(dep.relation)
             out[name] = list(calls)
     assert out["chain4"] and out["matmul"]  # the recorder saw the calls
     return out
@@ -682,7 +681,8 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
     """On a small non-empty relation of ge and eq rows through a known
     integer point, a small integer (a, b) is in `farkas_cone` exactly when
     the minimum of a.x + b over the relation is non-negative; unbounded
-    below counts as outside.  One LP per form, no elimination."""
+    below counts as outside.  `cone_minimum` reads that minimum of a.x off
+    the cone, None when unbounded.  One LP per form, no elimination."""
     n = data.draw(st.integers(1, 3))
     names = [f"x{k}" for k in range(n)]
     point = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
@@ -700,6 +700,7 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
     cone = farkas_cone(relation)
     assert cone.variables == tuple(f"a{j}" for j in range(n)) + ("b",)
     assert all(b is None for b in cone.lower.values())
+    assert not farkas.cone_is_empty(cone)
     for _ in range(6):
         a = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
         b = data.draw(st.integers(-3, 3))
@@ -708,6 +709,8 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
         expect = res.status == OPTIMAL and res.objective[0] + b >= 0
         form = {**{f"a{j}": c for j, c in enumerate(a)}, "b": b}
         assert cone.satisfied_by(form) == expect
+        minimum = res.objective[0] if res.status == OPTIMAL else None
+        assert farkas.cone_minimum(cone, a) == minimum
 
 
 @settings(max_examples=200, deadline=None)

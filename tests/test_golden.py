@@ -140,9 +140,9 @@ def _steps_digest(steps, systems=True) -> str:
 
 
 def farkas_entry(program, deps) -> dict:
-    """Digest of each dependence's (legality, bounding) system, built afresh
-    from its own Farkas cone rather than taken from the program's memo, so
-    every dependence runs through elimination."""
+    """Digest of each dependence's (legality, bounding) system, substituted
+    afresh into the dependence's own Farkas cone (`dep.cone`) rather than
+    taken from its `_farkas` memo."""
     entry = {}
     for k, dep in enumerate(deps):
         src, dst = program.statement(dep.src), program.statement(dep.dst)

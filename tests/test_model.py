@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import model, ratlp
+from polysched import farkas, model, ratlp
 from polysched.farkas import ConstraintSystem
 from polysched.frontend import analyze
 from polysched.model import (
@@ -168,7 +168,6 @@ class TestTransform:
         data = t.to_json()
         assert data["statements"]["P"]["rows"][1] == ["0/1", "1/2", "1/1", "-1/1"]
         assert data["cuts"] == [{"level": 1, "groups": [["P"], ["Q"]]}]
-        assert AffineTransform.from_json(data) == t
 
     def test_identity_transform(self, pair):
         program, _ = pair
@@ -224,12 +223,14 @@ class TestSatisfaction:
         assert len(computed) == 2
 
     def test_empty_relation_raises_like_the_lp(self):
-        """A relation with no point has every form in its cone: both the
-        cone minimum and the legality check's LP report it."""
+        """A relation with no point has every form in its cone: the cone
+        says so, and both the cone minimum and the legality check's LP
+        report it."""
         names = ("i", "i'", "N")
         rel = ConstraintSystem(names, (), dict.fromkeys(names))
         rel = rel.with_rows([rel.row_from({"i": 1}), rel.row_from({"i": -1}, -1)])
         dep = DependencePolyhedron("P", "Q", RAW, ("i",), ("i'",), ("N",), rel)
+        assert farkas.cone_is_empty(dep.cone)
         row = (F(1), F(0), F(0))
         for minimum in (min_dependence_component, lp_minimum):
             with pytest.raises(SchedulingError, match="empty"):

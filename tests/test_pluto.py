@@ -580,8 +580,8 @@ class TestNoProgressDistribution:
 
     @pytest.mark.parametrize("algo, message", [
         (ILP, MESSAGE), (LP, MESSAGE),
-        ("dfp", "no dimension of S can take color 1; "
-                "the conflict graph admits no convex coloring")], ids=[ILP, LP, "dfp"])
+        ("dfp", "no dimension of S can take color 1; the conflict graph admits "
+                "no convex coloring; live dependences S->S A:0->1@0")], ids=[ILP, LP, "dfp"])
     def test_cli_exits_3_with_the_message(self, capsys, algo, message):
         assert main(["schedule", "--algo", algo, str(NO_PROGRESS_DISTRIBUTION)]) == 3
         assert capsys.readouterr().err == f"internal error: {message}\n"

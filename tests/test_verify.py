@@ -93,7 +93,7 @@ class TestCheckLegality:
         assert report.checked == 2  # the RAR edge imposes no order
         assert len(report.violations) == 1
         v = report.violations[0]
-        assert v.dep == "S1->S2:A:0->1"
+        assert v.dep == "S1->S2 A:0->1"
         assert v.level == 1 and v.minimum is None
         assert v.reason == "negative component before satisfaction"
 
