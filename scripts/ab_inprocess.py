@@ -1,0 +1,111 @@
+"""In-process A/B timing of two polysched source trees.
+
+    python scripts/ab_inprocess.py SRC_A SRC_B [--rounds R] [--workloads W ...]
+
+Each SRC is a `src/` directory holding a `polysched` package.  Its package
+is copied to a temporary directory under a new name and imported, so the
+trees run side by side in one interpreter; SRC_A is loaded twice, and its
+second copy is an A/A control that shows the noise of the measurement.
+
+The programs are the benchmark's workloads (`perfbench/workloads.py`, read
+only).  Every round times, per program, `frontend.analyze` alone and
+analysis followed by each path (`ilp`, `lp`, `dfp`), in CPU seconds
+(`time.process_time`), with the trees in a new random order for each
+operation.  Per workload and operation the script prints the sum over the
+programs of each tree's minimum over the rounds, in ms, and each tree's
+change against SRC_A.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import random
+import shutil
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+OPERATIONS = ("analysis", "ilp", "lp", "dfp")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_tree(src: Path, name: str, scratch: Path):
+    """The `polysched` package under `src`, imported as `name`."""
+    shutil.copytree(src / "polysched", scratch / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    package = importlib.import_module(name)
+    for sub in ("frontend", "pluto", "postpass"):
+        importlib.import_module(f"{name}.{sub}")
+    return package
+
+
+def _operation(package, op: str, data):
+    """A callable running `op` on the program `data` with `package`."""
+    analyze = package.frontend.analyze
+    if op == "analysis":
+        return lambda: analyze(data)
+    if op == "dfp":
+        return lambda: package.postpass.dfp_schedule(*analyze(data))
+    config = package.pluto.SchedulerConfig(mode=op)
+    return lambda: package.pluto.schedule(*analyze(data), config)
+
+
+def main(argv=None) -> int:
+    workloads = _workloads()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src_a", type=Path, help="the reference src/ tree")
+    parser.add_argument("src_b", type=Path, help="the src/ tree compared with it")
+    parser.add_argument("--rounds", type=int, default=15,
+                        help="timed rounds per operation (default 15)")
+    parser.add_argument("--workloads", nargs="+", choices=workloads.WORKLOADS,
+                        default=list(workloads.WORKLOADS))
+    args = parser.parse_args(argv)
+
+    labels = ("A", "A/A", "B")
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        trees = [_load_tree(src, f"polysched_ab{k}", Path(tmp))
+                 for k, src in enumerate((args.src_a, args.src_a, args.src_b))]
+        rng = random.Random(0)
+        for workload in args.workloads:
+            programs = workloads.programs(workload, ROOT / "src")
+            best = {}  # (tree, operation, program) -> least CPU seconds
+            for _ in range(args.rounds):
+                for k, (_, data) in enumerate(programs):
+                    for op in OPERATIONS:
+                        order = list(range(len(trees)))
+                        rng.shuffle(order)
+                        for t in order:
+                            run = _operation(trees[t], op, data)
+                            start = time.process_time()
+                            run()
+                            spent = time.process_time() - start
+                            key = (t, op, k)
+                            best[key] = min(best.get(key, spent), spent)
+            print(f"{workload}: {len(programs)} programs, {args.rounds} rounds, "
+                  f"sum of per-program minima in CPU ms")
+            print("  " + "operation".ljust(10)
+                  + "".join(label.rjust(20) for label in labels))
+            for op in OPERATIONS:
+                sums = [1000 * sum(best[t, op, k] for k in range(len(programs)))
+                        for t in range(len(trees))]
+                cells = [f"{sums[0]:.2f}"] + [
+                    f"{s:.2f} ({100 * (s / sums[0] - 1):+.1f}%)" for s in sums[1:]]
+                print("  " + op.ljust(10) + "".join(c.rjust(20) for c in cells))
+        sys.path.remove(tmp)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

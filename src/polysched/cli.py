@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import verify
 from .fcg import color_fcg, to_dot
-from .frontend import ParseError, analyze, parse_json
+from .frontend import ParseError, analyze, parse_json, read_utf8
 from .model import SchedulingError
 from .pluto import SchedulerConfig, schedule
 from .postpass import dfp_schedule
@@ -33,7 +33,7 @@ EXIT_INTERNAL = 3
 
 def _load(path: str):
     """A program description, bare or wrapped as a corpus instance."""
-    data = parse_json(Path(path).read_text(), "$")
+    data = parse_json(read_utf8(Path(path), path), "$")
     if isinstance(data, dict) and "program" in data:
         inst = verify.parse_instance(data, Path(path).name)
         return inst.program, inst.deps

@@ -5,7 +5,8 @@ every point of a dependence polyhedron".  By the affine form of Farkas'
 lemma, the forms non-negative on a polyhedron make up one cone that depends
 on the polyhedron alone: `farkas_cone` equates coefficients with a
 non-negative multiplier per ge row and for the slack, and a free one per eq
-row, and projects the multipliers out.  A dependence's legality and bounding
+row, and projects the multipliers out, handing the elimination loop
+dense int rows with no names.  A dependence's legality and bounding
 rows are its cone's rows (`dep.cone`) with the two forms substituted in, so
 one elimination per dependence relation serves both.  The cone's row layout
 is read here alone: the polyhedron is empty exactly when no cone row holds
@@ -19,7 +20,8 @@ redundant, so the shadow is the same with fewer rows.  Everything
 here is exact: every row is a sparse canonical integer row (its nonzero
 entries and its constant are ints with gcd 1), elimination combines
 rows in exact integers, on dense int vectors that it turns back into
-such rows once, and only lower bounds and solutions are
+such rows once (one loop, `_project`, for `eliminate` and
+`farkas_cone`), and only lower bounds and solutions are
 `fractions.Fraction`s; there is no floating point.  Rows are combined by
 column index, never through variable names, and `_row` is the one
 normalizer of sparse rows: the cone's substitutions and
@@ -240,9 +242,10 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     Equalities are used first (Gaussian substitution), remaining occurrences
     go through Fourier-Motzkin pairing.  Lower bounds of killed variables are
     materialized as rows before projection.  The work runs in exact integers
-    on dense coefficient vectors (`_dense`), which become `LinearRow`s once
-    at the end: every step yields a positive multiple of the rational
-    combination, divided by its gcd as `_int_row` would.
+    on dense coefficient vectors (`_dense`), in `_project`, the loop that
+    `farkas_cone` also runs; they become `LinearRow`s once at the end:
+    every step yields a positive multiple of the rational combination,
+    divided by its gcd as `_int_row` would, with no product by a factor 1.
 
     Each row carries a history, an int bitmask of the input inequalities it
     combines: one bit per inequality row of the input, the materialized
@@ -284,6 +287,15 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
             vec = [0] * n
             vec[at[i]] = b.denominator
             rows.append((tuple(vec), -b.numerator, GE, None))
+    survivors = [v for k, v in enumerate(system.variables) if at[k] >= killed]
+    return ConstraintSystem._of_pruned(survivors, _project(rows, killed, len(survivors)),
+                                       {v: system.lower[v] for v in survivors})
+
+
+def _project(rows: list[tuple], killed: int, width: int) -> list[LinearRow]:
+    """The shadow of the dense rows (`_dense`) on their columns after the
+    first `killed`, which are eliminated in order, as rows of `width`
+    (see `eliminate`)."""
     hist, bit = [], 1
     for r in rows:
         if r[2] == EQ:
@@ -294,16 +306,10 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     steps = 0
     for t in range(killed):
         rows, hist, steps = _eliminate_at(rows, hist, steps, t, t > 0)
-
     # Pruned rows stay pruned when their columns are renumbered.
-    survivors = [v for k, v in enumerate(system.variables) if at[k] >= killed]
-    width = len(survivors)
-    return ConstraintSystem._of_pruned(
-        survivors,
-        [_new_row(LinearRow, (tuple([e for e in enumerate(vec[killed:]) if e[1]]), const,
-                              kind, width))
-         for vec, const, kind, _ in rows],
-        {v: system.lower[v] for v in survivors})
+    return [_new_row(LinearRow, (tuple([e for e in enumerate(vec[killed:]) if e[1]]), const,
+                                 kind, width))
+            for vec, const, kind, _ in rows]
 
 
 def _dense(vec: list[int], const: int, kind: str) -> tuple:
@@ -324,14 +330,27 @@ def _dense(vec: list[int], const: int, kind: str) -> tuple:
     return (tuple(vec), const, kind, None)
 
 
+def _combine(a: int, xs: Sequence[int], b: int, ys: Sequence[int]) -> list[int]:
+    """a * xs + b * ys, entry by entry, with no product by a factor 1."""
+    if a != 1:
+        return [a * x + b * y for x, y in zip(xs, ys)]
+    if b == 1:
+        return [x + y for x, y in zip(xs, ys)]
+    return [x - y for x, y in zip(xs, ys)] if b == -1 else [x + b * y for x, y in zip(xs, ys)]
+
+
 def _eliminate_at(rows: list[tuple], hist: list[int], steps: int, t: int, pruned: bool):
     """Eliminate column `t` of the dense rows (see `eliminate`), every
     column before which is zero, after `steps` Fourier-Motzkin steps;
     returns (rows, histories, steps).  Gaussian substitution rewrites
     `rows` and `hist` in place.  When the rows are `pruned` already, only
     the rows the step makes are checked against the rest."""
-    coef = [vec[t] if vec else 0 for vec, _, _, _ in rows]
-    pivot = next((k for k, c in enumerate(coef) if c and rows[k][2] == EQ), None)
+    coef, pivot = [], None
+    for k, (vec, _, kind, _) in enumerate(rows):
+        c = vec[t] if vec else 0
+        coef.append(c)
+        if c and kind == EQ and pivot is None:
+            pivot = k
     if pivot is not None:
         # r - (rc/pc)*p, scaled by |pc|, in place of each row r with rc != 0.
         (pvec, pconst, _, _), pc, ph = rows[pivot], coef[pivot], hist[pivot]
@@ -340,9 +359,8 @@ def _eliminate_at(rows: list[tuple], hist: list[int], steps: int, t: int, pruned
             if rc and k != pivot:
                 made.append(k if k < pivot else k - 1)
                 vec, const, kind, _ = rows[k]
-                f = rc if pc > 0 else -rc
-                rows[k] = _dense([m * x - f * y for x, y in zip(vec, pvec)],
-                                 m * const - f * pconst, kind)
+                f = -rc if pc > 0 else rc
+                rows[k] = _dense(_combine(m, vec, f, pvec), m * const + f * pconst, kind)
                 hist[k] |= ph
         del rows[pivot], hist[pivot]
         out, out_hist = rows, hist
@@ -363,8 +381,7 @@ def _eliminate_at(rows: list[tuple], hist: list[int], steps: int, t: int, pruned
                 h = hl | hu
                 if h.bit_count() > steps + 1:
                     continue
-                out.append(_dense([b * x + a * y for x, y in zip(lvec, uvec)],
-                                  b * lconst + a * uconst, GE))
+                out.append(_dense(_combine(b, lvec, a, uvec), b * lconst + a * uconst, GE))
                 out_hist.append(h)
         made = range(first, len(out))
     kept = _prune(out, out_hist, made if pruned else None)
@@ -420,37 +437,38 @@ def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
     with the slack lam_0 and each ge row's multiplier non-negative and each
     eq row's free.  Equating coefficients gives one equation per a_j and one
     for b; the free multipliers are eliminated first, so Gaussian
-    substitution removes them before any Fourier-Motzkin step.  The
+    substitution removes them before any Fourier-Motzkin step, then the
+    slack, then the ge rows' multipliers.  The system goes straight to
+    `_project` as dense int rows: the equations, then the non-negative
+    multipliers' bounds as `eliminate` would materialize them.  The
     relation's variables are free, as in every dependence relation.
     """
     n = len(relation.variables)
-    eqs = [k for k, r in enumerate(relation.rows) if r.kind == EQ]
-    ges = [k for k, r in enumerate(relation.rows) if r.kind != EQ]
-    kill = [f"_l{k}" for k in eqs] + ["_l"] + [f"_l{k}" for k in ges]
-    unknowns = [f"a{j}" for j in range(n)] + ["b"]
-    # The multipliers' columns come first, in kill order, so that
-    # `eliminate` needs no renumbering; a_j is column m + j.  The equations
-    # a_j - sum_k lam_k * r_kj = 0 and b - lam_0 - sum_k lam_k * c_k = 0 get
-    # their entries in column order, each the only one holding its unknown.
-    m, lhs = len(kill), [[] for _ in range(n + 1)]
-    for c, k in enumerate(eqs + [None] + ges):
-        if k is None:
-            lhs[n].append((c, -1))
-            continue
-        nonzero, const, _, _ = relation.rows[k]
+    eqs = [r for r in relation.rows if r.kind == EQ]
+    # Columns: the multipliers in elimination order (the slack's is that of
+    # the row 1 >= 0), then a_j at m + j, then b.  Each equation holds its
+    # unknown once, so it has gcd 1 and is canonical once its first entry
+    # is positive.
+    multiplied = eqs + [((), 1, GE, n)] + [r for r in relation.rows if r.kind != EQ]
+    m = len(multiplied)
+    vecs = [[0] * (m + n + 1) for _ in range(n + 1)]
+    for c, (nonzero, const, _, _) in enumerate(multiplied):
         for j, a in nonzero:
-            lhs[j].append((c, -a))
-        if const:
-            lhs[n].append((c, -const))
+            vecs[j][c] = -a
+        vecs[n][c] = -const
     rows = []
-    for j, items in enumerate(lhs):
-        items.append((m + j, 1))  # gcd 1; canonical once the first entry is positive
-        if items[0][1] < 0:
-            items = [(i, -a) for i, a in items]
-        rows.append(_new_row(LinearRow, (tuple(items), 0, EQ, m + n + 1)))
-    system = ConstraintSystem._of_pruned(kill + unknowns, rows,
-                                         dict.fromkeys(kill[:len(eqs)] + unknowns))
-    return eliminate(system, kill)
+    for j, vec in enumerate(vecs):
+        vec[m + j] = 1
+        if next(filter(None, vec)) < 0:
+            vec = [-x for x in vec]
+        rows.append((tuple(vec), 0, EQ, None))
+    for c in range(len(eqs), m):  # the non-negative multipliers' bounds
+        vec = [0] * (m + n + 1)
+        vec[c] = 1
+        rows.append((tuple(vec), 0, GE, None))
+    unknowns = [f"a{j}" for j in range(n)] + ["b"]
+    return ConstraintSystem._of_pruned(unknowns, _project(rows, m, n + 1),
+                                       dict.fromkeys(unknowns))
 
 
 def bounded_by_parameters(cone: ConstraintSystem, nparams: int) -> bool:

@@ -492,5 +492,14 @@ def parse_json(text: str, where: str):
         raise ParseError(where, f"invalid JSON: {exc}") from None
 
 
+def read_utf8(file, where: str) -> str:
+    """The text of `file`, a path or a package resource, read as UTF-8;
+    a file that is not UTF-8 is a ParseError at `where`."""
+    try:
+        return file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(where, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
+
+
 def loads(text: str) -> tuple[Program, tuple[DependencePolyhedron, ...]]:
     return analyze(parse_json(text, "$"))

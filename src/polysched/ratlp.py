@@ -16,7 +16,8 @@ takes the same pivots.  Callers ask it three questions:
   feasible point.
 
 Rows are content-reduced integers and the ratio tests compare cross
-products.
+products.  Rows are dense, but a pivot works in proportion to the pivot
+row's nonzeros.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ class _Tableau:
     the current nonbasic quantities, so at the basic solution a row's value
     is its constant.  Constraint and objective rows matter only up to a
     positive factor and are kept content-reduced; a structural row also
-    keeps a positive denominator in `den`.
+    keeps a positive denominator in `den`.  Rows are dense int lists, read
+    by column; `_pivot` alone walks the pivot row's nonzeros.
     """
 
     def __init__(self, system: ConstraintSystem, cost: Mapping | None = None):
@@ -129,21 +131,22 @@ class _Tableau:
         return [int(x * den) for x in vec]
 
     def _pivot(self, r: int, j: int):
-        """Exchange row r's quantity with column j's, which becomes basic."""
+        """Exchange row r's quantity with column j's, which becomes basic;
+        each row it rewrites changes at the pivot row's nonzeros alone."""
         rows, den = self.rows, self.den
         prow = rows[r]
         p = prow[j]
-        sign = 1
-        if p < 0:
-            prow, p, sign = [-c for c in prow], -p, -1
-        for i, row in enumerate(rows):
-            f = row[j]
-            if not f or i == r:
+        sign = 1 if p > 0 else -1
+        p *= sign
+        nonzero = [(k, sign * b) for k, b in enumerate(prow) if b and k != j]
+        for i in [i for i, row in enumerate(rows) if row[j]]:
+            if i == r:
                 continue
-            if p == 1:
-                new = [a - f * b for a, b in zip(row, prow)]
-            else:
-                new = [p * a - f * b for a, b in zip(row, prow)]
+            row = rows[i]
+            f = row[j]
+            new = row[:] if p == 1 else [p * a for a in row]
+            for k, b in nonzero:
+                new[k] -= f * b
             new[j] = sign * f
             if i < self.n:
                 d = den[i] * p
@@ -166,7 +169,8 @@ class _Tableau:
 
         Every column stays lexicographically positive over the structural
         rows in order, so each pivot raises the solution in that order and
-        the first feasible basis is the lexicographic minimum.
+        the first feasible basis is the lexicographic minimum.  The ratio
+        test walks the pivot row's positive entries, the first of a tie kept.
         """
         rows = self.rows
         while True:
@@ -175,9 +179,8 @@ class _Tableau:
                 return True
             prow = rows[r]
             best = 0
-            for j in range(1, self.n + 1):
-                a = prow[j]
-                if a > 0 and (not best or self._lex_less(j, a, best, prow[best])):
+            for j in [j for j, a in enumerate(prow) if a > 0 and j]:
+                if not best or self._lex_less(j, prow[j], best, prow[best]):
                     best = j
             if not best:
                 return False

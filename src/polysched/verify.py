@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from . import ratlp
 from .farkas import EQ, ConstraintSystem, bound_variables
 from .fcg import build_fcg, colorable_dimension, fusion_probe
-from .frontend import ParseError, analyze, parse_json
+from .frontend import ParseError, analyze, parse_json, read_utf8
 from .model import (
     AffineTransform, DependencePolyhedron, Program, SchedulingError,
     components, dependence_difference, dependence_list, scc_decompose,
@@ -269,12 +269,12 @@ def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
     """Bundled instances, or every *.json file under `path`."""
     if path is None:
         root = resources.files(__package__).joinpath("corpus")
-        entries = [(e.name, e.read_text())
+        entries = [(e.name, read_utf8(e, e.name))
                    for e in root.iterdir() if e.name.endswith(".json")]
     else:
         if not Path(path).is_dir():
             raise ParseError(path, "not a directory")
-        entries = [(p.name, p.read_text()) for p in Path(path).glob("*.json")]
+        entries = [(p.name, read_utf8(p, p.name)) for p in Path(path).glob("*.json")]
     out = []
     for fname, text in sorted(entries):
         out.append(parse_instance(parse_json(text, fname), fname))

@@ -192,6 +192,16 @@ class TestErrors:
         code, _, err = run(capsys, "deps", str(path))
         assert code == 2 and "invalid JSON" in err
 
+    @pytest.mark.parametrize("argv", [["schedule"], ["deps"], ["fcg"], ["verify", "--corpus"]])
+    def test_non_utf8_input_names_the_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        corpus = argv[0] == "verify"
+        code, out, err = run(capsys, *argv, str(tmp_path if corpus else path))
+        name = "bad.json" if corpus else str(path)
+        assert code == 2 and out == ""
+        assert err == f"error: {name}: not UTF-8: invalid start byte at byte 0\n"
+
     @pytest.mark.parametrize("accesses", [5, None])
     def test_non_list_accesses(self, capsys, tmp_path, accesses):
         path = tmp_path / "prog.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import farkas, frontend, pluto
+from polysched import farkas, frontend, model, pluto
 from polysched.farkas import (
     EQ, GE, ConstraintSystem, LinearRow, _prune, _row, eliminate,
     coefficient_variables, farkas_cone, legality_constraints, bounding_constraints,
@@ -393,27 +393,36 @@ def assert_same_shadow(pruned, reference):
     assert all(implies(reference, r) for r in pruned.rows)
 
 
+def multiplier_system(relation):
+    """The system that `farkas_cone` projects, with its kill list.  Its
+    variables are one multiplier per row of `relation` (`_l<k>` for row k,
+    free for an eq row and >= 0 for a ge row) and the slack `_l` (>= 0),
+    then the free unknowns a0, ..., a(n-1) and b; its rows are the
+    equations a_j = sum_k _l<k> * r_kj and b = _l + sum_k _l<k> * c_k.
+    The kill list is the eq rows' multipliers, the slack, then the ge
+    rows' multipliers, each in row order."""
+    n = len(relation.variables)
+    eqs = [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind == EQ]
+    ges = [f"_l{k}" for k, r in enumerate(relation.rows) if r.kind != EQ]
+    kill = eqs + ["_l"] + ges
+    unknowns = [f"a{j}" for j in range(n)] + ["b"]
+    s = ConstraintSystem(kill + unknowns, (), dict.fromkeys(eqs + unknowns))
+    forms = [{f"a{j}": 1} for j in range(n)] + [{"b": 1, "_l": -1}]
+    for k, r in enumerate(relation.rows):
+        for j, c in r.nonzero:
+            forms[j][f"_l{k}"] = -c
+        if r.const:
+            forms[n][f"_l{k}"] = -r.const
+    return s.with_rows([s.row_from(form, 0, EQ) for form in forms]), kill
+
+
 @pytest.fixture(scope="module")
 def farkas_eliminations(corpus):
-    """Every (system, kill) that Farkas elimination is asked for by the
-    cones of the ordering dependences of the corpus and of chain(4), by
-    program."""
-    calls = []
-
-    def record(system, kill):
-        calls.append((system, tuple(kill)))
-        return eliminate(system, kill)
-
-    out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(farkas, "eliminate", record)
-        for name, (program, deps) in farkas_programs(corpus).items():
-            calls.clear()
-            for dep in deps:
-                if dep.ordering:
-                    farkas.farkas_cone(dep.relation)
-            out[name] = list(calls)
-    assert out["chain4"] and out["matmul"]  # the recorder saw the calls
+    """The multiplier system and kill list of the cone of every ordering
+    dependence of the corpus and of chain(4), by program."""
+    out = {name: [multiplier_system(dep.relation) for dep in deps if dep.ordering]
+           for name, (program, deps) in farkas_programs(corpus).items()}
+    assert out["chain4"] and out["matmul"]
     return out
 
 
@@ -516,30 +525,54 @@ def test_eliminate_gives_the_reference_rows_in_order(data):
 
 
 @pytest.fixture(scope="module")
-def family_eliminations():
-    """Every distinct (system, kill) that dependence analysis and the cones
-    of its dependences give `eliminate`, over the corpus, chain(8) and 300
-    nests of the `random_nest` family (`Random(1)`): each system
-    `farkas_cone` builds, and each relation projected to decide a read-read
-    relation's emptiness."""
-    calls = {}
+def family_relations():
+    """Every distinct relation whose cone dependence analysis and the
+    dependences build, over the corpus, chain(8) and 300 nests of the
+    `random_nest` family (`Random(1)`), empty ones included, and every
+    distinct (system, kill) that analysis itself gives `eliminate`: the
+    relations projected to decide a read-read relation's emptiness."""
+    relations, projections = {}, {}
 
-    def recorder(build):
-        def record(system, kill):
-            calls.setdefault((system.variables, system.rows, tuple(kill)), (system, kill))
-            return build(system, kill)
-        return record
+    def cone(relation):
+        relations.setdefault(relation.rows, relation)
+        return farkas_cone(relation)
+
+    def project(system, kill):
+        projections.setdefault((system.variables, system.rows, tuple(kill)), (system, kill))
+        return eliminate(system, kill)
 
     rng = random.Random(1)
     programs = (corpus_programs() + [workloads.chain(8)]
                 + [workloads.random_nest(rng) for _ in range(300)])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(farkas, "eliminate", recorder(eliminate))
-        mp.setattr(frontend, "eliminate", recorder(eliminate))
+        mp.setattr(frontend, "farkas_cone", cone)
+        mp.setattr(model, "farkas_cone", cone)
+        mp.setattr(frontend, "eliminate", project)
         for data in programs:
             for dep in analyze(data)[1]:
                 dep.cone
-    return list(calls.values())
+    return list(relations.values()), list(projections.values())
+
+
+@pytest.fixture(scope="module")
+def family_eliminations(family_relations):
+    """The (system, kill) of every cone and projection of the family."""
+    relations, projections = family_relations
+    return [multiplier_system(rel) for rel in relations] + projections
+
+
+def test_cone_is_the_projection_of_its_multiplier_system(family_relations):
+    """`farkas_cone` builds its multiplier system as dense rows for the
+    loop `eliminate` runs; it gives the rows of `eliminate` and of
+    `reference_eliminate` on the system `multiplier_system` states."""
+    relations, _ = family_relations
+    for rel in relations:
+        cone = farkas_cone(rel)
+        system, kill = multiplier_system(rel)
+        got, want = eliminate(system, kill), reference_eliminate(system, kill, history=True)
+        assert cone.variables == got.variables == want.variables
+        assert cone.lower == got.lower == want.lower
+        assert cone.rows == got.rows == want.rows
 
 
 def tie_break_system():

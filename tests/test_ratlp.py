@@ -1,16 +1,21 @@
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysched import ratlp
 from polysched.farkas import EQ, ZERO, ConstraintSystem, eliminate
+from polysched.frontend import analyze
+from polysched.postpass import dfp_schedule
 from polysched.ratlp import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
-    LPProblem, LPResult, ResourceLimitError, solve_ilp, solve_lexmin, solve_lp,
+    LPProblem, LPResult, ResourceLimitError, _Tableau, solve_ilp, solve_lexmin, solve_lp,
 )
-from polysched.pluto import ILP, SchedulerConfig, schedule
+from polysched.pluto import ILP, LP, SchedulerConfig, schedule
+from inputs import ROOT, workloads
+from test_dependences import corpus_programs
 
 F = Fraction
 
@@ -377,3 +382,146 @@ def test_warm_started_branch_and_bound_on_the_corpus_levels(corpus):
             if step.system is not None:
                 branched += assert_same_search(step.system) > 1
     assert branched
+
+
+# -- pivot-for-pivot identity with the dense pivot ------------------------------
+
+
+def reference_pivot(self, r: int, j: int):
+    """`_Tableau._pivot` over every column of each row it rewrites."""
+    rows, den = self.rows, self.den
+    prow = rows[r]
+    p = prow[j]
+    sign = 1
+    if p < 0:
+        prow, p, sign = [-c for c in prow], -p, -1
+    for i, row in enumerate(rows):
+        f = row[j]
+        if not f or i == r:
+            continue
+        if p == 1:
+            new = [a - f * b for a, b in zip(row, prow)]
+        else:
+            new = [p * a - f * b for a, b in zip(row, prow)]
+        new[j] = sign * f
+        if i < self.n:
+            d = den[i] * p
+            g = gcd(d, *new)
+            den[i] = d // g
+        else:
+            g = gcd(*new)
+        if g > 1:
+            new = [c // g for c in new]
+        rows[i] = new
+    # Column j now stands for row r's numerator, so a structural row
+    # keeps its denominator.
+    unit = [0] * len(prow)
+    unit[j] = 1
+    rows[r] = unit
+    self.col_var[j] = r
+
+
+PIVOT = _Tableau._pivot
+
+
+def pivot_trace(solve, pivot):
+    """`solve()` with `_Tableau._pivot` replaced by `pivot`, and the
+    (row, column, element) of each pivot it took."""
+    trace = []
+
+    def traced(self, r, j):
+        trace.append((r, j, self.rows[r][j]))
+        pivot(self, r, j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "_pivot", traced)
+        return solve(), trace
+
+
+def lexmin_and_children(system, cost=None):
+    """The final state of `lexmin`, then of `minimize` when there is a
+    `cost`, else of both `branched` children of every fractional variable:
+    each outcome with the tableau's columns, denominators and rows."""
+    def state(tab, outcome):
+        return outcome, tab.columns(), tuple(tab.den), tuple(map(tuple, tab.rows))
+
+    tab = _Tableau(system, cost)
+    out = [state(tab, tab.lexmin())]
+    if not out[0][0]:
+        return out
+    if cost is not None:
+        return out + [state(tab, tab.minimize())]
+    x = tab.assignment()
+    for v in system.variables:
+        if x[v].denominator != 1:
+            for bound, up in ((ceil(x[v]), True), (floor(x[v]), False)):
+                child = tab.branched(v, bound, up)
+                out.append(state(child, child.lexmin()))
+    return out
+
+
+def assert_same_pivots(system, cost=None, ilp=True):
+    """`lexmin`, `minimize`, the `branched` children and `solve_ilp` take
+    the reference pivots and end in the reference states; returns the
+    pivots taken."""
+    got = pivot_trace(lambda: lexmin_and_children(system, cost), PIVOT)
+    assert got == pivot_trace(lambda: lexmin_and_children(system, cost), reference_pivot)
+    trace = got[1]
+    if ilp:
+        solve = lambda: solve_ilp(LPProblem.of(system))  # noqa: E731
+        got = pivot_trace(solve, PIVOT)
+        assert got == pivot_trace(solve, reference_pivot)
+        trace += got[1]
+    return trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 4), small_rows, st.lists(bounds, min_size=4, max_size=4),
+       st.one_of(st.none(), st.lists(st.integers(-2, 2), min_size=4, max_size=4)))
+@example(2, [([2, 2, 0, 0], -3, "ge"), ([3, -3, 0, 0], -2, "ge")], [F(1, 2), None] * 2, None)
+def test_pivots_match_the_dense_pivot(n, rows, lower, cost):
+    """On boxed systems with equalities, free variables, fractional lower
+    bounds and pivot elements other than 1, every solve takes the dense
+    pivot's pivots and ends in its state."""
+    names = ["x", "y", "z", "t"][:n]
+    box = [({v: sign}, 4, "ge") for v in names for sign in (1, -1)]
+    s = system(names,
+               [(dict(zip(names, coeffs)), c, kind) for coeffs, c, kind in rows] + box,
+               dict(zip(names, lower)))
+    assert_same_pivots(s, cost and dict(zip(names, cost)))
+
+
+def test_the_drawn_pivots_reach_elements_other_than_one():
+    s = system(["x", "y"], [({"x": 3, "y": 1}, -1, "ge"), ({"y": 2}, -1, "ge"),
+                            ({"x": 3, "y": -3}, -2, "ge")])
+    assert {abs(p) for _, _, p in assert_same_pivots(s)} > {1}
+
+
+def test_pivots_match_the_dense_pivot_on_the_level_systems():
+    """Every system the three paths solve on the corpus, chain(8) and the
+    `random` workload, every level system of `solve_level` among them,
+    takes the dense pivot's pivots: lexmin with its children, and
+    `solve_ilp` on the systems `ilp` gives it."""
+    programs = [analyze(data) for data in corpus_programs() + [workloads.chain(8)] + [
+        data for _, data in workloads.programs("random", ROOT / "src")]]
+    systems = {}
+
+    def recorder(solve, ilp):
+        def record(problem, *args):
+            s = problem.system
+            entry = systems.setdefault((s.variables, s.rows, tuple(s.lower.items())), [s, False])
+            entry[1] |= ilp
+            return solve(problem, *args)
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlp, "solve_lexmin", recorder(ratlp.solve_lexmin, False))
+        mp.setattr(ratlp, "solve_ilp", recorder(ratlp.solve_ilp, True))
+        for program, deps in programs:
+            for mode in (ILP, LP):
+                schedule(program, deps, SchedulerConfig(mode=mode))
+            dfp_schedule(program, deps)
+    elements = set()
+    for s, ilp in systems.values():
+        elements.update(abs(p) for _, _, p in assert_same_pivots(s, ilp=ilp))
+    assert len(systems) > 150 and elements > {1}
