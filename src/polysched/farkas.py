@@ -7,12 +7,14 @@ on the polyhedron alone: `farkas_cone` equates coefficients with a
 non-negative multiplier per ge row and for the slack, and a free one per eq
 row, and projects the multipliers out, handing the elimination loop
 dense int rows with no names.  A dependence's legality and bounding
-rows are its cone's rows (`dep.cone`) with the two forms substituted in, so
-one elimination per dependence relation serves both.  The cone's row layout
-is read here alone: the polyhedron is empty exactly when no cone row holds
-the constant b (`cone_is_empty`, how `frontend` keeps or drops a candidate
-dependence), and by LP duality the minimum of a form over the polyhedron
-is the largest k for which the form minus k lies in the cone
+rows are its cone's rows (`dep.cone`) with the two forms substituted in by
+column (`dependence_rows`), once per dependence shape; the schedulers read
+them by position, and `legality_constraints` and `bounding_constraints`
+only name them.  The cone's row layout is read here alone: the
+polyhedron is empty exactly when no cone row holds the constant b
+(`cone_is_empty`, how `frontend` keeps or drops a candidate dependence),
+and by LP duality the minimum of an affine form over the polyhedron is
+the largest k for which the form minus k lies in the cone
 (`cone_minimum`, read off the rows without a solve).  The
 projection builds only some of the combinations plain Fourier-Motzkin
 elimination would: it skips those that Chernikov's rule proves
@@ -408,24 +410,18 @@ def bound_variables(params: Sequence[str]) -> list[str]:
     return [f"u.{p}" for p in params] + ["w"]
 
 
-def _difference_form(dep: "DependencePolyhedron", src: "Statement", dst: "Statement"):
-    """phi_dst(t) - phi_src(s) over the dependence space, and the two
-    statements' coefficient variables.  The form is one {coefficient
-    variable: weight} map per relation variable, in order, then one for the
-    constant."""
-    m, n = len(dep.src_vars), len(dep.src_vars) + len(dep.dst_vars)
-    forms: list[dict[str, int]] = [{} for _ in range(n + len(dep.params) + 1)]
-    cs = coefficient_variables(src, dep.params)
-    cd = coefficient_variables(dst, dep.params)
-    for k in range(src.dim):
-        forms[k][cs[k]] = -1
-    for k in range(dst.dim):
-        forms[m + k][cd[k]] = 1
-    if src.id != dst.id:  # a self-dependence's shifts cancel exactly
-        for k in range(len(dep.params)):
-            forms[n + k].update({cd[dst.dim + k]: 1, cs[src.dim + k]: -1})
-        forms[-1].update({cd[-1]: 1, cs[-1]: -1})
-    return forms, list(dict.fromkeys(cs + cd))
+def _difference_form(dep: "DependencePolyhedron"):
+    """phi_dst(t) - phi_src(s) over the dependence space, by column: one
+    list of (column, weight) pairs per relation variable, in order, then
+    one for the constant, and the number of columns.  The columns are the
+    source's coefficients (iterators, parameter shifts, constant shift),
+    then the target's unless the dependence is a self-dependence, whose
+    shifts cancel exactly."""
+    m, n, np = len(dep.src_vars), len(dep.dst_vars), len(dep.params)
+    at = 0 if dep.src == dep.dst else m + np + 1  # the target's first column
+    forms = [[(k, -1)] for k in range(m)] + [[(at + k, 1)] for k in range(n)]
+    forms += [[(at + n + k, 1), (m + k, -1)] if at else [] for k in range(np + 1)]
+    return forms, at + n + np + 1
 
 
 def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
@@ -511,9 +507,10 @@ def cone_is_empty(cone: ConstraintSystem) -> bool:
 
 
 def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction | None:
-    """The minimum of sum_j form[j] * x_j over the relation of `cone`, its
-    Farkas cone, read off the rows with no solve; None when unbounded
-    below, and ValueError when the relation is empty.
+    """The minimum of the affine form sum_j form[j] * x_j + form[-1] over
+    the relation of `cone`, its Farkas cone, read off the rows with no
+    solve; None when unbounded below, and ValueError when the relation is
+    empty.
 
     By LP duality, the minimum of f = sum_j a_j * x_j + b over the relation
     is the largest k for which f - k lies in the cone.  A cone row without a
@@ -522,10 +519,10 @@ def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction |
     non-empty relation is closed under raising b, so k is b plus the least
     c.a / c_b.
     """
-    # a scaled by the common denominator `den`, so each c.a is an int sum.
+    # The form scaled by the common denominator `den`, so each c.a is an int sum.
     den = lcm(*(x.denominator for x in form))
     a = [x.numerator * (den // x.denominator) for x in form]
-    n = len(a)
+    n = len(a) - 1
     least, unbounded = None, False  # least as (c.a, c_b)
     for r in cone.rows:
         cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
@@ -537,39 +534,55 @@ def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction |
             unbounded = True
     if least is None:  # b is free: the relation has no point
         raise ValueError("the relation is empty")
-    return None if unbounded else Fraction(least[0], least[1] * den)
+    return None if unbounded else Fraction(least[0] + a[n] * least[1], least[1] * den)
 
 
-def _cone_rows(dep: "DependencePolyhedron", forms: Sequence[Mapping[str, int]],
-               variables: Sequence[str]):
-    """The rows of `dep.cone` with its k-th variable replaced by the form
-    `forms[k]` over `variables`."""
-    index = {v: i for i, v in enumerate(variables)}
-    subst = [[(index[v], w) for v, w in form.items()] for form in forms]
+def _cone_rows(cone: ConstraintSystem, forms: Sequence[Sequence[tuple[int, int]]],
+               width: int) -> tuple[LinearRow, ...]:
+    """The rows of `cone` with its k-th unknown replaced by the form
+    `forms[k]` over `width` columns, pruned by `_prune`."""
     rows = []
-    for nonzero, const, kind, _ in dep.cone.rows:
+    for nonzero, const, kind, _ in cone.rows:
         acc: dict[int, int] = {}
         for j, c in nonzero:
-            for i, w in subst[j]:
+            for i, w in forms[j]:
                 acc[i] = acc.get(i, 0) + c * w
-        rows.append(_int_row(len(variables), acc, const, kind))
-    return ConstraintSystem(variables, rows)
+        rows.append(_int_row(width, acc, const, kind))
+    return tuple(map(rows.__getitem__, _prune(rows)))
+
+
+def dependence_rows(dep: "DependencePolyhedron"):
+    """The (legality, bounding) rows of `dep`'s shape, `dep.cone` with a
+    form substituted in: phi_dst - phi_src >= 0 over the columns of
+    `_difference_form`, and u.p + w - (phi_dst - phi_src) >= 0 over one u
+    per parameter, then w, then those columns."""
+    forms, width = _difference_form(dep)
+    np = len(dep.params)
+    first = len(forms) - 1 - np  # the parameters' forms, then the constant's
+    neg = [[(np + 1 + i, -w) for i, w in form] for form in forms]
+    for k in range(np + 1):
+        neg[first + k].append((k, 1))
+    return (_cone_rows(dep.cone, forms, width),
+            _cone_rows(dep.cone, neg, np + 1 + width))
+
+
+def _coefficient_names(dep: "DependencePolyhedron", src: "Statement", dst: "Statement"):
+    """The names of the legality rows' columns."""
+    return list(dict.fromkeys(coefficient_variables(src, dep.params)
+                              + coefficient_variables(dst, dep.params)))
 
 
 def legality_constraints(dep: "DependencePolyhedron", src: "Statement",
                          dst: "Statement") -> ConstraintSystem:
     """Rows over the two statements' coefficient variables that hold exactly
-    when phi_dst - phi_src is non-negative on every point of the dependence."""
-    return _cone_rows(dep, *_difference_form(dep, src, dst))
+    when phi_dst - phi_src is non-negative on every point of the dependence:
+    `dep.farkas_rows`' legality rows, named."""
+    return ConstraintSystem(_coefficient_names(dep, src, dst), dep.farkas_rows[0])
 
 
 def bounding_constraints(dep: "DependencePolyhedron", src: "Statement",
                          dst: "Statement") -> ConstraintSystem:
-    """Rows stating u.p + w - (phi_dst - phi_src) >= 0 on the dependence."""
-    forms, variables = _difference_form(dep, src, dst)
-    forms = [{v: -w for v, w in form.items()} for form in forms]
-    bounds = bound_variables(dep.params)
-    for p, u in zip(dep.params, bounds):
-        forms[dep.relation.index(p)][u] = 1
-    forms[-1][bounds[-1]] = 1
-    return _cone_rows(dep, forms, bounds + variables)
+    """Rows stating u.p + w - (phi_dst - phi_src) >= 0 on the dependence:
+    `dep.farkas_rows`' bounding rows, named."""
+    return ConstraintSystem(bound_variables(dep.params) + _coefficient_names(dep, src, dst),
+                            dep.farkas_rows[1])

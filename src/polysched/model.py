@@ -5,8 +5,10 @@ textual order.  A dependence is a polyhedron of (source instance, target
 instance, parameters) points; the dependence graph over statement ids splits
 into weakly or strongly connected components.  An affine transform is a list
 of rows per statement, each row giving iterator coefficients, parameter-shift
-coefficients and a constant shift.  All types are immutable after construction,
-except that `Program` and `DependencePolyhedron` fill memo fields on first use.
+coefficients and a constant shift.  All types are immutable after
+construction, except for memo fields filled on first use: a dependence keeps
+what its relation decides (its Farkas cone and, per shape, its Farkas rows)
+in `_facts`, shared by the dependences of one analysis over that relation.
 Every pass places its distribution levels with `place_cut` and tells which
 dependences still constrain a level with `unsatisfied` and `negative`.
 """
@@ -18,7 +20,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .farkas import (
-    ConstraintSystem, ZERO, bounded_by_parameters, cone_minimum, farkas_cone,
+    ConstraintSystem, LinearRow, ZERO, bounded_by_parameters, cone_minimum,
+    dependence_rows, farkas_cone,
 )
 
 RAW = "RAW"
@@ -110,14 +113,10 @@ class DependencePolyhedron:
     params: tuple[str, ...]
     relation: ConstraintSystem
     label: str = ""
-    #: (legality, bounding) rows, `cone` with the two forms substituted in,
-    #: filled on first use by `pluto._farkas_rows`.
-    _farkas: tuple[ConstraintSystem, ConstraintSystem] | None = field(
-        default=None, init=False, repr=False, compare=False)
     #: What depends on `relation` alone, shared by the dependences of one
-    #: analysis with the same rows: the Farkas cone under "cone", set by the
-    #: frontend or by `cone` on first read, and the `bounded` verdict under
-    #: "bounded", decided on first use.
+    #: analysis with the same rows: the Farkas cone under "cone" (set by the
+    #: frontend or on first read), the `bounded` verdict under "bounded", and
+    #: `farkas_rows` under the rest of the `shape`: (source depth, self or not).
     _facts: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
     #: Minima by (source row, target row), filled by `min_dependence_component`.
@@ -161,12 +160,22 @@ class DependencePolyhedron:
         return bounded
 
     @property
+    def farkas_rows(self) -> tuple[tuple[LinearRow, ...], tuple[LinearRow, ...]]:
+        """The (legality, bounding) rows by column (`farkas.dependence_rows`),
+        shared by every dependence of the analysis with the same `shape`."""
+        key = (len(self.src_vars), self.src == self.dst)
+        rows = self._facts.get(key)
+        if rows is None:
+            rows = self._facts[key] = dependence_rows(self)
+        return rows
+
+    @property
     def shape(self) -> tuple:
         """All that the dependence's legality and bounding rows depend on
         besides the names of its statements and iterators: the relation's
         rows, both depths, the parameters, and whether it is a
-        self-dependence.  `fcg.fusion_probe` keys its verdicts on it; the
-        Farkas cone needs the relation's rows alone."""
+        self-dependence.  `fcg.fusion_probe` keys its verdicts on it, and
+        `farkas_rows` are shared per shape; the cone needs the rows alone."""
         return (self.relation.rows, len(self.src_vars), len(self.dst_vars),
                 self.params, self.src == self.dst)
 
@@ -349,28 +358,13 @@ def identity_transform(program: Program) -> AffineTransform:
 
 def dependence_difference(dep: DependencePolyhedron,
                           src_row: Sequence[Fraction] | None,
-                          dst_row: Sequence[Fraction] | None):
-    """phi_dst - phi_src over the dependence space as (objective, constant)."""
-    np = len(dep.params)
-    obj: dict[str, Fraction] = {}
-    const = ZERO
-
-    def accumulate(row, vars_, sign):
-        nonlocal const
-        if row is None:
-            return
-        m = len(vars_)
-        for v, c in zip(vars_, row[:m]):
-            if c:
-                obj[v] = obj.get(v, ZERO) + sign * c
-        for p, c in zip(dep.params, row[m: m + np]):
-            if c:
-                obj[p] = obj.get(p, ZERO) + sign * c
-        const += sign * row[m + np]
-
-    accumulate(dst_row, dep.dst_vars, Fraction(1))
-    accumulate(src_row, dep.src_vars, Fraction(-1))
-    return obj, const
+                          dst_row: Sequence[Fraction] | None) -> list[Fraction]:
+    """phi_dst - phi_src over the dependence space: one coefficient per
+    relation variable, in order, then the constant.  A missing row is zero."""
+    m, n, np = len(dep.src_vars), len(dep.dst_vars), len(dep.params)
+    src = src_row or (ZERO,) * (m + np + 1)
+    dst = dst_row or (ZERO,) * (n + np + 1)
+    return [-x for x in src[:m]] + list(dst[:n]) + [b - a for a, b in zip(src[m:], dst[n:])]
 
 
 def min_dependence_component(dep: DependencePolyhedron,
@@ -392,14 +386,13 @@ def min_dependence_component(dep: DependencePolyhedron,
 
 def _min_component(dep, src_row, dst_row) -> Fraction | None:
     """The minimum read off the relation's Farkas cone (`farkas.cone_minimum`)."""
-    obj, const = dependence_difference(dep, src_row, dst_row)
-    if not obj:
-        return const
+    form = dependence_difference(dep, src_row, dst_row)
+    if not any(form[:-1]):
+        return form[-1]
     try:
-        m = cone_minimum(dep.cone, [obj.get(v, ZERO) for v in dep.relation.variables])
+        return cone_minimum(dep.cone, form)
     except ValueError:
         raise SchedulingError(f"dependence polyhedron became empty: {dep!r}") from None
-    return None if m is None else m + const
 
 
 def component_range(dep: DependencePolyhedron, transform: AffineTransform,

@@ -24,8 +24,7 @@ from typing import Mapping, Sequence
 
 from . import ratlp
 from .farkas import (
-    ZERO, ConstraintSystem, _int_row, _row,
-    bound_variables, bounding_constraints, coefficient_variables, legality_constraints,
+    ZERO, ConstraintSystem, _int_row, _row, bound_variables, coefficient_variables,
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
@@ -127,22 +126,6 @@ def independence_vector(rows: Sequence[Sequence[Fraction]], ncols: int):
 # -- constraint assembly ------------------------------------------------------
 
 
-def _farkas_rows(program: Program, dep: DependencePolyhedron,
-                 ) -> tuple[ConstraintSystem, ConstraintSystem]:
-    """The (legality, bounding) rows of `dep`, built on first use.
-
-    They depend only on the dependence and its two statements, so they are
-    kept on the dependence and shared by every path and level that uses it.
-    Both substitute a form into `dep.cone`, the Farkas cone eliminated once
-    per distinct relation of an analysis.
-    """
-    if dep._farkas is None:
-        src, dst = program.statement(dep.src), program.statement(dep.dst)
-        object.__setattr__(dep, "_farkas", (legality_constraints(dep, src, dst),
-                                            bounding_constraints(dep, src, dst)))
-    return dep._farkas
-
-
 #: Per statement id, the (unknown, row over the statement's
 #: `coefficient_variables`, lower bound or None) terms of its level row.
 Terms = Mapping[str, Sequence[tuple[str, Sequence, Fraction | int | None]]]
@@ -158,10 +141,10 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     left out has a zero row.  The system's variables are the bound
     variables, then every unknown in order.  Donor bounds are ignored:
     legality and bounding rows are valid whatever bounds the level chooses.
-    Donor rows are substituted by column index: each coefficient variable
-    becomes its (column, weight) pairs over the level's variables, and the
-    row is made canonical by `_int_row`, or by `_row` when a weight is not
-    an int.
+    A dependence's `farkas_rows`, shared per dependence shape, are
+    substituted by position: each coefficient of a statement becomes the
+    (column, weight) pairs its terms give it, and each row is made
+    canonical by `_int_row`, or by `_row` when a weight is not an int.
 
     With `feasibility` set, for a caller that asks only whether the system
     has a point, a dependence whose relation is `bounded` gives its
@@ -173,22 +156,25 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     bounds = bound_variables(program.params)
     lower = {u: low for listed in terms.values() for u, _, low in listed}
     system = ConstraintSystem(bounds + list(lower), (), lower)
-    weights: dict[str, dict[int, Fraction | int]] = {v: {system.index(v): 1} for v in bounds}
+    width, nparams = len(system.variables), len(program.params)
+    columns = {}
     for sid, listed in terms.items():
-        names = coefficient_variables(program.statement(sid), program.params)
+        weights = [{} for _ in range(program.statement(sid).dim + nparams + 1)]
         for unknown, row, _ in listed:
-            k = system.index(unknown)
-            for v, a in zip(names, row):
+            for j, a in enumerate(row):
                 if a:
-                    weights.setdefault(v, {})[k] = a
-    forms = {v: tuple(w.items()) for v, w in weights.items()}
-    exact = all(type(a) is int for form in forms.values() for _, a in form)
-    width, rows = len(system.variables), []
+                    weights[j][system.index(unknown)] = a
+        columns[sid] = [tuple(w.items()) for w in weights]
+    exact = all(type(a) is int for cols in columns.values() for form in cols for _, a in form)
+    units = [((k, 1),) for k in range(len(bounds))]
+    rows = []
     for dep in deps:
-        donors = _farkas_rows(program, dep)
-        for donor in donors[:1] if feasibility and dep.bounded else donors:
-            subst = [forms.get(v, ()) for v in donor.variables]
-            for nonzero, const, kind, _ in donor.rows:
+        cols = [form for sid in dict.fromkeys((dep.src, dep.dst)) for form in
+                columns.get(sid) or [()] * (program.statement(sid).dim + nparams + 1)]
+        legality_only = feasibility and dep.bounded
+        for donor, subst in zip(dep.farkas_rows[:1] if legality_only else dep.farkas_rows,
+                                (cols, units + cols)):
+            for nonzero, const, kind, _ in donor:
                 acc: dict[int, Fraction | int] = {}
                 for i, c in nonzero:
                     for k, a in subst[i]:

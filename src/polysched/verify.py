@@ -22,7 +22,7 @@ from .fcg import build_fcg, colorable_dimension, fusion_probe
 from .frontend import ParseError, analyze, parse_json, read_utf8
 from .model import (
     AffineTransform, DependencePolyhedron, Program, SchedulingError,
-    components, dependence_difference, dependence_list, scc_decompose,
+    components, dependence_difference, dependence_list, scc_decompose, unsatisfied,
 )
 from .pluto import (
     ILP, LP, ScheduleResult, SchedulerConfig, Step,
@@ -58,15 +58,16 @@ def lp_minimum(dep: DependencePolyhedron, src_row, dst_row) -> Optional[Fraction
     The legality check's own oracle: it shares neither the Farkas cone the
     scheduler reads its minima from nor the scheduler's memo of them.
     """
-    obj, const = dependence_difference(dep, src_row, dst_row)
-    if not obj:
-        return const
+    form = dependence_difference(dep, src_row, dst_row)
+    if not any(form[:-1]):
+        return form[-1]
+    obj = {v: c for v, c in zip(dep.relation.variables, form) if c}
     res = ratlp.solve_lp(ratlp.LPProblem.of(dep.relation, [obj]))
     if res.status == ratlp.UNBOUNDED:
         return None
     if res.status != ratlp.OPTIMAL:
         raise SchedulingError(f"dependence polyhedron became empty: {dep!r}")
-    return res.objective[0] + const
+    return res.objective[0] + form[-1]
 
 
 def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
@@ -119,9 +120,9 @@ def _never_tied(dep: DependencePolyhedron, transform: AffineTransform,
     """Is the dependence relation empty once phi_dst - phi_src is pinned to
     0 at each of the first `common` levels?  One rational LP."""
     relation = dep.relation
-    rows = [relation.row_from(*dependence_difference(
-                dep, transform.row(dep.src, level), transform.row(dep.dst, level)), EQ)
-            for level in range(1, common + 1)]
+    forms = [dependence_difference(dep, transform.row(dep.src, k), transform.row(dep.dst, k))
+             for k in range(1, common + 1)]
+    rows = [relation.row_from(dict(zip(relation.variables, f)), f[-1], EQ) for f in forms]
     return not ratlp.solve_lp(ratlp.LPProblem.of(relation.with_rows(rows)))
 
 
@@ -331,10 +332,15 @@ class _Runs:
 
 
 def _run_instance(inst: CorpusInstance) -> _Runs:
-    return _Runs(inst,
-                 schedule(inst.program, inst.deps, SchedulerConfig(mode=LP)),
-                 schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP)),
-                 dfp_schedule(inst.program, inst.deps))
+    """Every path on the instance; an error names the instance and path."""
+    results = []
+    for path in (LP, ILP, "dfp"):
+        try:
+            results.append(dfp_schedule(inst.program, inst.deps) if path == "dfp" else
+                           schedule(inst.program, inst.deps, SchedulerConfig(mode=path)))
+        except (SchedulingError, ratlp.ResourceLimitError) as exc:
+            raise type(exc)(f"{inst.name}: {path}: {exc}") from None
+    return _Runs(inst, *results)
 
 
 def _solves(result: ScheduleResult | DfpResult) -> list[Step]:
@@ -566,18 +572,19 @@ def _check_skew_inert(runs, bound):
 
 
 def _check_partition_convexity(runs, bound):
+    """No ordering dependence live above a cut of a `dfp` transform runs
+    from a later group of the cut into an earlier one."""
     bad = []
     for r in runs:
-        colors = r.dfp.coloring.colors
-        dims = {s.id: s.dim for s in r.instance.program.statements}
-        for dep in r.instance.deps:
-            if dep.src == dep.dst:
-                continue
-            for c in range(1, len(colors[dep.dst]) + 1):
-                have = len(colors[dep.src])
-                if have < c and have < dims[dep.src]:
-                    bad.append(f"{r.instance.name}: {dep.src} misses color {c} "
-                               f"though its successor {dep.dst} holds it")
+        transform = r.dfp.transform
+        ordering = [d for d in r.instance.deps if d.ordering]
+        for cut in transform.cuts:
+            place = {sid: k for k, group in enumerate(cut.groups) for sid in group}
+            for dep in unsatisfied(ordering, transform, cut.level - 1):
+                if place.get(dep.src, -1) > place.get(dep.dst, len(cut.groups)):
+                    bad.append(f"{r.instance.name}: the cut at level {cut.level} puts "
+                               f"{dep.dst} before its predecessor {dep.src} "
+                               f"({dependence_list([dep])})")
     details = tuple(bad) or ("color classes closed under predecessors",)
     return CheckResult("partition-convexity", "fail" if bad else "pass", details)
 

@@ -8,6 +8,8 @@ from polysched import ratlp
 from polysched.cli import main
 from polysched.fcg import color_fcg, to_dot
 
+from inputs import FIXTURES
+
 CORPUS = resources.files("polysched").joinpath("corpus")
 FIG1 = str(CORPUS.joinpath("fig1.json"))
 
@@ -244,6 +246,15 @@ class TestErrors:
         code, _, err = run(capsys, "schedule", str(path))
         assert code == 3
         assert err.startswith("internal error: no dimension of S can take color 1; ")
+
+    def test_corpus_scheduling_error_names_instance_and_path(self, capsys, tmp_path):
+        program = json.loads((FIXTURES / "scale_shift_infeasible.json").read_text())
+        (tmp_path / "stuck.json").write_text(json.dumps({"name": "stuck", "program": program}))
+        code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err == ("internal error: stuck: dfp: no legal scaling and shifting exists "
+                       "at level 2: statements S1; live dependences S0->S1 A:0->0, "
+                       "S1->S1 A:0->0@1, S1->S2 A:0->0\n")
 
     def test_node_limit_exits_3_and_names_where(self, capsys, monkeypatch):
         monkeypatch.setattr(ratlp, "solve_ilp",

@@ -601,9 +601,10 @@ def test_eliminate_gives_the_reference_rows_on_the_family(family_eliminations):
 
 
 def name_keyed_level_system(program, deps, terms):
-    """`pluto.level_system` stated by variable name: each donor row's
-    substitution summed into a {variable: coefficient} map and made a row
-    by `row_from`."""
+    """`pluto.level_system` stated by variable name: each row of the named
+    views `legality_constraints` and `bounding_constraints` substituted
+    through its variables' names, summed into a {variable: coefficient} map
+    and made a row by `row_from`."""
     bounds = pluto.bound_variables(program.params)
     forms = {v: {v: 1} for v in bounds}
     lower = {}
@@ -617,7 +618,9 @@ def name_keyed_level_system(program, deps, terms):
     system = ConstraintSystem(bounds + list(lower), (), lower)
     rows = []
     for dep in deps:
-        for donor in pluto._farkas_rows(program, dep):
+        src, dst = program.statement(dep.src), program.statement(dep.dst)
+        for donor in (legality_constraints(dep, src, dst),
+                      bounding_constraints(dep, src, dst)):
             for r in donor.rows:
                 acc = {}
                 for i, c in r.nonzero:
@@ -675,9 +678,29 @@ def reference_farkas_system(dep, forms, variables):
     return eliminate(system.with_rows(system.row_from(f, 0, EQ) for f in lhs), lam)
 
 
+def named_difference_form(dep, src, dst):
+    """phi_dst(t) - phi_src(s) over the dependence space by variable name:
+    one {coefficient variable: weight} map per relation variable, in order,
+    then one for the constant, and the two statements' coefficient
+    variables.  A self-dependence's shifts cancel."""
+    m, n = len(dep.src_vars), len(dep.src_vars) + len(dep.dst_vars)
+    forms = [{} for _ in range(n + len(dep.params) + 1)]
+    cs = coefficient_variables(src, dep.params)
+    cd = coefficient_variables(dst, dep.params)
+    for k in range(src.dim):
+        forms[k][cs[k]] = -1
+    for k in range(dst.dim):
+        forms[m + k][cd[k]] = 1
+    for k in range(len(dep.params) + 1):
+        for v, w in ((cd[dst.dim + k], 1), (cs[src.dim + k], -1)):
+            forms[n + k][v] = forms[n + k].get(v, 0) + w
+    forms = [{v: w for v, w in form.items() if w} for form in forms]
+    return forms, list(dict.fromkeys(cs + cd))
+
+
 def reference_systems(dep, src, dst):
     """(legality, bounding) rows of `dep`, each by per-form elimination."""
-    forms, variables = farkas._difference_form(dep, src, dst)
+    forms, variables = named_difference_form(dep, src, dst)
     neg = [{v: -w for v, w in form.items()} for form in forms]
     for p in dep.params:
         neg[dep.relation.index(p)][f"u.{p}"] = 1
@@ -714,7 +737,7 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
     """On a small non-empty relation of ge and eq rows through a known
     integer point, a small integer (a, b) is in `farkas_cone` exactly when
     the minimum of a.x + b over the relation is non-negative; unbounded
-    below counts as outside.  `cone_minimum` reads that minimum of a.x off
+    below counts as outside.  `cone_minimum` reads that minimum of a.x + b off
     the cone, None when unbounded.  One LP per form, no elimination."""
     n = data.draw(st.integers(1, 3))
     names = [f"x{k}" for k in range(n)]
@@ -742,8 +765,8 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
         expect = res.status == OPTIMAL and res.objective[0] + b >= 0
         form = {**{f"a{j}": c for j, c in enumerate(a)}, "b": b}
         assert cone.satisfied_by(form) == expect
-        minimum = res.objective[0] if res.status == OPTIMAL else None
-        assert farkas.cone_minimum(cone, a) == minimum
+        minimum = res.objective[0] + b if res.status == OPTIMAL else None
+        assert farkas.cone_minimum(cone, a + [b]) == minimum
 
 
 @settings(max_examples=200, deadline=None)

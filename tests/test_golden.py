@@ -140,9 +140,9 @@ def _steps_digest(steps, systems=True) -> str:
 
 
 def farkas_entry(program, deps) -> dict:
-    """Digest of each dependence's (legality, bounding) system, substituted
-    afresh into the dependence's own Farkas cone (`dep.cone`) rather than
-    taken from its `_farkas` memo."""
+    """Digest of each dependence's (legality, bounding) system: the named
+    views of the rows its shape shares (`dep.farkas_rows`), substituted
+    into the relation's Farkas cone (`dep.cone`)."""
     entry = {}
     for k, dep in enumerate(deps):
         src, dst = program.statement(dep.src), program.statement(dep.dst)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polysched import frontend, model, pluto, ratlp
+from polysched import farkas, frontend, model, pluto, ratlp
 from polysched.farkas import (
     GE, ConstraintSystem, bounding_constraints, coefficient_variables, legality_constraints,
 )
@@ -17,11 +17,11 @@ from polysched.model import Band, Cut, SchedulingError
 from polysched.postpass import dfp_schedule
 from polysched.pluto import (
     ILP, LP,
-    SchedulerConfig, _farkas_rows, bound_variables, dimension_terms, find_hyperplane,
+    SchedulerConfig, bound_variables, dimension_terms, find_hyperplane,
     independence_vector, level_rows, level_system, nullspace_basis, row_rank,
     rref, schedule, solve_level,
 )
-from polysched.verify import check_legality, full_rank, load_corpus
+from polysched.verify import check_legality, full_rank
 
 from inputs import FIXTURES, bench_chain
 
@@ -34,6 +34,12 @@ def R(*xs):
 
 def rows_of(result, sid):
     return result.transform.rows[sid]
+
+
+def named_rows(program, dep):
+    """The (legality, bounding) rows of `dep` as named systems."""
+    src, dst = program.statement(dep.src), program.statement(dep.dst)
+    return legality_constraints(dep, src, dst), bounding_constraints(dep, src, dst)
 
 
 def _rows_hold(system, values):
@@ -103,7 +109,7 @@ class TestAssembly:
             assert _rows_hold(s, values) == all(
                 _rows_hold(donor, values)
                 for dep in inst.deps
-                for donor in _farkas_rows(inst.program, dep))
+                for donor in named_rows(inst.program, dep))
 
     def test_level_system_substitutes_forms(self, by_name):
         inst = by_name["shift_pair"]
@@ -123,41 +129,43 @@ class TestAssembly:
             assert _rows_hold(s, mine) == all(
                 _rows_hold(donor, theirs)
                 for dep in inst.deps
-                for donor in _farkas_rows(inst.program, dep))
-
-    def test_farkas_rows_built_once_per_dependence(self, monkeypatch):
-        # Fresh dependences: the session corpus may already carry rows.
-        inst = next(i for i in load_corpus() if i.name == "shift_pair")
-        built = []
-        for name in ("legality_constraints", "bounding_constraints"):
-            build = getattr(pluto, name)
-            monkeypatch.setattr(pluto, name, lambda dep, *rest, _build=build:
-                                built.append(dep) or _build(dep, *rest))
-        terms = {"P": [("c.P.i", (1, 0, 0), 0)], "Q": [("c.Q.i", (1, 0, 0), 0)]}
-        level_system(inst.program, inst.deps, terms)
-        rows = [_farkas_rows(inst.program, dep) for dep in inst.deps]
-        level_system(inst.program, inst.deps, terms)
-        assert len(built) == 2 * len(inst.deps)
-        assert set(map(id, built)) == set(map(id, inst.deps))
-        for dep, first in zip(inst.deps, rows):
-            assert _farkas_rows(inst.program, dep) is first
+                for donor in named_rows(inst.program, dep))
 
 
 class TestFarkasShapes:
     """Each distinct dependence relation's Farkas cone is eliminated once per
-    analysis, by the frontend, and shared by the dependences over it; every
-    dependence's rows substituted into a shared cone must equal a fresh
-    build."""
+    analysis, by the frontend, and each dependence shape's rows are built
+    once from it and shared by the dependences of that shape; the shared
+    rows must equal a fresh build."""
 
     @staticmethod
     def assert_fresh(program, dep):
-        src, dst = program.statement(dep.src), program.statement(dep.dst)
-        fresh = (legality_constraints(dep, src, dst),
-                 bounding_constraints(dep, src, dst))
-        for got, want in zip(_farkas_rows(program, dep), fresh):
-            assert got.variables == want.variables
-            assert got.rows == want.rows
-            assert got.lower == want.lower
+        assert dep.farkas_rows == farkas.dependence_rows(dep)
+        for system, rows in zip(named_rows(program, dep), dep.farkas_rows):
+            assert system.rows == rows
+            assert all(b == 0 for b in system.lower.values())
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        built = []
+        build = model.dependence_rows
+        monkeypatch.setattr(model, "dependence_rows",
+                            lambda dep: built.append(dep) or build(dep))
+        return built
+
+    def test_rows_are_built_once_per_shape(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
+        program, deps = analyze(bench_chain.chain(4))
+        raws = [d for d in deps if d.kind == "RAW"]
+        assert len(raws) == 3 and len({d.shape for d in raws}) == 1
+        rows = raws[0].farkas_rows
+        terms = {s.id: [(f"c.{s.id}.i", (1, 0, 0, 0), 0)] for s in program.statements}
+        level_system(program, deps, terms)
+        level_system(program, deps, terms)
+        assert built == [raws[0]]
+        assert all(d.farkas_rows is rows for d in raws)
+        for dep in raws:
+            self.assert_fresh(program, dep)
 
     @pytest.mark.parametrize("name", ["matmul", "chain4"])
     def test_repeated_shapes_equal_a_fresh_build(self, name, monkeypatch):
@@ -176,29 +184,31 @@ class TestFarkasShapes:
             raise AssertionError("a dependence of the frontend built its own cone")
 
         monkeypatch.setattr(model, "farkas_cone", no_build)
+        shared = self.count_builds(monkeypatch)
         for dep in deps:
-            _farkas_rows(program, dep)
+            dep.farkas_rows
         relations = {d.relation.rows for d in deps}
         # The frontend also eliminates the cones of empty candidates.
         assert len({r.rows for r in built}) == len(built)
         assert len([r for r in built if r.rows in relations]) == len(relations) < len(deps)
         assert len({id(d.cone) for d in deps}) == len(relations)
+        assert len(shared) == len({d.shape for d in deps}) < len(deps)
         for dep in deps:
             self.assert_fresh(program, dep)
 
-    def test_two_analyses_share_nothing(self):
+    def test_two_analyses_share_nothing(self, monkeypatch):
+        built = self.count_builds(monkeypatch)
         data = bench_chain.chain(3)
         first, first_deps = analyze(data)
         second, second_deps = analyze(data)
-        rows = [_farkas_rows(first, d) for d in first_deps]
-        assert all(d._farkas for d in first_deps)
-        assert not any(d._farkas for d in second_deps)
-        assert all(a.cone is not b.cone and a.cone.rows == b.cone.rows
+        rows = [d.farkas_rows for d in first_deps]
+        assert all(a._facts is not b._facts and a.cone is not b.cone
+                   and a.cone.rows == b.cone.rows
                    for a, b in zip(first_deps, second_deps))
         for dep, mine in zip(second_deps, rows):
-            theirs = _farkas_rows(second, dep)
-            assert all(a is not b and a.rows == b.rows
-                       for a, b in zip(theirs, mine))
+            theirs = dep.farkas_rows
+            assert theirs is not mine and theirs == mine
+        assert len(built) == 2 * len({d.shape for d in first_deps})
 
     def test_self_and_cross_dependence_do_not_collide(self):
         stmt = {"iterators": ["i"], "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
@@ -218,16 +228,22 @@ class TestFarkasShapes:
         for dep in deps:
             self.assert_fresh(program, dep)
         # One cone, but the self-dependence's shifts cancel and the cross
-        # dependence's do not.
+        # dependence's do not: two pairs of rows, the self-dependences' shared.
         assert len({id(d.cone) for d in deps}) == 1
-        legality = [_farkas_rows(program, d)[0] for d in deps]
-        assert legality[0].rows != legality[1].rows
+        assert deps[0].farkas_rows is not deps[1].farkas_rows
+        assert deps[0].farkas_rows[0] != deps[1].farkas_rows[0]
+        assert deps[1].farkas_rows is deps[2].farkas_rows
+        legality = [named_rows(program, d)[0] for d in deps]
+        assert legality[0].variables == tuple(
+            coefficient_variables(program.statement("P"), ["N"])
+            + coefficient_variables(program.statement("Q"), ["N"]))
         assert legality[2].variables == tuple(
             coefficient_variables(program.statement("Q"), ["N"]))
 
     def test_iterator_names_do_not_split_shapes(self):
         """Statements alike but for their names and iterator names share one
-        elimination, and each one's rows equal a fresh build."""
+        elimination and one pair of rows, and each one's rows equal a fresh
+        build."""
         def stmt(sid, it):
             return {"id": sid, "iterators": [it],
                     "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
@@ -240,6 +256,7 @@ class TestFarkasShapes:
         for dep in deps:
             self.assert_fresh(program, dep)
         assert len({id(d.cone) for d in deps}) == 1
+        assert deps[0].farkas_rows is deps[1].farkas_rows
 
 
 class TestFindHyperplane:

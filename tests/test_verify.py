@@ -359,6 +359,19 @@ class TestTheoremSuite:
         assert check.details == (
             "two_bands: skewed levels 2; not tileable as permuted",)
 
+    def test_partition_convexity_fails_on_swapped_cut_groups(self, by_name, dfp_results):
+        inst, result = by_name["distribution_forced"], dfp_results["distribution_forced"]
+        (cut,) = result.transform.cuts
+        assert cut.groups == (("P",), ("Q",))
+        run = SimpleNamespace(instance=inst, dfp=result)
+        assert verify._check_partition_convexity([run], 3).status == "pass"
+        swapped = replace(result.transform, cuts=(replace(cut, groups=cut.groups[::-1]),))
+        run = SimpleNamespace(instance=inst, dfp=replace(result, transform=swapped))
+        check = verify._check_partition_convexity([run], 3)
+        assert check.status == "fail"
+        assert check.details == ("distribution_forced: the cut at level 1 puts Q before "
+                                 "its predecessor P (P->Q b:0->1)",)
+
     def test_scc_colorability_passes_with_a_scalar_statement(self):
         inst = parse_instance({"name": "scalar", "program": {
             "params": ["N"], "statements": [
