@@ -14,6 +14,14 @@ analysis followed by each path (`ilp`, `lp`, `dfp`), in CPU seconds
 operation.  Per workload and operation the script prints the sum over the
 programs of each tree's minimum over the rounds, in ms, and each tree's
 change against SRC_A.
+
+One interpreter cannot see start-up cost, so the `import` row comes first:
+every round imports each tree's package once in a fresh `python -B` child,
+the trees in a new random order, and the row gives each tree's least child
+CPU time (`resource.getrusage(RUSAGE_CHILDREN)`, interpreter start
+included).  A child writes no bytecode; it reads the bytecode that the
+script's own import of the tree left, unless PYTHONDONTWRITEBYTECODE is set,
+in which case every child compiles the package afresh.
 """
 
 from __future__ import annotations
@@ -22,7 +30,9 @@ import argparse
 import importlib
 import importlib.util
 import random
+import resource
 import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -61,6 +71,33 @@ def _operation(package, op: str, data):
     return lambda: package.pluto.schedule(*analyze(data), config)
 
 
+def _child_cpu() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def _import_times(names, scratch: Path, rounds: int, rng) -> list[float]:
+    """Each package's least CPU seconds over `rounds` fresh `python -B`
+    children that import it and nothing else."""
+    best = [float("inf")] * len(names)
+    for _ in range(rounds):
+        order = list(range(len(names)))
+        rng.shuffle(order)
+        for t in order:
+            code = f"import sys; sys.path.insert(0, {str(scratch)!r}); import {names[t]}"
+            start = _child_cpu()
+            subprocess.run([sys.executable, "-B", "-c", code], check=True)
+            best[t] = min(best[t], _child_cpu() - start)
+    return best
+
+
+def _print_row(label: str, sums) -> None:
+    """One operation's times per tree in ms, each against SRC_A's."""
+    cells = [f"{sums[0]:.2f}"] + [
+        f"{s:.2f} ({100 * (s / sums[0] - 1):+.1f}%)" for s in sums[1:]]
+    print("  " + label.ljust(10) + "".join(c.rjust(20) for c in cells))
+
+
 def main(argv=None) -> int:
     workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -73,11 +110,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     labels = ("A", "A/A", "B")
+    header = "  " + "operation".ljust(10) + "".join(label.rjust(20) for label in labels)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        trees = [_load_tree(src, f"polysched_ab{k}", Path(tmp))
-                 for k, src in enumerate((args.src_a, args.src_a, args.src_b))]
+        names = [f"polysched_ab{k}" for k in range(3)]
+        trees = [_load_tree(src, name, Path(tmp))
+                 for name, src in zip(names, (args.src_a, args.src_a, args.src_b))]
         rng = random.Random(0)
+        print(f"import: {args.rounds} rounds, least CPU ms of a fresh child")
+        print(header)
+        _print_row("import", [1000 * s for s in _import_times(names, Path(tmp),
+                                                              args.rounds, rng)])
         for workload in args.workloads:
             programs = workloads.programs(workload, ROOT / "src")
             best = {}  # (tree, operation, program) -> least CPU seconds
@@ -95,14 +138,10 @@ def main(argv=None) -> int:
                             best[key] = min(best.get(key, spent), spent)
             print(f"{workload}: {len(programs)} programs, {args.rounds} rounds, "
                   f"sum of per-program minima in CPU ms")
-            print("  " + "operation".ljust(10)
-                  + "".join(label.rjust(20) for label in labels))
+            print(header)
             for op in OPERATIONS:
-                sums = [1000 * sum(best[t, op, k] for k in range(len(programs)))
-                        for t in range(len(trees))]
-                cells = [f"{sums[0]:.2f}"] + [
-                    f"{s:.2f} ({100 * (s / sums[0] - 1):+.1f}%)" for s in sums[1:]]
-                print("  " + op.ljust(10) + "".join(c.rjust(20) for c in cells))
+                _print_row(op, [1000 * sum(best[t, op, k] for k in range(len(programs)))
+                                for t in range(len(trees))])
         sys.path.remove(tmp)
     return 0
 

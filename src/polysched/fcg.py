@@ -17,10 +17,9 @@ satisfy, and tries the color again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, product
 from math import prod
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import ratlp
 from .model import (
@@ -41,27 +40,25 @@ Vertex = tuple[str, int]
 MAX_SCC_PICKS = 4096
 
 
-@dataclass(frozen=True)
 class FusionConflictGraph:
     """Conflict, clique and self-loop edges over (statement, dimension) pairs."""
 
-    vertices: tuple[Vertex, ...]
-    conflicts: tuple[tuple[Vertex, Vertex], ...]
-    cliques: tuple[tuple[Vertex, Vertex], ...]
-    loops: tuple[Vertex, ...]
-    #: The vertices joined to each vertex by an edge, itself if it has a
-    #: self loop.
-    _neighbours: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "conflicts", "cliques", "loops", "_neighbours")
 
-    def __post_init__(self):
-        adj: dict[Vertex, set] = {v: set() for v in self.vertices}
-        for v in self.loops:
+    def __init__(self, vertices: tuple[Vertex, ...],
+                 conflicts: tuple[tuple[Vertex, Vertex], ...],
+                 cliques: tuple[tuple[Vertex, Vertex], ...], loops: tuple[Vertex, ...]):
+        self.vertices, self.conflicts, self.cliques, self.loops = (
+            vertices, conflicts, cliques, loops)
+        adj: dict[Vertex, set] = {v: set() for v in vertices}
+        for v in loops:
             adj[v].add(v)
-        for u, v in self.conflicts + self.cliques:
+        for u, v in conflicts + cliques:
             adj[u].add(v)
             adj[v].add(u)
-        object.__setattr__(self, "_neighbours",
-                           {v: frozenset(vs) for v, vs in adj.items()})
+        #: The vertices joined to each vertex by an edge, itself if it has a
+        #: self loop.
+        self._neighbours = {v: frozenset(vs) for v, vs in adj.items()}
 
     def neighbours(self, v: Vertex) -> frozenset:
         """The vertices an edge (conflict or same-statement clique) joins to
@@ -208,8 +205,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
 # -- coloring ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """Outcome of coloring: one dimension per statement per level.
 
     `colors[sid][c-1]` is the dimension of `sid` placed at color `c`; the

@@ -239,7 +239,7 @@ def _dependence(src: Statement, dst: Statement, kind: str,
     v, m, n = relation.variables, src.dim, src.dim + dst.dim
     dep = DependencePolyhedron(src.id, dst.id, kind, v[:m], v[m:n], v[n:],
                                relation, label=label)
-    object.__setattr__(dep, "_facts", facts)
+    dep._facts = facts
     return dep
 
 

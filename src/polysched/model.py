@@ -5,19 +5,22 @@ textual order.  A dependence is a polyhedron of (source instance, target
 instance, parameters) points; the dependence graph over statement ids splits
 into weakly or strongly connected components.  An affine transform is a list
 of rows per statement, each row giving iterator coefficients, parameter-shift
-coefficients and a constant shift.  All types are immutable after
-construction, except for memo fields filled on first use: a dependence keeps
-what its relation decides (its Farkas cone and, per shape, its Farkas rows)
-in `_facts`, shared by the dependences of one analysis over that relation.
-Every pass places its distribution levels with `place_cut` and tells which
-dependences still constrain a level with `unsatisfied` and `negative`.
+coefficients and a constant shift.  The value types are NamedTuples, so
+immutable.  `IndexSet`, `Program` and `DependencePolyhedron` check their
+fields in `__init__`; they are plain slotted classes whose fields nothing
+reassigns afterwards, though nothing prevents it either.  Only their memo
+fields change, filled on first use: a program keeps its probe verdicts, and
+a dependence keeps what its relation decides (its Farkas cone and, per
+shape, its Farkas rows) in `_facts`, shared by the dependences of one
+analysis over that relation.  Every pass places its distribution levels
+with `place_cut` and tells which dependences still constrain a level with
+`unsatisfied` and `negative`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .farkas import (
     ConstraintSystem, LinearRow, ZERO, bounded_by_parameters, cone_minimum,
@@ -38,26 +41,24 @@ class SchedulingError(RuntimeError):
     """An impossible state: progress guarantees or proved properties failed."""
 
 
-@dataclass(frozen=True)
 class IndexSet:
     """Affine iteration domain over iterators and program parameters."""
 
-    iterators: tuple[str, ...]
-    params: tuple[str, ...]
-    system: ConstraintSystem
+    __slots__ = ("iterators", "params", "system")
 
-    def __post_init__(self):
-        expect = tuple(self.iterators) + tuple(self.params)
-        if self.system.variables != expect:
-            raise ValueError(f"domain variables {self.system.variables} != {expect}")
+    def __init__(self, iterators: tuple[str, ...], params: tuple[str, ...],
+                 system: ConstraintSystem):
+        expect = tuple(iterators) + tuple(params)
+        if system.variables != expect:
+            raise ValueError(f"domain variables {system.variables} != {expect}")
+        self.iterators, self.params, self.system = iterators, params, system
 
     @property
     def dim(self) -> int:
         return len(self.iterators)
 
 
-@dataclass(frozen=True)
-class AccessFunction:
+class AccessFunction(NamedTuple):
     """One array reference: affine map from iterators and parameters to cells."""
 
     array: str
@@ -65,8 +66,7 @@ class AccessFunction:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     id: str
     domain: IndexSet
     accesses: tuple[AccessFunction, ...]
@@ -77,56 +77,49 @@ class Statement:
         return self.domain.dim
 
 
-@dataclass(frozen=True)
 class Program:
-    params: tuple[str, ...]
-    statements: tuple[Statement, ...]
-    #: One verdict per probe shape, filled by `fcg.fusion_probe`, and the
-    #: statements by id.
-    _probe_verdicts: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
-    _by_id: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    __slots__ = ("params", "statements", "_by_id", "_probe_verdicts")
 
-    def __post_init__(self):
-        self._by_id.update((s.id, s) for s in self.statements)
-        if len(self._by_id) != len(self.statements):
+    def __init__(self, params: tuple[str, ...], statements: tuple[Statement, ...]):
+        self.params, self.statements = params, statements
+        self._by_id = {s.id: s for s in statements}
+        if len(self._by_id) != len(statements):
             raise ValueError("duplicate statement ids")
+        #: One verdict per probe shape, filled by `fcg.fusion_probe`.
+        self._probe_verdicts: dict = {}
 
     def statement(self, sid: str) -> Statement:
         return self._by_id[sid]
 
-@dataclass(frozen=True, eq=False)
+
 class DependencePolyhedron:
     """Instance-pair polyhedron between a source and a target statement.
 
     The relation's variables are the source instance coordinates, the target
     instance coordinates, then the parameters, all unbounded (domain rows and
-    explicit parameter non-negativity carry the bounds).
+    explicit parameter non-negativity carry the bounds).  Two dependences are
+    equal only when they are the same object.
     """
 
-    src: str
-    dst: str
-    kind: str
-    src_vars: tuple[str, ...]
-    dst_vars: tuple[str, ...]
-    params: tuple[str, ...]
-    relation: ConstraintSystem
-    label: str = ""
-    #: What depends on `relation` alone, shared by the dependences of one
-    #: analysis with the same rows: the Farkas cone under "cone" (set by the
-    #: frontend or on first read), the `bounded` verdict under "bounded", and
-    #: `farkas_rows` under the rest of the `shape`: (source depth, self or not).
-    _facts: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    #: Minima by (source row, target row), filled by `min_dependence_component`.
-    _minima: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    __slots__ = ("src", "dst", "kind", "src_vars", "dst_vars", "params", "relation",
+                 "label", "_facts", "_minima")
 
-    def __post_init__(self):
-        expect = self.src_vars + self.dst_vars + self.params
-        if self.relation.variables != expect:
+    def __init__(self, src: str, dst: str, kind: str, src_vars: tuple[str, ...],
+                 dst_vars: tuple[str, ...], params: tuple[str, ...],
+                 relation: ConstraintSystem, label: str = ""):
+        if relation.variables != src_vars + dst_vars + params:
             raise ValueError("relation variables out of order")
+        self.src, self.dst, self.kind, self.label = src, dst, kind, label
+        self.src_vars, self.dst_vars, self.params = src_vars, dst_vars, params
+        self.relation = relation
+        #: What depends on `relation` alone, shared by the dependences of one
+        #: analysis with the same rows: the Farkas cone under "cone" (set by
+        #: the frontend or on first read), the `bounded` verdict under
+        #: "bounded", and `farkas_rows` under the rest of the `shape`:
+        #: (source depth, self or not).
+        self._facts: dict = {}
+        #: Minima by (source row, target row), filled by `min_dependence_component`.
+        self._minima: dict = {}
 
     def __repr__(self):
         return f"<{self.kind} {self.src}->{self.dst} {self.label}>"
@@ -250,8 +243,7 @@ def scc_decompose(ids: Sequence[str], deps: Sequence[DependencePolyhedron],
 # -- transforms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     """A run of consecutive levels found against one fixed legality system."""
 
     start: int
@@ -261,16 +253,14 @@ class Band:
     statements: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """A constant distribution level: statements grouped by emitted ordinal."""
 
     level: int
     groups: tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class AffineTransform:
+class AffineTransform(NamedTuple):
     """Per-statement schedule rows plus band and distribution structure.
 
     A row has one coefficient per iterator of its statement, one per program

@@ -17,10 +17,9 @@ single SCC, the error names the live dependences.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import ratlp
 from .farkas import (
@@ -39,16 +38,16 @@ ILP = "ilp"
 MAX_AXIS_COMBOS = 4096
 
 
-@dataclass(frozen=True)
 class SchedulerConfig:
-    mode: str = LP
-    #: No shifts and no skew: every row is a scaled unit vector.
-    restricted: bool = False
+    __slots__ = ("mode", "restricted")
 
-    def __post_init__(self):
-        if self.mode not in (LP, ILP):
-            raise ValueError(f"unknown scheduler mode {self.mode!r}; "
+    def __init__(self, mode: str = LP, restricted: bool = False):
+        if mode not in (LP, ILP):
+            raise ValueError(f"unknown scheduler mode {mode!r}; "
                              f"expected {LP!r} or {ILP!r}")
+        self.mode = mode
+        #: No shifts and no skew: every row is a scaled unit vector.
+        self.restricted = restricted
 
 
 DEFAULT = SchedulerConfig()
@@ -232,8 +231,7 @@ def dimension_terms(program: Program, statements: Sequence[Statement],
 # -- one level ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One schedule level: a solve, or a cut that needed none.
 
     A loop step comes only from `solve_level`.  `raw` is the solver's
@@ -383,8 +381,7 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
 # -- the full scheduler -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(NamedTuple):
     transform: AffineTransform
     steps: tuple[Step, ...]
     components: tuple[tuple[str, ...], ...]

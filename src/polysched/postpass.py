@@ -18,8 +18,7 @@ permutable.  `dfp_schedule` chains all three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fcg import Coloring, color_fcg
 from .model import (
@@ -87,8 +86,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
 # -- skewing -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SkewOutcome:
+class SkewOutcome(NamedTuple):
     """`transform` is the input with every kept skew and every band set;
     `skewed` holds one step per replaced level, outermost first, none when
     no band kept a skew, and `diagnostics` one line per band refused one."""
@@ -127,7 +125,7 @@ def _skew_level(program: Program, live: Sequence[DependencePolyhedron],
         return None
     rows = {sid: (*r[:level - 1], step.rows[sid], *r[level:]) if sid in step.rows else r
             for sid, r in transform.rows.items()}
-    return replace(transform, rows=rows), step
+    return transform._replace(rows=rows), step
 
 
 def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
@@ -173,15 +171,14 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
                 start, stop - 1, permutable, bool(first and first.parallel),
                 tuple(s.id for s in program.statements if len(current.rows[s.id]) >= start)))
         start = stop + 1
-    return SkewOutcome(replace(current, bands=tuple(bands)), tuple(skewed),
+    return SkewOutcome(current._replace(bands=tuple(bands)), tuple(skewed),
                        tuple(diagnostics))
 
 
 # -- the full pipeline ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DfpResult:
+class DfpResult(NamedTuple):
     """`steps` holds the scale/shift steps, then the skew steps."""
 
     coloring: Coloring

@@ -22,10 +22,9 @@ row's nonzeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .farkas import EQ, ZERO, ConstraintSystem
 
@@ -40,8 +39,7 @@ class ResourceLimitError(RuntimeError):
     """Raised when branch and bound exhausts its node budget."""
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(NamedTuple):
     """A constraint system plus the objectives to minimize, of which only
     `solve_lp` takes one.
 
@@ -58,10 +56,10 @@ class LPProblem:
         return LPProblem(system, objs)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str
-    assignment: dict[str, Fraction] = field(default_factory=dict)
+    #: Empty, and shared, unless the status is optimal.
+    assignment: dict[str, Fraction] = {}
     objective: tuple[Fraction, ...] = ()
 
     def __bool__(self):

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import ratlp
 from .farkas import EQ, ConstraintSystem, bound_variables
@@ -36,16 +35,14 @@ ZERO = Fraction(0)
 # -- transform validation -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     dep: str
     level: Optional[int]
     minimum: Optional[Fraction]
     reason: str
 
 
-@dataclass(frozen=True)
-class LegalityReport:
+class LegalityReport(NamedTuple):
     ok: bool
     checked: int
     violations: tuple[Violation, ...]
@@ -231,8 +228,7 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
 _ENVELOPE_KEYS = {"name", "description", "flags", "program"}
 
 
-@dataclass(frozen=True)
-class CorpusInstance:
+class CorpusInstance(NamedTuple):
     name: str
     description: str
     flags: Mapping[str, bool]
@@ -267,7 +263,8 @@ def parse_instance(data, where: str = "instance") -> CorpusInstance:
 
 
 def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
-    """Bundled instances, or every *.json file under `path`."""
+    """Bundled instances, or every *.json file under `path`, of which there
+    must be at least one."""
     if path is None:
         root = resources.files(__package__).joinpath("corpus")
         entries = [(e.name, read_utf8(e, e.name))
@@ -276,6 +273,8 @@ def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
         if not Path(path).is_dir():
             raise ParseError(path, "not a directory")
         entries = [(p.name, read_utf8(p, p.name)) for p in Path(path).glob("*.json")]
+        if not entries:
+            raise ParseError(path, "no *.json instances")
     out = []
     for fname, text in sorted(entries):
         out.append(parse_instance(parse_json(text, fname), fname))
@@ -288,15 +287,13 @@ def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
 # -- the property suite -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str  # "pass", "fail" or "skip"
     details: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     results: tuple[CheckResult, ...]
     instances: tuple[str, ...]
 
@@ -321,8 +318,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _Runs:
+class _Runs(NamedTuple):
     """Everything the checks need about one instance, computed once."""
 
     instance: CorpusInstance

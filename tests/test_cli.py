@@ -182,6 +182,12 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == f"error: {missing}: not a directory\n"
 
+    def test_empty_corpus_directory(self, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("not an instance")
+        code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {tmp_path}: no *.json instances\n"
+
 
 class TestErrors:
     def test_missing_file(self, capsys):

@@ -123,16 +123,17 @@ class TestValidation:
     def test_duplicate_statement_ids(self):
         from polysched.model import Statement
         s = IndexSet((), (), ConstraintSystem(()))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^duplicate statement ids$"):
             Program((), (Statement("S", s, (), 0), Statement("S", s, (), 1)))
 
     def test_index_set_variable_order(self):
         bad = ConstraintSystem(("N", "i"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^domain variables \('N', 'i'\) != \('i', 'N'\)$"):
             IndexSet(("i",), ("N",), bad)
 
     def test_dependence_variable_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^relation variables out of order$"):
             DependencePolyhedron("A", "B", RAW, ("s.i",), ("t.i",), (),
                                  ConstraintSystem(("t.i", "s.i")))
 

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -77,7 +76,7 @@ class TestScaleAndShift:
         # Space outermost on the stencil: the +1/-1 reaches cannot be carried
         # by any scaling, and a self-dependence offers no shift to hide in.
         inst = by_name["stencil1d"]
-        space_first = replace(color_fcg(inst.program, inst.deps), colors={"S": (1, 0)})
+        space_first = color_fcg(inst.program, inst.deps)._replace(colors={"S": (1, 0)})
         with pytest.raises(SchedulingError, match="no legal scaling"):
             scale_and_shift(inst.program, inst.deps, space_first)
 

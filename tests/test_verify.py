@@ -1,6 +1,5 @@
 import itertools
 import json
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -100,8 +99,8 @@ class TestCheckLegality:
     def test_zero_rows_leave_self_dependences_unsatisfied(self, by_name):
         inst = by_name["stencil1d"]
         width = inst.program.statements[0].dim + len(inst.program.params) + 1
-        zero = replace(identity_transform(inst.program),
-                       rows={"S": ((F(0),) * width, (F(0),) * width)})
+        zero = identity_transform(inst.program)._replace(
+            rows={"S": ((F(0),) * width, (F(0),) * width)})
         report = check_legality(inst.program, inst.deps, zero)
         assert not report.ok and report.checked == 3
         assert {v.reason for v in report.violations} == {
@@ -148,7 +147,7 @@ class TestRanks:
         inst = by_name["fig1"]
         identity = identity_transform(inst.program)
         row = (F(1), F(0), F(0), F(0))
-        flat = replace(identity, rows={**identity.rows, "S1": (row, row)})
+        flat = identity._replace(rows={**identity.rows, "S1": (row, row)})
         assert statement_ranks(inst.program, flat)["S1"] == (1, 2)
         assert not full_rank(inst.program, flat)
 
@@ -365,8 +364,8 @@ class TestTheoremSuite:
         assert cut.groups == (("P",), ("Q",))
         run = SimpleNamespace(instance=inst, dfp=result)
         assert verify._check_partition_convexity([run], 3).status == "pass"
-        swapped = replace(result.transform, cuts=(replace(cut, groups=cut.groups[::-1]),))
-        run = SimpleNamespace(instance=inst, dfp=replace(result, transform=swapped))
+        swapped = result.transform._replace(cuts=(cut._replace(groups=cut.groups[::-1]),))
+        run = SimpleNamespace(instance=inst, dfp=result._replace(transform=swapped))
         check = verify._check_partition_convexity([run], 3)
         assert check.status == "fail"
         assert check.details == ("distribution_forced: the cut at level 1 puts Q before "
