@@ -118,10 +118,6 @@ class ConstraintSystem:
     __slots__ = ("variables", "rows", "lower", "_index")
 
     def __init__(self, variables, rows=(), lower=None):
-        self._set_variables(variables, lower)
-        self._set_rows(rows)
-
-    def _set_variables(self, variables, lower):
         self.variables: tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
@@ -133,21 +129,13 @@ class ConstraintSystem:
                     raise KeyError(v)
                 bounds[v] = None if b is None else Fraction(b)
         self.lower: dict[str, Fraction | None] = bounds
+        self._set_rows(rows)
 
     def _set_rows(self, rows):
         rows = tuple(rows)
         kept = _prune(rows)
         self.rows: tuple[LinearRow, ...] = (
             rows if len(kept) == len(rows) else tuple(map(rows.__getitem__, kept)))
-
-    @classmethod
-    def _of_pruned(cls, variables, rows, lower) -> "ConstraintSystem":
-        """The system over `rows` as given, which `_prune` would keep whole,
-        such as rows renumbered from an existing system's."""
-        system = cls.__new__(cls)
-        system._set_variables(variables, lower)
-        system.rows = tuple(rows)
-        return system
 
     def index(self, var: str) -> int:
         return self._index[var]
@@ -290,8 +278,8 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
             vec[at[i]] = b.denominator
             rows.append((tuple(vec), -b.numerator, GE, None))
     survivors = [v for k, v in enumerate(system.variables) if at[k] >= killed]
-    return ConstraintSystem._of_pruned(survivors, _project(rows, killed, len(survivors)),
-                                       {v: system.lower[v] for v in survivors})
+    return ConstraintSystem(survivors, _project(rows, killed, len(survivors)),
+                            {v: system.lower[v] for v in survivors})
 
 
 def _project(rows: list[tuple], killed: int, width: int) -> list[LinearRow]:
@@ -463,8 +451,7 @@ def farkas_cone(relation: ConstraintSystem) -> ConstraintSystem:
         vec[c] = 1
         rows.append((tuple(vec), 0, GE, None))
     unknowns = [f"a{j}" for j in range(n)] + ["b"]
-    return ConstraintSystem._of_pruned(unknowns, _project(rows, m, n + 1),
-                                       dict.fromkeys(unknowns))
+    return ConstraintSystem(unknowns, _project(rows, m, n + 1), dict.fromkeys(unknowns))
 
 
 def bounded_by_parameters(cone: ConstraintSystem, nparams: int) -> bool:

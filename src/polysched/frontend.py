@@ -485,10 +485,11 @@ def analyze(data: Mapping) -> tuple[Program, tuple[DependencePolyhedron, ...]]:
 
 
 def parse_json(text: str, where: str):
-    """Decoded JSON text; a syntax error is a ParseError at `where`."""
+    """Decoded JSON text; a syntax error, an int literal past Python's digit
+    limit or nesting past its recursion limit is a ParseError at `where`."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(where, f"invalid JSON: {exc}") from None
 
 

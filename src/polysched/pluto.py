@@ -236,7 +236,7 @@ class Step(NamedTuple):
 
     A loop step comes only from `solve_level`.  `raw` is the solver's
     optimum over `system.variables` (both None for a cut); `factors` holds
-    one integer per group of variables `solve_level` was given, the lcm of
+    one integer per group of variables `solve_level` scaled, the lcm of
     that group's denominators, and `rows`, the level's integer row of each
     statement it placed, is `raw` times those factors, read off by
     `level_rows`.  `component` is None for a step spanning the whole program.
@@ -253,7 +253,7 @@ class Step(NamedTuple):
 
 
 def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
-                terms: Terms, level: int, groups: Sequence[Sequence[str]],
+                terms: Terms, level: int, groups: Sequence[Sequence[str]] | None = None,
                 extra: Sequence[tuple[Mapping[str, Fraction | int], Fraction | int]] = (),
                 mode: str = LP, component: int | None = None) -> Step | None:
     """The loop step of `level` over `terms`, or None when it is infeasible.
@@ -262,9 +262,10 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
     unknowns, constant) of `extra`, each form plus its constant at least 0.
     Its column lexmin is taken, over the integers in `ilp` mode; a
     node-limit error names the level and the statements of `terms`.  Each
-    group of `groups` is scaled by the lcm of its members' denominators, and
-    each statement's row is read off the scaled unknowns by `level_rows`, so
-    an unknown in no group reads as 0.
+    group of `groups`, by default the one group of every system variable,
+    is scaled by the lcm of its members' denominators, and each statement's
+    row is read off the scaled unknowns by `level_rows`, so an unknown in no
+    group reads as 0.
     """
     system = level_system(program, deps, terms)
     if extra:
@@ -281,7 +282,7 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
         return None
     x = result.assignment
     factors, scaled = [], {}
-    for group in groups:
+    for group in [system.variables] if groups is None else groups:
         members = [v for v in group if v in x]
         k = lcm(1, *(x[v].denominator for v in members))
         factors.append(k)
@@ -335,14 +336,8 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
         guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
         if guide is not None:
             extra.append(({v: a for v, a in zip(names, guide) if a}, -1))
-    return solve_level(program, deps, terms, level, [_all_variables(program, terms)],
-                       extra, config.mode, component)
-
-
-def _all_variables(program: Program, terms: Terms) -> list[str]:
-    """The variables of `level_system(program, deps, terms)`, in order."""
-    return bound_variables(program.params) + [
-        u for listed in terms.values() for u, _, _ in listed]
+    return solve_level(program, deps, terms, level, extra=extra, mode=config.mode,
+                       component=component)
 
 
 def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
@@ -368,8 +363,8 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
     for combo in itertools.product(*choices):
         terms = {s.id: _unit_terms(s, program.params, [(k, 1)])
                  for s, k in zip(active, combo)}
-        step = solve_level(program, deps, terms, level, [_all_variables(program, terms)],
-                           mode=config.mode, component=component)
+        step = solve_level(program, deps, terms, level, mode=config.mode,
+                           component=component)
         if step is None:
             continue
         key = tuple(step.raw.get(v, ZERO) for v in order)

@@ -115,12 +115,12 @@ def check_legality(program: Program, deps: Sequence[DependencePolyhedron],
 def _never_tied(dep: DependencePolyhedron, transform: AffineTransform,
                 common: int) -> bool:
     """Is the dependence relation empty once phi_dst - phi_src is pinned to
-    0 at each of the first `common` levels?  One rational LP."""
+    0 at each of the first `common` levels?  One rational lexmin."""
     relation = dep.relation
     forms = [dependence_difference(dep, transform.row(dep.src, k), transform.row(dep.dst, k))
              for k in range(1, common + 1)]
     rows = [relation.row_from(dict(zip(relation.variables, f)), f[-1], EQ) for f in forms]
-    return not ratlp.solve_lp(ratlp.LPProblem.of(relation.with_rows(rows)))
+    return not ratlp.solve_lexmin(ratlp.LPProblem.of(relation.with_rows(rows)))
 
 
 def statement_ranks(program: Program,
@@ -370,10 +370,6 @@ def _step_pairs(lp: ScheduleResult, ilp: ScheduleResult):
     return list(zip(lp_steps, ilp_steps))
 
 
-def _loop_steps(result: ScheduleResult):
-    return {(s.component, s.level): s for s in result.steps if s.kind == "loop"}
-
-
 _SCALES = (Fraction(2), Fraction(7, 3), Fraction(10))
 
 
@@ -410,17 +406,16 @@ def _check_relaxation_objective(runs, bound):
             details.append(f"skipped {r.instance.name}: bounding objectives "
                            "diverge between relaxations on this nest")
             continue
-        lp_steps, ilp_steps = _loop_steps(r.lp), _loop_steps(r.ilp)
-        if lp_steps.keys() != ilp_steps.keys():
+        pairs = _step_pairs(r.lp, r.ilp)
+        if pairs is None:
             bad.append(f"{r.instance.name}: loop structure differs between modes")
             continue
         bvars = bound_variables(r.instance.program.params)
-        for key in sorted(lp_steps):
-            a, b = lp_steps[key], ilp_steps[key]
+        for a, b in pairs:
             for v in bvars:
                 x, y = (s.factors[0] * s.raw.get(v, ZERO) for s in (a, b))
                 if x != y:
-                    bad.append(f"{r.instance.name} level {key[1]}: scaled {v} "
+                    bad.append(f"{r.instance.name} level {a.level}: scaled {v} "
                                f"is {x}, integer mode found {y}")
     status = "fail" if bad else "pass"
     return CheckResult("relaxation-objective", status, tuple(bad + details))
@@ -552,15 +547,16 @@ def _check_skew_inert(runs, bound):
     bad, details = [], []
     for r in runs:
         sk = r.dfp.skew
+        refused = not all(b.permutable for b in r.dfp.transform.bands)
         if r.instance.flag("tileable"):
-            if sk.skewed or sk.diagnostics:
+            if sk.skewed or refused:
                 bad.append(f"{r.instance.name}: skew pass altered an already "
                            "tileable nest")
         else:
             notes = []  # one band can keep its skews while another is refused
             if sk.skewed:
                 notes.append("skewed levels " + ",".join(str(s.level) for s in sk.skewed))
-            if sk.diagnostics:
+            if refused:
                 notes.append("not tileable as permuted")
             details.append(f"{r.instance.name}: {'; '.join(notes) or 'needs no skew'}")
     return CheckResult("skew-inert-when-tileable", "fail" if bad else "pass",

@@ -1,5 +1,6 @@
 import functools
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -209,6 +210,26 @@ class TestErrors:
         name = "bad.json" if corpus else str(path)
         assert code == 2 and out == ""
         assert err == f"error: {name}: not UTF-8: invalid start byte at byte 0\n"
+
+    @pytest.mark.parametrize("argv", [["schedule"], ["deps"], ["fcg"], ["verify", "--corpus"]])
+    @pytest.mark.parametrize("malformed", ["deep", "long"])
+    def test_json_past_the_decoder_limits_is_bad_input(self, capsys, tmp_path, argv,
+                                                       malformed):
+        if malformed == "deep":
+            text, message = "[" * 200_000, "maximum recursion depth exceeded"
+        else:
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if not limit:
+                pytest.skip("int literals have no digit limit")
+            text = ('{"statements": [{"id": "S", "iterators": ["i"], "domain": [[1, 0, '
+                    + "9" * (limit + 1) + ', ">="]], "accesses": []}]}')
+            message = f"Exceeds the limit ({limit} digits)"
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        corpus = argv[0] == "verify"
+        code, out, err = run(capsys, *argv, str(tmp_path if corpus else path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and f"invalid JSON: {message}" in err
 
     @pytest.mark.parametrize("accesses", [5, None])
     def test_non_list_accesses(self, capsys, tmp_path, accesses):

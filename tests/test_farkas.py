@@ -493,32 +493,36 @@ def test_prune_merges_equal_rows_onto_the_smaller_history():
     assert _prune([a, b, a]) == [0, 1]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_eliminate_gives_the_reference_rows_in_order(data):
-    """`eliminate` works on renumbered columns through `_int_row`; on
-    systems with equality pivots of either sign, Fraction lower bounds on
-    killed variables and rows that substitution makes equal, it returns
-    exactly the rows of `reference_eliminate` with histories, in order."""
-    n = data.draw(st.integers(2, 5))
+@st.composite
+def eliminations(draw):
+    """(system, kill): equality pivots of either sign, Fraction lower bounds
+    on killed variables and rows that substitution makes equal."""
+    n = draw(st.integers(2, 5))
     names = [f"x{k}" for k in range(n)]
-    lower = {v: data.draw(st.sampled_from([F(0), F(1, 2), F(-3, 2), F(2), None]))
+    lower = {v: draw(st.sampled_from([F(0), F(1, 2), F(-3, 2), F(2), None]))
              for v in names}
     small = st.integers(-3, 3)
     vector = st.lists(small, min_size=n, max_size=n)
-    eqs = data.draw(st.lists(st.tuples(vector, small), max_size=3))
+    eqs = draw(st.lists(st.tuples(vector, small), max_size=3))
     rows = [(c, k, EQ) for c, k in eqs]
-    for coeffs, const in data.draw(st.lists(st.tuples(vector, small), min_size=1,
-                                            max_size=5)):
+    for coeffs, const in draw(st.lists(st.tuples(vector, small), min_size=1, max_size=5)):
         rows.append((coeffs, const, GE))
-        if eqs and data.draw(st.booleans()):  # equal to the row once eqs[j] is used
-            (ec, ek), w = data.draw(st.sampled_from(eqs)), data.draw(small)
+        if eqs and draw(st.booleans()):  # equal to the row once eqs[j] is used
+            (ec, ek), w = draw(st.sampled_from(eqs)), draw(small)
             rows.append(([c + w * e for c, e in zip(coeffs, ec)], const + w * ek
-                         + data.draw(st.sampled_from([0, 0, 1, -1])), GE))
+                         + draw(st.sampled_from([0, 0, 1, -1])), GE))
     s = ConstraintSystem(names, (), lower)
     s = s.with_rows([s.row_from(dict(zip(names, c)), k, kind) for c, k, kind in rows])
-    kill = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=n - 1,
-                              unique=True))
+    return s, draw(st.lists(st.sampled_from(names), min_size=1, max_size=n - 1, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eliminations())
+def test_eliminate_gives_the_reference_rows_in_order(case):
+    """`eliminate` works on renumbered columns through `_int_row`; it
+    returns exactly the rows of `reference_eliminate` with histories, in
+    order."""
+    s, kill = case
     got, want = eliminate(s, kill), reference_eliminate(s, kill, history=True)
     assert got.variables == want.variables and got.lower == want.lower
     assert got.rows == want.rows
@@ -731,6 +735,24 @@ def test_cone_rows_have_the_per_form_shadow(cone_programs, name):
                 assert_same_shadow(got, want)
 
 
+@st.composite
+def relations(draw):
+    """A small relation of ge and eq rows over free variables through a
+    known integer point, and that point."""
+    n = draw(st.integers(1, 3))
+    names = [f"x{k}" for k in range(n)]
+    point = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    relation = ConstraintSystem(names, (), dict.fromkeys(names))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        kind = draw(st.sampled_from([GE, GE, EQ]))
+        slack = 0 if kind == EQ else draw(st.integers(0, 2))
+        const = slack - sum(c * x for c, x in zip(coeffs, point))
+        rows.append(relation.row_from(dict(zip(names, coeffs)), const, kind))
+    return relation.with_rows(rows), point
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_cone_holds_exactly_the_nonnegative_forms(data):
@@ -739,18 +761,8 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
     the minimum of a.x + b over the relation is non-negative; unbounded
     below counts as outside.  `cone_minimum` reads that minimum of a.x + b off
     the cone, None when unbounded.  One LP per form, no elimination."""
-    n = data.draw(st.integers(1, 3))
-    names = [f"x{k}" for k in range(n)]
-    point = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-    relation = ConstraintSystem(names, (), dict.fromkeys(names))
-    rows = []
-    for _ in range(data.draw(st.integers(1, 4))):
-        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        kind = data.draw(st.sampled_from([GE, GE, EQ]))
-        slack = 0 if kind == EQ else data.draw(st.integers(0, 2))
-        const = slack - sum(c * x for c, x in zip(coeffs, point))
-        rows.append(relation.row_from(dict(zip(names, coeffs)), const, kind))
-    relation = relation.with_rows(rows)
+    relation, point = data.draw(relations())
+    names, n = relation.variables, len(point)
     assert relation.satisfied_by(dict(zip(names, point)))
 
     cone = farkas_cone(relation)
@@ -809,3 +821,24 @@ def test_bounded_by_parameters_matches_the_recession_cone(data):
     in_cone = all(cone.satisfied_by({p: 1}) for p in params)
     assert (fixed and nonnegative) == (in_cone and not eliminate(cone, params + ["b"]).rows)
 
+
+@settings(max_examples=200, deadline=None)
+@given(eliminations(), relations())
+def test_projected_rows_are_already_pruned(case, relation):
+    """`_prune` keeps every row `_project` makes for `eliminate` and
+    `farkas_cone`, so their constructor keeps the rows as made."""
+    made = []
+    project = farkas._project
+
+    def recording(*args):
+        made.append(project(*args))
+        return made[-1]
+
+    farkas._project = recording
+    try:
+        systems = [eliminate(*case), farkas_cone(relation[0])]
+    finally:
+        farkas._project = project
+    for rows, system in zip(made, systems):
+        assert _prune(rows) == list(range(len(rows)))
+        assert system.rows == tuple(rows)

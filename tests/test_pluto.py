@@ -310,21 +310,14 @@ class TestSolveLevel:
                            [[u for sid in g for u in unknowns[sid]] for g in groups],
                            mode=mode)
 
-    def test_group_scaled_by_its_lcm(self, by_name, monkeypatch):
+    def test_group_scaled_by_its_lcm(self, by_name):
         # find_hyperplane's one group is every system variable, u and w included.
         inst = by_name["scaling_pair"]
-        groups = []
-
-        def spy(*args, **kwargs):
-            groups.append(args[4])
-            return solve_level(*args, **kwargs)
-
-        monkeypatch.setattr(pluto, "solve_level", spy)
         step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
                                {}, SchedulerConfig(mode=LP), 1, 0)
-        assert groups == [[list(step.system.variables)]]
         assert step.system.variables[:2] == ("u.N", "w")
-        assert step.factors == (lcm(*(x.denominator for x in step.raw.values())),) == (2,)
+        every = lcm(*(step.raw[v].denominator for v in step.system.variables))
+        assert step.factors == (every,) == (2,)
         assert step.rows == {"P": R(2, 0, 0), "Q": R(3, 0, 0)}
 
     def test_bound_variables_in_a_group_count(self, by_name):
@@ -337,6 +330,8 @@ class TestSolveLevel:
                              [bound_variables(inst.program.params) + unknowns], third)
         assert with_w.raw["w"] == F(1, 3) and with_w.factors == (6,)
         assert with_w.rows == {"P": R(6, 0, 0), "Q": R(9, 0, 0)}
+        default = solve_level(inst.program, deps, terms, 1, extra=third)
+        assert default.factors == (6,) and default.rows == with_w.rows
         alone = solve_level(inst.program, deps, terms, 1, [unknowns], third)
         assert alone.raw == with_w.raw and alone.factors == (2,)
         assert alone.rows == {"P": R(2, 0, 0), "Q": R(3, 0, 0)}

@@ -351,12 +351,25 @@ class TestTheoremSuite:
 
     def test_skew_inert_reports_a_kept_skew_and_a_refused_band(self, two_bands):
         inst, t = two_bands
+        skew = introduce_skew(inst.program, inst.deps, t, ())
         run = SimpleNamespace(instance=inst, dfp=SimpleNamespace(
-            scaled=t, skew=introduce_skew(inst.program, inst.deps, t, ())))
+            scaled=t, transform=skew.transform, skew=skew))
         check = verify._check_skew_inert([run], 3)
         assert check.status == "pass"
         assert check.details == (
             "two_bands: skewed levels 2; not tileable as permuted",)
+
+    def test_skew_inert_reads_the_bands_of_the_dfp_transform(self, by_name, dfp_results):
+        # A band that is not permutable fails a tileable nest even with no
+        # skewed step: the verdict is the transform's, not the skew pass's notes.
+        inst, result = by_name["fig1"], dfp_results["fig1"]
+        assert inst.flag("tileable") and result.skew.skewed == ()
+        (band, *rest) = result.transform.bands
+        refused = result.transform._replace(bands=(band._replace(permutable=False), *rest))
+        run = SimpleNamespace(instance=inst, dfp=result._replace(transform=refused))
+        check = verify._check_skew_inert([run], 3)
+        assert check.status == "fail"
+        assert check.details == ("fig1: skew pass altered an already tileable nest",)
 
     def test_partition_convexity_fails_on_swapped_cut_groups(self, by_name, dfp_results):
         inst, result = by_name["distribution_forced"], dfp_results["distribution_forced"]
