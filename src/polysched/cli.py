@@ -32,12 +32,16 @@ EXIT_INTERNAL = 3
 
 
 def _load(path: str):
-    """A program description, bare or wrapped as a corpus instance."""
-    data = parse_json(read_utf8(Path(path), path), "$")
+    """A program description, bare or wrapped as a corpus instance; every
+    error in it is a ParseError at `path`."""
+    data = parse_json(read_utf8(Path(path), path), path)
     if isinstance(data, dict) and "program" in data:
-        inst = verify.parse_instance(data, Path(path).name)
+        inst = verify.parse_instance(data, path)
         return inst.program, inst.deps
-    return analyze(data)
+    try:
+        return analyze(data)
+    except ParseError as exc:
+        raise ParseError(path, str(exc).removeprefix("$: ")) from None
 
 
 def _emit(data) -> None:

@@ -23,10 +23,12 @@ here is exact: every row is a sparse canonical integer row (its nonzero
 entries and its constant are ints with gcd 1), elimination combines
 rows in exact integers, on dense int vectors that it turns back into
 such rows once (one loop, `_project`, for `eliminate` and
-`farkas_cone`), and only lower bounds and solutions are
-`fractions.Fraction`s; there is no floating point.  Rows are combined by
-column index, never through variable names, and `_row` is the one
-normalizer of sparse rows: the cone's substitutions and
+`farkas_cone`), and exact equality elimination has one home, the
+integer echelon form of `_reduce`.  A lower bound is an int unless it
+is not integral; only such a bound and a minimum (`cone_minimum`) are
+`fractions.Fraction`s, and there is no floating point.  Rows are
+combined by column index, never through variable names, and `_row` is
+the one normalizer of sparse rows: the cone's substitutions and
 `pluto.level_system` take its int-only path `_int_row`, and `_dense`
 makes a dense row canonical the same way.
 """
@@ -111,8 +113,9 @@ class ConstraintSystem:
 
     A lower bound of None marks a free variable.  The default bound is 0,
     matching the non-negativity restriction on transformation coefficients.
-    Instances are not mutated after construction; all editing operations
-    return new systems.
+    An integral bound is kept as an int, and only a non-integral one as a
+    `Fraction`.  Instances are not mutated after construction; all editing
+    operations return new systems.
     """
 
     __slots__ = ("variables", "rows", "lower", "_index")
@@ -122,13 +125,16 @@ class ConstraintSystem:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         self._index = {v: i for i, v in enumerate(self.variables)}
-        bounds = dict.fromkeys(self.variables, ZERO)
+        bounds = dict.fromkeys(self.variables, 0)
         if lower:
             for v, b in lower.items():
                 if v not in self._index:
                     raise KeyError(v)
-                bounds[v] = None if b is None else Fraction(b)
-        self.lower: dict[str, Fraction | None] = bounds
+                if b is not None and type(b) is not int:
+                    b = Fraction(b)
+                    b = b.numerator if b.denominator == 1 else b
+                bounds[v] = b
+        self.lower: dict[str, int | Fraction | None] = bounds
         self._set_rows(rows)
 
     def _set_rows(self, rows):
@@ -378,6 +384,45 @@ def _eliminate_at(rows: list[tuple], hist: list[int], steps: int, t: int, pruned
     if len(kept) == len(out):
         return out, out_hist, steps
     return [out[k] for k in kept], [out_hist[k] for k in kept], steps
+
+
+# -- integer echelon forms ----------------------------------------------------
+#
+# An echelon form is a tuple of canonical equality rows, each reduced against
+# the rows before it; a row's pivot is its first entry, positive because the
+# row is canonical.  Reducing a row against the form takes only positive
+# multiples of it, so an inequality keeps its sense, and every step is exact
+# in ints.  The result has zero at every pivot, as against the form with each
+# row reduced against the later rows too, so no back-substitution is needed.
+
+
+def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
+    """A positive multiple of `row` minus multiples of the rows of `form`,
+    with zero at every pivot of `form`: `row` itself when it holds none.
+    Otherwise its nonzero entries are in no order and keep their common
+    factor until `_with_pivot` makes the row canonical."""
+    acc, const = dict(row.nonzero), row.const
+    changed = False
+    for p in form:
+        j, pc = p.nonzero[0]
+        rc = acc.pop(j, 0)
+        if rc:
+            acc = {i: pc * c for i, c in acc.items()}
+            for i, c in p.nonzero[1:]:
+                acc[i] = acc.get(i, 0) - rc * c
+            const = pc * const - rc * p.const
+            changed = True
+    if not changed:
+        return row
+    return _new_row(LinearRow, (tuple([e for e in acc.items() if e[1]]), const, row.kind,
+                                row.width))
+
+
+def _with_pivot(form: tuple[LinearRow, ...], row: LinearRow, reduced: LinearRow):
+    """`form` with the equality `row` added as `reduced`, its `_reduce`
+    against `form` with a nonzero entry, made canonical."""
+    return form + (reduced if reduced is row else
+                   _int_row(reduced.width, dict(reduced.nonzero), reduced.const, EQ),)
 
 
 # -- scheduling constraint generators ----------------------------------------

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 from .farkas import (
     EQ, GE, ConstraintSystem, LinearRow, cone_is_empty, eliminate, farkas_cone,
 )
-from .farkas import _int_row, _new_row
+from .farkas import _int_row, _new_row, _reduce, _with_pivot
 from .model import (
     RAR, RAW, WAR, WAW,
     AccessFunction, DependencePolyhedron, IndexSet, Program, Statement,
@@ -272,41 +272,13 @@ def _relation_facts(relation: ConstraintSystem, known: dict,
 
 # -- refutation by equalities -------------------------------------------------
 #
-# An echelon form is a tuple of canonical equality rows, each reduced against
-# the rows before it; a row's pivot is its first entry, positive because the
-# row is canonical.  Reducing a row against the form takes only positive
-# multiples of it, so an inequality keeps its sense, and every step is exact
-# in ints.  The result has zero at every pivot, as against the form with each
-# row reduced against the later rows too, so no back-substitution is needed.
-# A candidate relation is empty when its equalities reduce a row to a
-# nonzero constant, or its strict row to a negative one, or when such a
-# reduced row cannot hold above the constant lower bounds the domains give
-# the variables (`_out_of_reach`).  This decides rational feasibility of the
-# equalities exactly and of the inequalities only partly, so a candidate
-# that survives is still decided by `_relation_facts`.
-
-
-def _reduce(row: LinearRow, form: tuple[LinearRow, ...]) -> LinearRow:
-    """A positive multiple of `row` minus multiples of the rows of `form`,
-    with zero at every pivot of `form`: `row` itself when it holds none.
-    Otherwise its nonzero entries are in no order and keep their common
-    factor: every test here reads only their signs and the sign of the
-    row's value."""
-    acc, const = dict(row.nonzero), row.const
-    changed = False
-    for p in form:
-        j, pc = p.nonzero[0]
-        rc = acc.pop(j, 0)
-        if rc:
-            acc = {i: pc * c for i, c in acc.items()}
-            for i, c in p.nonzero[1:]:
-                acc[i] = acc.get(i, 0) - rc * c
-            const = pc * const - rc * p.const
-            changed = True
-    if not changed:
-        return row
-    return _new_row(LinearRow, (tuple([e for e in acc.items() if e[1]]), const, row.kind,
-                                row.width))
+# A candidate relation is empty when its equalities, in integer echelon form
+# (`farkas._reduce`), reduce a row to a nonzero constant, or its strict row
+# to a negative one, or when such a reduced row cannot hold above the
+# constant lower bounds the domains give the variables (`_out_of_reach`).
+# This decides rational feasibility of the equalities exactly and of the
+# inequalities only partly, so a candidate that survives is still decided by
+# `_relation_facts`.
 
 
 def _lower_bounds(space: ConstraintSystem) -> dict[int, Fraction | int]:
@@ -348,9 +320,7 @@ def _extend(form: tuple[LinearRow, ...] | None, row: LinearRow,
     r = _reduce(row, form)
     if not r.nonzero:
         return None if r.const else form
-    if _out_of_reach(r, low):
-        return None
-    return form + (r if r is row else _int_row(r.width, dict(r.nonzero), r.const, EQ),)
+    return None if _out_of_reach(r, low) else _with_pivot(form, row, r)
 
 
 def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .farkas import (
-    ConstraintSystem, LinearRow, ZERO, bounded_by_parameters, cone_minimum,
+    ConstraintSystem, LinearRow, bounded_by_parameters, cone_minimum,
     dependence_rows, farkas_cone,
 )
 
@@ -266,17 +266,19 @@ class AffineTransform(NamedTuple):
     A row has one coefficient per iterator of its statement, one per program
     parameter, and a trailing constant; rows of different statements at the
     same position form one schedule level.  Statements may own fewer rows than
-    the deepest one (a missing row behaves like the zero function).
+    the deepest one (a missing row behaves like the zero function).  Every
+    path scales its rows to integers, so their entries are ints; `to_json`
+    prints each entry as a "p/q" string.
     """
 
     params: tuple[str, ...]
     dims: Mapping[str, tuple[str, ...]]
-    rows: Mapping[str, tuple[tuple[Fraction, ...], ...]]
+    rows: Mapping[str, tuple[tuple[int, ...], ...]]
     bands: tuple[Band, ...] = ()
     cuts: tuple[Cut, ...] = ()
 
     @staticmethod
-    def of(program: Program, rows: Mapping[str, Sequence[tuple[Fraction, ...]]],
+    def of(program: Program, rows: Mapping[str, Sequence[tuple[int, ...]]],
            bands: Sequence[Band] = (), cuts: Sequence[Cut] = ()) -> "AffineTransform":
         """`program`'s transform with the given rows per statement."""
         return AffineTransform(
@@ -293,16 +295,12 @@ class AffineTransform(NamedTuple):
         return rows[level - 1] if level <= len(rows) else None
 
     def to_json(self) -> dict:
-        def fmt(x: Fraction) -> str:
-            x = Fraction(x)
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "params": list(self.params),
             "statements": {
                 sid: {
                     "iterators": list(self.dims[sid]),
-                    "rows": [[fmt(x) for x in row] for row in rows],
+                    "rows": [[f"{x.numerator}/{x.denominator}" for x in row] for row in rows],
                 }
                 for sid, rows in self.rows.items()
             },
@@ -323,14 +321,14 @@ class AffineTransform(NamedTuple):
         }
 
 
-def unit_row(stmt: Statement, nparams: int, k: int) -> tuple[Fraction, ...]:
+def unit_row(stmt: Statement, nparams: int, k: int) -> tuple[int, ...]:
     """The schedule row of `stmt` that is its k-th iterator."""
-    return tuple(Fraction(int(i == k)) for i in range(stmt.dim)) + (ZERO,) * (nparams + 1)
+    return tuple([int(i == k) for i in range(stmt.dim)]) + (0,) * (nparams + 1)
 
 
-def constant_row(stmt: Statement, nparams: int, value: int) -> tuple[Fraction, ...]:
+def constant_row(stmt: Statement, nparams: int, value: int) -> tuple[int, ...]:
     """The scalar schedule row of `stmt` with the constant `value`."""
-    return (ZERO,) * (stmt.dim + nparams) + (Fraction(value),)
+    return (0,) * (stmt.dim + nparams) + (value,)
 
 
 def identity_transform(program: Program) -> AffineTransform:
@@ -347,13 +345,13 @@ def identity_transform(program: Program) -> AffineTransform:
 
 
 def dependence_difference(dep: DependencePolyhedron,
-                          src_row: Sequence[Fraction] | None,
-                          dst_row: Sequence[Fraction] | None) -> list[Fraction]:
+                          src_row: Sequence[int] | None,
+                          dst_row: Sequence[int] | None) -> list[int]:
     """phi_dst - phi_src over the dependence space: one coefficient per
     relation variable, in order, then the constant.  A missing row is zero."""
     m, n, np = len(dep.src_vars), len(dep.dst_vars), len(dep.params)
-    src = src_row or (ZERO,) * (m + np + 1)
-    dst = dst_row or (ZERO,) * (n + np + 1)
+    src = src_row or (0,) * (m + np + 1)
+    dst = dst_row or (0,) * (n + np + 1)
     return [-x for x in src[:m]] + list(dst[:n]) + [b - a for a, b in zip(src[m:], dst[n:])]
 
 
@@ -363,12 +361,9 @@ def min_dependence_component(dep: DependencePolyhedron,
     None when unbounded below.
 
     Kept on the dependence per pair of rows: the passes and checks of one
-    analysis ask again for rows they share.  The key spells each row as its
-    numerators, then its denominators, since hashing ints is much cheaper
-    than hashing `Fraction`s."""
-    key = tuple(None if r is None else
-                tuple([x.numerator for x in r] + [x.denominator for x in r])
-                for r in (src_row, dst_row))
+    analysis ask again for rows they share."""
+    key = (src_row if src_row is None else tuple(src_row),
+           dst_row if dst_row is None else tuple(dst_row))
     if key not in dep._minima:
         dep._minima[key] = _min_component(dep, src_row, dst_row)
     return dep._minima[key]
@@ -378,7 +373,7 @@ def _min_component(dep, src_row, dst_row) -> Fraction | None:
     """The minimum read off the relation's Farkas cone (`farkas.cone_minimum`)."""
     form = dependence_difference(dep, src_row, dst_row)
     if not any(form[:-1]):
-        return form[-1]
+        return Fraction(form[-1])
     try:
         return cone_minimum(dep.cone, form)
     except ValueError:

@@ -23,7 +23,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import ratlp
 from .farkas import (
-    ZERO, ConstraintSystem, _int_row, _row, bound_variables, coefficient_variables,
+    EQ, ConstraintSystem, LinearRow, _dense, _int_row, _reduce, _row, _with_pivot,
+    bound_variables, coefficient_variables,
 )
 from .model import (
     AffineTransform, Band, Cut, DependencePolyhedron, Program,
@@ -56,59 +57,45 @@ DEFAULT = SchedulerConfig()
 # -- exact linear algebra over rows -------------------------------------------
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        lead = mat[r][col]
-        mat[r] = [x / lead for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+def _echelon(rows: Sequence[Sequence]) -> tuple[LinearRow, ...]:
+    """The integer echelon form (`farkas._reduce`) of the rational rows,
+    each cleared of denominators, less those the rows before it span."""
+    form: tuple[LinearRow, ...] = ()
+    for r in rows:
+        row = _row(len(r), enumerate(r), 0, EQ)
+        reduced = _reduce(row, form)
+        if reduced.nonzero:
+            form = _with_pivot(form, row, reduced)
+    return form
 
 
-def row_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
+def row_rank(rows: Sequence[Sequence]) -> int:
+    return len(_echelon(rows))
 
 
-def nullspace_basis(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Integral basis of the right null space of the row span.
+def nullspace_basis(rows: Sequence[Sequence], ncols: int) -> list[tuple[int, ...]]:
+    """Integral basis of the right null space of the row span: per free
+    column f, the primitive vector that is 0 at the other free columns,
+    read off the echelon rows, each reduced against the later ones too.
 
-    Each vector's leading nonzero entry is made positive; with non-negative
-    coefficient variables the summed independence constraint would otherwise
-    often point away from the feasible orthant.
+    Each vector's leading nonzero entry is made positive (`farkas._dense`);
+    with non-negative coefficient variables the summed independence
+    constraint would otherwise often point away from the feasible orthant.
     """
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    form = _echelon(rows)
+    pivots = {p.nonzero[0][0]: dict(_reduce(p, form[k + 1:]).nonzero)
+              for k, p in enumerate(form)}
     basis = []
-    for fc in free:
-        vec = [ZERO] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        den = lcm(*(x.denominator for x in vec))
-        vec = [x * den for x in vec]
-        lead = next(x for x in vec if x)
-        if lead < 0:
-            vec = [-x for x in vec]
-        basis.append(tuple(vec))
+    for f in (f for f in range(ncols) if f not in pivots):
+        vec = [0] * ncols
+        vec[f] = den = lcm(*[row[j] for j, row in pivots.items() if f in row])
+        for j, row in pivots.items():
+            vec[j] = -row.get(f, 0) * (den // row[j])
+        basis.append(_dense(vec, 0, EQ)[0])
     return basis
 
 
-def independence_vector(rows: Sequence[Sequence[Fraction]], ncols: int):
+def independence_vector(rows: Sequence[Sequence], ncols: int):
     """Sum of the null-space basis of the rows found so far.
 
     Requiring a positive product with this vector forces the next row out of
@@ -183,20 +170,18 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     return system.with_rows(rows)
 
 
-def level_rows(terms: Terms,
-               values: Mapping[str, Fraction]) -> dict[str, tuple[Fraction, ...]]:
+def level_rows(terms: Terms, values: Mapping[str, int]) -> dict[str, tuple[int, ...]]:
     """Each statement's level row: its terms' rows times the unknowns'
     `values`, an absent unknown counting as 0."""
     rows = {}
     for sid, listed in terms.items():
-        acc = [ZERO] * len(listed[0][1]) if listed else []
+        acc = [0] * len(listed[0][1]) if listed else []
         for u, row, _ in listed:
             x = values.get(u)
             if x:
                 for j, a in enumerate(row):
                     if a:
-                        y = x if a == 1 else x * a
-                        acc[j] = acc[j] + y if acc[j] else y
+                        acc[j] += x * a
         rows[sid] = tuple(acc)
     return rows
 
@@ -235,11 +220,12 @@ class Step(NamedTuple):
     """One schedule level: a solve, or a cut that needed none.
 
     A loop step comes only from `solve_level`.  `raw` is the solver's
-    optimum over `system.variables` (both None for a cut); `factors` holds
-    one integer per group of variables `solve_level` scaled, the lcm of
-    that group's denominators, and `rows`, the level's integer row of each
-    statement it placed, is `raw` times those factors, read off by
-    `level_rows`.  `component` is None for a step spanning the whole program.
+    optimum over `system.variables` (both None for a cut), as `Fraction`s;
+    `factors` holds one int per group of variables `solve_level` scaled,
+    the lcm of that group's denominators, and `rows`, the level's row of
+    each statement it placed, is `raw` times those factors, read off by
+    `level_rows`: its entries are ints.  `component` is None for a step
+    spanning the whole program.
     """
 
     level: int
@@ -249,7 +235,7 @@ class Step(NamedTuple):
     raw: Mapping[str, Fraction] | None = None
     factors: tuple[int, ...] = ()
     component: int | None = None
-    rows: Mapping[str, tuple[Fraction, ...]] | None = None
+    rows: Mapping[str, tuple[int, ...]] | None = None
 
 
 def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
@@ -263,9 +249,9 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
     Its column lexmin is taken, over the integers in `ilp` mode; a
     node-limit error names the level and the statements of `terms`.  Each
     group of `groups`, by default the one group of every system variable,
-    is scaled by the lcm of its members' denominators, and each statement's
-    row is read off the scaled unknowns by `level_rows`, so an unknown in no
-    group reads as 0.
+    is scaled by the lcm of its members' denominators, which makes each
+    scaled unknown an int, and each statement's row is read off the scaled
+    unknowns by `level_rows`, so an unknown in no group reads as 0.
     """
     system = level_system(program, deps, terms)
     if extra:
@@ -286,20 +272,17 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
         members = [v for v in group if v in x]
         k = lcm(1, *(x[v].denominator for v in members))
         factors.append(k)
-        scaled.update((v, x[v] * k) for v in members)
+        scaled.update((v, x[v].numerator * (k // x[v].denominator)) for v in members)
     return Step(level, "loop", _is_parallel(program, x), system, dict(x),
                 tuple(factors), component, level_rows(terms, scaled))
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
     """Iterator parts of the rows found so far and completion per statement."""
-    parts = {}
-    complete = {}
+    parts, complete = {}, {}
     for s in statements:
-        rows = [r[: s.dim] for r in prior.get(s.id, ())]
-        nonzero = [r for r in rows if any(r)]
-        parts[s.id] = nonzero
-        complete[s.id] = s.dim == 0 or row_rank(nonzero) == s.dim
+        parts[s.id] = [r[:s.dim] for r in prior.get(s.id, ()) if any(r[:s.dim])]
+        complete[s.id] = s.dim == 0 or row_rank(parts[s.id]) == s.dim
     return parts, complete
 
 
@@ -367,7 +350,7 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
                            component=component)
         if step is None:
             continue
-        key = tuple(step.raw.get(v, ZERO) for v in order)
+        key = tuple(step.raw.get(v, 0) for v in order)
         if best_key is None or key < best_key:
             best, best_key = step, key
     return best

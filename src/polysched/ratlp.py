@@ -91,7 +91,7 @@ class _Tableau:
                 self.col_of[v] = (n, n + 1, 0)
                 n += 2
             else:
-                self.col_of[v] = (n, None, b.numerator if b.denominator == 1 else b)
+                self.col_of[v] = (n, None, b)
                 n += 1
         self.n = n
         self.den = [1] * n

@@ -57,7 +57,7 @@ def lp_minimum(dep: DependencePolyhedron, src_row, dst_row) -> Optional[Fraction
     """
     form = dependence_difference(dep, src_row, dst_row)
     if not any(form[:-1]):
-        return form[-1]
+        return Fraction(form[-1])
     obj = {v: c for v, c in zip(dep.relation.variables, form) if c}
     res = ratlp.solve_lp(ratlp.LPProblem.of(dep.relation, [obj]))
     if res.status == ratlp.UNBOUNDED:

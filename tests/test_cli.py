@@ -244,7 +244,24 @@ class TestErrors:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"program": {}, "bogus": 1}))
         code, _, err = run(capsys, "fcg", str(path))
-        assert code == 2 and err.startswith("error: inst.json")
+        assert code == 2 and err == f"error: {path}: unknown keys ['bogus']\n"
+
+    @pytest.mark.parametrize("argv", [["schedule"], ["deps"], ["fcg"]])
+    @pytest.mark.parametrize("text, message", [
+        ("[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),
+        (json.dumps({"statements": [{"id": "S", "iterators": ["i"], "domain": [],
+                                     "accesses": 5}]}),
+         "statements[0].accesses: expected a list"),
+        ("5", "top level must be an object"),
+        (json.dumps({"name": "x", "program": {"statements": 3}}),
+         "program.statements: expected a list"),
+    ], ids=["malformed", "bad-program", "top-level", "bad-instance"])
+    def test_input_errors_name_the_file(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {message}")
 
     @pytest.mark.parametrize("program, message", [
         ({"statements": [{"id": "S", "iterators": ["i"], "domain": [[1, 0]],

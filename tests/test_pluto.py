@@ -2,10 +2,12 @@ import functools
 import itertools
 import json
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysched import farkas, frontend, model, pluto, ratlp
 from polysched.farkas import (
@@ -19,11 +21,11 @@ from polysched.pluto import (
     ILP, LP,
     SchedulerConfig, bound_variables, dimension_terms, find_hyperplane,
     independence_vector, level_rows, level_system, nullspace_basis, row_rank,
-    rref, schedule, solve_level,
+    schedule, solve_level,
 )
 from polysched.verify import check_legality, full_rank
 
-from inputs import FIXTURES, bench_chain
+from inputs import FIXTURES, bench_chain, oracle
 
 F = Fraction
 
@@ -49,14 +51,20 @@ def _rows_hold(system, values):
 
 
 class TestRowAlgebra:
-    def test_rref_collapses_dependent_rows(self):
-        red, pivots = rref([R(2, 4), R(1, 2)])
-        assert red == [[F(1), F(2)]] and pivots == [0]
+    def test_echelon_collapses_dependent_rows(self):
+        form = pluto._echelon([R(2, 4), R(1, 2)])
+        assert [r.nonzero for r in form] == [((0, 1), (1, 2))]
         assert row_rank([R(2, 4), R(1, 2)]) == 1
 
-    def test_rref_orders_pivots(self):
-        red, pivots = rref([R(0, 1), R(1, 0)])
-        assert red == [[F(1), F(0)], [F(0), F(1)]] and pivots == [0, 1]
+    def test_echelon_reduces_each_row_against_the_earlier_ones(self):
+        # (1, -1) less (1, 1) is (0, -2), kept canonical as (0, 1); the
+        # third row, cleared of its denominator, reduces to zero.
+        rows = [R(1, 1), R(1, -1), (F(1, 2), F(3))]
+        form = pluto._echelon(rows)
+        assert [r.nonzero for r in form] == [((0, 1), (1, 1)), ((1, 1),)]
+        assert all(type(c) is int for r in form for _, c in r.nonzero)
+        assert row_rank(rows) == 2
+        assert pluto._echelon([R(0, 1), R(1, 0)])[1].nonzero == ((0, 1),)
 
     def test_nullspace_spans_the_complement(self):
         basis = nullspace_basis([R(1, 1, 0)], 3)
@@ -72,6 +80,30 @@ class TestRowAlgebra:
 
     def test_independence_vector_none_at_full_rank(self):
         assert independence_vector([R(1, 0), R(0, 1)], 2) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_agrees_with_the_oracle(data):
+    """On small integer and rational matrices, `row_rank` is the rank
+    `oracle.rank` computes by its own `Fraction` elimination, and
+    `nullspace_basis` gives ncols - rank independent vectors, each
+    integral, primitive, positive-lead and orthogonal to every row."""
+    ncols = data.draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    if data.draw(st.booleans()):
+        entry = st.builds(F, entry, st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              max_size=5))
+    rank = row_rank(rows)
+    assert rank == oracle.rank(rows)
+    basis = nullspace_basis(rows, ncols)
+    assert len(basis) == ncols - rank
+    assert oracle.rank(basis) == len(basis)
+    for vec in basis:
+        assert all(type(x) is int for x in vec)
+        assert gcd(*vec) == 1 and next(filter(None, vec)) > 0
+        assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
 
 
 class TestAssembly:

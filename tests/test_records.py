@@ -2,9 +2,11 @@
 
 The value records are immutable and compare and hash by value; a
 dependence compares by identity, so equal relations stay distinct members
-of a set.  No record is a dataclass: building one would generate and
-compile methods on every import.  The checks that some classes make on
-construction are tested with their modules.
+of a set.  Integral values are ints: transform rows, `Step` rows and
+integral lower bounds; only values that can be non-integral, such as
+solver optima, are `Fraction`s.  No record is a dataclass: building one
+would generate and compile methods on every import.  The checks that some
+classes make on construction are tested with their modules.
 """
 
 import dataclasses
@@ -19,7 +21,8 @@ import polysched
 from polysched import fcg, model, pluto, postpass, ratlp, verify
 from polysched.farkas import ConstraintSystem
 from polysched.model import RAW, Band, Cut, DependencePolyhedron
-from polysched.pluto import Step
+from polysched.pluto import ILP, LP, SchedulerConfig, Step, schedule
+from polysched.postpass import dfp_schedule
 from polysched.ratlp import INFEASIBLE, OPTIMAL, LPResult
 
 VALUE_RECORDS = (
@@ -80,3 +83,24 @@ def test_equal_dependences_stay_distinct():
             for _ in range(2))
     assert a != b and len({a, b}) == 2 and a == a
 
+
+@pytest.mark.parametrize("path", [ILP, LP, "dfp"])
+def test_transform_and_step_rows_are_ints(corpus, path):
+    for inst in corpus:
+        if path == "dfp":
+            result = dfp_schedule(inst.program, inst.deps)
+            transforms = (result.scaled, result.transform)
+        else:
+            result = schedule(inst.program, inst.deps, SchedulerConfig(mode=path))
+            transforms = (result.transform,)
+        rows = [row for t in transforms for listed in t.rows.values() for row in listed]
+        rows += [row for s in result.steps if s.rows for row in s.rows.values()]
+        assert rows, inst.name
+        assert all(type(x) is int for row in rows for x in row), inst.name
+
+
+def test_integral_lower_bounds_are_ints():
+    system = ConstraintSystem(("x", "y", "z", "w", "v"),
+                              lower={"x": 1, "y": Fraction(2), "z": Fraction(1, 2), "w": None})
+    assert system.lower == {"x": 1, "y": 2, "z": Fraction(1, 2), "w": None, "v": 0}
+    assert [type(b) for b in system.lower.values()] == [int, int, Fraction, type(None), int]
