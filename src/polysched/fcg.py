@@ -53,16 +53,16 @@ class FusionConflictGraph:
         adj: dict[Vertex, set] = {v: set() for v in vertices}
         for v in loops:
             adj[v].add(v)
-        for u, v in conflicts + cliques:
+        for u, v in conflicts:
             adj[u].add(v)
             adj[v].add(u)
-        #: The vertices joined to each vertex by an edge, itself if it has a
-        #: self loop.
+        #: The vertices joined to each vertex by a conflict edge, itself if
+        #: it has a self loop.
         self._neighbours = {v: frozenset(vs) for v, vs in adj.items()}
 
     def neighbours(self, v: Vertex) -> frozenset:
-        """The vertices an edge (conflict or same-statement clique) joins to
-        `v`, and `v` itself when it has a self loop."""
+        """The vertices a conflict edge joins to `v`, and `v` itself when it
+        has a self loop."""
         return self._neighbours[v]
 
 
@@ -127,10 +127,10 @@ def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int,
     return kept
 
 
-def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron]):
+def _probe_pairs(program: Program, deps: Sequence[DependencePolyhedron]):
     """Statement pairs worth probing: directly connected, minus pairs whose
     ordering is already implied transitively through other statements."""
-    ids = [s.id for s in stmts]
+    ids = [s.id for s in program.statements]
     comp_of: dict[str, int] = {}
     sccs = scc_decompose(ids, deps)
     for ci, comp in enumerate(sccs):
@@ -140,7 +140,6 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
             for d in deps if comp_of[d.src] != comp_of[d.dst]}
     kept = _transitive_reduction(len(sccs), cond)  # `sccs` is topologically sorted
 
-    by_id = {s.id: s for s in stmts}
     linked = {frozenset((d.src, d.dst)) for d in deps}
     pairs = []
     for a, b in combinations(ids, 2):
@@ -149,7 +148,7 @@ def _probe_pairs(stmts: Sequence[Statement], deps: Sequence[DependencePolyhedron
         ca, cb = comp_of[a], comp_of[b]
         if ca != cb and (ca, cb) not in kept and (cb, ca) not in kept:
             continue
-        pairs.append((by_id[a], by_id[b]))
+        pairs.append((program.statement(a), program.statement(b)))
     return pairs
 
 
@@ -179,7 +178,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
                 loops.append((s.id, k))
 
     conflicts = []
-    for a, b in _probe_pairs(stmts, deps):
+    for a, b in _probe_pairs(program, deps):
         involved = sorted(by_pair.get(frozenset((a.id,)), [])
                           + by_pair.get(frozenset((b.id,)), [])
                           + by_pair[frozenset((a.id, b.id))],
@@ -212,25 +211,25 @@ class Coloring(NamedTuple):
     list covers every dimension of the statement, outermost color first.
     `cut_groups` maps a color to the distribution in force when that color
     was completed; the k-th cut color c (from 0) becomes the scalar level
-    c + k, right before the color's loop level.
+    c + k, right before the color's loop level.  `fcg` is the conflict
+    graph of the dependences still live at the end, so a dependence that a
+    cut or a drop removed is missing from it.
     """
 
     colors: Mapping[str, tuple[int, ...]]
     groups: tuple[tuple[str, ...], ...]
     cut_groups: Mapping[int, tuple[tuple[str, ...], ...]]
     fcg: FusionConflictGraph
-    initial: FusionConflictGraph
-    events: tuple[str, ...]
 
 
-def _color_scc(by_id: Mapping[str, Statement], comp: Sequence[str],
+def _color_scc(program: Program, comp: Sequence[str],
                colors: Mapping[str, list], fcg: FusionConflictGraph,
                chosen: set[Vertex]):
     """Pick one free dimension per live statement of the component, lowest
     index first, compatible with everything already chosen at this color."""
     picked: list[Vertex] = []
     for sid in comp:
-        s = by_id[sid]
+        s = program.statement(sid)
         used = set(colors[sid])
         if len(used) >= s.dim:
             continue
@@ -284,22 +283,20 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     shrinks the live dependence set and each completed color moves to the
     next, so the loop terminates.
     """
-    by_id = {s.id: s for s in program.statements}
+    ids = tuple(s.id for s in program.statements)
     max_colors = max((s.dim for s in program.statements), default=0)
     live: list[DependencePolyhedron] = list(deps)
-    colors: dict[str, list] = {sid: [] for sid in by_id}
-    groups: list[tuple[str, ...]] = [tuple(by_id)] if by_id else []
+    colors: dict[str, list] = {sid: [] for sid in ids}
+    groups: list[tuple[str, ...]] = [ids] if ids else []
     cut_groups: dict[int, tuple[tuple[str, ...], ...]] = {}
-    events: list[str] = []
 
-    initial = build_fcg(program, live)
-    fcg = initial
+    fcg = build_fcg(program, live)
     color = 1
     while color <= max_colors:
-        sccs = scc_decompose(list(by_id), live)
+        sccs = scc_decompose(ids, live)
         chosen: set[Vertex] = set()
         for idx, comp in enumerate(sccs):
-            picked = _color_scc(by_id, comp, colors, fcg, chosen)
+            picked = _color_scc(program, comp, colors, fcg, chosen)
             if picked is None:
                 break
             chosen.update(picked)
@@ -311,13 +308,10 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
 
         # Distribute: everything before the stuck component runs first.
         left = {sid for comp in sccs[:idx] for sid in comp}
-        cut = [d for d in live if (d.src in left) != (d.dst in left)]
-        if cut:
+        kept = [d for d in live if (d.src in left) == (d.dst in left)]
+        if len(kept) < len(live):
             groups = _split_groups(groups, left)
-            live = [d for d in live if (d.src in left) == (d.dst in left)]
             cut_groups[color] = tuple(groups)
-            events.append(f"cut before {sccs[idx][0]} at color {color}, "
-                          f"dropping {len(cut)} dependences")
         else:
             kept = unsatisfied(live, _partial(program, colors))
             if len(kept) == len(live):
@@ -328,13 +322,11 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
                     f"no dimension of {', '.join(sccs[idx])} can take color "
                     f"{color}; the conflict graph admits no convex coloring; "
                     f"live dependences {dependence_list(inside)}")
-            events.append(f"dropped {len(live) - len(kept)} dependences "
-                          f"satisfied above color {color}")
-            live = kept
+        live = kept
         fcg = build_fcg(program, live)
 
     return Coloring({sid: tuple(ks) for sid, ks in colors.items()},
-                    tuple(groups), dict(cut_groups), fcg, initial, tuple(events))
+                    tuple(groups), dict(cut_groups), fcg)
 
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,

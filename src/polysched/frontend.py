@@ -44,7 +44,7 @@ from .model import (
     AccessFunction, DependencePolyhedron, IndexSet, Program, Statement,
 )
 
-_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _RELS = {">=", "<=", "=="}
 _KINDS = {RAW, WAR, WAW, RAR}
 
@@ -56,7 +56,7 @@ class ParseError(ValueError):
 
 
 def _name(where: str, value) -> str:
-    if not isinstance(value, str) or not _NAME.match(value):
+    if not isinstance(value, str) or not _NAME.fullmatch(value):
         raise ParseError(where, f"expected an identifier, got {value!r}")
     return value
 
@@ -187,8 +187,7 @@ def parse_program(data: Mapping) -> Program:
         statements.append(Statement(sid, IndexSet(iters, params, system),
                                     tuple(accesses), order))
 
-    statements.sort(key=lambda s: s.textual_order)
-    return Program(params, tuple(statements))
+    return Program(params, statements)
 
 
 # -- dependence polyhedra -----------------------------------------------------
@@ -391,7 +390,7 @@ def _deps_between(src: Statement, dst: Statement, params,
 def compute_dependences(program: Program) -> tuple[DependencePolyhedron, ...]:
     """Dependences between every statement pair `src <= dst` in textual
     order that shares an array, with one Farkas cone per distinct relation."""
-    stmts = sorted(program.statements, key=lambda s: s.textual_order)
+    stmts = program.statements
     users: dict[str, list[int]] = {}
     for k, s in enumerate(stmts):
         for array in dict.fromkeys(a.array for a in s.accesses):

@@ -1,10 +1,11 @@
 """Program representation: iteration domains, dependences, transforms.
 
 Statements are perfectly nested loops executed one nest after another in
-textual order.  A dependence is a polyhedron of (source instance, target
-instance, parameters) points; the dependence graph over statement ids splits
-into weakly or strongly connected components.  An affine transform is a list
-of rows per statement, each row giving iterator coefficients, parameter-shift
+textual order, which `Program.statements` keeps whatever the input order.  A
+dependence is a polyhedron of (source instance, target instance, parameters)
+points; the dependence graph over statement ids splits into weakly or
+strongly connected components.  An affine transform is a list of rows per
+statement, each row giving iterator coefficients, parameter-shift
 coefficients and a constant shift.  The value types are NamedTuples, so
 immutable.  `IndexSet`, `Program` and `DependencePolyhedron` check their
 fields in `__init__`; they are plain slotted classes whose fields nothing
@@ -80,10 +81,11 @@ class Statement(NamedTuple):
 class Program:
     __slots__ = ("params", "statements", "_by_id", "_probe_verdicts")
 
-    def __init__(self, params: tuple[str, ...], statements: tuple[Statement, ...]):
-        self.params, self.statements = params, statements
-        self._by_id = {s.id: s for s in statements}
-        if len(self._by_id) != len(statements):
+    def __init__(self, params: tuple[str, ...], statements: Sequence[Statement]):
+        self.params = params
+        self.statements = tuple(sorted(statements, key=lambda s: s.textual_order))
+        self._by_id = {s.id: s for s in self.statements}
+        if len(self._by_id) != len(self.statements):
             raise ValueError("duplicate statement ids")
         #: One verdict per probe shape, filled by `fcg.fusion_probe`.
         self._probe_verdicts: dict = {}

@@ -224,8 +224,8 @@ class Step(NamedTuple):
     `factors` holds one int per group of variables `solve_level` scaled,
     the lcm of that group's denominators, and `rows`, the level's row of
     each statement it placed, is `raw` times those factors, read off by
-    `level_rows`: its entries are ints.  `component` is None for a step
-    spanning the whole program.
+    `level_rows`: its entries are ints.  `component` is `schedule`'s index
+    of the weakly connected component the step is in, None outside one.
     """
 
     level: int
@@ -241,7 +241,7 @@ class Step(NamedTuple):
 def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
                 terms: Terms, level: int, groups: Sequence[Sequence[str]] | None = None,
                 extra: Sequence[tuple[Mapping[str, Fraction | int], Fraction | int]] = (),
-                mode: str = LP, component: int | None = None) -> Step | None:
+                mode: str = LP) -> Step | None:
     """The loop step of `level` over `terms`, or None when it is infeasible.
 
     The system is `level_system` of `deps` plus one row per (form over the
@@ -274,7 +274,7 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
         factors.append(k)
         scaled.update((v, x[v].numerator * (k // x[v].denominator)) for v in members)
     return Step(level, "loop", _is_parallel(program, x), system, dict(x),
-                tuple(factors), component, level_rows(terms, scaled))
+                tuple(factors), rows=level_rows(terms, scaled))
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
@@ -289,8 +289,7 @@ def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequen
 def find_hyperplane(program: Program, statements: Sequence[Statement],
                     deps: Sequence[DependencePolyhedron],
                     prior: Mapping[str, Sequence],
-                    config: SchedulerConfig, level: int,
-                    component: int | None) -> Step | None:
+                    config: SchedulerConfig, level: int) -> Step | None:
     """The loop step of `level`: one more row per statement, or None if none.
 
     Every statement whose rows do not yet span its iteration space gets one
@@ -307,7 +306,7 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
 
     active = [s for s in statements if not complete[s.id]]
     if config.restricted:
-        return _best_axis_solve(program, deps, active, parts, config, level, component)
+        return _best_axis_solve(program, deps, active, parts, config, level)
     nparams = len(program.params)
     terms = {s.id: _unit_terms(s, program.params,
                                [(k, 0) for k in range(s.dim + nparams + 1)])
@@ -319,14 +318,12 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
         guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
         if guide is not None:
             extra.append(({v: a for v, a in zip(names, guide) if a}, -1))
-    return solve_level(program, deps, terms, level, extra=extra, mode=config.mode,
-                       component=component)
+    return solve_level(program, deps, terms, level, extra=extra, mode=config.mode)
 
 
 def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
                      active: Sequence[Statement], parts: Mapping[str, Sequence],
-                     config: SchedulerConfig, level: int,
-                     component: int | None) -> Step | None:
+                     config: SchedulerConfig, level: int) -> Step | None:
     """No-skew search: each statement's row is a scaled unit vector on an
     axis its earlier rows leave untouched, one term per statement.  Every
     joint axis assignment is solved; the least optimum over the bound
@@ -346,8 +343,7 @@ def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
     for combo in itertools.product(*choices):
         terms = {s.id: _unit_terms(s, program.params, [(k, 1)])
                  for s, k in zip(active, combo)}
-        step = solve_level(program, deps, terms, level, mode=config.mode,
-                           component=component)
+        step = solve_level(program, deps, terms, level, mode=config.mode)
         if step is None:
             continue
         key = tuple(step.raw.get(v, 0) for v in order)
@@ -376,10 +372,9 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     when there is more than one.  Each component is one walk over its
     levels, and each retire or cut there ends a band."""
     deps = tuple(d for d in deps if d.ordering)
-    ordered = sorted(program.statements, key=lambda s: s.textual_order)
-    comps = components([s.id for s in ordered], deps)
+    comps = components([s.id for s in program.statements], deps)
 
-    rows: dict[str, list] = {s.id: [] for s in ordered}
+    rows: dict[str, list] = {s.id: [] for s in program.statements}
     bands: list[Band] = []
     cuts: list[Cut] = []
     steps: list[Step] = []
@@ -396,20 +391,18 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
         level = band_start = start
         parallel = False
         while True:
-            done = all(_statement_state(stmts, rows)[1].values())
-            step = None if done else find_hyperplane(program, stmts, live, rows,
-                                                     config, level, ci)
+            step = find_hyperplane(program, stmts, live, rows, config, level)
             if step is not None:
                 for sid, row in step.rows.items():
                     rows[sid].append(row)
                 if level == band_start:
                     parallel = step.parallel
-                steps.append(step)
+                steps.append(step._replace(component=ci))
                 level += 1
                 continue
             if level > band_start:
                 bands.append(Band(band_start, level - 1, True, parallel, comp))
-            if done:
+            if all(_statement_state(stmts, rows)[1].values()):
                 break
             kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
             if len(kept) == len(live):

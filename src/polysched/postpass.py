@@ -87,13 +87,12 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
 
 
 class SkewOutcome(NamedTuple):
-    """`transform` is the input with every kept skew and every band set;
-    `skewed` holds one step per replaced level, outermost first, none when
-    no band kept a skew, and `diagnostics` one line per band refused one."""
+    """`transform` is the input with every kept skew and every band set (a
+    band that a level refused a skew is not permutable); `skewed` holds one
+    step per replaced level, outermost first, none when no band kept a skew."""
 
     transform: AffineTransform
     skewed: tuple[Step, ...]
-    diagnostics: tuple[str, ...]
 
 
 def _skew_level(program: Program, live: Sequence[DependencePolyhedron],
@@ -135,29 +134,25 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
     A band's live set is the ordering dependences no level above it
     satisfies.  Each band level where one of them goes negative is replaced
     before deeper ones are examined.  When some level admits no legal
-    combination, the band keeps its unskewed rows, is not permutable and
-    gets a diagnostic; other bands keep their skews.  A band's `parallel`
-    flag is that of the last step at its first level, `steps` or a kept skew.
+    combination, the band keeps its unskewed rows and is not permutable;
+    other bands keep their skews.  A band's `parallel` flag is that of the
+    last step at its first level, `steps` or a kept skew.
     """
     ordering = [d for d in deps if d.ordering]
     by_level = {s.level: s for s in steps}
     current = transform
     skewed: list[Step] = []
-    bands, diagnostics = [], []
+    bands = []
     start = 1
     for stop in sorted({c.level for c in transform.cuts} | {transform.levels + 1}):
         if start < stop:
             live = unsatisfied(ordering, current, start - 1)
             trial, kept, permutable = current, [], True
             for level in range(start, stop):
-                bad = negative(live, trial, level)
-                if not bad:
+                if not negative(live, trial, level):
                     continue
                 solved = _skew_level(program, live, trial, level)
                 if solved is None:
-                    diagnostics.append(
-                        f"level {level} has a negative component ({dependence_list(bad)}) "
-                        f"but no legal skew exists; the nest is not tileable")
                     permutable = False
                     break
                 trial, step = solved
@@ -171,8 +166,7 @@ def introduce_skew(program: Program, deps: Sequence[DependencePolyhedron],
                 start, stop - 1, permutable, bool(first and first.parallel),
                 tuple(s.id for s in program.statements if len(current.rows[s.id]) >= start)))
         start = stop + 1
-    return SkewOutcome(current._replace(bands=tuple(bands)), tuple(skewed),
-                       tuple(diagnostics))
+    return SkewOutcome(current._replace(bands=tuple(bands)), tuple(skewed))
 
 
 # -- the full pipeline ---------------------------------------------------------

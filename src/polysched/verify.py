@@ -327,16 +327,19 @@ class _Runs(NamedTuple):
     dfp: DfpResult
 
 
+def _named(inst: CorpusInstance, what: str, fn: Callable, *args):
+    """`fn(*args)`; an error names the instance and `what` ran."""
+    try:
+        return fn(*args)
+    except (SchedulingError, ratlp.ResourceLimitError) as exc:
+        raise type(exc)(f"{inst.name}: {what}: {exc}") from None
+
+
 def _run_instance(inst: CorpusInstance) -> _Runs:
     """Every path on the instance; an error names the instance and path."""
-    results = []
-    for path in (LP, ILP, "dfp"):
-        try:
-            results.append(dfp_schedule(inst.program, inst.deps) if path == "dfp" else
-                           schedule(inst.program, inst.deps, SchedulerConfig(mode=path)))
-        except (SchedulingError, ratlp.ResourceLimitError) as exc:
-            raise type(exc)(f"{inst.name}: {path}: {exc}") from None
-    return _Runs(inst, *results)
+    lp, ilp = [_named(inst, mode, schedule, inst.program, inst.deps,
+                      SchedulerConfig(mode=mode)) for mode in (LP, ILP)]
+    return _Runs(inst, lp, ilp, _named(inst, "dfp", dfp_schedule, inst.program, inst.deps))
 
 
 def _solves(result: ScheduleResult | DfpResult) -> list[Step]:
@@ -502,9 +505,9 @@ def _check_restricted_scaling(runs, bound):
             details.append(f"skipped {r.instance.name}: needs shifts or skewing")
             continue
         prog, deps = r.instance.program, r.instance.deps
-        pairs = _step_pairs(
-            schedule(prog, deps, SchedulerConfig(mode=LP, restricted=True)),
-            schedule(prog, deps, SchedulerConfig(mode=ILP, restricted=True)))
+        pairs = _step_pairs(*[
+            _named(r.instance, f"restricted {mode}", schedule, prog, deps,
+                   SchedulerConfig(mode=mode, restricted=True)) for mode in (LP, ILP)])
         if pairs is None:
             bad.append(f"{r.instance.name}: record streams differ between modes")
             continue
@@ -586,11 +589,10 @@ def _check_joint_shifts(runs, bound):
     probes = 0
     for r in runs:
         prog, deps = r.instance.program, r.instance.deps
-        by_id = {s.id: s for s in prog.statements}
         for comp in components([s.id for s in prog.statements], deps):
             if len(comp) < 2:
                 continue
-            stmts = [by_id[sid] for sid in comp]
+            stmts = [prog.statement(sid) for sid in comp]
             pool = [d for d in deps if d.src in comp and d.dst in comp]
             for dim in range(min(s.dim for s in stmts)):
                 pairwise = all(
@@ -619,7 +621,8 @@ def _check_scc_colorability(runs, bound):
         for comp in scc_decompose([s.id for s in prog.statements], deps):
             sub = build_fcg(prog, [d for d in deps if d.src in comp and d.dst in comp])
             count += 1
-            if colorable_dimension(prog, sub, comp) is None:
+            if _named(r.instance, "scc-colorability", colorable_dimension,
+                      prog, sub, comp) is None:
                 bad.append(f"{r.instance.name}: component {{{','.join(comp)}}} "
                            "has no colorable dimension")
     details = tuple(bad) or (f"{count} isolated components each keep a "
@@ -632,7 +635,6 @@ def _check_fusion_transitivity(runs, bound):
     tried = 0
     for r in runs:
         prog, deps = r.instance.program, r.instance.deps
-        by_id = {s.id: s for s in prog.statements}
         linked = set()
         for d in deps:
             if d.src != d.dst:
@@ -641,17 +643,16 @@ def _check_fusion_transitivity(runs, bound):
 
         def probe(choose: dict[str, int], parametric: bool) -> bool:
             pool = [d for d in deps if d.src in choose and d.dst in choose]
-            return fusion_probe(prog, [by_id[s] for s in sorted(choose)],
+            return fusion_probe(prog, [prog.statement(s) for s in sorted(choose)],
                                 choose, pool, parametric_shifts=parametric)
 
-        ids = sorted(by_id)
+        ids = sorted(s.id for s in prog.statements)
         for a, b, c in itertools.permutations(ids, 3):
             if a > c or (a, b) not in linked or (b, c) not in linked:
                 continue
             for parametric in (False, True):
                 for da, db, dc in itertools.product(
-                        range(by_id[a].dim), range(by_id[b].dim),
-                        range(by_id[c].dim)):
+                        *[range(prog.statement(x).dim) for x in (a, b, c)]):
                     if (probe({a: da, b: db}, parametric)
                             and probe({b: db, c: dc}, parametric)):
                         tried += 1

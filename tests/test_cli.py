@@ -255,7 +255,9 @@ class TestErrors:
         ("5", "top level must be an object"),
         (json.dumps({"name": "x", "program": {"statements": 3}}),
          "program.statements: expected a list"),
-    ], ids=["malformed", "bad-program", "top-level", "bad-instance"])
+        (json.dumps({"statements": [{"id": "S\n", "iterators": [], "domain": []}]}),
+         "statements[0].id: expected an identifier, got 'S\\n'"),
+    ], ids=["malformed", "bad-program", "top-level", "bad-instance", "newline-name"])
     def test_input_errors_name_the_file(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "deep.json"
         path.write_text(text)
@@ -299,6 +301,26 @@ class TestErrors:
         assert err == ("internal error: stuck: dfp: no legal scaling and shifting exists "
                        "at level 2: statements S1; live dependences S0->S1 A:0->0, "
                        "S1->S1 A:0->0@1, S1->S2 A:0->0\n")
+
+    def test_suite_check_error_names_instance_and_check(self, capsys, tmp_path):
+        # A chain of 7 statements with 4 loops each, S{k} reading A{k-1} at
+        # the point S{k-1} wrote: the paths schedule it, but the restricted
+        # axis search of `restricted-scaling` has 4**7 assignments to try.
+        box = [[int(j == k) for j in range(4)] + [0, 0, ">="] for k in range(4)] + \
+              [[-int(j == k) for j in range(4)] + [1, -1, ">="] for k in range(4)]
+        ident = [[int(j == k) for j in range(4)] + [0, 0] for k in range(4)]
+        statements = [{"id": f"S{k}", "iterators": ["i", "j", "k", "l"], "domain": box,
+                       "accesses": [{"array": f"A{k}", "kind": "write", "map": ident}]
+                       + [{"array": f"A{k - 1}", "kind": "read", "map": ident}] * (k > 0)}
+                      for k in range(7)]
+        (tmp_path / "big.json").write_text(json.dumps({
+            "name": "big", "flags": {"restricted": True},
+            "program": {"params": ["N"], "statements": statements}}))
+        code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+        assert code == 3 and out == ""
+        assert err == ("internal error: big: restricted lp: axis search space too large "
+                       "at level 1: 16384 assignments for statements "
+                       "S0, S1, S2, S3, S4, S5, S6\n")
 
     def test_node_limit_exits_3_and_names_where(self, capsys, monkeypatch):
         monkeypatch.setattr(ratlp, "solve_ilp",

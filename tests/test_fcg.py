@@ -25,6 +25,11 @@ def _lexmin(system):
     return ratlp.solve_lexmin(ratlp.LPProblem.of(system))
 
 
+def _graph(g: FusionConflictGraph) -> tuple:
+    """Every vertex and edge of a conflict graph, for comparing two."""
+    return g.vertices, g.conflicts, g.cliques, g.loops
+
+
 class TestFusionProbe:
     def test_transposed_pair_fuses_only_crosswise(self, by_name):
         inst = by_name["fig1"]
@@ -168,7 +173,9 @@ class TestBuildFcg:
         fcg = build_fcg(inst.program, inst.deps)
         assert ("S2", 0) in fcg.neighbours(("S1", 0))
         assert ("S1", 0) in fcg.neighbours(("S2", 0))
-        assert ("S1", 1) in fcg.neighbours(("S1", 0))  # same-statement clique
+        # A same-statement clique edge is drawn but joins no neighbours.
+        assert (("S1", 0), ("S1", 1)) in fcg.cliques
+        assert ("S1", 1) not in fcg.neighbours(("S1", 0))
         assert ("S3", 1) not in fcg.neighbours(("S1", 0))
         assert ("S1", 0) not in fcg.neighbours(("S1", 0))  # no self loop
 
@@ -179,16 +186,19 @@ class TestColoring:
         col = color_fcg(inst.program, inst.deps)
         assert col.colors == {"S1": (0, 1), "S2": (1, 0), "S3": (0, 1)}
         assert col.groups == (("S1", "S2", "S3"),)
-        assert col.cut_groups == {} and col.events == ()
-        assert col.fcg is col.initial
+        # Nothing was cut or dropped: the graph is that of every dependence.
+        assert col.cut_groups == {}
+        assert _graph(col.fcg) == _graph(build_fcg(inst.program, inst.deps))
 
     def test_stencil_drops_satisfied_dependences(self, by_name):
         inst = by_name["stencil1d"]
         col = color_fcg(inst.program, inst.deps)
         assert col.colors == {"S": (0, 1)}
-        assert col.events == ("dropped 3 dependences satisfied above color 2",)
-        # The rescue rebuilt the graph without the satisfied dependences.
-        assert col.initial.loops == (("S", 1),)
+        # Color 1 satisfies all three self-dependences; the rescue dropped
+        # them and rebuilt the graph without them, which removed the loop.
+        assert len(inst.deps) == 3 and col.cut_groups == {}
+        assert build_fcg(inst.program, inst.deps).loops == (("S", 1),)
+        assert _graph(col.fcg) == _graph(build_fcg(inst.program, []))
         assert col.fcg.loops == ()
 
     def test_reversal_forces_a_cut(self, by_name):
@@ -197,7 +207,9 @@ class TestColoring:
         assert col.colors == {"P": (0,), "Q": (0,)}
         assert col.groups == (("P",), ("Q",))
         assert col.cut_groups == {1: (("P",), ("Q",))}
-        assert col.events == ("cut before Q at color 1, dropping 1 dependences",)
+        # The cut removed the one dependence, P->Q, from the graph.
+        assert [(d.src, d.dst) for d in inst.deps] == [("P", "Q")]
+        assert _graph(col.fcg) == _graph(build_fcg(inst.program, []))
 
     def test_no_distribution_without_a_dependence_to_cut(self):
         # S1 cannot take S0's second color while S0's diagonal dependence is
@@ -216,7 +228,10 @@ class TestColoring:
              "accesses": [{"array": "B", "kind": "write", "map": ident}]}]})
         col = color_fcg(program, deps)
         assert col.cut_groups == {} and col.groups == (("S0", "S1"),)
-        assert col.events == ("dropped 1 dependences satisfied above color 2",)
+        # The drop removed S0's diagonal dependence, the only one.
+        assert [(d.src, d.dst, d.label) for d in deps] == [("S0", "S0", "A:0->1@0")]
+        assert build_fcg(program, deps).loops == (("S0", 1),)
+        assert _graph(col.fcg) == _graph(build_fcg(program, []))
         out = dfp_schedule(program, deps)
         assert out.transform.cuts == () and out.transform.levels == 2
         assert [(b.start, b.end, b.permutable) for b in out.transform.bands] \

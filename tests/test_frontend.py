@@ -100,6 +100,17 @@ class TestParseErrors:
         assert err.value.where == where
         assert str(err.value).startswith(where + ": ")
 
+    @pytest.mark.parametrize("path, name, where", [
+        ("params__0", "N\n", "params[0]"),
+        ("statements__0__id", "S\n", "statements[0].id"),
+        ("statements__0__iterators__0", "i\n", "statements[0].iterators[0]"),
+        ("statements__0__accesses__0__array", "a\n", "statements[0].accesses[0].array"),
+    ])
+    def test_name_with_a_trailing_newline(self, path, name, where):
+        with pytest.raises(ParseError) as err:
+            parse_program(edit(PAIR, **{path: name}))
+        assert str(err.value) == f"{where}: expected an identifier, got {name!r}"
+
     def test_duplicate_statement_id(self):
         data = edit(PAIR, statements__1__id="P")
         with pytest.raises(ParseError, match="duplicate statement id"):

@@ -39,7 +39,9 @@ from pathlib import Path
 
 import pytest
 
+from polysched.cli import main
 from polysched.farkas import bounding_constraints, legality_constraints
+from polysched.fcg import build_fcg
 from polysched.frontend import analyze
 from polysched.model import SchedulingError
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
@@ -98,7 +100,7 @@ def golden_entry(inst) -> dict:
     entry["dfp_steps"] = _steps_digest(dfp.steps)
     entry["dfp_optima"] = _steps_digest(dfp.steps, systems=False)
     entry["fcg"] = {
-        "initial": _edges(coloring.initial),
+        "initial": _edges(build_fcg(inst.program, inst.deps)),
         "final": _edges(coloring.fcg),
         "colors": {sid: list(ks) for sid, ks in coloring.colors.items()},
         "cut_groups": {str(c): [list(g) for g in groups]
@@ -199,6 +201,32 @@ def test_golden_covers_corpus(corpus):
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_golden_schedule(by_name, name):
     assert golden_entry(by_name[name]) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_statement_listing_order_changes_no_output(name, tmp_path, capsys):
+    """A program lists its statements in textual order however its input
+    lists them: with every `order` set, reversing the list changes no
+    transform on any path and no `polysched fcg` output."""
+    original = ROOT / "src" / "polysched" / "corpus" / f"{name}.json"
+    data = json.loads(original.read_text())
+    listed = data["program"]["statements"]
+    for k, st in enumerate(listed):
+        st["order"] = st.get("order", k)
+    listed.reverse()
+    (tmp_path / "reversed.json").write_text(json.dumps(data))
+    inst = load_corpus(str(tmp_path))[0]
+    for mode in (ILP, LP):
+        result = schedule(inst.program, inst.deps, SchedulerConfig(mode=mode))
+        assert _digest(result.transform.to_json()) == EXPECTED[name][mode]
+    assert _digest(dfp_schedule(inst.program, inst.deps).transform.to_json()) \
+        == EXPECTED[name]["dfp"]
+    for flags in ([], ["--dot"]):
+        outputs = []
+        for path in (original, tmp_path / "reversed.json"):
+            assert main(["fcg", str(path), *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("mode", [ILP, LP])

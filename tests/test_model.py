@@ -137,6 +137,12 @@ class TestValidation:
             DependencePolyhedron("A", "B", RAW, ("s.i",), ("t.i",), (),
                                  ConstraintSystem(("t.i", "s.i")))
 
+    def test_statements_listed_in_textual_order(self, pair):
+        program, _ = pair
+        given = Program(program.params, tuple(reversed(program.statements)))
+        assert [s.id for s in given.statements] == ["P", "Q"]
+        assert given.statement("Q") is program.statement("Q")
+
     def test_statement_lookup(self, pair):
         program, _ = pair
         assert program.statement("P").id == "P"

@@ -295,8 +295,12 @@ class TestFindHyperplane:
     def test_first_level_of_an_offset_pair(self, by_name):
         inst = by_name["shift_pair"]
         step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                               {}, SchedulerConfig(mode=LP), 1, 0)
-        assert (step.level, step.kind, step.component) == (1, "loop", 0)
+                               {}, SchedulerConfig(mode=LP), 1)
+        assert (step.level, step.kind, step.component) == (1, "loop", None)
+        # `schedule` takes the same step and stamps its component on it.
+        first = schedule(inst.program, inst.deps, SchedulerConfig(mode=LP)).steps[0]
+        assert (first.level, first.kind, first.component) == (1, "loop", 0)
+        assert first.raw == step.raw and first.rows == step.rows
         assert step.factors == (1,) and step.parallel
         assert step.raw["c.P.i"] == 1 and step.raw["c.Q.i"] == 1
         assert step.raw["c0.P"] == 2 and step.raw["c0.Q"] == 0
@@ -306,7 +310,7 @@ class TestFindHyperplane:
         inst = by_name["shift_pair"]
         prior = {"P": [R(1, 0, 2)], "Q": [R(1, 0, 0)]}
         step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                               prior, SchedulerConfig(mode=LP), 2, 0)
+                               prior, SchedulerConfig(mode=LP), 2)
         assert step is None
 
 
@@ -346,7 +350,7 @@ class TestSolveLevel:
         # find_hyperplane's one group is every system variable, u and w included.
         inst = by_name["scaling_pair"]
         step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
-                               {}, SchedulerConfig(mode=LP), 1, 0)
+                               {}, SchedulerConfig(mode=LP), 1)
         assert step.system.variables[:2] == ("u.N", "w")
         every = lcm(*(step.raw[v].denominator for v in step.system.variables))
         assert step.factors == (every,) == (2,)

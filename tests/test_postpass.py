@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from polysched.cli import main
-from polysched.fcg import color_fcg, fusion_probe
+from polysched.fcg import _partial, build_fcg, color_fcg, fusion_probe
 from polysched.frontend import analyze
 from polysched.model import (
-    AffineTransform, Band, Cut, SchedulingError, negative, unsatisfied,
+    AffineTransform, Band, Cut, SchedulingError, dependence_list, negative,
+    unsatisfied,
 )
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import (
@@ -93,7 +94,9 @@ class TestIntroduceSkew:
     def test_no_op_keeps_the_input_rows(self, dfp_results):
         out = dfp_results["fig1"]
         assert out.skew.transform.rows == out.scaled.rows
-        assert out.skew.skewed == () and out.skew.diagnostics == ()
+        assert out.skew.skewed == ()
+        assert [(b.start, b.end, b.permutable) for b in out.transform.bands] \
+            == [(1, 2, True)]
         assert len(out.steps) == 2  # the two scale/shift steps, no skew step
 
     def test_stencil_space_level_gets_time_added(self, dfp_results):
@@ -105,13 +108,17 @@ class TestIntroduceSkew:
         assert step.kind == "loop" and not step.parallel
         assert out.steps[2] is step
 
-    def test_reversal_below_a_cut_is_not_diagnosed(self, dfp_results):
+    def test_reversal_below_a_cut_is_not_diagnosed(self, by_name, dfp_results):
         # The level-1 cut satisfies the reversed dependence, so its negative
         # level-2 component leaves the level-2 band permutable.
+        inst = by_name["distribution_forced"]
         out = dfp_results["distribution_forced"]
-        assert out.skew.skewed == () and out.skew.diagnostics == ()
+        assert out.skew.skewed == ()
         assert out.skew.transform.rows == out.scaled.rows
-        assert out.transform.bands[0].permutable
+        assert [(b.start, b.end, b.permutable) for b in out.transform.bands] \
+            == [(2, 2, True)]
+        assert dependence_list(negative(inst.deps, out.transform, 2)) == "P->Q b:0->1"
+        assert unsatisfied(inst.deps, out.transform, 1) == []
 
     def test_reversal_without_a_cut_is_diagnosed(self, by_name):
         inst = by_name["distribution_forced"]
@@ -119,9 +126,7 @@ class TestIntroduceSkew:
                                 {"P": (R(1, 0, 0),), "Q": (R(1, 0, 0),)})
         out = introduce_skew(inst.program, inst.deps, fused, ())
         assert out.skewed == ()
-        assert out.diagnostics == (
-            "level 1 has a negative component (P->Q b:0->1) but no legal skew "
-            "exists; the nest is not tileable",)
+        assert dependence_list(negative(inst.deps, fused, 1)) == "P->Q b:0->1"
         assert out.transform.rows == fused.rows
         assert out.transform.bands == (Band(1, 1, False, False, ("P", "Q")),)
 
@@ -142,9 +147,8 @@ class TestIntroduceSkew:
         assert out.transform.rows["Q"] == t.rows["Q"]
         assert out.transform.bands == (Band(1, 2, True, False, ("P", "Q")),
                                        Band(4, 4, False, False, ("Q",)))
-        assert out.diagnostics == (
-            "level 4 has a negative component (Q->Q B:1->0@0) but no legal skew "
-            "exists; the nest is not tileable",)
+        live = unsatisfied([d for d in inst.deps if d.ordering], out.transform, 3)
+        assert dependence_list(negative(live, out.transform, 4)) == "Q->Q B:1->0@0"
 
     def test_skew_system_rejects_negative_iterator_coefficient(self):
         # Rows i, then -i + j: the level-2 combination a*(-i + j) + b*i keeps
@@ -245,10 +249,12 @@ SKEW_BELOW_CUT = FIXTURES / "skew_below_cut.json"
 def test_skew_below_a_cut_sees_only_live_dependences():
     program, deps = analyze(json.loads(SKEW_BELOW_CUT.read_text()))
     out = dfp_schedule(program, deps)
-    assert out.skew.diagnostics == ()
     assert out.transform.cuts == (Cut(1, (("S0",), ("S1",))),)
     assert [s.level for s in out.skew.skewed] == [3]
     assert out.transform.bands == (Band(2, 3, True, False, ("S0", "S1")),)
+    live = unsatisfied([d for d in deps if d.ordering], out.scaled, 1)
+    assert dependence_list(negative(live, out.scaled, 3)) == "S0->S0 B:0->1@0"
+    assert negative(live, out.transform, 3) == []
     assert check_legality(program, deps, out.transform).ok
     assert full_rank(program, out.transform)
 
@@ -305,9 +311,13 @@ class TestRecolorDropsDependence:
         program, deps = analyze(json.loads(DFP_RECOLOR_DROPS_DEPENDENCE.read_text()))
         coloring = color_fcg(program, deps)
         assert coloring.colors["S1"] == (1, 0)
-        assert coloring.events == (
-            "dropped 2 dependences satisfied above color 2",
-            "cut before S1 at color 2, dropping 1 dependences")
+        # Color 1 satisfies S0->S0 and S1->S2, which the drop removed; the
+        # cut before color 2 then removed S0->S1, the last one.
+        first = _partial(program, {sid: ks[:1] for sid, ks in coloring.colors.items()})
+        assert [(d.src, d.dst) for d in unsatisfied(deps, first)] == [("S0", "S1")]
+        assert coloring.cut_groups == {2: (("S0", "S2"), ("S1",))}
+        fcg = build_fcg(program, [])
+        assert (coloring.fcg.conflicts, coloring.fcg.loops) == (fcg.conflicts, fcg.loops)
 
     @pytest.mark.parametrize("mode", [LP, ILP])
     def test_lp_and_ilp_schedule_it(self, mode):
