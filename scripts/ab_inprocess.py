@@ -22,6 +22,10 @@ CPU time (`resource.getrusage(RUSAGE_CHILDREN)`, interpreter start
 included).  A child writes no bytecode; it reads the bytecode that the
 script's own import of the tree left, unless PYTHONDONTWRITEBYTECODE is set,
 in which case every child compiles the package afresh.
+
+The `verify` row follows it: every round runs each tree's
+`verify.theorem_suite()` on its bundled corpus once, the trees in a new
+random order, and the row gives each tree's least CPU time for one pass.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def _load_tree(src: Path, name: str, scratch: Path):
     shutil.copytree(src / "polysched", scratch / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     package = importlib.import_module(name)
-    for sub in ("frontend", "pluto", "postpass"):
+    for sub in ("frontend", "pluto", "postpass", "verify"):
         importlib.import_module(f"{name}.{sub}")
     return package
 
@@ -91,6 +95,20 @@ def _import_times(names, scratch: Path, rounds: int, rng) -> list[float]:
     return best
 
 
+def _verify_times(trees, rounds: int, rng) -> list[float]:
+    """Each tree's least CPU seconds over `rounds` passes of its property
+    suite."""
+    best = [float("inf")] * len(trees)
+    for _ in range(rounds):
+        order = list(range(len(trees)))
+        rng.shuffle(order)
+        for t in order:
+            start = time.process_time()
+            trees[t].verify.theorem_suite()
+            best[t] = min(best[t], time.process_time() - start)
+    return best
+
+
 def _print_row(label: str, sums) -> None:
     """One operation's times per tree in ms, each against SRC_A's."""
     cells = [f"{sums[0]:.2f}"] + [
@@ -121,6 +139,9 @@ def main(argv=None) -> int:
         print(header)
         _print_row("import", [1000 * s for s in _import_times(names, Path(tmp),
                                                               args.rounds, rng)])
+        print(f"verify: {args.rounds} rounds, least CPU ms of one theorem_suite() pass")
+        print(header)
+        _print_row("verify", [1000 * s for s in _verify_times(trees, args.rounds, rng)])
         for workload in args.workloads:
             programs = workloads.programs(workload, ROOT / "src")
             best = {}  # (tree, operation, program) -> least CPU seconds

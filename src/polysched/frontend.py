@@ -17,15 +17,12 @@ them, so the equalities are reduced first, in exact integers (the first step
 of Pugh's Omega test): a candidate they refute, alone or with the constant
 lower bounds of the domains, is dropped at once.  Only statement pairs that
 share an array are visited.  Every other distinct relation, explicit
-dependences included, is decided once per analysis, domain rows and all.
-A relation that an ordering dependence meets first has its Farkas cone
-eliminated: by the affine Farkas lemma (Feautrier 1992) it is empty exactly
-when no row of the cone holds the constant (`farkas.cone_is_empty`), and
-the dependence keeps the cone, which every scheduler needs anyway.  One
-that a read-read dependence meets first, which only `dfp` reads, is
-projected onto no variable instead, which is cheaper, and gets its cone on
-first read.  Every test is exact over the rationals, so a relation with
-rational points but no integer point is kept.
+dependences included, is decided once per analysis, domain rows and all,
+by eliminating its Farkas cone: by the affine Farkas lemma (Feautrier
+1992) it is empty exactly when no row of the cone holds the constant
+(`farkas.cone_is_empty`), and its dependences keep the cone, which the
+schedulers read.  Every test is exact over the rationals, so a relation
+with rational points but no integer point is kept.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .farkas import (
-    EQ, GE, ConstraintSystem, LinearRow, cone_is_empty, eliminate, farkas_cone,
+    EQ, GE, ConstraintSystem, LinearRow, cone_is_empty, farkas_cone,
 )
 from .farkas import _int_row, _new_row, _reduce, _with_pivot
 from .model import (
@@ -242,30 +239,15 @@ def _dependence(src: Statement, dst: Statement, kind: str,
     return dep
 
 
-def _relation_facts(relation: ConstraintSystem, known: dict,
-                    ordering: bool) -> dict | None:
+def _relation_facts(relation: ConstraintSystem, known: dict) -> dict | None:
     """The facts a dependence over `relation` shares with every other over
     the same rows (`DependencePolyhedron._facts`), kept in `known` under
-    the rows, or None when the relation is empty.  `ordering` tells whether
-    the dependence asking orders instances.
-
-    For an ordering dependence the relation's Farkas cone is eliminated, as
-    every scheduler reads it, and decides emptiness (`farkas.cone_is_empty`).
-    A read-read dependence is read only by `dfp`, so its relation is
-    projected onto no variable instead, which is cheaper: it is empty
-    exactly when a false constant row is left, and its cone is built on
-    first read (`DependencePolyhedron.cone`).
-    """
+    the rows, or None when the relation is empty: its Farkas cone is
+    eliminated and decides emptiness (`farkas.cone_is_empty`)."""
     facts = known.get(relation.rows, False)
     if facts is False:
-        if ordering:
-            cone = farkas_cone(relation)
-            facts = None if cone_is_empty(cone) else {"cone": cone}
-        else:
-            shadow = eliminate(relation, relation.variables)
-            facts = None if any(const < 0 or (const and kind == EQ)
-                                for _, const, kind, _ in shadow.rows) else {}
-        known[relation.rows] = facts
+        cone = farkas_cone(relation)
+        facts = known[relation.rows] = None if cone_is_empty(cone) else {"cone": cone}
     return facts
 
 
@@ -381,7 +363,7 @@ def _deps_between(src: Statement, dst: Statement, params,
             elif form is None:  # the tie: equal on every shared loop
                 continue
             relation = space.with_rows(rows)
-            facts = _relation_facts(relation, known, kind != RAR)
+            facts = _relation_facts(relation, known)
             if facts is not None:
                 out.append(_dependence(src, dst, kind, relation, label, facts))
     return out
@@ -437,7 +419,7 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
                                len(space.variables) + 1, True)
             rows.append(_constraint(coeffs[:-1], coeffs[-1], rel))
         relation = space.with_rows(rows)
-        facts = _relation_facts(relation, known, kind != RAR)
+        facts = _relation_facts(relation, known)
         if facts is not None:
             out.append(_dependence(src, dst, kind, relation, f"explicit{i}", facts))
     return tuple(out)

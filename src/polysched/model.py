@@ -1,7 +1,8 @@
 """Program representation: iteration domains, dependences, transforms.
 
 Statements are perfectly nested loops executed one nest after another in
-textual order, which `Program.statements` keeps whatever the input order.  A
+textual order, which `Program.statements` keeps whatever the input order;
+no two statements share an order, or neither would run first.  A
 dependence is a polyhedron of (source instance, target instance, parameters)
 points; the dependence graph over statement ids splits into weakly or
 strongly connected components.  An affine transform is a list of rows per
@@ -87,6 +88,8 @@ class Program:
         self._by_id = {s.id: s for s in self.statements}
         if len(self._by_id) != len(self.statements):
             raise ValueError("duplicate statement ids")
+        if len({s.textual_order for s in self.statements}) != len(self.statements):
+            raise ValueError("duplicate textual orders")
         #: One verdict per probe shape, filled by `fcg.fusion_probe`.
         self._probe_verdicts: dict = {}
 
@@ -133,10 +136,8 @@ class DependencePolyhedron:
     @property
     def cone(self) -> ConstraintSystem:
         """The Farkas cone of `relation` (`farkas.farkas_cone`).  The frontend
-        builds it for a relation that an ordering dependence meets first, to
-        decide that the relation is not empty; it is built here, on first
-        read and once per relation of an analysis, for a relation the
-        frontend decided by projection and for a dependence made by hand."""
+        builds it to decide that the relation is not empty; it is built
+        here, on first read, only for a dependence made by hand."""
         cone = self._facts.get("cone")
         if cone is None:
             cone = self._facts["cone"] = farkas_cone(self.relation)

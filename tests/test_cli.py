@@ -246,6 +246,17 @@ class TestErrors:
         code, _, err = run(capsys, "fcg", str(path))
         assert code == 2 and err == f"error: {path}: unknown keys ['bogus']\n"
 
+    def test_corpus_holds_wrapped_instances_only(self, capsys, tmp_path):
+        """`schedule`, `deps` and `fcg` take a bare program, but a corpus
+        directory holds wrapped instances: a bare program there is bad
+        input."""
+        bare = json.loads(CORPUS.joinpath("fig1.json").read_text())["program"]
+        (tmp_path / "fig1.json").write_text(json.dumps(bare))
+        assert run(capsys, "deps", str(tmp_path / "fig1.json"))[0] == 0
+        code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: fig1.json: unknown keys ['params', 'statements']\n"
+
     @pytest.mark.parametrize("argv", [["schedule"], ["deps"], ["fcg"]])
     @pytest.mark.parametrize("text, message", [
         ("[" * 200_000, "invalid JSON: maximum recursion depth exceeded"),

@@ -259,12 +259,22 @@ def test_bounds_refute_only_empty_candidates(monkeypatch):
     assert 2 * len(refuted) > empty
 
 
-def test_read_read_relations_get_their_cone_on_first_read(monkeypatch):
-    """On the `random` workload, a relation that only read-read dependences
-    use is decided by projecting it: `ilp` and `lp`, analysis and
-    scheduling, build no cone for it, and `dfp` builds each such cone it
-    reads once, equal to a fresh `farkas_cone`.  No path builds a cone
-    twice."""
+def _explicit_programs():
+    """`scc_pair` with its explicit dependences, and again with a read-read
+    dependence over a relation of its own added."""
+    data = json.loads((CORPUS / "scc_pair.json").read_text())["program"]
+    rar = {"src": "P", "dst": "Q", "kind": "RAR", "relation": [[-1, 1, 0, -2, "=="]]}
+    return [("scc_pair", data),
+            ("scc_pair+rar", {**data, "dependences": data["dependences"] + [rar]})]
+
+
+@pytest.mark.parametrize("workload", ["corpus", "chain", "random", "explicit"])
+def test_analysis_builds_one_cone_per_relation(workload, monkeypatch):
+    """Analysis builds the Farkas cone of each distinct relation that
+    survives the equality refutation once, read-read ones and explicit ones
+    included, and every dependence keeps its relation's cone: `ilp`, `lp`
+    and `dfp` build none, and each dependence's cone equals a fresh
+    `farkas_cone`."""
     built = []
 
     def recorded(relation):
@@ -273,25 +283,28 @@ def test_read_read_relations_get_their_cone_on_first_read(monkeypatch):
 
     monkeypatch.setattr(frontend, "farkas_cone", recorded)
     monkeypatch.setattr(model, "farkas_cone", recorded)
-    read_only = read = 0
-    for _, data in workloads.programs("random", ROOT / "src"):
+    if workload == "explicit":
+        programs = _explicit_programs()
+    else:
+        programs = workloads.programs(workload, ROOT / "src")
+    read_only = 0
+    for _, data in programs:
         for path in ("ilp", "lp", "dfp"):
             built.clear()
             program, deps = analyze(data)
-            ordering = {d.relation.rows for d in deps if d.ordering}
-            rar = {d.relation.rows: d for d in deps if d.relation.rows not in ordering}
+            analysed = list(built)
+            assert len(set(analysed)) == len(analysed)
+            assert {d.relation.rows for d in deps} <= set(analysed)
             if path == "dfp":
                 dfp_schedule(program, deps)
-                for rows, dep in rar.items():
-                    if rows in built:
-                        assert dep.cone.rows == farkas_cone(dep.relation).rows
-                        read += 1
             else:
                 schedule(program, deps, SchedulerConfig(mode=path))
-                assert not rar.keys() & set(built)
-            assert len(set(built)) == len(built)
-        read_only += len(rar)
-    assert read_only and read
+            for dep in deps:
+                assert dep.cone.rows == farkas_cone(dep.relation).rows
+            assert built == analysed
+        ordering = {d.relation.rows for d in deps if d.ordering}
+        read_only += len({d.relation.rows for d in deps} - ordering)
+    assert read_only or workload == "chain"  # the chain reads no array twice
 
 
 def test_cone_decides_emptiness_like_the_solver(monkeypatch):
@@ -304,8 +317,8 @@ def test_cone_decides_emptiness_like_the_solver(monkeypatch):
     verdicts = []
     decide = frontend._relation_facts
 
-    def recorded(relation, known, ordering):
-        facts = decide(relation, known, ordering)
+    def recorded(relation, known):
+        facts = decide(relation, known)
         verdicts.append((relation, facts is None))
         return facts
 
@@ -315,7 +328,7 @@ def test_cone_decides_emptiness_like_the_solver(monkeypatch):
         assert empty == (not _feasible(relation))
     assert {empty for _, empty in verdicts} == {True, False}
 
-    def by_lp(relation, known, ordering):
+    def by_lp(relation, known):
         return {} if _feasible(relation) else None
 
     monkeypatch.setattr(frontend, "_relation_facts", by_lp)

@@ -532,18 +532,14 @@ def test_eliminate_gives_the_reference_rows_in_order(case):
 def family_relations():
     """Every distinct relation whose cone dependence analysis and the
     dependences build, over the corpus, chain(8) and 300 nests of the
-    `random_nest` family (`Random(1)`), empty ones included, and every
-    distinct (system, kill) that analysis itself gives `eliminate`: the
-    relations projected to decide a read-read relation's emptiness."""
-    relations, projections = {}, {}
+    `random_nest` family (`Random(1)`), empty ones included, and each
+    relation with all its variables to kill: its projection onto no
+    variable, which is empty exactly when the relation is."""
+    relations = {}
 
     def cone(relation):
         relations.setdefault(relation.rows, relation)
         return farkas_cone(relation)
-
-    def project(system, kill):
-        projections.setdefault((system.variables, system.rows, tuple(kill)), (system, kill))
-        return eliminate(system, kill)
 
     rng = random.Random(1)
     programs = (corpus_programs() + [workloads.chain(8)]
@@ -551,11 +547,11 @@ def family_relations():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(frontend, "farkas_cone", cone)
         mp.setattr(model, "farkas_cone", cone)
-        mp.setattr(frontend, "eliminate", project)
         for data in programs:
             for dep in analyze(data)[1]:
                 dep.cone
-    return list(relations.values()), list(projections.values())
+    relations = list(relations.values())
+    return relations, [(rel, list(rel.variables)) for rel in relations]
 
 
 @pytest.fixture(scope="module")

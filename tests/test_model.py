@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from polysched import farkas, model, ratlp
 from polysched.farkas import ConstraintSystem
-from polysched.frontend import analyze
+from polysched.frontend import analyze, compute_dependences, parse_program
 from polysched.model import (
     RAR, RAW,
     AffineTransform, Band, Cut, DependencePolyhedron, IndexSet, Program,
@@ -125,6 +125,22 @@ class TestValidation:
         s = IndexSet((), (), ConstraintSystem(()))
         with pytest.raises(ValueError, match="^duplicate statement ids$"):
             Program((), (Statement("S", s, (), 0), Statement("S", s, (), 1)))
+
+    def test_duplicate_textual_orders(self):
+        """Two statements with one order would tie neither way, so the
+        dependence between them would vanish: S writes A[i], T reads it."""
+        from polysched.model import Statement
+        loop = [[1, 0, ">="], [-1, 3, ">="]]
+        program = parse_program({"statements": [
+            {"id": "S", "iterators": ["i"], "domain": loop,
+             "accesses": [{"array": "A", "kind": "write", "map": [[1, 0]]}]},
+            {"id": "T", "iterators": ["i"], "domain": loop,
+             "accesses": [{"array": "A", "kind": "read", "map": [[1, 0]]}]}]})
+        assert [(d.kind, d.src, d.dst) for d in compute_dependences(program)] == [
+            (RAW, "S", "T")]
+        tied = [Statement(s.id, s.domain, s.accesses, 0) for s in program.statements]
+        with pytest.raises(ValueError, match="^duplicate textual orders$"):
+            Program((), tied)
 
     def test_index_set_variable_order(self):
         bad = ConstraintSystem(("N", "i"))
