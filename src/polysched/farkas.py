@@ -24,13 +24,12 @@ entries and its constant are ints with gcd 1), elimination combines
 rows in exact integers, on dense int vectors that it turns back into
 such rows once (one loop, `_project`, for `eliminate` and
 `farkas_cone`), and exact equality elimination has one home, the
-integer echelon form of `_reduce`.  A lower bound is an int unless it
-is not integral; only such a bound and a minimum (`cone_minimum`) are
-`fractions.Fraction`s, and there is no floating point.  Rows are
-combined by column index, never through variable names, and `_row` is
-the one normalizer of sparse rows: the cone's substitutions and
-`pluto.level_system` take its int-only path `_int_row`, and `_dense`
-makes a dense row canonical the same way.
+integer echelon form of `_reduce`.  A lower bound is an int or None;
+only a minimum (`cone_minimum`) is a `fractions.Fraction`, and there is
+no floating point.  Rows are combined by column index, never through
+variable names, and `_int_row` is the one normalizer of sparse rows,
+for `row_from`, the cone's substitutions, `pluto.level_system` and
+`pluto._echelon`; `_dense` makes a dense row canonical the same way.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class LinearRow(NamedTuple):
     """One affine constraint over `width` variables: the sum of c * x[i] over
     the (i, c) entries of `nonzero`, plus `const`, is >= 0 (ge) or == 0 (eq).
 
-    Rows come out of `_row`, or out of `eliminate` renumbering such rows, so
+    Rows come out of `_int_row`, or out of `eliminate` renumbering such rows, so
     they are canonical: `nonzero` lists the nonzero int coefficients in index
     order, the entries and the int `const` have gcd 1, and an equality's
     first entry is positive.
@@ -72,24 +71,11 @@ class LinearRow(NamedTuple):
         return tuple(vec)
 
 
-def _row(width: int, items: Iterable, const, kind: str) -> LinearRow:
-    """The canonical row with the rational (index, coefficient) `items`, in
-    index order, and the rational `const`: denominators cleared, divided by
-    the gcd, and an equality's first nonzero entry made positive, so that
-    multiples of one row collapse to the same row.  Zero entries are dropped.
-    Int rows take the fast path `_int_row`.
-    """
-    items = dict(items)
-    if type(const) is not int or any(type(c) is not int for c in items.values()):
-        den = lcm(const.denominator, *[c.denominator for c in items.values()])
-        const = const.numerator * (den // const.denominator)
-        items = {i: c.numerator * (den // c.denominator) for i, c in items.items()}
-    return _int_row(width, items, const, kind)
-
-
 def _int_row(width: int, acc: dict[int, int], const: int, kind: str) -> LinearRow:
-    """`_row` of the int coefficients `acc` {index: coefficient}, zeros
-    allowed, and the int `const`."""
+    """The canonical row with the int coefficients `acc` {index:
+    coefficient} and the int `const`: divided by the gcd, and an
+    equality's first nonzero entry made positive, so that multiples of one
+    row collapse to the same row.  Zero entries are dropped."""
     g = gcd(const, *acc.values())
     if g > 1:
         const //= g
@@ -113,9 +99,9 @@ class ConstraintSystem:
 
     A lower bound of None marks a free variable.  The default bound is 0,
     matching the non-negativity restriction on transformation coefficients.
-    An integral bound is kept as an int, and only a non-integral one as a
-    `Fraction`.  Instances are not mutated after construction; all editing
-    operations return new systems.
+    Every other bound is an int, and any other value is a TypeError.
+    Instances are not mutated after construction; all editing operations
+    return new systems.
     """
 
     __slots__ = ("variables", "rows", "lower", "_index")
@@ -131,10 +117,9 @@ class ConstraintSystem:
                 if v not in self._index:
                     raise KeyError(v)
                 if b is not None and type(b) is not int:
-                    b = Fraction(b)
-                    b = b.numerator if b.denominator == 1 else b
+                    raise TypeError(f"lower bound of {v} is not an int: {b!r}")
                 bounds[v] = b
-        self.lower: dict[str, int | Fraction | None] = bounds
+        self.lower: dict[str, int | None] = bounds
         self._set_rows(rows)
 
     def _set_rows(self, rows):
@@ -154,10 +139,10 @@ class ConstraintSystem:
 
     # -- construction helpers -------------------------------------------------
 
-    def row_from(self, coeffs: Mapping[str, Fraction | int], const=0, kind=GE) -> LinearRow:
+    def row_from(self, coeffs: Mapping[str, int], const: int = 0, kind=GE) -> LinearRow:
         index = self._index
-        return _row(len(self.variables), {index[v]: c for v, c in coeffs.items()},
-                    const, kind)
+        return _int_row(len(self.variables), {index[v]: c for v, c in coeffs.items()},
+                        const, kind)
 
     def with_rows(self, extra: Iterable[LinearRow]) -> "ConstraintSystem":
         """The system with the rows `extra` after its own, pruned.  It
@@ -279,10 +264,10 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
         rows.append((tuple(vec) if nonzero else (), const, kind, None))
     for v, i in zip(kill, cols):
         b = system.lower[v]
-        if b is not None:  # v >= p/q as q*v - p >= 0, canonical as p, q are coprime
+        if b is not None:  # v >= b as v - b >= 0
             vec = [0] * n
-            vec[at[i]] = b.denominator
-            rows.append((tuple(vec), -b.numerator, GE, None))
+            vec[at[i]] = 1
+            rows.append((tuple(vec), -b, GE, None))
     survivors = [v for k, v in enumerate(system.variables) if at[k] >= killed]
     return ConstraintSystem(survivors, _project(rows, killed, len(survivors)),
                             {v: system.lower[v] for v in survivors})
@@ -538,7 +523,7 @@ def cone_is_empty(cone: ConstraintSystem) -> bool:
     return not any(r.nonzero and r.nonzero[-1][0] == b for r in cone.rows)
 
 
-def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction | None:
+def cone_minimum(cone: ConstraintSystem, form: Sequence[int]) -> Fraction | None:
     """The minimum of the affine form sum_j form[j] * x_j + form[-1] over
     the relation of `cone`, its Farkas cone, read off the rows with no
     solve; None when unbounded below, and ValueError when the relation is
@@ -551,14 +536,11 @@ def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction |
     non-empty relation is closed under raising b, so k is b plus the least
     c.a / c_b.
     """
-    # The form scaled by the common denominator `den`, so each c.a is an int sum.
-    den = lcm(*(x.denominator for x in form))
-    a = [x.numerator * (den // x.denominator) for x in form]
-    n = len(a) - 1
+    n = len(form) - 1
     least, unbounded = None, False  # least as (c.a, c_b)
     for r in cone.rows:
         cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
-        ca = r.const * den + sum(c * a[j] for j, c in r.nonzero if j < n)
+        ca = r.const + sum(c * form[j] for j, c in r.nonzero if j < n)
         if cb:
             if least is None or ca * least[1] < least[0] * cb:
                 least = (ca, cb)
@@ -566,7 +548,7 @@ def cone_minimum(cone: ConstraintSystem, form: Sequence[Fraction]) -> Fraction |
             unbounded = True
     if least is None:  # b is free: the relation has no point
         raise ValueError("the relation is empty")
-    return None if unbounded else Fraction(least[0] + a[n] * least[1], least[1] * den)
+    return None if unbounded else Fraction(least[0] + form[n] * least[1], least[1])
 
 
 def _cone_rows(cone: ConstraintSystem, forms: Sequence[Sequence[tuple[int, int]]],

@@ -23,7 +23,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from . import ratlp
 from .farkas import (
-    EQ, ConstraintSystem, LinearRow, _dense, _int_row, _reduce, _row, _with_pivot,
+    EQ, ConstraintSystem, LinearRow, _dense, _int_row, _reduce, _with_pivot,
     bound_variables, coefficient_variables,
 )
 from .model import (
@@ -58,11 +58,11 @@ DEFAULT = SchedulerConfig()
 
 
 def _echelon(rows: Sequence[Sequence]) -> tuple[LinearRow, ...]:
-    """The integer echelon form (`farkas._reduce`) of the rational rows,
-    each cleared of denominators, less those the rows before it span."""
+    """The integer echelon form (`farkas._reduce`) of the int rows, less
+    those the rows before it span."""
     form: tuple[LinearRow, ...] = ()
     for r in rows:
-        row = _row(len(r), enumerate(r), 0, EQ)
+        row = _int_row(len(r), dict(enumerate(r)), 0, EQ)
         reduced = _reduce(row, form)
         if reduced.nonzero:
             form = _with_pivot(form, row, reduced)
@@ -112,9 +112,9 @@ def independence_vector(rows: Sequence[Sequence], ncols: int):
 # -- constraint assembly ------------------------------------------------------
 
 
-#: Per statement id, the (unknown, row over the statement's
-#: `coefficient_variables`, lower bound or None) terms of its level row.
-Terms = Mapping[str, Sequence[tuple[str, Sequence, Fraction | int | None]]]
+#: Per statement id, the (unknown, int row over the statement's
+#: `coefficient_variables`, int lower bound or None) terms of its level row.
+Terms = Mapping[str, Sequence[tuple[str, Sequence[int], int | None]]]
 
 
 def level_system(program: Program, deps: Sequence[DependencePolyhedron],
@@ -129,8 +129,8 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     legality and bounding rows are valid whatever bounds the level chooses.
     A dependence's `farkas_rows`, shared per dependence shape, are
     substituted by position: each coefficient of a statement becomes the
-    (column, weight) pairs its terms give it, and each row is made
-    canonical by `_int_row`, or by `_row` when a weight is not an int.
+    (column, int weight) pairs its terms give it, and each row is made
+    canonical by `_int_row`.
 
     With `feasibility` set, for a caller that asks only whether the system
     has a point, a dependence whose relation is `bounded` gives its
@@ -151,7 +151,6 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
                 if a:
                     weights[j][system.index(unknown)] = a
         columns[sid] = [tuple(w.items()) for w in weights]
-    exact = all(type(a) is int for cols in columns.values() for form in cols for _, a in form)
     units = [((k, 1),) for k in range(len(bounds))]
     rows = []
     for dep in deps:
@@ -161,12 +160,11 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
         for donor, subst in zip(dep.farkas_rows[:1] if legality_only else dep.farkas_rows,
                                 (cols, units + cols)):
             for nonzero, const, kind, _ in donor:
-                acc: dict[int, Fraction | int] = {}
+                acc: dict[int, int] = {}
                 for i, c in nonzero:
                     for k, a in subst[i]:
                         acc[k] = acc.get(k, 0) + c * a
-                rows.append(_int_row(width, acc, const, kind) if exact
-                            else _row(width, acc.items(), const, kind))
+                rows.append(_int_row(width, acc, const, kind))
     return system.with_rows(rows)
 
 
@@ -240,7 +238,7 @@ class Step(NamedTuple):
 
 def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
                 terms: Terms, level: int, groups: Sequence[Sequence[str]] | None = None,
-                extra: Sequence[tuple[Mapping[str, Fraction | int], Fraction | int]] = (),
+                extra: Sequence[tuple[Mapping[str, int], int]] = (),
                 mode: str = LP) -> Step | None:
     """The loop step of `level` over `terms`, or None when it is infeasible.
 

@@ -28,8 +28,6 @@ from typing import Mapping, NamedTuple
 
 from .farkas import EQ, ZERO, ConstraintSystem
 
-ONE = Fraction(1)
-
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -43,8 +41,8 @@ class LPProblem(NamedTuple):
     """A constraint system plus the objectives to minimize, of which only
     `solve_lp` takes one.
 
-    Each objective is a mapping {variable: coefficient}; a bare string is
-    shorthand for minimizing that single variable.
+    Each objective is a mapping {variable: int coefficient}; a bare string
+    v is shorthand for {v: 1}.
     """
 
     system: ConstraintSystem
@@ -52,7 +50,7 @@ class LPProblem(NamedTuple):
 
     @staticmethod
     def of(system, objectives=()) -> "LPProblem":
-        objs = tuple({o: ONE} if isinstance(o, str) else dict(o) for o in objectives)
+        objs = tuple({o: 1} if isinstance(o, str) else dict(o) for o in objectives)
         return LPProblem(system, objs)
 
 
@@ -110,23 +108,17 @@ class _Tableau:
                 0, ((self.col_of[v], c) for v, c in cost.items() if c)))
 
     def _integral(self, const: int, terms) -> list[int]:
-        """An affine form over the structural columns, scaled to integers;
-        `terms` pairs a variable's columns with its nonzero coefficient.
-        Integral forms, the usual case, never touch a `Fraction`."""
+        """An int affine form over the structural columns; `terms` pairs a
+        variable's columns with its nonzero int coefficient, and a shifted
+        variable adds its coefficient times its int shift to the constant."""
         vec = [const] + [0] * self.n
-        exact = True
         for (k, neg, shift), c in terms:
-            if type(c) is not int:
-                exact = False
             vec[k + 1] += c
             if neg is not None:
                 vec[neg + 1] -= c
             elif shift:
                 vec[0] += c * shift
-        if exact and type(vec[0]) is int:
-            return vec
-        den = lcm(*(x.denominator for x in vec))
-        return [int(x * den) for x in vec]
+        return vec
 
     def _pivot(self, r: int, j: int):
         """Exchange row r's quantity with column j's, which becomes basic;
@@ -209,10 +201,7 @@ class _Tableau:
         if neg is not None:
             f = d // den[neg]
             row = [a - f * b for a, b in zip(row, self.rows[neg])]
-        c = Fraction(shift - bound) * d
-        if c.denominator != 1:
-            row = [x * c.denominator for x in row]
-        row[0] += c.numerator
+        row[0] += (shift - bound) * d
         if not up:
             row = [-x for x in row]
         g = gcd(*row)
@@ -274,7 +263,7 @@ def solve_lp(problem: LPProblem) -> LPResult:
     if not tab.minimize():
         return LPResult(UNBOUNDED)
     x = tab.assignment()
-    return LPResult(OPTIMAL, x, (sum((Fraction(c) * x[v] for v, c in cost.items()), ZERO),))
+    return LPResult(OPTIMAL, x, (sum((c * x[v] for v, c in cost.items()), ZERO),))
 
 
 def solve_lexmin(problem: LPProblem) -> LPResult:

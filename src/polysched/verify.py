@@ -9,7 +9,6 @@ plain data so the command-line driver can render them as text or JSON.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -159,7 +158,7 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
     lows = []
     for v in names:
         lb = system.lower[v]
-        lo = 0 if lb is None else max(0, math.ceil(lb))
+        lo = 0 if lb is None else max(0, lb)
         if lo > bound:
             return None
         lows.append(lo)
@@ -253,18 +252,20 @@ def parse_instance(data, where: str = "instance") -> CorpusInstance:
     if (not isinstance(flags, Mapping)
             or not all(isinstance(v, bool) for v in flags.values())):
         raise ParseError(where, "flags must map names to booleans")
+    description = data.get("description", "")
+    if not isinstance(description, str):
+        raise ParseError(where, "description must be a string")
     try:
         program, deps = analyze(data.get("program", {}))
     except ParseError as exc:
         inner = "program" if exc.where == "$" else f"program.{exc.where}"
         raise ParseError(where, inner + str(exc)[len(exc.where):]) from None
-    return CorpusInstance(name, str(data.get("description", "")),
-                          dict(flags), program, deps)
+    return CorpusInstance(name, description, dict(flags), program, deps)
 
 
 def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
     """Bundled instances, or every *.json file under `path`, of which there
-    must be at least one."""
+    must be at least one; two files with one instance name are refused."""
     if path is None:
         root = resources.files(__package__).joinpath("corpus")
         entries = [(e.name, read_utf8(e, e.name))
@@ -275,13 +276,15 @@ def load_corpus(path: Optional[str] = None) -> tuple[CorpusInstance, ...]:
         entries = [(p.name, read_utf8(p, p.name)) for p in Path(path).glob("*.json")]
         if not entries:
             raise ParseError(path, "no *.json instances")
-    out = []
+    out, files = [], {}  # files: instance name -> file
     for fname, text in sorted(entries):
-        out.append(parse_instance(parse_json(text, fname), fname))
-    out.sort(key=lambda c: c.name)
-    if len({c.name for c in out}) != len(out):
-        raise ParseError("corpus", "duplicate instance names")
-    return tuple(out)
+        inst = parse_instance(parse_json(text, fname), fname)
+        if inst.name in files:
+            raise ParseError("corpus", f"duplicate instance names: {inst.name!r} in "
+                                       f"{files[inst.name]} and {fname}")
+        files[inst.name] = fname
+        out.append(inst)
+    return tuple(sorted(out, key=lambda c: c.name))
 
 
 # -- the property suite -------------------------------------------------------

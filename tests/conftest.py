@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from polysched.model import AffineTransform, Cut
@@ -54,11 +52,9 @@ def two_bands():
     """`TWO_BANDS` with a hand-made transform cut at level 3: P on rows t, i
     (band 1-2, where a skew of level 2 by t repairs P->P), then Q on row -i
     (band 4-4, where no skew repairs Q->Q)."""
-    def r(*xs):
-        return tuple(Fraction(x) for x in xs)
     transform = AffineTransform(
         ("N",), {"P": ("t", "i"), "Q": ("i",)},
-        {"P": (r(1, 0, 0, 0), r(0, 1, 0, 0), r(0, 0, 0, 0)),
-         "Q": (r(0, 0, 0), r(0, 0, 0), r(0, 0, 1), r(-1, 0, 0))},
+        {"P": ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0)),
+         "Q": ((0, 0, 0), (0, 0, 0), (0, 0, 1), (-1, 0, 0))},
         cuts=(Cut(3, (("P",), ("Q",))),))
     return parse_instance(TWO_BANDS), transform

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polysched import farkas, frontend, model, pluto
 from polysched.farkas import (
-    EQ, GE, ConstraintSystem, LinearRow, _prune, _row, eliminate,
+    EQ, GE, ConstraintSystem, LinearRow, _int_row, _prune, eliminate,
     coefficient_variables, farkas_cone, legality_constraints, bounding_constraints,
 )
 from polysched.frontend import analyze
@@ -26,50 +26,48 @@ def rows_as_tuples(system):
 
 
 def dense_row(coeffs, const, kind):
-    """`_row` of a dense coefficient list."""
-    return _row(len(coeffs), enumerate(coeffs), const, kind)
+    """`_int_row` of a dense coefficient list."""
+    return _int_row(len(coeffs), dict(enumerate(coeffs)), const, kind)
 
 
 class TestNormalizeRow:
-    def test_clears_denominators(self):
-        row = dense_row([F(1, 2), F(1, 3)], F(1, 6), GE)
-        assert row.coeffs == (F(3), F(2)) and row.const == F(1)
-
     def test_divides_by_gcd(self):
-        row = dense_row([F(4), F(-6)], F(2), GE)
-        assert row.coeffs == (F(2), F(-3)) and row.const == F(1)
+        row = dense_row([4, -6], 2, GE)
+        assert row.coeffs == (2, -3) and row.const == 1
 
     def test_equality_sign_is_canonical(self):
-        a = dense_row([F(-2), F(4)], F(0), EQ)
-        b = dense_row([F(1), F(-2)], F(0), EQ)
+        a = dense_row([-2, 4], 0, EQ)
+        b = dense_row([1, -2], 0, EQ)
         assert a == b
 
     def test_inequality_sign_is_kept(self):
-        row = dense_row([F(-1)], F(0), GE)
-        assert row.coeffs == (F(-1),)
+        row = dense_row([-1], 0, GE)
+        assert row.coeffs == (-1,)
 
     def test_idempotent(self):
-        row = dense_row([F(9, 4), F(0), F(-3)], F(6), EQ)
-        again = _row(row.width, row.nonzero, row.const, row.kind)
-        assert again == row
+        row = dense_row([9, 0, -12], 24, EQ)
+        again = _int_row(row.width, dict(row.nonzero), row.const, row.kind)
+        assert again == row and row.coeffs == (3, 0, -4) and row.const == 8
 
     def test_all_zero_row(self):
-        row = dense_row([F(0), F(0)], F(0), EQ)
-        assert row.coeffs == (F(0), F(0)) and row.const == 0
+        row = dense_row([0, 0], 0, EQ)
+        assert row.coeffs == (0, 0) and row.const == 0
 
 
 rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+integer = st.integers(-12, 12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_row_from_gives_canonical_integer_rows(data):
     """`row_from` keeps only ints with gcd 1, gives an equality a positive
-    first entry, and describes the same set as the rational row it was given."""
+    first entry, and describes the same set as the int row it was given,
+    at rational points."""
     n = data.draw(st.integers(1, 4))
     names = [f"x{k}" for k in range(n)]
-    coeffs = data.draw(st.dictionaries(st.sampled_from(names), rational))
-    const = data.draw(rational)
+    coeffs = data.draw(st.dictionaries(st.sampled_from(names), integer))
+    const = data.draw(integer)
     kind = data.draw(st.sampled_from([GE, EQ]))
     row = ConstraintSystem(names).row_from(coeffs, const, kind)
 
@@ -93,13 +91,13 @@ def test_row_from_gives_canonical_integer_rows(data):
 @given(st.data())
 def test_satisfied_by_agrees_with_rational_rows(data):
     """`satisfied_by`'s integer check gives the verdict of the bounds and of
-    each rational row it was built from, evaluated at the same point."""
+    each row it was built from, evaluated at the same rational point."""
     n = data.draw(st.integers(1, 4))
     names = [f"x{k}" for k in range(n)]
     lower = data.draw(st.dictionaries(st.sampled_from(names),
-                                      st.none() | rational))
-    drawn = [(data.draw(st.dictionaries(st.sampled_from(names), rational)),
-              data.draw(rational), data.draw(st.sampled_from([GE, EQ])))
+                                      st.none() | integer))
+    drawn = [(data.draw(st.dictionaries(st.sampled_from(names), integer)),
+              data.draw(integer), data.draw(st.sampled_from([GE, EQ])))
              for _ in range(data.draw(st.integers(0, 4)))]
     system = ConstraintSystem(names, (), lower)
     system = system.with_rows(system.row_from(*row) for row in drawn)
@@ -121,10 +119,19 @@ class TestConstraintSystem:
         s = ConstraintSystem(["x", "y"], (), {"y": None})
         assert s.lower["x"] == 0 and s.lower["y"] is None
 
+    def test_rational_lower_bound_rejected(self):
+        with pytest.raises(TypeError, match="lower bound of y"):
+            ConstraintSystem(["x", "y"], (), {"y": F(1, 2)})
+
+    def test_row_from_rejects_a_rational_coefficient(self):
+        s = ConstraintSystem(["x", "y"])
+        with pytest.raises(TypeError):
+            s.row_from({"x": 1, "y": F(1, 2)})
+
     def test_row_from_orders_coefficients(self):
         s = ConstraintSystem(["x", "y", "z"])
         row = s.row_from({"z": 2, "x": 1}, -1)
-        assert row.coeffs == (F(1), F(0), F(2)) and row.const == F(-1)
+        assert row.coeffs == (1, 0, 2) and row.const == -1
 
     def test_prune_drops_duplicate_and_dominated(self):
         s = ConstraintSystem(["x"])
@@ -132,18 +139,18 @@ class TestConstraintSystem:
                 s.row_from({"x": 1}, -1)]
         out = s.with_rows(rows)
         # x - 1 >= 0 implies x >= 0; the duplicate collapses too.
-        assert rows_as_tuples(out) == [((F(1),), F(-1), GE)]
+        assert rows_as_tuples(out) == [((1,), -1, GE)]
 
     def test_prune_keeps_tighter_late_row(self):
         s = ConstraintSystem(["x"])
         out = s.with_rows([s.row_from({"x": 1}, 0), s.row_from({"x": 1}, -5)])
-        assert rows_as_tuples(out) == [((F(1),), F(-5), GE)]
+        assert rows_as_tuples(out) == [((1,), -5, GE)]
 
     def test_prune_drops_tautologies_keeps_contradiction(self):
         s = ConstraintSystem(["x"])
         out = s.with_rows([s.row_from({}, 3, GE), s.row_from({}, 0, EQ),
                            s.row_from({}, -1, GE)])
-        assert rows_as_tuples(out) == [((F(0),), F(-1), GE)]
+        assert rows_as_tuples(out) == [((0,), -1, GE)]
 
     def test_satisfied_by_checks_bounds_and_rows(self):
         s = ConstraintSystem(["x", "y"])
@@ -160,14 +167,14 @@ class TestEliminate:
                          s.row_from({"y": 1}, -2)])
         out = eliminate(s, ["y"])
         assert out.variables == ("x",)
-        assert rows_as_tuples(out) == [((F(1),), F(-2), GE)]
+        assert rows_as_tuples(out) == [((1,), -2, GE)]
 
     def test_fourier_motzkin_pairing(self):
         s = ConstraintSystem(["x", "y", "z"], (), dict.fromkeys("xyz", None))
         s = s.with_rows([s.row_from({"y": 1, "x": -1}),   # y >= x
                          s.row_from({"z": 1, "y": -1})])  # z >= y
         out = eliminate(s, ["y"])
-        assert rows_as_tuples(out) == [((F(-1), F(1)), F(0), GE)]  # z >= x
+        assert rows_as_tuples(out) == [((-1, 1), 0, GE)]  # z >= x
 
     def test_lower_bounds_materialize(self):
         s = ConstraintSystem(["x", "y"])  # both >= 0
@@ -186,8 +193,8 @@ class TestEliminate:
         out = eliminate(s, ["y"])
         assert out.variables == ("x", "z")
         # 3(x+1)/2 - z >= 0 and z - (x+1)/2 >= 0, cleared of denominators.
-        assert rows_as_tuples(out) == [((F(3), F(-2)), F(3), GE),
-                                       ((F(-1), F(2)), F(-1), GE)]
+        assert rows_as_tuples(out) == [((3, -2), 3, GE),
+                                       ((-1, 2), -1, GE)]
 
     def test_pair_with_common_factor_is_divided_out(self):
         s = ConstraintSystem(["x", "y"], (), {"x": None, "y": None})
@@ -195,13 +202,13 @@ class TestEliminate:
                          s.row_from({"y": -2, "x": 3}, -1)])  # 2y <= 3x - 1
         out = eliminate(s, ["y"])
         # The pair sums to 4x - 4 >= 0.
-        assert rows_as_tuples(out) == [((F(1),), F(-1), GE)]
+        assert rows_as_tuples(out) == [((1,), -1, GE)]
 
     def test_fractional_lower_bound_of_killed_variable(self):
-        s = ConstraintSystem(["x", "y"], (), {"x": None, "y": F(1, 2)})
-        s = s.with_rows([s.row_from({"x": 1, "y": -1})])  # x >= y >= 1/2
+        s = ConstraintSystem(["x", "y"], (), {"x": None, "y": 1})
+        s = s.with_rows([s.row_from({"x": 2, "y": -1})])  # x >= y/2 >= 1/2
         out = eliminate(s, ["y"])
-        assert rows_as_tuples(out) == [((F(2),), F(-1), GE)]
+        assert rows_as_tuples(out) == [((2,), -1, GE)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
@@ -224,11 +231,10 @@ class TestEliminate:
         holds exactly when the original system is feasible there."""
         n = data.draw(st.integers(2, 4))
         names = [f"x{k}" for k in range(n)]
-        lower = {v: data.draw(st.sampled_from([F(0), F(1, 2), F(-2), None]))
-                 for v in names}
-        rational = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+        lower = {v: data.draw(st.sampled_from([0, 1, -2, None])) for v in names}
+        small = st.integers(-3, 3)
         rows = data.draw(st.lists(
-            st.tuples(st.lists(rational, min_size=n, max_size=n), rational,
+            st.tuples(st.lists(small, min_size=n, max_size=n), small,
                       st.sampled_from([GE, EQ])),
             min_size=1, max_size=5))
         s = ConstraintSystem(names, (), lower)
@@ -309,7 +315,7 @@ def reference_prune(rows, hist=()):
 def reference_eliminate(system, kill, history=False):
     """`eliminate` stated directly: columns in the system's order, each
     step's coefficients read from a dict of each row, every combination
-    made canonical by the generic `_row`, and `reference_prune` after every
+    made canonical by `_int_row`, and `reference_prune` after every
     step.  Without `history`, Fourier-Motzkin keeps every combination that
     pruning keeps; with it, the rows carry `eliminate`'s histories and
     Chernikov's rule skips pairs as there."""
@@ -318,7 +324,7 @@ def reference_eliminate(system, kill, history=False):
     for v in kill:
         b = system.lower[v]
         if b is not None:
-            rows.append(_row(n, [(system.index(v), b.denominator)], -b.numerator, GE))
+            rows.append(_int_row(n, {system.index(v): 1}, -b, GE))
     hist, bit = [], 1
     for r in rows:
         if r.kind == EQ:
@@ -343,8 +349,7 @@ def reference_eliminate(system, kill, history=False):
                     acc = {i: abs(pc) * c for i, c in r.nonzero}
                     for i, c in p.nonzero:
                         acc[i] = acc.get(i, 0) - f * c
-                    out.append(_row(n, sorted(acc.items()),
-                                    abs(pc) * r.const - f * p.const, r.kind))
+                    out.append(_int_row(n, acc, abs(pc) * r.const - f * p.const, r.kind))
                     out_hist.append(h | hist[pivot])
         else:
             steps += 1
@@ -357,8 +362,7 @@ def reference_eliminate(system, kill, history=False):
                     acc = {i: b * c for i, c in lo.nonzero}
                     for i, c in hi.nonzero:
                         acc[i] = acc.get(i, 0) + a * c
-                    out.append(_row(n, sorted(acc.items()),
-                                    b * lo.const + a * hi.const, GE))
+                    out.append(_int_row(n, acc, b * lo.const + a * hi.const, GE))
                     out_hist.append(hl | hh)
         kept = reference_prune(out, out_hist if history else ())
         rows, hist = [out[k] for k in kept], [out_hist[k] for k in kept]
@@ -441,8 +445,7 @@ def test_pruning_keeps_the_shadow(data):
     reference shadow and never keeps more rows than the reference."""
     n = data.draw(st.integers(3, 5))
     names = [f"x{k}" for k in range(n)]
-    lower = {v: data.draw(st.sampled_from([F(0), F(1, 2), F(-1), None]))
-             for v in names}
+    lower = {v: data.draw(st.sampled_from([0, 1, -1, None])) for v in names}
     small = st.integers(-2, 2)
     rows = data.draw(st.lists(
         st.tuples(st.lists(small, min_size=n, max_size=n), st.integers(-3, 3),
@@ -476,8 +479,8 @@ def test_history_rule_skips_a_redundant_pair():
                      s.row_from({"y": 1, "z": 1}, -1),     # bit 3
                      s.row_from({"y": -1}, 2)])            # bit 4
     pruned, reference = eliminate(s, ["y", "z"]), reference_eliminate(s, ["y", "z"])
-    assert rows_as_tuples(reference) == [((F(2),), F(-1), GE), ((F(1),), F(1), GE)]
-    assert rows_as_tuples(pruned) == [((F(2),), F(-1), GE)]
+    assert rows_as_tuples(reference) == [((2,), -1, GE), ((1,), 1, GE)]
+    assert rows_as_tuples(pruned) == [((2,), -1, GE)]
     assert_same_shadow(pruned, reference)
 
 
@@ -495,12 +498,11 @@ def test_prune_merges_equal_rows_onto_the_smaller_history():
 
 @st.composite
 def eliminations(draw):
-    """(system, kill): equality pivots of either sign, Fraction lower bounds
+    """(system, kill): equality pivots of either sign, nonzero lower bounds
     on killed variables and rows that substitution makes equal."""
     n = draw(st.integers(2, 5))
     names = [f"x{k}" for k in range(n)]
-    lower = {v: draw(st.sampled_from([F(0), F(1, 2), F(-3, 2), F(2), None]))
-             for v in names}
+    lower = {v: draw(st.sampled_from([0, 1, -2, 2, None])) for v in names}
     small = st.integers(-3, 3)
     vector = st.lists(small, min_size=n, max_size=n)
     eqs = draw(st.lists(st.tuples(vector, small), max_size=3))
@@ -633,19 +635,19 @@ def name_keyed_level_system(program, deps, terms):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_level_system_rows_equal_the_name_keyed_sum(cone_programs, data):
-    """On drawn terms, some sharing an unknown and some with Fraction
-    weights, `level_system` gives the rows of `name_keyed_level_system`."""
+    """On drawn terms, some sharing an unknown and some with weights
+    beyond 1, `level_system` gives the rows of `name_keyed_level_system`."""
     name = data.draw(st.sampled_from(["fig1", "matmul", "stencil1d", "scaling_pair",
                                       "chain4", "random/nest3"]))
     program, deps = cone_programs[name]
-    weight = st.integers(-2, 2) | st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    weight = st.integers(-3, 3)
     pool = [f"u{k}" for k in range(6)]
     terms = {}
     for s in program.statements:
         width = len(coefficient_variables(s, program.params))
         terms[s.id] = [(data.draw(st.sampled_from(pool)),
                         tuple(data.draw(st.lists(weight, min_size=width, max_size=width))),
-                        data.draw(st.sampled_from([0, 1, None, F(1, 2)])))
+                        data.draw(st.sampled_from([0, 1, None, 2])))
                        for _ in range(data.draw(st.integers(0, 3)))]
     got = pluto.level_system(program, deps, terms)
     want = name_keyed_level_system(program, deps, terms)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,8 +15,6 @@ from polysched.model import (
     satisfaction_level, scc_decompose,
 )
 from polysched.verify import lp_minimum
-
-F = Fraction
 
 
 def edge(src, dst, kind=RAW):
@@ -171,8 +168,8 @@ class TestTransform:
         return AffineTransform(
             params=("N",),
             dims={"P": ("i", "j"), "Q": ("i",)},
-            rows={"P": ((F(1), F(0), F(0), F(0)), (F(0), F(1, 2), F(1), F(-1))),
-                  "Q": ((F(2), F(0), F(3)),)},
+            rows={"P": ((1, 0, 0, 0), (0, 2, 1, -1)),
+                  "Q": ((2, 0, 3),)},
             bands=(Band(1, 2, True, False, ("P", "Q")),),
             cuts=(Cut(1, (("P",), ("Q",))),),
         )
@@ -182,21 +179,21 @@ class TestTransform:
 
     def test_row_is_one_based_and_none_past_depth(self):
         t = self.transform()
-        assert t.row("Q", 1) == (F(2), F(0), F(3))
+        assert t.row("Q", 1) == (2, 0, 3)
         assert t.row("Q", 2) is None
-        assert t.row("P", 2) == (F(0), F(1, 2), F(1), F(-1))
+        assert t.row("P", 2) == (0, 2, 1, -1)
 
     def test_json_round_trip(self):
         t = self.transform()
         data = t.to_json()
-        assert data["statements"]["P"]["rows"][1] == ["0/1", "1/2", "1/1", "-1/1"]
+        assert data["statements"]["P"]["rows"][1] == ["0/1", "2/1", "1/1", "-1/1"]
         assert data["cuts"] == [{"level": 1, "groups": [["P"], ["Q"]]}]
 
     def test_identity_transform(self, pair):
         program, _ = pair
         t = identity_transform(program)
-        assert t.rows["P"] == ((F(1), F(0), F(0)),)
-        assert t.rows["Q"] == ((F(1), F(0), F(0)),)
+        assert t.rows["P"] == ((1, 0, 0),)
+        assert t.rows["Q"] == ((1, 0, 0),)
         assert t.bands == (Band(1, 1, True, False, ("P", "Q")),)
         assert t.cuts == ()
 
@@ -211,16 +208,16 @@ class TestSatisfaction:
     def test_exact_shift_leaves_zero_component(self, pair):
         program, dep = pair
         t = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
-                            {"P": ((F(1), F(0), F(0)),),
-                             "Q": ((F(1), F(0), F(-2)),)})
+                            {"P": ((1, 0, 0),),
+                             "Q": ((1, 0, -2),)})
         assert component_range(dep, t, 1) == 0
         assert satisfaction_level(dep, t) is None
 
     def test_reversed_row_is_unbounded_below(self, pair):
         program, dep = pair
         t = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
-                            {"P": ((F(1), F(0), F(0)),),
-                             "Q": ((F(-1), F(0), F(0)),)})
+                            {"P": ((1, 0, 0),),
+                             "Q": ((-1, 0, 0),)})
         assert component_range(dep, t, 1) is None
         assert satisfaction_level(dep, t) is None
 
@@ -238,7 +235,7 @@ class TestSatisfaction:
 
         for name in ("solve_lp", "solve_lexmin", "solve_ilp"):
             monkeypatch.setattr(ratlp, name, no_solve)
-        src, dst = (F(1), F(0), F(0)), (F(3), F(0), F(-7))
+        src, dst = (1, 0, 0), (3, 0, -7)
         assert min_dependence_component(dep, src, dst) == 6 - 7
         assert min_dependence_component(dep, list(src), list(dst)) == -1
         assert min_dependence_component(dep, dst, src) is None
@@ -254,7 +251,7 @@ class TestSatisfaction:
         rel = rel.with_rows([rel.row_from({"i": 1}), rel.row_from({"i": -1}, -1)])
         dep = DependencePolyhedron("P", "Q", RAW, ("i",), ("i'",), ("N",), rel)
         assert farkas.cone_is_empty(dep.cone)
-        row = (F(1), F(0), F(0))
+        row = (1, 0, 0)
         for minimum in (min_dependence_component, lp_minimum):
             with pytest.raises(SchedulingError, match="empty"):
                 minimum(dep, row, row)
@@ -262,6 +259,6 @@ class TestSatisfaction:
     def test_missing_row_acts_as_zero(self, pair):
         program, dep = pair
         t = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
-                            {"P": (), "Q": ((F(0), F(0), F(1)),)})
+                            {"P": (), "Q": ((0, 0, 1),)})
         # phi_Q - phi_P = 1 everywhere once P's side contributes nothing.
         assert component_range(dep, t, 1) == 1

@@ -31,7 +31,7 @@ F = Fraction
 
 
 def R(*xs):
-    return tuple(F(x) for x in xs)
+    return xs
 
 
 def rows_of(result, sid):
@@ -58,8 +58,8 @@ class TestRowAlgebra:
 
     def test_echelon_reduces_each_row_against_the_earlier_ones(self):
         # (1, -1) less (1, 1) is (0, -2), kept canonical as (0, 1); the
-        # third row, cleared of its denominator, reduces to zero.
-        rows = [R(1, 1), R(1, -1), (F(1, 2), F(3))]
+        # third row reduces to zero.
+        rows = [R(1, 1), R(1, -1), R(1, 6)]
         form = pluto._echelon(rows)
         assert [r.nonzero for r in form] == [((0, 1), (1, 1)), ((1, 1),)]
         assert all(type(c) is int for r in form for _, c in r.nonzero)
@@ -85,14 +85,12 @@ class TestRowAlgebra:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_kernel_agrees_with_the_oracle(data):
-    """On small integer and rational matrices, `row_rank` is the rank
-    `oracle.rank` computes by its own `Fraction` elimination, and
-    `nullspace_basis` gives ncols - rank independent vectors, each
-    integral, primitive, positive-lead and orthogonal to every row."""
+    """On small integer matrices, `row_rank` is the rank `oracle.rank`
+    computes by its own `Fraction` elimination, and `nullspace_basis`
+    gives ncols - rank independent vectors, each integral, primitive,
+    positive-lead and orthogonal to every row."""
     ncols = data.draw(st.integers(1, 5))
-    entry = st.integers(-3, 3)
-    if data.draw(st.booleans()):
-        entry = st.builds(F, entry, st.integers(1, 3))
+    entry = st.integers(-12, 12) if data.draw(st.booleans()) else st.integers(-3, 3)
     rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                               max_size=5))
     rank = row_rank(rows)

@@ -20,7 +20,7 @@ from polysched.verify import (
     parse_instance, statement_ranks, theorem_suite,
 )
 
-from inputs import FIXTURES, oracle
+from inputs import FIXTURES, ROOT, oracle
 
 F = Fraction
 
@@ -100,7 +100,7 @@ class TestCheckLegality:
         inst = by_name["stencil1d"]
         width = inst.program.statements[0].dim + len(inst.program.params) + 1
         zero = identity_transform(inst.program)._replace(
-            rows={"S": ((F(0),) * width, (F(0),) * width)})
+            rows={"S": ((0,) * width, (0,) * width)})
         report = check_legality(inst.program, inst.deps, zero)
         assert not report.ok and report.checked == 3
         assert {v.reason for v in report.violations} == {
@@ -146,7 +146,7 @@ class TestRanks:
     def test_repeated_row_drops_rank(self, by_name):
         inst = by_name["fig1"]
         identity = identity_transform(inst.program)
-        row = (F(1), F(0), F(0), F(0))
+        row = (1, 0, 0, 0)
         flat = identity._replace(rows={**identity.rows, "S1": (row, row)})
         assert statement_ranks(inst.program, flat)["S1"] == (1, 2)
         assert not full_rank(inst.program, flat)
@@ -155,24 +155,24 @@ class TestRanks:
 class TestBruteForceLexmin:
     def test_prefers_early_variables(self):
         s = system(["x", "y"], [({"x": 1, "y": 1}, -1, "ge")])
-        assert brute_force_lexmin(s) == {"x": F(0), "y": F(1)}
+        assert brute_force_lexmin(s) == {"x": 0, "y": 1}
 
     def test_equality_row(self):
         s = system(["x", "y"], [({"x": 1, "y": 1}, -1, "ge"),
                                 ({"x": 1, "y": -1}, 0, "eq")])
-        assert brute_force_lexmin(s) == {"x": F(1), "y": F(1)}
+        assert brute_force_lexmin(s) == {"x": 1, "y": 1}
 
     def test_box_misses_feasible_region(self):
         s = system(["x"], [({"x": 1}, -5, "ge")])
         assert brute_force_lexmin(s, bound=3) is None
-        assert brute_force_lexmin(s, bound=5) == {"x": F(5)}
+        assert brute_force_lexmin(s, bound=5) == {"x": 5}
 
     def test_lower_bounds_are_honoured(self):
-        s = system(["x", "y"], [], lower={"x": F(0), "y": F(1, 2)})
-        assert brute_force_lexmin(s) == {"x": F(0), "y": F(1)}
+        s = system(["x", "y"], [], lower={"x": 1, "y": 2})
+        assert brute_force_lexmin(s) == {"x": 1, "y": 2}
 
     def test_lower_bound_above_box(self):
-        s = system(["x"], [], lower={"x": F(4)})
+        s = system(["x"], [], lower={"x": 4})
         assert brute_force_lexmin(s, bound=3) is None
 
     def test_matches_integer_scheduler_on_stencil(self, by_name):
@@ -183,8 +183,8 @@ class TestBruteForceLexmin:
                          SchedulerConfig(mode=ILP)).steps
         assert len(steps) == 2
         sys0, asg0 = steps[0].system, steps[0].raw
-        expected = dict.fromkeys(sys0.variables, F(0))
-        expected.update({"w": F(1), "c.S.t": F(1)})
+        expected = dict.fromkeys(sys0.variables, 0)
+        expected.update({"w": 1, "c.S.t": 1})
         assert asg0 == expected
         assert brute_force_lexmin(sys0) == expected
         assert brute_force_lexmin(sys0, incumbent=asg0) == expected
@@ -240,6 +240,10 @@ class TestParseInstance:
         with pytest.raises(ParseError, match="missing instance name"):
             parse_instance({"name": ""})
 
+    def test_description_must_be_a_string(self):
+        with pytest.raises(ParseError, match="description must be a string"):
+            parse_instance({"name": "x", "description": ["a"]})
+
     def test_flags_must_be_booleans(self):
         with pytest.raises(ParseError, match="flags must map names to booleans"):
             parse_instance({"name": "x", "flags": {"tileable": 1}})
@@ -274,6 +278,14 @@ class TestLoadCorpus:
         for fname in ("one.json", "two.json"):
             (tmp_path / fname).write_text(json.dumps({"name": "same"}))
         with pytest.raises(ParseError, match="duplicate instance names"):
+            load_corpus(str(tmp_path))
+
+    def test_duplicate_names_name_the_instance_and_both_files(self, tmp_path):
+        fig1 = json.loads((ROOT / "src" / "polysched" / "corpus" / "fig1.json").read_text())
+        for fname in ("a.json", "b.json"):
+            (tmp_path / fname).write_text(json.dumps(fig1))
+        with pytest.raises(ParseError, match=r"^corpus: duplicate instance names: "
+                                             r"'fig1' in a\.json and b\.json$"):
             load_corpus(str(tmp_path))
 
     def test_invalid_json_names_the_file(self, tmp_path):
