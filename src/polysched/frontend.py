@@ -64,11 +64,25 @@ def _int(where: str, value) -> int:
     return value
 
 
-def _row(where: str, value, width: int, with_rel: bool):
+def _object(where: str, value, keys, expected: str = "expected an object") -> Mapping:
+    """`value`, which must be an object whose keys are all among `keys`."""
+    if not isinstance(value, Mapping):
+        raise ParseError(where, expected)
+    for key in value:
+        if key not in keys:
+            raise ParseError(where, f"unknown key {key!r}")
+    return value
+
+
+def _list(where: str, value, what: str = "a list") -> list:
     if not isinstance(value, list):
-        raise ParseError(where, "expected a list")
+        raise ParseError(where, f"expected {what}")
+    return value
+
+
+def _row(where: str, value, width: int, with_rel: bool):
     expect = width + (1 if with_rel else 0)
-    if len(value) != expect:
+    if len(_list(where, value)) != expect:
         raise ParseError(where, f"expected {expect} entries, got {len(value)}")
     coeffs = value[:width]
     if not all([type(x) is int for x in coeffs]):
@@ -91,42 +105,26 @@ def _constraint(coeffs: Sequence[int], const: int, rel: str) -> LinearRow:
 
 
 def parse_program(data: Mapping) -> Program:
-    if not isinstance(data, Mapping):
-        raise ParseError("$", "top level must be an object")
-    for key in data:
-        if key not in ("params", "statements", "dependences"):
-            raise ParseError("$", f"unknown key {key!r}")
-
-    raw_params = data.get("params", [])
-    if not isinstance(raw_params, list):
-        raise ParseError("params", "expected a list")
+    _object("$", data, ("params", "statements", "dependences"), "top level must be an object")
+    raw_params = _list("params", data.get("params", []))
     params = tuple(_name(f"params[{i}]", p) for i, p in enumerate(raw_params))
     if len(set(params)) != len(params):
         raise ParseError("params", "duplicate parameter names")
 
-    raw_stmts = data.get("statements", [])
-    if not isinstance(raw_stmts, list):
-        raise ParseError("statements", "expected a list")
-
+    raw_stmts = _list("statements", data.get("statements", []))
     statements = []
     seen_ids: set[str] = set()
     seen_orders: set[int] = set()
     arity: dict[str, int] = {}
     for i, st in enumerate(raw_stmts):
         where = f"statements[{i}]"
-        if not isinstance(st, Mapping):
-            raise ParseError(where, "expected an object")
-        for key in st:
-            if key not in ("id", "iterators", "domain", "accesses", "order"):
-                raise ParseError(where, f"unknown key {key!r}")
+        _object(where, st, ("id", "iterators", "domain", "accesses", "order"))
         sid = _name(f"{where}.id", st.get("id"))
         if sid in seen_ids:
             raise ParseError(f"{where}.id", f"duplicate statement id {sid!r}")
         seen_ids.add(sid)
 
-        raw_iters = st.get("iterators")
-        if not isinstance(raw_iters, list):
-            raise ParseError(f"{where}.iterators", "expected a list")
+        raw_iters = _list(f"{where}.iterators", st.get("iterators"))
         iters = tuple(_name(f"{where}.iterators[{j}]", it)
                       for j, it in enumerate(raw_iters))
         if len(set(iters)) != len(iters) or set(iters) & set(params):
@@ -136,33 +134,23 @@ def parse_program(data: Mapping) -> Program:
         width = len(iters) + len(params) + 1
         variables = iters + params
         system = ConstraintSystem(variables, (), dict.fromkeys(variables, None))
-        raw_domain = st.get("domain")
-        if not isinstance(raw_domain, list):
-            raise ParseError(f"{where}.domain", "expected a list of rows")
+        raw_domain = _list(f"{where}.domain", st.get("domain"), "a list of rows")
         rows = []
         for j, r in enumerate(raw_domain):
             coeffs, rel = _row(f"{where}.domain[{j}]", r, width, True)
             rows.append(_constraint(coeffs[:-1], coeffs[-1], rel))
         system = system.with_rows(rows)
 
-        raw_accesses = st.get("accesses", [])
-        if not isinstance(raw_accesses, list):
-            raise ParseError(f"{where}.accesses", "expected a list")
+        raw_accesses = _list(f"{where}.accesses", st.get("accesses", []))
         accesses = []
         for j, acc in enumerate(raw_accesses):
             awhere = f"{where}.accesses[{j}]"
-            if not isinstance(acc, Mapping):
-                raise ParseError(awhere, "expected an object")
-            for key in acc:
-                if key not in ("array", "kind", "map"):
-                    raise ParseError(awhere, f"unknown key {key!r}")
+            _object(awhere, acc, ("array", "kind", "map"))
             array = _name(f"{awhere}.array", acc.get("array"))
             kind = acc.get("kind")
             if kind not in ("read", "write"):
                 raise ParseError(f"{awhere}.kind", "kind must be 'read' or 'write'")
-            raw_map = acc.get("map")
-            if not isinstance(raw_map, list):
-                raise ParseError(f"{awhere}.map", "expected a list of rows")
+            raw_map = _list(f"{awhere}.map", acc.get("map"), "a list of rows")
             amap = tuple(
                 tuple(_row(f"{awhere}.map[{k}]", r, width, False)[0])
                 for k, r in enumerate(raw_map)
@@ -389,18 +377,14 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
     """Explicit dependence list.  Rows are over source iterators, target
     iterators, parameters and a constant; domain and parameter-sign rows are
     conjoined since a dependence only relates existing instances.  An empty
-    relation is dropped; equal relations share one Farkas cone."""
-    if not isinstance(entries, list):
-        raise ParseError("dependences", "expected a list")
+    relation is dropped; equal relations share one Farkas cone.  An ordering
+    self-dependence whose relation holds a point with s = t is refused, as
+    no schedule runs an instance before itself."""
     known: dict = {}
     out = []
-    for i, e in enumerate(entries):
+    for i, e in enumerate(_list("dependences", entries)):
         where = f"dependences[{i}]"
-        if not isinstance(e, Mapping):
-            raise ParseError(where, "expected an object")
-        for key in e:
-            if key not in ("src", "dst", "kind", "relation"):
-                raise ParseError(where, f"unknown key {key!r}")
+        _object(where, e, ("src", "dst", "kind", "relation"))
         try:
             src = program.statement(_name(f"{where}.src", e.get("src")))
             dst = program.statement(_name(f"{where}.dst", e.get("dst")))
@@ -410,18 +394,22 @@ def parse_dependences(program: Program, entries) -> tuple[DependencePolyhedron, 
         if kind not in _KINDS:
             raise ParseError(f"{where}.kind", f"kind must be one of {sorted(_KINDS)}")
         space = _dependence_space(src, dst, program.params)
-        raw_rel = e.get("relation")
-        if not isinstance(raw_rel, list):
-            raise ParseError(f"{where}.relation", "expected a list of rows")
         rows = []
-        for j, r in enumerate(raw_rel):
+        for j, r in enumerate(_list(f"{where}.relation", e.get("relation"), "a list of rows")):
             coeffs, rel = _row(f"{where}.relation[{j}]", r,
                                len(space.variables) + 1, True)
             rows.append(_constraint(coeffs[:-1], coeffs[-1], rel))
         relation = space.with_rows(rows)
         facts = _relation_facts(relation, known)
-        if facts is not None:
-            out.append(_dependence(src, dst, kind, relation, f"explicit{i}", facts))
+        if facts is None:
+            continue
+        if src is dst and kind != RAR:  # no instance may run before itself
+            same = [_int_row(len(space.variables), {k: 1, src.dim + k: -1}, 0, EQ)
+                    for k in range(src.dim)]
+            if not cone_is_empty(farkas_cone(relation.with_rows(same))):
+                raise ParseError(f"{where}.relation",
+                                 f"pairs an instance of {src.id} with itself")
+        out.append(_dependence(src, dst, kind, relation, f"explicit{i}", facts))
     return tuple(out)
 
 

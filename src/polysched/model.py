@@ -269,9 +269,12 @@ class AffineTransform(NamedTuple):
     A row has one coefficient per iterator of its statement, one per program
     parameter, and a trailing constant; rows of different statements at the
     same position form one schedule level.  Statements may own fewer rows than
-    the deepest one (a missing row behaves like the zero function).  Every
-    path scales its rows to integers, so their entries are ints; `to_json`
-    prints each entry as a "p/q" string.
+    the deepest one.  Dependence minima (`component_range`) and `negative`
+    read a missing row as the zero function, while `satisfaction_level`
+    and `verify.check_legality` compare two statements on their common
+    rows, then by textual order.  Every path scales its rows to integers,
+    so their entries are ints; `to_json` prints each entry as a "p/q"
+    string.
     """
 
     params: tuple[str, ...]
@@ -391,12 +394,15 @@ def component_range(dep: DependencePolyhedron, transform: AffineTransform,
 
 def satisfaction_level(dep: DependencePolyhedron, transform: AffineTransform,
                        up_to: int | None = None) -> int | None:
-    """First level whose component is >= 1 on the whole dependence.
-
-    A rational minimum of at least 1 certifies the integer minimum too, so
-    this never claims satisfaction early.
+    """First level, up to `up_to`, whose component is >= 1 on the whole
+    dependence.  Only levels where both statements have a row count, as in
+    `verify.check_legality`: past the shorter one's rows, textual order
+    decides.  A rational minimum of at least 1 certifies the integer
+    minimum too, so this never claims satisfaction early.
     """
-    limit = transform.levels if up_to is None else up_to
+    limit = min(len(transform.rows[dep.src]), len(transform.rows[dep.dst]))
+    if up_to is not None:
+        limit = min(limit, up_to)
     for level in range(1, limit + 1):
         m = component_range(dep, transform, level)
         if m is not None and m >= 1:

@@ -368,9 +368,12 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     """Full transform: weakly connected components are scheduled separately
     (each with its own bound minimization) under an outer distribution level
     when there is more than one.  Each component is one walk over its
-    levels, and each retire or cut there ends a band."""
+    levels, and each retire or cut there ends a band.  A walk ends once
+    every statement has full rank and no dependence that runs against
+    textual order is left unsatisfied; a trailing cut orders such a one."""
     deps = tuple(d for d in deps if d.ordering)
     comps = components([s.id for s in program.statements], deps)
+    order = {s.id: s.textual_order for s in program.statements}
 
     rows: dict[str, list] = {s.id: [] for s in program.statements}
     bands: list[Band] = []
@@ -400,7 +403,9 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
                 continue
             if level > band_start:
                 bands.append(Band(band_start, level - 1, True, parallel, comp))
-            if all(_statement_state(stmts, rows)[1].values()):
+            back = [d for d in live if order[d.src] > order[d.dst]]
+            if all(_statement_state(stmts, rows)[1].values()) and not (
+                    back and unsatisfied(back, AffineTransform.of(program, rows), level - 1)):
                 break
             kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
             if len(kept) == len(live):

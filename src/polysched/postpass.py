@@ -31,6 +31,7 @@ from .model import (
     dependence_list,
     negative,
     place_cut,
+    scc_decompose,
     unsatisfied,
 )
 from .pluto import Step, Terms, dimension_terms, solve_level
@@ -48,11 +49,16 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
 
     A cut recorded at color c is placed by `model.place_cut` right before
     color c's loop level, and a dependence already satisfied by the rows
-    above (cuts included) no longer constrains deeper levels.  Returns the
+    above (cuts included) no longer constrains deeper levels.  When a
+    dependence that runs against textual order is still unsatisfied after
+    the last color, a trailing cut distributes the strongly connected
+    components of the unsatisfied dependences, as `pluto.schedule` does,
+    and an error is raised if that leaves one unsatisfied.  Returns the
     scaled transform and one `Step` per level.
     """
     ordering = [d for d in deps if d.ordering]
-    comps = components([s.id for s in program.statements], deps)
+    ids = [s.id for s in program.statements]
+    comps = components(ids, deps)
     acc: dict[str, list] = {s.id: [] for s in program.statements}
     cuts = []
     steps = []
@@ -80,6 +86,17 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
             acc[sid].append(row)
         steps.append(step)
 
+    order = {s.id: s.textual_order for s in program.statements}
+    back = [d for d in ordering if order[d.src] > order[d.dst]]
+    if back and unsatisfied(back, AffineTransform.of(program, acc)):
+        level = len(steps) + 1
+        live = unsatisfied(ordering, AffineTransform.of(program, acc))
+        cuts.append(place_cut(program, acc, level, scc_decompose(ids, live)))
+        steps.append(Step(level, "cut"))
+        if unsatisfied(back, AffineTransform.of(program, acc)):
+            raise SchedulingError(
+                f"distribution at level {level} makes no progress; "
+                f"live dependences {dependence_list(live)}")
     return AffineTransform.of(program, acc, (), cuts), tuple(steps)
 
 

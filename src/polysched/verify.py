@@ -345,6 +345,14 @@ def _run_instance(inst: CorpusInstance) -> _Runs:
     return _Runs(inst, lp, ilp, _named(inst, "dfp", dfp_schedule, inst.program, inst.deps))
 
 
+def _verdict(name: str, bad: Sequence[str], notes: Sequence[str] = (),
+             passed: str = "") -> CheckResult:
+    """A check fails exactly when it has a bad line.  Its details are the
+    bad lines, then its notes, or, with neither, its one `passed` line."""
+    details = (*bad, *notes) or ((passed,) if passed else ())
+    return CheckResult(name, "fail" if bad else "pass", details)
+
+
 def _solves(result: ScheduleResult | DfpResult) -> list[Step]:
     """The steps of the result that solved a system, in solve order."""
     return [s for s in result.steps if s.system is not None]
@@ -354,6 +362,25 @@ def _all_records(runs: Sequence[_Runs]) -> list:
     """(system, optimum) of every solve of every run."""
     return [(s.system, s.raw) for r in runs for result in (r.lp, r.ilp, r.dfp)
             for s in _solves(result)]
+
+
+def _aligned(runs: Sequence[_Runs], bad: list, notes: list, flag: str = "",
+             skip: str = "", results: Optional[Callable] = None):
+    """(instance, index, relaxed step, integer step) of each pair of solves
+    in step, run by run, from `results(run)` (default: its `lp` and `ilp`).
+    A run without a named `flag` adds the note "skipped <name>: <skip>"
+    instead, and one whose modes solve different systems a bad line."""
+    for r in runs:
+        if flag and not r.instance.flag(flag):
+            notes.append(f"skipped {r.instance.name}: {skip}")
+            continue
+        lp, ilp = map(_solves, results(r) if results else (r.lp, r.ilp))
+        if len(lp) != len(ilp) or any(a.system.variables != b.system.variables
+                                      for a, b in zip(lp, ilp)):
+            bad.append(f"{r.instance.name}: record streams differ between modes")
+            continue
+        for li, (a, b) in enumerate(zip(lp, ilp)):
+            yield r.instance, li, a, b
 
 
 def _in_grid(assignment: Mapping[str, Fraction], bound: int) -> bool:
@@ -366,16 +393,6 @@ def _scaled(step: Step) -> dict[str, Fraction]:
     return {v: step.factors[0] * x for v, x in step.raw.items()}
 
 
-def _step_pairs(lp: ScheduleResult, ilp: ScheduleResult):
-    """Zip the relaxed and integer solve steps, or None on divergence."""
-    lp_steps, ilp_steps = _solves(lp), _solves(ilp)
-    if len(lp_steps) != len(ilp_steps) or any(
-            a.system.variables != b.system.variables
-            for a, b in zip(lp_steps, ilp_steps)):
-        return None
-    return list(zip(lp_steps, ilp_steps))
-
-
 _SCALES = (Fraction(2), Fraction(7, 3), Fraction(10))
 
 
@@ -386,8 +403,8 @@ def _check_exact_arithmetic(runs, bound):
         for v, x in assignment.items():
             if not isinstance(x, Fraction):
                 bad.append(f"system {i}: {v} is {type(x).__name__}, not a rational")
-    details = tuple(bad) or (f"{len(records)} recorded optima, all exact rationals",)
-    return CheckResult("exact-arithmetic", "fail" if bad else "pass", details)
+    return _verdict("exact-arithmetic", bad,
+                    passed=f"{len(records)} recorded optima, all exact rationals")
 
 
 def _check_solution_scaling(runs, bound):
@@ -400,78 +417,55 @@ def _check_solution_scaling(runs, bound):
                 bad.append(f"system {i}: optimum scaled by {k} leaves the system")
     if len(records) < 50:
         bad.append(f"only {len(records)} recorded systems, expected at least 50")
-    details = tuple(bad) or (
-        f"{len(records)} systems x scales {', '.join(str(k) for k in _SCALES)}",)
-    return CheckResult("solution-scaling", "fail" if bad else "pass", details)
+    return _verdict("solution-scaling", bad, passed=(
+        f"{len(records)} systems x scales {', '.join(str(k) for k in _SCALES)}"))
 
 
 def _check_relaxation_objective(runs, bound):
-    bad, details = [], []
-    for r in runs:
-        if not r.instance.flag("ratio_oracle"):
-            details.append(f"skipped {r.instance.name}: bounding objectives "
-                           "diverge between relaxations on this nest")
-            continue
-        pairs = _step_pairs(r.lp, r.ilp)
-        if pairs is None:
-            bad.append(f"{r.instance.name}: loop structure differs between modes")
-            continue
-        bvars = bound_variables(r.instance.program.params)
-        for a, b in pairs:
-            for v in bvars:
-                x, y = (s.factors[0] * s.raw.get(v, ZERO) for s in (a, b))
-                if x != y:
-                    bad.append(f"{r.instance.name} level {a.level}: scaled {v} "
-                               f"is {x}, integer mode found {y}")
-    status = "fail" if bad else "pass"
-    return CheckResult("relaxation-objective", status, tuple(bad + details))
+    bad, notes = [], []
+    for inst, li, lp, ilp in _aligned(
+            runs, bad, notes, "ratio_oracle",
+            "bounding objectives diverge between relaxations on this nest"):
+        for v in bound_variables(inst.program.params):
+            x, y = (s.factors[0] * s.raw.get(v, ZERO) for s in (lp, ilp))
+            if x != y:
+                bad.append(f"{inst.name} level {lp.level}: scaled {v} "
+                           f"is {x}, integer mode found {y}")
+    return _verdict("relaxation-objective", bad, notes)
 
 
-def _box_oracle(name, runs, bound, unflagged, target, mismatch, head):
-    """Compare each aligned (relaxed, integer) solve pair with the box lexmin
-    of the system `target(lp, ilp)` gives; `unflagged` is the reason to skip
-    runs without the `ratio_oracle` flag, or None to check every run."""
-    bad, details = [], []
-    checked = 0
-    for r in runs:
-        if unflagged and not r.instance.flag("ratio_oracle"):
-            details.append(f"skipped {r.instance.name}: {unflagged}")
+def _box_oracle(runs, bound, flag, skip, target):
+    """(bad, notes, checked): each aligned solve pair (`_aligned`) whose
+    integer optimum lies in the box is checked against the box lexmin of
+    the system that `target(lp, ilp)` gives with its expected optimum."""
+    bad, notes, checked = [], [], 0
+    for inst, li, lp, ilp in _aligned(runs, bad, notes, flag, skip):
+        if not _in_grid(ilp.raw, bound):
+            notes.append(f"skipped {inst.name}#{li}: integer "
+                         "optimum outside the oracle box")
             continue
-        pairs = _step_pairs(r.lp, r.ilp)
-        if pairs is None:
-            bad.append(f"{r.instance.name}: record streams differ between modes")
-            continue
-        for li, (lp, ilp) in enumerate(pairs):
-            if not _in_grid(ilp.raw, bound):
-                details.append(f"skipped {r.instance.name}#{li}: integer "
-                               "optimum outside the oracle box")
-                continue
-            system, expect = target(lp, ilp)
-            oracle = brute_force_lexmin(system, bound, incumbent=ilp.raw)
-            checked += 1
-            if oracle is None or any(oracle.get(v, ZERO) != expect.get(v, ZERO)
-                                     for v in system.variables):
-                bad.append(f"{r.instance.name}#{li}: "
-                           + mismatch.format(factor=lp.factors[0]))
-    return CheckResult(name, "fail" if bad else "pass",
-                       tuple(bad + [head.format(checked)] + details))
+        system, expect = target(lp, ilp)
+        oracle = brute_force_lexmin(system, bound, incumbent=ilp.raw)
+        checked += 1
+        if oracle is None or any(oracle.get(v, ZERO) != expect.get(v, ZERO)
+                                 for v in system.variables):
+            bad.append(f"{inst.name}#{li}: the box lexmin differs "
+                       f"(relaxed factor {lp.factors[0]})")
+    return bad, notes, checked
 
 
 def _check_integer_ratio(runs, bound):
-    return _box_oracle(
-        "integer-ratio", runs, bound,
-        "the scaled-ratio law does not hold on this nest",
-        lambda lp, ilp: (lp.system, _scaled(lp)),
-        "scaled relaxed optimum (factor {factor}) differs from the box lexmin",
-        "{} systems checked against the oracle")
+    bad, notes, checked = _box_oracle(
+        runs, bound, "ratio_oracle", "the scaled-ratio law does not hold on this nest",
+        lambda lp, ilp: (lp.system, _scaled(lp)))
+    return _verdict("integer-ratio", bad,
+                    [f"{checked} systems checked against the oracle", *notes])
 
 
 def _check_oracle_agreement(runs, bound):
-    return _box_oracle(
-        "oracle-agreement", runs, bound, None,
-        lambda lp, ilp: (ilp.system, ilp.raw),
-        "integer solver and box lexmin disagree",
-        "{} systems cross-checked")
+    bad, notes, checked = _box_oracle(runs, bound, "", "",
+                                      lambda lp, ilp: (ilp.system, ilp.raw))
+    return _verdict("oracle-agreement", bad, [f"{checked} systems cross-checked", *notes])
 
 
 def _check_parallel_agreement(runs, bound):
@@ -485,9 +479,8 @@ def _check_parallel_agreement(runs, bound):
             if ba.parallel != bb.parallel:
                 bad.append(f"{r.instance.name}: band at level {ba.start} "
                            f"parallel={ba.parallel} relaxed, {bb.parallel} integer")
-    details = tuple(bad) or (f"{sum(len(r.lp.transform.bands) for r in runs)} "
-                             "bands agree on outer parallelism",)
-    return CheckResult("parallel-agreement", "fail" if bad else "pass", details)
+    return _verdict("parallel-agreement", bad, passed=(
+        f"{sum(len(r.lp.transform.bands) for r in runs)} bands agree on outer parallelism"))
 
 
 def _check_band_agreement(runs, bound):
@@ -497,45 +490,37 @@ def _check_band_agreement(runs, bound):
         b = [(x.start, x.end) for x in r.ilp.transform.bands]
         if a != b:
             bad.append(f"{r.instance.name}: band spans {a} relaxed vs {b} integer")
-    details = tuple(bad) or ("band spans and depths identical across modes",)
-    return CheckResult("band-agreement", "fail" if bad else "pass", details)
+    return _verdict("band-agreement", bad,
+                    passed="band spans and depths identical across modes")
 
 
 def _check_restricted_scaling(runs, bound):
-    bad, details = [], []
-    for r in runs:
-        if not r.instance.flag("restricted"):
-            details.append(f"skipped {r.instance.name}: needs shifts or skewing")
-            continue
-        prog, deps = r.instance.program, r.instance.deps
-        pairs = _step_pairs(*[
-            _named(r.instance, f"restricted {mode}", schedule, prog, deps,
-                   SchedulerConfig(mode=mode, restricted=True)) for mode in (LP, ILP)])
-        if pairs is None:
-            bad.append(f"{r.instance.name}: record streams differ between modes")
-            continue
-        for li, (lp, ilp) in enumerate(pairs):
-            scaled = _scaled(lp)
-            if any(scaled.get(v, ZERO) != ilp.raw.get(v, ZERO)
-                   for v in lp.system.variables):
-                bad.append(f"{r.instance.name}#{li}: scaled relaxed assignment "
-                           f"(factor {lp.factors[0]}) differs from the integer one")
-    return CheckResult("restricted-scaling", "fail" if bad else "pass",
-                       tuple(bad + details))
+    def restricted(r):
+        return [_named(r.instance, f"restricted {mode}", schedule, r.instance.program,
+                       r.instance.deps, SchedulerConfig(mode=mode, restricted=True))
+                for mode in (LP, ILP)]
+
+    bad, notes = [], []
+    for inst, li, lp, ilp in _aligned(runs, bad, notes, "restricted",
+                                      "needs shifts or skewing", restricted):
+        scaled = _scaled(lp)
+        if any(scaled.get(v, ZERO) != ilp.raw.get(v, ZERO)
+               for v in lp.system.variables):
+            bad.append(f"{inst.name}#{li}: scaled relaxed assignment "
+                       f"(factor {lp.factors[0]}) differs from the integer one")
+    return _verdict("restricted-scaling", bad, notes)
 
 
 def _check_pipeline_legality(runs, bound):
-    bad = []
-    checked = 0
+    bad, checked = [], 0
     for r in runs:
         report = check_legality(r.instance.program, r.instance.deps,
                                 r.dfp.transform)
         checked += report.checked
         bad.extend(f"{r.instance.name}: {v.dep} at level {v.level}: {v.reason}"
                    for v in report.violations)
-    details = tuple(bad) or (
-        f"{len(runs)} transforms, {checked} ordering dependences validated",)
-    return CheckResult("pipeline-legality", "fail" if bad else "pass", details)
+    return _verdict("pipeline-legality", bad, passed=(
+        f"{len(runs)} transforms, {checked} ordering dependences validated"))
 
 
 def _check_pipeline_rank(runs, bound):
@@ -545,12 +530,11 @@ def _check_pipeline_rank(runs, bound):
                 statement_ranks(r.instance.program, r.dfp.transform).items()):
             if rank != dim:
                 bad.append(f"{r.instance.name}/{sid}: rank {rank} of {dim}")
-    details = tuple(bad) or ("every statement keeps full iterator rank",)
-    return CheckResult("pipeline-rank", "fail" if bad else "pass", details)
+    return _verdict("pipeline-rank", bad, passed="every statement keeps full iterator rank")
 
 
 def _check_skew_inert(runs, bound):
-    bad, details = [], []
+    bad, notes = [], []
     for r in runs:
         sk = r.dfp.skew
         refused = not all(b.permutable for b in r.dfp.transform.bands)
@@ -559,14 +543,13 @@ def _check_skew_inert(runs, bound):
                 bad.append(f"{r.instance.name}: skew pass altered an already "
                            "tileable nest")
         else:
-            notes = []  # one band can keep its skews while another is refused
+            kept = []  # one band can keep its skews while another is refused
             if sk.skewed:
-                notes.append("skewed levels " + ",".join(str(s.level) for s in sk.skewed))
+                kept.append("skewed levels " + ",".join(str(s.level) for s in sk.skewed))
             if refused:
-                notes.append("not tileable as permuted")
-            details.append(f"{r.instance.name}: {'; '.join(notes) or 'needs no skew'}")
-    return CheckResult("skew-inert-when-tileable", "fail" if bad else "pass",
-                       tuple(bad + details))
+                kept.append("not tileable as permuted")
+            notes.append(f"{r.instance.name}: {'; '.join(kept) or 'needs no skew'}")
+    return _verdict("skew-inert-when-tileable", bad, notes)
 
 
 def _check_partition_convexity(runs, bound):
@@ -583,8 +566,16 @@ def _check_partition_convexity(runs, bound):
                     bad.append(f"{r.instance.name}: the cut at level {cut.level} puts "
                                f"{dep.dst} before its predecessor {dep.src} "
                                f"({dependence_list([dep])})")
-    details = tuple(bad) or ("color classes closed under predecessors",)
-    return CheckResult("partition-convexity", "fail" if bad else "pass", details)
+    return _verdict("partition-convexity", bad,
+                    passed="color classes closed under predecessors")
+
+
+def _fuses(prog: Program, deps, choose: Mapping[str, int], parametric: bool) -> bool:
+    """`fusion_probe` of the statements of `choose`, in textual order, on
+    their chosen dimensions, over the dependences among them."""
+    pool = [d for d in deps if d.src in choose and d.dst in choose]
+    return fusion_probe(prog, [s for s in prog.statements if s.id in choose],
+                        choose, pool, parametric_shifts=parametric)
 
 
 def _check_joint_shifts(runs, bound):
@@ -595,25 +586,16 @@ def _check_joint_shifts(runs, bound):
         for comp in components([s.id for s in prog.statements], deps):
             if len(comp) < 2:
                 continue
-            stmts = [prog.statement(sid) for sid in comp]
-            pool = [d for d in deps if d.src in comp and d.dst in comp]
-            for dim in range(min(s.dim for s in stmts)):
-                pairwise = all(
-                    fusion_probe(prog, (a, b), {a.id: dim, b.id: dim},
-                                 [d for d in pool
-                                  if {d.src, d.dst} <= {a.id, b.id}],
-                                 parametric_shifts=True)
-                    for a, b in itertools.combinations(stmts, 2))
-                if not pairwise:
+            for dim in range(min(prog.statement(sid).dim for sid in comp)):
+                if not all(_fuses(prog, deps, {a: dim, b: dim}, True)
+                           for a, b in itertools.combinations(comp, 2)):
                     continue
                 probes += 1
-                joint = fusion_probe(prog, stmts, {s.id: dim for s in stmts},
-                                     pool, parametric_shifts=True)
-                if not joint:
+                if not _fuses(prog, deps, dict.fromkeys(comp, dim), True):
                     bad.append(f"{r.instance.name}: dimension {dim} fuses "
                                "pairwise under shifts but not jointly")
-    details = tuple(bad) or (f"{probes} joint probes follow from pairwise ones",)
-    return CheckResult("joint-shifts", "fail" if bad else "pass", details)
+    return _verdict("joint-shifts", bad,
+                    passed=f"{probes} joint probes follow from pairwise ones")
 
 
 def _check_scc_colorability(runs, bound):
@@ -628,9 +610,8 @@ def _check_scc_colorability(runs, bound):
                       prog, sub, comp) is None:
                 bad.append(f"{r.instance.name}: component {{{','.join(comp)}}} "
                            "has no colorable dimension")
-    details = tuple(bad) or (f"{count} isolated components each keep a "
-                             "colorable dimension",)
-    return CheckResult("scc-colorability", "fail" if bad else "pass", details)
+    return _verdict("scc-colorability", bad, passed=(
+        f"{count} isolated components each keep a colorable dimension"))
 
 
 def _check_fusion_transitivity(runs, bound):
@@ -643,12 +624,6 @@ def _check_fusion_transitivity(runs, bound):
             if d.src != d.dst:
                 linked.add((d.src, d.dst))
                 linked.add((d.dst, d.src))
-
-        def probe(choose: dict[str, int], parametric: bool) -> bool:
-            pool = [d for d in deps if d.src in choose and d.dst in choose]
-            return fusion_probe(prog, [prog.statement(s) for s in sorted(choose)],
-                                choose, pool, parametric_shifts=parametric)
-
         ids = sorted(s.id for s in prog.statements)
         for a, b, c in itertools.permutations(ids, 3):
             if a > c or (a, b) not in linked or (b, c) not in linked:
@@ -656,16 +631,16 @@ def _check_fusion_transitivity(runs, bound):
             for parametric in (False, True):
                 for da, db, dc in itertools.product(
                         *[range(prog.statement(x).dim) for x in (a, b, c)]):
-                    if (probe({a: da, b: db}, parametric)
-                            and probe({b: db, c: dc}, parametric)):
+                    if (_fuses(prog, deps, {a: da, b: db}, parametric)
+                            and _fuses(prog, deps, {b: db, c: dc}, parametric)):
                         tried += 1
-                        if not probe({a: da, b: db, c: dc}, parametric):
+                        if not _fuses(prog, deps, {a: da, b: db, c: dc}, parametric):
                             bad.append(
                                 f"{r.instance.name}: {a}.{da}+{b}.{db} and "
                                 f"{b}.{db}+{c}.{dc} fuse but the triple "
                                 f"does not (parametric={parametric})")
-    details = tuple(bad) or (f"{tried} fusable chains extend to triples",)
-    return CheckResult("fusion-transitivity", "fail" if bad else "pass", details)
+    return _verdict("fusion-transitivity", bad,
+                    passed=f"{tried} fusable chains extend to triples")
 
 
 _CHECKS: tuple[Callable, ...] = (

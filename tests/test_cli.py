@@ -268,7 +268,12 @@ class TestErrors:
          "program.statements: expected a list"),
         (json.dumps({"statements": [{"id": "S\n", "iterators": [], "domain": []}]}),
          "statements[0].id: expected an identifier, got 'S\\n'"),
-    ], ids=["malformed", "bad-program", "top-level", "bad-instance", "newline-name"])
+        (json.dumps({"statements": [{"id": "S", "iterators": [], "domain": []}],
+                     "dependences": [{"src": "S", "dst": "S", "kind": "WAW",
+                                      "relation": []}]}),
+         "dependences[0].relation: pairs an instance of S with itself\n"),
+    ], ids=["malformed", "bad-program", "top-level", "bad-instance", "newline-name",
+            "reflexive"])
     def test_input_errors_name_the_file(self, capsys, tmp_path, argv, text, message):
         path = tmp_path / "deep.json"
         path.write_text(text)

@@ -234,6 +234,28 @@ class TestExplicitDependences:
         _, deps = analyze(data)
         assert deps == ()
 
+    @pytest.mark.parametrize("kind", ["RAW", "WAR", "WAW"])
+    @pytest.mark.parametrize("statement, relation", [
+        ({"id": "S", "iterators": ["i"], "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]]},
+         [[1, -1, 0, 0, "=="]]),
+        ({"id": "S", "iterators": [], "domain": []}, []),
+    ], ids=["same-i", "scalar"])
+    def test_an_instance_paired_with_itself_is_refused(self, kind, statement, relation):
+        data = {"params": ["N"], "statements": [statement], "dependences": [
+            {"src": "S", "dst": "S", "kind": kind, "relation": relation}]}
+        with pytest.raises(ParseError) as err:
+            analyze(data)
+        assert str(err.value) == "dependences[0].relation: pairs an instance of S with itself"
+
+    def test_self_dependences_that_pair_distinct_instances_are_kept(self):
+        # s.i = t.i - 1 never pairs an instance with itself, and a read-read
+        # pair orders nothing, even on the diagonal.
+        data = edit(PAIR, dependences=[
+            {"src": "P", "dst": "P", "kind": "RAW", "relation": [[1, -1, 0, 1, "=="]]},
+            {"src": "P", "dst": "P", "kind": "RAR", "relation": [[1, -1, 0, 0, "=="]]}])
+        _, deps = analyze(data)
+        assert shape(deps) == [("P", "P", "RAW"), ("P", "P", "RAR")]
+
     def test_domain_rows_still_apply(self, by_name):
         back = by_name["scc_pair"].deps[1]
         # Instances outside [0, N-1] are not in the relation.

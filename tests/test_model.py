@@ -262,3 +262,14 @@ class TestSatisfaction:
                             {"P": (), "Q": ((0, 0, 1),)})
         # phi_Q - phi_P = 1 everywhere once P's side contributes nothing.
         assert component_range(dep, t, 1) == 1
+
+    def test_satisfaction_reads_only_common_levels(self, pair):
+        """A level where one statement has no row satisfies nothing, though
+        its component reads the missing row as zero: past the shorter
+        statement's rows, textual order decides, as in `check_legality`."""
+        program, dep = pair
+        t = AffineTransform(("N",), {"P": ("i",), "Q": ("i",)},
+                            {"P": (), "Q": ((0, 0, 1),)})
+        assert satisfaction_level(dep, t) is None
+        assert satisfaction_level(dep, t._replace(rows={"P": ((0, 0, 0),),
+                                                        "Q": ((0, 0, 1),)})) == 1

@@ -580,6 +580,34 @@ class TestSchedule:
             "no transformation row exists at level 1 for statements S, and "
             "distribution makes no progress; live dependences S->S explicit0")
 
+    @pytest.mark.parametrize("mode", [ILP, LP])
+    def test_trailing_cut_orders_a_dependence_against_textual_order(self, mode):
+        # T feeds S at the same i, but S comes first in textual order: once
+        # both have full rank, a cut runs T before S inside each i.
+        program, deps = analyze(json.loads(EXPLICIT_BACKWARD.read_text()))
+        result = schedule(program, deps, SchedulerConfig(mode=mode))
+        assert [s.kind for s in result.steps] == ["loop", "cut"]
+        assert result.transform.cuts == (Cut(2, (("T",), ("S",))),)
+        assert rows_of(result, "S") == (R(1, 0, 0), R(0, 0, 1))
+        assert rows_of(result, "T") == (R(1, 0, 0), R(0, 0, 0))
+
+    @pytest.mark.parametrize("mode", [ILP, LP])
+    def test_cycle_against_textual_order_raises(self, mode):
+        same = [[1, -1, 0, 0, "=="]]
+        data = json.loads(EXPLICIT_BACKWARD.read_text())
+        data["dependences"].append({"src": "S", "dst": "T", "kind": "RAW", "relation": same})
+        program, deps = analyze(data)
+        with pytest.raises(SchedulingError) as err:
+            schedule(program, deps, SchedulerConfig(mode=mode))
+        assert str(err.value) == (
+            "no transformation row exists at level 2 for statements S, T, and distribution "
+            "makes no progress; live dependences T->S explicit0, S->T explicit1")
+
+
+#: S and T both run over 0 <= i <= N - 1, S first, with an explicit
+#: dependence from T to S at the same i.
+EXPLICIT_BACKWARD = FIXTURES / "explicit_backward.json"
+
 
 #: A scalar statement S0 reads B[0] before S1 and S2 overwrite it.  At
 #: level 2 the scheduler distributes S1 from S0 and S2, while S0 still has

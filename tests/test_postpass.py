@@ -26,6 +26,11 @@ def R(*xs):
     return xs
 
 
+#: Domains over [0, N-1] of one and of two loops.
+LINE = [[1, 0, 0, ">="], [-1, 1, -1, ">="]]
+BOX2 = [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="], [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]
+
+
 class TestScaleAndShift:
     def test_shifts_the_consumer_backwards(self, by_name, dfp_results):
         # The scheduler proper shifts P forward by 2; with both directions
@@ -80,6 +85,32 @@ class TestScaleAndShift:
         space_first = color_fcg(inst.program, inst.deps)._replace(colors={"S": (1, 0)})
         with pytest.raises(SchedulingError, match="no legal scaling"):
             scale_and_shift(inst.program, inst.deps, space_first)
+
+    def test_trailing_cut_orders_a_dependence_against_textual_order(self):
+        # S2 runs after S0 in textual order but feeds it: once the colors
+        # are placed, only a cut runs S2 first.  S0 has no row at S2's
+        # levels, which therefore satisfy nothing.
+        program, deps = analyze({"params": ["N"], "statements": [
+            {"id": "S0", "iterators": [], "domain": []},
+            {"id": "S2", "iterators": ["i", "j"], "domain": BOX2}],
+            "dependences": [{"src": "S2", "dst": "S0", "kind": "RAW", "relation": []}]})
+        out = dfp_schedule(program, deps)
+        assert out.transform.cuts == (Cut(3, (("S2",), ("S0",))),)
+        assert [s.kind for s in out.steps] == ["loop", "loop", "cut"]
+        assert check_legality(program, deps, out.transform).ok
+        assert full_rank(program, out.transform)
+
+    def test_trailing_cut_without_progress_raises(self):
+        # Each instance of S runs before and after the same instance of T.
+        same = [[1, -1, 0, 0, "=="]]
+        program, deps = analyze({"params": ["N"], "statements": [
+            {"id": "S", "iterators": ["i"], "domain": LINE},
+            {"id": "T", "iterators": ["i"], "domain": LINE}], "dependences": [
+            {"src": "S", "dst": "T", "kind": "RAW", "relation": same},
+            {"src": "T", "dst": "S", "kind": "RAW", "relation": same}]})
+        with pytest.raises(SchedulingError, match="^distribution at level 2 makes no "
+                           "progress; live dependences S->T explicit0, T->S explicit1$"):
+            dfp_schedule(program, deps)
 
     def test_record_collects_level_systems(self, by_name):
         inst = by_name["fig1"]

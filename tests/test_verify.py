@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -11,16 +12,17 @@ from polysched import verify
 from polysched.farkas import ConstraintSystem
 from polysched.fcg import colorable_dimension
 from polysched.frontend import ParseError, analyze
-from polysched.model import identity_transform
+from polysched.model import SchedulingError, identity_transform
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
-from polysched.postpass import introduce_skew
+from polysched.postpass import dfp_schedule, introduce_skew
+from polysched.ratlp import ResourceLimitError
 from polysched.verify import (
     CheckResult, SuiteReport,
     brute_force_lexmin, check_legality, full_rank, load_corpus,
     parse_instance, statement_ranks, theorem_suite,
 )
 
-from inputs import FIXTURES, ROOT, oracle
+from inputs import DFP_REFUSES, FIXTURES, ROOT, oracle
 
 F = Fraction
 
@@ -413,3 +415,108 @@ class TestTheoremSuite:
         theorem_suite(corpus=(by_name["fig1"],), progress=seen.append)
         assert seen[0] == "scheduling fig1"
         assert [m.split(" ", 1)[1] for m in seen[1:]] == CHECK_NAMES
+
+
+# -- every path, legal or refused ----------------------------------------------
+
+
+def _run(path, program, deps):
+    if path == "dfp":
+        return dfp_schedule(program, deps).transform
+    return schedule(program, deps, SchedulerConfig(mode=path)).transform
+
+
+_NO_COLOR = ("no dimension of S can take color 1; the conflict graph admits no "
+             "convex coloring; live dependences S->S A:0->1@0")
+
+#: The refusals that CI's fixture loop pins, by (fixture, path).
+PINNED_REFUSALS = {
+    ("unbounded_self_dependence", "dfp"): _NO_COLOR,
+    ("no_progress_distribution", "dfp"): _NO_COLOR,
+    ("scale_shift_infeasible", "dfp"): (
+        "no legal scaling and shifting exists at level 2: statements S1; live "
+        "dependences S0->S1 A:0->0, S1->S1 A:0->0@1, S1->S2 A:0->0"),
+    **{("unbounded_self_dependence", path): (
+        "no transformation row exists at level 1 for statements S, and distribution "
+        "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
+    **{("no_progress_distribution", path): (
+        "no transformation row exists at level 2 for statements S, T, and distribution "
+        "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
+}
+
+
+def test_pinned_refusals_cover_the_dfp_refusals():
+    assert sorted(name for name, path in PINNED_REFUSALS if path == "dfp") == sorted(
+        DFP_REFUSES)
+
+
+@pytest.mark.parametrize("path", [ILP, LP, "dfp"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_every_path_is_legal_on_every_fixture(name, path):
+    """Each path gives every fixture a legal, full-rank transform, or the
+    refusal that CI pins."""
+    program, deps = analyze(json.loads((FIXTURES / f"{name}.json").read_text()))
+    if (name, path) in PINNED_REFUSALS:
+        with pytest.raises(SchedulingError) as err:
+            _run(path, program, deps)
+        assert str(err.value) == PINNED_REFUSALS[name, path]
+        return
+    transform = _run(path, program, deps)
+    assert check_legality(program, deps, transform).ok
+    assert full_rank(program, transform)
+
+
+def explicit_program(rng):
+    """1-3 statements of depth 0-2 over [0, N-1] and 1-3 explicit RAW
+    edges, each pairing s_k = t_k + c on the loops both ends have, with c in
+    {-1, 0, 1}; and whether an edge pairs an instance with itself."""
+    depths = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+    statements = []
+    for k, depth in enumerate(depths):
+        domain = []
+        for d in range(depth):
+            unit = [int(d == e) for e in range(depth)]
+            domain += [unit + [0, 0, ">="], [-u for u in unit] + [1, -1, ">="]]
+        statements.append({"id": f"S{k}", "iterators": ["i", "j"][:depth],
+                           "domain": domain})
+    deps, reflexive = [], False
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(len(depths)), rng.randrange(len(depths))
+        m, n = depths[a], depths[b]
+        relation = []
+        for k in range(min(m, n)):
+            row = [0] * (m + n + 2) + ["=="]
+            row[k], row[m + k], row[-2] = 1, -1, -rng.choice((-1, 0, 1))
+            relation.append(row)
+        reflexive |= a == b and not any(row[-2] for row in relation)
+        deps.append({"src": f"S{a}", "dst": f"S{b}", "kind": "RAW", "relation": relation})
+    return {"params": ["N"], "statements": statements, "dependences": deps}, reflexive
+
+
+def test_every_path_is_legal_on_explicit_dependences():
+    """On 240 generated explicit-dependence programs, some of whose edges
+    run against textual order, each path gives a legal, full-rank
+    transform or raises; only a program with an ordering self-dependence
+    that pairs an instance with itself is refused, as bad input."""
+    rng = random.Random(1)
+    outcomes = set()
+    for n in range(240):
+        data, reflexive = explicit_program(rng)
+        try:
+            program, deps = analyze(data)
+        except ParseError as exc:
+            assert reflexive, (n, str(exc))
+            assert "pairs an instance of" in str(exc)
+            outcomes.add("refused")
+            continue
+        assert not reflexive, n
+        for path in (ILP, LP, "dfp"):
+            try:
+                transform = _run(path, program, deps)
+            except (SchedulingError, ResourceLimitError):
+                outcomes.add("raised")
+                continue
+            assert check_legality(program, deps, transform).ok, (n, path)
+            assert full_rank(program, transform), (n, path)
+            outcomes.add("scheduled")
+    assert outcomes == {"refused", "raised", "scheduled"}
