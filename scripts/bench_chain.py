@@ -6,9 +6,14 @@ statement stays fusable with its neighbours.  In the `fan-in` family
 (`--family fan-in`), statement k reads the arrays of statements k-1 and k-2,
 so the graph has about twice the edges and the conflict graph more probes.
 Times dependence analysis (`analysis`, one `frontend.analyze`), then the
-integer scheduler, the relaxed scheduler and the conflict-graph pipeline at
-several lengths, next to the size of the constraint systems they solve:
-`rows` sums the legality and bounding Farkas rows over the dependences.
+paths of `--paths` at several lengths, in wall ms: the integer scheduler
+(`ilp`), the relaxed scheduler (`lp`) and the conflict-graph pipeline
+(`dfp`), next to the size of the constraint systems they solve: `rows`
+sums the legality and bounding Farkas rows over the dependences.  `dfp`
+is also split into its three stages in CPU ms, `color` (`color_fcg`),
+`shift` (`scale_and_shift`) and `skew` (`introduce_skew`), and their sum
+`dfp cpu`, its CPU time outside analysis.  At n = 800 only `dfp` finishes
+in seconds: `--paths dfp --sizes 400,800`.
 """
 
 import argparse
@@ -18,8 +23,9 @@ import time
 
 from polysched import frontend
 from polysched.farkas import bounding_constraints, legality_constraints
+from polysched.fcg import color_fcg
 from polysched.pluto import SchedulerConfig, schedule
-from polysched.postpass import dfp_schedule
+from polysched.postpass import introduce_skew, scale_and_shift
 
 
 def chain(n: int, back: int = 1) -> dict:
@@ -50,50 +56,79 @@ def fan_in(n: int) -> dict:
 FAMILIES = {"chain": chain, "fan-in": fan_in}
 
 
+PATHS = ("ilp", "lp", "dfp")
+
+
+def timed(run, *args):
+    """`run(*args)` and the CPU seconds it took."""
+    t0 = time.process_time()
+    result = run(*args)
+    return result, time.process_time() - t0
+
+
+def run_dfp(program, deps):
+    """`postpass.dfp_schedule`'s three stages, one at a time: the final
+    transform and each stage's CPU seconds."""
+    coloring, color = timed(color_fcg, program, deps)
+    (scaled, steps), shift = timed(scale_and_shift, program, deps, coloring)
+    skew, skewing = timed(introduce_skew, program, deps, scaled, steps)
+    return skew.transform, {"color": color, "shift": shift, "skew": skewing}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,30",
                         help="comma-separated pipeline lengths")
     parser.add_argument("--family", choices=FAMILIES, default="chain",
                         help="which statements each statement reads (default: chain)")
+    parser.add_argument("--paths", default=",".join(PATHS),
+                        help="comma-separated paths to run, of ilp, lp and dfp "
+                             "(default: all three)")
     parser.add_argument("--emit", metavar="FILE",
                         help="also write the longest pipeline as JSON")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    chosen = set(args.paths.split(","))
+    if not chosen <= set(PATHS):
+        parser.error(f"--paths takes ilp, lp and dfp, not {args.paths!r}")
+    paths = [p for p in PATHS if p in chosen]
     family = FAMILIES[args.family]
 
+    stages = ("color", "shift", "skew", "dfp cpu") if "dfp" in paths else ()
     print(f"{'n':>4} {'deps':>5} {'rows':>6} {'analysis':>9} "
-          f"{'ilp':>9} {'lp':>9} {'dfp':>9}   bands")
+          + "".join(f"{p:>10}" for p in paths + list(stages)) + "   bands")
     for n in sizes:
         data = family(n)
         t0 = time.perf_counter()
         frontend.analyze(data)
         times = {"analysis": time.perf_counter() - t0}
-        results = {}
-        for path in ("ilp", "lp", "dfp"):
+        transforms = {}
+        for path in paths:
             # A fresh analysis per path, untimed: Farkas rows are kept on
             # the dependences, so a shared one would favour later paths.
             program, deps = frontend.analyze(data)
             t0 = time.perf_counter()
             if path == "dfp":
-                results[path] = dfp_schedule(program, deps)
+                transforms[path], split = run_dfp(program, deps)
+                times.update(split)
+                times["dfp cpu"] = sum(split.values())
             else:
-                results[path] = schedule(program, deps,
-                                         SchedulerConfig(mode=path))
+                transforms[path] = schedule(
+                    program, deps, SchedulerConfig(mode=path)).transform
             times[path] = time.perf_counter() - t0
         rows = 0
         for dep in deps:
             src, dst = program.statement(dep.src), program.statement(dep.dst)
             rows += len(legality_constraints(dep, src, dst).rows)
             rows += len(bounding_constraints(dep, src, dst).rows)
-        ilp, dfp = results["ilp"], results["dfp"]
-        shape = ", ".join(
-            f"{b.start}-{b.end}{'p' if b.parallel else ''}"
-            for b in dfp.transform.bands)
-        ms = {k: f"{t * 1000:>7.0f}ms" for k, t in times.items()}
-        print(f"{n:>4} {len(deps):>5} {rows:>6} {ms['analysis']} "
-              f"{ms['ilp']} {ms['lp']} {ms['dfp']}   {shape} "
-              f"(integer: {len(ilp.transform.bands)} bands)")
+        shown = transforms.get("dfp") or transforms[paths[0]]
+        shape = ", ".join(f"{b.start}-{b.end}{'p' if b.parallel else ''}"
+                          for b in shown.bands)
+        if "ilp" in transforms and shown is not transforms["ilp"]:
+            shape += f" (integer: {len(transforms['ilp'].bands)} bands)"
+        cells = "".join(f"{times[k] * 1000:>8.0f}ms" for k in paths + list(stages))
+        print(f"{n:>4} {len(deps):>5} {rows:>6} {times['analysis'] * 1000:>7.0f}ms "
+              f"{cells}   {shape}")
 
     if args.emit:
         with open(args.emit, "w") as fh:

@@ -140,15 +140,17 @@ def _probe_pairs(program: Program, deps: Sequence[DependencePolyhedron]):
             for d in deps if comp_of[d.src] != comp_of[d.dst]}
     kept = _transitive_reduction(len(sccs), cond)  # `sccs` is topologically sorted
 
-    linked = {frozenset((d.src, d.dst)) for d in deps}
+    # The linked pairs of distinct statements, as position pairs i < j in
+    # lexicographic order: the probes run in statement order.
+    position = {sid: k for k, sid in enumerate(ids)}
+    linked = sorted({tuple(sorted((position[d.src], position[d.dst])))
+                     for d in deps if d.src != d.dst})
     pairs = []
-    for a, b in combinations(ids, 2):
-        if frozenset((a, b)) not in linked:
-            continue
-        ca, cb = comp_of[a], comp_of[b]
+    for i, j in linked:
+        ca, cb = comp_of[ids[i]], comp_of[ids[j]]
         if ca != cb and (ca, cb) not in kept and (cb, ca) not in kept:
             continue
-        pairs.append((program.statement(a), program.statement(b)))
+        pairs.append((program.statements[i], program.statements[j]))
     return pairs
 
 

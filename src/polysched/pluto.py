@@ -130,7 +130,9 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     A dependence's `farkas_rows`, shared per dependence shape, are
     substituted by position: each coefficient of a statement becomes the
     (column, int weight) pairs its terms give it, and each row is made
-    canonical by `_int_row`.
+    canonical by `_int_row`.  A repeat of an earlier row, which the
+    system's pruning would drop, is dropped as it is made: a statement that
+    leaves most coefficients out repeats many of its dependences' rows.
 
     With `feasibility` set, for a caller that asks only whether the system
     has a point, a dependence whose relation is `bounded` gives its
@@ -152,7 +154,7 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
                     weights[j][system.index(unknown)] = a
         columns[sid] = [tuple(w.items()) for w in weights]
     units = [((k, 1),) for k in range(len(bounds))]
-    rows = []
+    rows, seen = [], set()
     for dep in deps:
         cols = [form for sid in dict.fromkeys((dep.src, dep.dst)) for form in
                 columns.get(sid) or [()] * (program.statement(sid).dim + nparams + 1)]
@@ -164,7 +166,10 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
                 for i, c in nonzero:
                     for k, a in subst[i]:
                         acc[k] = acc.get(k, 0) + c * a
-                rows.append(_int_row(width, acc, const, kind))
+                row = _int_row(width, acc, const, kind)
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(row)
     return system.with_rows(rows)
 
 

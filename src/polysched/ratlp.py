@@ -1,7 +1,11 @@
 """Exact rational linear programming.
 
-One integer tableau serves every solve, and every run of the same problem
-takes the same pivots.  Callers ask it three questions:
+One integer tableau serves every solve that needs a pivot, and every run of
+the same problem takes the same pivots.  A lexmin whose bound point, every
+variable at its lower bound and every free one at 0, meets every row needs
+none: every column is then 0, the least point of the non-negative
+orthant, so `solve_lexmin` and `solve_ilp` return that point and build no
+tableau.  Callers ask three questions:
 
 - the lexmin of its columns (`solve_lexmin`): the lexicographic dual
   simplex (Feautrier's PIP, isl) pivots on the first negative row and picks
@@ -266,11 +270,29 @@ def solve_lp(problem: LPProblem) -> LPResult:
     return LPResult(OPTIMAL, x, (sum((c * x[v] for v, c in cost.items()), ZERO),))
 
 
+def _at_bounds(system: ConstraintSystem) -> dict[str, Fraction] | None:
+    """The bound point, when it meets every row: each variable at its lower
+    bound, a free one at 0, where every tableau column is 0.  Rows are read
+    last first, since the rows a caller adds come last and are the ones
+    that point breaks."""
+    point = [system.lower[v] or 0 for v in system.variables]
+    for r in reversed(system.rows):
+        value = r.const + sum([point[i] * c for i, c in r.nonzero])
+        if value < 0 or (value and r.kind == EQ):
+            return None
+    return {v: Fraction(x) for v, x in zip(system.variables, point)}
+
+
 def solve_lexmin(problem: LPProblem) -> LPResult:
     """The lexmin of the tableau's columns: every variable in the system's
     order, a free one as its positive half, then its negative half, which
-    gives it the value of smallest magnitude."""
-    tab = _Tableau(_no_objective(problem))
+    gives it the value of smallest magnitude.  No tableau is built when
+    the bound point (`_at_bounds`) is feasible."""
+    system = _no_objective(problem)
+    x = _at_bounds(system)
+    if x is not None:
+        return LPResult(OPTIMAL, x)
+    tab = _Tableau(system)
     return LPResult(OPTIMAL, tab.assignment()) if tab.lexmin() else LPResult(INFEASIBLE)
 
 
@@ -279,13 +301,15 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
     values with every variable integral.
 
     Depth-first branch and bound on the first fractional variable in the
-    system's order, so runs are reproducible.  A child adds its one bound
-    row to its parent's final tableau (`_Tableau.branched`) and resumes the
-    lexmin from there.  A node's lexmin bounds every integer point below
-    it, so a node whose columns do not beat the incumbent's is pruned.
+    system's order, so runs are reproducible.  The root is the one node
+    that may end at the bound point (`_at_bounds`), which is integral, with
+    no tableau.  A child adds its one bound row to its parent's final
+    tableau (`_Tableau.branched`) and resumes the lexmin from there.  A
+    node's lexmin bounds every integer point below it, so a node whose
+    columns do not beat the incumbent's is pruned.
     """
-    variables = _no_objective(problem).variables
-    stack: list = [(_Tableau(problem.system), None)]
+    system = _no_objective(problem)
+    stack: list = [(None, None)]  # the root, then (parent tableau, branch)
     best = None  # the incumbent's column values and result
     nodes = 0
     while stack:
@@ -294,7 +318,12 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
         if nodes > node_limit:
             raise ResourceLimitError(
                 f"branch and bound node limit exceeded ({node_limit} nodes)")
-        if branch is not None:
+        if tab is None:
+            x = _at_bounds(system)
+            if x is not None:
+                return LPResult(OPTIMAL, x)
+            tab = _Tableau(system)
+        else:
             tab = tab.branched(*branch)
         if not tab.lexmin():
             continue
@@ -302,7 +331,7 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
         if best and key >= best[0]:
             continue
         x = tab.assignment()
-        frac = next((v for v in variables if x[v].denominator != 1), None)
+        frac = next((v for v in system.variables if x[v].denominator != 1), None)
         if frac is None:
             best = key, LPResult(OPTIMAL, x)
             continue

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -12,12 +13,14 @@ from polysched.fcg import (
     fusion_probe, to_dot,
 )
 from polysched.frontend import analyze
-from polysched.model import Cut, SchedulingError, component_range, satisfaction_level
+from polysched.model import (
+    Cut, SchedulingError, component_range, satisfaction_level, scc_decompose,
+)
 from polysched.pluto import dimension_terms
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank
 
-from inputs import DFP_REFUSES, FIXTURES, workloads
+from inputs import DFP_REFUSES, FIXTURES, ROOT, bench_chain, workloads
 
 
 def _lexmin(system):
@@ -343,6 +346,53 @@ def test_transitive_reduction_keeps_exactly_the_unimplied_edges(data):
 
     assert fcg._transitive_reduction(n, edges) == {
         (a, b) for a, b in edges if not reaches(a, b, (a, b))}
+
+
+def reference_probe_pairs(program, deps):
+    """`fcg._probe_pairs` by a walk over every pair of statements
+    (`combinations`): each linked pair, unless its components are distinct
+    and no edge of the reduced component DAG joins them."""
+    ids = [s.id for s in program.statements]
+    sccs = scc_decompose(ids, deps)
+    comp_of = {sid: ci for ci, comp in enumerate(sccs) for sid in comp}
+    kept = fcg._transitive_reduction(len(sccs), {
+        (comp_of[d.src], comp_of[d.dst]) for d in deps if comp_of[d.src] != comp_of[d.dst]})
+    linked = {frozenset((d.src, d.dst)) for d in deps}
+    pairs = []
+    for a, b in combinations(ids, 2):
+        ca, cb = comp_of[a], comp_of[b]
+        if frozenset((a, b)) in linked and (
+                ca == cb or (ca, cb) in kept or (cb, ca) in kept):
+            pairs.append((program.statement(a), program.statement(b)))
+    return pairs
+
+
+def test_probe_pairs_equal_the_walk_over_every_pair(monkeypatch):
+    """Every `_probe_pairs` call that the coloring makes, on the corpus,
+    chain(8), the `random` workload, every fixture and fan-in(30), gives
+    the pairs of the `combinations` walk in its order.  fan-in(30) links
+    57 pairs and keeps its 29 nearest neighbours."""
+    named = (workloads.programs("corpus", ROOT / "src") + [("chain8", workloads.chain(8))]
+             + workloads.programs("random", ROOT / "src")
+             + [(p.stem, json.loads(p.read_text())) for p in sorted(FIXTURES.glob("*.json"))]
+             + [("fan-in30", bench_chain.fan_in(30))])
+    probe_pairs = fcg._probe_pairs
+    calls = []
+
+    def checked(program, deps):
+        pairs = probe_pairs(program, deps)
+        assert pairs == reference_probe_pairs(program, deps)
+        calls.append(len(pairs))
+        return pairs
+
+    monkeypatch.setattr(fcg, "_probe_pairs", checked)
+    for name, data in named:
+        program, deps = analyze(data)
+        try:
+            color_fcg(program, deps)
+        except SchedulingError:
+            assert name in DFP_REFUSES
+    assert len(calls) > len(named) and max(calls) == 29
 
 
 UNBOUNDED_SELF_DEPENDENCE = FIXTURES / "unbounded_self_dependence.json"

@@ -325,6 +325,93 @@ def test_lexmin_matches_projection(n, rows, lower):
         assert s.satisfied_by(solve_lp(LPProblem.of(s)).assignment)
 
 
+def tableau_lexmin(s):
+    """The lexmin as the tableau alone reaches it: (status, assignment)."""
+    tab = _Tableau(s)
+    return (OPTIMAL, tab.assignment()) if tab.lexmin() else (INFEASIBLE, {})
+
+
+def tableaux_built(solve):
+    """`solve()` and the number of `_Tableau`s it built."""
+    built = []
+    init = _Tableau.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "__init__", counted)
+        return solve(), len(built)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 4), small_rows, st.lists(bounds, min_size=4, max_size=4),
+       st.booleans())
+def test_the_bound_point_exit_matches_the_tableau(n, rows, lower, at_bounds):
+    """On boxed systems, half of them made to hold at the bound point by
+    moving each row's constant, `solve_lexmin` gives the status and point
+    of a tableau's lexmin, and builds one exactly when the bound point
+    (`satisfied_by` of no values) breaks a row.  `solve_ilp` gives the same
+    whenever that lexmin is integral or infeasible."""
+    names = ["x", "y", "z", "t"][:n]
+    low = dict(zip(names, lower))
+    drawn = []
+    for coeffs, c, kind in rows:
+        form = dict(zip(names, coeffs))
+        if at_bounds:
+            value = c + sum(a * (low[v] or 0) for v, a in form.items())
+            c -= value if kind == EQ else min(value, 0)
+        drawn.append((form, c, kind))
+    box = [({v: sign}, 4, "ge") for v in names for sign in (1, -1)]
+    s = system(names, drawn + box, low)
+    assert s.satisfied_by({}) or not at_bounds
+    want = tableau_lexmin(s)
+    res, built = tableaux_built(lambda: solve_lexmin(LPProblem.of(s)))
+    assert (res.status, res.assignment) == want
+    assert all(type(x) is Fraction for x in res.assignment.values())
+    assert built == (not s.satisfied_by({}))
+    if want[0] == INFEASIBLE or all(x.denominator == 1 for x in want[1].values()):
+        res, built = tableaux_built(lambda: solve_ilp(LPProblem.of(s)))
+        assert (res.status, res.assignment) == want
+        assert built == (not s.satisfied_by({}))
+
+
+def test_the_bound_point_exit_on_the_workloads():
+    """How many of each path's solves on the benchmark workloads end at the
+    bound point with no tableau, per workload and path: (skipped, solves).
+    `ilp` and `lp` add rows that the bound point breaks at every level;
+    most `dfp` probes and the `chain` scale/shift levels hold there."""
+    counts = {}
+
+    def counting(solve, key):
+        def run(problem, *args):
+            result, built = tableaux_built(lambda: solve(problem, *args))
+            counts[key][0] += not built
+            counts[key][1] += 1
+            return result
+        return run
+
+    for workload in ("corpus", "chain", "random"):
+        for mode in (ILP, LP, "dfp"):
+            key = (workload, mode)
+            counts[key] = [0, 0]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ratlp, "solve_lexmin", counting(ratlp.solve_lexmin, key))
+                mp.setattr(ratlp, "solve_ilp", counting(ratlp.solve_ilp, key))
+                for _, data in workloads.programs(workload, ROOT / "src"):
+                    program, deps = analyze(data)
+                    if mode == "dfp":
+                        dfp_schedule(program, deps)
+                    else:
+                        schedule(program, deps, SchedulerConfig(mode=mode))
+    assert {k: tuple(v) for k, v in counts.items()} == {
+        ("corpus", ILP): (0, 22), ("corpus", LP): (0, 22), ("corpus", "dfp"): (27, 51),
+        ("chain", ILP): (0, 4), ("chain", LP): (0, 4), ("chain", "dfp"): (8, 12),
+        ("random", ILP): (0, 29), ("random", LP): (0, 29), ("random", "dfp"): (33, 78),
+    }
+
+
 def reference_ilp(s):
     """Branch and bound that rebuilds every node from its system, with a
     fresh tableau: (result, nodes opened).  `solve_ilp` must open the same
