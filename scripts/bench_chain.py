@@ -22,7 +22,6 @@ import sys
 import time
 
 from polysched import frontend
-from polysched.farkas import bounding_constraints, legality_constraints
 from polysched.fcg import color_fcg
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import introduce_skew, scale_and_shift
@@ -116,11 +115,7 @@ def main() -> int:
                 transforms[path] = schedule(
                     program, deps, SchedulerConfig(mode=path)).transform
             times[path] = time.perf_counter() - t0
-        rows = 0
-        for dep in deps:
-            src, dst = program.statement(dep.src), program.statement(dep.dst)
-            rows += len(legality_constraints(dep, src, dst).rows)
-            rows += len(bounding_constraints(dep, src, dst).rows)
+        rows = sum(len(dep.farkas_rows[0]) + len(dep.farkas_rows[1]) for dep in deps)
         shown = transforms.get("dfp") or transforms[paths[0]]
         shape = ", ".join(f"{b.start}-{b.end}{'p' if b.parallel else ''}"
                           for b in shown.bands)

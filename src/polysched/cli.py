@@ -78,14 +78,8 @@ def _cmd_fcg(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(program, graph, coloring))
         return EXIT_OK
-    colors = coloring.colors
-
-    def color_of(sid: str, k: int) -> int:
-        seq = colors.get(sid, ())
-        return seq.index(k) + 1 if k in seq else 0
-
     _emit({
-        "vertices": [{"statement": sid, "dim": k, "color": color_of(sid, k)}
+        "vertices": [{"statement": sid, "dim": k, "color": coloring.color((sid, k))}
                      for sid, k in graph.vertices],
         "conflicts": [[list(u), list(v)] for u, v in graph.conflicts],
         "cliques": [[list(u), list(v)] for u, v in graph.cliques],

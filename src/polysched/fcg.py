@@ -85,13 +85,14 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
 
     The verdict is kept on the program under the probe's shape: the
     dependences' shapes, where their statements stand among `statements`,
-    and each statement's iterators and chosen dimension.  Probes of the
-    same shape solve the same system up to the names of the statements.
+    and each statement's depth and chosen dimension.  Probes of the same
+    shape solve the same system up to the names of the statements and
+    their iterators.
     """
     place = {s.id: k for k, s in enumerate(statements)}
     key = (tuple((d.shape, place.get(d.src), place.get(d.dst))
                  for d in deps),
-           tuple((s.domain.iterators, choose.get(s.id)) for s in statements),
+           tuple((s.dim, choose.get(s.id)) for s in statements),
            parametric_shifts)
     verdict = program._probe_verdicts.get(key)
     if verdict is None:
@@ -222,6 +223,12 @@ class Coloring(NamedTuple):
     groups: tuple[tuple[str, ...], ...]
     cut_groups: Mapping[int, tuple[tuple[str, ...], ...]]
     fcg: FusionConflictGraph
+
+    def color(self, v: Vertex) -> int:
+        """The 1-based color of vertex `v`, 0 when it has none."""
+        sid, k = v
+        order = self.colors.get(sid, ())
+        return order.index(k) + 1 if k in order else 0
 
 
 def _color_scc(program: Program, comp: Sequence[str],
@@ -363,12 +370,6 @@ def to_dot(program: Program, fcg: FusionConflictGraph,
     """Graphviz rendering: one cluster per statement, solid conflict edges,
     dashed same-statement edges, fill color by assigned level (cycling
     through six fills; white when uncolored)."""
-    fill: dict[Vertex, int] = {}
-    if coloring is not None:
-        for sid, order in coloring.colors.items():
-            for pos, k in enumerate(order):
-                fill[(sid, k)] = pos + 1
-
     def name(v: Vertex) -> str:
         sid, k = v
         return f"{sid}.{program.statement(sid).domain.iterators[k]}"
@@ -380,8 +381,8 @@ def to_dot(program: Program, fcg: FusionConflictGraph,
         lines.append(f"  subgraph cluster_{s.id} {{")
         lines.append(f'    label="{s.id}";')
         for k in range(s.dim):
-            level = fill.get((s.id, k))
-            color = "white" if level is None else _FILLS[(level - 1) % len(_FILLS)]
+            level = coloring.color((s.id, k)) if coloring is not None else 0
+            color = _FILLS[(level - 1) % len(_FILLS)] if level else "white"
             lines.append(f'    "{name((s.id, k))}" [fillcolor={color}];')
         lines.append("  }")
     for u, v in fcg.conflicts:

@@ -12,11 +12,11 @@ immutable.  `IndexSet`, `Program` and `DependencePolyhedron` check their
 fields in `__init__`; they are plain slotted classes whose fields nothing
 reassigns afterwards, though nothing prevents it either.  Only their memo
 fields change, filled on first use: a program keeps its probe verdicts, and
-a dependence keeps what its relation decides (its Farkas cone and, per
-shape, its Farkas rows) in `_facts`, shared by the dependences of one
-analysis over that relation.  Every pass places its distribution levels
-with `place_cut` and tells which dependences still constrain a level with
-`unsatisfied` and `negative`.
+a dependence keeps what its relation decides (its Farkas cone, per shape
+its Farkas rows, and per affine form its minimum) in `_facts`, shared by
+the dependences of one analysis over that relation.  Every pass places its
+distribution levels with `place_cut` and tells which dependences still
+constrain a level with `unsatisfied` and `negative`.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ class DependencePolyhedron:
     """
 
     __slots__ = ("src", "dst", "kind", "src_vars", "dst_vars", "params", "relation",
-                 "label", "_facts", "_minima")
+                 "label", "_facts")
 
     def __init__(self, src: str, dst: str, kind: str, src_vars: tuple[str, ...],
                  dst_vars: tuple[str, ...], params: tuple[str, ...],
@@ -118,13 +118,12 @@ class DependencePolyhedron:
         self.src_vars, self.dst_vars, self.params = src_vars, dst_vars, params
         self.relation = relation
         #: What depends on `relation` alone, shared by the dependences of one
-        #: analysis with the same rows: the Farkas cone under "cone" (set by
-        #: the frontend or on first read), the `bounded` verdict under
-        #: "bounded", and `farkas_rows` under the rest of the `shape`:
-        #: (source depth, self or not).
+        #: analysis with the same rows and read through `_fact`: the Farkas
+        #: cone under "cone" (set by the frontend or on first read), the
+        #: `bounded` verdict under "bounded", `farkas_rows` under the rest of
+        #: the `shape`: (source depth, self or not), and the minimum of each
+        #: affine form over the relation under ("min", form).
         self._facts: dict = {}
-        #: Minima by (source row, target row), filled by `min_dependence_component`.
-        self._minima: dict = {}
 
     def __repr__(self):
         return f"<{self.kind} {self.src}->{self.dst} {self.label}>"
@@ -133,15 +132,19 @@ class DependencePolyhedron:
     def ordering(self) -> bool:
         return self.kind in ORDERING_KINDS
 
+    def _fact(self, key, make):
+        """The fact under `key` in `_facts`, made by `make()` on first read.
+        A present key counts as made, so None and False facts are kept."""
+        if key not in self._facts:
+            self._facts[key] = make()
+        return self._facts[key]
+
     @property
     def cone(self) -> ConstraintSystem:
         """The Farkas cone of `relation` (`farkas.farkas_cone`).  The frontend
         builds it to decide that the relation is not empty; it is built
         here, on first read, only for a dependence made by hand."""
-        cone = self._facts.get("cone")
-        if cone is None:
-            cone = self._facts["cone"] = farkas_cone(self.relation)
-        return cone
+        return self._fact("cone", lambda: farkas_cone(self.relation))
 
     @property
     def bounded(self) -> bool:
@@ -149,21 +152,15 @@ class DependencePolyhedron:
         u.p + w with u, w >= 0 (`farkas.bounded_by_parameters`)?  Then the
         dependence's bounding rows hold for some u and w whatever the level's
         rows, and a feasibility question may leave them out."""
-        bounded = self._facts.get("bounded")
-        if bounded is None:
-            bounded = self._facts["bounded"] = bounded_by_parameters(
-                self.cone, len(self.params))
-        return bounded
+        return self._fact("bounded", lambda: bounded_by_parameters(
+            self.cone, len(self.params)))
 
     @property
     def farkas_rows(self) -> tuple[tuple[LinearRow, ...], tuple[LinearRow, ...]]:
         """The (legality, bounding) rows by column (`farkas.dependence_rows`),
         shared by every dependence of the analysis with the same `shape`."""
-        key = (len(self.src_vars), self.src == self.dst)
-        rows = self._facts.get(key)
-        if rows is None:
-            rows = self._facts[key] = dependence_rows(self)
-        return rows
+        return self._fact((len(self.src_vars), self.src == self.dst),
+                          lambda: dependence_rows(self))
 
     @property
     def shape(self) -> tuple:
@@ -366,22 +363,14 @@ def min_dependence_component(dep: DependencePolyhedron,
     """Exact minimum of phi_dst - phi_src over the dependence polyhedron,
     None when unbounded below.
 
-    Kept on the dependence per pair of rows: the passes and checks of one
-    analysis ask again for rows they share."""
-    key = (src_row if src_row is None else tuple(src_row),
-           dst_row if dst_row is None else tuple(dst_row))
-    if key not in dep._minima:
-        dep._minima[key] = _min_component(dep, src_row, dst_row)
-    return dep._minima[key]
-
-
-def _min_component(dep, src_row, dst_row) -> Fraction | None:
-    """The minimum read off the relation's Farkas cone (`farkas.cone_minimum`)."""
+    Read off the relation's Farkas cone (`farkas.cone_minimum`) once per
+    form: the passes and checks of one analysis, and the dependences over
+    one relation, ask again for forms they share."""
     form = dependence_difference(dep, src_row, dst_row)
     if not any(form[:-1]):
         return Fraction(form[-1])
     try:
-        return cone_minimum(dep.cone, form)
+        return dep._fact(("min", tuple(form)), lambda: cone_minimum(dep.cone, form))
     except ValueError:
         raise SchedulingError(f"dependence polyhedron became empty: {dep!r}") from None
 

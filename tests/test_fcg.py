@@ -107,6 +107,23 @@ class TestFusionProbe:
         assert len(calls) == 12 and len(solved) == 4
         assert {v for _, v in calls} == {True, False}
 
+    def test_iterator_names_do_not_split_a_probe_shape(self, monkeypatch):
+        # Statements 0-1 and 1-2 of a chain of three differ only in iterator
+        # names when the middle one calls its iterators a and b: the second
+        # pair reuses the first pair's verdicts, and the graph is the same.
+        built = []
+        build = fcg.level_system
+        monkeypatch.setattr(fcg, "level_system",
+                            lambda *a, **k: built.append(a) or build(*a, **k))
+        graphs = []
+        for middle in (["i", "j"], ["a", "b"]):
+            data = workloads.chain(3)
+            data["statements"][1]["iterators"] = middle
+            built.clear()
+            graphs.append(_graph(build_fcg(*analyze(data))))
+            assert len(built) == 4
+        assert graphs[0] == graphs[1]
+
     def test_memo_tells_dependence_directions_apart(self):
         # P->Q and R->Q have one shape, t.j == s.i: fusing the source's i
         # with the target's j is legal, the source's j with the target's i

@@ -16,6 +16,8 @@ from polysched.model import (
 )
 from polysched.verify import lp_minimum
 
+from inputs import workloads
+
 
 def edge(src, dst, kind=RAW):
     """Bare graph edge; the empty relation is enough for structure tests."""
@@ -226,8 +228,8 @@ class TestSatisfaction:
         off the Farkas cone without any solver call."""
         program, dep = pair
         computed = []
-        compute = model._min_component
-        monkeypatch.setattr(model, "_min_component",
+        compute = model.cone_minimum
+        monkeypatch.setattr(model, "cone_minimum",
                             lambda *args: computed.append(args) or compute(*args))
 
         def no_solve(*args, **kwargs):
@@ -241,6 +243,19 @@ class TestSatisfaction:
         assert min_dependence_component(dep, dst, src) is None
         assert min_dependence_component(dep, dst, src) is None
         assert len(computed) == 2
+
+    def test_dependences_of_one_relation_share_their_minima(self, monkeypatch):
+        """The consecutive pairs of a chain depend over one relation, so
+        the same rows on both ask its Farkas cone for one minimum."""
+        program, deps = analyze(workloads.chain(3))
+        assert len(deps) == 2 and deps[0]._facts is deps[1]._facts
+        computed = []
+        compute = model.cone_minimum
+        monkeypatch.setattr(model, "cone_minimum",
+                            lambda *args: computed.append(args) or compute(*args))
+        row = (1, 0, 0, 0)
+        assert [min_dependence_component(d, row, row) for d in deps] == [0, 0]
+        assert len(computed) == 1
 
     def test_empty_relation_raises_like_the_lp(self):
         """A relation with no point has every form in its cone: the cone
