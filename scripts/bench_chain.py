@@ -5,15 +5,16 @@ k-1 at the same point, so the dependence graph is a single path and every
 statement stays fusable with its neighbours.  In the `fan-in` family
 (`--family fan-in`), statement k reads the arrays of statements k-1 and k-2,
 so the graph has about twice the edges and the conflict graph more probes.
-Times dependence analysis (`analysis`, one `frontend.analyze`), then the
-paths of `--paths` at several lengths, in wall ms: the integer scheduler
-(`ilp`), the relaxed scheduler (`lp`) and the conflict-graph pipeline
-(`dfp`), next to the size of the constraint systems they solve: `rows`
-sums the legality and bounding Farkas rows over the dependences.  `dfp`
-is also split into its three stages in CPU ms, `color` (`color_fcg`),
-`shift` (`scale_and_shift`) and `skew` (`introduce_skew`), and their sum
-`dfp cpu`, its CPU time outside analysis.  At n = 800 only `dfp` finishes
-in seconds: `--paths dfp --sizes 400,800`.
+Times dependence analysis (`analysis`, one `frontend.analyze`) in CPU ms,
+then the paths of `--paths` at several lengths, in wall ms: the integer
+scheduler (`ilp`), the relaxed scheduler (`lp`) and the conflict-graph
+pipeline (`dfp`), next to the size of the constraint systems they solve:
+`rows` sums the legality and bounding Farkas rows over the dependences.
+`dfp` is also split into its three stages in CPU ms, `color`
+(`color_fcg`), `shift` (`scale_and_shift`) and `skew` (`introduce_skew`),
+their sum `dfp cpu`, its CPU time outside analysis, and `analysis + dfp
+cpu`.  At n = 800 only `dfp` finishes in seconds: `--paths dfp --sizes
+400,800`.
 """
 
 import argparse
@@ -94,13 +95,14 @@ def main() -> int:
     family = FAMILIES[args.family]
 
     stages = ("color", "shift", "skew", "dfp cpu") if "dfp" in paths else ()
+    total = ("analysis + dfp cpu",) if "dfp" in paths else ()
     print(f"{'n':>4} {'deps':>5} {'rows':>6} {'analysis':>9} "
-          + "".join(f"{p:>10}" for p in paths + list(stages)) + "   bands")
+          + "".join(f"{p:>10}" for p in paths + list(stages))
+          + "".join(f"{t:>20}" for t in total) + "   bands")
     for n in sizes:
         data = family(n)
-        t0 = time.perf_counter()
-        frontend.analyze(data)
-        times = {"analysis": time.perf_counter() - t0}
+        _, analysis = timed(frontend.analyze, data)
+        times = {"analysis": analysis}
         transforms = {}
         for path in paths:
             # A fresh analysis per path, untimed: Farkas rows are kept on
@@ -111,6 +113,7 @@ def main() -> int:
                 transforms[path], split = run_dfp(program, deps)
                 times.update(split)
                 times["dfp cpu"] = sum(split.values())
+                times["analysis + dfp cpu"] = analysis + times["dfp cpu"]
             else:
                 transforms[path] = schedule(
                     program, deps, SchedulerConfig(mode=path)).transform
@@ -122,6 +125,7 @@ def main() -> int:
         if "ilp" in transforms and shown is not transforms["ilp"]:
             shape += f" (integer: {len(transforms['ilp'].bands)} bands)"
         cells = "".join(f"{times[k] * 1000:>8.0f}ms" for k in paths + list(stages))
+        cells += "".join(f"{times[k] * 1000:>18.0f}ms" for k in total)
         print(f"{n:>4} {len(deps):>5} {rows:>6} {times['analysis'] * 1000:>7.0f}ms "
               f"{cells}   {shape}")
 

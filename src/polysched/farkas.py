@@ -152,6 +152,13 @@ class ConstraintSystem:
         system._set_rows(self.rows + tuple(extra))
         return system
 
+    def renamed(self, variables) -> "ConstraintSystem":
+        """The system with its variables renamed, in order, to `variables`:
+        the same rows and bounds, by column."""
+        system = ConstraintSystem(variables, (), dict(zip(variables, self.lower.values())))
+        system.rows = self.rows
+        return system
+
     # -- checking -------------------------------------------------------------
 
     def satisfied_by(self, assignment: Mapping[str, Fraction | int]) -> bool:

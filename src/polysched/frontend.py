@@ -16,8 +16,10 @@ Most candidate polyhedra are empty because their own equalities contradict
 them, so the equalities are reduced first, in exact integers (the first step
 of Pugh's Omega test): a candidate they refute, alone or with the constant
 lower bounds of the domains, is dropped at once.  Only statement pairs that
-share an array are visited.  Every other distinct relation, explicit
-dependences included, is decided once per analysis, domain rows and all,
+share an array are visited, and their cases are built once per pair shape,
+everything the builder reads but names: every later pair of that shape
+only names them.  Every distinct relation left, explicit dependences
+included, is decided once per analysis, domain rows and all,
 by eliminating its Farkas cone: by the affine Farkas lemma (Feautrier
 1992) it is empty exactly when no row of the cone holds the constant
 (`farkas.cone_is_empty`), and its dependences keep the cone, which the
@@ -302,17 +304,17 @@ def _refutes(form: tuple[LinearRow, ...] | None, row: LinearRow,
     return (r.const < 0) if not r.nonzero else _out_of_reach(r, low)
 
 
-def _deps_between(src: Statement, dst: Statement, params,
-                  known: dict) -> list[DependencePolyhedron]:
-    """Dependences from `src` to `dst`, one polyhedron per access pair and
-    order case.
+def _deps_between(src: Statement, dst: Statement, params, pairs,
+                  known: dict) -> list[tuple]:
+    """The dependence cases from `src` to `dst` that survive, one per access
+    pair (ai, bi) of `pairs` and order case, as (ai, bi, d, kind, relation,
+    facts): d is the depth of first precedence, or None for the tie.  Only
+    the relation's variables carry names, which `_named` replaces.
 
     The two instances share the first `shared` loops: all of a statement's
     own, none of two statements'.  The source precedes the target at the
-    first depth d < shared where they differ (label suffix `@d`), or, equal
-    throughout, when its statement comes first in textual order.  Read-read
-    pairs of a statement with itself are skipped: they never order instances
-    and fusion analysis only uses cross-statement ones.
+    first depth d < shared where they differ, or, equal throughout, when
+    its statement comes first in textual order.
 
     A case whose equalities refute it, alone or with the variables' constant
     lower bounds (see `_refutes`), is dropped with no elimination; any other,
@@ -321,18 +323,14 @@ def _deps_between(src: Statement, dst: Statement, params,
     """
     shared = src.dim if src is dst else 0
     tie = src.textual_order < dst.textual_order
-    pairs = [(ai, a, bi, b) for ai, a in enumerate(src.accesses)
-             for bi, b in enumerate(dst.accesses) if a.array == b.array
-             and not (src is dst and a.kind == b.kind == "read")]
-    if not pairs:
-        return []
     space = _dependence_space(src, dst, params)
     m, n, width = src.dim, src.dim + dst.dim, len(space.variables)
     prefix = [_int_row(width, {k: 1, m + k: -1}, 0, EQ) for k in range(shared)]
     strict = [_int_row(width, {m + k: 1, k: -1}, -1, GE) for k in range(shared)]
     low = _lower_bounds(space)
     out = []
-    for ai, a, bi, b in pairs:
+    for ai, bi in pairs:
+        a, b = src.accesses[ai], dst.accesses[bi]
         kind = _KIND_OF[a.kind, b.kind]
         cells = _equal_cells(width, m, n, a, b)
         form: tuple[LinearRow, ...] | None = ()
@@ -340,36 +338,72 @@ def _deps_between(src: Statement, dst: Statement, params,
             form = _extend(form, row, low)
         for d in range(shared + tie):
             rows = cells + prefix[:d]
-            label = f"{a.array}:{ai}->{bi}"
             if d < shared:
                 empty = _refutes(form, strict[d], low)
                 form = _extend(form, prefix[d], low)  # the form of depth d + 1
                 if empty:
                     continue
                 rows.append(strict[d])
-                label += f"@{d}"
             elif form is None:  # the tie: equal on every shared loop
                 continue
             relation = space.with_rows(rows)
             facts = _relation_facts(relation, known)
             if facts is not None:
-                out.append(_dependence(src, dst, kind, relation, label, facts))
+                out.append((ai, bi, d if d < shared else None, kind, relation, facts))
+    return out
+
+
+def _named(src: Statement, dst: Statement, params, cases) -> list[DependencePolyhedron]:
+    """The dependences from `src` to `dst` of `cases` (`_deps_between`),
+    over the variables `s.<iterator>`, `t.<iterator>` and the parameters,
+    labelled `array:ai->bi`, with `@d` for a depth of first precedence."""
+    variables = (*[f"s.{it}" for it in src.domain.iterators],
+                 *[f"t.{it}" for it in dst.domain.iterators], *params)
+    out = []
+    for ai, bi, d, kind, relation, facts in cases:
+        if relation.variables != variables:
+            relation = relation.renamed(variables)
+        label = f"{src.accesses[ai].array}:{ai}->{bi}" + ("" if d is None else f"@{d}")
+        out.append(_dependence(src, dst, kind, relation, label, facts))
     return out
 
 
 def compute_dependences(program: Program) -> tuple[DependencePolyhedron, ...]:
     """Dependences between every statement pair `src <= dst` in textual
-    order that shares an array, with one Farkas cone per distinct relation."""
+    order that shares an array, with one Farkas cone per distinct relation.
+
+    Access pairs of one array, at least one a write, may depend; a
+    statement's read-read pairs with itself are skipped, since they never
+    order instances and fusion analysis only uses cross-statement ones.
+    The cases are built once per pair shape, all that `_deps_between` reads
+    but names: whether src is dst, the textual-order tie, both domains and
+    the matched access pairs, by index, kind and map; every pair of that
+    shape then only names them (`_named`).
+    """
     stmts = program.statements
     users: dict[str, list[int]] = {}
     for k, s in enumerate(stmts):
         for array in dict.fromkeys(a.array for a in s.accesses):
             users.setdefault(array, []).append(k)
+    ids: dict = {}  # each domain and each access, by its rows, to a small int
+    domains = [ids.setdefault((s.dim, s.domain.system.rows), len(ids)) for s in stmts]
+    accesses = [[ids.setdefault((a.kind, a.rows), len(ids)) for a in s.accesses]
+                for s in stmts]
     known: dict = {}
+    built: dict = {}
     out = []
     for i, src in enumerate(stmts):
         for j in sorted({j for a in src.accesses for j in users[a.array] if j >= i}):
-            out += _deps_between(src, stmts[j], program.params, known)
+            dst = stmts[j]
+            pairs = [(ai, bi) for ai, a in enumerate(src.accesses)
+                     for bi, b in enumerate(dst.accesses) if a.array == b.array
+                     and not (i == j and a.kind == b.kind == "read")]
+            key = (i == j, src.textual_order < dst.textual_order, domains[i], domains[j],
+                   *[(ai, bi, accesses[i][ai], accesses[j][bi]) for ai, bi in pairs])
+            cases = built.get(key)
+            if cases is None:
+                cases = built[key] = _deps_between(src, dst, program.params, pairs, known)
+            out += _named(src, dst, program.params, cases)
     return tuple(out)
 
 

@@ -17,7 +17,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 #: Fixtures whose `dfp` run raises `SchedulingError`, each with a pinned
 #: message in CI's fixture loop.
-DFP_REFUSES = ("no_progress_distribution", "scale_shift_infeasible",
+DFP_REFUSES = ("dfp_missing_row", "no_progress_distribution", "scale_shift_infeasible",
                "unbounded_self_dependence")
 
 

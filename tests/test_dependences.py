@@ -6,7 +6,11 @@ elimination, decides each distinct surviving relation once from its Farkas
 cone, and visits only statement pairs that share an array.  None of that
 may change its output: `reference_dependences` below states the precedence
 rule directly and asks the solver about every candidate of every statement
-pair, and the two must agree on order, labels, variables and rows.
+pair, and the two must agree on order, labels, variables and rows.  The
+analysis also builds each statement-pair shape once and only names it for
+every other pair of that shape: `per_pair_dependences` builds every pair
+on its own, and renaming a program's statements, arrays and iterators must
+change nothing but names.
 """
 
 import json
@@ -21,10 +25,11 @@ from polysched.farkas import EQ, GE, ConstraintSystem, farkas_cone
 from polysched.frontend import (
     _extend, _out_of_reach, _refutes, analyze, compute_dependences, parse_program,
 )
+from polysched.model import SchedulingError
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 
-from inputs import ROOT, bench_chain, workloads
+from inputs import FIXTURES, ROOT, bench_chain, workloads
 
 CORPUS = ROOT / "src" / "polysched" / "corpus"
 
@@ -123,6 +128,146 @@ def test_dependences_equal_the_reference(family):
         assert as_tuples(compute_dependences(program)) == expect
         found += len(expect)
     assert found
+
+
+def per_pair_dependences(program):
+    """Every statement pair `src <= dst` built on its own by
+    `frontend._deps_between` and named for itself, with no pair shape
+    shared, in the form of `as_tuples`."""
+    known: dict = {}
+    out = []
+    stmts = program.statements
+    for i, src in enumerate(stmts):
+        for dst in stmts[i:]:
+            pairs = tuple((ai, bi) for ai, a in enumerate(src.accesses)
+                          for bi, b in enumerate(dst.accesses) if a.array == b.array
+                          and not (src is dst and a.kind == b.kind == "read"))
+            for ai, bi, d, kind, relation, facts in frontend._deps_between(
+                    src, dst, program.params, pairs, known):
+                label = f"{src.accesses[ai].array}:{ai}->{bi}" + ("" if d is None else f"@{d}")
+                out.append((src.id, dst.id, kind, label, relation.variables, relation.rows,
+                            tuple(relation.lower.items())))
+    return out
+
+
+def _domains_apart():
+    """Writes of A[i] over [0, N) and [1, N), reads of A[i] over the same
+    two ranges, then the first write again: pairs that differ only in
+    their source's domain, only in their target's, or only in being a
+    self pair."""
+    stmts = []
+    for k, (kind, low) in enumerate([("write", 0), ("write", 1), ("read", 0), ("read", 1),
+                                     ("write", 0)]):
+        stmts.append({"id": f"S{k}", "iterators": ["i"],
+                      "domain": [[1, 0, -low, ">="], [-1, 1, -1, ">="]],
+                      "accesses": [{"array": "A", "kind": kind, "map": [[1, 0, 0]]}]})
+    return {"params": ["N"], "statements": stmts}
+
+
+#: Per program set: (pair shapes built, statement pairs visited).
+PAIR_SHAPES = {"corpus": (20, 26), "chain16": (2, 31), "fan-in30": (4, 87),
+               "random": (38, 38), "fixtures": (25, 25), "domains": (14, 15)}
+
+
+@pytest.mark.parametrize("family", sorted(PAIR_SHAPES))
+def test_pair_shapes_give_what_each_pair_builds_alone(family, monkeypatch):
+    """Each dependence equals the one its statement pair builds on its own,
+    and two dependences share one `_facts` dict exactly when their
+    relations have equal rows.  How many pair shapes get built is pinned:
+    chain(16) has two, one self pair and one producer-consumer pair."""
+    programs = {
+        "corpus": corpus_programs,
+        "chain16": lambda: [bench_chain.chain(16)],
+        "fan-in30": lambda: [bench_chain.fan_in(30)],
+        "random": lambda: [data for _, data in workloads.programs("random", ROOT / "src")],
+        "fixtures": lambda: [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))],
+        "domains": lambda: [_domains_apart()],
+    }[family]()
+    counts = {"built": 0, "named": 0}
+    build, name = frontend._deps_between, frontend._named
+
+    def built(*args):
+        counts["built"] += 1
+        return build(*args)
+
+    def named(*args):
+        counts["named"] += 1
+        return name(*args)
+
+    for data in programs:
+        program = parse_program(data)
+        with monkeypatch.context() as patched:
+            if "dependences" not in data:  # counted as `analyze` runs it
+                patched.setattr(frontend, "_deps_between", built)
+                patched.setattr(frontend, "_named", named)
+            deps = compute_dependences(program)
+        assert as_tuples(deps) == per_pair_dependences(program)
+        by_rows = {(d.relation.rows, id(d._facts)) for d in deps}
+        assert len(by_rows) == len({d.relation.rows for d in deps}) \
+            == len({id(d._facts) for d in deps})
+    assert (counts["built"], counts["named"]) == PAIR_SHAPES[family]
+
+
+def _renamed_program(data: dict) -> dict:
+    """`data` with every statement id, array and iterator renamed, the
+    iterators of each statement apart from every other's; ids and arrays
+    keep their order."""
+    return {**data, "statements": [
+        {**st, "id": "X" + st["id"],
+         "iterators": [f"{it}_{k}" for it in st["iterators"]],
+         "accesses": [{**a, "array": "Z" + a["array"]} for a in st.get("accesses", [])]}
+        for k, st in enumerate(data["statements"])]}
+
+
+def _beyond_names(program, deps, result):
+    """What an analysis and a run give besides names: dependences, steps
+    and the transform, with statements by position and variables by
+    column."""
+    at = {s.id: k for k, s in enumerate(program.statements)}
+    steps = [(s.level, s.kind, s.parallel, s.factors, s.component,
+              None if s.system is None else (len(s.system.variables), s.system.rows,
+                                             tuple(s.system.lower.values())),
+              None if s.raw is None else tuple(s.raw.values()),
+              None if s.rows is None else tuple((at[sid], r) for sid, r in s.rows.items()))
+             for s in result.steps]
+    t = result.transform
+    return ([(at[d.src], at[d.dst], d.kind, d.label.partition(":")[2], d.relation.rows)
+             for d in deps], steps, [t.rows[s.id] for s in program.statements],
+            [(b.start, b.end, b.permutable, b.parallel, [at[x] for x in b.statements])
+             for b in t.bands],
+            [(c.level, [[at[x] for x in g] for g in c.groups]) for c in t.cuts])
+
+
+@pytest.mark.parametrize("path", ["ilp", "lp", "dfp"])
+def test_renaming_changes_nothing_but_names(path):
+    """Renaming statement ids, arrays and iterators consistently, with no
+    two statements left sharing an iterator name, changes no relation row,
+    `Step` optimum or system, or transform row, on chain(8) and six
+    `random_nest` draws: no name leaks from one statement pair into
+    another that shares its shape."""
+    rng = random.Random(3)
+    programs = [bench_chain.chain(8)] + [workloads.random_nest(rng) for _ in range(6)]
+    ran = 0
+    for data in programs:
+        runs, labels = [], []
+        for variant in (data, _renamed_program(data)):
+            program, deps = analyze(variant)
+            labels.append([d.label for d in deps])
+            for d in deps:
+                src, dst = program.statement(d.src), program.statement(d.dst)
+                assert d.src_vars == tuple(f"s.{it}" for it in src.domain.iterators)
+                assert d.dst_vars == tuple(f"t.{it}" for it in dst.domain.iterators)
+            try:
+                result = (dfp_schedule(program, deps) if path == "dfp"
+                          else schedule(program, deps, SchedulerConfig(mode=path)))
+            except SchedulingError:
+                runs.append("raises")
+                continue
+            runs.append(_beyond_names(program, deps, result))
+        assert labels[1] == ["Z" + label for label in labels[0]]
+        assert runs[0] == runs[1]
+        ran += runs[0] != "raises"
+    assert ran >= 5
 
 
 class _Cones:

@@ -436,6 +436,9 @@ PINNED_REFUSALS = {
     ("scale_shift_infeasible", "dfp"): (
         "no legal scaling and shifting exists at level 2: statements S1; live "
         "dependences S0->S1 A:0->0, S1->S1 A:0->0@1, S1->S2 A:0->0"),
+    ("dfp_missing_row", "dfp"): (
+        "no legal scaling and shifting exists at level 1: statements S2; live "
+        "dependences S0->S2 explicit0, S2->S1 explicit1"),
     **{("unbounded_self_dependence", path): (
         "no transformation row exists at level 1 for statements S, and distribution "
         "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
