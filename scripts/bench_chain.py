@@ -5,16 +5,18 @@ k-1 at the same point, so the dependence graph is a single path and every
 statement stays fusable with its neighbours.  In the `fan-in` family
 (`--family fan-in`), statement k reads the arrays of statements k-1 and k-2,
 so the graph has about twice the edges and the conflict graph more probes.
-Times dependence analysis (`analysis`, one `frontend.analyze`) in CPU ms,
-then the paths of `--paths` at several lengths, in wall ms: the integer
-scheduler (`ilp`), the relaxed scheduler (`lp`) and the conflict-graph
-pipeline (`dfp`), next to the size of the constraint systems they solve:
+Times analysis in CPU ms, split into parsing (`parse`,
+`frontend.parse_program`) and dependence analysis (`deps`,
+`frontend.compute_dependences`), then the paths of `--paths` at several
+lengths, in wall ms: the integer scheduler (`ilp`), the relaxed scheduler
+(`lp`) and the conflict-graph pipeline (`dfp`), next to the number of
+dependences (`ndeps`) and the size of the constraint systems they solve:
 `rows` sums the legality and bounding Farkas rows over the dependences.
 `dfp` is also split into its three stages in CPU ms, `color`
 (`color_fcg`), `shift` (`scale_and_shift`) and `skew` (`introduce_skew`),
 their sum `dfp cpu`, its CPU time outside analysis, and `analysis + dfp
-cpu`.  At n = 800 only `dfp` finishes in seconds: `--paths dfp --sizes
-400,800`.
+cpu`, where analysis is `parse` plus `deps`.  At n = 800 only `dfp`
+finishes in seconds: `--paths dfp --sizes 400,800`.
 """
 
 import argparse
@@ -96,13 +98,15 @@ def main() -> int:
 
     stages = ("color", "shift", "skew", "dfp cpu") if "dfp" in paths else ()
     total = ("analysis + dfp cpu",) if "dfp" in paths else ()
-    print(f"{'n':>4} {'deps':>5} {'rows':>6} {'analysis':>9} "
+    print(f"{'n':>4} {'ndeps':>5} {'rows':>6} {'parse':>7} {'deps':>7} "
           + "".join(f"{p:>10}" for p in paths + list(stages))
           + "".join(f"{t:>20}" for t in total) + "   bands")
     for n in sizes:
         data = family(n)
-        _, analysis = timed(frontend.analyze, data)
-        times = {"analysis": analysis}
+        program, parse = timed(frontend.parse_program, data)
+        _, dependences = timed(frontend.compute_dependences, program)
+        times = {}
+        analysis = parse + dependences
         transforms = {}
         for path in paths:
             # A fresh analysis per path, untimed: Farkas rows are kept on
@@ -126,7 +130,8 @@ def main() -> int:
             shape += f" (integer: {len(transforms['ilp'].bands)} bands)"
         cells = "".join(f"{times[k] * 1000:>8.0f}ms" for k in paths + list(stages))
         cells += "".join(f"{times[k] * 1000:>18.0f}ms" for k in total)
-        print(f"{n:>4} {len(deps):>5} {rows:>6} {times['analysis'] * 1000:>7.0f}ms "
+        print(f"{n:>4} {len(deps):>5} {rows:>6} {parse * 1000:>5.0f}ms "
+              f"{dependences * 1000:>5.0f}ms "
               f"{cells}   {shape}")
 
     if args.emit:

@@ -179,8 +179,7 @@ class ConstraintSystem:
         return True
 
 
-def _prune(rows: Sequence[tuple], hist: Sequence[int] = (),
-           new: Iterable[int] | None = None) -> list[int]:
+def _prune(rows: Sequence[tuple], by_history: bool = False) -> list[int]:
     """The rows to keep, as indices into `rows`: tautologies and rows
     dominated by an earlier row are dropped, and a row that dominates an
     earlier one takes its place.  The rows are `LinearRow`s, or the dense
@@ -188,22 +187,17 @@ def _prune(rows: Sequence[tuple], hist: Sequence[int] = (),
 
     Only single-row implications are checked: identical coefficient vectors
     where one constant implies the other, plus exact duplicates of equalities.
-    Of equal rows the first is kept, unless `hist` gives each row's history
-    (see `eliminate`): then it is the first with the fewest history bits.
-    Nothing is dropped exactly when the result has one index per row.
-    `new`, when given, lists the only rows that may be dropped or equal to
-    another row: `_prune` of the other rows alone keeps them all.
+    Of equal rows the first is kept, unless `by_history`, when each row's
+    last field is its history (see `eliminate`): then it is the first with
+    the fewest history bits.  Nothing is dropped exactly when the result
+    has one index per row.
     """
     nonzero = [r[0] for r in rows]
-    if new is None:
-        unique = all(nonzero) and len(set(nonzero)) == len(nonzero)
-    else:
-        unique = all([nonzero[k] and nonzero.count(nonzero[k]) == 1 for k in new])
-    if unique:  # no constant row, no two rows with one coefficient vector
-        return list(range(len(rows)))
+    if all(nonzero) and len(set(nonzero)) == len(nonzero):
+        return list(range(len(rows)))  # no constant row, no two rows alike
     seen: dict[tuple, int] = {}  # key -> position in kept
     kept: list[int] = []
-    for k, (key, const, kind, _) in enumerate(rows):
+    for k, (key, const, kind, hist) in enumerate(rows):
         if not key and (const == 0 if kind == EQ else const >= 0):
             continue  # a tautology; a false constant row stays for solvers to report
         if kind == EQ:
@@ -213,10 +207,10 @@ def _prune(rows: Sequence[tuple], hist: Sequence[int] = (),
             seen[key] = len(kept)
             kept.append(k)
             continue
-        prev = rows[kept[at]][1]
+        _, prev, _, prev_hist = rows[kept[at]]
         if prev < const:
             continue  # a looser ge row
-        if prev > const or (hist and hist[k].bit_count() < hist[kept[at]].bit_count()):
+        if prev > const or (by_history and hist.bit_count() < prev_hist.bit_count()):
             kept[at] = k
     return kept
 
@@ -235,17 +229,18 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
     every step yields a positive multiple of the rational combination,
     divided by its gcd as `_int_row` would, with no product by a factor 1.
 
-    Each row carries a history, an int bitmask of the input inequalities it
-    combines: one bit per inequality row of the input, the materialized
-    lower bounds included, and none for an equality.  A substituted row
-    takes the union of its own history and the pivot's.  After k
-    Fourier-Motzkin steps, a combination whose history has more than k + 1
-    bits is implied by the other rows (Chernikov's rule, Imbert's first
-    acceleration theorem), so such a pair is skipped before it is built.
-    The rule holds only for minimal histories, so when `_prune` merges two
-    equal rows it keeps the history with fewer bits.  The result has no more
-    rows than plain Fourier-Motzkin elimination gives, and its feasible set
-    is still the exact shadow of the input's on the surviving variables.
+    Each row carries a history in its last field, an int bitmask of the
+    input inequalities it combines: one bit per inequality row of the
+    input, the materialized lower bounds included, and none for an
+    equality.  A substituted row takes the union of its own history and the
+    pivot's.  After k Fourier-Motzkin steps, a combination whose history
+    has more than k + 1 bits is implied by the other rows (Chernikov's
+    rule, Imbert's first acceleration theorem), so such a pair is skipped
+    before it is built.  The rule holds only for minimal histories, so when
+    `_prune` merges two equal rows it keeps the history with fewer bits.
+    The result has no more rows than plain Fourier-Motzkin elimination
+    gives, and its feasible set is still the exact shadow of the input's on
+    the surviving variables.
     """
     n = len(system.variables)
     # The vectors run over renumbered columns: the killed ones first, in
@@ -281,41 +276,36 @@ def eliminate(system: ConstraintSystem, kill: Sequence[str]) -> ConstraintSystem
 
 
 def _project(rows: list[tuple], killed: int, width: int) -> list[LinearRow]:
-    """The shadow of the dense rows (`_dense`) on their columns after the
-    first `killed`, which are eliminated in order, as rows of `width`
-    (see `eliminate`)."""
-    hist, bit = [], 1
-    for r in rows:
-        if r[2] == EQ:
-            hist.append(0)
-        else:
-            hist.append(bit)
-            bit <<= 1
+    """The shadow of the dense rows (`_dense`, their last field None) on
+    their columns after the first `killed`, which are eliminated in order,
+    as rows of `width` (see `eliminate`)."""
+    rows = [(vec, const, kind, 0 if kind == EQ else 1 << k)
+            for k, (vec, const, kind, _) in enumerate(rows)]
     steps = 0
     for t in range(killed):
-        rows, hist, steps = _eliminate_at(rows, hist, steps, t, t > 0)
+        rows, steps = _eliminate_at(rows, steps, t)
     # Pruned rows stay pruned when their columns are renumbered.
     return [_new_row(LinearRow, (tuple([e for e in enumerate(vec[killed:]) if e[1]]), const,
                                  kind, width))
             for vec, const, kind, _ in rows]
 
 
-def _dense(vec: list[int], const: int, kind: str) -> tuple:
-    """The canonical dense row (coefficients, const, kind, None) of the int
+def _dense(vec: list[int], const: int, kind: str, hist: int | None) -> tuple:
+    """The canonical dense row (coefficients, const, kind, hist) of the int
     vector `vec` and `const`, as `_int_row` makes a `LinearRow`: divided by
     the gcd, an equality's first nonzero entry made positive, and an
     all-zero vector given as (), so that `_prune` reads it as a constant
-    row."""
+    row.  `hist` is the row's history (see `eliminate`)."""
     g = gcd(const, *vec)
     if g > 1:
         vec = [c // g for c in vec]
         const //= g
     if not any(vec):
-        return ((), -const if kind == EQ and const < 0 else const, kind, None)
+        return ((), -const if kind == EQ and const < 0 else const, kind, hist)
     if kind == EQ and next(filter(None, vec)) < 0:
         vec = [-c for c in vec]
         const = -const
-    return (tuple(vec), const, kind, None)
+    return (tuple(vec), const, kind, hist)
 
 
 def _combine(a: int, xs: Sequence[int], b: int, ys: Sequence[int]) -> list[int]:
@@ -327,55 +317,45 @@ def _combine(a: int, xs: Sequence[int], b: int, ys: Sequence[int]) -> list[int]:
     return [x - y for x, y in zip(xs, ys)] if b == -1 else [x + b * y for x, y in zip(xs, ys)]
 
 
-def _eliminate_at(rows: list[tuple], hist: list[int], steps: int, t: int, pruned: bool):
+def _eliminate_at(rows: list[tuple], steps: int, t: int):
     """Eliminate column `t` of the dense rows (see `eliminate`), every
     column before which is zero, after `steps` Fourier-Motzkin steps;
-    returns (rows, histories, steps).  Gaussian substitution rewrites
-    `rows` and `hist` in place.  When the rows are `pruned` already, only
-    the rows the step makes are checked against the rest."""
+    returns (rows, steps)."""
     coef, pivot = [], None
     for k, (vec, _, kind, _) in enumerate(rows):
         c = vec[t] if vec else 0
         coef.append(c)
         if c and kind == EQ and pivot is None:
             pivot = k
+    out = []
     if pivot is not None:
         # r - (rc/pc)*p, scaled by |pc|, in place of each row r with rc != 0.
-        (pvec, pconst, _, _), pc, ph = rows[pivot], coef[pivot], hist[pivot]
-        m, made = abs(pc), []
-        for k, rc in enumerate(coef):
-            if rc and k != pivot:
-                made.append(k if k < pivot else k - 1)
-                vec, const, kind, _ = rows[k]
+        (pvec, pconst, _, ph), pc = rows[pivot], coef[pivot]
+        m = abs(pc)
+        for k, (r, rc) in enumerate(zip(rows, coef)):
+            if not rc:
+                out.append(r)
+            elif k != pivot:
+                vec, const, kind, h = r
                 f = -rc if pc > 0 else rc
-                rows[k] = _dense(_combine(m, vec, f, pvec), m * const + f * pconst, kind)
-                hist[k] |= ph
-        del rows[pivot], hist[pivot]
-        out, out_hist = rows, hist
+                out.append(_dense(_combine(m, vec, f, pvec), m * const + f * pconst, kind, h | ph))
     else:
         steps += 1
-        out, out_hist, upper, lower_rows = [], [], [], []
-        for r, c, h in zip(rows, coef, hist):
+        upper, lower_rows = [], []
+        for r, c in zip(rows, coef):
             if not c:
                 out.append(r)
-                out_hist.append(h)
             elif c > 0:  # c*v >= -(rest): bounds v from below
-                lower_rows.append((r[0], r[1], c, h))
+                lower_rows.append((r[0], r[1], c, r[3]))
             else:
-                upper.append((r[0], r[1], -c, h))
-        first = len(out)
+                upper.append((r[0], r[1], -c, r[3]))
         for lvec, lconst, a, hl in lower_rows:
             for uvec, uconst, b, hu in upper:
                 h = hl | hu
-                if h.bit_count() > steps + 1:
-                    continue
-                out.append(_dense(_combine(b, lvec, a, uvec), b * lconst + a * uconst, GE))
-                out_hist.append(h)
-        made = range(first, len(out))
-    kept = _prune(out, out_hist, made if pruned else None)
-    if len(kept) == len(out):
-        return out, out_hist, steps
-    return [out[k] for k in kept], [out_hist[k] for k in kept], steps
+                if h.bit_count() <= steps + 1:
+                    out.append(_dense(_combine(b, lvec, a, uvec), b * lconst + a * uconst, GE, h))
+    kept = _prune(out, by_history=True)
+    return (out if len(kept) == len(out) else [out[k] for k in kept]), steps
 
 
 # -- integer echelon forms ----------------------------------------------------

@@ -91,7 +91,7 @@ def nullspace_basis(rows: Sequence[Sequence], ncols: int) -> list[tuple[int, ...
         vec[f] = den = lcm(*[row[j] for j, row in pivots.items() if f in row])
         for j, row in pivots.items():
             vec[j] = -row.get(f, 0) * (den // row[j])
-        basis.append(_dense(vec, 0, EQ)[0])
+        basis.append(_dense(vec, 0, EQ, None)[0])
     return basis
 
 

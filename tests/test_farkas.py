@@ -485,15 +485,18 @@ def test_history_rule_skips_a_redundant_pair():
 
 
 def test_prune_merges_equal_rows_onto_the_smaller_history():
-    """Of equal rows the first with the fewest history bits is kept; a
-    tighter row replaces a looser one whatever its history."""
-    s = ConstraintSystem(["x", "y"])
-    a, tight = s.row_from({"x": 1, "y": -1}), s.row_from({"x": 1, "y": -1}, -1)
-    b = s.row_from({"y": 1})
-    assert _prune([a, b, a, a], [0b111, 1, 0b11, 0b1100]) == [2, 1]
-    assert _prune([a, b, a], [0b1, 1, 0b10]) == [0, 1]
-    assert _prune([a, tight], [0b1, 0b111]) == [1]
-    assert _prune([a, b, a]) == [0, 1]
+    """On dense rows whose last field is the history, of equal rows the
+    first with the fewest history bits is kept; a tighter row replaces a
+    looser one whatever its history.  Without `by_history` the first of
+    equal rows is kept."""
+    def a(hist, const=0):  # x - y + const >= 0
+        return ((1, -1), const, GE, hist)
+
+    b = ((0, 1), 0, GE, 1)
+    assert _prune([a(0b111), b, a(0b11), a(0b1100)], by_history=True) == [2, 1]
+    assert _prune([a(0b1), b, a(0b10)], by_history=True) == [0, 1]
+    assert _prune([a(0b1), a(0b111, -1)], by_history=True) == [1]
+    assert _prune([a(0b11), b, a(0b1)]) == [0, 1]
 
 
 @st.composite
