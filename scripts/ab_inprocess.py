@@ -16,12 +16,13 @@ programs of each tree's minimum over the rounds, in ms, and each tree's
 change against SRC_A.
 
 One interpreter cannot see start-up cost, so the `import` row comes first:
-every round imports each tree's package once in a fresh `python -B` child,
-the trees in a new random order, and the row gives each tree's least child
-CPU time (`resource.getrusage(RUSAGE_CHILDREN)`, interpreter start
-included).  A child writes no bytecode; it reads the bytecode that the
-script's own import of the tree left, unless PYTHONDONTWRITEBYTECODE is set,
-in which case every child compiles the package afresh.
+every round imports each tree's `cli` module, which is what a command-line
+run loads, once in a fresh `python -B` child, the trees in a new random
+order, and the row gives each tree's least child CPU time
+(`resource.getrusage(RUSAGE_CHILDREN)`, interpreter start included).  A
+child writes no bytecode; it reads the bytecode that the script's own
+import of the tree left, unless PYTHONDONTWRITEBYTECODE is set, in which
+case every child compiles the package afresh.
 
 The `verify` row follows it: every round runs each tree's
 `verify.theorem_suite()` on its bundled corpus once, the trees in a new
@@ -59,7 +60,7 @@ def _load_tree(src: Path, name: str, scratch: Path):
     shutil.copytree(src / "polysched", scratch / name,
                     ignore=shutil.ignore_patterns("__pycache__"))
     package = importlib.import_module(name)
-    for sub in ("frontend", "pluto", "postpass", "verify"):
+    for sub in ("cli", "frontend", "pluto", "postpass", "verify"):
         importlib.import_module(f"{name}.{sub}")
     return package
 
@@ -82,13 +83,13 @@ def _child_cpu() -> float:
 
 def _import_times(names, scratch: Path, rounds: int, rng) -> list[float]:
     """Each package's least CPU seconds over `rounds` fresh `python -B`
-    children that import it and nothing else."""
+    children that import its `cli` module and nothing else."""
     best = [float("inf")] * len(names)
     for _ in range(rounds):
         order = list(range(len(names)))
         rng.shuffle(order)
         for t in order:
-            code = f"import sys; sys.path.insert(0, {str(scratch)!r}); import {names[t]}"
+            code = f"import sys; sys.path.insert(0, {str(scratch)!r}); import {names[t]}.cli"
             start = _child_cpu()
             subprocess.run([sys.executable, "-B", "-c", code], check=True)
             best[t] = min(best[t], _child_cpu() - start)

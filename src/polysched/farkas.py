@@ -131,9 +131,6 @@ class ConstraintSystem:
     def index(self, var: str) -> int:
         return self._index[var]
 
-    def __len__(self):
-        return len(self.rows)
-
     def __repr__(self):
         return f"ConstraintSystem({len(self.variables)} vars, {len(self.rows)} rows)"
 

@@ -367,8 +367,6 @@ def min_dependence_component(dep: DependencePolyhedron,
     form: the passes and checks of one analysis, and the dependences over
     one relation, ask again for forms they share."""
     form = dependence_difference(dep, src_row, dst_row)
-    if not any(form[:-1]):
-        return Fraction(form[-1])
     try:
         return dep._fact(("min", tuple(form)), lambda: cone_minimum(dep.cone, form))
     except ValueError:

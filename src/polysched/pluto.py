@@ -395,19 +395,17 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
         stmts = [program.statement(sid) for sid in comp]
         live = [d for d in deps if d.src in comp]
         level = band_start = start
-        parallel = False
         while True:
             step = find_hyperplane(program, stmts, live, rows, config, level)
             if step is not None:
                 for sid, row in step.rows.items():
                     rows[sid].append(row)
-                if level == band_start:
-                    parallel = step.parallel
                 steps.append(step._replace(component=ci))
                 level += 1
                 continue
             if level > band_start:
-                bands.append(Band(band_start, level - 1, True, parallel, comp))
+                bands.append(Band(band_start, level - 1, True,
+                                  steps[band_start - level].parallel, comp))
             back = [d for d in live if order[d.src] > order[d.dst]]
             if all(_statement_state(stmts, rows)[1].values()) and not (
                     back and unsatisfied(back, AffineTransform.of(program, rows), level - 1)):

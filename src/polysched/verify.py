@@ -139,18 +139,15 @@ def full_rank(program: Program, transform: AffineTransform) -> bool:
 # -- brute-force integer oracle -----------------------------------------------
 
 
-def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
-                       incumbent: Optional[Mapping[str, Fraction]] = None,
-                       ) -> Optional[dict[str, Fraction]]:
+def brute_force_lexmin(system: ConstraintSystem,
+                       bound: int = 3) -> Optional[dict[str, Fraction]]:
     """Lexicographically smallest integer point of `system` in [0, bound]^n.
 
     Variables are scanned in system order, so the first feasible leaf of the
     ascending depth-first search is the lexmin.  Pruning is by interval
-    arithmetic per row; a known-feasible `incumbent` additionally caps the
-    search at assignments that could still be lexicographically smaller.
-    Rows are already canonical integer rows, so the search runs in ints over
-    each row's nonzero entries: fixing a variable re-checks only the rows it
-    occurs in.
+    arithmetic per row.  Rows are already canonical integer rows, so the
+    search runs in ints over each row's nonzero entries: fixing a variable
+    re-checks only the rows it occurs in.
     Returns None when the box contains no feasible point.
     """
     names = system.variables
@@ -181,13 +178,6 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
         minsuf.append(lo_at)
         maxsuf.append(hi_at)
 
-    inc = None
-    if incumbent is not None:
-        cand = [incumbent.get(v, ZERO) for v in names]
-        if all(x.denominator == 1 and lows[i] <= x <= bound
-               for i, x in enumerate(cand)):
-            inc = [int(x) for x in cand]
-
     point = [0] * n
 
     def open_below(depth: int, rows) -> bool:
@@ -198,25 +188,23 @@ def brute_force_lexmin(system: ConstraintSystem, bound: int = 3,
                 return False
         return True
 
-    def descend(depth: int, tight: bool) -> bool:
+    def descend(depth: int) -> bool:
         if depth == n:
             return True
-        top = inc[depth] if tight else bound
         here = occurs[depth]
         rows = [ri for ri, _ in here]
-        for val in range(lows[depth], top + 1):
+        for val in range(lows[depth], bound + 1):
             point[depth] = val
             for ri, c in here:
                 sums[ri] += c * val
             # A row without this variable keeps its sum and suffix bounds.
-            if open_below(depth + 1, rows) and descend(
-                    depth + 1, tight and val == inc[depth]):
+            if open_below(depth + 1, rows) and descend(depth + 1):
                 return True
             for ri, c in here:
                 sums[ri] -= c * val
         return False
 
-    if open_below(0, range(len(sums))) and descend(0, inc is not None):
+    if open_below(0, range(len(sums))) and descend(0):
         return {v: Fraction(x) for v, x in zip(names, point)}
     return None
 
@@ -445,7 +433,7 @@ def _box_oracle(runs, bound, flag, skip, target):
                          "optimum outside the oracle box")
             continue
         system, expect = target(lp, ilp)
-        oracle = brute_force_lexmin(system, bound, incumbent=ilp.raw)
+        oracle = brute_force_lexmin(system, bound)
         checked += 1
         if oracle is None or any(oracle.get(v, ZERO) != expect.get(v, ZERO)
                                  for v in system.variables):

@@ -659,3 +659,28 @@ class TestNoProgressDistribution:
     def test_cli_exits_3_with_the_message(self, capsys, algo, message):
         assert main(["schedule", "--algo", algo, str(NO_PROGRESS_DISTRIBUTION)]) == 3
         assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+#: One 2-d statement S over 0 <= i, j <= N - 1 with the explicit
+#: self-dependence s.i = t.i + 1, s.j = t.j - 1.  Level 1 takes (1, 1), and
+#: the independence guide (1, -1) then contradicts legality, c_j - c_i >= 0,
+#: so ilp and lp refuse level 2, where (0, 1) would do (ROADMAP item 23).
+ILP_INDEPENDENCE = FIXTURES / "ilp_independence.json"
+
+
+class TestIlpIndependence:
+    @pytest.mark.xfail(strict=True, raises=SchedulingError,
+                       reason="one independence guide per statement (ROADMAP item 23)")
+    def test_ilp_and_lp_are_legal_and_full_rank(self):
+        program, deps = analyze(json.loads(ILP_INDEPENDENCE.read_text()))
+        for mode in (ILP, LP):
+            transform = schedule(program, deps, SchedulerConfig(mode=mode)).transform
+            assert check_legality(program, deps, transform).ok
+            assert full_rank(program, transform)
+
+    def test_dfp_is_legal_and_full_rank(self):
+        program, deps = analyze(json.loads(ILP_INDEPENDENCE.read_text()))
+        transform = dfp_schedule(program, deps).transform
+        assert transform.rows["S"] == (R(0, 1, 0, 0), R(1, 1, 0, 0))
+        assert check_legality(program, deps, transform).ok
+        assert full_rank(program, transform)

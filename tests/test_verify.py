@@ -189,7 +189,6 @@ class TestBruteForceLexmin:
         expected.update({"w": 1, "c.S.t": 1})
         assert asg0 == expected
         assert brute_force_lexmin(sys0) == expected
-        assert brute_force_lexmin(sys0, incumbent=asg0) == expected
 
     rows_strategy = st.lists(
         st.tuples(
@@ -204,20 +203,6 @@ class TestBruteForceLexmin:
     def test_matches_exhaustive_scan(self, rows):
         s = system(["x", "y"], rows)
         assert brute_force_lexmin(s, bound=2) == scan_lexmin(s, 2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(rows=rows_strategy)
-    def test_incumbent_never_changes_the_result(self, rows):
-        s = system(["x", "y"], rows)
-        plain = brute_force_lexmin(s, bound=2)
-        if plain is None:
-            return
-        # any feasible starting point is a valid cap, even the worst one
-        worst = max((p for p in itertools.product(range(3), repeat=2)
-                     if s.satisfied_by(dict(zip(s.variables, map(F, p))))))
-        cap = dict(zip(s.variables, map(F, worst)))
-        assert brute_force_lexmin(s, bound=2, incumbent=cap) == plain
-        assert brute_force_lexmin(s, bound=2, incumbent=plain) == plain
 
 
 class TestParseInstance:
@@ -445,6 +430,9 @@ PINNED_REFUSALS = {
     **{("no_progress_distribution", path): (
         "no transformation row exists at level 2 for statements S, T, and distribution "
         "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
+    **{("ilp_independence", path): (
+        "no transformation row exists at level 2 for statements S, and distribution "
+        "makes no progress; live dependences S->S explicit0") for path in (ILP, LP)},
 }
 
 
