@@ -13,7 +13,9 @@ analysis followed by each path (`ilp`, `lp`, `dfp`), in CPU seconds
 (`time.process_time`), with the trees in a new random order for each
 operation.  Per workload and operation the script prints the sum over the
 programs of each tree's minimum over the rounds, in ms, and each tree's
-change against SRC_A.
+change against SRC_A, then the simplex pivots (`ratlp._Tableau._pivot`
+calls) the operation takes on them, counted in one more, untimed pass:
+a number with no noise for a solver change.
 
 One interpreter cannot see start-up cost, so the `import` row comes first:
 every round imports each tree's `cli` module, which is what a command-line
@@ -76,6 +78,26 @@ def _operation(package, op: str, data):
     return lambda: package.pluto.schedule(*analyze(data), config)
 
 
+def _pivots(package, op: str, programs) -> int:
+    """The simplex pivots `op` takes over `programs` with `package`."""
+    tableau = package.ratlp._Tableau
+    pivot = tableau._pivot
+    count = 0
+
+    def counted(self, r, j):
+        nonlocal count
+        count += 1
+        pivot(self, r, j)
+
+    tableau._pivot = counted
+    try:
+        for _, data in programs:
+            _operation(package, op, data)()
+    finally:
+        tableau._pivot = pivot
+    return count
+
+
 def _child_cpu() -> float:
     usage = resource.getrusage(resource.RUSAGE_CHILDREN)
     return usage.ru_utime + usage.ru_stime
@@ -110,11 +132,14 @@ def _verify_times(trees, rounds: int, rng) -> list[float]:
     return best
 
 
-def _print_row(label: str, sums) -> None:
-    """One operation's times per tree in ms, each against SRC_A's."""
+def _print_row(label: str, sums, pivots=None) -> None:
+    """One operation's times per tree in ms, each against SRC_A's, and
+    each tree's pivots when given."""
     cells = [f"{sums[0]:.2f}"] + [
         f"{s:.2f} ({100 * (s / sums[0] - 1):+.1f}%)" for s in sums[1:]]
-    print("  " + label.ljust(10) + "".join(c.rjust(20) for c in cells))
+    if pivots is not None:
+        cells = [f"{c} {p:>5}p" for c, p in zip(cells, pivots)]
+    print("  " + label.ljust(10) + "".join(c.rjust(27) for c in cells))
 
 
 def main(argv=None) -> int:
@@ -129,7 +154,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     labels = ("A", "A/A", "B")
-    header = "  " + "operation".ljust(10) + "".join(label.rjust(20) for label in labels)
+    header = "  " + "operation".ljust(10) + "".join(label.rjust(27) for label in labels)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         names = [f"polysched_ab{k}" for k in range(3)]
@@ -159,11 +184,12 @@ def main(argv=None) -> int:
                             key = (t, op, k)
                             best[key] = min(best.get(key, spent), spent)
             print(f"{workload}: {len(programs)} programs, {args.rounds} rounds, "
-                  f"sum of per-program minima in CPU ms")
+                  f"sum of per-program minima in CPU ms, then pivots (p)")
             print(header)
             for op in OPERATIONS:
                 _print_row(op, [1000 * sum(best[t, op, k] for k in range(len(programs)))
-                                for t in range(len(trees))])
+                                for t in range(len(trees))],
+                           [_pivots(tree, op, programs) for tree in trees])
         sys.path.remove(tmp)
     return 0
 

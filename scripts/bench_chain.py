@@ -5,6 +5,9 @@ k-1 at the same point, so the dependence graph is a single path and every
 statement stays fusable with its neighbours.  In the `fan-in` family
 (`--family fan-in`), statement k reads the arrays of statements k-1 and k-2,
 so the graph has about twice the edges and the conflict graph more probes.
+In the `shifted` family (`--family shifted`), statement k reads array k-1
+one column to the left, at [i][j-1], so scale/shift must shift every
+statement and pivots.
 Times analysis in CPU ms, split into parsing (`parse`,
 `frontend.parse_program`) and dependence analysis (`deps`,
 `frontend.compute_dependences`), then the paths of `--paths` at several
@@ -30,15 +33,15 @@ from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import introduce_skew, scale_and_shift
 
 
-def chain(n: int, back: int = 1) -> dict:
+def chain(n: int, back: int = 1, shift: int = 0) -> dict:
     """n statements; statement k reads the arrays of the `back` statements
-    before it, nearest first, at the point it writes."""
+    before it, nearest first, at the point it writes less `shift` in j."""
     stmts = []
     for k in range(n):
         reads = []
         for j in range(k - 1, max(k - back, 0) - 1, -1):
             reads.append({"array": f"A{j}", "kind": "read",
-                          "map": [[1, 0, 0, 0], [0, 1, 0, 0]]})
+                          "map": [[1, 0, 0, 0], [0, 1, 0, -shift]]})
         stmts.append({
             "id": f"S{k}",
             "iterators": ["i", "j"],
@@ -55,7 +58,11 @@ def fan_in(n: int) -> dict:
     return chain(n, back=2)
 
 
-FAMILIES = {"chain": chain, "fan-in": fan_in}
+def shifted(n: int) -> dict:
+    return chain(n, shift=1)
+
+
+FAMILIES = {"chain": chain, "fan-in": fan_in, "shifted": shifted}
 
 
 PATHS = ("ilp", "lp", "dfp")

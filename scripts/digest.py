@@ -12,8 +12,10 @@ rows), every `dfp` coloring (`colors`, `cut_groups`) and the message of
 every error a path raises.
 
 The programs are fixed: the benchmark's workloads (`perfbench/workloads.py`,
-read only), every file under `tests/fixtures/`, and 500 `random_nest` nests,
-100 from each of `random.Random(1)` to `random.Random(5)`.  The script prints
+read only), every file under `tests/fixtures/`, 500 `random_nest` nests,
+100 from each of `random.Random(1)` to `random.Random(5)`, and the `chain`,
+`fan-in` and `shifted` pipelines of `scripts/bench_chain.py` at n = 50,
+whose simplex solves take the most pivots.  The script prints
 one sha256 prefix per family and one over all of them, so a change that
 claims byte-identical output runs it on the parent's tree and on its own
 and compares the two.  Nothing pins the values.
@@ -34,9 +36,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PATHS = ("ilp", "lp", "dfp")
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -44,13 +45,17 @@ def _workloads():
 
 def families(src: Path) -> dict[str, list[tuple[str, dict]]]:
     """(name, program JSON) pairs of each family, in a fixed order."""
-    workloads = _workloads()
+    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    # Imports `polysched`, so `layers(src)` must have put `src` first.
+    bench_chain = _load("bench_chain", ROOT / "scripts" / "bench_chain.py")
     out = {w: workloads.programs(w, src) for w in workloads.WORKLOADS}
     out["fixtures"] = [(p.stem, json.loads(p.read_text()))
                        for p in sorted((ROOT / "tests" / "fixtures").glob("*.json"))]
     out["random_nest"] = [(f"seed{seed}/nest{k}", workloads.random_nest(rng))
                           for seed in range(1, 6)
                           for rng in [random.Random(seed)] for k in range(100)]
+    for family, build in bench_chain.FAMILIES.items():
+        out[f"{family}-50"] = [(f"{family}(50)", build(50))]
     return out
 
 

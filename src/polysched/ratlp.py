@@ -8,10 +8,13 @@ orthant, so `solve_lexmin` and `solve_ilp` return that point and build no
 tableau.  Callers ask three questions:
 
 - the lexmin of its columns (`solve_lexmin`): the lexicographic dual
-  simplex (Feautrier's PIP, isl) pivots on the first negative row and picks
-  the column by a lexicographic ratio test over the variable rows.  One
-  pass reaches the lexicographic minimum of the non-negative columns in
-  order, with no phase 1, no artificial columns and no objective row;
+  simplex (Feautrier's PIP, isl) pivots on the negative row that is most
+  infeasible per unit of norm, as dual steepest edge does (Forrest and
+  Goldfarb, 1992), and picks the column by a lexicographic ratio test over
+  the variable rows.  One pass reaches the lexicographic minimum of the
+  non-negative columns in order, with no phase 1, no artificial columns
+  and no objective row; the leaving row changes the pivots, never the
+  lexmin, which is unique;
 - the integer lexmin of the same columns (`solve_ilp`), by a depth-first
   branch and bound around that pass, each child resuming it from its
   parent's final tableau;
@@ -68,6 +71,11 @@ class LPResult(NamedTuple):
         return self.status == OPTIMAL
 
 
+def _norm(row: list[int]) -> int:
+    """The L1 norm of a row's coefficients, its constant left out."""
+    return sum(map(abs, row)) - abs(row[0])
+
+
 class _Tableau:
     """Dense integer tableau with a row for every quantity.
 
@@ -81,7 +89,9 @@ class _Tableau:
     is its constant.  Constraint and objective rows matter only up to a
     positive factor and are kept content-reduced; a structural row also
     keeps a positive denominator in `den`.  Rows are dense int lists, read
-    by column; `_pivot` alone walks the pivot row's nonzeros.
+    by column; `_pivot` alone walks the pivot row's nonzeros, and it
+    replaces every row it rewrites with a new list, which `lexmin` relies on
+    to tell the rows a pivot changed.
     """
 
     def __init__(self, system: ConstraintSystem, cost: Mapping | None = None):
@@ -100,12 +110,19 @@ class _Tableau:
         #: The quantity (row) nonbasic in each column; column 0 is the constant.
         self.col_var = [-1] + list(range(n))
         self.rows = [[0] * k + [1] + [0] * (n - k) for k in range(1, n + 1)]
+        #: {i: (row, L1 norm of its coefficients)} of the negative rows as
+        #: built, read off the sparse rows; a norm holds while `rows[i]` is
+        #: still that row, and `lexmin` takes them on its first look.
+        self.norms = {}
         cols = [self.col_of[v] for v in system.variables]
         for lr in system.rows:
             row = self._integral(lr.const, ((cols[i], c) for i, c in lr.nonzero))
-            self.rows.append(row)
-            if lr.kind == EQ:
-                self.rows.append([-c for c in row])
+            for row in [row, [-c for c in row]] if lr.kind == EQ else [row]:
+                if row[0] < 0:
+                    # A free variable's coefficient sits in both of its columns.
+                    self.norms[len(self.rows)] = row, sum(
+                        abs(c) if cols[i][1] is None else 2 * abs(c) for i, c in lr.nonzero)
+                self.rows.append(row)
         self.m = len(self.rows)
         if cost is not None:
             self.rows.append(self._integral(
@@ -161,14 +178,28 @@ class _Tableau:
     def lexmin(self) -> bool:
         """Lexicographic dual simplex; False when the system is infeasible.
 
-        Every column stays lexicographically positive over the structural
-        rows in order, so each pivot raises the solution in that order and
-        the first feasible basis is the lexicographic minimum.  The ratio
-        test walks the pivot row's positive entries, the first of a tie kept.
+        The leaving row is the most infeasible per unit of norm: the least
+        constant over the L1 norm of its coefficients, compared by cross
+        products, the first of a tie kept.  Every column stays
+        lexicographically positive over the structural rows in order, so
+        each pivot raises the solution in that order, whichever negative row
+        leaves, and the first feasible basis is the lexicographic minimum,
+        which is unique.  The ratio test walks the pivot row's positive
+        entries, the first of a tie kept.
         """
-        rows = self.rows
+        rows, m = self.rows, self.m
+        negative = {}  # row index -> (constant, norm) of every negative row
+        built, self.norms = self.norms, {}
+        for i in [i for i in range(m) if rows[i][0] < 0]:
+            row, known = rows[i], built.get(i)
+            negative[i] = row[0], known[1] if known and known[0] is row else _norm(row)
+        del built  # so that it keeps no replaced row alive
         while True:
-            r = next((i for i in range(self.m) if rows[i][0] < 0), -1)
+            r, const, norm = -1, 0, 1  # the leaving row, its constant and norm
+            for i in sorted(negative):
+                c, l1 = negative[i]
+                if r < 0 or c * norm < const * l1:
+                    r, const, norm = i, c, l1
             if r < 0:
                 return True
             prow = rows[r]
@@ -178,7 +209,16 @@ class _Tableau:
                     best = j
             if not best:
                 return False
+            # `_pivot` replaces each row it rewrites, so comparing row
+            # identities finds them without reading every row.
+            before = rows[:m]
             self._pivot(r, best)
+            for i in [i for i in range(m) if rows[i] is not before[i]]:
+                row = rows[i]
+                if row[0] < 0:
+                    negative[i] = row[0], _norm(row)
+                else:
+                    negative.pop(i, None)
 
     def _lex_less(self, j, a, k, b) -> bool:
         """Is column j over a lexicographically below column k over b?"""
@@ -216,6 +256,7 @@ class _Tableau:
         # `_pivot` replaces rows whole, so they may be shared.
         tab.rows = self.rows[:self.m] + [row] + self.rows[self.m:]
         tab.den, tab.col_var = den[:], self.col_var[:]
+        tab.norms = {}
         return tab
 
     def minimize(self) -> bool:
