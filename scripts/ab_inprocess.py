@@ -87,7 +87,7 @@ def _pivots(package, op: str, programs) -> int:
     def counted(self, r, j):
         nonlocal count
         count += 1
-        pivot(self, r, j)
+        return pivot(self, r, j)
 
     tableau._pivot = counted
     try:

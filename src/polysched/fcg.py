@@ -17,8 +17,9 @@ satisfy, and tries the color again.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, groupby, product
 from math import prod
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import ratlp
@@ -41,15 +42,14 @@ MAX_SCC_PICKS = 4096
 
 
 class FusionConflictGraph:
-    """Conflict, clique and self-loop edges over (statement, dimension) pairs."""
+    """Conflict, clique and self-loop edges over (statement, dimension)
+    pairs, the vertices of one statement next to each other."""
 
-    __slots__ = ("vertices", "conflicts", "cliques", "loops", "_neighbours")
+    __slots__ = ("vertices", "conflicts", "loops", "_neighbours")
 
     def __init__(self, vertices: tuple[Vertex, ...],
-                 conflicts: tuple[tuple[Vertex, Vertex], ...],
-                 cliques: tuple[tuple[Vertex, Vertex], ...], loops: tuple[Vertex, ...]):
-        self.vertices, self.conflicts, self.cliques, self.loops = (
-            vertices, conflicts, cliques, loops)
+                 conflicts: tuple[tuple[Vertex, Vertex], ...], loops: tuple[Vertex, ...]):
+        self.vertices, self.conflicts, self.loops = vertices, conflicts, loops
         adj: dict[Vertex, set] = {v: set() for v in vertices}
         for v in loops:
             adj[v].add(v)
@@ -64,6 +64,13 @@ class FusionConflictGraph:
         """The vertices a conflict edge joins to `v`, and `v` itself when it
         has a self loop."""
         return self._neighbours[v]
+
+    @property
+    def cliques(self) -> tuple[tuple[Vertex, Vertex], ...]:
+        """The same-statement edges: every pair of one statement's
+        dimensions, in vertex order."""
+        return tuple(pair for _, dims in groupby(self.vertices, itemgetter(0))
+                     for pair in combinations(dims, 2))
 
 
 def fusion_probe(program: Program, statements: Sequence[Statement],
@@ -156,8 +163,8 @@ def _probe_pairs(program: Program, deps: Sequence[DependencePolyhedron]):
 
 
 def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionConflictGraph:
-    """Probe self loops, pairwise conflicts and same-statement cliques over
-    every statement, against the dependences `deps` alone."""
+    """Probe self loops and pairwise conflicts over every statement, against
+    the dependences `deps` alone."""
     stmts = program.statements
     # The dependences by the frozenset of endpoints, each list in `deps` order.
     by_pair: dict[frozenset, list] = {}
@@ -191,15 +198,9 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
             if not ok:
                 conflicts.append(edge((a.id, da), (b.id, db)))
 
-    cliques = []
-    for s in stmts:
-        for da, db in combinations(range(s.dim), 2):
-            cliques.append(((s.id, da), (s.id, db)))
-
     return FusionConflictGraph(
         vertices,
         tuple(sorted(conflicts, key=lambda e: (index[e[0]], index[e[1]]))),
-        tuple(cliques),
         tuple(sorted(loops, key=index.__getitem__)),
     )
 
@@ -220,9 +221,16 @@ class Coloring(NamedTuple):
     """
 
     colors: Mapping[str, tuple[int, ...]]
-    groups: tuple[tuple[str, ...], ...]
     cut_groups: Mapping[int, tuple[tuple[str, ...], ...]]
     fcg: FusionConflictGraph
+
+    @property
+    def groups(self) -> tuple[tuple[str, ...], ...]:
+        """The final distribution: the last cut's, else one group of every
+        statement."""
+        if self.cut_groups:
+            return self.cut_groups[max(self.cut_groups)]
+        return (tuple(self.colors),) if self.colors else ()
 
     def color(self, v: Vertex) -> int:
         """The 1-based color of vertex `v`, 0 when it has none."""
@@ -334,8 +342,7 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
         live = kept
         fcg = build_fcg(program, live)
 
-    return Coloring({sid: tuple(ks) for sid, ks in colors.items()},
-                    tuple(groups), dict(cut_groups), fcg)
+    return Coloring({sid: tuple(ks) for sid, ks in colors.items()}, dict(cut_groups), fcg)
 
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,

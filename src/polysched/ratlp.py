@@ -24,7 +24,8 @@ tableau.  Callers ask three questions:
 
 Rows are content-reduced integers and the ratio tests compare cross
 products.  Rows are dense, but a pivot works in proportion to the pivot
-row's nonzeros.
+row's nonzeros, and it returns the rows it rewrote, the only rows whose
+constant and norm the dual simplex reads again.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ class _Tableau:
     is its constant.  Constraint and objective rows matter only up to a
     positive factor and are kept content-reduced; a structural row also
     keeps a positive denominator in `den`.  Rows are dense int lists, read
-    by column; `_pivot` alone walks the pivot row's nonzeros, and it
-    replaces every row it rewrites with a new list, which `lexmin` relies on
-    to tell the rows a pivot changed.
+    by column; `_pivot` alone walks the pivot row's nonzeros, replaces every
+    row it rewrites with a new list, so that `branched` children may share
+    their parent's rows, and returns the indices of those rows.
     """
 
     def __init__(self, system: ConstraintSystem, cost: Mapping | None = None):
@@ -110,19 +111,10 @@ class _Tableau:
         #: The quantity (row) nonbasic in each column; column 0 is the constant.
         self.col_var = [-1] + list(range(n))
         self.rows = [[0] * k + [1] + [0] * (n - k) for k in range(1, n + 1)]
-        #: {i: (row, L1 norm of its coefficients)} of the negative rows as
-        #: built, read off the sparse rows; a norm holds while `rows[i]` is
-        #: still that row, and `lexmin` takes them on its first look.
-        self.norms = {}
         cols = [self.col_of[v] for v in system.variables]
         for lr in system.rows:
             row = self._integral(lr.const, ((cols[i], c) for i, c in lr.nonzero))
-            for row in [row, [-c for c in row]] if lr.kind == EQ else [row]:
-                if row[0] < 0:
-                    # A free variable's coefficient sits in both of its columns.
-                    self.norms[len(self.rows)] = row, sum(
-                        abs(c) if cols[i][1] is None else 2 * abs(c) for i, c in lr.nonzero)
-                self.rows.append(row)
+            self.rows += [row, [-c for c in row]] if lr.kind == EQ else [row]
         self.m = len(self.rows)
         if cost is not None:
             self.rows.append(self._integral(
@@ -141,16 +133,18 @@ class _Tableau:
                 vec[0] += c * shift
         return vec
 
-    def _pivot(self, r: int, j: int):
+    def _pivot(self, r: int, j: int) -> list[int]:
         """Exchange row r's quantity with column j's, which becomes basic;
-        each row it rewrites changes at the pivot row's nonzeros alone."""
+        each row it rewrites changes at the pivot row's nonzeros alone.
+        Returns the indices of the rows it rewrote, r among them, in order."""
         rows, den = self.rows, self.den
         prow = rows[r]
         p = prow[j]
         sign = 1 if p > 0 else -1
         p *= sign
         nonzero = [(k, sign * b) for k, b in enumerate(prow) if b and k != j]
-        for i in [i for i, row in enumerate(rows) if row[j]]:
+        rewritten = [i for i, row in enumerate(rows) if row[j]]
+        for i in rewritten:
             if i == r:
                 continue
             row = rows[i]
@@ -174,6 +168,7 @@ class _Tableau:
         unit[j] = 1
         rows[r] = unit
         self.col_var[j] = r
+        return rewritten
 
     def lexmin(self) -> bool:
         """Lexicographic dual simplex; False when the system is infeasible.
@@ -185,15 +180,12 @@ class _Tableau:
         each pivot raises the solution in that order, whichever negative row
         leaves, and the first feasible basis is the lexicographic minimum,
         which is unique.  The ratio test walks the pivot row's positive
-        entries, the first of a tie kept.
+        entries, the first of a tie kept.  The negative rows' constants and
+        norms are read once, then updated at the rows each pivot rewrote.
         """
         rows, m = self.rows, self.m
-        negative = {}  # row index -> (constant, norm) of every negative row
-        built, self.norms = self.norms, {}
-        for i in [i for i in range(m) if rows[i][0] < 0]:
-            row, known = rows[i], built.get(i)
-            negative[i] = row[0], known[1] if known and known[0] is row else _norm(row)
-        del built  # so that it keeps no replaced row alive
+        # row index -> (constant, norm) of every negative constraint row
+        negative = {i: (row[0], _norm(row)) for i, row in enumerate(rows[:m]) if row[0] < 0}
         while True:
             r, const, norm = -1, 0, 1  # the leaving row, its constant and norm
             for i in sorted(negative):
@@ -209,13 +201,9 @@ class _Tableau:
                     best = j
             if not best:
                 return False
-            # `_pivot` replaces each row it rewrites, so comparing row
-            # identities finds them without reading every row.
-            before = rows[:m]
-            self._pivot(r, best)
-            for i in [i for i in range(m) if rows[i] is not before[i]]:
+            for i in self._pivot(r, best):
                 row = rows[i]
-                if row[0] < 0:
+                if i < m and row[0] < 0:
                     negative[i] = row[0], _norm(row)
                 else:
                     negative.pop(i, None)
@@ -256,7 +244,6 @@ class _Tableau:
         # `_pivot` replaces rows whole, so they may be shared.
         tab.rows = self.rows[:self.m] + [row] + self.rows[self.m:]
         tab.den, tab.col_var = den[:], self.col_var[:]
-        tab.norms = {}
         return tab
 
     def minimize(self) -> bool:

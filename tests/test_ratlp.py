@@ -422,7 +422,7 @@ def test_pivot_counts_on_the_workloads():
 
     def counted(self, r, j):
         counts[key] += 1
-        pivot(self, r, j)
+        return pivot(self, r, j)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tableau, "_pivot", counted)
@@ -506,8 +506,10 @@ def test_warm_started_branch_and_bound_on_the_corpus_levels(corpus):
 
 
 def reference_pivot(self, r: int, j: int):
-    """`_Tableau._pivot` over every column of each row it rewrites."""
+    """`_Tableau._pivot` over every column of each row it rewrites; returns
+    the rows it rewrote."""
     rows, den = self.rows, self.den
+    rewritten = [r]
     prow = rows[r]
     p = prow[j]
     sign = 1
@@ -531,12 +533,14 @@ def reference_pivot(self, r: int, j: int):
         if g > 1:
             new = [c // g for c in new]
         rows[i] = new
+        rewritten.append(i)
     # Column j now stands for row r's numerator, so a structural row
     # keeps its denominator.
     unit = [0] * len(prow)
     unit[j] = 1
     rows[r] = unit
     self.col_var[j] = r
+    return rewritten
 
 
 PIVOT = _Tableau._pivot
@@ -544,12 +548,14 @@ PIVOT = _Tableau._pivot
 
 def pivot_trace(solve, pivot):
     """`solve()` with `_Tableau._pivot` replaced by `pivot`, and the
-    (row, column, element) of each pivot it took."""
+    (row, column, element, sorted rows rewritten) of each pivot it took."""
     trace = []
 
     def traced(self, r, j):
-        trace.append((r, j, self.rows[r][j]))
-        pivot(self, r, j)
+        element = self.rows[r][j]
+        rewritten = pivot(self, r, j)
+        trace.append((r, j, element, sorted(rewritten)))
+        return rewritten
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Tableau, "_pivot", traced)
@@ -580,8 +586,8 @@ def lexmin_and_children(system, cost=None):
 
 def assert_same_pivots(system, cost=None, ilp=True):
     """`lexmin`, `minimize`, the `branched` children and `solve_ilp` take
-    the reference pivots and end in the reference states; returns the
-    pivots taken."""
+    the reference pivots, each returning the rows the reference rewrote,
+    and end in the reference states; returns the pivots taken."""
     got = pivot_trace(lambda: lexmin_and_children(system, cost), PIVOT)
     assert got == pivot_trace(lambda: lexmin_and_children(system, cost), reference_pivot)
     trace = got[1]
@@ -612,7 +618,7 @@ def test_pivots_match_the_dense_pivot(n, rows, lower, cost):
 def test_the_drawn_pivots_reach_elements_other_than_one():
     s = system(["x", "y"], [({"x": 3, "y": 1}, -1, "ge"), ({"y": 2}, -1, "ge"),
                             ({"x": 3, "y": -3}, -2, "ge")])
-    assert {abs(p) for _, _, p in assert_same_pivots(s)} > {1}
+    assert {abs(p) for _, _, p, _ in assert_same_pivots(s)} > {1}
 
 
 def test_pivots_match_the_dense_pivot_on_the_level_systems():
@@ -641,7 +647,7 @@ def test_pivots_match_the_dense_pivot_on_the_level_systems():
             dfp_schedule(program, deps)
     elements = set()
     for s, ilp in systems.values():
-        elements.update(abs(p) for _, _, p in assert_same_pivots(s, ilp=ilp))
+        elements.update(abs(p) for _, _, p, _ in assert_same_pivots(s, ilp=ilp))
     assert len(systems) > 150 and elements > {1}
 
 
