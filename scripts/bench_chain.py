@@ -18,8 +18,11 @@ dependences (`ndeps`) and the size of the constraint systems they solve:
 `dfp` is also split into its three stages in CPU ms, `color`
 (`color_fcg`), `shift` (`scale_and_shift`) and `skew` (`introduce_skew`),
 their sum `dfp cpu`, its CPU time outside analysis, and `analysis + dfp
-cpu`, where analysis is `parse` plus `deps`.  At n = 800 only `dfp`
-finishes in seconds: `--paths dfp --sizes 400,800`.
+cpu`, where analysis is `parse` plus `deps`.  With `dfp` it also counts
+the fusion probes that `color_fcg` asks on a fresh analysis, untimed:
+`probes` asked, `memo` answered by the program's verdict memo and `lp`
+solved by an LP, the rest being decided by the dependence minima.  At
+n = 800 only `dfp` finishes in seconds: `--paths dfp --sizes 400,800`.
 """
 
 import argparse
@@ -27,7 +30,7 @@ import json
 import sys
 import time
 
-from polysched import frontend
+from polysched import fcg, frontend
 from polysched.fcg import color_fcg
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import introduce_skew, scale_and_shift
@@ -84,6 +87,21 @@ def run_dfp(program, deps):
     return skew.transform, {"color": color, "shift": shift, "skew": skewing}
 
 
+def probe_counts(data) -> tuple[int, int, int]:
+    """The fusion probes `color_fcg` asks on a fresh analysis of `data`:
+    (asked, answered by the memo, solved by an LP)."""
+    program, deps = frontend.analyze(data)
+    asked, solved = [], []
+    probe, build = fcg.fusion_probe, fcg.level_system
+    fcg.fusion_probe = lambda *a, **k: asked.append(a) or probe(*a, **k)
+    fcg.level_system = lambda *a, **k: solved.append(a) or build(*a, **k)
+    try:
+        color_fcg(program, deps)
+    finally:
+        fcg.fusion_probe, fcg.level_system = probe, build
+    return len(asked), len(asked) - len(program._probe_verdicts), len(solved)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,30",
@@ -105,9 +123,11 @@ def main() -> int:
 
     stages = ("color", "shift", "skew", "dfp cpu") if "dfp" in paths else ()
     total = ("analysis + dfp cpu",) if "dfp" in paths else ()
+    probes = ("probes", "memo", "lp") if "dfp" in paths else ()
     print(f"{'n':>4} {'ndeps':>5} {'rows':>6} {'parse':>7} {'deps':>7} "
           + "".join(f"{p:>10}" for p in paths + list(stages))
-          + "".join(f"{t:>20}" for t in total) + "   bands")
+          + "".join(f"{t:>20}" for t in total)
+          + "".join(f"{c:>7}" for c in probes) + "   bands")
     for n in sizes:
         data = family(n)
         program, parse = timed(frontend.parse_program, data)
@@ -137,6 +157,8 @@ def main() -> int:
             shape += f" (integer: {len(transforms['ilp'].bands)} bands)"
         cells = "".join(f"{times[k] * 1000:>8.0f}ms" for k in paths + list(stages))
         cells += "".join(f"{times[k] * 1000:>18.0f}ms" for k in total)
+        if probes:
+            cells += "".join(f"{c:>7}" for c in probe_counts(data))
         print(f"{n:>4} {len(deps):>5} {rows:>6} {parse * 1000:>5.0f}ms "
               f"{dependences * 1000:>5.0f}ms "
               f"{cells}   {shape}")

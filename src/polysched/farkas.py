@@ -15,7 +15,12 @@ polyhedron is empty exactly when no cone row holds the constant b
 (`cone_is_empty`, how `frontend` keeps or drops a candidate dependence),
 and by LP duality the minimum of an affine form over the polyhedron is
 the largest k for which the form minus k lies in the cone
-(`cone_minimum`, read off the rows without a solve).  The
+(`cone_minimum`, read off the rows without a solve).  The cone rows
+without b alone say which linear parts some constant completes to a
+form of the cone, so they also give the ratios of two positive scales
+x and y for which x * f + y * g is bounded below (`cone_ratios`), how
+`fcg` refutes a fusion probe that no ratio of two loops' scales
+passes.  The
 projection builds only some of the combinations plain Fourier-Motzkin
 elimination would: it skips those that Chernikov's rule proves
 redundant, so the shadow is the same with fewer rows.  Everything
@@ -522,17 +527,57 @@ def cone_minimum(cone: ConstraintSystem, form: Sequence[int]) -> Fraction | None
     """
     n = len(form) - 1
     least, unbounded = None, False  # least as (c.a, c_b)
-    for r in cone.rows:
-        cb = r.nonzero[-1][1] if r.nonzero and r.nonzero[-1][0] == n else 0
-        ca = r.const + sum(c * form[j] for j, c in r.nonzero if j < n)
+    for nonzero, const, kind, _ in cone.rows:
+        ca, cb = const, 0
+        for j, c in nonzero:
+            if j < n:
+                ca += c * form[j]
+            else:
+                cb = c
         if cb:
             if least is None or ca * least[1] < least[0] * cb:
                 least = (ca, cb)
-        elif ca < 0 or (ca and r.kind == EQ):
+        elif ca < 0 or (ca and kind == EQ):
             unbounded = True
     if least is None:  # b is free: the relation has no point
         raise ValueError("the relation is empty")
     return None if unbounded else Fraction(least[0] + form[n] * least[1], least[1])
+
+
+def cone_ratios(cone: ConstraintSystem, first: Sequence[int],
+                second: Sequence[int]) -> tuple[Fraction, Fraction | None] | None:
+    """The ratios y/x of positive x and y for which some constant b puts
+    x * first + y * second + b in `cone`, the Farkas cone of a non-empty
+    relation, where `first` and `second` are linear forms with one
+    coefficient per relation variable: the positive ratios in [lo, hi],
+    given as (lo, hi) with hi None when unbounded above, or None when no
+    ratio is positive.
+
+    A cone row with a `b` term holds once b is large enough, as in
+    `cone_minimum`.  Every other row is homogeneous in the form's
+    coefficients, so it holds for x * F + y * S >= 0 (== 0 for an
+    equality), F and S its values at `first` and `second`: a bound on
+    y/x, or no condition, or none.
+    """
+    n = len(first)
+    lo, hi = ZERO, None
+    for r in cone.rows:
+        if r.nonzero and r.nonzero[-1][0] == n:
+            continue
+        f = sum(c * first[j] for j, c in r.nonzero)
+        s = sum(c * second[j] for j, c in r.nonzero)
+        if not s:
+            if f < 0 or (f and r.kind == EQ):
+                return None
+            continue
+        ratio = Fraction(-f, s)
+        if s > 0 or r.kind == EQ:
+            lo = max(lo, ratio)
+        if s < 0 or r.kind == EQ:
+            hi = ratio if hi is None else min(hi, ratio)
+    if hi is not None and (hi <= 0 or hi < lo):
+        return None
+    return lo, hi
 
 
 def _cone_rows(cone: ConstraintSystem, forms: Sequence[Sequence[tuple[int, int]]],

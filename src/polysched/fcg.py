@@ -3,10 +3,14 @@
 Each vertex stands for one dimension of one statement.  A conflict edge says
 the two dimensions cannot be fused and permuted to the outermost level at the
 same time; a self loop says the dimension cannot be outermost at all.  Both
-are decided by small rational LP feasibility probes over the dependences of
-the affected statement pair, mostly over their legality rows alone, so
-building the graph costs a quadratic number of cheap solves instead of one
-monolithic scheduling problem.
+are decided by fusion probes over the dependences of the affected statement
+pair: is one small rational level system feasible?  The exact minimum of
+each dependence distance, read off the relation's Farkas cone with no
+solve, answers almost every probe first (Kennedy and McKinley's
+fusion-preventing dependence test, made exact).  Only the few probes it
+leaves open, such as those that need scaled loops, build the system and
+solve it as an LP, so building the graph costs a quadratic number of cone
+reads and a handful of solves instead of one monolithic scheduling problem.
 
 Coloring the graph one color per loop level, outermost first and in one
 pass, picks each statement's dimension per level for `postpass`.  When a
@@ -23,6 +27,7 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import ratlp
+from .farkas import cone_ratios
 from .model import (
     AffineTransform,
     DependencePolyhedron,
@@ -30,6 +35,7 @@ from .model import (
     SchedulingError,
     Statement,
     dependence_list,
+    min_dependence_component,
     scc_decompose,
     unit_row,
     unsatisfied,
@@ -79,22 +85,25 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
                  parametric_shifts: bool = False) -> bool:
     """Can the chosen dimensions share the outermost level?
 
-    Asks whether `pluto.level_system` of `deps` over the statements'
-    `pluto.dimension_terms` is feasible: the chosen iterator coefficient of
-    every statement at least 1, every other iterator coefficient zero and
-    the constant shifts free.  Parametric shifts are zero unless requested,
-    since a parametric offset would let misaligned accesses slide past each
-    other and hide a genuine fusion conflict.  Only feasibility counts, so
-    a dependence whose relation is bounded in its iterators for fixed
-    parameters gives its legality rows alone (the system's `feasibility`
-    mode), as in pluto-lp-dfp; an unbounded one keeps its bounding rows,
-    which can make a legal row infeasible.
+    Asks whether `pluto.level_system` of `deps`, the dependences among
+    `statements`, over the statements' `pluto.dimension_terms` is feasible:
+    the chosen iterator coefficient of every statement, its scale, at least
+    1, every other iterator coefficient zero and the constant shifts free.
+    Parametric shifts are zero unless requested, since a parametric offset
+    would let misaligned accesses slide past each other and hide a genuine
+    fusion conflict.  Only feasibility counts, so a dependence whose
+    relation is bounded in its iterators for fixed parameters gives its
+    legality rows alone (the system's `feasibility` mode), as in
+    pluto-lp-dfp; an unbounded one keeps its bounding rows, which can make
+    a legal row infeasible.
 
-    The verdict is kept on the program under the probe's shape: the
-    dependences' shapes, where their statements stand among `statements`,
-    and each statement's depth and chosen dimension.  Probes of the same
-    shape solve the same system up to the names of the statements and
-    their iterators.
+    Most probes are decided without that system, exactly, from the
+    dependence minima (`_decided`); only those it leaves open build the
+    system and solve it with `ratlp.solve_lexmin`.  The verdict is kept on
+    the program under the probe's shape: the dependences' shapes, where
+    their statements stand among `statements`, and each statement's depth
+    and chosen dimension.  Probes of the same shape ask the same question
+    up to the names of the statements and their iterators.
     """
     place = {s.id: k for k, s in enumerate(statements)}
     key = (tuple((d.shape, place.get(d.src), place.get(d.dst))
@@ -103,10 +112,99 @@ def fusion_probe(program: Program, statements: Sequence[Statement],
            parametric_shifts)
     verdict = program._probe_verdicts.get(key)
     if verdict is None:
-        terms = dimension_terms(program, statements, choose, parametric_shifts)
-        verdict = program._probe_verdicts[key] = bool(ratlp.solve_lexmin(
-            ratlp.LPProblem.of(level_system(program, deps, terms, feasibility=True))))
+        verdict = _decided(program, statements, choose, deps, parametric_shifts)
+        if verdict is None:
+            terms = dimension_terms(program, statements, choose, parametric_shifts)
+            verdict = bool(ratlp.solve_lexmin(ratlp.LPProblem.of(
+                level_system(program, deps, terms, feasibility=True))))
+        program._probe_verdicts[key] = verdict
     return verdict
+
+
+def _decided(program: Program, statements: Sequence[Statement],
+             choose: Mapping[str, int], deps: Sequence[DependencePolyhedron],
+             parametric_shifts: bool) -> Optional[bool]:
+    """The verdict of a `fusion_probe` without parametric shifts, read off
+    the dependence minima (`model.min_dependence_component`) of the chosen
+    dimensions' unit rows, or None when they leave it open.  Three exact
+    rules decide it, after Kennedy and McKinley's fusion-preventing
+    dependence test:
+
+    - a self-dependence scales its distance by the statement's scale alone,
+      since its shifts cancel, so a negative or unbounded minimum refutes
+      the probe for every scale of at least 1;
+    - with every scale at 1, each cross dependence's minimum m bounds the
+      difference of its two constant shifts, shift(dst) - shift(src) >= -m,
+      and shifts meeting every such bound (no negative cycle of minima)
+      with every self-dependence's minimum non-negative are a feasible
+      point, once every dependence is `bounded`, so that the probe adds no
+      bounding row;
+    - a pair of statements is refuted when no positive ratio of their two
+      scales passes the cone rows without the constant
+      (`farkas.cone_ratios`) of every cross dependence.
+
+    Parametric shifts, or a statement without a chosen dimension, leave a
+    probe open, and so does a probe that no rule proves or refutes: one
+    that needs a scale other than 1 or keeps an unbounded dependence's
+    bounding rows, or more than two statements that no shifts fuse at
+    scale 1.
+    """
+    if parametric_shifts or any(s.id not in choose for s in statements):
+        return None
+    np = len(program.params)
+    rows = {s.id: unit_row(s, np, choose[s.id]) for s in statements}
+    cross = []
+    for d in deps:
+        m = min_dependence_component(d, rows[d.src], rows[d.dst])
+        if d.src != d.dst:
+            cross.append((d, m))
+        elif m is None or m < 0:
+            return False
+    if all(m is not None for _, m in cross) and all(d.bounded for d in deps) \
+            and _shifts_exist(rows, [(d.src, d.dst, m) for d, m in cross]):
+        return True
+    if len(statements) == 2 and not _ratio_exists(statements, choose, [d for d, _ in cross]):
+        return False
+    return None
+
+
+def _shifts_exist(ids, bounds) -> bool:
+    """Is there a shift per statement of `ids` with shift[dst] - shift[src]
+    >= -m for every (src, dst, m) of `bounds`?  Bellman-Ford from every
+    statement at once: each pass that lowers a shift to meet a bound
+    follows one more edge of a path, and a pass beyond the longest simple
+    path that still lowers one has found a negative cycle."""
+    shift = dict.fromkeys(ids, 0)
+    for _ in ids:
+        lowered = False
+        for src, dst, m in bounds:
+            if shift[dst] + m < shift[src]:
+                shift[src] = shift[dst] + m
+                lowered = True
+        if not lowered:
+            return True
+    return False
+
+
+def _ratio_exists(statements: Sequence[Statement], choose: Mapping[str, int],
+                  deps: Sequence[DependencePolyhedron]) -> bool:
+    """Is there a positive ratio of the second statement's scale to the
+    first's that every cross dependence of `deps` between the two admits,
+    by `farkas.cone_ratios`?"""
+    a = statements[0].id
+    lo, hi = 0, None
+    for d in deps:
+        width = len(d.relation.variables)
+        src, dst = [0] * width, [0] * width
+        src[choose[d.src]] = -1
+        dst[len(d.src_vars) + choose[d.dst]] = 1
+        ratios = cone_ratios(d.cone, *((src, dst) if d.src == a else (dst, src)))
+        if ratios is None:
+            return False
+        lo = max(lo, ratios[0])
+        if ratios[1] is not None:
+            hi = ratios[1] if hi is None else min(hi, ratios[1])
+    return hi is None or lo <= hi
 
 
 def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:

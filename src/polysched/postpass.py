@@ -4,7 +4,7 @@ Both passes only choose per-statement terms, extra rows and groups:
 `pluto.solve_level` builds and solves each level, scales it to integers
 with one group per weakly connected component, and reads the rows back.
 `scale_and_shift` solves each color's picks on `pluto.dimension_terms`,
-the terms the fusion probes solve: the picked coefficient may grow past 1
+the terms of the fusion probes' systems: the picked coefficient may grow past 1
 and the shifts are free, so fused statements can slide against each other.
 `introduce_skew` then walks the bands, the runs of loop levels between
 cuts.  A band's live set is the ordering dependences `model.unsatisfied`

@@ -1,8 +1,39 @@
+import signal
+
 import pytest
 
 from polysched.model import AffineTransform, Cut
 from polysched.postpass import dfp_schedule
 from polysched.verify import load_corpus, parse_instance, theorem_suite
+
+
+#: Seconds one test may run, the fixtures it sets up included, before
+#: `pytest_runtest_protocol` fails it: well above the slowest test, so that
+#: only a test stuck in a loop reaches it.
+TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past `TIME_LIMIT_S`.  A BaseException, so that neither
+    the code under test nor hypothesis catches it."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail each test, by name, once its setup, call and teardown have run
+    `TIME_LIMIT_S` seconds, so that a solver stuck in a loop ends the run
+    with a failure instead of hanging it.  A hook rather than an autouse
+    fixture, since session fixtures are set up before any function one."""
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} ran past {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -784,6 +784,33 @@ def test_cone_holds_exactly_the_nonnegative_forms(data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
+def test_cone_ratios_are_the_ratios_of_bounded_forms(data):
+    """On a small non-empty relation through a known integer point, and two
+    small integer linear forms f and g, a positive ratio y/x is in
+    `cone_ratios` exactly when x * f + y * g is bounded below on the
+    relation, as one LP per ratio says: some constant then puts the form in
+    the cone.  The ratios tried are the ends of the interval and a few
+    fixed ones."""
+    relation, point = data.draw(relations())
+    names, n = relation.variables, len(point)
+    cone = farkas_cone(relation)
+    f, g = (data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+            for _ in range(2))
+    ratios = farkas.cone_ratios(cone, f, g)
+    tried = {Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)}
+    if ratios is not None:
+        lo, hi = ratios
+        tried |= {r for r in (lo, hi, lo / 2, lo * 2, hi and hi * 2) if r}
+    for r in tried:
+        x, y = r.denominator, r.numerator
+        form = {v: x * a + y * b for v, a, b in zip(names, f, g) if x * a + y * b}
+        bounded = solve_lp(LPProblem.of(relation, [form])).status == OPTIMAL
+        inside = ratios is not None and ratios[0] <= r and (ratios[1] is None or r <= ratios[1])
+        assert inside == bounded, (r, ratios)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
 def test_bounded_by_parameters_matches_the_recession_cone(data):
     """On a small non-empty relation over iterators x and parameters p
     through a known integer point, `bounded_by_parameters` holds exactly

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import fcg, ratlp, verify
+from polysched import farkas, fcg, ratlp, verify
 from polysched.fcg import (
     FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
     fusion_probe, to_dot,
 )
 from polysched.frontend import analyze
 from polysched.model import (
-    Cut, SchedulingError, component_range, satisfaction_level, scc_decompose,
+    Cut, SchedulingError, component_range, min_dependence_component,
+    satisfaction_level, scc_decompose,
 )
 from polysched.pluto import dimension_terms
 from polysched.postpass import dfp_schedule
@@ -31,6 +32,22 @@ def _lexmin(system):
 def _graph(g: FusionConflictGraph) -> tuple:
     """Every vertex and edge of a conflict graph, for comparing two."""
     return g.vertices, g.conflicts, g.cliques, g.loops
+
+
+#: Q(i) reads a[i + N], which P wrote N iterations earlier.
+PARAMETRIC_OFFSET = {
+    "params": ["N"],
+    "statements": [
+        {"id": "P", "iterators": ["i"],
+         "domain": [[1, 0, 0, ">="], [-1, 2, 0, ">="]],
+         "accesses": [{"array": "a", "kind": "write", "map": [[1, 0, 0]]}],
+         "order": 0},
+        {"id": "Q", "iterators": ["i"],
+         "domain": [[1, 0, 0, ">="], [-1, 1, 0, ">="]],
+         "accesses": [{"array": "a", "kind": "read", "map": [[1, 1, 0]]}],
+         "order": 1},
+    ],
+}
 
 
 class TestFusionProbe:
@@ -55,21 +72,7 @@ class TestFusionProbe:
                             {"P": 0, "Q": 0}, inst.deps)
 
     def test_parametric_offset_needs_parametric_shifts(self):
-        program, deps = analyze({
-            "params": ["N"],
-            "statements": [
-                {"id": "P", "iterators": ["i"],
-                 "domain": [[1, 0, 0, ">="], [-1, 2, 0, ">="]],
-                 "accesses": [{"array": "a", "kind": "write",
-                               "map": [[1, 0, 0]]}],
-                 "order": 0},
-                {"id": "Q", "iterators": ["i"],
-                 "domain": [[1, 0, 0, ">="], [-1, 1, 0, ">="]],
-                 "accesses": [{"array": "a", "kind": "read",
-                               "map": [[1, 1, 0]]}],
-                 "order": 1},
-            ],
-        })
+        program, deps = analyze(PARAMETRIC_OFFSET)
         stmts = program.statements
         choose = {"P": 0, "Q": 0}
         assert not fusion_probe(program, stmts, choose, deps)
@@ -79,7 +82,7 @@ class TestFusionProbe:
 
     def test_verdicts_of_one_shape_are_solved_once(self, monkeypatch):
         # Statements 0-1, 1-2 and 2-3 of a chain pose the same probes up to
-        # names: each is solved for the first pair only, and every memoized
+        # names: each is decided for the first pair only, and every memoized
         # verdict equals a fresh solve.
         stmt = {"iterators": ["i", "j"],
                 "domain": [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
@@ -90,10 +93,10 @@ class TestFusionProbe:
                 {"array": f"A{max(k - 1, 0)}", "kind": "read",
                  "map": [[0, 1, 0, 0], [1, 0, 0, 0]]}][:k + 1]}
             for k in range(4)]})
-        solved = []
-        build = fcg.level_system
-        monkeypatch.setattr(fcg, "level_system",
-                            lambda *a, **k: solved.append(a) or build(*a, **k))
+        decided = []
+        decide = fcg._decided
+        monkeypatch.setattr(fcg, "_decided",
+                            lambda *a: decided.append(a) or decide(*a))
         calls = []
         for a, b in zip(program.statements, program.statements[1:]):
             between = [d for d in deps if {d.src, d.dst} == {a.id, b.id}]
@@ -101,27 +104,27 @@ class TestFusionProbe:
                 for db in range(2):
                     choose = {a.id: da, b.id: db}
                     calls.append((choose, fusion_probe(program, (a, b), choose, between)))
-                    fresh = _lexmin(build(program, between,
-                                          dimension_terms(program, (a, b), choose)))
+                    fresh = _lexmin(fcg.level_system(program, between,
+                                                     dimension_terms(program, (a, b), choose)))
                     assert calls[-1][1] == bool(fresh)
-        assert len(calls) == 12 and len(solved) == 4
+        assert len(calls) == 12 and len(decided) == 4
         assert {v for _, v in calls} == {True, False}
 
     def test_iterator_names_do_not_split_a_probe_shape(self, monkeypatch):
         # Statements 0-1 and 1-2 of a chain of three differ only in iterator
         # names when the middle one calls its iterators a and b: the second
         # pair reuses the first pair's verdicts, and the graph is the same.
-        built = []
-        build = fcg.level_system
-        monkeypatch.setattr(fcg, "level_system",
-                            lambda *a, **k: built.append(a) or build(*a, **k))
+        decided = []
+        decide = fcg._decided
+        monkeypatch.setattr(fcg, "_decided",
+                            lambda *a: decided.append(a) or decide(*a))
         graphs = []
         for middle in (["i", "j"], ["a", "b"]):
             data = workloads.chain(3)
             data["statements"][1]["iterators"] = middle
-            built.clear()
+            decided.clear()
             graphs.append(_graph(build_fcg(*analyze(data))))
-            assert len(built) == 4
+            assert len(decided) == 4
         assert graphs[0] == graphs[1]
 
     def test_memo_tells_dependence_directions_apart(self):
@@ -142,6 +145,93 @@ class TestFusionProbe:
         assert fusion_probe(program, (p, q), {"P": 0, "Q": 1}, deps[:1])
         assert not fusion_probe(program, (q, r), {"Q": 0, "R": 1}, deps[1:])
         assert not fusion_probe(program, (p, q), {"P": 1, "Q": 0}, deps[:1])
+
+
+class TestDecidedByMinima:
+    """One probe per rule of `fcg._decided`, and per kind of probe it
+    leaves to the LP."""
+
+    @staticmethod
+    def probe(monkeypatch, program, deps, choose, parametric=False):
+        """A fresh `fusion_probe` of the statements of `choose` over the
+        dependences of `deps` among them, and whether it built a level
+        system.  The verdict must equal the LP's on the feasibility
+        system."""
+        statements = [s for s in program.statements if s.id in choose]
+        deps = [d for d in deps if d.src in choose and d.dst in choose]
+        built = []
+        build = fcg.level_system
+        monkeypatch.setattr(fcg, "level_system",
+                            lambda *a, **k: built.append(a) or build(*a, **k))
+        program._probe_verdicts.clear()
+        verdict = fusion_probe(program, statements, choose, deps, parametric)
+        terms = dimension_terms(program, statements, choose, parametric)
+        assert verdict == bool(_lexmin(build(program, deps, terms, feasibility=True)))
+        return verdict, bool(built)
+
+    def test_a_negative_self_distance_refutes(self, by_name, monkeypatch):
+        # S(t, i) reads what S(t - 1, i + 1) wrote: the i distance is -1.
+        inst = by_name["stencil1d"]
+        assert self.probe(monkeypatch, inst.program, inst.deps, {"S": 1}) == (False, False)
+
+    def test_aligned_shifts_are_a_witness(self, by_name, monkeypatch):
+        # Q(i) reads a[i - 2], which P(i - 2) wrote: at scale 1 the
+        # distance is 2, so equal shifts fuse.
+        inst = by_name["shift_pair"]
+        assert self.probe(monkeypatch, inst.program, inst.deps, {"P": 0, "Q": 0}) == (True, False)
+
+    def test_no_ratio_of_scales_refutes(self, by_name, monkeypatch):
+        # S2(i, j) reads S1(j, i): the i distance is unbounded at every
+        # pair of scales, and no cone row without the constant admits one.
+        inst = by_name["fig1"]
+        (dep,) = [d for d in inst.deps if (d.src, d.dst) == ("S1", "S2")]
+        assert min_dependence_component(dep, (1, 0, 0, 0), (1, 0, 0, 0)) is None
+        assert farkas.cone_ratios(dep.cone, [-1, 0, 0, 0, 0], [0, 0, 1, 0, 0]) is None
+        assert self.probe(monkeypatch, inst.program, inst.deps, {"S1": 0, "S2": 0}) == (False, False)
+
+    @staticmethod
+    def pair(forward, backward):
+        """P and Q over 0 <= i <= N - 1, with the explicit RAW P->Q over
+        the relation `forward` and Q->P over `backward`."""
+        line = [[1, 0, 0, ">="], [-1, 1, -1, ">="]]
+        return analyze({"params": ["N"], "statements": [
+            {"id": sid, "iterators": ["i"], "domain": line, "accesses": []} for sid in "PQ"],
+            "dependences": [{"src": "P", "dst": "Q", "kind": "RAW", "relation": forward},
+                            {"src": "Q", "dst": "P", "kind": "RAW", "relation": backward}]})
+
+    def test_disjoint_ratios_refute(self, monkeypatch):
+        # Q(t) reads P(2t), so Q's scale is at least twice P's, and P(i)
+        # reads Q(i), so it is at most P's: each dependence admits some
+        # ratio, the two none.
+        program, deps = self.pair([[1, -2, 0, 0, "=="]], [[1, -1, 0, 0, "=="]])
+        assert self.probe(monkeypatch, program, deps, {"P": 0, "Q": 0}) == (False, False)
+
+    def test_a_negative_cycle_of_minima_reaches_the_lp(self, monkeypatch):
+        # Q(t) reads P(t + 1) and P(i) reads Q(i): at scale 1 the shifts
+        # must differ by at least 1 and by at most 0.
+        program, deps = self.pair([[1, -1, 0, -1, "=="]], [[1, -1, 0, 0, "=="]])
+        assert [min_dependence_component(d, (1, 0, 0), (1, 0, 0)) for d in deps] == [-1, 0]
+        assert self.probe(monkeypatch, program, deps, {"P": 0, "Q": 0}) == (False, True)
+
+    def test_a_scale_other_than_one_reaches_the_lp(self, by_name, monkeypatch):
+        # Q(j) reads a[3j], which P(i) wrote for 2i = 3j: Q's scale must be
+        # at least 3/2 of P's.
+        inst = by_name["scaling_pair"]
+        assert self.probe(monkeypatch, inst.program, inst.deps, {"P": 0, "Q": 0}) == (True, True)
+
+    def test_an_unbounded_dependence_reaches_the_lp(self, monkeypatch):
+        # S(i) writes A[2i] and reads A[i] for every i >= 0: the relation
+        # has no upper bound, so the probe keeps its bounding rows.
+        program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
+        assert not any(d.bounded for d in deps)
+        assert self.probe(monkeypatch, program, deps, {"S": 0}) == (False, True)
+
+    def test_parametric_shifts_reach_the_lp(self, monkeypatch):
+        # Only a parametric shift aligns P and Q, and the minima never
+        # bound one.
+        program, deps = analyze(PARAMETRIC_OFFSET)
+        assert self.probe(monkeypatch, program, deps, {"P": 0, "Q": 0}) == (False, False)
+        assert self.probe(monkeypatch, program, deps, {"P": 0, "Q": 0}, True) == (True, True)
 
 
 class TestBuildFcg:
@@ -466,6 +556,47 @@ def test_probe_verdicts_equal_the_full_system(monkeypatch):
         assert verdict == bool(full), (program, choose, parametric)
     assert {v for *_, v in probes} == {True, False}
     assert len(checked) // 2 < legality_only < len(checked)
+
+
+def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
+    """Every probe that `build_fcg`, the joint-shifts check and the
+    fusion-transitivity check ask, on the corpus, chain(8), the `random`
+    workload, every fixture and 300 `random_nest` nests under seed 7, and
+    that the dependence minima decide (`fcg._decided`), gets the verdict of
+    the LP on its feasibility system.  They decide all but a few of the
+    probes without parametric shifts."""
+    named = (workloads.programs("corpus", ROOT / "src") + [("chain8", workloads.chain(8))]
+             + workloads.programs("random", ROOT / "src")
+             + [(p.stem, json.loads(p.read_text())) for p in sorted(FIXTURES.glob("*.json"))]
+             + _random_nests(300, seed=7))
+    asked = []
+    decide = fcg._decided
+
+    def recorded(*args):
+        asked.append((*args, decide(*args)))
+        return asked[-1][-1]
+
+    monkeypatch.setattr(fcg, "_decided", recorded)
+    runs = []
+    for name, data in named:
+        program, deps = analyze(data)
+        try:
+            color_fcg(program, deps)
+        except SchedulingError:
+            assert name in DFP_REFUSES
+        runs.append(SimpleNamespace(instance=SimpleNamespace(
+            name=name, program=program, deps=deps)))
+    verify._check_joint_shifts(runs, 3)
+    verify._check_fusion_transitivity(runs, 3)
+    assert all(verdict is None for *_, parametric, verdict in asked if parametric)
+    plain = [probe for probe in asked if not probe[4]]
+    decided = [probe for probe in plain if probe[5] is not None]
+    for program, stmts, choose, deps, parametric, verdict in decided:
+        terms = dimension_terms(program, stmts, choose, parametric)
+        lp = _lexmin(fcg.level_system(program, deps, terms, feasibility=True))
+        assert verdict == bool(lp), (choose, [d.label for d in deps])
+    assert {v for *_, v in decided} == {True, False}
+    assert len(decided) > 1400 and len(plain) - len(decided) < 50
 
 
 def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypatch):

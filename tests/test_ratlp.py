@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysched import ratlp
+from polysched import fcg, ratlp
 from polysched.farkas import EQ, ZERO, ConstraintSystem, eliminate
 from polysched.frontend import analyze
 from polysched.postpass import dfp_schedule
@@ -13,7 +13,7 @@ from polysched.ratlp import (
     INFEASIBLE, OPTIMAL, UNBOUNDED,
     LPProblem, LPResult, ResourceLimitError, _Tableau, solve_ilp, solve_lexmin, solve_lp,
 )
-from polysched.pluto import ILP, LP, SchedulerConfig, schedule
+from polysched.pluto import ILP, LP, SchedulerConfig, dimension_terms, level_system, schedule
 from inputs import ROOT, workloads
 from test_dependences import corpus_programs
 
@@ -381,7 +381,8 @@ def test_the_bound_point_exit_on_the_workloads():
     """How many of each path's solves on the benchmark workloads end at the
     bound point with no tableau, per workload and path: (skipped, solves).
     `ilp` and `lp` add rows that the bound point breaks at every level;
-    most `dfp` probes and the `chain` scale/shift levels hold there."""
+    the `chain` scale/shift levels hold there.  `dfp` solves one fusion
+    probe, on `corpus`; the dependence minima decide the rest."""
     counts = {}
 
     def counting(solve, key):
@@ -406,16 +407,16 @@ def test_the_bound_point_exit_on_the_workloads():
                     else:
                         schedule(program, deps, SchedulerConfig(mode=mode))
     assert {k: tuple(v) for k, v in counts.items()} == {
-        ("corpus", ILP): (0, 22), ("corpus", LP): (0, 22), ("corpus", "dfp"): (27, 51),
-        ("chain", ILP): (0, 4), ("chain", LP): (0, 4), ("chain", "dfp"): (8, 12),
-        ("random", ILP): (0, 29), ("random", LP): (0, 29), ("random", "dfp"): (33, 78),
+        ("corpus", ILP): (0, 22), ("corpus", LP): (0, 22), ("corpus", "dfp"): (12, 22),
+        ("chain", ILP): (0, 4), ("chain", LP): (0, 4), ("chain", "dfp"): (4, 4),
+        ("random", ILP): (0, 29), ("random", LP): (0, 29), ("random", "dfp"): (3, 26),
     }
 
 
 def test_pivot_counts_on_the_workloads():
     """How many pivots each path takes on the benchmark workloads, per
     workload and path.  Leaving on the first negative row took 143, 83 and
-    20 on `corpus`, 116, 116 and 0 on `chain`, and 142, 132 and 62 on
+    20 on `corpus`, 116, 116 and 0 on `chain`, and 142, 132 and 51 on
     `random`."""
     counts = {}
     pivot = _Tableau._pivot
@@ -439,7 +440,7 @@ def test_pivot_counts_on_the_workloads():
     assert counts == {
         ("corpus", ILP): 112, ("corpus", LP): 63, ("corpus", "dfp"): 16,
         ("chain", ILP): 48, ("chain", LP): 48, ("chain", "dfp"): 0,
-        ("random", ILP): 98, ("random", LP): 90, ("random", "dfp"): 45,
+        ("random", ILP): 98, ("random", LP): 90, ("random", "dfp"): 35,
     }
 
 
@@ -621,32 +622,49 @@ def test_the_drawn_pivots_reach_elements_other_than_one():
     assert {abs(p) for _, _, p, _ in assert_same_pivots(s)} > {1}
 
 
-def test_pivots_match_the_dense_pivot_on_the_level_systems():
+def workload_systems():
     """Every system the three paths solve on the corpus, chain(8) and the
-    `random` workload, every level system of `solve_level` among them,
-    takes the dense pivot's pivots: lexmin with its children, and
-    `solve_ilp` on the systems `ilp` gives it."""
+    `random` workload, each with whether `solve_ilp` took it, and the
+    feasibility system of every fusion probe that `build_fcg` asks, built
+    here whether or not the dependence minima decide the probe."""
     programs = [analyze(data) for data in corpus_programs() + [workloads.chain(8)] + [
         data for _, data in workloads.programs("random", ROOT / "src")]]
     systems = {}
 
-    def recorder(solve, ilp):
-        def record(problem, *args):
-            s = problem.system
-            entry = systems.setdefault((s.variables, s.rows, tuple(s.lower.items())), [s, False])
-            entry[1] |= ilp
-            return solve(problem, *args)
-        return record
+    def record(s, ilp):
+        entry = systems.setdefault((s.variables, s.rows, tuple(s.lower.items())), [s, False])
+        entry[1] |= ilp
 
+    def recorder(solve, ilp):
+        def recorded(problem, *args):
+            record(problem.system, ilp)
+            return solve(problem, *args)
+        return recorded
+
+    def probed(program, statements, choose, deps, parametric_shifts=False):
+        terms = dimension_terms(program, statements, choose, parametric_shifts)
+        record(level_system(program, deps, terms, feasibility=True), False)
+        return probe(program, statements, choose, deps, parametric_shifts)
+
+    probe = fcg.fusion_probe
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ratlp, "solve_lexmin", recorder(ratlp.solve_lexmin, False))
         mp.setattr(ratlp, "solve_ilp", recorder(ratlp.solve_ilp, True))
+        mp.setattr(fcg, "fusion_probe", probed)
         for program, deps in programs:
             for mode in (ILP, LP):
                 schedule(program, deps, SchedulerConfig(mode=mode))
             dfp_schedule(program, deps)
+    return list(systems.values())
+
+
+def test_pivots_match_the_dense_pivot_on_the_level_systems():
+    """Every system of `workload_systems`, every level system of
+    `solve_level` among them, takes the dense pivot's pivots: lexmin with
+    its children, and `solve_ilp` on the systems `ilp` gives it."""
+    systems = workload_systems()
     elements = set()
-    for s, ilp in systems.values():
+    for s, ilp in systems:
         elements.update(abs(p) for _, _, p, _ in assert_same_pivots(s, ilp=ilp))
     assert len(systems) > 150 and elements > {1}
 
@@ -711,26 +729,8 @@ def test_the_leaving_row_keeps_every_result(n, rows, lower):
 
 
 def test_the_leaving_row_keeps_every_result_on_the_level_systems():
-    """The same on every system the three paths solve on the corpus,
-    chain(8) and the `random` workload."""
-    programs = [analyze(data) for data in corpus_programs() + [workloads.chain(8)] + [
-        data for _, data in workloads.programs("random", ROOT / "src")]]
-    systems = {}
-
-    def recorder(solve):
-        def record(problem, *args):
-            s = problem.system
-            systems.setdefault((s.variables, s.rows, tuple(s.lower.items())), s)
-            return solve(problem, *args)
-        return record
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ratlp, "solve_lexmin", recorder(ratlp.solve_lexmin))
-        mp.setattr(ratlp, "solve_ilp", recorder(ratlp.solve_ilp))
-        for program, deps in programs:
-            for mode in (ILP, LP):
-                schedule(program, deps, SchedulerConfig(mode=mode))
-            dfp_schedule(program, deps)
-    for s in systems.values():
+    """The same on every system of `workload_systems`."""
+    systems = workload_systems()
+    for s, _ in systems:
         assert_same_results(s)
     assert len(systems) > 150
