@@ -4,9 +4,10 @@ Each vertex stands for one dimension of one statement.  A conflict edge says
 the two dimensions cannot be fused and permuted to the outermost level at the
 same time; a self loop says the dimension cannot be outermost at all.  Both
 are decided by fusion probes over the dependences of the affected statement
-pair: is one small rational level system feasible?  The exact minimum of
-each dependence distance, read off the relation's Farkas cone with no
-solve, answers almost every probe first (Kennedy and McKinley's
+pair: is one small rational level system feasible?  A probe is its chosen
+dimensions, one per statement.  The exact minimum of each dependence
+distance, read off the relation's Farkas cone with no solve, answers most
+probes first, with parametric shifts or without (Kennedy and McKinley's
 fusion-preventing dependence test, made exact).  Only the few probes it
 leaves open, such as those that need scaled loops, build the system and
 solve it as an LP, so building the graph costs a quadratic number of cone
@@ -33,7 +34,6 @@ from .model import (
     DependencePolyhedron,
     Program,
     SchedulingError,
-    Statement,
     dependence_list,
     min_dependence_component,
     scc_decompose,
@@ -79,80 +79,77 @@ class FusionConflictGraph:
                      for pair in combinations(dims, 2))
 
 
-def fusion_probe(program: Program, statements: Sequence[Statement],
-                 choose: Mapping[str, int],
+def fusion_probe(program: Program, choose: Mapping[str, int],
                  deps: Sequence[DependencePolyhedron],
                  parametric_shifts: bool = False) -> bool:
     """Can the chosen dimensions share the outermost level?
 
-    Asks whether `pluto.level_system` of `deps`, the dependences among
-    `statements`, over the statements' `pluto.dimension_terms` is feasible:
-    the chosen iterator coefficient of every statement, its scale, at least
-    1, every other iterator coefficient zero and the constant shifts free.
-    Parametric shifts are zero unless requested, since a parametric offset
-    would let misaligned accesses slide past each other and hide a genuine
-    fusion conflict.  Only feasibility counts, so a dependence whose
-    relation is bounded in its iterators for fixed parameters gives its
-    legality rows alone (the system's `feasibility` mode), as in
-    pluto-lp-dfp; an unbounded one keeps its bounding rows, which can make
-    a legal row infeasible.
+    `choose` maps each statement of the probe, in order, to its chosen
+    dimension, and `deps` are the dependences among them.  Asks whether
+    `pluto.level_system` of `deps` over `pluto.dimension_terms` of `choose`
+    is feasible: the chosen iterator coefficient of every statement, its
+    scale, at least 1, every other iterator coefficient zero and the
+    constant shifts free.  Parametric shifts are zero unless requested,
+    since a parametric offset would let misaligned accesses slide past each
+    other and hide a genuine fusion conflict.  Only feasibility counts, so
+    a dependence whose relation is bounded in its iterators for fixed
+    parameters gives its legality rows alone (the system's `feasibility`
+    mode), as in pluto-lp-dfp; an unbounded one keeps its bounding rows,
+    which can make a legal row infeasible.
 
     Most probes are decided without that system, exactly, from the
     dependence minima (`_decided`); only those it leaves open build the
     system and solve it with `ratlp.solve_lexmin`.  The verdict is kept on
     the program under the probe's shape: the dependences' shapes, where
-    their statements stand among `statements`, and each statement's depth
-    and chosen dimension.  Probes of the same shape ask the same question
-    up to the names of the statements and their iterators.
+    their statements stand in `choose`, and each statement's depth and
+    chosen dimension.  Probes of the same shape ask the same question up to
+    the names of the statements and their iterators.
     """
-    place = {s.id: k for k, s in enumerate(statements)}
-    key = (tuple((d.shape, place.get(d.src), place.get(d.dst))
-                 for d in deps),
-           tuple((s.dim, choose.get(s.id)) for s in statements),
+    place = {sid: k for k, sid in enumerate(choose)}
+    key = (tuple((d.shape, place[d.src], place[d.dst]) for d in deps),
+           tuple((program.statement(sid).dim, k) for sid, k in choose.items()),
            parametric_shifts)
     verdict = program._probe_verdicts.get(key)
     if verdict is None:
-        verdict = _decided(program, statements, choose, deps, parametric_shifts)
+        verdict = _decided(program, choose, deps, parametric_shifts)
         if verdict is None:
-            terms = dimension_terms(program, statements, choose, parametric_shifts)
+            terms = dimension_terms(program, choose, parametric_shifts)
             verdict = bool(ratlp.solve_lexmin(ratlp.LPProblem.of(
                 level_system(program, deps, terms, feasibility=True))))
         program._probe_verdicts[key] = verdict
     return verdict
 
 
-def _decided(program: Program, statements: Sequence[Statement],
-             choose: Mapping[str, int], deps: Sequence[DependencePolyhedron],
+def _decided(program: Program, choose: Mapping[str, int],
+             deps: Sequence[DependencePolyhedron],
              parametric_shifts: bool) -> Optional[bool]:
-    """The verdict of a `fusion_probe` without parametric shifts, read off
-    the dependence minima (`model.min_dependence_component`) of the chosen
-    dimensions' unit rows, or None when they leave it open.  Three exact
-    rules decide it, after Kennedy and McKinley's fusion-preventing
-    dependence test:
+    """The verdict of a `fusion_probe`, read off the dependence minima
+    (`model.min_dependence_component`) of the chosen dimensions' unit rows,
+    or None when they leave it open.  Three exact rules decide it, after
+    Kennedy and McKinley's fusion-preventing dependence test:
 
     - a self-dependence scales its distance by the statement's scale alone,
-      since its shifts cancel, so a negative or unbounded minimum refutes
-      the probe for every scale of at least 1;
+      since its shifts, parametric ones too, cancel, so a negative or
+      unbounded minimum refutes the probe for every scale of at least 1;
     - with every scale at 1, each cross dependence's minimum m bounds the
       difference of its two constant shifts, shift(dst) - shift(src) >= -m,
       and shifts meeting every such bound (no negative cycle of minima)
-      with every self-dependence's minimum non-negative are a feasible
-      point, once every dependence is `bounded`, so that the probe adds no
-      bounding row;
+      with every self-dependence's minimum non-negative and every
+      parametric shift at 0 are a feasible point, once every dependence is
+      `bounded`, so that the probe adds no bounding row;
     - a pair of statements is refuted when no positive ratio of their two
       scales passes the cone rows without the constant
-      (`farkas.cone_ratios`) of every cross dependence.
+      (`farkas.cone_ratios`) of every cross dependence.  Only this rule
+      needs constant shifts: a parametric shift could offset those rows'
+      parameter terms.
 
-    Parametric shifts, or a statement without a chosen dimension, leave a
-    probe open, and so does a probe that no rule proves or refutes: one
-    that needs a scale other than 1 or keeps an unbounded dependence's
-    bounding rows, or more than two statements that no shifts fuse at
-    scale 1.
+    A probe that no rule proves or refutes stays open: one that needs a
+    scale other than 1 or keeps an unbounded dependence's bounding rows,
+    or more than two statements, or two with parametric shifts, that no
+    shifts fuse at scale 1.
     """
-    if parametric_shifts or any(s.id not in choose for s in statements):
-        return None
     np = len(program.params)
-    rows = {s.id: unit_row(s, np, choose[s.id]) for s in statements}
+    rows = {sid: unit_row(program.statement(sid), np, k) for sid, k in choose.items()}
     cross = []
     for d in deps:
         m = min_dependence_component(d, rows[d.src], rows[d.dst])
@@ -163,7 +160,8 @@ def _decided(program: Program, statements: Sequence[Statement],
     if all(m is not None for _, m in cross) and all(d.bounded for d in deps) \
             and _shifts_exist(rows, [(d.src, d.dst, m) for d, m in cross]):
         return True
-    if len(statements) == 2 and not _ratio_exists(statements, choose, [d for d, _ in cross]):
+    if len(choose) == 2 and not parametric_shifts \
+            and not _ratio_exists(choose, [d for d, _ in cross]):
         return False
     return None
 
@@ -186,12 +184,12 @@ def _shifts_exist(ids, bounds) -> bool:
     return False
 
 
-def _ratio_exists(statements: Sequence[Statement], choose: Mapping[str, int],
+def _ratio_exists(choose: Mapping[str, int],
                   deps: Sequence[DependencePolyhedron]) -> bool:
     """Is there a positive ratio of the second statement's scale to the
-    first's that every cross dependence of `deps` between the two admits,
-    by `farkas.cone_ratios`?"""
-    a = statements[0].id
+    first's, in the order of `choose`, that every cross dependence of
+    `deps` between the two admits, by `farkas.cone_ratios`?"""
+    a = next(iter(choose))
     lo, hi = 0, None
     for d in deps:
         width = len(d.relation.variables)
@@ -282,7 +280,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
         if not mine:
             continue
         for k in range(s.dim):
-            if not fusion_probe(program, (s,), {s.id: k}, mine):
+            if not fusion_probe(program, {s.id: k}, mine):
                 loops.append((s.id, k))
 
     conflicts = []
@@ -292,7 +290,7 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
                           + by_pair[frozenset((a.id, b.id))],
                           key=position.__getitem__)
         for da, db in product(range(a.dim), range(b.dim)):
-            ok = fusion_probe(program, (a, b), {a.id: da, b.id: db}, involved)
+            ok = fusion_probe(program, {a.id: da, b.id: db}, involved)
             if not ok:
                 conflicts.append(edge((a.id, da), (b.id, db)))
 
@@ -405,10 +403,9 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     groups: list[tuple[str, ...]] = [ids] if ids else []
     cut_groups: dict[int, tuple[tuple[str, ...], ...]] = {}
 
-    fcg = build_fcg(program, live)
+    fcg, sccs = build_fcg(program, live), scc_decompose(ids, live)
     color = 1
     while color <= max_colors:
-        sccs = scc_decompose(ids, live)
         chosen: set[Vertex] = set()
         for idx, comp in enumerate(sccs):
             picked = _color_scc(program, comp, colors, fcg, chosen)
@@ -438,7 +435,7 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
                     f"{color}; the conflict graph admits no convex coloring; "
                     f"live dependences {dependence_list(inside)}")
         live = kept
-        fcg = build_fcg(program, live)
+        fcg, sccs = build_fcg(program, live), scc_decompose(ids, live)
 
     return Coloring({sid: tuple(ks) for sid, ks in colors.items()}, dict(cut_groups), fcg)
 

@@ -101,6 +101,8 @@ def independence_vector(rows: Sequence[Sequence], ncols: int):
     Requiring a positive product with this vector forces the next row out of
     the span.  The converse does not hold: some independent rows violate it,
     a deliberate single-row under-approximation that keeps the system linear.
+    So `ilp` and `lp` refuse some levels that have a legal independent row,
+    as on `tests/fixtures/ilp_independence.json` (ROADMAP item 23).
     Returns None when the rows already have full rank.
     """
     basis = nullspace_basis(rows, ncols)
@@ -197,22 +199,22 @@ def _unit_terms(s: Statement, params: Sequence[str], picks) -> list:
             for k, low in picks]
 
 
-def dimension_terms(program: Program, statements: Sequence[Statement],
-                    choose: Mapping[str, int], parametric_shifts: bool = False) -> Terms:
-    """The `level_system` terms of the level where each statement in
-    `choose` loops over its chosen dimension: per statement of `statements`,
-    that iterator coefficient, at least 1, then each parameter shift when
-    `parametric_shifts` is set, then the constant shift; every shift is
-    free and every other coefficient zero.  The tableau splits a free
-    variable into a positive and a negative half, so `ratlp.solve_lexmin`
-    gives each shift its value of smallest magnitude.
+def dimension_terms(program: Program, choose: Mapping[str, int],
+                    parametric_shifts: bool = False) -> Terms:
+    """The `level_system` terms of the level where each statement of
+    `choose` loops over its chosen dimension: per statement, in the order
+    of `choose`, that iterator coefficient, at least 1, then each parameter
+    shift when `parametric_shifts` is set, then the constant shift; every
+    shift is free and every other coefficient zero.  The tableau splits a
+    free variable into a positive and a negative half, so
+    `ratlp.solve_lexmin` gives each shift its value of smallest magnitude.
     """
     params, nparams = program.params, len(program.params)
     terms = {}
-    for s in statements:
-        picked = [(choose[s.id], 1)] if s.id in choose else []
+    for sid, k in choose.items():
+        s = program.statement(sid)
         shifts = range(s.dim if parametric_shifts else s.dim + nparams, s.dim + nparams + 1)
-        terms[s.id] = _unit_terms(s, params, picked + [(k, None) for k in shifts])
+        terms[sid] = _unit_terms(s, params, [(k, 1)] + [(j, None) for j in shifts])
     return terms
 
 

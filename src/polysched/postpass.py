@@ -74,9 +74,7 @@ def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
         # Each cut holds every statement: one colored here has level - 1 rows.
         active = {s.id: coloring.colors[s.id][color - 1] for s in program.statements
                   if len(coloring.colors[s.id]) >= color}
-        terms = dimension_terms(
-            program, [s for s in program.statements if s.id in active],
-            active, parametric_shifts=True)
+        terms = dimension_terms(program, active, parametric_shifts=True)
         step = solve_level(program, live, terms, level, _component_groups(comps, terms))
         if step is None:
             raise SchedulingError(

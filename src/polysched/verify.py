@@ -562,8 +562,8 @@ def _fuses(prog: Program, deps, choose: Mapping[str, int], parametric: bool) -> 
     """`fusion_probe` of the statements of `choose`, in textual order, on
     their chosen dimensions, over the dependences among them."""
     pool = [d for d in deps if d.src in choose and d.dst in choose]
-    return fusion_probe(prog, [s for s in prog.statements if s.id in choose],
-                        choose, pool, parametric_shifts=parametric)
+    ordered = {s.id: choose[s.id] for s in prog.statements if s.id in choose}
+    return fusion_probe(prog, ordered, pool, parametric_shifts=parametric)
 
 
 def _check_joint_shifts(runs, bound):

@@ -53,31 +53,23 @@ PARAMETRIC_OFFSET = {
 class TestFusionProbe:
     def test_transposed_pair_fuses_only_crosswise(self, by_name):
         inst = by_name["fig1"]
-        s1, s2 = inst.program.statement("S1"), inst.program.statement("S2")
         between = [d for d in inst.deps if {d.src, d.dst} == {"S1", "S2"}]
-        assert not fusion_probe(inst.program, (s1, s2), {"S1": 0, "S2": 0},
-                                between)
-        assert fusion_probe(inst.program, (s1, s2), {"S1": 0, "S2": 1},
-                            between)
+        assert not fusion_probe(inst.program, {"S1": 0, "S2": 0}, between)
+        assert fusion_probe(inst.program, {"S1": 0, "S2": 1}, between)
 
     def test_reversal_never_fuses(self, by_name):
         inst = by_name["distribution_forced"]
-        stmts = inst.program.statements
-        assert not fusion_probe(inst.program, stmts, {"P": 0, "Q": 0},
-                                inst.deps)
+        assert not fusion_probe(inst.program, {"P": 0, "Q": 0}, inst.deps)
 
     def test_constant_offset_is_absorbed_by_free_shifts(self, by_name):
         inst = by_name["shift_pair"]
-        assert fusion_probe(inst.program, inst.program.statements,
-                            {"P": 0, "Q": 0}, inst.deps)
+        assert fusion_probe(inst.program, {"P": 0, "Q": 0}, inst.deps)
 
     def test_parametric_offset_needs_parametric_shifts(self):
         program, deps = analyze(PARAMETRIC_OFFSET)
-        stmts = program.statements
         choose = {"P": 0, "Q": 0}
-        assert not fusion_probe(program, stmts, choose, deps)
-        assert fusion_probe(program, stmts, choose, deps,
-                            parametric_shifts=True)
+        assert not fusion_probe(program, choose, deps)
+        assert fusion_probe(program, choose, deps, parametric_shifts=True)
 
 
     def test_verdicts_of_one_shape_are_solved_once(self, monkeypatch):
@@ -103,9 +95,9 @@ class TestFusionProbe:
             for da in range(2):
                 for db in range(2):
                     choose = {a.id: da, b.id: db}
-                    calls.append((choose, fusion_probe(program, (a, b), choose, between)))
+                    calls.append((choose, fusion_probe(program, choose, between)))
                     fresh = _lexmin(fcg.level_system(program, between,
-                                                     dimension_terms(program, (a, b), choose)))
+                                                     dimension_terms(program, choose)))
                     assert calls[-1][1] == bool(fresh)
         assert len(calls) == 12 and len(decided) == 4
         assert {v for _, v in calls} == {True, False}
@@ -141,10 +133,9 @@ class TestFusionProbe:
                            for k, sid in enumerate("PQR")],
             "dependences": [{"src": a, "dst": "Q", "kind": "RAW",
                              "relation": relation} for a in "PR"]})
-        p, q, r = program.statements
-        assert fusion_probe(program, (p, q), {"P": 0, "Q": 1}, deps[:1])
-        assert not fusion_probe(program, (q, r), {"Q": 0, "R": 1}, deps[1:])
-        assert not fusion_probe(program, (p, q), {"P": 1, "Q": 0}, deps[:1])
+        assert fusion_probe(program, {"P": 0, "Q": 1}, deps[:1])
+        assert not fusion_probe(program, {"Q": 0, "R": 1}, deps[1:])
+        assert not fusion_probe(program, {"P": 1, "Q": 0}, deps[:1])
 
 
 class TestDecidedByMinima:
@@ -157,28 +148,32 @@ class TestDecidedByMinima:
         dependences of `deps` among them, and whether it built a level
         system.  The verdict must equal the LP's on the feasibility
         system."""
-        statements = [s for s in program.statements if s.id in choose]
         deps = [d for d in deps if d.src in choose and d.dst in choose]
         built = []
         build = fcg.level_system
         monkeypatch.setattr(fcg, "level_system",
                             lambda *a, **k: built.append(a) or build(*a, **k))
         program._probe_verdicts.clear()
-        verdict = fusion_probe(program, statements, choose, deps, parametric)
-        terms = dimension_terms(program, statements, choose, parametric)
+        verdict = fusion_probe(program, choose, deps, parametric)
+        terms = dimension_terms(program, choose, parametric)
         assert verdict == bool(_lexmin(build(program, deps, terms, feasibility=True)))
         return verdict, bool(built)
 
     def test_a_negative_self_distance_refutes(self, by_name, monkeypatch):
         # S(t, i) reads what S(t - 1, i + 1) wrote: the i distance is -1.
+        # Parametric shifts cancel in a self-dependence like constant ones.
         inst = by_name["stencil1d"]
         assert self.probe(monkeypatch, inst.program, inst.deps, {"S": 1}) == (False, False)
+        assert self.probe(monkeypatch, inst.program, inst.deps, {"S": 1}, True) == (False, False)
 
     def test_aligned_shifts_are_a_witness(self, by_name, monkeypatch):
         # Q(i) reads a[i - 2], which P(i - 2) wrote: at scale 1 the
-        # distance is 2, so equal shifts fuse.
+        # distance is 2, so equal shifts fuse, with every parametric shift
+        # at 0 when there are some.
         inst = by_name["shift_pair"]
-        assert self.probe(monkeypatch, inst.program, inst.deps, {"P": 0, "Q": 0}) == (True, False)
+        for parametric in (False, True):
+            assert self.probe(monkeypatch, inst.program, inst.deps, {"P": 0, "Q": 0},
+                              parametric) == (True, False)
 
     def test_no_ratio_of_scales_refutes(self, by_name, monkeypatch):
         # S2(i, j) reads S1(j, i): the i distance is unbounded at every
@@ -228,7 +223,9 @@ class TestDecidedByMinima:
 
     def test_parametric_shifts_reach_the_lp(self, monkeypatch):
         # Only a parametric shift aligns P and Q, and the minima never
-        # bound one.
+        # bound one, so only the ratio rule could decide this probe.  It
+        # reads the shifts as constants: with parametric shifts the LP
+        # decides, and fuses.
         program, deps = analyze(PARAMETRIC_OFFSET)
         assert self.probe(monkeypatch, program, deps, {"P": 0, "Q": 0}) == (False, False)
         assert self.probe(monkeypatch, program, deps, {"P": 0, "Q": 0}, True) == (True, True)
@@ -526,10 +523,9 @@ def test_probe_verdicts_equal_the_full_system(monkeypatch):
     probes = []
     probe = fcg.fusion_probe
 
-    def recorded(program, statements, choose, deps, parametric_shifts=False):
-        verdict = probe(program, statements, choose, deps, parametric_shifts)
-        probes.append((program, tuple(statements), dict(choose), tuple(deps),
-                       parametric_shifts, verdict))
+    def recorded(program, choose, deps, parametric_shifts=False):
+        verdict = probe(program, choose, deps, parametric_shifts)
+        probes.append((program, dict(choose), tuple(deps), parametric_shifts, verdict))
         return verdict
 
     monkeypatch.setattr(fcg, "fusion_probe", recorded)
@@ -544,14 +540,14 @@ def test_probe_verdicts_equal_the_full_system(monkeypatch):
     verify._check_fusion_transitivity(runs, 3)
     assert len(probes) > 1000
     checked, legality_only = set(), 0
-    for program, stmts, choose, deps, parametric, verdict in probes:
-        key = (id(program), tuple(s.id for s in stmts), tuple(choose.items()),
+    for program, choose, deps, parametric, verdict in probes:
+        key = (id(program), tuple(choose.items()),
                tuple(map(id, deps)), parametric)
         if key in checked:
             continue
         checked.add(key)
         legality_only += all(d.bounded for d in deps)
-        terms = dimension_terms(program, stmts, choose, parametric)
+        terms = dimension_terms(program, choose, parametric)
         full = _lexmin(fcg.level_system(program, deps, terms))
         assert verdict == bool(full), (program, choose, parametric)
     assert {v for *_, v in probes} == {True, False}
@@ -564,7 +560,7 @@ def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
     workload, every fixture and 300 `random_nest` nests under seed 7, and
     that the dependence minima decide (`fcg._decided`), gets the verdict of
     the LP on its feasibility system.  They decide all but a few of the
-    probes without parametric shifts."""
+    probes without parametric shifts, and most of the 849 with them."""
     named = (workloads.programs("corpus", ROOT / "src") + [("chain8", workloads.chain(8))]
              + workloads.programs("random", ROOT / "src")
              + [(p.stem, json.loads(p.read_text())) for p in sorted(FIXTURES.glob("*.json"))]
@@ -588,15 +584,19 @@ def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
             name=name, program=program, deps=deps)))
     verify._check_joint_shifts(runs, 3)
     verify._check_fusion_transitivity(runs, 3)
-    assert all(verdict is None for *_, parametric, verdict in asked if parametric)
-    plain = [probe for probe in asked if not probe[4]]
-    decided = [probe for probe in plain if probe[5] is not None]
-    for program, stmts, choose, deps, parametric, verdict in decided:
-        terms = dimension_terms(program, stmts, choose, parametric)
-        lp = _lexmin(fcg.level_system(program, deps, terms, feasibility=True))
-        assert verdict == bool(lp), (choose, [d.label for d in deps])
+    for program, choose, deps, parametric, verdict in asked:
+        if verdict is not None:
+            terms = dimension_terms(program, choose, parametric)
+            lp = _lexmin(fcg.level_system(program, deps, terms, feasibility=True))
+            assert verdict == bool(lp), (choose, [d.label for d in deps], parametric)
+    plain = [probe for probe in asked if not probe[3]]
+    decided = [probe for probe in plain if probe[4] is not None]
     assert {v for *_, v in decided} == {True, False}
     assert len(decided) > 1400 and len(plain) - len(decided) < 50
+    parametric = [probe for probe in asked if probe[3]]
+    decided = [probe for probe in parametric if probe[4] is not None]
+    assert {v for *_, v in decided} == {True, False}
+    assert len(decided) > 550
 
 
 def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypatch):

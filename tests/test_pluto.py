@@ -337,8 +337,7 @@ class TestSolveLevel:
 
     def aligned(self, two_pairs, groups, mode=LP):
         program, deps = two_pairs
-        terms = dimension_terms(program, program.statements,
-                                {s.id: 0 for s in program.statements}, True)
+        terms = dimension_terms(program, {s.id: 0 for s in program.statements}, True)
         unknowns = {sid: [u for u, _, _ in listed] for sid, listed in terms.items()}
         return solve_level(program, [d for d in deps if d.ordering], terms, 1,
                            [[u for sid in g for u in unknowns[sid]] for g in groups],
@@ -356,7 +355,7 @@ class TestSolveLevel:
 
     def test_bound_variables_in_a_group_count(self, by_name):
         inst = by_name["scaling_pair"]
-        terms = dimension_terms(inst.program, inst.program.statements, {"P": 0, "Q": 0})
+        terms = dimension_terms(inst.program, {"P": 0, "Q": 0})
         unknowns = [u for listed in terms.values() for u, _, _ in listed]
         third = [({"w": 3}, -1)]  # w >= 1/3
         deps = [d for d in inst.deps if d.ordering]

@@ -373,8 +373,7 @@ class TestUnboundedSelfDependence:
     def test_probe_keeps_the_bounding_rows(self):
         program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
         assert [d.label for d in deps] == ["A:0->1@0"] and not deps[0].bounded
-        s = program.statement("S")
-        assert not fusion_probe(program, (s,), {"S": 0}, deps)
+        assert not fusion_probe(program, {"S": 0}, deps)
 
     def test_dfp_fails_in_coloring(self):
         program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))

@@ -641,10 +641,10 @@ def workload_systems():
             return solve(problem, *args)
         return recorded
 
-    def probed(program, statements, choose, deps, parametric_shifts=False):
-        terms = dimension_terms(program, statements, choose, parametric_shifts)
+    def probed(program, choose, deps, parametric_shifts=False):
+        terms = dimension_terms(program, choose, parametric_shifts)
         record(level_system(program, deps, terms, feasibility=True), False)
-        return probe(program, statements, choose, deps, parametric_shifts)
+        return probe(program, choose, deps, parametric_shifts)
 
     probe = fcg.fusion_probe
     with pytest.MonkeyPatch.context() as mp:
