@@ -310,10 +310,10 @@ class Coloring(NamedTuple):
     `colors[sid][c-1]` is the dimension of `sid` placed at color `c`; the
     list covers every dimension of the statement, outermost color first.
     `cut_groups` maps a color to the distribution in force when that color
-    was completed; the k-th cut color c (from 0) becomes the scalar level
-    c + k, right before the color's loop level.  `fcg` is the conflict
-    graph of the dependences still live at the end, so a dependence that a
-    cut or a drop removed is missing from it.
+    was completed, the scalar level right before the color's loop level:
+    c + k for the k-th cut color c (from 0), plus scale/shift's retry cuts
+    before it.  `fcg` is the conflict graph of the dependences still live
+    at the end, so a dependence that a cut or a drop removed is not in it.
     """
 
     colors: Mapping[str, tuple[int, ...]]

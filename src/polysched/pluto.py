@@ -7,11 +7,11 @@ lexicographically, then per-statement trivial solutions and linearly dependent
 rows are excluded.  The integer and rational variants share everything but
 the final solve; rational solutions are rescaled to integers afterwards.
 
-When no row exists the scheduler first retires dependences already satisfied
-at an earlier level, and failing that distributes the strongly connected
-components apart with a constant level (`model.place_cut`).  That satisfies
-exactly the live dependences between them; when there are none, as with a
-single SCC, the error names the live dependences.
+Every path's levels are one `walk`.  When a level has no row the walk first
+retires dependences satisfied at an earlier level, and failing that cuts the
+strongly connected components apart with a constant level (`model.place_cut`)
+and retries one level down.  That satisfies exactly the live dependences
+between them; when there are none, the error names the live dependences.
 """
 
 from __future__ import annotations
@@ -229,8 +229,8 @@ class Step(NamedTuple):
     `factors` holds one int per group of variables `solve_level` scaled,
     the lcm of that group's denominators, and `rows`, the level's row of
     each statement it placed, is `raw` times those factors, read off by
-    `level_rows`: its entries are ints.  `component` is `schedule`'s index
-    of the weakly connected component the step is in, None outside one.
+    `level_rows`: its entries are ints.  `component` is the index of the
+    weakly connected component of the step when `walk` walked them apart.
     """
 
     level: int
@@ -283,11 +283,14 @@ def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
 
 
 def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequence]):
-    """Iterator parts of the rows found so far and completion per statement."""
+    """Iterator parts of the rows found so far and completion per statement:
+    every level keeps a new part out of the span of the earlier ones (an
+    independence guide, or an unused axis or color), so a statement has full
+    rank once it has one nonzero part per loop."""
     parts, complete = {}, {}
     for s in statements:
         parts[s.id] = [r[:s.dim] for r in prior.get(s.id, ()) if any(r[:s.dim])]
-        complete[s.id] = s.dim == 0 or row_rank(parts[s.id]) == s.dim
+        complete[s.id] = len(parts[s.id]) == s.dim
     return parts, complete
 
 
@@ -370,22 +373,34 @@ def _is_parallel(program: Program, assignment: Mapping[str, Fraction]) -> bool:
     return all(not assignment.get(v) for v in bound_variables(program.params))
 
 
-def schedule(program: Program, deps: Sequence[DependencePolyhedron],
-             config: SchedulerConfig = DEFAULT) -> ScheduleResult:
-    """Full transform: weakly connected components are scheduled separately
-    (each with its own bound minimization) under an outer distribution level
-    when there is more than one.  Each component is one walk over its
-    levels, and each retire or cut there ends a band.  A walk ends once
-    every statement has full rank and no dependence that runs against
-    textual order is left unsatisfied; a trailing cut orders such a one."""
+def walk(program: Program, deps: Sequence[DependencePolyhedron], choose,
+         cuts_before: Mapping[int, Sequence[Sequence[str]]] = {},
+         *, apart: bool = True) -> ScheduleResult:
+    """The level loop of every path.  `choose(statements, live, rows, level,
+    nth)` gives the loop step of `level`, its component's nth loop level,
+    over the live ordering dependences and each statement's rows so far, or
+    None when the level has no row or every statement has full rank.
+
+    With `apart`, weakly connected components are walked one by one under a
+    distribution level, steps naming their index; else all statements are
+    walked together.  `cuts_before[n]` is cut right before the nth.  A
+    level with no row retires the dependences the rows above satisfy, or
+    else cuts the SCCs of the live ones (`model.place_cut`) and retries one
+    level down; a cut that satisfies none raises.  Each run of loop levels
+    up to a level with no row, solved over one live set, is a permutable
+    `Band`.  The walk ends at full rank with no dependence against textual
+    order live; a trailing cut orders such a one.
+    """
     deps = tuple(d for d in deps if d.ordering)
-    comps = components([s.id for s in program.statements], deps)
+    ids = [s.id for s in program.statements]
+    comps = components(ids, deps) if apart else (tuple(ids),)
     order = {s.id: s.textual_order for s in program.statements}
 
-    rows: dict[str, list] = {s.id: [] for s in program.statements}
+    rows: dict[str, list] = {sid: [] for sid in ids}
     bands: list[Band] = []
     cuts: list[Cut] = []
     steps: list[Step] = []
+    planned = dict(cuts_before)
 
     start = 1
     if len(comps) > 1:
@@ -394,16 +409,24 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
         start = 2
 
     for ci, comp in enumerate(comps):
+        tag = ci if apart else None
         stmts = [program.statement(sid) for sid in comp]
-        live = [d for d in deps if d.src in comp]
+        members = set(comp)
+        live = [d for d in deps if d.src in members]
         level = band_start = start
+        nth = 1
         while True:
-            step = find_hyperplane(program, stmts, live, rows, config, level)
+            if nth in planned:
+                cuts.append(place_cut(program, rows, level, planned.pop(nth)))
+                steps.append(Step(level, "cut", component=tag))
+                level += 1
+            step = choose(stmts, live, rows, level, nth)
             if step is not None:
                 for sid, row in step.rows.items():
                     rows[sid].append(row)
-                steps.append(step._replace(component=ci))
+                steps.append(step._replace(component=tag))
                 level += 1
+                nth += 1
                 continue
             if level > band_start:
                 bands.append(Band(band_start, level - 1, True,
@@ -415,7 +438,7 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
             kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
             if len(kept) == len(live):
                 cuts.append(place_cut(program, rows, level, scc_decompose(comp, live)))
-                steps.append(Step(level, "cut", component=ci))
+                steps.append(Step(level, "cut", component=tag))
                 kept = unsatisfied(live, AffineTransform.of(program, rows), level)
                 if len(kept) == len(live):
                     raise SchedulingError(
@@ -428,3 +451,11 @@ def schedule(program: Program, deps: Sequence[DependencePolyhedron],
     transform = AffineTransform.of(program, rows, bands,
                                    sorted(cuts, key=lambda c: c.level))
     return ScheduleResult(transform, tuple(steps), comps)
+
+
+def schedule(program: Program, deps: Sequence[DependencePolyhedron],
+             config: SchedulerConfig = DEFAULT) -> ScheduleResult:
+    """Full transform: a `walk` of the weakly connected components apart,
+    each level `find_hyperplane`'s, with its own bound minimization."""
+    return walk(program, deps, lambda statements, live, rows, level, nth: find_hyperplane(
+        program, statements, live, rows, config, level))

@@ -3,8 +3,9 @@
 Both passes only choose per-statement terms, extra rows and groups:
 `pluto.solve_level` builds and solves each level, scales it to integers
 with one group per weakly connected component, and reads the rows back.
-`scale_and_shift` solves each color's picks on `pluto.dimension_terms`,
-the terms of the fusion probes' systems: the picked coefficient may grow past 1
+`scale_and_shift` walks its levels as `pluto.schedule` does, by
+`pluto.walk`, and solves each color's picks on `pluto.dimension_terms`, the
+terms of the fusion probes' systems: the picked coefficient may grow past 1
 and the shifts are free, so fused statements can slide against each other.
 `introduce_skew` then walks the bands, the runs of loop levels between
 cuts.  A band's live set is the ordering dependences `model.unsatisfied`
@@ -26,15 +27,11 @@ from .model import (
     Band,
     DependencePolyhedron,
     Program,
-    SchedulingError,
     components,
-    dependence_list,
     negative,
-    place_cut,
-    scc_decompose,
     unsatisfied,
 )
-from .pluto import Step, Terms, dimension_terms, solve_level
+from .pluto import Step, Terms, dimension_terms, solve_level, walk
 
 
 def _component_groups(comps: Sequence[Sequence[str]], terms: Terms) -> list[list[str]]:
@@ -45,57 +42,27 @@ def _component_groups(comps: Sequence[Sequence[str]], terms: Terms) -> list[list
 
 def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
                     coloring: Coloring):
-    """Solve one loop level per color, outermost first, with free shifts.
-
-    A cut recorded at color c is placed by `model.place_cut` right before
-    color c's loop level, and a dependence already satisfied by the rows
-    above (cuts included) no longer constrains deeper levels.  When a
-    dependence that runs against textual order is still unsatisfied after
-    the last color, a trailing cut distributes the strongly connected
-    components of the unsatisfied dependences, as `pluto.schedule` does,
-    and an error is raised if that leaves one unsatisfied.  Returns the
-    scaled transform and one `Step` per level.
+    """Solve one loop level per color, outermost first, with free shifts:
+    one `pluto.walk` of every statement together, whose nth loop level is
+    color n's.  A cut recorded at color n comes right before it.  Each
+    statement colored n takes that dimension on `pluto.dimension_terms`,
+    over the dependences the rows above leave unsatisfied, scaled with one
+    group per weakly connected component.  Returns the scaled transform,
+    whose bands `introduce_skew` sets, and one `Step` per level.
     """
-    ordering = [d for d in deps if d.ordering]
-    ids = [s.id for s in program.statements]
-    comps = components(ids, deps)
-    acc: dict[str, list] = {s.id: [] for s in program.statements}
-    cuts = []
-    steps = []
+    comps = components([s.id for s in program.statements], deps)
 
-    for color in range(1, max((s.dim for s in program.statements), default=0) + 1):
-        level = color + len(cuts)
-        if color in coloring.cut_groups:
-            cuts.append(place_cut(program, acc, level, coloring.cut_groups[color]))
-            steps.append(Step(level, "cut"))
-            level += 1
-
-        live = unsatisfied(ordering, AffineTransform.of(program, acc))
-        # Each cut holds every statement: one colored here has level - 1 rows.
-        active = {s.id: coloring.colors[s.id][color - 1] for s in program.statements
-                  if len(coloring.colors[s.id]) >= color}
+    def color_level(statements, live, rows, level, nth):
+        active = {s.id: coloring.colors[s.id][nth - 1] for s in statements
+                  if len(coloring.colors[s.id]) >= nth}
+        if not active:
+            return None
+        live = unsatisfied(live, AffineTransform.of(program, rows))
         terms = dimension_terms(program, active, parametric_shifts=True)
-        step = solve_level(program, live, terms, level, _component_groups(comps, terms))
-        if step is None:
-            raise SchedulingError(
-                f"no legal scaling and shifting exists at level {level}: "
-                f"statements {', '.join(active)}; live dependences {dependence_list(live)}")
-        for sid, row in step.rows.items():
-            acc[sid].append(row)
-        steps.append(step)
+        return solve_level(program, live, terms, level, _component_groups(comps, terms))
 
-    order = {s.id: s.textual_order for s in program.statements}
-    back = [d for d in ordering if order[d.src] > order[d.dst]]
-    if back and unsatisfied(back, AffineTransform.of(program, acc)):
-        level = len(steps) + 1
-        live = unsatisfied(ordering, AffineTransform.of(program, acc))
-        cuts.append(place_cut(program, acc, level, scc_decompose(ids, live)))
-        steps.append(Step(level, "cut"))
-        if unsatisfied(back, AffineTransform.of(program, acc)):
-            raise SchedulingError(
-                f"distribution at level {level} makes no progress; "
-                f"live dependences {dependence_list(live)}")
-    return AffineTransform.of(program, acc, (), cuts), tuple(steps)
+    out = walk(program, deps, color_level, coloring.cut_groups, apart=False)
+    return out.transform._replace(bands=()), out.steps
 
 
 # -- skewing -------------------------------------------------------------------

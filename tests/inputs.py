@@ -2,8 +2,9 @@
 
 The checkout's scripts are loaded here once, from their paths:
 `workloads` is the benchmark's `perfbench/workloads.py`, `oracle` its
-`perfbench/oracle.py`, `tracer` its `perfbench/tracer.py`, and
-`bench_chain` is `scripts/bench_chain.py`.
+`perfbench/oracle.py`, `tracer` its `perfbench/tracer.py`,
+`bench_chain` is `scripts/bench_chain.py` and `census` is
+`scripts/census.py`.
 `FIXTURES` holds the fixture programs, and `DFP_REFUSES` names the ones
 that `dfp` fails on by design.
 """
@@ -17,8 +18,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 
 #: Fixtures whose `dfp` run raises `SchedulingError`, each with a pinned
 #: message in CI's fixture loop.
-DFP_REFUSES = ("dfp_missing_row", "no_progress_distribution", "scale_shift_infeasible",
-               "unbounded_self_dependence")
+DFP_REFUSES = ("no_progress_distribution", "unbounded_self_dependence")
 
 
 def _load(name: str, relative: str):
@@ -35,3 +35,4 @@ workloads = _load("perfbench_workloads", "perfbench/workloads.py")
 oracle = _load("perfbench_oracle", "perfbench/oracle.py")
 tracer = _load("perfbench_tracer", "perfbench/tracer.py")
 bench_chain = _load("bench_chain", "scripts/bench_chain.py")
+census = _load("census", "scripts/census.py")

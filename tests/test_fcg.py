@@ -645,29 +645,48 @@ def test_scaled_rows_sit_where_the_coloring_put_them():
     chain(8), every fixture and the first 100 `random_nest` nests under
     seed 2, a statement colored c has exactly one nonzero iterator
     coefficient at color c's loop level of `dfp.scaled`, on the dimension
-    it took at c, and the k-th cut color c (from 0) sits at level c + k.
-    Only a trailing cut, at the last level, may follow those cuts."""
+    it took at c, and the k-th cut color c (from 0) sits right before it.
+    Both sit at c + k plus the retry cuts before them: the `cut` steps the
+    walk placed where a color's level had no row, each right before that
+    color's level.  Only a trailing cut, at the last level, follows the
+    last color."""
     fixtures = sorted(FIXTURES.glob("*.json"))
     named = ([("chain8", workloads.chain(8))] + _random_nests(100, seed=2)
              + [(p.stem, json.loads(p.read_text())) for p in fixtures])
     instances = [(i.name, i.program, i.deps) for i in verify.load_corpus()]
     instances += [(name, *analyze(data)) for name, data in named]
-    cut_at = 0
+    cut_at = retried = 0
     for name, program, deps in instances:
         try:
             out = dfp_schedule(program, deps)
         except SchedulingError:
             assert name in DFP_REFUSES
             continue
-        cut_colors = sorted(out.coloring.cut_groups)
-        assert out.scaled.cuts[:len(cut_colors)] == tuple(
-            Cut(c + k, out.coloring.cut_groups[c]) for k, c in enumerate(cut_colors)), name
-        trailing = [c.level for c in out.scaled.cuts[len(cut_colors):]]
-        assert trailing in ([], [out.scaled.levels]), name
-        for s in program.statements:
-            for c, k in enumerate(out.coloring.colors[s.id], 1):
-                level = c + sum(cut <= c for cut in cut_colors)
-                its = out.scaled.row(s.id, level)[:s.dim]
-                assert [j for j, x in enumerate(its) if x] == [k], (name, s.id, c)
-        cut_at += bool(cut_colors)
-    assert cut_at > 0
+        scale = iter(out.steps[:len(out.steps) - len(out.skew.skewed)])
+        cuts = iter(out.scaled.cuts)
+        planned = sorted(out.coloring.cut_groups)
+        retries = 0
+        for c in range(1, max(map(len, out.coloring.colors.values()), default=0) + 1):
+            k = sum(cut < c for cut in planned)
+            step = next(scale)
+            if c in planned:
+                assert (step.kind, step.level) == ("cut", c + k + retries), (name, c)
+                assert next(cuts) == Cut(step.level, out.coloring.cut_groups[c]), (name, c)
+                step = next(scale)
+            while step.kind == "cut":
+                assert next(cuts).level == step.level, (name, c)
+                retries += 1
+                step = next(scale)
+            level = c + k + (c in planned) + retries
+            assert (step.kind, step.level) == ("loop", level), (name, c)
+            for s in program.statements:
+                if len(out.coloring.colors[s.id]) >= c:
+                    its = out.scaled.row(s.id, level)[:s.dim]
+                    assert [j for j, x in enumerate(its) if x] == [
+                        out.coloring.colors[s.id][c - 1]], (name, s.id, c)
+        trailing = [(s.kind, s.level) for s in scale]
+        assert trailing in ([], [("cut", out.scaled.levels)]), name
+        assert [c.level for c in cuts] == [level for _, level in trailing], name
+        cut_at += bool(planned)
+        retried += retries
+    assert cut_at > 0 and retried > 0

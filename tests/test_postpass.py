@@ -80,10 +80,14 @@ class TestScaleAndShift:
 
     def test_illegal_permutation_is_rejected(self, by_name):
         # Space outermost on the stencil: the +1/-1 reaches cannot be carried
-        # by any scaling, and a self-dependence offers no shift to hide in.
+        # by any scaling, a self-dependence offers no shift to hide in, and a
+        # cut of the one statement satisfies nothing.
         inst = by_name["stencil1d"]
         space_first = color_fcg(inst.program, inst.deps)._replace(colors={"S": (1, 0)})
-        with pytest.raises(SchedulingError, match="no legal scaling"):
+        with pytest.raises(SchedulingError, match=(
+                "^no transformation row exists at level 1 for statements S, and "
+                "distribution makes no progress; live dependences S->S A:0->1@0, "
+                "S->S A:0->2@0, S->S A:0->3@0$")):
             scale_and_shift(inst.program, inst.deps, space_first)
 
     def test_trailing_cut_orders_a_dependence_against_textual_order(self):
@@ -108,8 +112,10 @@ class TestScaleAndShift:
             {"id": "T", "iterators": ["i"], "domain": LINE}], "dependences": [
             {"src": "S", "dst": "T", "kind": "RAW", "relation": same},
             {"src": "T", "dst": "S", "kind": "RAW", "relation": same}]})
-        with pytest.raises(SchedulingError, match="^distribution at level 2 makes no "
-                           "progress; live dependences S->T explicit0, T->S explicit1$"):
+        with pytest.raises(SchedulingError, match=(
+                "^no transformation row exists at level 2 for statements S, T, and "
+                "distribution makes no progress; live dependences S->T explicit0, "
+                "T->S explicit1$")):
             dfp_schedule(program, deps)
 
     def test_record_collects_level_systems(self, by_name):
@@ -290,31 +296,28 @@ def test_skew_below_a_cut_sees_only_live_dependences():
     assert full_rank(program, out.transform)
 
 
-#: A random nest on which scale/shift finds no row at level 2: the level-1
-#: lexmin leaves S1->S2 unsatisfied, only S1 still loops at level 2, and
-#: there S0->S1 needs phi_S1 >= 0 while S1->S2 needs phi_S1 <= 0 for all j.
+#: A random nest on which scale/shift finds no row at level 2 as colored:
+#: the level-1 lexmin leaves S1->S2 unsatisfied, only S1 still loops at
+#: level 2, and there S0->S1 needs phi_S1 >= 0 while S1->S2 needs
+#: phi_S1 <= 0 for all j.
 SCALE_SHIFT_INFEASIBLE = FIXTURES / "scale_shift_infeasible.json"
 
 
 class TestScaleShiftInfeasible:
-    """`dfp` fails on this nest while `lp` and `ilp` schedule it.  Once the
-    pipeline falls back to distribution when scale/shift finds a level
-    infeasible, `dfp` schedules it too and this becomes a success case."""
+    """Every path schedules this nest legally at full rank: `dfp` cuts the
+    live dependences' components at level 2, as `lp` and `ilp` do where a
+    level has no row, and places S1's second color one level down."""
 
-    def test_error_names_level_statements_and_dependences(self):
+    def test_dfp_cuts_and_retries_one_level_down(self):
         program, deps = analyze(json.loads(SCALE_SHIFT_INFEASIBLE.read_text()))
-        with pytest.raises(SchedulingError) as err:
-            dfp_schedule(program, deps)
-        message = str(err.value)
-        assert "at level 2:" in message
-        assert "statements S1;" in message
-        assert "S0->S1 A:0->0" in message and "S1->S2 A:0->0" in message
-
-    def test_cli_exits_3_with_the_message(self, capsys):
-        assert main(["schedule", str(SCALE_SHIFT_INFEASIBLE)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("internal error: no legal scaling and shifting "
-                              "exists at level 2: statements S1;")
+        out = dfp_schedule(program, deps)
+        assert out.coloring.colors == {"S0": (0,), "S1": (0, 1), "S2": (0,)}
+        assert out.coloring.cut_groups == {}
+        assert [(s.level, s.kind) for s in out.steps] == [(1, "loop"), (2, "cut"), (3, "loop")]
+        assert out.transform.cuts == (Cut(2, (("S0",), ("S1",), ("S2",))),)
+        assert out.transform.rows["S1"][2][:2] == (0, 1)
+        assert check_legality(program, deps, out.transform).ok
+        assert full_rank(program, out.transform)
 
     @pytest.mark.parametrize("mode", [LP, ILP])
     def test_lp_and_ilp_schedule_it(self, mode):

@@ -22,7 +22,7 @@ from polysched.verify import (
     parse_instance, statement_ranks, theorem_suite,
 )
 
-from inputs import DFP_REFUSES, FIXTURES, ROOT, oracle
+from inputs import DFP_REFUSES, FIXTURES, ROOT, census, oracle, workloads
 
 F = Fraction
 
@@ -418,12 +418,6 @@ _NO_COLOR = ("no dimension of S can take color 1; the conflict graph admits no "
 PINNED_REFUSALS = {
     ("unbounded_self_dependence", "dfp"): _NO_COLOR,
     ("no_progress_distribution", "dfp"): _NO_COLOR,
-    ("scale_shift_infeasible", "dfp"): (
-        "no legal scaling and shifting exists at level 2: statements S1; live "
-        "dependences S0->S1 A:0->0, S1->S1 A:0->0@1, S1->S2 A:0->0"),
-    ("dfp_missing_row", "dfp"): (
-        "no legal scaling and shifting exists at level 1: statements S2; live "
-        "dependences S0->S2 explicit0, S2->S1 explicit1"),
     **{("unbounded_self_dependence", path): (
         "no transformation row exists at level 1 for statements S, and distribution "
         "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
@@ -457,42 +451,16 @@ def test_every_path_is_legal_on_every_fixture(name, path):
     assert full_rank(program, transform)
 
 
-def explicit_program(rng):
-    """1-3 statements of depth 0-2 over [0, N-1] and 1-3 explicit RAW
-    edges, each pairing s_k = t_k + c on the loops both ends have, with c in
-    {-1, 0, 1}; and whether an edge pairs an instance with itself."""
-    depths = [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
-    statements = []
-    for k, depth in enumerate(depths):
-        domain = []
-        for d in range(depth):
-            unit = [int(d == e) for e in range(depth)]
-            domain += [unit + [0, 0, ">="], [-u for u in unit] + [1, -1, ">="]]
-        statements.append({"id": f"S{k}", "iterators": ["i", "j"][:depth],
-                           "domain": domain})
-    deps, reflexive = [], False
-    for _ in range(rng.randint(1, 3)):
-        a, b = rng.randrange(len(depths)), rng.randrange(len(depths))
-        m, n = depths[a], depths[b]
-        relation = []
-        for k in range(min(m, n)):
-            row = [0] * (m + n + 2) + ["=="]
-            row[k], row[m + k], row[-2] = 1, -1, -rng.choice((-1, 0, 1))
-            relation.append(row)
-        reflexive |= a == b and not any(row[-2] for row in relation)
-        deps.append({"src": f"S{a}", "dst": f"S{b}", "kind": "RAW", "relation": relation})
-    return {"params": ["N"], "statements": statements, "dependences": deps}, reflexive
-
-
 def test_every_path_is_legal_on_explicit_dependences():
     """On 240 generated explicit-dependence programs, some of whose edges
     run against textual order, each path gives a legal, full-rank
-    transform or raises; only a program with an ordering self-dependence
-    that pairs an instance with itself is refused, as bad input."""
+    transform or raises, and `dfp` raises only where `lp` does too; only a
+    program with an ordering self-dependence that pairs an instance with
+    itself is refused, as bad input."""
     rng = random.Random(1)
     outcomes = set()
     for n in range(240):
-        data, reflexive = explicit_program(rng)
+        data, reflexive = census.explicit_program(rng)
         try:
             program, deps = analyze(data)
         except ParseError as exc:
@@ -501,6 +469,7 @@ def test_every_path_is_legal_on_explicit_dependences():
             outcomes.add("refused")
             continue
         assert not reflexive, n
+        scheduled = set()
         for path in (ILP, LP, "dfp"):
             try:
                 transform = _run(path, program, deps)
@@ -510,4 +479,22 @@ def test_every_path_is_legal_on_explicit_dependences():
             assert check_legality(program, deps, transform).ok, (n, path)
             assert full_rank(program, transform), (n, path)
             outcomes.add("scheduled")
+            scheduled.add(path)
+        assert "dfp" in scheduled or LP not in scheduled, n
     assert outcomes == {"refused", "raised", "scheduled"}
+
+
+def test_dfp_schedules_every_random_nest_that_lp_does():
+    """On the first 100 `random_nest` nests under seed 1, `dfp` gives a
+    legal, full-rank transform wherever `lp` schedules the nest: where a
+    color's level has no row, the walk distributes and retries."""
+    rng = random.Random(1)
+    for k in range(100):
+        program, deps = analyze(workloads.random_nest(rng))
+        try:
+            _run(LP, program, deps)
+        except SchedulingError:
+            continue
+        transform = _run("dfp", program, deps)
+        assert check_legality(program, deps, transform).ok, k
+        assert full_rank(program, transform), k
