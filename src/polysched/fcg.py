@@ -14,18 +14,20 @@ solve it as an LP, so building the graph costs a quadratic number of cone
 reads and a handful of solves instead of one monolithic scheduling problem.
 
 Coloring the graph one color per loop level, outermost first and in one
-pass, picks each statement's dimension per level for `postpass`.  When a
-color cannot be completed, only that color is undone: the coloring falls
-back to loop distribution or to removing the dependences the placed colors
-satisfy, and tries the color again.
+pass, picks each statement's dimension per level for `postpass`.  Each
+strongly connected component takes its dimensions at a color by one
+depth-first search, `colorable_dimension`, the lexicographically first
+compatible pick; the property suite asks the same search of each component
+alone.  When a color cannot be completed, only that color is undone: the
+coloring falls back to loop distribution or to removing the dependences the
+placed colors satisfy, and tries the color again.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, groupby, product
-from math import prod
+from itertools import combinations, groupby, product
 from operator import itemgetter
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 
 from . import ratlp
 from .farkas import cone_ratios
@@ -91,11 +93,11 @@ def fusion_probe(program: Program, choose: Mapping[str, int],
     scale, at least 1, every other iterator coefficient zero and the
     constant shifts free.  Parametric shifts are zero unless requested,
     since a parametric offset would let misaligned accesses slide past each
-    other and hide a genuine fusion conflict.  Only feasibility counts, so
-    a dependence whose relation is bounded in its iterators for fixed
-    parameters gives its legality rows alone (the system's `feasibility`
-    mode), as in pluto-lp-dfp; an unbounded one keeps its bounding rows,
-    which can make a legal row infeasible.
+    other and hide a genuine fusion conflict.  Only feasibility counts:
+    the bounding rows of a dependence whose relation is bounded in its
+    iterators for fixed parameters hold for u and w large enough, so they
+    change no verdict, while an unbounded one's can make a legal row
+    infeasible.
 
     Most probes are decided without that system, exactly, from the
     dependence minima (`_decided`); only those it leaves open build the
@@ -115,7 +117,7 @@ def fusion_probe(program: Program, choose: Mapping[str, int],
         if verdict is None:
             terms = dimension_terms(program, choose, parametric_shifts)
             verdict = bool(ratlp.solve_lexmin(ratlp.LPProblem.of(
-                level_system(program, deps, terms, feasibility=True))))
+                level_system(program, deps, terms))))
         program._probe_verdicts[key] = verdict
     return verdict
 
@@ -136,7 +138,7 @@ def _decided(program: Program, choose: Mapping[str, int],
       and shifts meeting every such bound (no negative cycle of minima)
       with every self-dependence's minimum non-negative and every
       parametric shift at 0 are a feasible point, once every dependence is
-      `bounded`, so that the probe adds no bounding row;
+      `bounded`, so that its bounding rows hold for u and w large enough;
     - a pair of statements is refuted when no positive ratio of their two
       scales passes the cone rows without the constant
       (`farkas.cone_ratios`) of every cross dependence.  Only this rule
@@ -335,32 +337,6 @@ class Coloring(NamedTuple):
         return order.index(k) + 1 if k in order else 0
 
 
-def _color_scc(program: Program, comp: Sequence[str],
-               colors: Mapping[str, list], fcg: FusionConflictGraph,
-               chosen: set[Vertex]):
-    """Pick one free dimension per live statement of the component, lowest
-    index first, compatible with everything already chosen at this color."""
-    picked: list[Vertex] = []
-    for sid in comp:
-        s = program.statement(sid)
-        used = set(colors[sid])
-        if len(used) >= s.dim:
-            continue
-        pick = None
-        for k in range(s.dim):
-            v = (sid, k)
-            near = fcg.neighbours(v)
-            if k in used or v in near:
-                continue
-            if near.isdisjoint(chosen) and near.isdisjoint(picked):
-                pick = v
-                break
-        if pick is None:
-            return None
-        picked.append(pick)
-    return picked
-
-
 def _partial(program: Program, colors: Mapping[str, list]) -> AffineTransform:
     """The permutation of the colors placed so far, one unit row each."""
     np = len(program.params)
@@ -387,12 +363,13 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
 
     Colors are placed outermost first, in one pass: at each color the
     strongly connected components of the live dependences take one
-    dimension per statement, in topological order.  When a component
-    cannot take the color, the color's partial picks are undone, while the
-    colors already placed stay.  The routine then distributes (cutting the
-    graph before the stuck component) or, if nothing crosses that cut,
-    drops the dependences the placed colors satisfy; it rebuilds the
-    conflict graph and tries the same color again.  Each rescue strictly
+    dimension per statement, in topological order, by
+    `colorable_dimension`.  When a component cannot take the color, the
+    color's partial picks are undone, while the colors already placed
+    stay.  The routine then distributes (cutting the graph before the
+    stuck component) or, if nothing crosses that cut, drops the
+    dependences the placed colors satisfy; it rebuilds the conflict graph
+    and tries the same color again.  Each rescue strictly
     shrinks the live dependence set and each completed color moves to the
     next, so the loop terminates.
     """
@@ -406,12 +383,13 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     fcg, sccs = build_fcg(program, live), scc_decompose(ids, live)
     color = 1
     while color <= max_colors:
+        used = {(sid, k) for sid, ks in colors.items() for k in ks}
         chosen: set[Vertex] = set()
         for idx, comp in enumerate(sccs):
-            picked = _color_scc(program, comp, colors, fcg, chosen)
+            picked = colorable_dimension(program, fcg, comp, used, chosen)
             if picked is None:
                 break
-            chosen.update(picked)
+            chosen.update(picked.items())
         else:
             for sid, k in chosen:
                 colors[sid].append(k)
@@ -441,24 +419,48 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
 
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,
-                        statements: Sequence[str]):
-    """Some loop-free, mutually conflict-free dimension pick for the set's
-    statements that have loops (one without takes no color), or None.
-    Exhaustive over dimension tuples, so only for small sets."""
-    chosen = set(statements)
-    stmts = [s for s in program.statements if s.id in chosen and s.dim]
-    total = prod(s.dim for s in stmts)
-    if total > MAX_SCC_PICKS:
-        raise SchedulingError(
-            f"dimension search space too large: {total} picks for statements "
-            f"{', '.join(s.id for s in stmts)}")
-    for picks in product(*[range(s.dim) for s in stmts]):
-        verts = [(s.id, k) for s, k in zip(stmts, picks)]
-        # A pair of one vertex twice asks for its self loop.
-        if any(v in fcg.neighbours(u) for u, v in combinations_with_replacement(verts, 2)):
-            continue
-        return {s.id: k for s, k in zip(stmts, picks)}
-    return None
+                        statements: Sequence[str], used: Collection[Vertex],
+                        chosen: Collection[Vertex]) -> Optional[dict[str, int]]:
+    """The lexicographically first pick, in the order of `statements`, of
+    one dimension per statement that still has a free one, or None.
+
+    A pick is not in `used`, has no self loop and conflicts with no vertex
+    of `chosen` and with no other pick; a statement whose every dimension
+    is in `used`, a scalar one too, takes none.  A depth-first search over
+    an explicit stack, so a large component cannot reach the recursion
+    limit: it undoes a pick only when the statements after it cannot be
+    completed, so wherever the lowest compatible dimension of each
+    statement in turn completes the pick, that is its answer and nothing is
+    undone.  More than `MAX_SCC_PICKS` undone picks raise."""
+    slots = []
+    for sid in statements:
+        free = [(sid, k) for k in range(program.statement(sid).dim) if (sid, k) not in used]
+        if free:
+            slots.append([v for v in free if v not in fcg.neighbours(v)
+                          and fcg.neighbours(v).isdisjoint(chosen)])
+    picks: list[Vertex] = []
+    # The next candidate to try in each slot up to the current one.
+    tries = [0]
+    undone = 0
+    while len(picks) < len(slots):
+        slot = slots[len(picks)]
+        for j in range(tries[-1], len(slot)):
+            if fcg.neighbours(slot[j]).isdisjoint(picks):
+                picks.append(slot[j])
+                tries[-1] = j + 1
+                tries.append(0)
+                break
+        else:
+            if not picks:
+                return None
+            picks.pop()
+            tries.pop()
+            undone += 1
+            if undone > MAX_SCC_PICKS:
+                raise SchedulingError(
+                    f"dimension search undid more than {MAX_SCC_PICKS} picks "
+                    f"for statements {', '.join(statements)}")
+    return dict(picks)
 
 
 # -- rendering -----------------------------------------------------------------

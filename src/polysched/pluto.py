@@ -120,7 +120,7 @@ Terms = Mapping[str, Sequence[tuple[str, Sequence[int], int | None]]]
 
 
 def level_system(program: Program, deps: Sequence[DependencePolyhedron],
-                 terms: Terms, feasibility: bool = False) -> ConstraintSystem:
+                 terms: Terms) -> ConstraintSystem:
     """Legality and bounding rows of `deps` over one level's unknowns.
 
     `terms` gives each statement an ordered list of (unknown, row over its
@@ -135,13 +135,6 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     canonical by `_int_row`.  A repeat of an earlier row, which the
     system's pruning would drop, is dropped as it is made: a statement that
     leaves most coefficients out repeats many of its dependences' rows.
-
-    With `feasibility` set, for a caller that asks only whether the system
-    has a point, a dependence whose relation is `bounded` gives its
-    legality rows alone: its bounding rows hold for some u and w whatever
-    the level's row, and for any larger ones, so leaving them out changes
-    no verdict while every relation makes its parameters non-negative, as
-    every dependence relation does.
     """
     bounds = bound_variables(program.params)
     lower = {u: low for listed in terms.values() for u, _, low in listed}
@@ -160,9 +153,7 @@ def level_system(program: Program, deps: Sequence[DependencePolyhedron],
     for dep in deps:
         cols = [form for sid in dict.fromkeys((dep.src, dep.dst)) for form in
                 columns.get(sid) or [()] * (program.statement(sid).dim + nparams + 1)]
-        legality_only = feasibility and dep.bounded
-        for donor, subst in zip(dep.farkas_rows[:1] if legality_only else dep.farkas_rows,
-                                (cols, units + cols)):
+        for donor, subst in zip(dep.farkas_rows, (cols, units + cols)):
             for nonzero, const, kind, _ in donor:
                 acc: dict[int, int] = {}
                 for i, c in nonzero:

@@ -595,7 +595,7 @@ def _check_scc_colorability(runs, bound):
             sub = build_fcg(prog, [d for d in deps if d.src in comp and d.dst in comp])
             count += 1
             if _named(r.instance, "scc-colorability", colorable_dimension,
-                      prog, sub, comp) is None:
+                      prog, sub, comp, (), ()) is None:
                 bad.append(f"{r.instance.name}: component {{{','.join(comp)}}} "
                            "has no colorable dimension")
     return _verdict("scc-colorability", bad, passed=(

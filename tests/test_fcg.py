@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from types import SimpleNamespace
 
 import pytest
@@ -146,8 +146,7 @@ class TestDecidedByMinima:
     def probe(monkeypatch, program, deps, choose, parametric=False):
         """A fresh `fusion_probe` of the statements of `choose` over the
         dependences of `deps` among them, and whether it built a level
-        system.  The verdict must equal the LP's on the feasibility
-        system."""
+        system.  The verdict must equal the LP's on the level system."""
         deps = [d for d in deps if d.src in choose and d.dst in choose]
         built = []
         build = fcg.level_system
@@ -156,7 +155,7 @@ class TestDecidedByMinima:
         program._probe_verdicts.clear()
         verdict = fusion_probe(program, choose, deps, parametric)
         terms = dimension_terms(program, choose, parametric)
-        assert verdict == bool(_lexmin(build(program, deps, terms, feasibility=True)))
+        assert verdict == bool(_lexmin(build(program, deps, terms)))
         return verdict, bool(built)
 
     def test_a_negative_self_distance_refutes(self, by_name, monkeypatch):
@@ -365,22 +364,54 @@ class TestColoring:
         assert col.colors == {"Init": (0, 1), "Upd": (0, 1, 2)}
 
 
+def _three_squares():
+    """Statements A, B and C over an N x N square, with no access."""
+    square = [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+              [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]
+    program, _ = analyze({"params": ["N"], "statements": [
+        {"id": sid, "iterators": ["i", "j"], "domain": square} for sid in "ABC"]})
+    return program
+
+
+def _blocking_graph(program):
+    """A's first dimension conflicts with both of C's, so the pick that
+    starts with it undoes B's two dimensions, then A's, before A's second
+    dimension completes it: three undone picks."""
+    vertices = tuple((s.id, k) for s in program.statements for k in range(s.dim))
+    return FusionConflictGraph(vertices, ((("A", 0), ("C", 0)), (("A", 0), ("C", 1))), ())
+
+
 class TestColorableDimension:
     def test_picks_first_compatible_tuple(self, by_name):
         inst = by_name["fig1"]
         fcg = build_fcg(inst.program, inst.deps)
-        assert colorable_dimension(inst.program, fcg, ("S1", "S2", "S3")) \
+        assert colorable_dimension(inst.program, fcg, ("S1", "S2", "S3"), (), ()) \
             == {"S1": 0, "S2": 1, "S3": 0}
+
+    def test_used_and_chosen_narrow_the_pick(self, by_name):
+        inst = by_name["fig1"]
+        fcg = build_fcg(inst.program, inst.deps)
+        # Each dimension of S2 conflicts with the same dimension of S1 and
+        # of S3.  S1's used first dimension leaves its second, so S2 takes
+        # its first and S3 its second; a chosen first dimension of S2 rules
+        # out the first dimensions of S1 and S3.
+        assert colorable_dimension(inst.program, fcg, ("S1", "S2", "S3"),
+                                   {("S1", 0)}, ()) == {"S1": 1, "S2": 0, "S3": 1}
+        assert colorable_dimension(inst.program, fcg, ("S1", "S3"),
+                                   (), {("S2", 0)}) == {"S1": 1, "S3": 1}
+        # A statement every dimension of which is used takes no pick.
+        assert colorable_dimension(inst.program, fcg, ("S1", "S2"),
+                                   {("S1", 0), ("S1", 1)}, ()) == {"S2": 0}
 
     def test_none_when_everything_conflicts(self, by_name):
         inst = by_name["distribution_forced"]
         fcg = build_fcg(inst.program, inst.deps)
-        assert colorable_dimension(inst.program, fcg, ("P", "Q")) is None
+        assert colorable_dimension(inst.program, fcg, ("P", "Q"), (), ()) is None
 
     def test_subset_only_considers_named_statements(self, by_name):
         inst = by_name["distribution_forced"]
         fcg = build_fcg(inst.program, inst.deps)
-        assert colorable_dimension(inst.program, fcg, ("P",)) == {"P": 0}
+        assert colorable_dimension(inst.program, fcg, ("P",), (), ()) == {"P": 0}
 
     def test_scalar_statements_take_no_pick(self):
         program, deps = analyze({"params": ["N"], "statements": [
@@ -390,17 +421,89 @@ class TestColorableDimension:
              "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]],
              "accesses": [{"array": "B", "kind": "read", "map": [[0, 0, 0]]}]}]})
         graph = build_fcg(program, deps)
-        assert colorable_dimension(program, graph, ("S0",)) == {}
-        assert colorable_dimension(program, graph, ("S0", "S1")) == {"S1": 0}
+        assert colorable_dimension(program, graph, ("S0",), (), ()) == {}
+        assert colorable_dimension(program, graph, ("S0", "S1"), (), ()) == {"S1": 0}
 
-    def test_search_limit_names_statements(self, by_name, monkeypatch):
-        inst = by_name["fig1"]
-        graph = build_fcg(inst.program, inst.deps)
-        monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 7)
+    def test_undoes_a_pick_that_blocks_a_later_statement(self):
+        program = _three_squares()
+        graph = _blocking_graph(program)
+        assert first_fit(program, graph, "ABC", (), ()) is None
+        assert colorable_dimension(program, graph, "ABC", (), ()) \
+            == {"A": 1, "B": 0, "C": 0}
+
+    def test_search_limit_names_statements(self, monkeypatch):
+        program = _three_squares()
+        graph = _blocking_graph(program)
+        monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 3)
+        assert colorable_dimension(program, graph, "ABC", (), ()) == {"A": 1, "B": 0, "C": 0}
+        monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 2)
         with pytest.raises(SchedulingError, match=(
-                "dimension search space too large: 8 picks "
-                "for statements S1, S2, S3$")):
-            colorable_dimension(inst.program, graph, ("S1", "S2", "S3"))
+                "^dimension search undid more than 2 picks for statements A, B, C$")):
+            colorable_dimension(program, graph, "ABC", (), ())
+
+
+def reference_pick(program, graph, statements, used, chosen):
+    """`colorable_dimension` by enumeration: every tuple of one free
+    dimension per statement of `statements` that has one, in lexicographic
+    order, until one has no self loop and no conflict with `chosen` or
+    within itself."""
+    free = [[(sid, k) for k in range(program.statement(sid).dim) if (sid, k) not in used]
+            for sid in statements]
+    for verts in product(*[f for f in free if f]):
+        # A pair of one vertex twice asks for its self loop.
+        if any(v in graph.neighbours(u) for u, v in combinations_with_replacement(verts, 2)):
+            continue
+        if all(graph.neighbours(v).isdisjoint(chosen) for v in verts):
+            return dict(verts)
+    return None
+
+
+def first_fit(program, graph, statements, used, chosen):
+    """Each statement of `statements` in turn takes its lowest free
+    dimension compatible with `chosen` and the earlier picks, with no
+    undoing: None when one has none."""
+    picked = []
+    for sid in statements:
+        free = [(sid, k) for k in range(program.statement(sid).dim) if (sid, k) not in used]
+        if not free:
+            continue
+        fits = [v for v in free if v not in graph.neighbours(v)
+                and graph.neighbours(v).isdisjoint([*chosen, *picked])]
+        if not fits:
+            return None
+        picked.append(fits[0])
+    return dict(picked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_colorable_dimension_equals_the_enumeration(data):
+    """On small conflict graphs, with `used` and `chosen` sets, the search
+    gives the enumeration's pick, and first-fit's wherever first-fit finds
+    one."""
+    depths = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+    program, _ = analyze({"params": ["N"], "statements": [
+        {"id": f"S{k}", "iterators": ["i", "j", "k"][:d], "domain": [
+            [sign * int(e == a) for e in range(d)] + ([0, 0] if sign > 0 else [1, -1]) + [">="]
+            for a in range(d) for sign in (1, -1)]}
+        for k, d in enumerate(depths)]})
+    vertices = tuple((s.id, k) for s in program.statements for k in range(s.dim))
+    pairs = [(u, v) for u, v in combinations(vertices, 2) if u[0] != v[0]]
+    conflicts = tuple(data.draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else ()
+    loops = tuple(data.draw(st.lists(st.sampled_from(vertices), unique=True))) \
+        if vertices else ()
+    graph = FusionConflictGraph(vertices, conflicts, loops)
+    ids = [s.id for s in program.statements]
+    statements = data.draw(st.permutations(ids))[:data.draw(st.integers(1, len(ids)))]
+    others = [v for v in vertices if v[0] not in statements]
+    chosen = set(data.draw(st.lists(st.sampled_from(others), unique=True))) if others else set()
+    used = set(data.draw(st.lists(st.sampled_from(vertices), unique=True))) \
+        if vertices else set()
+    pick = colorable_dimension(program, graph, statements, used, chosen)
+    assert pick == reference_pick(program, graph, statements, used, chosen)
+    greedy = first_fit(program, graph, statements, used, chosen)
+    if greedy is not None:
+        assert pick == greedy
 
 
 class TestDot:
@@ -559,7 +662,7 @@ def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
     fusion-transitivity check ask, on the corpus, chain(8), the `random`
     workload, every fixture and 300 `random_nest` nests under seed 7, and
     that the dependence minima decide (`fcg._decided`), gets the verdict of
-    the LP on its feasibility system.  They decide all but a few of the
+    the LP on its level system.  They decide all but a few of the
     probes without parametric shifts, and most of the 849 with them."""
     named = (workloads.programs("corpus", ROOT / "src") + [("chain8", workloads.chain(8))]
              + workloads.programs("random", ROOT / "src")
@@ -587,7 +690,7 @@ def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
     for program, choose, deps, parametric, verdict in asked:
         if verdict is not None:
             terms = dimension_terms(program, choose, parametric)
-            lp = _lexmin(fcg.level_system(program, deps, terms, feasibility=True))
+            lp = _lexmin(fcg.level_system(program, deps, terms))
             assert verdict == bool(lp), (choose, [d.label for d in deps], parametric)
     plain = [probe for probe in asked if not probe[3]]
     decided = [probe for probe in plain if probe[4] is not None]

@@ -625,7 +625,7 @@ def test_the_drawn_pivots_reach_elements_other_than_one():
 def workload_systems():
     """Every system the three paths solve on the corpus, chain(8) and the
     `random` workload, each with whether `solve_ilp` took it, and the
-    feasibility system of every fusion probe that `build_fcg` asks, built
+    level system of every fusion probe that `build_fcg` asks, built
     here whether or not the dependence minima decide the probe."""
     programs = [analyze(data) for data in corpus_programs() + [workloads.chain(8)] + [
         data for _, data in workloads.programs("random", ROOT / "src")]]
@@ -643,7 +643,7 @@ def workload_systems():
 
     def probed(program, choose, deps, parametric_shifts=False):
         terms = dimension_terms(program, choose, parametric_shifts)
-        record(level_system(program, deps, terms, feasibility=True), False)
+        record(level_system(program, deps, terms), False)
         return probe(program, choose, deps, parametric_shifts)
 
     probe = fcg.fusion_probe

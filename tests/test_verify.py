@@ -332,14 +332,14 @@ class TestTheoremSuite:
                                                                   monkeypatch):
         asked = []
 
-        def recording(program, fcg, statements):
-            picks = colorable_dimension(program, fcg, statements)
-            asked.append((set(statements), picks))
+        def recording(program, fcg, statements, used, chosen):
+            picks = colorable_dimension(program, fcg, statements, used, chosen)
+            asked.append((set(statements), set(used), set(chosen), picks))
             return picks
 
         monkeypatch.setattr(verify, "colorable_dimension", recording)
         theorem_suite(corpus=(by_name["scc_pair"],))
-        assert asked == [({"P", "Q"}, {"P": 0, "Q": 0})]
+        assert asked == [({"P", "Q"}, set(), set(), {"P": 0, "Q": 0})]
 
     def test_skew_inert_tells_nests_needing_no_skew_apart(self, suite_report):
         (check,) = [r for r in suite_report.results
@@ -427,6 +427,9 @@ PINNED_REFUSALS = {
     **{("ilp_independence", path): (
         "no transformation row exists at level 2 for statements S, and distribution "
         "makes no progress; live dependences S->S explicit0") for path in (ILP, LP)},
+    ("scc_backtrack", LP): (
+        "no transformation row exists at level 2 for statements S0, S1, and distribution "
+        "makes no progress; live dependences S0->S1 explicit1, S1->S0 explicit2"),
 }
 
 
@@ -498,3 +501,21 @@ def test_dfp_schedules_every_random_nest_that_lp_does():
         transform = _run("dfp", program, deps)
         assert check_legality(program, deps, transform).ok, k
         assert full_rank(program, transform), k
+
+
+def test_census_names_a_dfp_refusal_where_only_ilp_schedules(monkeypatch):
+    """`scripts/census.py` counts `scc_backtrack`, which `ilp` and `dfp`
+    schedule and `lp` refuses, with no fault; a `dfp` that refused it
+    would be named against `ilp` alone."""
+    programs = [("scc_backtrack", json.loads((FIXTURES / "scc_backtrack.json").read_text()))]
+    counts, faults, alarms = census.census(programs)
+    assert (counts["ilp scheduled"], counts["lp scheduled"], counts["dfp scheduled"]) == (1, 0, 1)
+    assert faults == [] and alarms == []
+
+    def refuse(program, deps):
+        raise SchedulingError("refused")
+
+    monkeypatch.setattr(census, "dfp_schedule", refuse)
+    counts, faults, _ = census.census(programs)
+    assert counts["dfp scheduled"] == 0 and counts["all refused"] == 0
+    assert faults == ["scc_backtrack: dfp refuses where ilp schedules: refused"]
