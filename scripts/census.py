@@ -108,7 +108,7 @@ def _schedules(program, deps, mode: str) -> bool:
 def _ilp(program, deps):
     """Whether `ilp` schedules the program, or None when it runs past
     `ILP_CPU_SECONDS` of CPU time."""
-    signal.signal(signal.SIGPROF, _alarm)
+    previous = signal.signal(signal.SIGPROF, _alarm)
     signal.setitimer(signal.ITIMER_PROF, ILP_CPU_SECONDS)
     try:
         return _schedules(program, deps, ILP)
@@ -116,6 +116,7 @@ def _ilp(program, deps):
         return None
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
 
 
 def census(programs) -> tuple[dict[str, int], list[str], list[str]]:

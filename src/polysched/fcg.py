@@ -364,14 +364,14 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
     Colors are placed outermost first, in one pass: at each color the
     strongly connected components of the live dependences take one
     dimension per statement, in topological order, by
-    `colorable_dimension`.  When a component cannot take the color, the
-    color's partial picks are undone, while the colors already placed
-    stay.  The routine then distributes (cutting the graph before the
-    stuck component) or, if nothing crosses that cut, drops the
-    dependences the placed colors satisfy; it rebuilds the conflict graph
-    and tries the same color again.  Each rescue strictly
-    shrinks the live dependence set and each completed color moves to the
-    next, so the loop terminates.
+    `colorable_dimension`.  When a component cannot take the color, or
+    its search runs past `MAX_SCC_PICKS`, the color's partial picks are
+    undone, while the colors already placed stay.  The routine then
+    distributes (cutting the graph before the stuck component) or, if
+    nothing crosses that cut, drops the dependences the placed colors
+    satisfy; it rebuilds the conflict graph and tries the same color again.
+    Each rescue strictly shrinks the live dependence set and each completed
+    color moves to the next, so the loop terminates.
     """
     ids = tuple(s.id for s in program.statements)
     max_colors = max((s.dim for s in program.statements), default=0)
@@ -386,7 +386,10 @@ def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Colorin
         used = {(sid, k) for sid, ks in colors.items() for k in ks}
         chosen: set[Vertex] = set()
         for idx, comp in enumerate(sccs):
-            picked = colorable_dimension(program, fcg, comp, used, chosen)
+            try:
+                picked = colorable_dimension(program, fcg, comp, used, chosen)
+            except SchedulingError:  # past its budget: stuck all the same
+                picked = None
             if picked is None:
                 break
             chosen.update(picked.items())
@@ -431,17 +434,20 @@ def colorable_dimension(program: Program, fcg: FusionConflictGraph,
     limit: it undoes a pick only when the statements after it cannot be
     completed, so wherever the lowest compatible dimension of each
     statement in turn completes the pick, that is its answer and nothing is
-    undone.  More than `MAX_SCC_PICKS` undone picks raise."""
+    undone.  A statement with no compatible dimension at all ends the
+    search at once, with None.  More than `MAX_SCC_PICKS` undone picks
+    raise."""
     slots = []
     for sid in statements:
         free = [(sid, k) for k in range(program.statement(sid).dim) if (sid, k) not in used]
         if free:
             slots.append([v for v in free if v not in fcg.neighbours(v)
                           and fcg.neighbours(v).isdisjoint(chosen)])
+    if not all(slots):
+        return None
     picks: list[Vertex] = []
     # The next candidate to try in each slot up to the current one.
-    tries = [0]
-    undone = 0
+    tries, undone = [0], 0
     while len(picks) < len(slots):
         slot = slots[len(picks)]
         for j in range(tries[-1], len(slot)):

@@ -358,6 +358,49 @@ class TestColoring:
                 "admits no convex coloring; live dependences S->S explicit0$")):
             color_fcg(program, deps)
 
+    def test_a_blocked_statement_of_a_large_component_forces_a_cut(self):
+        # A ring S0 -> ... -> S12 -> S0 of corner-to-corner dependences
+        # leaves both dimensions of S0..S11 free of conflicts, while T's
+        # reversed dependence conflicts every dimension of T with every one
+        # of S12.  Once T takes a dimension at color 1, S12 has none: the
+        # search gives up at once instead of trying the 2^12 picks of the
+        # statements before it, and the coloring cuts before the ring.
+        square = [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
+                  [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]
+        ring = [f"S{k}" for k in range(13)]
+        corner = [[1, 0, 0, 0, 0, 0, "=="], [0, 1, 0, 0, 0, 0, "=="],
+                  [0, 0, 1, 0, -1, 1, "=="], [0, 0, 0, 1, -1, 1, "=="]]
+        # The edge back to S0 needs N >= 2, so no instance depends on itself.
+        explicit = [{"src": a, "dst": b, "kind": "RAW", "relation":
+                     corner + [[0, 0, 0, 0, 1, -2, ">="]] * (b == "S0")}
+                    for a, b in zip(ring, ring[1:] + ring[:1])]
+        explicit.append({"src": "T", "dst": "S12", "kind": "RAW", "relation": [
+            [1, 0, 1, 0, -1, 1, "=="], [0, 1, 0, 1, -1, 1, "=="]]})
+        program, deps = analyze({"params": ["N"], "statements": [
+            {"id": sid, "iterators": ["i", "j"], "domain": square} for sid in ["T", *ring]],
+            "dependences": explicit})
+        graph = build_fcg(program, deps)
+        assert graph.loops == ()
+        assert graph.conflicts == tuple(((("T", a), ("S12", b))) for a in (0, 1) for b in (0, 1))
+        col = color_fcg(program, deps)
+        assert col.cut_groups == {1: (("T",), tuple(ring))}
+        assert col.colors == dict.fromkeys(["T", *ring], (0, 1))
+        out = dfp_schedule(program, deps)
+        assert check_legality(program, deps, out.transform).ok
+        assert full_rank(program, out.transform)
+
+    def test_a_search_past_its_budget_is_rescued_like_a_stuck_one(self, monkeypatch):
+        # scc_backtrack's component needs one undone pick at color 1.  With
+        # no undoing allowed, the coloring rescues it as it would a
+        # component with no pick; here no rescue applies.
+        program, deps = analyze(json.loads((FIXTURES / "scc_backtrack.json").read_text()))
+        monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 0)
+        with pytest.raises(SchedulingError, match=(
+                "^no dimension of S0, S1 can take color 1; the conflict graph "
+                "admits no convex coloring; live dependences S0->S0 explicit0, "
+                "S0->S1 explicit1, S1->S0 explicit2$")):
+            color_fcg(program, deps)
+
     def test_matmul_coloring(self, by_name):
         inst = by_name["matmul"]
         col = color_fcg(inst.program, inst.deps)
@@ -430,6 +473,14 @@ class TestColorableDimension:
         assert first_fit(program, graph, "ABC", (), ()) is None
         assert colorable_dimension(program, graph, "ABC", (), ()) \
             == {"A": 1, "B": 0, "C": 0}
+
+    def test_a_statement_with_no_compatible_dimension_ends_the_search(self, monkeypatch):
+        # The chosen (A, 0) rules out both of C's dimensions, so no pick of
+        # B can help: the search returns None without undoing one.
+        program = _three_squares()
+        graph = _blocking_graph(program)
+        monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 0)
+        assert colorable_dimension(program, graph, "BC", (), {("A", 0)}) is None
 
     def test_search_limit_names_statements(self, monkeypatch):
         program = _three_squares()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import signal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -508,9 +509,12 @@ def test_census_names_a_dfp_refusal_where_only_ilp_schedules(monkeypatch):
     schedule and `lp` refuses, with no fault; a `dfp` that refused it
     would be named against `ilp` alone."""
     programs = [("scc_backtrack", json.loads((FIXTURES / "scc_backtrack.json").read_text()))]
+    handler = signal.getsignal(signal.SIGPROF)
     counts, faults, alarms = census.census(programs)
     assert (counts["ilp scheduled"], counts["lp scheduled"], counts["dfp scheduled"]) == (1, 0, 1)
     assert faults == [] and alarms == []
+    # The CPU alarm's handler is put back after each ilp run.
+    assert signal.getsignal(signal.SIGPROF) is handler
 
     def refuse(program, deps):
         raise SchedulingError("refused")
