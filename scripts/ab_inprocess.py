@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import importlib.util
 import random
 import resource
 import shutil
@@ -45,16 +44,10 @@ import tempfile
 import time
 from pathlib import Path
 
+from digest import workloads
+
 ROOT = Path(__file__).resolve().parents[1]
 OPERATIONS = ("analysis", "ilp", "lp", "dfp")
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _load_tree(src: Path, name: str, scratch: Path):
@@ -143,7 +136,6 @@ def _print_row(label: str, sums, pivots=None) -> None:
 
 
 def main(argv=None) -> int:
-    workloads = _workloads()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", type=Path, help="the reference src/ tree")
     parser.add_argument("src_b", type=Path, help="the src/ tree compared with it")

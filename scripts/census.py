@@ -25,20 +25,17 @@ the installed `polysched`, or the one on PYTHONPATH.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import random
 import signal
 import sys
-from pathlib import Path
 
+from digest import random_nests
 from polysched.frontend import ParseError, analyze
 from polysched.model import SchedulingError
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.ratlp import ResourceLimitError
 from polysched.verify import check_legality, full_rank
-
-ROOT = Path(__file__).resolve().parents[1]
 
 #: CPU seconds `ilp` may spend on one program.
 ILP_CPU_SECONDS = 30
@@ -82,14 +79,8 @@ def explicit_program(rng: random.Random) -> tuple[dict, bool]:
 
 def families() -> dict[str, list[tuple[str, dict]]]:
     """(name, program JSON) pairs of each family, in a fixed order."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     return {
-        "random_nest": [(f"seed{seed}/nest{k}", workloads.random_nest(rng))
-                        for seed in range(1, 11)
-                        for rng in [random.Random(seed)] for k in range(100)],
+        "random_nest": random_nests(range(1, 11)),
         "explicit": [(f"seed{seed}/{k}", explicit_program(rng)[0])
                      for seed in range(1, 4)
                      for rng in [random.Random(seed)] for k in range(400)],

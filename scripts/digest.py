@@ -18,7 +18,12 @@ read only), every file under `tests/fixtures/`, 500 `random_nest` nests,
 whose simplex solves take the most pivots.  The script prints
 one sha256 prefix per family and one over all of them, so a change that
 claims byte-identical output runs it on the parent's tree and on its own
-and compares the two.  Nothing pins the values.
+and compares the two.  `tests/test_golden.py` pins each program's
+`record`, one sha256 prefix per key, in `tests/golden_records.json`, and
+names the programs whose record changed.
+
+The other scripts load `perfbench/workloads.py` from here (`workloads`),
+and draw `random_nest` nests with `random_nests`.
 """
 
 from __future__ import annotations
@@ -43,17 +48,26 @@ def _load(name: str, path: Path):
     return module
 
 
+#: The benchmark's program sets, read only.
+workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+
+
+def random_nests(seeds) -> list[tuple[str, dict]]:
+    """(name, program JSON) of 100 `random_nest` nests from each
+    `random.Random(seed)` of `seeds`, named by the seed and the index in
+    its draw."""
+    return [(f"seed{seed}/nest{k}", workloads.random_nest(rng))
+            for seed in seeds for rng in [random.Random(seed)] for k in range(100)]
+
+
 def families(src: Path) -> dict[str, list[tuple[str, dict]]]:
     """(name, program JSON) pairs of each family, in a fixed order."""
-    workloads = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     # Imports `polysched`, so `layers(src)` must have put `src` first.
     bench_chain = _load("bench_chain", ROOT / "scripts" / "bench_chain.py")
     out = {w: workloads.programs(w, src) for w in workloads.WORKLOADS}
     out["fixtures"] = [(p.stem, json.loads(p.read_text()))
                        for p in sorted((ROOT / "tests" / "fixtures").glob("*.json"))]
-    out["random_nest"] = [(f"seed{seed}/nest{k}", workloads.random_nest(rng))
-                          for seed in range(1, 6)
-                          for rng in [random.Random(seed)] for k in range(100)]
+    out["random_nest"] = random_nests(range(1, 6))
     for family, build in bench_chain.FAMILIES.items():
         out[f"{family}-50"] = [(f"{family}(50)", build(50))]
     return out

@@ -9,7 +9,7 @@ from polysched import ratlp
 from polysched.cli import main
 from polysched.fcg import color_fcg, to_dot
 
-from inputs import FIXTURES
+from inputs import FIXTURES, REFUSALS
 
 CORPUS = resources.files("polysched").joinpath("corpus")
 FIG1 = str(CORPUS.joinpath("fig1.json"))
@@ -147,6 +147,15 @@ class TestFcg:
                  "lightsalmon", "lightcoral"]
         for k, fill in enumerate(fills):
             assert f'"S.i{k}" [fillcolor={fill}];' in out
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+    def test_every_fixture_is_colored_or_refused_as_pinned(self, capsys, name):
+        refusal = REFUSALS.get(name, {}).get("fcg")
+        code, _, err = run(capsys, "fcg", str(FIXTURES / f"{name}.json"))
+        if refusal is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (3, f"internal error: {refusal}\n")
 
 
 class TestVerify:
@@ -315,9 +324,8 @@ class TestErrors:
         (tmp_path / "stuck.json").write_text(json.dumps({"name": "stuck", "program": program}))
         code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
         assert code == 3 and out == ""
-        assert err == ("internal error: stuck: lp: no transformation row exists at level 1 "
-                       "for statements S, and distribution makes no progress; live "
-                       "dependences S->S A:0->1@0\n")
+        assert err == (f"internal error: stuck: lp: "
+                       f"{REFUSALS['unbounded_self_dependence']['lp']}\n")
 
     def test_suite_check_error_names_instance_and_check(self, capsys, tmp_path):
         # A chain of 7 statements with 4 loops each, S{k} reading A{k-1} at

@@ -17,7 +17,7 @@ from polysched.postpass import (
 )
 from polysched.verify import check_legality, full_rank, load_corpus
 
-from inputs import DFP_REFUSES, FIXTURES, workloads
+from inputs import DFP_REFUSES, FIXTURES, REFUSALS, workloads
 
 F = Fraction
 
@@ -386,5 +386,4 @@ class TestUnboundedSelfDependence:
     def test_cli_exits_3_with_the_message(self, capsys):
         assert main(["schedule", "--algo", "dfp", str(UNBOUNDED_SELF_DEPENDENCE)]) == 3
         assert capsys.readouterr().err == (
-            "internal error: no dimension of S can take color 1; the conflict "
-            "graph admits no convex coloring; live dependences S->S A:0->1@0\n")
+            f"internal error: {REFUSALS['unbounded_self_dependence']['dfp']}\n")

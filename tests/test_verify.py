@@ -23,7 +23,7 @@ from polysched.verify import (
     parse_instance, statement_ranks, theorem_suite,
 )
 
-from inputs import DFP_REFUSES, FIXTURES, ROOT, census, oracle, workloads
+from inputs import FIXTURES, REFUSALS, ROOT, census, oracle, workloads
 
 F = Fraction
 
@@ -412,43 +412,17 @@ def _run(path, program, deps):
     return schedule(program, deps, SchedulerConfig(mode=path)).transform
 
 
-_NO_COLOR = ("no dimension of S can take color 1; the conflict graph admits no "
-             "convex coloring; live dependences S->S A:0->1@0")
-
-#: The refusals that CI's fixture loop pins, by (fixture, path).
-PINNED_REFUSALS = {
-    ("unbounded_self_dependence", "dfp"): _NO_COLOR,
-    ("no_progress_distribution", "dfp"): _NO_COLOR,
-    **{("unbounded_self_dependence", path): (
-        "no transformation row exists at level 1 for statements S, and distribution "
-        "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
-    **{("no_progress_distribution", path): (
-        "no transformation row exists at level 2 for statements S, T, and distribution "
-        "makes no progress; live dependences S->S A:0->1@0") for path in (ILP, LP)},
-    **{("ilp_independence", path): (
-        "no transformation row exists at level 2 for statements S, and distribution "
-        "makes no progress; live dependences S->S explicit0") for path in (ILP, LP)},
-    ("scc_backtrack", LP): (
-        "no transformation row exists at level 2 for statements S0, S1, and distribution "
-        "makes no progress; live dependences S0->S1 explicit1, S1->S0 explicit2"),
-}
-
-
-def test_pinned_refusals_cover_the_dfp_refusals():
-    assert sorted(name for name, path in PINNED_REFUSALS if path == "dfp") == sorted(
-        DFP_REFUSES)
-
-
 @pytest.mark.parametrize("path", [ILP, LP, "dfp"])
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
 def test_every_path_is_legal_on_every_fixture(name, path):
     """Each path gives every fixture a legal, full-rank transform, or the
-    refusal that CI pins."""
+    refusal that `tests/refusals.json` pins."""
     program, deps = analyze(json.loads((FIXTURES / f"{name}.json").read_text()))
-    if (name, path) in PINNED_REFUSALS:
+    refusal = REFUSALS.get(name, {}).get(path)
+    if refusal is not None:
         with pytest.raises(SchedulingError) as err:
             _run(path, program, deps)
-        assert str(err.value) == PINNED_REFUSALS[name, path]
+        assert str(err.value) == refusal
         return
     transform = _run(path, program, deps)
     assert check_legality(program, deps, transform).ok
