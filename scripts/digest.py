@@ -19,8 +19,9 @@ whose simplex solves take the most pivots.  The script prints
 one sha256 prefix per family and one over all of them, so a change that
 claims byte-identical output runs it on the parent's tree and on its own
 and compares the two.  `tests/test_golden.py` pins each program's
-`record`, one sha256 prefix per key, in `tests/golden_records.json`, and
-names the programs whose record changed.
+`record`, one sha256 prefix per key, in `tests/golden_records.json`, next
+to one prefix of its dependences' Farkas systems (`farkas`, which `record`
+leaves out), and names the programs whose entry changed.
 
 The other scripts load `perfbench/workloads.py` from here (`workloads`),
 and draw `random_nest` nests with `random_nests`.

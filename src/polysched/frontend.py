@@ -473,7 +473,3 @@ def read_utf8(file, where: str) -> str:
         return file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(where, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
-
-
-def loads(text: str) -> tuple[Program, tuple[DependencePolyhedron, ...]]:
-    return analyze(parse_json(text, "$"))

@@ -148,14 +148,30 @@ class TestFcg:
         for k, fill in enumerate(fills):
             assert f'"S.i{k}" [fillcolor={fill}];' in out
 
-    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
-    def test_every_fixture_is_colored_or_refused_as_pinned(self, capsys, name):
-        refusal = REFUSALS.get(name, {}).get("fcg")
-        code, _, err = run(capsys, "fcg", str(FIXTURES / f"{name}.json"))
-        if refusal is None:
-            assert (code, err) == (0, "")
-        else:
-            assert (code, err) == (3, f"internal error: {refusal}\n")
+
+@pytest.mark.parametrize("path", ["ilp", "lp", "dfp", "fcg"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_every_fixture_is_scheduled_or_refused_as_pinned(capsys, name, path):
+    """Each path, and the coloring alone (`fcg`), exits 0 on every fixture
+    with nothing on stderr, or exits 3 with the refusal that
+    `tests/refusals.json` pins.  Eleven runs refuse by design.  An
+    unbounded self-dependence has no bounded row on `ilp` and `lp`, where
+    distribution then satisfies nothing, and keeps its bounding rows in
+    `dfp`'s fusion probes, so `fcg` and `dfp` fail in coloring
+    (`unbounded_self_dependence`, `no_progress_distribution`).  `ilp` and
+    `lp` find no level-2 row on `ilp_independence`, where one independence
+    guide contradicts legality though (0, 1) is legal, and `lp` none on
+    `scc_backtrack`, whose cycle `ilp` and `dfp` schedule (ROADMAP item
+    23).  Scale/shift finds no row as colored at level 2 of
+    `scale_shift_infeasible` and level 1 of `dfp_missing_row`; there `dfp`
+    cuts and retries one level down, as `ilp` and `lp` do, and exits 0."""
+    argv = ["fcg"] if path == "fcg" else ["schedule", "--algo", path]
+    refusal = REFUSALS.get(name, {}).get(path)
+    code, _, err = run(capsys, *argv, str(FIXTURES / f"{name}.json"))
+    if refusal is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (3, f"internal error: {refusal}\n")
 
 
 class TestVerify:
@@ -197,6 +213,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
         assert code == 2 and out == ""
         assert err == f"error: {tmp_path}: no *.json instances\n"
+
+    def test_duplicate_instance_names_name_both_files(self, capsys, tmp_path):
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(CORPUS.joinpath("fig1.json").read_text())
+        code, out, err = run(capsys, "verify", "--corpus", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err == "error: corpus: duplicate instance names: 'fig1' in a.json and b.json\n"
 
 
 class TestErrors:

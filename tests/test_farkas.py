@@ -14,11 +14,18 @@ from polysched.farkas import (
 )
 from polysched.frontend import analyze
 from polysched.ratlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, solve_lp
-from inputs import workloads
+from inputs import ROOT, bench_chain, workloads
 from test_dependences import corpus_programs
-from test_golden import EXPECTED_FARKAS, farkas_programs
 
 F = Fraction
+
+#: Program JSON of every corpus instance, of chain(4) and of every `random`
+#: benchmark program, by name: the programs whose Farkas systems the shadow
+#: tests below compare with per-form elimination.
+SHADOW_PROGRAMS = {**dict(workloads.programs("corpus", ROOT / "src")),
+                   "chain4": bench_chain.chain(4),
+                   **{f"random/{name}": data
+                      for name, data in workloads.programs("random", ROOT / "src")}}
 
 
 def rows_as_tuples(system):
@@ -421,16 +428,22 @@ def multiplier_system(relation):
 
 
 @pytest.fixture(scope="module")
-def farkas_eliminations(corpus):
+def shadow_programs():
+    """(program, deps) of each of `SHADOW_PROGRAMS`, by name."""
+    return {name: analyze(data) for name, data in SHADOW_PROGRAMS.items()}
+
+
+@pytest.fixture(scope="module")
+def farkas_eliminations(shadow_programs):
     """The multiplier system and kill list of the cone of every ordering
-    dependence of the corpus and of chain(4), by program."""
+    dependence of `SHADOW_PROGRAMS`, by program."""
     out = {name: [multiplier_system(dep.relation) for dep in deps if dep.ordering]
-           for name, (program, deps) in farkas_programs(corpus).items()}
+           for name, (program, deps) in shadow_programs.items()}
     assert out["chain4"] and out["matmul"]
     return out
 
 
-@pytest.mark.parametrize("name", sorted(EXPECTED_FARKAS))
+@pytest.mark.parametrize("name", sorted(SHADOW_PROGRAMS))
 def test_pruned_farkas_rows_have_the_reference_shadow(farkas_eliminations, name):
     """Both ways, each system's rows imply the other's: the history rule
     drops only rows that the rows it keeps imply."""
@@ -637,12 +650,12 @@ def name_keyed_level_system(program, deps, terms):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_level_system_rows_equal_the_name_keyed_sum(cone_programs, data):
+def test_level_system_rows_equal_the_name_keyed_sum(shadow_programs, data):
     """On drawn terms, some sharing an unknown and some with weights
     beyond 1, `level_system` gives the rows of `name_keyed_level_system`."""
     name = data.draw(st.sampled_from(["fig1", "matmul", "stencil1d", "scaling_pair",
                                       "chain4", "random/nest3"]))
-    program, deps = cone_programs[name]
+    program, deps = shadow_programs[name]
     weight = st.integers(-3, 3)
     pool = [f"u{k}" for k in range(6)]
     terms = {}
@@ -715,18 +728,11 @@ def reference_systems(dep, src, dst):
             reference_farkas_system(dep, neg, bounds + variables))
 
 
-@pytest.fixture(scope="module")
-def cone_programs(corpus):
-    """(program, deps) of the corpus, chain(4) and the benchmark's random
-    nests, by name."""
-    return farkas_programs(corpus)
-
-
-@pytest.mark.parametrize("name", sorted(EXPECTED_FARKAS))
-def test_cone_rows_have_the_per_form_shadow(cone_programs, name):
+@pytest.mark.parametrize("name", sorted(SHADOW_PROGRAMS))
+def test_cone_rows_have_the_per_form_shadow(shadow_programs, name):
     """Both ways, the legality and bounding rows substituted into the
     relation's cone and those of per-form elimination imply each other."""
-    program, deps = cone_programs[name]
+    program, deps = shadow_programs[name]
     for dep in deps:
         if dep.ordering:
             src, dst = program.statement(dep.src), program.statement(dep.dst)

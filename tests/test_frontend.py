@@ -1,7 +1,7 @@
 import pytest
 
 from polysched.frontend import (
-    ParseError, analyze, compute_dependences, loads, parse_program,
+    ParseError, analyze, compute_dependences, parse_json, parse_program,
 )
 
 
@@ -172,7 +172,7 @@ class TestParseErrors:
 
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
-            loads("{not json")
+            parse_json("{not json", "$")
 
 
 class TestComputedDependences:

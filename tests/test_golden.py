@@ -8,34 +8,33 @@ benchmark's `chain` and `random` workloads, every program under
 entry for a program holds a 16-hex sha256 prefix of each key of the
 program's `digest.record`: its dependences (`deps`), each path's transform
 and `Step` records or its error (`ilp`, `lp`, `dfp`), the `dfp` coloring
-(`coloring`), or the error analysis raised (`analysis`).  A corpus entry
-also pins what the record leaves out: the restricted-mode `ilp` and `lp`
-transforms of an instance flagged `restricted`, and the `dfp` conflict
-graph's edges before and after the coloring (`fcg_initial`, `fcg_final`).
-Each program is its own test, so a failure names the programs a change
-touched.  The corpus `ilp` and `lp` transforms must also pass
-`check_legality` and `full_rank` (the property suite checks `dfp`).  The
-property-suite report is pinned by digest too, so a solve lost from or
-duplicated in the steps the checks read changes it.  `golden_farkas.json`
-pins the legality and bounding system (variables, rows in order, lower
-bounds) that Farkas elimination gives every dependence of every corpus
-program, of the four-statement chain of `scripts/bench_chain.py` and of
-every `random` program of the benchmark (`perfbench/workloads.py`).
-Refactors of the scheduler keep these outputs exact; a change that alters a
-schedule, a Farkas system or the report on purpose regenerates the files
-with
+(`coloring`), or the error analysis raised (`analysis`).  It also holds a
+`farkas` digest: the legality and bounding systems (variables, rows in
+order, lower bounds) that Farkas elimination gives each dependence, in
+dependence order, with the dependence's index, kind and endpoints.  A
+corpus entry also pins what the record leaves out: the restricted-mode
+`ilp` and `lp` transforms of an instance flagged `restricted`, and the
+`dfp` conflict graph's edges before and after the coloring (`fcg_initial`,
+`fcg_final`).  Each program is its own test, so a failure names the
+programs a change touched.  The corpus `ilp` and `lp` transforms must also
+pass `check_legality` and `full_rank` (the property suite checks `dfp`).
+The property-suite report is pinned by digest too, so a solve lost from or
+duplicated in the steps the checks read changes it.  Refactors of the
+scheduler keep these outputs exact; a change that alters a schedule, a
+Farkas system or the report on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints, before it writes each file, every key that changed and in how
-many entries.  The change then sets SUITE_DIGEST to the report digest that
-command prints, and says so in its description.
+which prints, before it writes the file, every key that changed, in how
+many entries, and the first ten programs it changed in.  The change then
+sets SUITE_DIGEST to the report digest that command prints, and says so in
+its description.
 """
 
 import hashlib
 import json
 import sys
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -48,13 +47,10 @@ from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank, load_corpus, theorem_suite
 
-from inputs import ROOT, bench_chain, digest
+from inputs import ROOT, digest
 
 GOLDEN = Path(__file__).with_name("golden_records.json")
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-GOLDEN_FARKAS = Path(__file__).with_name("golden_farkas.json")
-EXPECTED_FARKAS = (json.loads(GOLDEN_FARKAS.read_text())
-                   if GOLDEN_FARKAS.exists() else {})
 SUITE_DIGEST = "81a657563bcbe5b4"
 
 API = digest.layers(ROOT / "src")
@@ -103,39 +99,31 @@ def corpus_digests(inst) -> dict:
     return entry
 
 
+def farkas_digest(data) -> str:
+    """Digest of each dependence's index, kind, endpoints and (legality,
+    bounding) system, in dependence order: the named views of the rows its
+    shape shares (`dep.farkas_rows`), substituted into the relation's
+    Farkas cone (`dep.cone`)."""
+    program, deps = analyze(data)
+    systems = []
+    for k, dep in enumerate(deps):
+        src, dst = program.statement(dep.src), program.statement(dep.dst)
+        systems.append([k, dep.kind, dep.src, dep.dst,
+                        digest._system(legality_constraints(dep, src, dst)),
+                        digest._system(bounding_constraints(dep, src, dst))])
+    return _digest(systems)
+
+
 def golden_entry(name: str, by_name: dict) -> dict:
     """What the golden file records for the program "family/name", with
     `by_name` the corpus instances by name."""
     entry = record_digests(PROGRAMS[name])
+    if "analysis" not in entry:
+        entry["farkas"] = farkas_digest(PROGRAMS[name])
     family, _, program = name.partition("/")
     if family == "corpus":
         entry.update(corpus_digests(by_name[program]))
     return entry
-
-
-def farkas_entry(program, deps) -> dict:
-    """Digest of each dependence's (legality, bounding) system: the named
-    views of the rows its shape shares (`dep.farkas_rows`), substituted
-    into the relation's Farkas cone (`dep.cone`)."""
-    entry = {}
-    for k, dep in enumerate(deps):
-        src, dst = program.statement(dep.src), program.statement(dep.dst)
-        systems = [digest._system(s) for s in (legality_constraints(dep, src, dst),
-                                                bounding_constraints(dep, src, dst))]
-        entry[f"{k} {dep.kind} {dep.src}->{dep.dst}"] = _digest(systems)
-    return entry
-
-
-def farkas_programs(corpus=None) -> dict:
-    """(program, deps) of every corpus instance, of chain(4) and of every
-    `random` benchmark program, by name."""
-    programs = {inst.name: (inst.program, inst.deps)
-                for inst in corpus or load_corpus()}
-    programs["chain4"] = analyze(bench_chain.chain(4))
-    for name, data in PROGRAMS.items():
-        if name.startswith("random/"):
-            programs[name] = analyze(data)
-    return programs
 
 
 def test_golden_records_cover_every_family():
@@ -204,59 +192,51 @@ def test_lp_and_ilp_transforms_are_legal_and_full_rank(by_name, name, mode):
     assert full_rank(inst.program, transform)
 
 
-def test_golden_farkas_covers_corpus(corpus):
-    assert sorted(EXPECTED_FARKAS) == sorted(
-        [inst.name for inst in corpus] + ["chain4"]
-        + [name for name in PROGRAMS if name.startswith("random/")])
-
-
-@pytest.fixture(scope="module")
-def farkas_inputs(corpus):
-    return farkas_programs(corpus)
-
-
-@pytest.mark.parametrize("name", sorted(EXPECTED_FARKAS))
-def test_golden_farkas_rows(farkas_inputs, name):
-    assert farkas_entry(*farkas_inputs[name]) == EXPECTED_FARKAS[name]
-
-
 def test_suite_report_digest(suite_report):
     assert suite_digest(suite_report) == SUITE_DIGEST
 
 
 def golden_changes(old: dict, new: dict) -> dict:
-    """How many entries each key differs in between two golden files,
+    """The entries each key differs in between two golden files, by key,
     counting a key or entry present on one side only."""
-    counts = Counter()
-    for name in old.keys() | new.keys():
+    changes = defaultdict(list)
+    for name in sorted(old.keys() | new.keys()):
         a, b = old.get(name, {}), new.get(name, {})
-        counts.update(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    return dict(counts)
+        for key in a.keys() | b.keys():
+            if a.get(key) != b.get(key):
+                changes[key].append(name)
+    return dict(changes)
+
+
+def change_lines(changes: dict, total: int, shown: int = 10) -> list[str]:
+    """One line per changed key: in how many of `total` entries it changed,
+    and the first `shown` of those entries by name."""
+    lines = []
+    for key, names in sorted(changes.items()):
+        listed = ", ".join(names[:shown])
+        if len(names) > shown:
+            listed += f" and {len(names) - shown} more"
+        lines.append(f"{key} changed in {len(names)} of {total} entries: {listed}")
+    return lines
 
 
 def test_golden_changes_counts_entries_per_key():
     old = {"a": {"x": 1, "y": 2}, "b": {"x": 1, "y": 2}}
     new = {"a": {"x": 1, "y": 3}, "b": {"x": 0, "y": 4}, "c": {"x": 1}}
-    assert golden_changes(old, new) == {"x": 2, "y": 2}
+    assert golden_changes(old, new) == {"x": ["b", "c"], "y": ["a", "b"]}
     assert golden_changes(old, old) == {}
-
-
-def _write_golden(path: Path, old: dict, new: dict) -> None:
-    """Print which keys changed and in how many entries, then write `new`."""
-    changes = golden_changes(old, new)
-    for key, n in sorted(changes.items()):
-        print(f"{path.name}: {key} changed in {n} of {len(new)} entries",
-              file=sys.stderr)
-    if not changes:
-        print(f"{path.name}: unchanged", file=sys.stderr)
-    path.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(new)} programs to {path}", file=sys.stderr)
+    assert change_lines(golden_changes(old, new), 3, shown=1) == [
+        "x changed in 2 of 3 entries: b and 1 more",
+        "y changed in 2 of 3 entries: a and 1 more"]
+    assert change_lines({"x": ["b", "c"]}, 3) == ["x changed in 2 of 3 entries: b, c"]
 
 
 if __name__ == "__main__":
     instances = {inst.name: inst for inst in load_corpus()}
-    _write_golden(GOLDEN, EXPECTED,
-                  {name: golden_entry(name, instances) for name in PROGRAMS})
-    _write_golden(GOLDEN_FARKAS, EXPECTED_FARKAS,
-                  {name: farkas_entry(*pd) for name, pd in farkas_programs().items()})
+    new = {name: golden_entry(name, instances) for name in PROGRAMS}
+    changes = golden_changes(EXPECTED, new)
+    for line in change_lines(changes, len(new)) or ["unchanged"]:
+        print(f"{GOLDEN.name}: {line}", file=sys.stderr)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(new)} programs to {GOLDEN}", file=sys.stderr)
     print(f"property-suite report digest: {suite_digest(theorem_suite())}", file=sys.stderr)

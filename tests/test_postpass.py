@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from polysched.cli import main
 from polysched.fcg import _partial, build_fcg, color_fcg, fusion_probe
 from polysched.frontend import analyze
 from polysched.model import (
@@ -17,7 +16,7 @@ from polysched.postpass import (
 )
 from polysched.verify import check_legality, full_rank, load_corpus
 
-from inputs import DFP_REFUSES, FIXTURES, REFUSALS, workloads
+from inputs import DFP_REFUSES, FIXTURES, workloads
 
 F = Fraction
 
@@ -377,13 +376,3 @@ class TestUnboundedSelfDependence:
         program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
         assert [d.label for d in deps] == ["A:0->1@0"] and not deps[0].bounded
         assert not fusion_probe(program, {"S": 0}, deps)
-
-    def test_dfp_fails_in_coloring(self):
-        program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
-        with pytest.raises(SchedulingError, match="no dimension of S can take color 1"):
-            dfp_schedule(program, deps)
-
-    def test_cli_exits_3_with_the_message(self, capsys):
-        assert main(["schedule", "--algo", "dfp", str(UNBOUNDED_SELF_DEPENDENCE)]) == 3
-        assert capsys.readouterr().err == (
-            f"internal error: {REFUSALS['unbounded_self_dependence']['dfp']}\n")
