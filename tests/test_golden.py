@@ -16,7 +16,11 @@ corpus entry also pins what the record leaves out: the restricted-mode
 `ilp` and `lp` transforms of an instance flagged `restricted`, and the
 `dfp` conflict graph's edges before and after the coloring (`fcg_initial`,
 `fcg_final`).  Each program is its own test, so a failure names the
-programs a change touched.  The corpus `ilp` and `lp` transforms must also
+programs a change touched, and its `farkas` key is its own test too
+(`test_golden_farkas_rows`), so a failure also says whether a Farkas
+system or a schedule changed.  That test's `chain4` case checks that
+chain(4)'s systems are chain(50)'s first three, which the `chain-50` entry
+pins.  The corpus `ilp` and `lp` transforms must also
 pass `check_legality` and `full_rank` (the property suite checks `dfp`).
 The property-suite report is pinned by digest too, so a solve lost from or
 duplicated in the steps the checks read changes it.  Refactors of the
@@ -47,7 +51,7 @@ from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import dfp_schedule
 from polysched.verify import check_legality, full_rank, load_corpus, theorem_suite
 
-from inputs import ROOT, digest
+from inputs import ROOT, bench_chain, digest
 
 GOLDEN = Path(__file__).with_name("golden_records.json")
 EXPECTED = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
@@ -99,11 +103,11 @@ def corpus_digests(inst) -> dict:
     return entry
 
 
-def farkas_digest(data) -> str:
-    """Digest of each dependence's index, kind, endpoints and (legality,
-    bounding) system, in dependence order: the named views of the rows its
-    shape shares (`dep.farkas_rows`), substituted into the relation's
-    Farkas cone (`dep.cone`)."""
+def farkas_systems(data) -> list:
+    """Each dependence's index, kind, endpoints and (legality, bounding)
+    system, in dependence order: the named views of the rows its shape
+    shares (`dep.farkas_rows`), substituted into the relation's Farkas cone
+    (`dep.cone`)."""
     program, deps = analyze(data)
     systems = []
     for k, dep in enumerate(deps):
@@ -111,18 +115,24 @@ def farkas_digest(data) -> str:
         systems.append([k, dep.kind, dep.src, dep.dst,
                         digest._system(legality_constraints(dep, src, dst)),
                         digest._system(bounding_constraints(dep, src, dst))])
-    return _digest(systems)
+    return systems
 
 
-def golden_entry(name: str, by_name: dict) -> dict:
-    """What the golden file records for the program "family/name", with
-    `by_name` the corpus instances by name."""
+def schedule_entry(name: str, by_name: dict) -> dict:
+    """The golden entry of the program "family/name" but its `farkas` key,
+    with `by_name` the corpus instances by name."""
     entry = record_digests(PROGRAMS[name])
-    if "analysis" not in entry:
-        entry["farkas"] = farkas_digest(PROGRAMS[name])
     family, _, program = name.partition("/")
     if family == "corpus":
         entry.update(corpus_digests(by_name[program]))
+    return entry
+
+
+def golden_entry(name: str, by_name: dict) -> dict:
+    """What the golden file records for the program "family/name"."""
+    entry = schedule_entry(name, by_name)
+    if "analysis" not in entry:
+        entry["farkas"] = _digest(farkas_systems(PROGRAMS[name]))
     return entry
 
 
@@ -132,7 +142,10 @@ def test_golden_records_cover_every_family():
 
 
 def _check(name, by_name):
-    assert golden_entry(name, by_name) == EXPECTED.get(name)
+    """The program's entry but its `farkas` key, which
+    `test_golden_farkas_rows` checks."""
+    expected = {k: v for k, v in EXPECTED.get(name, {}).items() if k != "farkas"}
+    assert schedule_entry(name, by_name) == expected
 
 
 # One test per family, each program its own case.
@@ -157,6 +170,29 @@ def test_golden_fixture_transforms(by_name, name):
                                   ("corpus", "chain", "random", "fixtures")])
 def test_golden_generated_program(by_name, name):
     _check(name, by_name)
+
+
+#: The programs whose entry pins a `farkas` key, every program that
+#: analysis accepts, by test id: a corpus program by its bare name, as in
+#: `test_golden_schedule`, any other by "family/name".
+FARKAS = {name.removeprefix("corpus/"): name for name in PROGRAMS
+          if "analysis" not in EXPECTED.get(name, {})}
+
+
+def test_golden_farkas_covers_corpus():
+    assert all("farkas" in EXPECTED.get(name, {}) for name in FARKAS.values())
+    assert set(CORPUS) <= FARKAS.keys()
+
+
+@pytest.mark.parametrize("name", [*FARKAS, "chain4"])
+def test_golden_farkas_rows(name):
+    if name == "chain4":
+        # chain(4) is the first four statements of chain(50), so chain-50's
+        # entry pins its systems: they are chain(50)'s first three.
+        systems = farkas_systems(bench_chain.chain(4))
+        assert systems == farkas_systems(PROGRAMS["chain-50/chain(50)"])[:len(systems)]
+    else:
+        assert _digest(farkas_systems(PROGRAMS[FARKAS[name]])) == EXPECTED[FARKAS[name]]["farkas"]
 
 
 @pytest.mark.parametrize("name", CORPUS)

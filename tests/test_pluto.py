@@ -24,7 +24,7 @@ from polysched.pluto import (
 )
 from polysched.verify import check_legality, full_rank
 
-from inputs import FIXTURES, bench_chain, oracle
+from inputs import FIXTURES, REFUSALS, bench_chain, oracle
 
 F = Fraction
 
@@ -630,6 +630,25 @@ class TestCutAfterScalar:
         transform = schedule(program, deps, SchedulerConfig(mode=LP)).transform
         assert transform.cuts == (Cut(2, (("S1",), ("S0",), ("S2",))),)
         assert transform.rows["S0"] == (R(0, 0), R(0, 1))
+
+
+#: S writes A[2i] and reads A[i] over i >= 0, and T reads A[i].  S->S is
+#: unbounded, so no level has a row.  The cut at level 1 puts S before T
+#: and satisfies S->T; at level 2 S and T are still two SCCs, but no live
+#: dependence runs between them, so the cut there satisfies nothing.
+NO_PROGRESS_DISTRIBUTION = FIXTURES / "no_progress_distribution.json"
+
+
+class TestNoProgressDistribution:
+    MESSAGES = REFUSALS["no_progress_distribution"]
+
+    @pytest.mark.parametrize("mode", [ILP, LP])
+    def test_error_names_the_live_dependences(self, mode):
+        program, deps = analyze(json.loads(NO_PROGRESS_DISTRIBUTION.read_text()))
+        with pytest.raises(SchedulingError) as err:
+            schedule(program, deps, SchedulerConfig(mode=mode))
+        assert str(err.value) == self.MESSAGES[mode]
+        assert "live dependences S->S A:0->1@0" in str(err.value)
 
 
 #: One 2-d statement S over 0 <= i, j <= N - 1 with the explicit

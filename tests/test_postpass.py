@@ -376,3 +376,8 @@ class TestUnboundedSelfDependence:
         program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
         assert [d.label for d in deps] == ["A:0->1@0"] and not deps[0].bounded
         assert not fusion_probe(program, {"S": 0}, deps)
+
+    def test_dfp_fails_in_coloring(self):
+        program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
+        with pytest.raises(SchedulingError, match="no dimension of S can take color 1"):
+            dfp_schedule(program, deps)
