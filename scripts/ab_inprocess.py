@@ -14,8 +14,10 @@ analysis followed by each path (`ilp`, `lp`, `dfp`), in CPU seconds
 operation.  Per workload and operation the script prints the sum over the
 programs of each tree's minimum over the rounds, in ms, and each tree's
 change against SRC_A, then the simplex pivots (`ratlp._Tableau._pivot`
-calls) the operation takes on them, counted in one more, untimed pass:
-a number with no noise for a solver change.
+calls) the operation takes on them and the level systems it builds
+(`pluto.level_system` calls, `fcg`'s fusion probes among them), both
+counted in one more, untimed pass: numbers with no noise for a change to
+the solver or to how levels are built.
 
 One interpreter cannot see start-up cost, so the `import` row comes first:
 every round imports each tree's `cli` module, which is what a command-line
@@ -48,6 +50,7 @@ from digest import workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 OPERATIONS = ("analysis", "ilp", "lp", "dfp")
+WIDTH = 32  # of a printed column
 
 
 def _load_tree(src: Path, name: str, scratch: Path):
@@ -71,24 +74,36 @@ def _operation(package, op: str, data):
     return lambda: package.pluto.schedule(*analyze(data), config)
 
 
-def _pivots(package, op: str, programs) -> int:
-    """The simplex pivots `op` takes over `programs` with `package`."""
+def _counts(package, op: str, programs) -> tuple[int, int]:
+    """The simplex pivots `op` takes over `programs` with `package`, and
+    the level systems it builds."""
     tableau = package.ratlp._Tableau
-    pivot = tableau._pivot
-    count = 0
+    pivot, build = tableau._pivot, package.pluto.level_system
+    pivots = builds = 0
 
-    def counted(self, r, j):
-        nonlocal count
-        count += 1
+    def pivoted(self, r, j):
+        nonlocal pivots
+        pivots += 1
         return pivot(self, r, j)
 
-    tableau._pivot = counted
+    def built(*args):
+        nonlocal builds
+        builds += 1
+        return build(*args)
+
+    # `fcg` imports `level_system` by name.
+    modules = (package.pluto, package.fcg)
+    tableau._pivot = pivoted
+    for module in modules:
+        module.level_system = built
     try:
         for _, data in programs:
             _operation(package, op, data)()
     finally:
         tableau._pivot = pivot
-    return count
+        for module in modules:
+            module.level_system = build
+    return pivots, builds
 
 
 def _child_cpu() -> float:
@@ -125,14 +140,14 @@ def _verify_times(trees, rounds: int, rng) -> list[float]:
     return best
 
 
-def _print_row(label: str, sums, pivots=None) -> None:
+def _print_row(label: str, sums, counts=None) -> None:
     """One operation's times per tree in ms, each against SRC_A's, and
-    each tree's pivots when given."""
+    each tree's pivots and level systems built when given."""
     cells = [f"{sums[0]:.2f}"] + [
         f"{s:.2f} ({100 * (s / sums[0] - 1):+.1f}%)" for s in sums[1:]]
-    if pivots is not None:
-        cells = [f"{c} {p:>5}p" for c, p in zip(cells, pivots)]
-    print("  " + label.ljust(10) + "".join(c.rjust(27) for c in cells))
+    if counts is not None:
+        cells = [f"{c} {p:>5}p {b:>3}s" for c, (p, b) in zip(cells, counts)]
+    print("  " + label.ljust(10) + "".join(c.rjust(WIDTH) for c in cells))
 
 
 def main(argv=None) -> int:
@@ -146,7 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     labels = ("A", "A/A", "B")
-    header = "  " + "operation".ljust(10) + "".join(label.rjust(27) for label in labels)
+    header = "  " + "operation".ljust(10) + "".join(label.rjust(WIDTH) for label in labels)
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         names = [f"polysched_ab{k}" for k in range(3)]
@@ -176,12 +191,13 @@ def main(argv=None) -> int:
                             key = (t, op, k)
                             best[key] = min(best.get(key, spent), spent)
             print(f"{workload}: {len(programs)} programs, {args.rounds} rounds, "
-                  f"sum of per-program minima in CPU ms, then pivots (p)")
+                  f"sum of per-program minima in CPU ms, then pivots (p) "
+                  f"and level systems built (s)")
             print(header)
             for op in OPERATIONS:
                 _print_row(op, [1000 * sum(best[t, op, k] for k in range(len(programs)))
                                 for t in range(len(trees))],
-                           [_pivots(tree, op, programs) for tree in trees])
+                           [_counts(tree, op, programs) for tree in trees])
         sys.path.remove(tmp)
     return 0
 

@@ -12,6 +12,12 @@ retires dependences satisfied at an earlier level, and failing that cuts the
 strongly connected components apart with a constant level (`model.place_cut`)
 and retries one level down.  That satisfies exactly the live dependences
 between them; when there are none, the error names the live dependences.
+
+The levels of one band of `schedule` solve the same `level_system`, over
+the same live dependences and incomplete statements, each with its own
+extra rows.  It is built once for each run of levels that share both, a
+band or the part of one before a statement reaches full rank, and its
+rows are converted to tableau rows once (`ratlp._Tableau`'s `base`).
 """
 
 from __future__ import annotations
@@ -237,26 +243,28 @@ class Step(NamedTuple):
 def solve_level(program: Program, deps: Sequence[DependencePolyhedron],
                 terms: Terms, level: int, groups: Sequence[Sequence[str]] | None = None,
                 extra: Sequence[tuple[Mapping[str, int], int]] = (),
-                mode: str = LP) -> Step | None:
+                mode: str = LP, base: ratlp._Tableau | None = None) -> Step | None:
     """The loop step of `level` over `terms`, or None when it is infeasible.
 
     The system is `level_system` of `deps` plus one row per (form over the
     unknowns, constant) of `extra`, each form plus its constant at least 0.
-    Its column lexmin is taken, over the integers in `ilp` mode; a
+    A `base`, the `ratlp._Tableau` of that `level_system`, stands for it:
+    its system is not built again, nor its rows converted again.  The
+    system's column lexmin is taken, over the integers in `ilp` mode; a
     node-limit error names the level and the statements of `terms`.  Each
     group of `groups`, by default the one group of every system variable,
     is scaled by the lcm of its members' denominators, which makes each
     scaled unknown an int, and each statement's row is read off the scaled
     unknowns by `level_rows`, so an unknown in no group reads as 0.
     """
-    system = level_system(program, deps, terms)
+    system = level_system(program, deps, terms) if base is None else base.system
     if extra:
         system = system.with_rows(system.row_from(form, const) for form, const in extra)
     if mode != ILP:
-        result = ratlp.solve_lexmin(ratlp.LPProblem.of(system))
+        result = ratlp.solve_lexmin(ratlp.LPProblem.of(system), base)
     else:
         try:
-            result = ratlp.solve_ilp(ratlp.LPProblem.of(system))
+            result = ratlp.solve_ilp(ratlp.LPProblem.of(system), base)
         except ratlp.ResourceLimitError as exc:
             raise ratlp.ResourceLimitError(f"{exc} at level {level} for statements "
                                            f"{', '.join(terms)}") from None
@@ -288,7 +296,8 @@ def _statement_state(statements: Sequence[Statement], prior: Mapping[str, Sequen
 def find_hyperplane(program: Program, statements: Sequence[Statement],
                     deps: Sequence[DependencePolyhedron],
                     prior: Mapping[str, Sequence],
-                    config: SchedulerConfig, level: int) -> Step | None:
+                    config: SchedulerConfig, level: int,
+                    band: dict | None = None) -> Step | None:
     """The loop step of `level`: one more row per statement, or None if none.
 
     Every statement whose rows do not yet span its iteration space gets one
@@ -298,6 +307,14 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
     earlier rows.  The others get zero rows and stop influencing the
     problem.  The level is scaled as one group: the bound variables, then
     every unknown.
+
+    The terms depend on the incomplete statements alone, so the levels of
+    one band share their `level_system` while those and `deps` stay the
+    same.  `band`, kept by the caller from level to level, holds the
+    terms and the tableau (`ratlp._Tableau`, never pivoted) of the last
+    one built, keyed by both, since neither comes back once it changes; a
+    level with the same key solves over them instead of building the
+    terms and the system and converting its rows again.
     """
     parts, complete = _statement_state(statements, prior)
     if all(complete.values()):
@@ -306,10 +323,16 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
     active = [s for s in statements if not complete[s.id]]
     if config.restricted:
         return _best_axis_solve(program, deps, active, parts, config, level)
-    nparams = len(program.params)
-    terms = {s.id: _unit_terms(s, program.params,
-                               [(k, 0) for k in range(s.dim + nparams + 1)])
-             for s in active}
+    band = {} if band is None else band
+    key = tuple(deps), tuple(s.id for s in active)
+    if key not in band:
+        nparams = len(program.params)
+        terms = {s.id: _unit_terms(s, program.params,
+                                   [(k, 0) for k in range(s.dim + nparams + 1)])
+                 for s in active}
+        band.clear()
+        band[key] = terms, ratlp._Tableau(level_system(program, deps, terms))
+    terms, base = band[key]
     extra = []
     for s in active:
         names = coefficient_variables(s, program.params)[:s.dim]
@@ -317,7 +340,8 @@ def find_hyperplane(program: Program, statements: Sequence[Statement],
         guide = independence_vector(parts[s.id], s.dim) if parts[s.id] else None
         if guide is not None:
             extra.append(({v: a for v, a in zip(names, guide) if a}, -1))
-    return solve_level(program, deps, terms, level, extra=extra, mode=config.mode)
+    return solve_level(program, deps, terms, level, extra=extra, mode=config.mode,
+                       base=base)
 
 
 def _best_axis_solve(program: Program, deps: Sequence[DependencePolyhedron],
@@ -447,6 +471,8 @@ def walk(program: Program, deps: Sequence[DependencePolyhedron], choose,
 def schedule(program: Program, deps: Sequence[DependencePolyhedron],
              config: SchedulerConfig = DEFAULT) -> ScheduleResult:
     """Full transform: a `walk` of the weakly connected components apart,
-    each level `find_hyperplane`'s, with its own bound minimization."""
+    each level `find_hyperplane`'s, with its own bound minimization; the
+    levels of one band share one system and one set of tableau rows."""
+    band: dict = {}
     return walk(program, deps, lambda statements, live, rows, level, nth: find_hyperplane(
-        program, statements, live, rows, config, level))
+        program, statements, live, rows, config, level, band))

@@ -25,7 +25,12 @@ tableau.  Callers ask three questions:
 Rows are content-reduced integers and the ratio tests compare cross
 products.  Rows are dense, but a pivot works in proportion to the pivot
 row's nonzeros, and it returns the rows it rewrote, the only rows whose
-constant and norm the dual simplex reads again.
+constant and norm the dual simplex reads again.  A pivot replaces the
+rows it rewrites, so tableaux may share rows: `solve_lexmin` and
+`solve_ilp` take a `base` tableau, never pivoted, of a system that the
+problem's extends, and convert only the rows it lacks.  That is how the
+levels of one `pluto.schedule` band share one system and one set of
+converted rows.
 """
 
 from __future__ import annotations
@@ -91,30 +96,57 @@ class _Tableau:
     positive factor and are kept content-reduced; a structural row also
     keeps a positive denominator in `den`.  Rows are dense int lists, read
     by column; `_pivot` alone walks the pivot row's nonzeros, replaces every
-    row it rewrites with a new list, so that `branched` children may share
-    their parent's rows, and returns the indices of those rows.
+    row it rewrites with a new list, so that `branched` children and the
+    tableaux built over a `base` may share rows, and returns the indices of
+    those rows.
+
+    A `base` is a tableau that has not pivoted, of a system that `system`
+    extends by `ConstraintSystem.with_rows`: the same variables and bounds,
+    its rows first, save where a row added after them dominates one and
+    takes its place.  Its structural rows and the converted rows of every
+    row `system` keeps at the same position are shared, not built again,
+    so the tableau equals a fresh one row for row.
     """
 
-    def __init__(self, system: ConstraintSystem, cost: Mapping | None = None):
-        self.col_of: dict[str, tuple] = {}  # variable -> (column, negative half, shift)
-        n = 0
-        for v in system.variables:
-            b = system.lower[v]
-            if b is None:
-                self.col_of[v] = (n, n + 1, 0)
-                n += 2
-            else:
-                self.col_of[v] = (n, None, b)
-                n += 1
+    def __init__(self, system: ConstraintSystem, cost: Mapping | None = None,
+                 base: _Tableau | None = None):
+        #: The system it was built from (a `branched` copy keeps its
+        #: parent's), which a tableau over this `base` reads.
+        self.system = system
+        if base is None:
+            self.col_of: dict[str, tuple] = {}  # variable -> (column, negative half, shift)
+            n = 0
+            for v in system.variables:
+                b = system.lower[v]
+                if b is None:
+                    self.col_of[v] = (n, n + 1, 0)
+                    n += 2
+                else:
+                    self.col_of[v] = (n, None, b)
+                    n += 1
+            self.rows = [[0] * k + [1] + [0] * (n - k) for k in range(1, n + 1)]
+            given = ()
+        else:
+            if base.system.lower is not system.lower:
+                raise ValueError("a base tableau's system shares the variables and bounds")
+            self.col_of, n = base.col_of, base.n
+            self.rows = base.rows[:n]
+            given = base.system.rows
         self.n = n
         self.den = [1] * n
         #: The quantity (row) nonbasic in each column; column 0 is the constant.
         self.col_var = [-1] + list(range(n))
-        self.rows = [[0] * k + [1] + [0] * (n - k) for k in range(1, n + 1)]
         cols = [self.col_of[v] for v in system.variables]
-        for lr in system.rows:
-            row = self._integral(lr.const, ((cols[i], c) for i, c in lr.nonzero))
-            self.rows += [row, [-c for c in row]] if lr.kind == EQ else [row]
+        at = n  # base's first tableau row of given[k]
+        for k, lr in enumerate(system.rows):
+            own = given[k] if k < len(given) else None
+            if lr is own:
+                self.rows += base.rows[at:at + 1 + (lr.kind == EQ)]
+            else:
+                row = self._integral(lr.const, ((cols[i], c) for i, c in lr.nonzero))
+                self.rows += [row, [-c for c in row]] if lr.kind == EQ else [row]
+            if own is not None:
+                at += 1 + (own.kind == EQ)
         self.m = len(self.rows)
         if cost is not None:
             self.rows.append(self._integral(
@@ -240,7 +272,7 @@ class _Tableau:
         if g > 1:
             row = [x // g for x in row]
         tab = _Tableau.__new__(_Tableau)
-        tab.col_of, tab.n, tab.m = self.col_of, self.n, self.m + 1
+        tab.system, tab.col_of, tab.n, tab.m = self.system, self.col_of, self.n, self.m + 1
         # `_pivot` replaces rows whole, so they may be shared.
         tab.rows = self.rows[:self.m] + [row] + self.rows[self.m:]
         tab.den, tab.col_var = den[:], self.col_var[:]
@@ -311,27 +343,30 @@ def _at_bounds(system: ConstraintSystem) -> dict[str, Fraction] | None:
     return {v: Fraction(x) for v, x in zip(system.variables, point)}
 
 
-def solve_lexmin(problem: LPProblem) -> LPResult:
+def solve_lexmin(problem: LPProblem, base: _Tableau | None = None) -> LPResult:
     """The lexmin of the tableau's columns: every variable in the system's
     order, a free one as its positive half, then its negative half, which
     gives it the value of smallest magnitude.  No tableau is built when
-    the bound point (`_at_bounds`) is feasible."""
+    the bound point (`_at_bounds`) is feasible; else the tableau shares the
+    rows of `base`, a `_Tableau` of a system that the problem's extends."""
     system = _no_objective(problem)
     x = _at_bounds(system)
     if x is not None:
         return LPResult(OPTIMAL, x)
-    tab = _Tableau(system)
+    tab = _Tableau(system, None, base)
     return LPResult(OPTIMAL, tab.assignment()) if tab.lexmin() else LPResult(INFEASIBLE)
 
 
-def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
+def solve_ilp(problem: LPProblem, base: _Tableau | None = None,
+              node_limit: int = 100_000) -> LPResult:
     """The integer point of `solve_lexmin`'s order: the least tuple of column
     values with every variable integral.
 
     Depth-first branch and bound on the first fractional variable in the
     system's order, so runs are reproducible.  The root is the one node
     that may end at the bound point (`_at_bounds`), which is integral, with
-    no tableau.  A child adds its one bound row to its parent's final
+    no tableau; else its tableau shares the rows of `base`, as in
+    `solve_lexmin`.  A child adds its one bound row to its parent's final
     tableau (`_Tableau.branched`) and resumes the lexmin from there.  A
     node's lexmin bounds every integer point below it, so a node whose
     columns do not beat the incumbent's is pruned.
@@ -350,7 +385,7 @@ def solve_ilp(problem: LPProblem, node_limit: int = 100_000) -> LPResult:
             x = _at_bounds(system)
             if x is not None:
                 return LPResult(OPTIMAL, x)
-            tab = _Tableau(system)
+            tab = _Tableau(system, None, base)
         else:
             tab = tab.branched(*branch)
         if not tab.lexmin():

@@ -24,7 +24,7 @@ from polysched.pluto import (
 )
 from polysched.verify import check_legality, full_rank
 
-from inputs import FIXTURES, REFUSALS, bench_chain, oracle
+from inputs import FIXTURES, REFUSALS, ROOT, bench_chain, oracle, workloads
 
 F = Fraction
 
@@ -309,6 +309,27 @@ class TestFindHyperplane:
         step = find_hyperplane(inst.program, inst.program.statements, inst.deps,
                                prior, SchedulerConfig(mode=LP), 2)
         assert step is None
+
+    @pytest.mark.parametrize("mode", [ILP, LP])
+    def test_a_band_builds_its_system_once(self, mode, monkeypatch):
+        """`schedule` builds one `level_system` per band, not per level:
+        once per chain(8) and chain(16) schedule, where every level
+        rebuilt it twice, and 13 times per corpus pass, against 22."""
+        built = []
+        build = pluto.level_system
+        monkeypatch.setattr(pluto, "level_system",
+                            lambda *args: built.append(args) or build(*args))
+
+        def builds(workload):
+            counts = {}
+            for name, data in workloads.programs(workload, ROOT / "src"):
+                built.clear()
+                schedule(*analyze(data), SchedulerConfig(mode=mode))
+                counts[name] = len(built)
+            return counts
+
+        assert builds("chain") == {"chain8": 1, "chain16": 1}
+        assert sum(builds("corpus").values()) == 13
 
 
 def _line_pair(producer, consumer, write, read, order):

@@ -444,6 +444,72 @@ def test_pivot_counts_on_the_workloads():
     }
 
 
+def tableau_state(tab):
+    return tab.rows, tab.den, tab.col_var, tab.n, tab.m
+
+
+def test_a_tableau_over_a_base_equals_a_fresh_one_on_the_workloads():
+    """Every `ilp` and `lp` solve on the benchmark workloads, each loop
+    step's among them, builds its tableau over its band's base tableau,
+    and each equals a fresh `_Tableau(step.system)` before its first
+    pivot."""
+    assembled, shared = [], []
+    init = _Tableau.__init__
+
+    def checked(self, system, cost=None, base=None):
+        init(self, system, cost, base)
+        if base is not None:
+            assert tableau_state(self) == tableau_state(_Tableau(system, cost))
+            assembled.append(system)
+            shared.append(sum(a is b for a, b in zip(self.rows, base.rows)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "__init__", checked)
+        for workload in ("corpus", "chain", "random"):
+            for mode in (ILP, LP):
+                for _, data in workloads.programs(workload, ROOT / "src"):
+                    result = schedule(*analyze(data), SchedulerConfig(mode=mode))
+                    ids = {id(s) for s in assembled}
+                    assert all(id(s.system) in ids for s in result.steps if s.kind == "loop")
+                    assembled.clear()
+    assert len(shared) == 2 * (22 + 4 + 29) and min(shared) > 0
+
+
+def test_an_extra_row_that_dominates_a_base_row_takes_its_place():
+    """Over a base with an equality and a free variable, an added row
+    that tightens a base row replaces it in place, one that a base row
+    implies is dropped, and the tableau still equals a fresh one, rows,
+    pivots and lexmin alike."""
+    base = system(["x", "y", "z"], [({"x": 1, "z": -1}, 0, EQ), ({"x": 1, "y": 1}, -3, "ge"),
+                                    ({"y": 1, "z": 1}, -1, "ge")], {"z": None})
+    extended = base.with_rows([base.row_from({"x": 1, "y": 1}, -5),
+                               base.row_from({"y": 1, "z": 1}, 2),
+                               base.row_from({"y": 1}, -1)])
+    assert extended.rows[0] is base.rows[0] and extended.rows[2] is base.rows[2]
+    assert extended.rows[1].const == -5 and len(extended.rows) == 4
+    under = _Tableau(base)
+    tab, fresh = _Tableau(extended, None, under), _Tableau(extended)
+    assert tableau_state(tab) == tableau_state(fresh)
+    # The equality's two rows and the last base row are shared; the
+    # replaced row and the added one are built.
+    n = under.n
+    assert [tab.rows[n + k] is under.rows[n + k] for k in range(4)] == [
+        True, True, False, True]
+    assert tab.lexmin() and fresh.lexmin()
+    assert tableau_state(tab) == tableau_state(fresh)
+    assert tab.assignment() == fresh.assignment() == solve_lexmin(
+        LPProblem.of(extended), under).assignment
+    # The base is left as it was built.
+    assert tableau_state(under) == tableau_state(_Tableau(base))
+
+
+def test_a_base_must_share_the_variables_and_bounds():
+    base = system(["x", "y"], [({"x": 1, "y": 1}, -1, "ge")])
+    other = system(["x", "y"], [({"x": 1, "y": 1}, -1, "ge")], {"y": None})
+    with pytest.raises(ValueError, match="variables and bounds"):
+        _Tableau(other, None, _Tableau(base))
+
+
 def reference_ilp(s):
     """Branch and bound that rebuilds every node from its system, with a
     fresh tableau: (result, nodes opened).  `solve_ilp` must open the same
