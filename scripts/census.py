@@ -14,7 +14,10 @@ counts as neither scheduled nor refused on `ilp`.
 
 Per family the script prints how many programs analysis refuses as bad
 input, how many each path schedules, how many `ilp` runs hit the alarm and
-how many programs every path refuses.  It then names every `ilp` alarm, and
+how many programs every path refuses.  Per family and path it also prints
+the statements in parallel bands and the permutable levels of the
+transforms the path returns, as their bands report them: unchecked
+(ROADMAP item 29), and no gate.  It then names every `ilp` alarm, and
 every `dfp` refusal of a program that `ilp` or `lp` schedules, and every
 `dfp` transform that `verify.check_legality` rejects or that leaves a
 statement below full rank, and exits 1 when it names any but an alarm,
@@ -87,34 +90,43 @@ def families() -> dict[str, list[tuple[str, dict]]]:
     }
 
 
-def _schedules(program, deps, mode: str) -> bool:
-    """Does the path `mode` schedule the program?"""
+def _schedule(program, deps, mode: str):
+    """The path `mode`'s transform of the program, or None when it
+    refuses."""
     try:
-        schedule(program, deps, SchedulerConfig(mode=mode))
+        return schedule(program, deps, SchedulerConfig(mode=mode)).transform
     except (SchedulingError, ResourceLimitError):
-        return False
-    return True
+        return None
 
 
 def _ilp(program, deps):
-    """Whether `ilp` schedules the program, or None when it runs past
-    `ILP_CPU_SECONDS` of CPU time."""
+    """`ilp`'s transform of the program or None, and whether it ran past
+    `ILP_CPU_SECONDS` of CPU time instead."""
     previous = signal.signal(signal.SIGPROF, _alarm)
     signal.setitimer(signal.ITIMER_PROF, ILP_CPU_SECONDS)
     try:
-        return _schedules(program, deps, ILP)
+        return _schedule(program, deps, ILP), False
     except _OverBudget:
-        return None
+        return None, True
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
 
 
-def census(programs) -> tuple[dict[str, int], list[str], list[str]]:
-    """The counts over `programs`, one line per fault found and one per
+def reported_quality(transform) -> tuple[int, int]:
+    """The statements in the transform's parallel bands and its permutable
+    levels, as its bands report them."""
+    return (sum(len(b.statements) for b in transform.bands if b.parallel),
+            sum(b.end - b.start + 1 for b in transform.bands if b.permutable))
+
+
+def census(programs) -> tuple[dict[str, int], dict[str, list[int]], list[str], list[str]]:
+    """The counts over `programs`; per path, the `reported_quality` summed
+    over the transforms it returns; one line per fault found and one per
     `ilp` alarm."""
     counts = dict.fromkeys(("programs", "bad input", "ilp scheduled", "ilp over budget",
                             "lp scheduled", "dfp scheduled", "all refused"), 0)
+    quality = {path: [0, 0] for path in (ILP, LP, "dfp")}
     faults, alarms = [], []
     for name, data in programs:
         counts["programs"] += 1
@@ -123,21 +135,24 @@ def census(programs) -> tuple[dict[str, int], list[str], list[str]]:
         except ParseError:
             counts["bad input"] += 1
             continue
-        lp = _schedules(program, deps, LP)
+        lp = _schedule(program, deps, LP)
         try:
             transform, refusal = dfp_schedule(program, deps).transform, None
         except (SchedulingError, ResourceLimitError) as exc:
             transform, refusal = None, exc
         # Last, so that an alarm that stops it midway touches no other run.
-        ilp = _ilp(program, deps)
-        if ilp is None:
+        ilp, over = _ilp(program, deps)
+        if over:
             alarms.append(f"{name}: ilp ran past {ILP_CPU_SECONDS} s CPU")
-        counts["ilp scheduled"] += bool(ilp)
-        counts["ilp over budget"] += ilp is None
-        counts["lp scheduled"] += lp
+        counts["ilp scheduled"] += ilp is not None
+        counts["ilp over budget"] += over
+        counts["lp scheduled"] += lp is not None
+        for path, result in ((ILP, ilp), (LP, lp), ("dfp", transform)):
+            if result is not None:
+                quality[path] = [a + b for a, b in zip(quality[path], reported_quality(result))]
         if transform is None:
-            counts["all refused"] += ilp is False and not lp
-            others = [path for path, ok in (("ilp", ilp), ("lp", lp)) if ok]
+            counts["all refused"] += ilp is None and not over and lp is None
+            others = [path for path, t in (("ilp", ilp), ("lp", lp)) if t is not None]
             if others:
                 faults.append(f"{name}: dfp refuses where {' and '.join(others)} "
                               f"schedule{'s' * (len(others) == 1)}: {refusal}")
@@ -147,15 +162,18 @@ def census(programs) -> tuple[dict[str, int], list[str], list[str]]:
             faults.append(f"{name}: dfp transform is illegal")
         if not full_rank(program, transform):
             faults.append(f"{name}: dfp transform is below full rank")
-    return counts, faults, alarms
+    return counts, quality, faults, alarms
 
 
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     found, over = [], []
     for family, programs in families().items():
-        counts, faults, alarms = census(programs)
+        counts, quality, faults, alarms = census(programs)
         print(f"{family}: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
+        print(f"{family}, as reported (unchecked): " + ", ".join(
+            f"{path} {statements} statements in parallel bands and {levels} permutable levels"
+            for path, (statements, levels) in quality.items()))
         found += [f"{family} {line}" for line in faults]
         over += [f"{family} {line}" for line in alarms]
     for line in over + found:

@@ -3,13 +3,13 @@
 Each vertex stands for one dimension of one statement.  A conflict edge says
 the two dimensions cannot be fused and permuted to the outermost level at the
 same time; a self loop says the dimension cannot be outermost at all.  Both
-are decided by fusion probes over the dependences of the affected statement
-pair: is one small rational level system feasible?  A probe is its chosen
-dimensions, one per statement.  The exact minimum of each dependence
-distance, read off the relation's Farkas cone with no solve, answers most
-probes first, with parametric shifts or without (Kennedy and McKinley's
-fusion-preventing dependence test, made exact).  Only the few probes it
-leaves open, such as those that need scaled loops, build the system and
+are decided by fusion probes over the dependences of one statement or of one
+pair that a dependence links: is one small rational level system feasible?
+A probe is its chosen dimensions, one per statement.  The exact minimum of
+each dependence distance, read off the relation's Farkas cone with no solve,
+answers most probes first, with parametric shifts or without (Kennedy and
+McKinley's fusion-preventing dependence test, made exact).  The few probes
+it leaves open, such as those that need scaled loops, build the system and
 solve it as an LP, so building the graph costs a quadratic number of cone
 reads and a handful of solves instead of one monolithic scheduling problem.
 
@@ -207,62 +207,11 @@ def _ratio_exists(choose: Mapping[str, int],
     return hi is None or lo <= hi
 
 
-def _transitive_reduction(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Edges of a DAG not implied by a longer path: (a, b) goes when b is
-    reachable from another successor of a.  The vertices 0..n-1 must be
-    numbered in a topological order, every edge going to a larger number.
-
-    One pass, from the last vertex back, keeps each vertex's set of vertices
-    reachable by a non-empty path as an int bitmask.  In a DAG, b is
-    reachable from another successor of a exactly when it is reachable from
-    any successor, b itself included, since b cannot reach itself.
-    """
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
-    below = [0] * n
-    kept = set()
-    for v in reversed(range(n)):
-        via = 0
-        for c in succ[v]:
-            via |= below[c]
-        kept.update((v, b) for b in succ[v] if not via >> b & 1)
-        for c in succ[v]:
-            via |= 1 << c
-        below[v] = via
-    return kept
-
-
-def _probe_pairs(program: Program, deps: Sequence[DependencePolyhedron]):
-    """Statement pairs worth probing: directly connected, minus pairs whose
-    ordering is already implied transitively through other statements."""
-    ids = [s.id for s in program.statements]
-    comp_of: dict[str, int] = {}
-    sccs = scc_decompose(ids, deps)
-    for ci, comp in enumerate(sccs):
-        for sid in comp:
-            comp_of[sid] = ci
-    cond = {(comp_of[d.src], comp_of[d.dst])
-            for d in deps if comp_of[d.src] != comp_of[d.dst]}
-    kept = _transitive_reduction(len(sccs), cond)  # `sccs` is topologically sorted
-
-    # The linked pairs of distinct statements, as position pairs i < j in
-    # lexicographic order: the probes run in statement order.
-    position = {sid: k for k, sid in enumerate(ids)}
-    linked = sorted({tuple(sorted((position[d.src], position[d.dst])))
-                     for d in deps if d.src != d.dst})
-    pairs = []
-    for i, j in linked:
-        ca, cb = comp_of[ids[i]], comp_of[ids[j]]
-        if ca != cb and (ca, cb) not in kept and (cb, ca) not in kept:
-            continue
-        pairs.append((program.statements[i], program.statements[j]))
-    return pairs
-
-
 def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionConflictGraph:
     """Probe self loops and pairwise conflicts over every statement, against
-    the dependences `deps` alone."""
+    the dependences `deps` alone: every pair of statements that a dependence
+    links, in statement order, even one that a path through others links
+    too, since conflicts are not transitive."""
     stmts = program.statements
     # The dependences by the frozenset of endpoints, each list in `deps` order.
     by_pair: dict[frozenset, list] = {}
@@ -285,8 +234,12 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
             if not fusion_probe(program, {s.id: k}, mine):
                 loops.append((s.id, k))
 
+    # Every linked pair of distinct statements, in statement order.
+    rank = {s.id: k for k, s in enumerate(stmts)}
+    linked = sorted(sorted(map(rank.__getitem__, pair)) for pair in by_pair if len(pair) == 2)
     conflicts = []
-    for a, b in _probe_pairs(program, deps):
+    for i, j in linked:
+        a, b = stmts[i], stmts[j]
         involved = sorted(by_pair.get(frozenset((a.id,)), [])
                           + by_pair.get(frozenset((b.id,)), [])
                           + by_pair[frozenset((a.id, b.id))],

@@ -301,8 +301,9 @@ class _Tableau:
         """The structural columns' values, which `lexmin` minimizes."""
         return tuple(Fraction(self.rows[k][0], self.den[k]) for k in range(self.n))
 
-    def assignment(self) -> dict[str, Fraction]:
-        value = self.columns()
+    def assignment(self, value: tuple[Fraction, ...] | None = None) -> dict[str, Fraction]:
+        """Each variable's value, from the columns' values (`columns()`)."""
+        value = self.columns() if value is None else value
         return {v: value[k] + shift if neg is None else value[k] - value[neg]
                 for v, (k, neg, shift) in self.col_of.items()}
 
@@ -393,7 +394,7 @@ def solve_ilp(problem: LPProblem, base: _Tableau | None = None,
         key = tab.columns()
         if best and key >= best[0]:
             continue
-        x = tab.assignment()
+        x = tab.assignment(key)
         frac = next((v for v in system.variables if x[v].denominator != 1), None)
         if frac is None:
             best = key, LPResult(OPTIMAL, x)

@@ -603,6 +603,9 @@ def _check_scc_colorability(runs, bound):
 
 
 def _check_fusion_transitivity(runs, bound):
+    """Linked pairs a-b and b-c that fuse make a triple that fuses: an
+    observation on the corpus, not a theorem, which fails on 35 of 500
+    `random_nest` nests (ROADMAP item 22).  No code relies on it."""
     bad = []
     tried = 0
     for r in runs:

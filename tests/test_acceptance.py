@@ -76,8 +76,10 @@ def test_conflict_graph_edges(by_name):
     inst = by_name["fig1"]
     fcg = build_fcg(inst.program, inst.deps)
     bad = []
-    if len(fcg.conflicts) != 4:
-        bad.append(f"{len(fcg.conflicts)} conflict edges, expected 4")
+    # Two edges per linked pair: S1->S2 and S2->S3 read A transposed, and
+    # S1->S3 is a same-cell RAW on A, so S1.i-S3.j and S1.j-S3.i conflict.
+    if len(fcg.conflicts) != 6:
+        bad.append(f"{len(fcg.conflicts)} conflict edges, expected 6")
     if len(fcg.cliques) != 3:
         bad.append(f"{len(fcg.cliques)} clique edges, expected 3")
     if any(u == v for u, v in fcg.conflicts + fcg.cliques):

@@ -103,8 +103,10 @@ class TestFcg:
         assert code == 0
         data = json.loads(out)
         assert [v["color"] for v in data["vertices"]] == [1, 2, 2, 1, 1, 2]
+        # S1->S3, a same-cell RAW on A, adds S1.i-S3.j and S1.j-S3.i.
         assert data["conflicts"] == [
-            [["S1", 0], ["S2", 0]], [["S1", 1], ["S2", 1]],
+            [["S1", 0], ["S2", 0]], [["S1", 0], ["S3", 1]],
+            [["S1", 1], ["S2", 1]], [["S1", 1], ["S3", 0]],
             [["S2", 0], ["S3", 0]], [["S2", 1], ["S3", 1]],
         ]
         assert len(data["cliques"]) == 3

@@ -15,7 +15,7 @@ from polysched.fcg import (
 from polysched.frontend import analyze
 from polysched.model import (
     Cut, SchedulingError, component_range, min_dependence_component,
-    satisfaction_level, scc_decompose,
+    satisfaction_level,
 )
 from polysched.pluto import dimension_terms
 from polysched.postpass import dfp_schedule
@@ -236,8 +236,11 @@ class TestBuildFcg:
         fcg = build_fcg(inst.program, inst.deps)
         assert fcg.vertices == (("S1", 0), ("S1", 1), ("S2", 0), ("S2", 1),
                                 ("S3", 0), ("S3", 1))
+        # S1->S3 is a same-cell RAW on A, so S1's i cannot share a level
+        # with S3's j, nor S1's j with S3's i.
         assert fcg.conflicts == (
-            (("S1", 0), ("S2", 0)), (("S1", 1), ("S2", 1)),
+            (("S1", 0), ("S2", 0)), (("S1", 0), ("S3", 1)),
+            (("S1", 1), ("S2", 1)), (("S1", 1), ("S3", 0)),
             (("S2", 0), ("S3", 0)), (("S2", 1), ("S3", 1)))
         assert fcg.cliques == ((("S1", 0), ("S1", 1)),
                                (("S2", 0), ("S2", 1)),
@@ -282,7 +285,8 @@ class TestBuildFcg:
         # A same-statement clique edge is drawn but joins no neighbours.
         assert (("S1", 0), ("S1", 1)) in fcg.cliques
         assert ("S1", 1) not in fcg.neighbours(("S1", 0))
-        assert ("S3", 1) not in fcg.neighbours(("S1", 0))
+        # The same-cell RAW S1->S3 on A.
+        assert ("S3", 1) in fcg.neighbours(("S1", 0))
         assert ("S1", 0) not in fcg.neighbours(("S1", 0))  # no self loop
 
 
@@ -316,6 +320,19 @@ class TestColoring:
         # The cut removed the one dependence, P->Q, from the graph.
         assert [(d.src, d.dst) for d in inst.deps] == [("P", "Q")]
         assert _graph(col.fcg) == _graph(build_fcg(inst.program, []))
+
+    def test_a_pair_linked_beside_a_longer_path_keeps_its_conflicts(self):
+        # random_nest draw 83 of random.Random(2).  S0 reaches S2 through S1
+        # and directly, by a WAW on A from S0(i, j) to S2(j + 2, j + 1),
+        # whose distance from S0's i to either dimension of S2 is unbounded
+        # below: no constant shift fuses them, so dfp cuts S2 off at level 1
+        # instead of fusing it at level 1 by the parametric shift i + N.
+        program, deps = analyze(json.loads((FIXTURES / "hidden_conflict.json").read_text()))
+        assert build_fcg(program, deps).conflicts == (
+            (("S0", 0), ("S2", 0)), (("S0", 0), ("S2", 1)))
+        transform = dfp_schedule(program, deps).transform
+        assert transform.cuts == (Cut(1, (("S0", "S1"), ("S2",))),)
+        assert check_legality(program, deps, transform).ok and full_rank(program, transform)
 
     def test_no_distribution_without_a_dependence_to_cut(self):
         # S1 cannot take S0's second color while S0's diagonal dependence is
@@ -568,8 +585,9 @@ class TestDot:
         assert dot.count("[style=dashed]") == 3
         solid = [ln for ln in dot.splitlines()
                  if "--" in ln and "dashed" not in ln]
-        assert len(solid) == 4
+        assert len(solid) == 6
         assert '"S1.i" -- "S2.i";' in dot
+        assert '"S1.i" -- "S3.j";' in dot
 
     def test_coloring_fills_by_level(self, by_name):
         inst = by_name["fig1"]
@@ -582,75 +600,48 @@ class TestDot:
         assert '"S2.i" [fillcolor=lightgreen];' in dot
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_transitive_reduction_keeps_exactly_the_unimplied_edges(data):
-    """An edge (a, b) of a DAG numbered in topological order stays exactly
-    when no path of two or more edges leads from a to b."""
-    n = data.draw(st.integers(2, 8))
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = set(data.draw(st.lists(st.sampled_from(pairs), unique=True)))
-
-    def reaches(a, b, used):
-        """Is b reachable from a without the edge `used`?"""
-        seen, todo = {a}, [a]
-        while todo:
-            v = todo.pop()
-            for u, w in edges:
-                if u == v and (u, w) != used and w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return b in seen
-
-    assert fcg._transitive_reduction(n, edges) == {
-        (a, b) for a, b in edges if not reaches(a, b, (a, b))}
+def reference_conflicts(program, deps):
+    """The conflict edges of a walk over every pair of statements
+    (`combinations`) that probes each pair some dependence links, against
+    the pair's dependences and each one's self-dependences."""
+    conflicts = set()
+    for a, b in combinations(program.statements, 2):
+        involved = [d for d in deps if {d.src, d.dst} <= {a.id, b.id}]
+        if any(d.src != d.dst for d in involved):
+            conflicts.update(((a.id, da), (b.id, db))
+                             for da, db in product(range(a.dim), range(b.dim))
+                             if not fusion_probe(program, {a.id: da, b.id: db}, involved))
+    return conflicts
 
 
-def reference_probe_pairs(program, deps):
-    """`fcg._probe_pairs` by a walk over every pair of statements
-    (`combinations`): each linked pair, unless its components are distinct
-    and no edge of the reduced component DAG joins them."""
-    ids = [s.id for s in program.statements]
-    sccs = scc_decompose(ids, deps)
-    comp_of = {sid: ci for ci, comp in enumerate(sccs) for sid in comp}
-    kept = fcg._transitive_reduction(len(sccs), {
-        (comp_of[d.src], comp_of[d.dst]) for d in deps if comp_of[d.src] != comp_of[d.dst]})
-    linked = {frozenset((d.src, d.dst)) for d in deps}
-    pairs = []
-    for a, b in combinations(ids, 2):
-        ca, cb = comp_of[a], comp_of[b]
-        if frozenset((a, b)) in linked and (
-                ca == cb or (ca, cb) in kept or (cb, ca) in kept):
-            pairs.append((program.statement(a), program.statement(b)))
-    return pairs
-
-
-def test_probe_pairs_equal_the_walk_over_every_pair(monkeypatch):
-    """Every `_probe_pairs` call that the coloring makes, on the corpus,
+def test_conflicts_equal_the_walk_over_every_linked_pair(monkeypatch):
+    """Every `build_fcg` call that the coloring makes, on the corpus,
     chain(8), the `random` workload, every fixture and fan-in(30), gives
-    the pairs of the `combinations` walk in its order.  fan-in(30) links
-    57 pairs and keeps its 29 nearest neighbours."""
+    the conflicts of the `combinations` walk, in vertex order.  fan-in(30)
+    links 57 pairs, each of which is probed."""
     named = (workloads.programs("corpus", ROOT / "src") + [("chain8", workloads.chain(8))]
              + workloads.programs("random", ROOT / "src")
              + [(p.stem, json.loads(p.read_text())) for p in sorted(FIXTURES.glob("*.json"))]
              + [("fan-in30", bench_chain.fan_in(30))])
-    probe_pairs = fcg._probe_pairs
-    calls = []
+    build = fcg.build_fcg
+    linked = []
 
     def checked(program, deps):
-        pairs = probe_pairs(program, deps)
-        assert pairs == reference_probe_pairs(program, deps)
-        calls.append(len(pairs))
-        return pairs
+        graph = build(program, deps)
+        index = {v: k for k, v in enumerate(graph.vertices)}
+        assert graph.conflicts == tuple(sorted(
+            reference_conflicts(program, deps), key=lambda e: (index[e[0]], index[e[1]])))
+        linked.append(len({frozenset((d.src, d.dst)) for d in deps if d.src != d.dst}))
+        return graph
 
-    monkeypatch.setattr(fcg, "_probe_pairs", checked)
+    monkeypatch.setattr(fcg, "build_fcg", checked)
     for name, data in named:
         program, deps = analyze(data)
         try:
             color_fcg(program, deps)
         except SchedulingError:
             assert name in DFP_REFUSES
-    assert len(calls) > len(named) and max(calls) == 29
+    assert len(linked) > len(named) and max(linked) == 57
 
 
 UNBOUNDED_SELF_DEPENDENCE = FIXTURES / "unbounded_self_dependence.json"

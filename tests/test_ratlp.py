@@ -569,6 +569,33 @@ def test_warm_started_branch_and_bound_on_the_corpus_levels(corpus):
     assert branched
 
 
+def test_branch_and_bound_reads_each_nodes_columns_once(corpus):
+    """`solve_ilp` builds the column values of each node whose lexmin is
+    feasible once, for its incumbent key and its assignment alike, on every
+    `ilp` level system of the corpus."""
+    calls = {"columns": 0, "feasible": 0}
+    columns, lexmin = _Tableau.columns, _Tableau.lexmin
+
+    def counted_columns(self):
+        calls["columns"] += 1
+        return columns(self)
+
+    def counted_lexmin(self):
+        feasible = lexmin(self)
+        calls["feasible"] += feasible
+        return feasible
+
+    systems = [step.system for inst in corpus
+               for step in schedule(inst.program, inst.deps, SchedulerConfig(mode=ILP)).steps
+               if step.system is not None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "columns", counted_columns)
+        mp.setattr(_Tableau, "lexmin", counted_lexmin)
+        for s in systems:
+            solve_ilp(LPProblem.of(s))
+    assert calls["columns"] == calls["feasible"] > len(systems)
+
+
 # -- pivot-for-pivot identity with the dense pivot ------------------------------
 
 

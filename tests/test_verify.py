@@ -480,12 +480,14 @@ def test_dfp_schedules_every_random_nest_that_lp_does():
 
 def test_census_names_a_dfp_refusal_where_only_ilp_schedules(monkeypatch):
     """`scripts/census.py` counts `scc_backtrack`, which `ilp` and `dfp`
-    schedule and `lp` refuses, with no fault; a `dfp` that refused it
-    would be named against `ilp` alone."""
+    schedule and `lp` refuses, with no fault, and the two levels of the
+    permutable, not parallel, band each of them reports; a `dfp` that
+    refused it would be named against `ilp` alone."""
     programs = [("scc_backtrack", json.loads((FIXTURES / "scc_backtrack.json").read_text()))]
     handler = signal.getsignal(signal.SIGPROF)
-    counts, faults, alarms = census.census(programs)
+    counts, quality, faults, alarms = census.census(programs)
     assert (counts["ilp scheduled"], counts["lp scheduled"], counts["dfp scheduled"]) == (1, 0, 1)
+    assert quality == {"ilp": [0, 2], "lp": [0, 0], "dfp": [0, 2]}
     assert faults == [] and alarms == []
     # The CPU alarm's handler is put back after each ilp run.
     assert signal.getsignal(signal.SIGPROF) is handler
@@ -494,6 +496,6 @@ def test_census_names_a_dfp_refusal_where_only_ilp_schedules(monkeypatch):
         raise SchedulingError("refused")
 
     monkeypatch.setattr(census, "dfp_schedule", refuse)
-    counts, faults, _ = census.census(programs)
+    counts, _, faults, _ = census.census(programs)
     assert counts["dfp scheduled"] == 0 and counts["all refused"] == 0
     assert faults == ["scc_backtrack: dfp refuses where ilp schedules: refused"]
