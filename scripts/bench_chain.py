@@ -15,11 +15,12 @@ lengths, in wall ms: the integer scheduler (`ilp`), the relaxed scheduler
 (`lp`) and the conflict-graph pipeline (`dfp`), next to the number of
 dependences (`ndeps`) and the size of the constraint systems they solve:
 `rows` sums the legality and bounding Farkas rows over the dependences.
-`dfp` is also split into its three stages in CPU ms, `color`
-(`color_fcg`), `shift` (`scale_and_shift`) and `skew` (`introduce_skew`),
-their sum `dfp cpu`, its CPU time outside analysis, and `analysis + dfp
-cpu`, where analysis is `parse` plus `deps`.  With `dfp` it also counts
-the fusion probes that `color_fcg` asks on a fresh analysis, untimed:
+`dfp` is also split into its two stages in CPU ms, `color+shift`
+(`scale_and_shift`, whose walk colors each level and then scales and
+shifts it) and `skew` (`introduce_skew`), their sum `dfp cpu`, its CPU
+time outside analysis, and `analysis + dfp cpu`, where analysis is `parse`
+plus `deps`.  With `dfp` it also counts the fusion probes that
+`scale_and_shift` asks on a fresh analysis, untimed:
 `probes` asked, `memo` answered by the program's verdict memo and `lp`
 solved by an LP, the rest being decided by the dependence minima.  At
 n = 800 only `dfp` finishes in seconds: `--paths dfp --sizes 400,800`.
@@ -31,7 +32,6 @@ import sys
 import time
 
 from polysched import fcg, frontend
-from polysched.fcg import color_fcg
 from polysched.pluto import SchedulerConfig, schedule
 from polysched.postpass import introduce_skew, scale_and_shift
 
@@ -79,16 +79,15 @@ def timed(run, *args):
 
 
 def run_dfp(program, deps):
-    """`postpass.dfp_schedule`'s three stages, one at a time: the final
+    """`postpass.dfp_schedule`'s two stages, one at a time: the final
     transform and each stage's CPU seconds."""
-    coloring, color = timed(color_fcg, program, deps)
-    (scaled, steps), shift = timed(scale_and_shift, program, deps, coloring)
+    (_, scaled, steps), shift = timed(scale_and_shift, program, deps)
     skew, skewing = timed(introduce_skew, program, deps, scaled, steps)
-    return skew.transform, {"color": color, "shift": shift, "skew": skewing}
+    return skew.transform, {"color+shift": shift, "skew": skewing}
 
 
 def probe_counts(data) -> tuple[int, int, int]:
-    """The fusion probes `color_fcg` asks on a fresh analysis of `data`:
+    """The fusion probes `scale_and_shift` asks on a fresh analysis of `data`:
     (asked, answered by the memo, solved by an LP)."""
     program, deps = frontend.analyze(data)
     asked, solved = [], []
@@ -96,7 +95,7 @@ def probe_counts(data) -> tuple[int, int, int]:
     fcg.fusion_probe = lambda *a, **k: asked.append(a) or probe(*a, **k)
     fcg.level_system = lambda *a, **k: solved.append(a) or build(*a, **k)
     try:
-        color_fcg(program, deps)
+        scale_and_shift(program, deps)
     finally:
         fcg.fusion_probe, fcg.level_system = probe, build
     return len(asked), len(asked) - len(program._probe_verdicts), len(solved)
@@ -121,11 +120,11 @@ def main() -> int:
     paths = [p for p in PATHS if p in chosen]
     family = FAMILIES[args.family]
 
-    stages = ("color", "shift", "skew", "dfp cpu") if "dfp" in paths else ()
+    stages = ("color+shift", "skew", "dfp cpu") if "dfp" in paths else ()
     total = ("analysis + dfp cpu",) if "dfp" in paths else ()
     probes = ("probes", "memo", "lp") if "dfp" in paths else ()
     print(f"{'n':>4} {'ndeps':>5} {'rows':>6} {'parse':>7} {'deps':>7} "
-          + "".join(f"{p:>10}" for p in paths + list(stages))
+          + "".join(f"{p:>12}" for p in paths + list(stages))
           + "".join(f"{t:>20}" for t in total)
           + "".join(f"{c:>7}" for c in probes) + "   bands")
     for n in sizes:
@@ -155,7 +154,7 @@ def main() -> int:
                           for b in shown.bands)
         if "ilp" in transforms and shown is not transforms["ilp"]:
             shape += f" (integer: {len(transforms['ilp'].bands)} bands)"
-        cells = "".join(f"{times[k] * 1000:>8.0f}ms" for k in paths + list(stages))
+        cells = "".join(f"{times[k] * 1000:>10.0f}ms" for k in paths + list(stages))
         cells += "".join(f"{times[k] * 1000:>18.0f}ms" for k in total)
         if probes:
             cells += "".join(f"{c:>7}" for c in probe_counts(data))

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import verify
-from .fcg import color_fcg, to_dot
+from .fcg import to_dot
 from .frontend import ParseError, analyze, parse_json, read_utf8
 from .model import SchedulingError
 from .pluto import SchedulerConfig, schedule
@@ -73,7 +73,7 @@ def _cmd_deps(args) -> int:
 
 def _cmd_fcg(args) -> int:
     program, deps = _load(args.file)
-    coloring = color_fcg(program, deps)
+    coloring = dfp_schedule(program, deps).coloring
     graph = coloring.fcg
     if args.dot:
         sys.stdout.write(to_dot(program, graph, coloring))

@@ -13,14 +13,14 @@ it leaves open, such as those that need scaled loops, build the system and
 solve it as an LP, so building the graph costs a quadratic number of cone
 reads and a handful of solves instead of one monolithic scheduling problem.
 
-Coloring the graph one color per loop level, outermost first and in one
-pass, picks each statement's dimension per level for `postpass`.  Each
+One color, `color_fcg`, picks each statement's dimension at one loop level:
+`postpass.scale_and_shift` colors each level of its walk as it comes,
+outermost first, over the graph of the walk's live dependences.  Each
 strongly connected component takes its dimensions at a color by one
 depth-first search, `colorable_dimension`, the lexicographically first
 compatible pick; the property suite asks the same search of each component
-alone.  When a color cannot be completed, only that color is undone: the
-coloring falls back to loop distribution or to removing the dependences the
-placed colors satisfy, and tries the color again.
+alone.  A component with no pick stops the color, and the walk distributes
+or retires dependences before the color is tried again.
 """
 
 from __future__ import annotations
@@ -32,15 +32,11 @@ from typing import Collection, Mapping, NamedTuple, Optional, Sequence
 from . import ratlp
 from .farkas import cone_ratios
 from .model import (
-    AffineTransform,
     DependencePolyhedron,
     Program,
     SchedulingError,
-    dependence_list,
     min_dependence_component,
-    scc_decompose,
     unit_row,
-    unsatisfied,
 )
 from .pluto import dimension_terms, level_system
 
@@ -262,13 +258,15 @@ def build_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> FusionC
 class Coloring(NamedTuple):
     """Outcome of coloring: one dimension per statement per level.
 
-    `colors[sid][c-1]` is the dimension of `sid` placed at color `c`; the
-    list covers every dimension of the statement, outermost color first.
-    `cut_groups` maps a color to the distribution in force when that color
-    was completed, the scalar level right before the color's loop level:
-    c + k for the k-th cut color c (from 0), plus scale/shift's retry cuts
-    before it.  `fcg` is the conflict graph of the dependences still live
-    at the end, so a dependence that a cut or a drop removed is not in it.
+    `colors[sid][c-1]` is the dimension of `sid` placed at color `c`, the
+    c-th loop level of `postpass.scale_and_shift`'s walk; the list covers
+    every dimension of the statement, outermost color first.  `cut_groups`
+    maps a color to the last distribution the coloring asked the walk for
+    before that color's loop level, each a refinement of the one before;
+    the walk's own cuts of strongly connected components are not in it.
+    `fcg` is the conflict graph of the walk's live set at the last level it
+    colored, so a dependence that a cut or a retire removed before that
+    level is not in it.
     """
 
     colors: Mapping[str, tuple[int, ...]]
@@ -290,88 +288,26 @@ class Coloring(NamedTuple):
         return order.index(k) + 1 if k in order else 0
 
 
-def _partial(program: Program, colors: Mapping[str, list]) -> AffineTransform:
-    """The permutation of the colors placed so far, one unit row each."""
-    np = len(program.params)
-    return AffineTransform.of(program, {
-        s.id: tuple(unit_row(s, np, k) for k in colors[s.id])
-        for s in program.statements})
-
-
-def _split_groups(groups: list, left_ids: set):
-    """Refine the ordered distribution so no group straddles the boundary."""
-    out = []
-    for g in groups:
-        a = tuple(sid for sid in g if sid in left_ids)
-        b = tuple(sid for sid in g if sid not in left_ids)
-        if a and b:
-            out += [a, b]
-        else:
-            out.append(g)
-    return out
-
-
-def color_fcg(program: Program, deps: Sequence[DependencePolyhedron]) -> Coloring:
-    """Assign every statement dimension a loop level.
-
-    Colors are placed outermost first, in one pass: at each color the
-    strongly connected components of the live dependences take one
-    dimension per statement, in topological order, by
-    `colorable_dimension`.  When a component cannot take the color, or
-    its search runs past `MAX_SCC_PICKS`, the color's partial picks are
-    undone, while the colors already placed stay.  The routine then
-    distributes (cutting the graph before the stuck component) or, if
-    nothing crosses that cut, drops the dependences the placed colors
-    satisfy; it rebuilds the conflict graph and tries the same color again.
-    Each rescue strictly shrinks the live dependence set and each completed
-    color moves to the next, so the loop terminates.
-    """
-    ids = tuple(s.id for s in program.statements)
-    max_colors = max((s.dim for s in program.statements), default=0)
-    live: list[DependencePolyhedron] = list(deps)
-    colors: dict[str, list] = {sid: [] for sid in ids}
-    groups: list[tuple[str, ...]] = [ids] if ids else []
-    cut_groups: dict[int, tuple[tuple[str, ...], ...]] = {}
-
-    fcg, sccs = build_fcg(program, live), scc_decompose(ids, live)
-    color = 1
-    while color <= max_colors:
-        used = {(sid, k) for sid, ks in colors.items() for k in ks}
-        chosen: set[Vertex] = set()
-        for idx, comp in enumerate(sccs):
-            try:
-                picked = colorable_dimension(program, fcg, comp, used, chosen)
-            except SchedulingError:  # past its budget: stuck all the same
-                picked = None
-            if picked is None:
-                break
-            chosen.update(picked.items())
-        else:
-            for sid, k in chosen:
-                colors[sid].append(k)
-            color += 1
-            continue
-
-        # Distribute: everything before the stuck component runs first.
-        left = {sid for comp in sccs[:idx] for sid in comp}
-        kept = [d for d in live if (d.src in left) == (d.dst in left)]
-        if len(kept) < len(live):
-            groups = _split_groups(groups, left)
-            cut_groups[color] = tuple(groups)
-        else:
-            kept = unsatisfied(live, _partial(program, colors))
-            if len(kept) == len(live):
-                # Nothing crosses the cut: the stuck component's own live
-                # dependences are the whole cause.
-                inside = [d for d in live if {d.src, d.dst} <= set(sccs[idx])]
-                raise SchedulingError(
-                    f"no dimension of {', '.join(sccs[idx])} can take color "
-                    f"{color}; the conflict graph admits no convex coloring; "
-                    f"live dependences {dependence_list(inside)}")
-        live = kept
-        fcg, sccs = build_fcg(program, live), scc_decompose(ids, live)
-
-    return Coloring({sid: tuple(ks) for sid, ks in colors.items()}, dict(cut_groups), fcg)
+def color_fcg(program: Program, fcg: FusionConflictGraph,
+              sccs: Sequence[Sequence[str]], used: Collection[Vertex]):
+    """One color: the strongly connected components `sccs`, in topological
+    order, each take one dimension per statement by `colorable_dimension`,
+    none in `used` and none in conflict with the picks of the components
+    before.  Returns every pick, statement to dimension, or the index of
+    the first component that has none, or whose search runs past
+    `MAX_SCC_PICKS`."""
+    picks: dict[str, int] = {}
+    chosen: set[Vertex] = set()
+    for idx, comp in enumerate(sccs):
+        try:
+            picked = colorable_dimension(program, fcg, comp, used, chosen)
+        except SchedulingError:  # past its budget: stuck all the same
+            picked = None
+        if picked is None:
+            return idx
+        picks.update(picked)
+        chosen.update(picked.items())
+    return picks
 
 
 def colorable_dimension(program: Program, fcg: FusionConflictGraph,

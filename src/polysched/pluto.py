@@ -12,6 +12,9 @@ retires dependences satisfied at an earlier level, and failing that cuts the
 strongly connected components apart with a constant level (`model.place_cut`)
 and retries one level down.  That satisfies exactly the live dependences
 between them; when there are none, the error names the live dependences.
+A level's caller may also ask for a cut of its own groups, which takes the
+same path: `dfp`'s coloring asks for one where a component has no
+dimension to take.
 
 The levels of one band of `schedule` solve the same `level_system`, over
 the same live dependences and incomplete statements, each with its own
@@ -389,24 +392,25 @@ def _is_parallel(program: Program, assignment: Mapping[str, Fraction]) -> bool:
 
 
 def walk(program: Program, deps: Sequence[DependencePolyhedron], choose,
-         cuts_before: Mapping[int, Sequence[Sequence[str]]] = {},
          *, apart: bool = True) -> ScheduleResult:
     """The level loop of every path.  `choose(statements, live, rows, level,
     nth)` gives the loop step of `level`, its component's nth loop level,
-    over the live ordering dependences and each statement's rows so far, or
-    None when the level has no row or every statement has full rank.
+    over the live dependences and each statement's rows so far; or the
+    groups of a cut it asks for right there; or None when the level has no
+    row or every statement has full rank.
 
     With `apart`, weakly connected components are walked one by one under a
     distribution level, steps naming their index; else all statements are
-    walked together.  `cuts_before[n]` is cut right before the nth.  A
-    level with no row retires the dependences the rows above satisfy, or
-    else cuts the SCCs of the live ones (`model.place_cut`) and retries one
-    level down; a cut that satisfies none raises.  Each run of loop levels
-    up to a level with no row, solved over one live set, is a permutable
-    `Band`.  The walk ends at full rank with no dependence against textual
-    order live; a trailing cut orders such a one.
+    walked together.  A level with no row retires the dependences the rows
+    above satisfy, or else cuts the SCCs of the live ordering dependences.
+    That cut and the one `choose` asks for take one path
+    (`model.place_cut`): it retires the live dependences it satisfies, or
+    raises when it satisfies none, and the walk retries one level down.
+    Each run of loop levels up to a level with no row or a cut, solved over
+    one live set, is a permutable `Band`.  The walk ends at full rank with
+    no ordering dependence against textual order live; a trailing cut
+    orders such a one.
     """
-    deps = tuple(d for d in deps if d.ordering)
     ids = [s.id for s in program.statements]
     comps = components(ids, deps) if apart else (tuple(ids),)
     order = {s.id: s.textual_order for s in program.statements}
@@ -415,7 +419,6 @@ def walk(program: Program, deps: Sequence[DependencePolyhedron], choose,
     bands: list[Band] = []
     cuts: list[Cut] = []
     steps: list[Step] = []
-    planned = dict(cuts_before)
 
     start = 1
     if len(comps) > 1:
@@ -431,36 +434,37 @@ def walk(program: Program, deps: Sequence[DependencePolyhedron], choose,
         level = band_start = start
         nth = 1
         while True:
-            if nth in planned:
-                cuts.append(place_cut(program, rows, level, planned.pop(nth)))
-                steps.append(Step(level, "cut", component=tag))
-                level += 1
-            step = choose(stmts, live, rows, level, nth)
-            if step is not None:
-                for sid, row in step.rows.items():
+            out = choose(stmts, live, rows, level, nth)
+            if isinstance(out, Step):
+                for sid, row in out.rows.items():
                     rows[sid].append(row)
-                steps.append(step._replace(component=tag))
+                steps.append(out._replace(component=tag))
                 level += 1
                 nth += 1
                 continue
             if level > band_start:
                 bands.append(Band(band_start, level - 1, True,
                                   steps[band_start - level].parallel, comp))
-            back = [d for d in live if order[d.src] > order[d.dst]]
-            if all(_statement_state(stmts, rows)[1].values()) and not (
-                    back and unsatisfied(back, AffineTransform.of(program, rows), level - 1)):
-                break
-            kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
+            if out is None:
+                ordering = [d for d in live if d.ordering]
+                back = [d for d in ordering if order[d.src] > order[d.dst]]
+                if all(_statement_state(stmts, rows)[1].values()) and not (
+                        back and unsatisfied(back, AffineTransform.of(program, rows), level - 1)):
+                    break
+                kept = unsatisfied(live, AffineTransform.of(program, rows), level - 1)
+                if len(kept) < len(live):
+                    live, band_start = kept, level
+                    continue
+                out = scc_decompose(comp, ordering)
+            cuts.append(place_cut(program, rows, level, out))
+            steps.append(Step(level, "cut", component=tag))
+            kept = unsatisfied(live, AffineTransform.of(program, rows), level)
             if len(kept) == len(live):
-                cuts.append(place_cut(program, rows, level, scc_decompose(comp, live)))
-                steps.append(Step(level, "cut", component=tag))
-                kept = unsatisfied(live, AffineTransform.of(program, rows), level)
-                if len(kept) == len(live):
-                    raise SchedulingError(
-                        f"no transformation row exists at level {level} for statements "
-                        f"{', '.join(comp)}, and distribution makes no progress; "
-                        f"live dependences {dependence_list(live)}")
-                level += 1
+                raise SchedulingError(
+                    f"no transformation row exists at level {level} for statements "
+                    f"{', '.join(comp)}, and distribution makes no progress; "
+                    f"live dependences {dependence_list(live)}")
+            level += 1
             live, band_start = kept, level
 
     transform = AffineTransform.of(program, rows, bands,
@@ -470,9 +474,11 @@ def walk(program: Program, deps: Sequence[DependencePolyhedron], choose,
 
 def schedule(program: Program, deps: Sequence[DependencePolyhedron],
              config: SchedulerConfig = DEFAULT) -> ScheduleResult:
-    """Full transform: a `walk` of the weakly connected components apart,
-    each level `find_hyperplane`'s, with its own bound minimization; the
-    levels of one band share one system and one set of tableau rows."""
+    """Full transform: a `walk` of the weakly connected components of the
+    ordering dependences apart, each level `find_hyperplane`'s, with its own
+    bound minimization; the levels of one band share one system and one set
+    of tableau rows."""
     band: dict = {}
-    return walk(program, deps, lambda statements, live, rows, level, nth: find_hyperplane(
+    ordering = [d for d in deps if d.ordering]
+    return walk(program, ordering, lambda statements, live, rows, level, nth: find_hyperplane(
         program, statements, live, rows, config, level, band))

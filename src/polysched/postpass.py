@@ -1,12 +1,17 @@
-"""Passes that turn a fusion-conflict-graph coloring into the final schedule.
+"""The passes of `dfp`: fusion-conflict-graph coloring with scaling and
+shifting, level by level, then skewing.
 
 Both passes only choose per-statement terms, extra rows and groups:
 `pluto.solve_level` builds and solves each level, scales it to integers
 with one group per weakly connected component, and reads the rows back.
 `scale_and_shift` walks its levels as `pluto.schedule` does, by
-`pluto.walk`, and solves each color's picks on `pluto.dimension_terms`, the
-terms of the fusion probes' systems: the picked coefficient may grow past 1
-and the shifts are free, so fused statements can slide against each other.
+`pluto.walk`.  Each level first colors the conflict graph of the walk's
+live dependences (`fcg.color_fcg`), then solves the picks on
+`pluto.dimension_terms`, the terms of the fusion probes' systems: the
+picked coefficient may grow past 1 and the shifts are free, so fused
+statements can slide against each other.  A color that gets stuck asks
+the walk for a cut, or leaves the level without a row, and the walk
+retires or cuts as it does for `ilp` and `lp`.
 `introduce_skew` then walks the bands, the runs of loop levels between
 cuts.  A band's live set is the ordering dependences `model.unsatisfied`
 lists above it; each band level where `model.negative` finds one of them
@@ -14,14 +19,14 @@ is replaced with a non-negative combination of itself and the rows above
 it, solved over the live set alone: one term on each row, with
 non-negativity rows on the iterator coefficients as extras.  A band with
 a level that admits no such combination keeps its rows and is not
-permutable.  `dfp_schedule` chains all three.
+permutable.  `dfp_schedule` chains the two.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .fcg import Coloring, color_fcg
+from .fcg import Coloring, FusionConflictGraph, build_fcg, color_fcg
 from .model import (
     AffineTransform,
     Band,
@@ -29,6 +34,7 @@ from .model import (
     Program,
     components,
     negative,
+    scc_decompose,
     unsatisfied,
 )
 from .pluto import Step, Terms, dimension_terms, solve_level, walk
@@ -40,29 +46,69 @@ def _component_groups(comps: Sequence[Sequence[str]], terms: Terms) -> list[list
     return [[u for sid in comp for u, _, _ in terms.get(sid, ())] for comp in comps]
 
 
-def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron],
-                    coloring: Coloring):
-    """Solve one loop level per color, outermost first, with free shifts:
-    one `pluto.walk` of every statement together, whose nth loop level is
-    color n's.  A cut recorded at color n comes right before it.  Each
-    statement colored n takes that dimension on `pluto.dimension_terms`,
-    over the dependences the rows above leave unsatisfied, scaled with one
-    group per weakly connected component.  Returns the scaled transform,
-    whose bands `introduce_skew` sets, and one `Step` per level.
+def _split_groups(groups: Sequence[Sequence[str]], left: set) -> tuple:
+    """Refine the ordered distribution so no group straddles the boundary:
+    each group's statements in `left` come first."""
+    return tuple(part for g in groups for part in (
+        tuple(sid for sid in g if sid in left), tuple(sid for sid in g if sid not in left))
+        if part)
+
+
+def scale_and_shift(program: Program, deps: Sequence[DependencePolyhedron]):
+    """Color and solve one loop level per color, outermost first, with free
+    shifts: one `pluto.walk` of every statement together, whose nth loop
+    level is color n's.
+
+    Each level takes one color, `fcg.color_fcg`, of the conflict graph and
+    the strongly connected components of the walk's live set, read-read
+    dependences included, both built once per live set.  Each statement
+    colored takes that dimension on `pluto.dimension_terms`, over the
+    ordering dependences the rows above leave unsatisfied, scaled with one
+    group per weakly connected component.  A component with no dimension
+    to take asks the walk for a cut before it, the last distribution split
+    there, when a live dependence crosses it; else the level has no row,
+    and the walk retires or cuts as on every path.  Returns the `Coloring`,
+    the scaled transform, whose bands `introduce_skew` sets, and one `Step`
+    per level.
     """
-    comps = components([s.id for s in program.statements], deps)
+    ids = tuple(s.id for s in program.statements)
+    comps = components(ids, deps)
+    total = sum(s.dim for s in program.statements)
+    colors: dict[str, list] = {sid: [] for sid in ids}
+    cut_groups: dict[int, tuple] = {}
+    built = None  # (live set, its graph, its SCCs)
+    colored = FusionConflictGraph((), (), ())  # the graph of the last color
 
     def color_level(statements, live, rows, level, nth):
-        active = {s.id: coloring.colors[s.id][nth - 1] for s in statements
-                  if len(coloring.colors[s.id]) >= nth}
-        if not active:
+        nonlocal built, colored
+        used = {(sid, k) for sid, ks in colors.items() for k in ks}
+        if len(used) == total:
             return None
-        live = unsatisfied(live, AffineTransform.of(program, rows))
+        if built is None or built[0] != live:
+            built = live, build_fcg(program, live), scc_decompose(ids, live)
+        _, graph, sccs = built
+        picks = color_fcg(program, graph, sccs, used)
+        if isinstance(picks, int):
+            left = {sid for comp in sccs[:picks] for sid in comp}
+            if not any((d.src in left) != (d.dst in left) for d in live):
+                return None
+            cut_groups[nth] = _split_groups(
+                cut_groups[max(cut_groups)] if cut_groups else [ids], left)
+            return cut_groups[nth]
+        active = {sid: picks[sid] for sid in ids if sid in picks}
+        ordering = unsatisfied([d for d in live if d.ordering],
+                               AffineTransform.of(program, rows))
         terms = dimension_terms(program, active, parametric_shifts=True)
-        return solve_level(program, live, terms, level, _component_groups(comps, terms))
+        step = solve_level(program, ordering, terms, level, _component_groups(comps, terms))
+        if step is not None:
+            for sid, k in active.items():
+                colors[sid].append(k)
+            colored = graph
+        return step
 
-    out = walk(program, deps, color_level, coloring.cut_groups, apart=False)
-    return out.transform._replace(bands=()), out.steps
+    out = walk(program, deps, color_level, apart=False)
+    coloring = Coloring({sid: tuple(ks) for sid, ks in colors.items()}, cut_groups, colored)
+    return coloring, out.transform._replace(bands=()), out.steps
 
 
 # -- skewing -------------------------------------------------------------------
@@ -166,8 +212,8 @@ class DfpResult(NamedTuple):
 
 def dfp_schedule(program: Program,
                  deps: Sequence[DependencePolyhedron]) -> DfpResult:
-    """Conflict-graph coloring, then scaling/shifting, then skewing."""
-    coloring = color_fcg(program, deps)
-    scaled, steps = scale_and_shift(program, deps, coloring)
+    """Conflict-graph coloring and scaling/shifting in one walk, then
+    skewing."""
+    coloring, scaled, steps = scale_and_shift(program, deps)
     skew = introduce_skew(program, deps, scaled, steps)
     return DfpResult(coloring, scaled, skew.transform, steps + skew.skewed, skew)

@@ -20,8 +20,8 @@ ROOT = Path(__file__).parents[1]
 FIXTURES = ROOT / "tests" / "fixtures"
 
 #: The message of every `SchedulingError` a fixture raises by design, by
-#: fixture and then by path (`ilp`, `lp`, `dfp`, or `fcg` for the coloring
-#: alone).  CI's fixture loop reads the same file.
+#: fixture and then by path (`ilp`, `lp`, `dfp`, or `fcg`, which prints
+#: `dfp`'s coloring).  CI's fixture loop reads the same file.
 REFUSALS = json.loads((ROOT / "tests" / "refusals.json").read_text())
 
 #: Fixtures whose `dfp` run raises `SchedulingError`.

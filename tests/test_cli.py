@@ -7,7 +7,8 @@ import pytest
 
 from polysched import ratlp
 from polysched.cli import main
-from polysched.fcg import color_fcg, to_dot
+from polysched.fcg import to_dot
+from polysched.postpass import dfp_schedule
 
 from inputs import FIXTURES, REFUSALS
 
@@ -125,7 +126,7 @@ class TestFcg:
         code, out, _ = run(capsys, "fcg", FIG1, "--dot")
         assert code == 0
         inst = by_name["fig1"]
-        coloring = color_fcg(inst.program, inst.deps)
+        coloring = dfp_schedule(inst.program, inst.deps).coloring
         assert out == to_dot(inst.program, coloring.fcg, coloring)
         assert '"S1.i" -- "S2.i";' in out
 
@@ -154,13 +155,14 @@ class TestFcg:
 @pytest.mark.parametrize("path", ["ilp", "lp", "dfp", "fcg"])
 @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
 def test_every_fixture_is_scheduled_or_refused_as_pinned(capsys, name, path):
-    """Each path, and the coloring alone (`fcg`), exits 0 on every fixture
+    """Each path, and `dfp`'s coloring (`fcg`), exits 0 on every fixture
     with nothing on stderr, or exits 3 with the refusal that
     `tests/refusals.json` pins.  Eleven runs refuse by design.  An
-    unbounded self-dependence has no bounded row on `ilp` and `lp`, where
-    distribution then satisfies nothing, and keeps its bounding rows in
-    `dfp`'s fusion probes, so `fcg` and `dfp` fail in coloring
-    (`unbounded_self_dependence`, `no_progress_distribution`).  `ilp` and
+    unbounded self-dependence has no bounded row on `ilp` and `lp`, and
+    keeps its bounding rows in `dfp`'s fusion probes, so no dimension of
+    its statement takes a color: on every path, and in `fcg`, which prints
+    `dfp`'s coloring, the level has no row and distribution then satisfies
+    nothing (`unbounded_self_dependence`, `no_progress_distribution`).  `ilp` and
     `lp` find no level-2 row on `ilp_independence`, where one independence
     guide contradicts legality though (0, 1) is legal, and `lp` none on
     `scc_backtrack`, whose cycle `ilp` and `dfp` schedule (ROADMAP item
@@ -341,7 +343,8 @@ class TestErrors:
         path.write_text(json.dumps(UNSCHEDULABLE))
         code, _, err = run(capsys, "schedule", str(path))
         assert code == 3
-        assert err.startswith("internal error: no dimension of S can take color 1; ")
+        assert err.startswith("internal error: no transformation row exists at level 1 "
+                              "for statements S, and distribution makes no progress; ")
 
     def test_corpus_scheduling_error_names_instance_and_path(self, capsys, tmp_path):
         # The suite schedules on lp first, and lp refuses this one too.

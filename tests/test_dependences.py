@@ -166,7 +166,7 @@ def _domains_apart():
 
 #: Per program set: (pair shapes built, statement pairs visited).
 PAIR_SHAPES = {"corpus": (20, 26), "chain16": (2, 31), "fan-in30": (4, 87),
-               "random": (38, 38), "fixtures": (31, 31), "domains": (14, 15)}
+               "random": (38, 38), "fixtures": (34, 34), "domains": (14, 15)}
 
 
 @pytest.mark.parametrize("family", sorted(PAIR_SHAPES))

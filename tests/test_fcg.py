@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysched import farkas, fcg, ratlp, verify
+from polysched import farkas, fcg, pluto, postpass, ratlp, verify
 from polysched.fcg import (
     FusionConflictGraph, build_fcg, color_fcg, colorable_dimension,
     fusion_probe, to_dot,
@@ -18,7 +18,7 @@ from polysched.model import (
     satisfaction_level,
 )
 from polysched.pluto import dimension_terms
-from polysched.postpass import dfp_schedule
+from polysched.postpass import dfp_schedule, scale_and_shift
 from polysched.verify import check_legality, full_rank
 
 from inputs import DFP_REFUSES, FIXTURES, ROOT, bench_chain, workloads
@@ -290,22 +290,45 @@ class TestBuildFcg:
         assert ("S1", 0) not in fcg.neighbours(("S1", 0))  # no self loop
 
 
+def _coloring(program, deps):
+    """The `Coloring` of `dfp`'s walk."""
+    return dfp_schedule(program, deps).coloring
+
+
+class TestOneColor:
+    def test_picks_every_component_in_turn(self, by_name):
+        inst = by_name["fig1"]
+        graph = build_fcg(inst.program, inst.deps)
+        sccs = (("S1",), ("S2",), ("S3",))
+        assert color_fcg(inst.program, graph, sccs, ()) == {"S1": 0, "S2": 1, "S3": 0}
+        assert color_fcg(inst.program, graph, sccs, {("S1", 0), ("S2", 1), ("S3", 0)}) \
+            == {"S1": 1, "S2": 0, "S3": 1}
+
+    def test_names_the_first_stuck_component(self, by_name):
+        inst = by_name["distribution_forced"]
+        graph = build_fcg(inst.program, inst.deps)
+        # P takes its one dimension, which conflicts with Q's.
+        assert color_fcg(inst.program, graph, (("P",), ("Q",)), ()) == 1
+        assert color_fcg(inst.program, graph, (("P", "Q"),), ()) == 0
+
+
 class TestColoring:
     def test_transposed_chain_coloring(self, by_name):
         inst = by_name["fig1"]
-        col = color_fcg(inst.program, inst.deps)
+        col = _coloring(inst.program, inst.deps)
         assert col.colors == {"S1": (0, 1), "S2": (1, 0), "S3": (0, 1)}
         assert col.groups == (("S1", "S2", "S3"),)
-        # Nothing was cut or dropped: the graph is that of every dependence.
+        # Nothing was cut or retired: the graph is that of every dependence.
         assert col.cut_groups == {}
         assert _graph(col.fcg) == _graph(build_fcg(inst.program, inst.deps))
 
     def test_stencil_drops_satisfied_dependences(self, by_name):
         inst = by_name["stencil1d"]
-        col = color_fcg(inst.program, inst.deps)
+        col = _coloring(inst.program, inst.deps)
         assert col.colors == {"S": (0, 1)}
-        # Color 1 satisfies all three self-dependences; the rescue dropped
-        # them and rebuilt the graph without them, which removed the loop.
+        # Level 1 satisfies all three self-dependences and S has no second
+        # dimension free of a self loop, so the walk retired them and the
+        # graph of color 2, without them, has no loop.
         assert len(inst.deps) == 3 and col.cut_groups == {}
         assert build_fcg(inst.program, inst.deps).loops == (("S", 1),)
         assert _graph(col.fcg) == _graph(build_fcg(inst.program, []))
@@ -313,7 +336,7 @@ class TestColoring:
 
     def test_reversal_forces_a_cut(self, by_name):
         inst = by_name["distribution_forced"]
-        col = color_fcg(inst.program, inst.deps)
+        col = _coloring(inst.program, inst.deps)
         assert col.colors == {"P": (0,), "Q": (0,)}
         assert col.groups == (("P",), ("Q",))
         assert col.cut_groups == {1: (("P",), ("Q",))}
@@ -337,7 +360,7 @@ class TestColoring:
     def test_no_distribution_without_a_dependence_to_cut(self):
         # S1 cannot take S0's second color while S0's diagonal dependence is
         # live, but no dependence crosses from S0 to S1: distributing them
-        # would cut nothing.  Dropping the dependence satisfied above color 2
+        # would cut nothing.  Retiring the dependence satisfied above color 2
         # lets both fuse into one permutable band.
         square = [[1, 0, 0, 0, ">="], [-1, 0, 1, -1, ">="],
                   [0, 1, 0, 0, ">="], [0, -1, 1, -1, ">="]]
@@ -349,9 +372,9 @@ class TestColoring:
                            "map": [[1, 0, 0, -1], [0, 1, 0, 1]]}]},
             {"id": "S1", "iterators": ["i", "j"], "domain": square, "order": 1,
              "accesses": [{"array": "B", "kind": "write", "map": ident}]}]})
-        col = color_fcg(program, deps)
+        col = _coloring(program, deps)
         assert col.cut_groups == {} and col.groups == (("S0", "S1"),)
-        # The drop removed S0's diagonal dependence, the only one.
+        # The walk retired S0's diagonal dependence, the only one.
         assert [(d.src, d.dst, d.label) for d in deps] == [("S0", "S0", "A:0->1@0")]
         assert build_fcg(program, deps).loops == (("S0", 1),)
         assert _graph(col.fcg) == _graph(build_fcg(program, []))
@@ -364,16 +387,17 @@ class TestColoring:
 
     def test_backward_self_dependence_admits_no_coloring(self):
         # S's only dimension has a self loop and nothing is satisfied above
-        # color 1 or can be cut away, so no rescue applies.
+        # color 1 or can be cut away: the walk's level 1 has no row, and
+        # distribution satisfies nothing.
         program, deps = analyze({"params": ["N"], "statements": [
             {"id": "S", "iterators": ["i"],
              "domain": [[1, 0, 0, ">="], [-1, 1, -1, ">="]], "accesses": []}],
             "dependences": [{"src": "S", "dst": "S", "kind": "RAW",
                              "relation": [[1, -1, 0, -1, "=="]]}]})
         with pytest.raises(SchedulingError, match=(
-                "^no dimension of S can take color 1; the conflict graph "
-                "admits no convex coloring; live dependences S->S explicit0$")):
-            color_fcg(program, deps)
+                "^no transformation row exists at level 1 for statements S, and "
+                "distribution makes no progress; live dependences S->S explicit0$")):
+            dfp_schedule(program, deps)
 
     def test_a_blocked_statement_of_a_large_component_forces_a_cut(self):
         # A ring S0 -> ... -> S12 -> S0 of corner-to-corner dependences
@@ -399,7 +423,7 @@ class TestColoring:
         graph = build_fcg(program, deps)
         assert graph.loops == ()
         assert graph.conflicts == tuple(((("T", a), ("S12", b))) for a in (0, 1) for b in (0, 1))
-        col = color_fcg(program, deps)
+        col = _coloring(program, deps)
         assert col.cut_groups == {1: (("T",), tuple(ring))}
         assert col.colors == dict.fromkeys(["T", *ring], (0, 1))
         out = dfp_schedule(program, deps)
@@ -408,19 +432,20 @@ class TestColoring:
 
     def test_a_search_past_its_budget_is_rescued_like_a_stuck_one(self, monkeypatch):
         # scc_backtrack's component needs one undone pick at color 1.  With
-        # no undoing allowed, the coloring rescues it as it would a
-        # component with no pick; here no rescue applies.
+        # no undoing allowed, the coloring treats it as a component with no
+        # pick: level 1 has no row, nothing is satisfied above it, and the
+        # one strongly connected component cannot be cut.
         program, deps = analyze(json.loads((FIXTURES / "scc_backtrack.json").read_text()))
         monkeypatch.setattr(fcg, "MAX_SCC_PICKS", 0)
         with pytest.raises(SchedulingError, match=(
-                "^no dimension of S0, S1 can take color 1; the conflict graph "
-                "admits no convex coloring; live dependences S0->S0 explicit0, "
-                "S0->S1 explicit1, S1->S0 explicit2$")):
-            color_fcg(program, deps)
+                "^no transformation row exists at level 1 for statements S0, S1, "
+                "and distribution makes no progress; live dependences S0->S0 "
+                "explicit0, S0->S1 explicit1, S1->S0 explicit2$")):
+            dfp_schedule(program, deps)
 
     def test_matmul_coloring(self, by_name):
         inst = by_name["matmul"]
-        col = color_fcg(inst.program, inst.deps)
+        col = _coloring(inst.program, inst.deps)
         assert col.colors == {"Init": (0, 1), "Upd": (0, 1, 2)}
 
 
@@ -591,7 +616,7 @@ class TestDot:
 
     def test_coloring_fills_by_level(self, by_name):
         inst = by_name["fig1"]
-        col = color_fcg(inst.program, inst.deps)
+        col = _coloring(inst.program, inst.deps)
         dot = to_dot(inst.program, col.fcg, col)
         # S2 interchanges: its j dimension is outermost, so it shares S1.i's
         # fill color.
@@ -615,7 +640,7 @@ def reference_conflicts(program, deps):
 
 
 def test_conflicts_equal_the_walk_over_every_linked_pair(monkeypatch):
-    """Every `build_fcg` call that the coloring makes, on the corpus,
+    """Every `build_fcg` call that `dfp`'s walk makes, on the corpus,
     chain(8), the `random` workload, every fixture and fan-in(30), gives
     the conflicts of the `combinations` walk, in vertex order.  fan-in(30)
     links 57 pairs, each of which is probed."""
@@ -634,11 +659,11 @@ def test_conflicts_equal_the_walk_over_every_linked_pair(monkeypatch):
         linked.append(len({frozenset((d.src, d.dst)) for d in deps if d.src != d.dst}))
         return graph
 
-    monkeypatch.setattr(fcg, "build_fcg", checked)
+    monkeypatch.setattr(postpass, "build_fcg", checked)
     for name, data in named:
         program, deps = analyze(data)
         try:
-            color_fcg(program, deps)
+            scale_and_shift(program, deps)
         except SchedulingError:
             assert name in DFP_REFUSES
     assert len(linked) > len(named) and max(linked) == 57
@@ -678,7 +703,7 @@ def test_probe_verdicts_equal_the_full_system(monkeypatch):
     runs = [SimpleNamespace(instance=inst) for inst in instances]
     for inst in instances:
         try:
-            color_fcg(inst.program, inst.deps)
+            scale_and_shift(inst.program, inst.deps)
         except SchedulingError:
             pass
     verify._check_joint_shifts(runs, 3)
@@ -722,7 +747,7 @@ def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
     for name, data in named:
         program, deps = analyze(data)
         try:
-            color_fcg(program, deps)
+            scale_and_shift(program, deps)
         except SchedulingError:
             assert name in DFP_REFUSES
         runs.append(SimpleNamespace(instance=SimpleNamespace(
@@ -747,12 +772,12 @@ def test_probes_the_minima_decide_equal_the_lp(monkeypatch):
 def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypatch):
     """`dfp` is legal and full-rank on the first 100 `random_nest` nests
     under seed 2.  On those and on every fixture that `dfp` schedules, each
-    ordering dependence a drop rescue removed, as satisfied by the colors
-    already placed, is still satisfied by the final transform (some level's
-    component is at least 1, none above it negative): the colors that
-    justified the drop are the ones the transform keeps."""
+    ordering dependence that `dfp`'s walk retired, as satisfied by the
+    scaled and shifted rows or the cuts already placed, is still satisfied
+    by the final transform (some level's component is at least 1, none
+    above it negative): the skew keeps what justified the retire."""
     dropped = []
-    unsatisfied = fcg.unsatisfied
+    unsatisfied = pluto.unsatisfied
 
     def recorded(deps, transform, up_to=None):
         kept = unsatisfied(deps, transform, up_to)
@@ -760,7 +785,7 @@ def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypa
         dropped.extend(d for d in deps if d.ordering and id(d) not in alive)
         return kept
 
-    monkeypatch.setattr(fcg, "unsatisfied", recorded)
+    monkeypatch.setattr(pluto, "unsatisfied", recorded)
     fixtures = sorted(FIXTURES.glob("*.json"))
     nests = _random_nests(100, seed=2)
     checked = 0
@@ -786,15 +811,14 @@ def test_dfp_on_a_family_slice_keeps_every_dropped_dependence_satisfied(monkeypa
 
 
 def test_scaled_rows_sit_where_the_coloring_put_them():
-    """Scale/shift solves the coloring's picks in place: on the corpus,
+    """Scale/shift solves each color's picks in place: on the corpus,
     chain(8), every fixture and the first 100 `random_nest` nests under
-    seed 2, a statement colored c has exactly one nonzero iterator
-    coefficient at color c's loop level of `dfp.scaled`, on the dimension
-    it took at c, and the k-th cut color c (from 0) sits right before it.
-    Both sit at c + k plus the retry cuts before them: the `cut` steps the
-    walk placed where a color's level had no row, each right before that
-    color's level.  Only a trailing cut, at the last level, follows the
-    last color."""
+    seed 2, `dfp.scaled`'s c-th loop level gives a statement colored c
+    exactly one nonzero iterator coefficient, on the dimension it took at
+    c.  Only cuts lie between two colors' levels: the distribution the
+    coloring asked for before color c, `cut_groups[c]`, is one of them, and
+    the others are the walk's retry cuts, where a level had no row.  Only
+    a trailing cut, at the last level, follows the last color."""
     fixtures = sorted(FIXTURES.glob("*.json"))
     named = ([("chain8", workloads.chain(8))] + _random_nests(100, seed=2)
              + [(p.stem, json.loads(p.read_text())) for p in fixtures])
@@ -807,31 +831,30 @@ def test_scaled_rows_sit_where_the_coloring_put_them():
         except SchedulingError:
             assert name in DFP_REFUSES
             continue
-        scale = iter(out.steps[:len(out.steps) - len(out.skew.skewed)])
-        cuts = iter(out.scaled.cuts)
-        planned = sorted(out.coloring.cut_groups)
-        retries = 0
-        for c in range(1, max(map(len, out.coloring.colors.values()), default=0) + 1):
-            k = sum(cut < c for cut in planned)
-            step = next(scale)
-            if c in planned:
-                assert (step.kind, step.level) == ("cut", c + k + retries), (name, c)
-                assert next(cuts) == Cut(step.level, out.coloring.cut_groups[c]), (name, c)
-                step = next(scale)
-            while step.kind == "cut":
-                assert next(cuts).level == step.level, (name, c)
-                retries += 1
-                step = next(scale)
-            level = c + k + (c in planned) + retries
-            assert (step.kind, step.level) == ("loop", level), (name, c)
+        steps = out.steps[:len(out.steps) - len(out.skew.skewed)]
+        assert [s.level for s in steps] == list(range(1, len(steps) + 1)), name
+        groups = {c.level: c.groups for c in out.scaled.cuts}
+        assert sorted(groups) == [s.level for s in steps if s.kind == "cut"], name
+        colors = out.coloring.colors
+        before = []
+        c = 0
+        for step in steps:
+            if step.kind == "cut":
+                before.append(groups[step.level])
+                continue
+            c += 1
+            if c in out.coloring.cut_groups:
+                assert out.coloring.cut_groups[c] in before, (name, c)
+                before.remove(out.coloring.cut_groups[c])
+                cut_at += 1
+            retried += len(before)
+            before = []
             for s in program.statements:
-                if len(out.coloring.colors[s.id]) >= c:
-                    its = out.scaled.row(s.id, level)[:s.dim]
-                    assert [j for j, x in enumerate(its) if x] == [
-                        out.coloring.colors[s.id][c - 1]], (name, s.id, c)
-        trailing = [(s.kind, s.level) for s in scale]
-        assert trailing in ([], [("cut", out.scaled.levels)]), name
-        assert [c.level for c in cuts] == [level for _, level in trailing], name
-        cut_at += bool(planned)
-        retried += retries
+                if len(colors[s.id]) >= c:
+                    its = out.scaled.row(s.id, step.level)[:s.dim]
+                    assert [j for j, x in enumerate(its) if x] == [colors[s.id][c - 1]], \
+                        (name, s.id, c)
+        assert c == max(map(len, colors.values()), default=0), name
+        assert set(out.coloring.cut_groups) <= set(range(1, c + 1)), name
+        assert len(before) <= 1 and (not before or steps[-1].level == out.scaled.levels), name
     assert cut_at > 0 and retried > 0

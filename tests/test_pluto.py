@@ -18,7 +18,7 @@ from polysched.model import Band, Cut, SchedulingError
 from polysched.postpass import dfp_schedule
 from polysched.pluto import (
     ILP, LP,
-    SchedulerConfig, bound_variables, dimension_terms, find_hyperplane,
+    SchedulerConfig, Step, bound_variables, dimension_terms, find_hyperplane,
     independence_vector, level_rows, level_system, nullspace_basis, row_rank,
     schedule, solve_level,
 )
@@ -670,6 +670,44 @@ class TestNoProgressDistribution:
             schedule(program, deps, SchedulerConfig(mode=mode))
         assert str(err.value) == self.MESSAGES[mode]
         assert "live dependences S->S A:0->1@0" in str(err.value)
+
+
+class TestWalkCutRequest:
+    """`walk` with a stub `choose` on `distribution_forced`, whose one
+    dependence P->Q reverses its loop: the stub asks for one cut first,
+    then gives every statement the unit row of its loop, then None."""
+
+    @staticmethod
+    def _walk(inst, groups):
+        seen = []
+
+        def choose(statements, live, rows, level, nth):
+            seen.append((level, nth, [d.label for d in live]))
+            if len(seen) == 1:
+                return groups
+            if nth > 1:
+                return None
+            rows = {s.id: (1, 0, 0) for s in statements}
+            return Step(level, "loop", rows=rows)
+
+        return pluto.walk(inst.program, inst.deps, choose, apart=False), seen
+
+    def test_a_requested_cut_is_a_cut_step_that_retires_what_it_satisfies(self, by_name):
+        out, seen = self._walk(by_name["distribution_forced"], (("P",), ("Q",)))
+        assert out.transform.cuts == (Cut(1, (("P",), ("Q",))),)
+        assert [(s.level, s.kind, s.component) for s in out.steps] \
+            == [(1, "cut", None), (2, "loop", None)]
+        # The cut satisfies P->Q, so the loop level sees no live dependence,
+        # and a cut does not count as a loop level: color 1 sits at level 2.
+        assert seen == [(1, 1, ["b:0->1"]), (2, 1, []), (3, 2, [])]
+        assert out.transform.rows == {"P": (R(0, 0, 0), R(1, 0, 0)),
+                                      "Q": (R(0, 0, 1), R(1, 0, 0))}
+
+    def test_a_requested_cut_that_satisfies_nothing_raises(self, by_name):
+        with pytest.raises(SchedulingError, match=(
+                "^no transformation row exists at level 1 for statements P, Q, and "
+                "distribution makes no progress; live dependences P->Q b:0->1$")):
+            self._walk(by_name["distribution_forced"], (("P", "Q"),))
 
 
 #: One 2-d statement S over 0 <= i, j <= N - 1 with the explicit

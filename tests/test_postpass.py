@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from polysched.fcg import _partial, build_fcg, color_fcg, fusion_probe
+from polysched.fcg import build_fcg, fusion_probe
 from polysched.frontend import analyze
 from polysched.model import (
     AffineTransform, Band, Cut, SchedulingError, dependence_list, negative,
-    unsatisfied,
+    unit_row, unsatisfied,
 )
 from polysched.pluto import ILP, LP, SchedulerConfig, schedule
 from polysched.postpass import (
-    _skew_level, dfp_schedule, introduce_skew, scale_and_shift,
+    _skew_level, dfp_schedule, introduce_skew,
 )
 from polysched.verify import check_legality, full_rank, load_corpus
 
@@ -76,18 +76,6 @@ class TestScaleAndShift:
         assert out.scaled.rows["P"] == (R(0, 0, 0), R(1, 0, 0))
         assert out.scaled.rows["Q"] == (R(0, 0, 1), R(1, 0, 0))
         assert out.scaled.cuts == (Cut(1, (("P",), ("Q",))),)
-
-    def test_illegal_permutation_is_rejected(self, by_name):
-        # Space outermost on the stencil: the +1/-1 reaches cannot be carried
-        # by any scaling, a self-dependence offers no shift to hide in, and a
-        # cut of the one statement satisfies nothing.
-        inst = by_name["stencil1d"]
-        space_first = color_fcg(inst.program, inst.deps)._replace(colors={"S": (1, 0)})
-        with pytest.raises(SchedulingError, match=(
-                "^no transformation row exists at level 1 for statements S, and "
-                "distribution makes no progress; live dependences S->S A:0->1@0, "
-                "S->S A:0->2@0, S->S A:0->3@0$")):
-            scale_and_shift(inst.program, inst.deps, space_first)
 
     def test_trailing_cut_orders_a_dependence_against_textual_order(self):
         # S2 runs after S0 in textual order but feeds it: once the colors
@@ -326,10 +314,11 @@ class TestScaleShiftInfeasible:
         assert full_rank(program, transform)
 
 
-#: A nest whose coloring needs two rescues at color 2.  Color 1 puts S1 on
-#: j and S2 on i, which satisfies S1->S2, so the first rescue drops it;
-#: the second cuts ((S0, S2), (S1,)) before color 2.  The drop holds only
-#: while color 1 stays: with S1 on i, the same cut runs S1->S2 backwards.
+#: A nest whose coloring needs two rescues at color 2.  Level 1 puts S1 on
+#: j and S2 on i, which satisfies S1->S2, so the walk first retires it;
+#: then the coloring cuts ((S0, S2), (S1,)) before color 2.  The retire
+#: holds only while color 1 stays: with S1 on i, the same cut runs S1->S2
+#: backwards.
 DFP_RECOLOR_DROPS_DEPENDENCE = FIXTURES / "dfp_recolor_drops_dependence.json"
 
 
@@ -342,11 +331,13 @@ class TestRecolorDropsDependence:
 
     def test_rescues_keep_the_placed_color(self):
         program, deps = analyze(json.loads(DFP_RECOLOR_DROPS_DEPENDENCE.read_text()))
-        coloring = color_fcg(program, deps)
+        out = dfp_schedule(program, deps)
+        coloring = out.coloring
         assert coloring.colors["S1"] == (1, 0)
-        # Color 1 satisfies S0->S0 and S1->S2, which the drop removed; the
-        # cut before color 2 then removed S0->S1, the last one.
-        first = _partial(program, {sid: ks[:1] for sid, ks in coloring.colors.items()})
+        # Level 1's rows satisfy S0->S0 and S1->S2, which the walk retired;
+        # the cut before color 2 then satisfied S0->S1, the last one.
+        first = AffineTransform.of(program, {sid: rows[:1]
+                                             for sid, rows in out.scaled.rows.items()})
         assert [(d.src, d.dst) for d in unsatisfied(deps, first)] == [("S0", "S1")]
         assert coloring.cut_groups == {2: (("S0", "S2"), ("S1",))}
         fcg = build_fcg(program, [])
@@ -360,6 +351,41 @@ class TestRecolorDropsDependence:
         assert full_rank(program, transform)
 
 
+#: random_nest draw 98 of random.Random(3).  At color 2, S0's second
+#: dimension has a self loop while S0->S0 is live, and no dependence
+#: crosses before S0, so the walk retires what level 1's rows satisfy.
+RETIRE_BY_REAL_ROWS = FIXTURES / "retire_by_real_rows.json"
+
+
+class TestRetireByRealRows:
+    """The retire reads the scaled and shifted rows: S1's level-1 row is
+    i + 4, which also satisfies three S0->S1 dependences that unit rows
+    would leave live.  Their conflicts gone, both statements take color 2
+    fused; a retire by unit rows kept them and cut (S0) | (S1) first."""
+
+    def test_the_shifted_row_retires_what_unit_rows_leave_live(self):
+        program, deps = analyze(json.loads(RETIRE_BY_REAL_ROWS.read_text()))
+        out = dfp_schedule(program, deps)
+        assert out.scaled.rows["S1"][0] == R(1, 0, 0, 4)
+        level1 = AffineTransform.of(program, {sid: rows[:1]
+                                              for sid, rows in out.scaled.rows.items()})
+        unit = AffineTransform.of(program, {s.id: (unit_row(s, 1, 0),)
+                                            for s in program.statements})
+        live = {(d.src, d.dst, d.kind, d.label) for d in unsatisfied(deps, level1)}
+        assert {(d.src, d.dst, d.kind, d.label) for d in unsatisfied(deps, unit)} - live == {
+            ("S0", "S1", "RAW", "B:0->1"), ("S0", "S1", "RAW", "B:0->2"),
+            ("S0", "S1", "RAR", "B:1->1")}
+
+    def test_dfp_places_no_cut(self):
+        program, deps = analyze(json.loads(RETIRE_BY_REAL_ROWS.read_text()))
+        out = dfp_schedule(program, deps)
+        assert out.coloring.colors == {"S0": (0, 1), "S1": (0, 1)}
+        assert out.coloring.cut_groups == {} and out.transform.cuts == ()
+        assert [(s.level, s.kind) for s in out.steps] == [(1, "loop"), (2, "loop")]
+        assert check_legality(program, deps, out.transform).ok
+        assert full_rank(program, out.transform)
+
+
 #: One statement over i >= 0 alone, writing A[2i] and reading A[i]: its one
 #: dependence, s < t with t = 2s, is unbounded, so no parametric bound
 #: holds for a row with a nonzero coefficient of i.
@@ -369,8 +395,9 @@ UNBOUNDED_SELF_DEPENDENCE = FIXTURES / "unbounded_self_dependence.json"
 class TestUnboundedSelfDependence:
     """A fusion probe gives a dependence its legality rows alone only when
     the relation is bounded in its iterators; this one keeps its bounding
-    rows, so its probe stays infeasible and `dfp` fails in coloring, not
-    later in scale/shift."""
+    rows, so its probe stays infeasible and `dfp` fails in coloring: no
+    dimension of S takes color 1, so the walk's level 1 has no row before
+    any scale/shift solve, and distribution satisfies nothing."""
 
     def test_probe_keeps_the_bounding_rows(self):
         program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
@@ -379,5 +406,7 @@ class TestUnboundedSelfDependence:
 
     def test_dfp_fails_in_coloring(self):
         program, deps = analyze(json.loads(UNBOUNDED_SELF_DEPENDENCE.read_text()))
-        with pytest.raises(SchedulingError, match="no dimension of S can take color 1"):
+        with pytest.raises(SchedulingError, match=(
+                "^no transformation row exists at level 1 for statements S, and "
+                "distribution makes no progress; ")):
             dfp_schedule(program, deps)
